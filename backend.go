@@ -68,8 +68,7 @@ type shardExec struct {
 	interrupt  func() error
 }
 
-// localBackend runs shards in-process over the engine's own catalog: the
-// original scatter path of shard.go, byte-identical.
+// localBackend runs shards in-process over the engine's own catalog.
 type localBackend struct {
 	e *Engine
 }
@@ -77,37 +76,38 @@ type localBackend struct {
 // Kind names the backend.
 func (b *localBackend) Kind() string { return "local" }
 
-// run evaluates the query over one local shard and streams the result:
-// acquire an engine-wide fan-out slot, rebind the compiled graph to the shard
-// document, run the cached-execution pipeline against the shard's own
-// generation stamp (so a reload of this shard invalidates exactly this
-// shard's cached plans and no others), release the slot, then serialize the
-// shard's rows one by one into the bounded item channel. The done report is
-// always sent before the item channel closes.
+// run pumps one local shard's cursor into the gather's bounded item channel;
+// everything else — the fan-out slot around the join, the plan choice against
+// the shard's own generation stamp, the fold, the rendering, the statistics —
+// is the cursor's. The done report is always sent before the item channel
+// closes.
 func (b *localBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
-	e := b.e
 	defer close(st.items)
-	sw := metrics.Start()
-	senv := plan.NewQueryEnv(x.cat, metrics.NewRecorder(), e.seed)
-	senv.Interrupt = x.interrupt
-	abort := func(err error) {
-		st.done <- shardDone{
-			err: err,
-			rec: senv.Rec,
-			gen: x.gen,
-			stats: Stats{
-				ExecTuples:   senv.Rec.CostOf(metrics.PhaseExecute).Tuples,
-				SampleTuples: senv.Rec.CostOf(metrics.PhaseSample).Tuples,
-				Elapsed:      sw.Elapsed(),
-				Truncated:    true,
-			},
+	c := b.e.shardCursor(ctx, x)
+	delivered := 0
+	for c.Next() {
+		it := shardItem{item: c.item}
+		it.key, _ = c.Key()
+		select {
+		case st.items <- it:
+			delivered++
+		case <-ctx.Done():
+			// The gather's early termination (or the caller) cut the stream
+			// short with an item in hand; the error ends the cursor.
+			c.err = ctx.Err()
 		}
 	}
-	if err := e.shardLim.Acquire(ctx); err != nil {
-		abort(err)
-		return
-	}
-	scomp := x.comp.ForShard(x.coll, x.shard)
+	st.done <- c.done(delivered)
+}
+
+// shardCursor binds the execution cursor to one shard: the compiled graph
+// rebound to the shard document, a per-shard environment (own recorder and
+// seeded random stream) over the query's catalog snapshot, and the shard's
+// own cache key and generation stamp — so a reload of this shard invalidates
+// exactly this shard's cached plans and no others.
+func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
+	env := plan.NewQueryEnv(x.cat, metrics.NewRecorder(), e.seed)
+	env.Interrupt = x.interrupt
 	fp := ""
 	if x.baseFP != "" {
 		// The rebound graph's own fingerprint would differ per shard too, but
@@ -115,59 +115,22 @@ func (b *localBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
 		// shard of every query (Prepared computes baseFP once, ever).
 		fp = x.baseFP + "|shard:" + x.shard
 	}
-	exr, err := e.executeCached(senv, scomp, fp, x.gen)
-	// Release the fan-out slot before emitting: the join work the limiter
-	// bounds is done, and an ordered gather needs every shard's head before
-	// it can merge — a shard still holding its slot while blocked on a full
-	// item channel could starve the shards the merge is waiting for.
-	e.shardLim.Release()
-	if err != nil {
-		abort(err)
-		return
-	}
-	stats := exr.stats
-	stats.Scanned = exr.scanned
+	c := e.newCursor(ctx, env, x.comp.ForShard(x.coll, x.shard), fp, x.gen)
+	c.shard = true
+	return c
+}
 
-	if scomp.Tail.Agg != nil {
-		agg, err := plan.FoldAgg(exr.rel, scomp.Tail.Agg)
-		if err != nil {
-			abort(fmt.Errorf("rox: %s: %w", scomp.Return.String(), err))
-			return
-		}
-		stats.Rows = 1 // the shard's single partial-aggregate item
-		stats.Elapsed = sw.Elapsed()
-		st.done <- shardDone{stats: stats, rec: senv.Rec, agg: agg,
-			gen: x.gen, ranPlan: exr.ranPlan, edgeRows: exr.edgeRows}
-		return
+// done is a shard cursor's end-of-stream report for the gather.
+func (c *cursor) done(delivered int) shardDone {
+	return shardDone{
+		stats:    c.report(delivered),
+		rec:      c.env.Rec,
+		agg:      c.agg,
+		err:      c.err,
+		gen:      c.gen,
+		ranPlan:  c.ranPlan,
+		edgeRows: c.edgeRows,
 	}
-
-	ordered := scomp.Tail.Order != nil
-	emitted := 0
-	var cause error
-	n := exr.rel.NumRows()
-emit:
-	for row := 0; row < n; row++ {
-		it := shardItem{item: renderItem(scomp, exr.rel, row)}
-		if ordered {
-			it.key = exr.keys[row]
-		}
-		select {
-		case st.items <- it:
-			emitted++
-		case <-ctx.Done():
-			cause = ctx.Err()
-			break emit
-		}
-	}
-	stats.Rows = emitted
-	stats.Elapsed = sw.Elapsed()
-	if emitted < stats.Scanned || cause != nil {
-		// Fewer items than the shard's join produced: the per-shard limit
-		// window or the gather's early termination cut the stream short.
-		stats.Truncated = true
-	}
-	st.done <- shardDone{stats: stats, rec: senv.Rec, err: cause,
-		gen: x.gen, ranPlan: exr.ranPlan, edgeRows: exr.edgeRows}
 }
 
 // httpBackend runs shards on remote shard servers over the shardrpc NDJSON
@@ -517,38 +480,53 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 	}
 	comp = comp.WithTailLimit(window)
 	gen := cat.DocGeneration(shard)
-	fp := ""
-	if e.cache != nil {
-		if fp = req.Fingerprint; fp == "" {
-			// A coordinator without caching sent no key; key locally so this
-			// server still replays across such requests.
-			fp = cacheKey(comp)
-		}
-		if req.Hint != nil && len(req.Hint.Steps) > 0 {
-			// Seed the cache with the coordinator's replay payload; Install
-			// keeps an existing entry from a newer generation, so a hint can
-			// only add knowledge, never roll it back.
-			e.cache.Install(&plancache.Entry{
-				Fingerprint: fp + "|shard:" + shard,
-				Generation:  req.Hint.Generation,
-				Plan:        shardrpc.ToPlan(req.Hint.Steps),
-				Expected:    req.Hint.Expected,
-			})
-		}
+	// A coordinator without caching sends no key; planKey then keys locally so
+	// this server still replays across such requests.
+	fp := e.planKey(comp, req.Fingerprint)
+	if fp != "" && req.Hint != nil && len(req.Hint.Steps) > 0 {
+		// Seed the cache with the coordinator's replay payload; Install keeps
+		// an existing entry from a newer generation, so a hint can only add
+		// knowledge, never roll it back.
+		e.cache.Install(&plancache.Entry{
+			Fingerprint: fp + "|shard:" + shard,
+			Generation:  req.Hint.Generation,
+			Plan:        shardrpc.ToPlan(req.Hint.Steps),
+			Expected:    req.Hint.Expected,
+		})
 	}
-	sctx, cancel := context.WithCancel(ctx)
-	x := &shardExec{
+	// The run is the execution cursor itself, pulled by the handler's own
+	// goroutine. It opens on the first Next, so a failure past this point
+	// travels in-band in the done report.
+	return e.shardCursor(ctx, &shardExec{
 		coll:      req.Collection,
 		shard:     shard,
 		gen:       gen,
 		cat:       cat,
 		comp:      comp,
 		baseFP:    fp,
-		interrupt: sctx.Err,
+		interrupt: ctx.Err,
+	}), nil
+}
+
+// Done implements shardrpc.ShardRun: the wire form of the cursor's done
+// report — stats, generation stamp, fold state, and the executed plan's
+// replay payload for the coordinator's next hint.
+func (c *cursor) Done() shardrpc.Done {
+	d := c.done(c.row)
+	out := shardrpc.Done{Generation: d.gen}
+	if d.err != nil {
+		out.Error = d.err.Error()
 	}
-	st := newShardStream(shard)
-	go e.local.run(sctx, x, st)
-	return &shardRun{st: st, cancel: cancel, ordered: comp.Tail.Order != nil, gen: gen}, nil
+	ws := statsToWire(d.stats)
+	out.Stats = &ws
+	if d.agg != nil {
+		out.Agg = shardrpc.AggFromState(d.agg)
+	}
+	if d.ranPlan != nil {
+		out.Plan = shardrpc.StepsFromPlan(d.ranPlan)
+		out.Expected = d.edgeRows
+	}
+	return out
 }
 
 // ShardInventory implements shardrpc.Executor: every document this engine
@@ -561,69 +539,4 @@ func (e *Engine) ShardInventory() []shardrpc.ShardInfo {
 		out[i] = shardrpc.ShardInfo{Name: name, Generation: cat.DocGeneration(name)}
 	}
 	return out
-}
-
-// shardRun adapts one local shard execution to the shardrpc.ShardRun pull
-// cursor the HTTP handler streams from.
-type shardRun struct {
-	st      *shardStream
-	cancel  context.CancelFunc
-	cur     shardItem
-	done    *shardDone
-	ordered bool
-	gen     uint64
-}
-
-// Next pulls the next item off the execution's stream.
-func (r *shardRun) Next() bool {
-	it, ok := <-r.st.items
-	if !ok {
-		return false
-	}
-	r.cur = it
-	return true
-}
-
-// Item returns the current serialized item.
-func (r *shardRun) Item() string { return r.cur.item }
-
-// Key returns the current item's merge key when the query orders.
-func (r *shardRun) Key() (plan.Key, bool) { return r.cur.key, r.ordered }
-
-// report memoizes the execution's end-of-stream report.
-func (r *shardRun) report() *shardDone {
-	if r.done == nil {
-		d := <-r.st.done
-		r.done = &d
-	}
-	return r.done
-}
-
-// Done assembles the wire done report: stats, generation stamp, fold state,
-// and the executed plan's replay payload for the coordinator's next hint.
-func (r *shardRun) Done() shardrpc.Done {
-	d := r.report()
-	out := shardrpc.Done{Generation: r.gen}
-	if d.err != nil {
-		out.Error = d.err.Error()
-	}
-	ws := statsToWire(d.stats)
-	out.Stats = &ws
-	if d.agg != nil {
-		out.Agg = shardrpc.AggFromState(d.agg)
-	}
-	if d.ranPlan != nil {
-		p := *d.ranPlan
-		out.Plan = shardrpc.StepsFromPlan(&p)
-		out.Expected = d.edgeRows
-	}
-	return out
-}
-
-// Close aborts the execution and drains it so its goroutine exits.
-func (r *shardRun) Close() {
-	r.cancel()
-	for range r.st.items {
-	}
-	r.report()
 }

@@ -474,7 +474,7 @@ func BenchmarkConcurrentQueryPool(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := p.Query(ctx, q); err != nil {
+			if _, err := collectRows(p.Execute(ctx, Request{Query: q})); err != nil {
 				b.Error(err)
 				return
 			}

@@ -10,9 +10,9 @@
 //	roxserve -demo                                          # built-in DBLP demo corpus
 //	roxserve -addr :8080 -workers 8 -tau 100 -seed 1
 //
-// Endpoints (implemented in internal/serve; every endpoint is served both
-// under the versioned /v1/ prefix — the stable, documented surface — and at
-// its historical unprefixed path, a frozen alias):
+// Endpoints (implemented in internal/serve; every path below lives under the
+// versioned /v1/ prefix — GET /v1/query, GET /v1/healthz, ... — and nowhere
+// else):
 //
 //	GET  /query?q=XQUERY[&mode=rox|static]   evaluate a query (or POST the
 //	         [&limit=N][&offset=M]           query text as the request body);

@@ -51,7 +51,7 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
-	out := getJSON(t, ts.URL+"/healthz", http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/healthz", http.StatusOK)
 	if out["status"] != "ok" {
 		t.Fatalf("healthz status = %v", out["status"])
 	}
@@ -65,7 +65,7 @@ func TestQueryEndpoint(t *testing.T) {
 	ts := testServer(t)
 	q := url.QueryEscape(`for $p in doc("people.xml")//person/name return $p`)
 	for _, mode := range []string{"", "&mode=rox", "&mode=static"} {
-		out := getJSON(t, ts.URL+"/query?q="+q+mode, http.StatusOK)
+		out := getJSON(t, ts.URL+"/v1/query?q="+q+mode, http.StatusOK)
 		items, _ := out["items"].([]any)
 		if len(items) != 3 {
 			t.Fatalf("mode %q: items = %v", mode, out["items"])
@@ -79,7 +79,7 @@ func TestQueryEndpoint(t *testing.T) {
 func TestQueryPostBody(t *testing.T) {
 	ts := testServer(t)
 	body := strings.NewReader(`for $p in doc("people.xml")//person/city return $p`)
-	resp, err := http.Post(ts.URL+"/query", "text/plain", body)
+	resp, err := http.Post(ts.URL+"/v1/query", "text/plain", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestQueryPostBody(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	ts := testServer(t)
-	getJSON(t, ts.URL+"/query", http.StatusBadRequest)                    // empty
-	getJSON(t, ts.URL+"/query?q=%21%21not-xquery", http.StatusBadRequest) // parse error
-	getJSON(t, ts.URL+"/query?q=1&mode=nonsense", http.StatusBadRequest)  // bad mode
+	getJSON(t, ts.URL+"/v1/query", http.StatusBadRequest)                    // empty
+	getJSON(t, ts.URL+"/v1/query?q=%21%21not-xquery", http.StatusBadRequest) // parse error
+	getJSON(t, ts.URL+"/v1/query?q=1&mode=nonsense", http.StatusBadRequest)  // bad mode
 	q := url.QueryEscape(`for $p in doc("missing.xml")//p return $p`)
-	getJSON(t, ts.URL+"/query?q="+q, http.StatusBadRequest) // unknown document
+	getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusBadRequest) // unknown document
 }
 
 func TestQueryBodyTooLarge(t *testing.T) {
@@ -113,7 +113,7 @@ func TestQueryBodyTooLarge(t *testing.T) {
 	ts := httptest.NewServer(newHandler(rox.NewPool(eng, 1), 16, "", "standalone"))
 	defer ts.Close()
 	body := strings.NewReader(`for $p in doc("people.xml")//person return $p`)
-	resp, err := http.Post(ts.URL+"/query", "text/plain", body)
+	resp, err := http.Post(ts.URL+"/v1/query", "text/plain", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestQueryBodyTooLarge(t *testing.T) {
 
 func TestCacheEndpoint(t *testing.T) {
 	ts := testServer(t)
-	out := getJSON(t, ts.URL+"/cache", http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/cache", http.StatusOK)
 	if out["enabled"] != true {
 		t.Fatalf("cache enabled = %v, want true", out["enabled"])
 	}
@@ -135,11 +135,11 @@ func TestCacheEndpoint(t *testing.T) {
 
 	// First evaluation misses and installs; the repeat is a zero-sampling hit.
 	q := url.QueryEscape(`for $p in doc("people.xml")//person/name return $p`)
-	first := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	first := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	if hit := first["stats"].(map[string]any)["cache_hit"]; hit != false {
 		t.Fatalf("first query cache_hit = %v, want false", hit)
 	}
-	second := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	second := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	stats := second["stats"].(map[string]any)
 	if stats["cache_hit"] != true {
 		t.Fatalf("second query cache_hit = %v, want true", stats["cache_hit"])
@@ -148,7 +148,7 @@ func TestCacheEndpoint(t *testing.T) {
 		t.Fatalf("cache-hit sample_tuples = %v, want 0", st)
 	}
 
-	out = getJSON(t, ts.URL+"/cache", http.StatusOK)
+	out = getJSON(t, ts.URL+"/v1/cache", http.StatusOK)
 	if out["size"].(float64) != 1 || out["installs"].(float64) != 1 {
 		t.Fatalf("cache size/installs = %v/%v, want 1/1", out["size"], out["installs"])
 	}
@@ -170,7 +170,7 @@ func TestConcurrentRequestsAndStats(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/query?q=" + q)
+			resp, err := http.Get(ts.URL + "/v1/query?q=" + q)
 			if err != nil {
 				errs <- err
 				return
@@ -191,7 +191,7 @@ func TestConcurrentRequestsAndStats(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	stats := getJSON(t, ts.URL+"/stats", http.StatusOK)
+	stats := getJSON(t, ts.URL+"/v1/stats", http.StatusOK)
 	if got := stats["queries"].(float64); got != n {
 		t.Fatalf("stats queries = %v, want %d", got, n)
 	}
@@ -235,7 +235,7 @@ func collectionServerCorpus(t *testing.T, corpusDir string) *httptest.Server {
 
 func TestCollectionsEndpoint(t *testing.T) {
 	ts := collectionServer(t)
-	out := getJSON(t, ts.URL+"/collections", http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/collections", http.StatusOK)
 	colls, _ := out["collections"].([]any)
 	if len(colls) != 1 {
 		t.Fatalf("collections = %v", out["collections"])
@@ -253,7 +253,7 @@ func TestCollectionsEndpoint(t *testing.T) {
 func TestCollectionQueryEndpoint(t *testing.T) {
 	ts := collectionServer(t)
 	q := url.QueryEscape(`for $p in collection("ppl")//person/name return $p`)
-	out := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ := out["items"].([]any)
 	if len(items) != 6 {
 		t.Fatalf("items = %v", out["items"])
@@ -281,7 +281,7 @@ func TestCollectionQueryEndpoint(t *testing.T) {
 func TestAggregateQueryEndpoint(t *testing.T) {
 	ts := collectionServer(t)
 	q := url.QueryEscape(`for $p in collection("ppl")//person return sum($p/age)`)
-	out := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ := out["items"].([]any)
 	// 3 shards × persons aged 10 and 11.
 	if len(items) != 1 || items[0] != "63" {
@@ -307,7 +307,7 @@ func TestAggregateQueryEndpoint(t *testing.T) {
 
 	// The avg of the same corpus, exercising the (sum, count) merge.
 	q = url.QueryEscape(`for $p in collection("ppl")//person return avg($p/age)`)
-	out = getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	out = getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ = out["items"].([]any)
 	if len(items) != 1 || items[0] != "10.5" {
 		t.Fatalf("avg items = %v, want [10.5]", out["items"])
@@ -315,7 +315,7 @@ func TestAggregateQueryEndpoint(t *testing.T) {
 
 	// Aggregating a non-numeric path is the client's mistake: 400, not 500.
 	q = url.QueryEscape(`for $p in collection("ppl")//person return sum($p/name)`)
-	out = getJSON(t, ts.URL+"/query?q="+q, http.StatusBadRequest)
+	out = getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusBadRequest)
 	if msg, _ := out["error"].(string); !strings.Contains(msg, "non-numeric") {
 		t.Errorf("non-numeric aggregate error = %q", msg)
 	}
@@ -326,7 +326,7 @@ func TestAggregateQueryEndpoint(t *testing.T) {
 func TestOrderByQueryEndpoint(t *testing.T) {
 	ts := collectionServer(t)
 	q := url.QueryEscape(`for $p in collection("ppl")//person order by $p/age descending return $p`)
-	out := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ := out["items"].([]any)
 	if len(items) != 6 {
 		t.Fatalf("items = %v", out["items"])
@@ -351,11 +351,11 @@ func TestCollectionLoadEndpoint(t *testing.T) {
 	// Replace shard 1 with a bigger one, then query: rows change, and only
 	// that shard's plans were invalidated (the others replay cached).
 	q := url.QueryEscape(`for $p in collection("ppl")//person/name return $p`)
-	getJSON(t, ts.URL+"/query?q="+q, http.StatusOK) // warm the cache
+	getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK) // warm the cache
 
 	// 100 persons instead of 2: far beyond the drift ratio, so the replayed
 	// plan is rejected and the shard re-optimized.
-	resp, err := http.Post(ts.URL+"/collections/load?name=ppl&shard=ppl-1.xml", "text/xml",
+	resp, err := http.Post(ts.URL+"/v1/collections/load?name=ppl&shard=ppl-1.xml", "text/xml",
 		strings.NewReader(shardBody(100)))
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestCollectionLoadEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("load status = %d", resp.StatusCode)
 	}
-	out := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ := out["items"].([]any)
 	if len(items) != 2+100+2 {
 		t.Fatalf("items after reload = %d, want 104", len(items))
@@ -382,7 +382,7 @@ func TestCollectionLoadEndpoint(t *testing.T) {
 		}
 	}
 	// Exactly one shard went through the stale-generation path.
-	cache := getJSON(t, ts.URL+"/cache", http.StatusOK)
+	cache := getJSON(t, ts.URL+"/v1/cache", http.StatusOK)
 	if got := cache["stale_hits"].(float64); got != 1 {
 		t.Errorf("stale_hits = %v, want 1 (only the reloaded shard)", got)
 	}
@@ -394,7 +394,7 @@ func TestCollectionLoadEndpoint(t *testing.T) {
 func TestCollectionLoadEndpointErrors(t *testing.T) {
 	ts := collectionServer(t)
 	post := func(path, body string) int {
-		resp, err := http.Post(ts.URL+path, "text/xml", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1"+path, "text/xml", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestCollectionLoadEndpointErrors(t *testing.T) {
 	if got := post("/collections/load?name=ppl&shard=x.xml", "  "); got != http.StatusBadRequest {
 		t.Errorf("empty shard body: status %d, want 400", got)
 	}
-	resp, err := http.Get(ts.URL + "/collections/load?name=ppl&shard=x.xml")
+	resp, err := http.Get(ts.URL + "/v1/collections/load?name=ppl&shard=x.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestQueryErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u := ts.URL + "/query?q=" + url.QueryEscape(tc.query)
+			u := ts.URL + "/v1/query?q=" + url.QueryEscape(tc.query)
 			if tc.name == "static mode on a collection" {
 				u += "&mode=static"
 			}
@@ -454,7 +454,7 @@ func TestQueryCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ts.URL+"/query?q="+url.QueryEscape(`for $p in collection("ppl")//person return $p`), nil)
+		ts.URL+"/v1/query?q="+url.QueryEscape(`for $p in collection("ppl")//person return $p`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestQueryCanceledContext(t *testing.T) {
 func TestCollectionLoadGuardsAgainstTypos(t *testing.T) {
 	ts := collectionServer(t)
 	// Mistyped collection name: 404, nothing registered.
-	resp, err := http.Post(ts.URL+"/collections/load?name=pplx&shard=s.xml", "text/xml",
+	resp, err := http.Post(ts.URL+"/v1/collections/load?name=pplx&shard=s.xml", "text/xml",
 		strings.NewReader(shardBody(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -486,12 +486,12 @@ func TestCollectionLoadGuardsAgainstTypos(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("typo'd collection: status %d, want 404", resp.StatusCode)
 	}
-	out := getJSON(t, ts.URL+"/collections", http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/collections", http.StatusOK)
 	if colls := out["collections"].([]any); len(colls) != 1 {
 		t.Fatalf("typo created a collection: %v", out["collections"])
 	}
 	// Explicit create opt-in works.
-	resp, err = http.Post(ts.URL+"/collections/load?name=fresh&shard=s.xml&create=1", "text/xml",
+	resp, err = http.Post(ts.URL+"/v1/collections/load?name=fresh&shard=s.xml&create=1", "text/xml",
 		strings.NewReader(shardBody(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +500,7 @@ func TestCollectionLoadGuardsAgainstTypos(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("create=1: status %d, want 200", resp.StatusCode)
 	}
-	out = getJSON(t, ts.URL+"/collections", http.StatusOK)
+	out = getJSON(t, ts.URL+"/v1/collections", http.StatusOK)
 	if colls := out["collections"].([]any); len(colls) != 2 {
 		t.Fatalf("create=1 did not register: %v", out["collections"])
 	}
@@ -509,7 +509,7 @@ func TestCollectionLoadGuardsAgainstTypos(t *testing.T) {
 func TestQueryLimitOffsetParams(t *testing.T) {
 	ts := testServer(t)
 	q := url.QueryEscape(`for $p in doc("people.xml")//person/name return $p`)
-	out := getJSON(t, ts.URL+"/query?q="+q+"&limit=1&offset=1", http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/query?q="+q+"&limit=1&offset=1", http.StatusOK)
 	items, _ := out["items"].([]any)
 	if len(items) != 1 || items[0] != "<name>bob</name>" {
 		t.Fatalf("limit=1 offset=1 items = %v", out["items"])
@@ -520,20 +520,20 @@ func TestQueryLimitOffsetParams(t *testing.T) {
 	}
 	// The window also wins over a limit clause in the query text.
 	q = url.QueryEscape(`for $p in doc("people.xml")//person/name return $p limit 3`)
-	out = getJSON(t, ts.URL+"/query?q="+q+"&limit=2", http.StatusOK)
+	out = getJSON(t, ts.URL+"/v1/query?q="+q+"&limit=2", http.StatusOK)
 	if items, _ := out["items"].([]any); len(items) != 2 {
 		t.Fatalf("override items = %v", out["items"])
 	}
 	// Bad window values are client errors.
-	getJSON(t, ts.URL+"/query?q="+q+"&limit=x", http.StatusBadRequest)
-	getJSON(t, ts.URL+"/query?q="+q+"&offset=-1", http.StatusBadRequest)
-	getJSON(t, ts.URL+"/query?q="+q+"&stream=csv", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/v1/query?q="+q+"&limit=x", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/v1/query?q="+q+"&offset=-1", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/v1/query?q="+q+"&stream=csv", http.StatusBadRequest)
 }
 
 func TestQueryStreamNDJSON(t *testing.T) {
 	ts := testServer(t)
 	q := url.QueryEscape(`for $p in doc("people.xml")//person/name return $p`)
-	resp, err := http.Get(ts.URL + "/query?q=" + q + "&stream=ndjson&limit=2")
+	resp, err := http.Get(ts.URL + "/v1/query?q=" + q + "&stream=ndjson&limit=2")
 	if err != nil {
 		t.Fatal(err)
 	}

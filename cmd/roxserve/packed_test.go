@@ -59,7 +59,7 @@ func TestLoadDocPacked(t *testing.T) {
 	ts := httptest.NewServer(newHandler(rox.NewPool(eng, 2), 1<<20, "", "standalone"))
 	defer ts.Close()
 	q := url.QueryEscape(`for $p in doc("people.xml")//person[city = "zurich"]/name return $p`)
-	out := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	out := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ := out["items"].([]any)
 	if len(items) != 2 {
 		t.Fatalf("items = %v, want ann and cat", out["items"])
@@ -101,12 +101,12 @@ func TestCollectionLoadFileEndpoint(t *testing.T) {
 	// The packed replacement carries the stored name ppl-1.xml, so the swap
 	// replaces that shard rather than appending.
 	path := packFixture(t, dir, "ppl-1.xml", shardBody(4))
-	out := postJSON(t, ts.URL+"/collections/load?name=ppl&file="+url.QueryEscape(path), "", http.StatusOK)
+	out := postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file="+url.QueryEscape(path), "", http.StatusOK)
 	if out["status"] != "mapped" {
 		t.Fatalf("status = %v, want mapped", out["status"])
 	}
 	q := url.QueryEscape(`for $p in collection("ppl")//person/name return $p`)
-	res := getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	res := getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ := res["items"].([]any)
 	if len(items) != 8 { // shards of 2 + 4 + 2 persons
 		t.Fatalf("items after swap = %d, want 8", len(items))
@@ -117,26 +117,26 @@ func TestCollectionLoadFileEndpoint(t *testing.T) {
 	if err := os.WriteFile(xmlPath, []byte(shardBody(5)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = postJSON(t, ts.URL+"/collections/load?name=ppl&shard=ppl-2.xml&file="+url.QueryEscape(xmlPath), "", http.StatusOK)
+	out = postJSON(t, ts.URL+"/v1/collections/load?name=ppl&shard=ppl-2.xml&file="+url.QueryEscape(xmlPath), "", http.StatusOK)
 	if out["status"] != "loaded" {
 		t.Fatalf("status = %v, want loaded", out["status"])
 	}
-	res = getJSON(t, ts.URL+"/query?q="+q, http.StatusOK)
+	res = getJSON(t, ts.URL+"/v1/query?q="+q, http.StatusOK)
 	items, _ = res["items"].([]any)
 	if len(items) != 11 { // 2 + 4 + 5
 		t.Fatalf("items after xml swap = %d, want 11", len(items))
 	}
 
 	// A corpus-relative path works too.
-	out = postJSON(t, ts.URL+"/collections/load?name=ppl&file=ppl-1.xml.roxd", "", http.StatusOK)
+	out = postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file=ppl-1.xml.roxd", "", http.StatusOK)
 	if out["status"] != "mapped" {
 		t.Fatalf("relative file status = %v, want mapped", out["status"])
 	}
 
 	// Error paths: absent file, and the create guard still applies to files.
-	postJSON(t, ts.URL+"/collections/load?name=ppl&file="+url.QueryEscape(filepath.Join(dir, "nope.roxd")),
+	postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file="+url.QueryEscape(filepath.Join(dir, "nope.roxd")),
 		"", http.StatusBadRequest)
-	postJSON(t, ts.URL+"/collections/load?name=brand-new&file="+url.QueryEscape(path),
+	postJSON(t, ts.URL+"/v1/collections/load?name=brand-new&file="+url.QueryEscape(path),
 		"", http.StatusNotFound)
 }
 
@@ -152,9 +152,9 @@ func TestCollectionLoadFileConfinement(t *testing.T) {
 
 	// No -corpusdir: every file load is forbidden, even a plausible one.
 	ts := collectionServer(t)
-	postJSON(t, ts.URL+"/collections/load?name=ppl&file="+url.QueryEscape(secret),
+	postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file="+url.QueryEscape(secret),
 		"", http.StatusForbidden)
-	postJSON(t, ts.URL+"/collections/load?name=ppl&file=anything.roxd",
+	postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file=anything.roxd",
 		"", http.StatusForbidden)
 
 	// With a corpus directory, escapes are rejected before any file access.
@@ -169,7 +169,7 @@ func TestCollectionLoadFileConfinement(t *testing.T) {
 		filepath.Join(dir, "..", filepath.Base(outside), "secret.xml"), // lexical inside, .. outside
 		"sneaky.xml", // symlink inside the corpus dir pointing outside
 	} {
-		out := postJSON(t, ts.URL+"/collections/load?name=ppl&file="+url.QueryEscape(file),
+		out := postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file="+url.QueryEscape(file),
 			"", http.StatusForbidden)
 		if msg, _ := out["error"].(string); !strings.Contains(msg, "corpus directory") {
 			t.Errorf("file %q: error = %q, want a corpus-directory rejection", file, msg)
@@ -178,7 +178,7 @@ func TestCollectionLoadFileConfinement(t *testing.T) {
 
 	// The confinement does not break legitimate loads in the same server.
 	good := packFixture(t, dir, "ppl-0.xml", shardBody(3))
-	out := postJSON(t, ts.URL+"/collections/load?name=ppl&file="+url.QueryEscape(good), "", http.StatusOK)
+	out := postJSON(t, ts.URL+"/v1/collections/load?name=ppl&file="+url.QueryEscape(good), "", http.StatusOK)
 	if out["status"] != "mapped" {
 		t.Fatalf("legitimate load status = %v, want mapped", out["status"])
 	}

@@ -147,16 +147,16 @@ func TestQueryContextCancel(t *testing.T) {
 	e := engine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryContext(ctx, concurrencyQueries[3]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryContext on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := collectRows(e.Execute(ctx, Request{Query: concurrencyQueries[3]})); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := e.QueryStaticContext(ctx, concurrencyQueries[3]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryStaticContext on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := collectRows(e.Execute(ctx, Request{Query: concurrencyQueries[3], Static: true})); !errors.Is(err, context.Canceled) {
+		t.Fatalf("static Execute on canceled ctx: err = %v, want context.Canceled", err)
 	}
 	// A live context evaluates normally.
-	res, err := e.QueryContext(context.Background(), concurrencyQueries[0])
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: concurrencyQueries[0]}))
 	if err != nil || len(res.Items) != 3 {
-		t.Fatalf("QueryContext live: res = %v, err = %v", res, err)
+		t.Fatalf("Execute live: res = %v, err = %v", res, err)
 	}
 }
 
@@ -184,9 +184,9 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 			var res *Result
 			var err error
 			if i%2 == 0 {
-				res, err = p.Query(ctx, concurrencyQueries[0])
+				res, err = collectRows(p.Execute(ctx, Request{Query: concurrencyQueries[0]}))
 			} else {
-				res, err = p.QueryStatic(ctx, concurrencyQueries[0])
+				res, err = collectRows(p.Execute(ctx, Request{Query: concurrencyQueries[0], Static: true}))
 			}
 			if err != nil {
 				errs <- err
@@ -218,7 +218,7 @@ func TestPoolCanceledBeforeStart(t *testing.T) {
 	p := NewPool(e, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.Query(ctx, concurrencyQueries[0]); !errors.Is(err, context.Canceled) {
+	if _, err := collectRows(p.Execute(ctx, Request{Query: concurrencyQueries[0]})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pool query on canceled ctx: err = %v", err)
 	}
 }

@@ -117,31 +117,6 @@ func (c *Catalog) AddDocument(d *xmltree.Document) {
 	c.AddIndexed(index.New(d))
 }
 
-// AddPackedFile registers a document from a .roxd file: a packed v2
-// container is memory-mapped and its persistent index sections attached
-// without any O(n) rebuild; a v1 file is decoded into the heap and indexed.
-// Single-owner only, like AddDocument.
-func (c *Catalog) AddPackedFile(path string) error {
-	ix, err := index.OpenPackedFile(path)
-	if err != nil {
-		return err
-	}
-	c.AddIndexed(ix)
-	return nil
-}
-
-// AddCollectionShardPacked registers one shard of the named collection from
-// a .roxd file, like AddCollectionShard; the shard's document name is the
-// one stored in the container.
-func (c *Catalog) AddCollectionShardPacked(coll, path string) error {
-	ix, err := index.OpenPackedFile(path)
-	if err != nil {
-		return err
-	}
-	c.AddCollectionShard(coll, ix)
-	return nil
-}
-
 // AddIndexed registers a document with a pre-built index (lets callers share
 // one index build across many catalogs or query environments). If the name
 // is a shard of some collection, that shard is refreshed too: shards are

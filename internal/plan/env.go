@@ -41,7 +41,7 @@ type Env struct {
 	Rand *rand.Rand
 	// Interrupt, when non-nil, is polled between operator executions and
 	// optimizer rounds; a non-nil return aborts the evaluation with that
-	// error. Context-based cancellation plugs in here (see rox.QueryContext).
+	// error. Context-based cancellation plugs in here (see rox.Execute).
 	Interrupt func() error
 }
 

@@ -2,13 +2,13 @@
 //
 // cmd/roxserve is a thin shell around this package — flag parsing, corpus
 // loading and process lifecycle — while the request surface itself (query
-// evaluation, NDJSON streaming, collection loading, the shard-execution wire
-// protocol and the versioned /v1/ aliases) lives here so test harnesses can
-// boot the exact production handler in-process: the scenario runner
-// (internal/scenario) diffs a loopback coordinator+shard cluster against a
-// single server, and the soak harness (internal/loadgen) drives concurrent
-// query + reload + kill/restart traffic under the race detector. See the
-// "Load harness and latency gates" section of DESIGN.md.
+// evaluation, NDJSON streaming, collection loading and the shard-execution
+// wire protocol, all under the versioned /v1/ prefix) lives here so test
+// harnesses can boot the exact production handler in-process: the scenario
+// runner (internal/scenario) diffs a loopback coordinator+shard cluster
+// against a single server, and the soak harness (internal/loadgen) drives
+// concurrent query + reload + kill/restart traffic under the race detector.
+// See the "Load harness and latency gates" section of DESIGN.md.
 //
 // A Handler also owns the drain lifecycle: Drain cancels the context of
 // every in-flight request, so streaming NDJSON responses end with a terminal
@@ -56,9 +56,9 @@ type Config struct {
 const DefaultMaxBody = 1 << 20
 
 // Handler is the roxserve HTTP API over a query pool. It serves every
-// endpoint both at its historical unprefixed path and under the stable /v1/
-// prefix, and supports draining: after Drain, in-flight requests see their
-// context canceled so streams terminate promptly with a clean error.
+// endpoint under the stable /v1/ prefix, and supports draining: after Drain,
+// in-flight requests see their context canceled so streams terminate promptly
+// with a clean error.
 type Handler struct {
 	mux         *http.ServeMux
 	drainCtx    context.Context
@@ -105,21 +105,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // fast requests a grace period to finish on their own.
 func (h *Handler) Drain() { h.drainCancel(ErrDraining) }
 
-// handle registers one route twice: at its historical unprefixed pattern and
-// under the versioned /v1/ prefix. Both names resolve to the same handler —
-// /v1/ is the documented stable surface, the unprefixed path a frozen alias.
-// Method patterns ("POST /shards/{shard}/execute") keep the method in front
-// of the inserted prefix.
-func (h *Handler) handle(pattern string, fn http.HandlerFunc) {
-	h.mux.HandleFunc(pattern, fn)
-	if method, path, ok := strings.Cut(pattern, " "); ok {
-		h.mux.HandleFunc(method+" /v1"+path, fn)
-	} else {
-		h.mux.HandleFunc("/v1"+pattern, fn)
-	}
-}
-
-// register wires every endpoint. CorpusDir confines server-side ?file= shard
+// register wires every endpoint, all under the versioned /v1/ prefix — the
+// only namespace the server has. CorpusDir confines server-side ?file= shard
 // loads; "" disables them — the server binds all interfaces by default, so an
 // unrestricted ?file= would hand every HTTP client a read primitive over any
 // file the process can open.
@@ -128,16 +115,16 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 	// Route the engine ingester's counters into the pool's aggregator so
 	// /stats reports them next to the query totals.
 	pool.Engine().Ingest().SetCounters(&pool.Aggregator().Ingest)
-	h.handle("GET /shards", shardrpc.HandleInventory(pool.Engine()))
-	h.handle("POST /shards/{shard}/execute", shardrpc.HandleExecute(pool.Engine()))
-	h.handle("POST /shards/{shard}/ingest", shardrpc.HandleIngest(pool.Engine()))
-	h.handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("GET /v1/shards", shardrpc.HandleInventory(pool.Engine()))
+	h.mux.HandleFunc("POST /v1/shards/{shard}/execute", shardrpc.HandleExecute(pool.Engine()))
+	h.mux.HandleFunc("POST /v1/shards/{shard}/ingest", shardrpc.HandleIngest(pool.Engine()))
+	h.mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":    "ok",
 			"documents": pool.Engine().Documents(),
 		})
 	})
-	h.handle("/stats", func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		agg := pool.Aggregator()
 		exec, sample := agg.CostOf(metrics.PhaseExecute), agg.CostOf(metrics.PhaseSample)
 		var ms runtime.MemStats
@@ -156,7 +143,7 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 			"ingest":     ingestStatsJSON(pool.Engine()),
 		})
 	})
-	h.handle("/cache", func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("/v1/cache", func(w http.ResponseWriter, r *http.Request) {
 		cs := pool.CacheStats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"enabled":       cs.Enabled,
@@ -173,11 +160,11 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 		})
 	})
 	if cfg.Role != "shard" {
-		h.handle("/query", func(w http.ResponseWriter, r *http.Request) {
+		h.mux.HandleFunc("/v1/query", func(w http.ResponseWriter, r *http.Request) {
 			serveQuery(pool, maxBody, w, r)
 		})
 	}
-	h.handle("/collections", func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("/v1/collections", func(w http.ResponseWriter, r *http.Request) {
 		eng := pool.Engine()
 		type collInfo struct {
 			Name   string   `json:"name"`
@@ -196,10 +183,10 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 			"ingest":      ingestStatsJSON(eng),
 		})
 	})
-	h.handle("/collections/load", func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("/v1/collections/load", func(w http.ResponseWriter, r *http.Request) {
 		serveCollectionLoad(pool, maxBody, corpusDir, w, r)
 	})
-	h.handle("POST /collections/{name}/ingest", func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("POST /v1/collections/{name}/ingest", func(w http.ResponseWriter, r *http.Request) {
 		serveIngest(pool, maxBody, corpusDir, w, r)
 	})
 }

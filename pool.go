@@ -114,35 +114,6 @@ func (p *Pool) adopt(rows *Rows, err error) (*Rows, error) {
 	return rows, nil
 }
 
-// Query evaluates q with the ROX run-time optimizer on a pool worker,
-// waiting for a free slot if all are busy. ctx cancels both the wait and the
-// evaluation itself. It drains an Execute cursor; prefer Execute for
-// incremental consumption.
-func (p *Pool) Query(ctx context.Context, q string) (*Result, error) {
-	return p.drain(p.Execute(ctx, Request{Query: q}))
-}
-
-// QueryStatic evaluates q with the classical compile-time baseline on a pool
-// worker. Prefer Execute (with Request.Static) for new code.
-func (p *Pool) QueryStatic(ctx context.Context, q string) (*Result, error) {
-	return p.drain(p.Execute(ctx, Request{Query: q, Static: true}))
-}
-
-// QueryPrepared evaluates a prepared statement on a pool worker: no
-// recompilation, plan-cache lookup first. The statement must be prepared on
-// this pool's engine. Prefer ExecutePrepared for new code.
-func (p *Pool) QueryPrepared(ctx context.Context, prep *Prepared) (*Result, error) {
-	return p.drain(p.ExecutePrepared(ctx, prep))
-}
-
-// drain materializes a pooled cursor into the legacy Result shape.
-func (p *Pool) drain(rows *Rows, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return rows.collect()
-}
-
 // CacheStats reports the engine's plan-cache counters — the servable
 // fleet-wide view next to Aggregator's tuple costs.
 func (p *Pool) CacheStats() CacheStats { return p.eng.CacheStats() }

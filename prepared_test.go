@@ -336,14 +336,14 @@ func TestPreparedContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := prep.QueryContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := collectRows(prep.Execute(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled prepared query: err = %v", err)
 	}
 	// Cancellation during a cache-hit replay must also propagate.
 	if _, err := prep.Query(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.QueryContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := collectRows(prep.Execute(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled replay: err = %v", err)
 	}
 }
@@ -398,7 +398,7 @@ func TestPoolPrepared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := p.QueryPrepared(context.Background(), prep)
+			res, err := collectRows(p.ExecutePrepared(context.Background(), prep))
 			if err != nil {
 				errs <- err
 				return
@@ -429,7 +429,7 @@ func TestPoolPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.QueryPrepared(context.Background(), foreign); err == nil {
+	if _, err := collectRows(p.ExecutePrepared(context.Background(), foreign)); err == nil {
 		t.Error("foreign prepared statement should be rejected")
 	}
 }

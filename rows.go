@@ -1,12 +1,13 @@
 package rox
 
 // This file is the streaming half of the public API: the Rows cursor behind
-// Engine.Execute, Prepared.Execute and Pool.Execute, and the row sources the
-// execution paths plug into it. The cursor owns the post-join result
-// incrementally — items are serialized (and, for collection queries, merged
-// across shards) one Next at a time — which is what lets a `limit 10` query
-// stop after ten items instead of materializing the full result first. See
-// the "Streaming execution and limit pushdown" section of DESIGN.md.
+// Engine.Execute, Prepared.Execute and Pool.Execute, and the one execution
+// cursor every query path pulls its items from (the scatter-gather merge in
+// shard.go is the only other row source). Items are serialized (and, for
+// collection queries, merged across shards) one Next at a time — which is
+// what lets a `limit 10` query stop after ten items instead of materializing
+// the full result first. See the "Streaming execution and limit pushdown"
+// section of DESIGN.md.
 
 import (
 	"context"
@@ -16,8 +17,11 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/classical"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/plan"
+	"repro/internal/plancache"
 	"repro/internal/table"
 	"repro/internal/xmltree"
 	"repro/internal/xquery"
@@ -112,7 +116,6 @@ type Rows struct {
 type rowsCore struct {
 	src   rowSource
 	env   *plan.Env
-	sw    metrics.Stopwatch
 	item  string
 	err   error
 	stats Stats
@@ -132,17 +135,18 @@ type rowSource interface {
 	// finalize folds end-of-stream statistics into st and releases any
 	// resources (shard goroutines, context). Called exactly once, after the
 	// stream ended or the cursor was closed; st.Rows already holds the
-	// number of items handed out.
+	// number of items handed out, and Scanned, Truncated and Elapsed are the
+	// source's to stamp.
 	finalize(st *Stats)
 }
 
 // newRows wraps a source into a cursor. stats carries the execution-phase
 // statistics known up front (plan, cache outcome, tuple costs); the cursor
-// adds Rows/Scanned/Truncated/Elapsed as the stream progresses. The returned
-// cursor self-closes if it becomes unreachable without Close, so an
-// abandoned cursor cannot leak shard goroutines or pool slots.
-func newRows(env *plan.Env, sw metrics.Stopwatch, stats Stats, src rowSource) *Rows {
-	c := &rowsCore{src: src, env: env, sw: sw, stats: stats}
+// counts Rows as the stream progresses and the source stamps the rest when it
+// ends. The returned cursor self-closes if it becomes unreachable without
+// Close, so an abandoned cursor cannot leak shard goroutines or pool slots.
+func newRows(env *plan.Env, stats Stats, src rowSource) *Rows {
+	c := &rowsCore{src: src, env: env, stats: stats}
 	r := &Rows{c: c}
 	cleanup := runtime.AddCleanup(r, func(c *rowsCore) { c.finish(nil) }, c)
 	c.unhook = func() { cleanup.Stop() }
@@ -221,9 +225,10 @@ func (r *Rows) All() iter.Seq2[string, error] {
 	}
 }
 
-// collect drains the cursor into the materialized Result shape of the
-// legacy Query methods.
-func (r *Rows) collect() (*Result, error) {
+// Collect drains the cursor into a materialized Result — every remaining
+// item plus the final statistics — and closes it. A stream that failed or was
+// canceled returns its error and no Result.
+func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	items := []string{}
 	for r.Next() {
@@ -265,7 +270,6 @@ func (c *rowsCore) finish(err error) {
 		c.err = err
 	}
 	c.src.finalize(&c.stats)
-	c.stats.Elapsed = c.sw.Elapsed()
 	c.mu.Lock()
 	hooks := c.hooks
 	c.hooks = nil
@@ -280,69 +284,296 @@ func (c *rowsCore) finish(err error) {
 	}
 }
 
-// relRows streams the rows of a finished single-catalog evaluation: the join
-// has fully materialized (that is ROX's execution model), but each item's
-// serialization is deferred to its Next call, so a window or an early Close
-// never renders rows it does not return. The relation arrives already
-// windowed by the tail; scanned is the pre-window cardinality.
-type relRows struct {
-	ctx     context.Context
-	comp    *xquery.Compiled
-	rel     *table.Relation
-	row     int
-	scanned int
+// cursor is the engine's one execution path: a pull cursor over one bound
+// Join Graph at one generation — which is all an executor needs to know,
+// whether the graph came from doc(), from one local shard of a collection(),
+// or off the shard wire. It owns, exactly once each, the plan choice (open),
+// the recorder-delta Stats of the join phase, the aggregate fold, the
+// per-row rendering with its order key (advance), and the end-of-stream
+// report (report, done). Three drivers pull it and add nothing of their own:
+//
+//   - a non-collection or static query opens it inside Execute and hands it
+//     to Rows as the row source (next, finalize) — no goroutine, no channel;
+//   - localBackend.run pumps it (Next) into its shard's channel for the
+//     gather;
+//   - Engine.ExecuteShard returns it as the shardrpc.ShardRun the shard
+//     server's handler streams from (Next, Item, Key, Done, Close).
+//
+// The latter two are shard cursors: they open lazily on the first Next,
+// holding an engine-wide fan-out slot for exactly the join, and an aggregate
+// tail reports its fold state for the gather to merge instead of rendering
+// it as an item.
+type cursor struct {
+	e    *Engine
+	ctx  context.Context
+	env  *plan.Env
+	comp *xquery.Compiled
+	// fp keys the graph in the plan cache ("" = no cache for this execution:
+	// the engine runs without one, or the plan is static); gen is the
+	// generation entries validate against — the catalog generation for a
+	// non-collection graph, the shard's own stamp for a shard, which is what
+	// confines invalidation to the shard that actually changed.
+	fp     string
+	gen    uint64
+	static bool // plan with the classical compile-time baseline, not ROX
+	shard  bool // one shard of a scatter; see above
+	sw     metrics.Stopwatch
+
+	// The finished join, set by open: the windowed final relation, the
+	// order-by keys when the tail sorts, the pre-window cardinality, the
+	// aggregate fold, and the executed plan with its observed per-edge
+	// cardinalities — the replay payload a shard server returns so the
+	// coordinator can hint the next execution.
+	opened   bool
+	rel      *table.Relation
+	keys     []plan.Key
+	scanned  int
+	agg      *plan.AggState
+	ranPlan  *plan.Plan
+	edgeRows map[int]int
+	stats    Stats // join-phase statistics; report adds the stream's
+
+	row  int    // rows handed out so far
+	item string // the row advance rendered last
+	err  error  // what ended the cursor early: open's failure or ctx's error
 }
 
-func (s *relRows) next() (string, bool, error) {
-	if err := s.ctx.Err(); err != nil {
-		return "", false, err
-	}
-	if s.rel == nil || s.row >= s.rel.NumRows() {
-		return "", false, nil
-	}
-	item := renderItem(s.comp, s.rel, s.row)
-	s.row++
-	return item, true, nil
+// newCursor binds one execution; the stopwatch starts here so a shard's
+// Elapsed covers its wait for a fan-out slot.
+func (e *Engine) newCursor(ctx context.Context, env *plan.Env, comp *xquery.Compiled, fp string, gen uint64) *cursor {
+	return &cursor{e: e, ctx: ctx, env: env, comp: comp, fp: fp, gen: gen, sw: metrics.Start()}
 }
 
-func (s *relRows) finalize(st *Stats) {
-	st.Scanned = s.scanned
-	if st.Rows < st.Scanned {
-		st.Truncated = true
+// open runs the join: choose a plan, execute it, fold an aggregate tail.
+//
+//   - Static: the classical baseline's plan, straight through.
+//   - Cache hit at generation gen: replay the cached plan with zero sampling
+//     work. The catalog is immutable per generation, so the data cannot have
+//     drifted — serve without verifying.
+//   - Hit from an older generation (the data changed since discovery):
+//     replay anyway — replay is correct regardless of data changes, only the
+//     cost can suffer — while comparing observed per-edge cardinalities
+//     against the discovering run's. Within the drift ratio the entry is
+//     revalidated for gen; beyond it the entry is dropped and the query
+//     re-optimized on the spot by a full ROX run, which both answers this
+//     query and discovers the plan that fits the data now.
+//   - Miss, or a cached plan that does not fit the freshly compiled graph
+//     (a fingerprint collision; the entry is invalidated): run ROX and
+//     install the discovered plan.
+//
+// Serialization stays with advance, so a replay that ends up drift-rejected
+// never pays it.
+func (c *cursor) open() error {
+	e, env, comp := c.e, c.env, c.comp
+	// The recorder baselines are taken before the cache lookup so that on the
+	// drift path — replay first, then a full re-optimization — the Stats
+	// cover everything this request actually did, not just the final run.
+	startExec := env.Rec.CostOf(metrics.PhaseExecute)
+	startSample := env.Rec.CostOf(metrics.PhaseSample)
+	var (
+		rel          *table.Relation
+		run          *plan.RunStats
+		ran          *plan.Plan // non-nil once a sampling-free plan is chosen
+		cfg          plan.RunConfig
+		outcome      plancache.Outcome
+		expected     map[int]int
+		abandoned    int64 // drift path: the rejected replay's intermediates
+		hit, reoptim bool
+		err          error
+	)
+	switch {
+	case c.static:
+		// Plan-time statistics are the optimizer's work, not query execution;
+		// charge them to a scratch recorder — and keep them off the clock — as
+		// the baseline prescribes.
+		ran, err = classical.StaticPlan(env.WithScratchRecorder(), comp.Graph)
+		c.sw = metrics.Start()
+	case c.fp != "":
+		var entry *plancache.Entry
+		if entry, outcome = e.cache.Lookup(c.fp, c.gen); outcome != plancache.Miss {
+			cached := entry.Plan
+			ran, expected = &cached, entry.Expected
+			cfg.EagerProject = e.opts.EagerProject
+		}
 	}
-	s.rel = nil
+	if ran != nil {
+		rel, run, err = plan.RunWithConfig(env, comp.Graph, ran, comp.Tail, cfg)
+		switch {
+		case c.static || (err != nil && env.CheckInterrupt() != nil):
+			// The baseline has no fallback, and a canceled replay propagates.
+		case err != nil:
+			e.cache.Invalidate(c.fp)
+			ran, err = nil, nil
+		case outcome == plancache.Hit:
+			hit = true
+		default: // StaleGeneration: verify the successful replay
+			if _, _, _, drifted := plancache.Drift(expected, run.EdgeRows, e.driftRatio); drifted {
+				e.cache.MarkDrift(c.fp, c.gen)
+				abandoned = run.CumulativeIntermediate
+				reoptim, ran = true, nil
+			} else {
+				// The replay's own observations become the entry's: observed
+				// on the current data, they are the better drift baseline.
+				e.cache.Revalidate(c.fp, c.gen, run.EdgeRows)
+				hit = true
+			}
+		}
+	}
+	if ran == nil && err == nil {
+		var res *core.Result
+		if rel, res, err = core.Run(env, comp.Graph, comp.Tail, e.opts); err == nil {
+			// Install before any serialization: the discovered plan is valid
+			// even when the tail's data later fails it (e.g. a non-numeric
+			// aggregate value), so a repeatedly-failing query replays cheaply
+			// instead of re-running the full sampling loop on every retry. It
+			// also means a cursor canceled mid-stream leaves the plan
+			// installed — the join work that discovered it is already done.
+			if c.fp != "" {
+				e.cache.Install(&plancache.Entry{
+					Fingerprint: c.fp,
+					Generation:  c.gen,
+					Plan:        res.Plan,
+					Expected:    res.EdgeRows,
+				})
+			}
+			ran = &res.Plan
+			run = &plan.RunStats{
+				CumulativeIntermediate: res.CumulativeIntermediate + abandoned,
+				Scanned:                res.Scanned,
+				EdgeRows:               res.EdgeRows,
+				Keys:                   res.Keys,
+			}
+		}
+	}
+	// Recorder deltas, not the run's own cost report: on the drift path the
+	// request also paid for the abandoned replay, so every cost field covers
+	// it. A failed open reports its costs and nothing else.
+	c.stats = Stats{
+		ExecTuples:   env.Rec.CostOf(metrics.PhaseExecute).Sub(startExec).Tuples,
+		SampleTuples: env.Rec.CostOf(metrics.PhaseSample).Sub(startSample).Tuples,
+	}
+	if err == nil && comp.Tail.Agg != nil {
+		// The fold consumes the whole relation and can fail the query, so it
+		// belongs to the join phase, not the stream.
+		if c.agg, err = plan.FoldAgg(rel, comp.Tail.Agg); err != nil {
+			err = fmt.Errorf("rox: %s: %w", comp.Return.String(), err)
+		}
+	}
+	if err != nil {
+		c.err = translateErr(err)
+		return c.err
+	}
+	c.opened = true
+	c.rel, c.keys, c.scanned = rel, run.Keys, run.Scanned
+	c.ranPlan, c.edgeRows = ran, run.EdgeRows
+	c.stats.CumulativeIntermediate = run.CumulativeIntermediate
+	c.stats.Plan = ran.String()
+	c.stats.CacheHit = hit
+	c.stats.Reoptimized = reoptim
+	return nil
 }
 
-// itemsRows streams a pre-rendered item list — the single item of an
-// aggregate query, whose fold already consumed the whole relation. scanned
-// is the folded tuple cardinality.
-type itemsRows struct {
-	ctx     context.Context
-	items   []string
-	i       int
-	scanned int
+// advance renders the next row into item, false once the rows are out or ctx
+// ended the stream (err). The join has fully materialized (that is ROX's
+// execution model), but each row's serialization waits for its advance, so a
+// window or an early Close never renders rows it does not return. An
+// aggregate's stream is its one rendered item — avg/min/max over an empty
+// sequence render XQuery's empty sequence as an empty item — and, for a
+// shard, nothing: the fold state travels in the done report.
+func (c *cursor) advance() bool {
+	n := c.rel.NumRows() // 0 before open and after Close
+	if c.agg != nil {
+		n = 1
+		if c.shard {
+			n = 0
+		}
+	}
+	if c.err != nil || c.row >= n {
+		return false
+	}
+	if c.err = c.ctx.Err(); c.err != nil {
+		return false
+	}
+	if c.agg != nil {
+		c.item, _ = c.agg.Render(c.comp.Tail.Agg.Kind)
+	} else {
+		c.item = renderItem(c.comp, c.rel, c.row)
+	}
+	c.row++
+	return true
 }
 
-func (s *itemsRows) next() (string, bool, error) {
-	if err := s.ctx.Err(); err != nil {
-		return "", false, err
+// report closes the books on the stream: delivered is how many items the
+// driver actually handed on (a pump that lost its last item to a
+// cancellation delivered one fewer than advance rendered). Scanned is the
+// pre-window cardinality; the stream is truncated when it never opened or
+// when fewer items went out than it held — the scanned rows, or an
+// aggregate's one.
+func (c *cursor) report(delivered int) Stats {
+	st := c.stats
+	want := c.scanned
+	if c.agg != nil {
+		want = 1
+		if c.shard {
+			delivered = 1 // the shard's single partial-aggregate item
+		}
 	}
-	if s.i >= len(s.items) {
-		return "", false, nil
-	}
-	item := s.items[s.i]
-	s.i++
-	return item, true, nil
+	st.Rows, st.Scanned = delivered, c.scanned
+	st.Truncated = !c.opened || delivered < want
+	st.Elapsed = c.sw.Elapsed()
+	return st
 }
 
-func (s *itemsRows) finalize(st *Stats) {
-	st.Scanned = s.scanned
-	if st.Rows < len(s.items) {
-		// The stream was cut before every rendered item went out (an early
-		// Close or cancellation before the aggregate's single item).
-		st.Truncated = true
+// next and finalize make the cursor the row source of a non-collection
+// query's Rows.
+func (c *cursor) next() (string, bool, error) {
+	if !c.advance() {
+		return "", false, c.err
 	}
+	return c.item, true, nil
 }
+
+func (c *cursor) finalize(st *Stats) {
+	*st = c.report(st.Rows)
+	c.Close()
+}
+
+// Next, Item, Key and Close are the pull face of a shard cursor — the
+// shardrpc.ShardRun a shard server streams from, and what localBackend.run
+// pumps. The first Next runs the join holding an engine-wide fan-out slot and
+// releases it before any item goes out: the join work the limiter bounds is
+// done, and an ordered gather needs every shard's head before it can merge —
+// a shard still holding its slot while its consumer is slow could starve the
+// shards the merge is waiting for. A failure ends the item sequence; it
+// travels in the done report.
+func (c *cursor) Next() bool {
+	if !c.opened && c.err == nil {
+		if c.err = c.e.shardLim.Acquire(c.ctx); c.err != nil {
+			return false
+		}
+		err := c.open()
+		c.e.shardLim.Release()
+		if err != nil {
+			return false
+		}
+	}
+	return c.advance()
+}
+
+// Item returns the serialized item Next advanced to.
+func (c *cursor) Item() string { return c.item }
+
+// Key returns the current item's order-by merge key; ok is false when the
+// query does not sort.
+func (c *cursor) Key() (plan.Key, bool) {
+	if c.comp.Tail.Order == nil {
+		return plan.Key{}, false
+	}
+	return c.keys[c.row-1], true
+}
+
+// Close releases the materialized join.
+func (c *cursor) Close() { c.rel, c.keys = nil, nil }
 
 // renderItem serializes one result row: the return expression's variables,
 // optionally wrapped in the constructor element.

@@ -22,7 +22,7 @@
 // gets its own per-query evaluation state. Execute is the context-first
 // streaming entry point — it returns a Rows cursor that serializes items
 // incrementally and pushes limit/offset windows down into the execution
-// (Query and friends drain a cursor into a materialized Result). Plans the
+// (Rows.Collect drains a cursor into a materialized Result). Plans the
 // optimizer discovers are cached by canonical Join Graph fingerprint, so
 // repeated queries replay with zero sampling work until the data drifts
 // (Prepare compiles once for that hot path). Corpora larger than one
@@ -44,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/classical"
 	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/index"
@@ -52,7 +51,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/shardrpc"
-	"repro/internal/table"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 	"repro/internal/xquery"
@@ -60,7 +58,7 @@ import (
 
 // Engine evaluates XQueries over a set of loaded documents.
 //
-// Concurrency contract: concurrent Query, QueryStatic, QueryContext, Explain,
+// Concurrency contract: concurrent Execute, Query, QueryStatic, Explain,
 // XPath and XPathCount calls are safe — the loaded corpus (documents +
 // indices) is an immutable plan.Catalog shared by all in-flight queries, and
 // each call creates its own per-query state (cost recorder and seeded random
@@ -345,9 +343,9 @@ func (e *Engine) CollectionShards(coll string) ([]string, error) {
 
 // Stats reports how a query evaluation spent its work.
 type Stats struct {
-	// Rows is the number of result items actually returned — for a drained
-	// legacy Query it equals len(Result.Items); for a streaming cursor it is
-	// the number of items Next handed out. Aggregate queries (count, sum,
+	// Rows is the number of result items actually returned — for a collected
+	// Result it equals len(Result.Items); for a streaming cursor it is the
+	// number of items Next handed out. Aggregate queries (count, sum,
 	// avg, min, max) return 1, the single aggregate item; a limit/offset
 	// window counts post-truncation.
 	Rows int
@@ -405,8 +403,9 @@ type ShardStats struct {
 // returned item, in query order, plus evaluation statistics. Aggregate
 // queries (count, sum, avg, min, max) always carry exactly one item —
 // avg/min/max over an empty sequence render as an empty item, XQuery's empty
-// sequence. The legacy Query methods return a Result by draining a Rows
-// cursor; callers that want items incrementally use Execute.
+// sequence. Rows.Collect (and the Query conveniences built on it) produce a
+// Result by draining a cursor; callers that want items incrementally use
+// Execute.
 type Result struct {
 	Items []string
 	Stats Stats
@@ -418,8 +417,8 @@ type Result struct {
 // scatter-gathered across shards — incrementally as the cursor advances.
 // Closing the cursor early cancels outstanding shard work; ctx cancels both
 // the evaluation and the stream. Safe to call from any number of goroutines
-// (each call gets its own cursor). The legacy Query/QueryContext/QueryStatic
-// methods are thin wrappers that drain an Execute cursor.
+// (each call gets its own cursor). Rows.Collect drains a cursor into a
+// materialized Result.
 func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 	comp, err := xquery.CompileString(req.Query, xquery.CompileOptions{})
 	if err != nil {
@@ -441,45 +440,30 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 // execute pipeline: a cached plan from an earlier run of the same query
 // shape replays with zero sampling work; otherwise the ROX run-time
 // optimizer runs and its discovered plan is installed. Safe to call from any
-// number of goroutines. For repeated queries prefer Prepare, which also
-// skips recompilation; for incremental consumption (or limit/offset
-// push-down without a clause in the query text) prefer Execute, which Query
-// wraps by draining its cursor.
+// number of goroutines. It is Execute + Rows.Collect without a context; for
+// repeated queries prefer Prepare, which also skips recompilation.
 //
-//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use QueryContext/Execute.
+//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use Execute.
 func (e *Engine) Query(q string) (*Result, error) {
-	return e.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query with cancellation: when ctx is canceled or exceeds
-// its deadline, the evaluation aborts between operator executions and the
-// context's error is returned. Prefer Execute for new code.
-func (e *Engine) QueryContext(ctx context.Context, q string) (*Result, error) {
-	rows, err := e.Execute(ctx, Request{Query: q})
-	if err != nil {
-		return nil, err
-	}
-	return rows.collect()
+	return collectRows(e.Execute(context.Background(), Request{Query: q}))
 }
 
 // QueryStatic evaluates an XQuery with the classical compile-time baseline:
 // a static plan ordered by per-document statistics, blind to correlations.
-// Safe to call from any number of goroutines. Prefer Execute (with
-// Request.Static) for new code.
+// Safe to call from any number of goroutines. It is Execute (with
+// Request.Static) + Rows.Collect without a context.
 //
-//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use QueryStaticContext.
+//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use Execute.
 func (e *Engine) QueryStatic(q string) (*Result, error) {
-	return e.QueryStaticContext(context.Background(), q)
+	return collectRows(e.Execute(context.Background(), Request{Query: q, Static: true}))
 }
 
-// QueryStaticContext is QueryStatic with cancellation, like QueryContext.
-// Prefer Execute (with Request.Static) for new code.
-func (e *Engine) QueryStaticContext(ctx context.Context, q string) (*Result, error) {
-	rows, err := e.Execute(ctx, Request{Query: q, Static: true})
+// collectRows drains an Execute outcome for the no-ctx conveniences.
+func collectRows(rows *Rows, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rows.collect()
+	return rows.Collect()
 }
 
 // overrideWindow applies a programmatic limit/offset window to a compiled
@@ -491,167 +475,50 @@ func overrideWindow(comp *xquery.Compiled, window *plan.LimitSpec) (*xquery.Comp
 	return comp.WithTailLimit(window), nil
 }
 
-// executeCompiled is the execution pipeline behind Execute and
-// Prepared.Execute: build the per-query environment, then route — static
-// baseline, scatter-gather for collection queries, or cached single-catalog
-// execution at the current catalog generation — and wrap the outcome in a
-// cursor. text is the original query text (remote shard backends ship it
-// instead of a serialized graph); fp is the precomputed cache key ("" =
-// compute here); see cacheKey.
+// executeCompiled is the routing behind Execute and Prepared.Execute: build
+// the per-query environment, then either scatter a collection query over its
+// shards or open the one execution cursor (rows.go) over the graph at the
+// current catalog generation and hand it to Rows as its row source — inline,
+// so the join has finished (and any evaluation error is returned) before
+// Execute returns. text is the original query text (remote shard backends
+// ship it instead of a serialized graph); fp is a precomputed cache key ("" =
+// derive here); see planKey.
 func (e *Engine) executeCompiled(ctx context.Context, comp *xquery.Compiled, text, fp string, static bool) (*Rows, error) {
 	env := e.newQueryEnv()
 	env.Interrupt = ctx.Err
-	if static {
-		return e.executeStatic(ctx, env, comp)
+	collection := len(comp.Collections) > 0
+	switch {
+	case static && collection:
+		return nil, fmt.Errorf("%w: query reads collection %q", ErrStaticCollection, comp.Collections[0])
+	case static:
+		fp = "" // the baseline plans from statistics, never from the cache
+	default:
+		fp = e.planKey(comp, fp)
 	}
-	if e.cache != nil && fp == "" {
-		fp = cacheKey(comp)
-	}
-	if len(comp.Collections) > 0 {
+	if collection {
 		return e.executeCollection(ctx, env, comp, text, fp)
 	}
-	exr, err := e.executeCached(env, comp, fp, env.Catalog().Generation())
-	if err != nil {
+	c := e.newCursor(ctx, env, comp, fp, env.Catalog().Generation())
+	c.static = static
+	if err := c.open(); err != nil {
 		return nil, err
 	}
-	src, err := exr.source(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return newRows(env, exr.sw, exr.stats, src), nil
+	return newRows(env, c.stats, c), nil
 }
 
-// execResult is the outcome of one pipeline execution before serialization:
-// the windowed final relation (nil only for failed runs), the order-by merge
-// keys when the tail sorts, the pre-window cardinality, and the statistics of
-// the join phase. The caller turns it into a row source — lazily serializing
-// items for the cursor — or, on the scatter path, streams it into a shard
-// channel.
-type execResult struct {
-	comp    *xquery.Compiled
-	rel     *table.Relation
-	keys    []plan.Key
-	scanned int
-	stats   Stats // Rows, Scanned, Truncated, Elapsed are the cursor's to fill
-	sw      metrics.Stopwatch
-	// ranPlan and edgeRows are the executed plan and its observed per-edge
-	// cardinalities — the replay payload a shard server returns so the
-	// coordinator can hint the next execution (nil on the static path).
-	ranPlan  *plan.Plan
-	edgeRows map[int]int
-}
-
-// source builds the cursor row source for a single-catalog execution:
-// aggregate tails fold eagerly (the fold consumes the whole relation and can
-// fail the query), everything else streams row serialization.
-func (x *execResult) source(ctx context.Context) (rowSource, error) {
-	if x.comp.Tail.Agg != nil {
-		st, err := plan.FoldAgg(x.rel, x.comp.Tail.Agg)
-		if err != nil {
-			return nil, fmt.Errorf("rox: %s: %w", x.comp.Return.String(), err)
-		}
-		// Aggregates always yield exactly one item; avg/min/max over an
-		// empty sequence render XQuery's empty sequence as an empty item.
-		item, _ := st.Render(x.comp.Tail.Agg.Kind)
-		return &itemsRows{ctx: ctx, items: []string{item}, scanned: x.scanned}, nil
+// planKey settles the plan-cache key of one execution, in the one place
+// every entry point passes through: "" when the engine runs without a plan
+// cache (which is what tells every layer below — cursor, shard backends, the
+// shard wire — that there is nothing to look up, install or hint), otherwise
+// the precomputed key when the caller has one, otherwise cacheKey(comp).
+func (e *Engine) planKey(comp *xquery.Compiled, precomputed string) string {
+	switch {
+	case e.cache == nil:
+		return ""
+	case precomputed != "":
+		return precomputed
 	}
-	return &relRows{ctx: ctx, comp: x.comp, rel: x.rel, scanned: x.scanned}, nil
-}
-
-// executeCached runs one compiled graph through fingerprint → plan-cache
-// lookup → replay or optimize, over whatever documents the graph's vertices
-// name. gen is the generation the cache entry is validated against — the
-// catalog generation for single-document queries, the shard's own stamp for
-// one shard of a scattered collection query (which is what confines
-// invalidation to the shard that actually changed).
-//
-//   - Cache hit at generation gen: replay the cached plan with zero sampling
-//     work.
-//   - Hit from an older generation (the data changed since discovery):
-//     replay anyway — replay is correct regardless of data changes, only the
-//     cost can suffer — while comparing observed per-edge cardinalities
-//     against the discovering run's. Within the drift ratio the entry is
-//     revalidated for gen; beyond it the entry is dropped and the query
-//     re-optimized on the spot by a full ROX run.
-//   - Miss: run ROX and install the discovered plan.
-func (e *Engine) executeCached(env *plan.Env, comp *xquery.Compiled, fp string, gen uint64) (*execResult, error) {
-	// The stopwatch and recorder baselines start before the cache lookup so
-	// that on the drift path — replay first, then a full re-optimization —
-	// the returned Stats cover everything this request actually did, not
-	// just the final run.
-	sw := metrics.Start()
-	startExec := env.Rec.CostOf(metrics.PhaseExecute)
-	startSample := env.Rec.CostOf(metrics.PhaseSample)
-	reoptimized := false
-	var replayIntermediate int64 // drift path: the abandoned replay's intermediates
-	if e.cache != nil {
-		if entry, outcome := e.cache.Lookup(fp, gen); outcome != plancache.Miss {
-			rel, stats, err := e.replay(env, comp, entry)
-			switch {
-			case err != nil && env.CheckInterrupt() != nil:
-				// Canceled mid-replay: propagate, don't fall back.
-				return nil, err
-			case err != nil:
-				// The cached plan does not fit the freshly compiled graph
-				// (e.g. a fingerprint collision): drop it and optimize.
-				e.cache.Invalidate(fp)
-			case outcome == plancache.Hit:
-				// Exact generation: the catalog is immutable per generation,
-				// so the data cannot have drifted — serve without verifying.
-				return e.replayResult(env, comp, entry, rel, stats, sw, startExec, startSample), nil
-			default: // StaleGeneration: verify the successful replay
-				if _, _, _, drifted := plancache.Drift(entry.Expected, stats.EdgeRows, e.driftRatio); drifted {
-					// The data moved out from under the plan: evict and
-					// re-optimize on the spot. The replayed results were
-					// correct, but a fresh ROX run both answers this query
-					// and discovers the plan that fits the data now.
-					e.cache.MarkDrift(fp, gen)
-					reoptimized = true
-					replayIntermediate = stats.CumulativeIntermediate
-				} else {
-					e.cache.Revalidate(fp, gen, stats.EdgeRows)
-					return e.replayResult(env, comp, entry, rel, stats, sw, startExec, startSample), nil
-				}
-			}
-		}
-	}
-	rel, res, err := core.Run(env, comp.Graph, comp.Tail, e.opts)
-	if err != nil {
-		return nil, translateErr(err)
-	}
-	// Install before any serialization: the discovered plan is valid even
-	// when the tail's data later fails it (e.g. a non-numeric aggregate
-	// value), so a repeatedly-failing query replays cheaply instead of
-	// re-running the full sampling loop on every retry. It also means a
-	// cursor canceled mid-stream leaves the plan installed — the join work
-	// that discovered it is already done.
-	if e.cache != nil {
-		e.cache.Install(&plancache.Entry{
-			Fingerprint: fp,
-			Generation:  gen,
-			Plan:        res.Plan,
-			Expected:    res.EdgeRows,
-		})
-	}
-	return &execResult{
-		comp:     comp,
-		rel:      rel,
-		keys:     res.Keys,
-		scanned:  res.Scanned,
-		sw:       sw,
-		ranPlan:  &res.Plan,
-		edgeRows: res.EdgeRows,
-		stats: Stats{
-			// Recorder deltas, not res.ExecCost/SampleCost, and the replay's
-			// intermediates folded in: on the drift path the request also paid
-			// for the abandoned replay, so every cost field covers it.
-			ExecTuples:             env.Rec.CostOf(metrics.PhaseExecute).Sub(startExec).Tuples,
-			SampleTuples:           env.Rec.CostOf(metrics.PhaseSample).Sub(startSample).Tuples,
-			CumulativeIntermediate: res.CumulativeIntermediate + replayIntermediate,
-			Plan:                   res.Plan.String(),
-			Reoptimized:            reoptimized,
-		},
-	}, nil
+	return cacheKey(comp)
 }
 
 // cacheKey derives the plan-cache key of a compiled query: the canonical
@@ -672,79 +539,6 @@ func cacheKey(comp *xquery.Compiled) string {
 	return fmt.Sprintf("%s|t:%v:%v:%v|o:%s|a:%s|l:%s", comp.Graph.Fingerprint(),
 		comp.Tail.Project, comp.Tail.Sort, comp.Tail.Final,
 		comp.Tail.Order, comp.Tail.Agg, comp.Tail.Limit)
-}
-
-// replay executes a cached plan over the freshly compiled graph, recording
-// per-edge observed cardinalities. No sampling happens on this path — the
-// whole point of the cache is SampleTuples == 0. Serialization stays with
-// the cursor, so a replay that ends up drift-rejected never pays it.
-func (e *Engine) replay(env *plan.Env, comp *xquery.Compiled, entry *plancache.Entry) (*table.Relation, *plan.RunStats, error) {
-	p := entry.Plan
-	return plan.RunWithConfig(env, comp.Graph, &p, comp.Tail,
-		plan.RunConfig{EagerProject: e.opts.EagerProject})
-}
-
-// replayResult packages an accepted replay, assembling its Stats from the
-// recorder deltas since the request began (replay work only — the cache
-// lookup itself charges nothing).
-func (e *Engine) replayResult(env *plan.Env, comp *xquery.Compiled, entry *plancache.Entry,
-	rel *table.Relation, stats *plan.RunStats,
-	sw metrics.Stopwatch, startExec, startSample metrics.Cost) *execResult {
-	p := entry.Plan
-	return &execResult{
-		comp:    comp,
-		rel:     rel,
-		keys:    stats.Keys,
-		scanned: stats.Scanned,
-		sw:      sw,
-		ranPlan: &p,
-		// The replay's own observations, not the entry's: observed on the
-		// current data, they are the better drift baseline for the next hint.
-		edgeRows: stats.EdgeRows,
-		stats: Stats{
-			ExecTuples:             env.Rec.CostOf(metrics.PhaseExecute).Sub(startExec).Tuples,
-			SampleTuples:           env.Rec.CostOf(metrics.PhaseSample).Sub(startSample).Tuples,
-			CumulativeIntermediate: stats.CumulativeIntermediate,
-			Plan:                   p.String(),
-			CacheHit:               true,
-		},
-	}
-}
-
-// executeStatic runs the classical baseline path in the given per-query
-// environment and wraps it in a cursor.
-func (e *Engine) executeStatic(ctx context.Context, env *plan.Env, comp *xquery.Compiled) (*Rows, error) {
-	if len(comp.Collections) > 0 {
-		return nil, fmt.Errorf("%w: query reads collection %q", ErrStaticCollection, comp.Collections[0])
-	}
-	// Plan-time statistics are the optimizer's work, not query execution;
-	// charge them to a scratch recorder as the baseline prescribes.
-	pl, err := classical.StaticPlan(env.WithScratchRecorder(), comp.Graph)
-	if err != nil {
-		return nil, translateErr(err)
-	}
-	sw := metrics.Start()
-	rel, stats, err := plan.Run(env, comp.Graph, pl, comp.Tail)
-	if err != nil {
-		return nil, translateErr(err)
-	}
-	exr := &execResult{
-		comp:    comp,
-		rel:     rel,
-		keys:    stats.Keys,
-		scanned: stats.Scanned,
-		sw:      sw,
-		stats: Stats{
-			ExecTuples:             env.Rec.CostOf(metrics.PhaseExecute).Tuples,
-			CumulativeIntermediate: stats.CumulativeIntermediate,
-			Plan:                   pl.String(),
-		},
-	}
-	src, err := exr.source(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return newRows(env, sw, exr.stats, src), nil
 }
 
 // Explain compiles a query and returns the Join Graph rendering — what the
@@ -838,21 +632,11 @@ func (p *Prepared) Execute(ctx context.Context, opts ...ExecOption) (*Rows, erro
 
 // Query evaluates the prepared statement: plan-cache lookup first, the full
 // ROX optimizer only on a miss or after drift. Safe to call from any number
-// of goroutines. Prefer Execute for new code — Query drains its cursor.
+// of goroutines. It is Execute + Rows.Collect without a context.
 //
-//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use QueryContext/Execute.
+//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use Execute.
 func (p *Prepared) Query() (*Result, error) {
-	return p.QueryContext(context.Background())
-}
-
-// QueryContext is Query with cancellation, like Engine.QueryContext. Prefer
-// Execute for new code.
-func (p *Prepared) QueryContext(ctx context.Context) (*Result, error) {
-	rows, err := p.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rows.collect()
+	return collectRows(p.Execute(context.Background()))
 }
 
 // Text returns the query text the statement was prepared from.

@@ -3,7 +3,10 @@
 # green local run means a green lint job: gofmt, go vet, staticcheck (skipped
 # with a notice when not installed), the DESIGN.md doc-reference guard, and
 # roxvet — the project's own invariant analyzers — in its vettool form (test
-# files included, results cached in the go build cache).
+# files included, results cached in the go build cache). Last comes the
+# benchmark module's vet + tests (the test job's step): benchmark/ has its
+# own go.mod, so nothing above reaches it, and it imports internal/ packages
+# a refactor here can break.
 #
 #   scripts/lint.sh
 set -euo pipefail
@@ -33,5 +36,8 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/roxvet" ./cmd/roxvet
 go vet -vettool="$tmp/roxvet" ./...
+
+echo "== benchmark module (vet + tests)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "lint: ok"

@@ -198,6 +198,7 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 		parent:  ctx,
 		cancel:  cancel,
 		env:     env,
+		sw:      sw,
 		streams: streams,
 		dones:   make([]*shardDone, len(streams)),
 		mode:    gatherPlain,
@@ -221,7 +222,7 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 		}
 	}
 	stats := Stats{Plan: fmt.Sprintf("scatter(%s/%d)", collName, len(shards))}
-	return newRows(env, sw, stats, src), nil
+	return newRows(env, stats, src), nil
 }
 
 // scatterRows is the gather side as a cursor row source: it pulls the merged
@@ -232,6 +233,7 @@ type scatterRows struct {
 	parent  context.Context // caller's ctx: its cancellation is a stream error
 	cancel  context.CancelFunc
 	env     *plan.Env
+	sw      metrics.Stopwatch // the query's clock; finalize stamps Elapsed
 	streams []*shardStream
 	dones   []*shardDone
 	mode    int
@@ -442,4 +444,5 @@ func (s *scatterRows) finalize(st *Stats) {
 	case st.Rows < st.Scanned:
 		st.Truncated = true
 	}
+	st.Elapsed = s.sw.Elapsed()
 }

@@ -464,7 +464,7 @@ func TestCollectionConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := pool.Query(context.Background(), q)
+			res, err := collectRows(pool.Execute(context.Background(), Request{Query: q}))
 			if err != nil {
 				errs <- err
 				return
@@ -494,7 +494,7 @@ func TestCollectionCancellation(t *testing.T) {
 	_, sharded := newXMarkEngines(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sharded.QueryContext(ctx, `for $p in collection("xmark")//person[education] return $p`)
+	_, err := collectRows(sharded.Execute(ctx, Request{Query: `for $p in collection("xmark")//person[education] return $p`}))
 	if err == nil {
 		t.Fatal("canceled collection query succeeded")
 	}

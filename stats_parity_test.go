@@ -3,15 +3,23 @@ package rox
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 )
 
 // TestQueryStatsParity is the stats-parity audit of the query entry points:
-// Execute (drained manually), Query, QueryContext and Prepared.Query are all
-// the same pipeline behind different conveniences, so for the same corpus and
-// seed they must report identical Rows, Scanned, Truncated and per-shard
+// Execute (drained manually), Query and Prepared.Query are all the same
+// pipeline behind different conveniences, so for the same corpus and seed
+// they must report identical Rows, Scanned, Truncated and per-shard
 // breakdowns. Each path runs on its own fresh engine so plan-cache state
 // cannot leak between them.
+//
+// The same holds across the drivers of the one execution cursor: a document
+// and a one-shard collection holding the same XML (the solo field) return
+// byte-identical items and agree on every count — with each other and with
+// the shard's own ShardStats — cold and on the cached replay, and the static
+// baseline of the document query agrees on items, Rows, Scanned and
+// Truncated.
 func TestQueryStatsParity(t *testing.T) {
 	spans := [][2]int{{0, 25}, {100, 25}, {200, 25}}
 	newEng := func(t *testing.T) *Engine {
@@ -26,6 +34,9 @@ func TestQueryStatsParity(t *testing.T) {
 		if err := eng.LoadXML("ppl.xml", pricedShardXML(0, 50)); err != nil {
 			t.Fatal(err)
 		}
+		if err := eng.LoadCollectionShardXML("solo", "solo-0.xml", pricedShardXML(0, 50)); err != nil {
+			t.Fatal(err)
+		}
 		return eng
 	}
 
@@ -33,53 +44,57 @@ func TestQueryStatsParity(t *testing.T) {
 		name, q  string
 		agg      bool // aggregates fold Scanned tuples into 1 row by design
 		racyScan bool // early-terminated scatter: Scanned depends on cancellation timing
+		// solo, on document queries, also runs the query over the one-shard
+		// collection of the same XML; offset is the window's, which a shard
+		// delivers on top of the rows the gather keeps.
+		solo   bool
+		offset int
 	}{
-		{"single document", `for $p in doc("ppl.xml")//person return $p`, false, false},
-		{"document windowed", `for $p in doc("ppl.xml")//person return $p limit 7 offset 3`, false, false},
-		{"document aggregate", `for $p in doc("ppl.xml")//person return sum($p/salary)`, true, false},
-		{"collection plain", `for $p in collection("ppl")//person return $p`, false, false},
-		{"collection ordered", `for $p in collection("ppl")//person order by $p/age return $p`, false, false},
+		{name: "single document", q: `for $p in doc("ppl.xml")//person return $p`, solo: true},
+		{name: "document windowed", q: `for $p in doc("ppl.xml")//person return $p limit 7 offset 3`, solo: true, offset: 3},
+		{name: "document ordered", q: `for $p in doc("ppl.xml")//person order by $p/age return $p`, solo: true},
+		{name: "document aggregate", q: `for $p in doc("ppl.xml")//person return sum($p/salary)`, agg: true, solo: true},
+		{name: "document empty", q: `for $p in doc("ppl.xml")//person[nosuch] return $p`, solo: true},
+		{name: "collection plain", q: `for $p in collection("ppl")//person return $p`},
+		{name: "collection ordered", q: `for $p in collection("ppl")//person order by $p/age return $p`},
 		// A limit window over a scatter cancels the remaining shards the
 		// moment it fills; how far each shard got before the cancellation
 		// landed is scheduling-dependent, so Scanned and the per-shard
 		// breakdown are not comparable across runs for this shape.
-		{"collection windowed", `for $p in collection("ppl")//person return $p limit 7 offset 3`, false, true},
-		{"collection aggregate", `for $p in collection("ppl")//person return avg($p/salary)`, true, false},
+		{name: "collection windowed", q: `for $p in collection("ppl")//person return $p limit 7 offset 3`, racyScan: true},
+		{name: "collection aggregate", q: `for $p in collection("ppl")//person return avg($p/salary)`, agg: true},
 	}
 
 	type outcome struct {
 		items []string
 		stats Stats
 	}
+	execute := func(t *testing.T, eng *Engine, req Request) outcome {
+		t.Helper()
+		rows, err := eng.Execute(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var items []string
+		for rows.Next() {
+			items = append(items, rows.Item())
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		return outcome{items: items, stats: rows.Stats()}
+	}
 	paths := []struct {
 		name string
 		run  func(t *testing.T, eng *Engine, q string) outcome
 	}{
 		{"Execute", func(t *testing.T, eng *Engine, q string) outcome {
-			rows, err := eng.Execute(context.Background(), Request{Query: q})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rows.Close()
-			var items []string
-			for rows.Next() {
-				items = append(items, rows.Item())
-			}
-			if err := rows.Err(); err != nil {
-				t.Fatal(err)
-			}
-			rows.Close()
-			return outcome{items: items, stats: rows.Stats()}
+			return execute(t, eng, Request{Query: q})
 		}},
 		{"Query", func(t *testing.T, eng *Engine, q string) outcome {
 			res, err := eng.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return outcome{items: res.Items, stats: res.Stats}
-		}},
-		{"QueryContext", func(t *testing.T, eng *Engine, q string) outcome {
-			res, err := eng.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,6 +159,60 @@ func TestQueryStatsParity(t *testing.T) {
 			if !q.agg && ref.stats.Truncated != (ref.stats.Rows < ref.stats.Scanned) {
 				t.Errorf("Execute: Truncated=%v with Rows=%d Scanned=%d",
 					ref.stats.Truncated, ref.stats.Rows, ref.stats.Scanned)
+			}
+			if !q.solo {
+				return
+			}
+
+			// Static baseline: another plan, the same stream.
+			static := execute(t, newEng(t), Request{Query: q.q, Static: true})
+			assertSameItems(t, "static", ref.items, static.items)
+			if static.stats.Rows != ref.stats.Rows || static.stats.Scanned != ref.stats.Scanned ||
+				static.stats.Truncated != ref.stats.Truncated {
+				t.Errorf("static: rows=%d scanned=%d trunc=%v, ROX reported rows=%d scanned=%d trunc=%v",
+					static.stats.Rows, static.stats.Scanned, static.stats.Truncated,
+					ref.stats.Rows, ref.stats.Scanned, ref.stats.Truncated)
+			}
+
+			// Document ≡ its one-shard collection, cold then replayed.
+			eng := newEng(t)
+			soloQ := strings.Replace(q.q, `doc("ppl.xml")`, `collection("solo")`, 1)
+			for _, round := range []string{"cold", "replay"} {
+				doc := execute(t, eng, Request{Query: q.q})
+				solo := execute(t, eng, Request{Query: soloQ})
+				assertSameItems(t, round+" solo", doc.items, solo.items)
+				if doc.stats.Shards != nil {
+					t.Errorf("%s: document query reports shards %v", round, doc.stats.Shards)
+				}
+				if len(solo.stats.Shards) != 1 {
+					t.Fatalf("%s: solo reports %d shards, want 1", round, len(solo.stats.Shards))
+				}
+				if doc.stats.CacheHit != (round == "replay") {
+					t.Errorf("%s: document CacheHit = %v", round, doc.stats.CacheHit)
+				}
+				shard := solo.stats.Shards[0].Stats
+				// A shard delivers the window's offset on top of the rows the
+				// gather keeps, and folds an aggregate into one partial item.
+				shard.Rows -= q.offset
+				type counts struct {
+					Rows, Scanned          int
+					Truncated              bool
+					Exec, Sample, CumInter int64
+					CacheHit               bool
+				}
+				of := func(s Stats) counts {
+					return counts{s.Rows, s.Scanned, s.Truncated, s.ExecTuples, s.SampleTuples,
+						s.CumulativeIntermediate, s.CacheHit}
+				}
+				if of(solo.stats) != of(doc.stats) {
+					t.Errorf("%s: solo collection %+v, document %+v", round, of(solo.stats), of(doc.stats))
+				}
+				if of(shard) != of(doc.stats) {
+					t.Errorf("%s: solo shard %+v, document %+v", round, of(shard), of(doc.stats))
+				}
+				if shard.Plan != doc.stats.Plan {
+					t.Errorf("%s: solo shard plan %q, document plan %q", round, shard.Plan, doc.stats.Plan)
+				}
 			}
 		})
 	}

@@ -481,13 +481,13 @@ func TestPoolCursorSlotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	busyCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	if _, err := pool.Query(busyCtx, q); err == nil {
+	if _, err := collectRows(pool.Execute(busyCtx, Request{Query: q})); err == nil {
 		t.Fatal("second query admitted while a cursor holds the only slot")
 	}
 	cancel()
 	// Close releases the slot immediately.
 	rows.Close()
-	if _, err := pool.Query(context.Background(), q); err != nil {
+	if _, err := collectRows(pool.Execute(context.Background(), Request{Query: q})); err != nil {
 		t.Fatalf("query after Close: %v", err)
 	}
 
@@ -505,7 +505,7 @@ func TestPoolCursorSlotLifecycle(t *testing.T) {
 	for {
 		runtime.GC()
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		_, err := pool.Query(ctx, q)
+		_, err := collectRows(pool.Execute(ctx, Request{Query: q}))
 		cancel()
 		if err == nil {
 			break // the cleanup released the leaked slot
