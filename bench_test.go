@@ -322,6 +322,7 @@ func BenchmarkROXEndToEnd(b *testing.B) {
 		b.Fatal(err)
 	}
 	ix := index.New(d)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env := plan.NewEnv(metrics.NewRecorder(), int64(i))
@@ -533,6 +534,7 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	if _, err := prep.Query(); err != nil { // warm the cache
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := prep.Query()

@@ -298,7 +298,9 @@ func (ix *Index) numPreAt(i int) xmltree.NodeID {
 }
 
 // TextRange returns all text nodes with a numeric value v satisfying
-// "v op bound", in document order. Cost O(log n + |R| log |R|).
+// "v op bound", in document order. Cost O(log n + |R|) while the matches are
+// dense in their id span (xmltree.SortUnique's bitmap sweep), else
+// O(log n + |R| log |R|).
 func (ix *Index) TextRange(op RangeOp, bound float64) []xmltree.NodeID {
 	if ix.base != nil {
 		// Both halves come out pre-sorted and the delta's pres all exceed the
@@ -332,8 +334,7 @@ func (ix *Index) textRangeSelf(op RangeOp, bound float64) []xmltree.NodeID {
 	for i := lo; i < hi; i++ {
 		out[i-lo] = ix.numPreAt(i)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return xmltree.SortUnique(out, nil) // value order back into document order
 }
 
 // Texts returns every text node of the document in document order (the kind

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -121,8 +122,8 @@ func TestStaircaseSemiMatchesSpec(t *testing.T) {
 		for _, ax := range allAxes {
 			got := StaircaseSemi(rec, d, ax, C, S)
 			want := NestedLoopStepPairs(rec, d, ax, C, S).S
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			want = dedupSorted(want)
+			slices.Sort(want)
+			want = slices.Compact(want)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d axis %v: semi %d nodes, want %d", seed, ax, len(got), len(want))
 			}
@@ -252,6 +253,59 @@ func TestValueJoinAlgorithmsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// hashJoinOracle is HashJoinPairs as it was with a slice per distinct value
+// on the build side; the grouped build must emit the same pairs in the same
+// order, consume the same outer tuples and charge the same tuple count.
+func hashJoinOracle(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, dS *xmltree.Document, S []xmltree.NodeID, limit int) (Pairs, int) {
+	ht := make(map[string][]xmltree.NodeID, len(S))
+	for _, s := range S {
+		ht[dS.Value(s)] = append(ht[dS.Value(s)], s)
+	}
+	var out Pairs
+	consumed := 0
+	for _, c := range C {
+		for _, s := range ht[dC.Value(c)] {
+			out.append(c, s)
+		}
+		consumed++
+		if limit > 0 && out.Len() >= limit {
+			break
+		}
+	}
+	rec.ChargeOp(consumed+len(S)+out.Len(), 0)
+	return out, consumed
+}
+
+func TestHashJoinMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for round := 0; round < 500; round++ {
+		vals := make([]string, 1+rng.Intn(6))
+		for i := range vals {
+			vals[i] = string(rune('a' + i))
+		}
+		mk := func(n int) []string {
+			out := make([]string, n)
+			for i := range out {
+				out[i] = vals[rng.Intn(len(vals))]
+			}
+			return out
+		}
+		dc, C := valueDoc("c.xml", mk(rng.Intn(30)))
+		ds, S := valueDoc("s.xml", append(mk(rng.Intn(30)), "only-in-s"))
+		limit := rng.Intn(3) * rng.Intn(40)
+		gotRec, wantRec := metrics.NewRecorder(), metrics.NewRecorder()
+		got, gotN := HashJoinPairs(gotRec, dc, C, ds, S, limit)
+		want, wantN := hashJoinOracle(wantRec, dc, C, ds, S, limit)
+		if !slices.Equal(got.C, want.C) || !slices.Equal(got.S, want.S) || gotN != wantN {
+			t.Fatalf("round %d limit %d: pairs C=%v S=%v consumed %d, want C=%v S=%v consumed %d",
+				round, limit, got.C, got.S, gotN, want.C, want.S, wantN)
+		}
+		if g, w := gotRec.Total(), wantRec.Total(); g.Tuples != w.Tuples || g.Ops != w.Ops {
+			t.Fatalf("round %d limit %d: charged %v, want %v", round, limit, g, w)
+		}
 	}
 }
 

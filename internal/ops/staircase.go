@@ -281,24 +281,9 @@ func StaircaseSemi(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S [
 		}
 	default:
 		pairs, _ := StepPairs(nil, d, axis, C, S, 0)
-		out = pairs.S
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		out = dedupSorted(out)
+		out = xmltree.SortUnique(pairs.S, nil)
 	}
 	rec.ChargeOp(len(C)+len(out), sw.Elapsed())
-	return out
-}
-
-func dedupSorted(s []xmltree.NodeID) []xmltree.NodeID {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, n := range s[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
 	return out
 }
 

@@ -49,22 +49,67 @@ func (a JoinAlg) String() string {
 // HashJoinPairs executes C ⋈=val S with a hash table on S. If limit > 0 the
 // probe stops after the outer tuple during which the output reached limit;
 // consumed reports fully processed outer tuples. Output is C-major ordered.
+//
+// The table maps a value to a group id; the groups' members sit in one
+// partner array behind one offset array (S order within a group), so the
+// build allocates a handful of objects, not a slice per distinct value. The
+// probe looks every outer tuple up once, which also sizes the output.
 func HashJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, dS *xmltree.Document, S []xmltree.NodeID, limit int) (Pairs, int) {
 	sw := metrics.Start()
-	ht := make(map[string][]xmltree.NodeID, len(S))
-	for _, s := range S {
+	groupOf := make(map[string]int32, len(S))
+	sGroup := make([]int32, len(S))
+	var off []int32 // group g owns partners[off[g]:off[g+1]]
+	for i, s := range S {
 		v := dS.Value(s)
-		ht[v] = append(ht[v], s)
-	}
-	var out Pairs
-	consumed := 0
-	for _, c := range C {
-		for _, s := range ht[dC.Value(c)] {
-			out.append(c, s)
+		g, ok := groupOf[v]
+		if !ok {
+			g = int32(len(off))
+			groupOf[v] = g
+			off = append(off, 0)
 		}
-		consumed++
-		if limit > 0 && out.Len() >= limit {
+		sGroup[i] = g
+		off[g]++
+	}
+	off = append(off, 0)
+	end := int32(0)
+	for g, n := range off {
+		end += n
+		off[g] = end
+	}
+	// off[g] is the end of group g; filling back to front turns it into the
+	// start and keeps S order within the group.
+	partners := make([]xmltree.NodeID, len(S))
+	for i := len(S) - 1; i >= 0; i-- {
+		g := sGroup[i]
+		off[g]--
+		partners[off[g]] = S[i]
+	}
+
+	cGroup := make([]int32, 0, len(C))
+	total := 0
+	for _, c := range C {
+		g, ok := groupOf[dC.Value(c)]
+		if !ok {
+			g = -1
+		} else {
+			total += int(off[g+1] - off[g])
+		}
+		cGroup = append(cGroup, g)
+		if limit > 0 && total >= limit {
 			break
+		}
+	}
+	consumed := len(cGroup)
+	var out Pairs
+	if total > 0 {
+		out = Pairs{C: make([]xmltree.NodeID, 0, total), S: make([]xmltree.NodeID, 0, total)}
+	}
+	for i, g := range cGroup {
+		if g < 0 {
+			continue
+		}
+		for _, s := range partners[off[g]:off[g+1]] {
+			out.append(C[i], s)
 		}
 	}
 	rec.ChargeOp(consumed+len(S)+out.Len(), sw.Elapsed())

@@ -35,9 +35,10 @@ type Runner struct {
 	// full data.
 	ExecLimit int
 
-	tables   map[int]*table.Table
-	comps    map[int]*component
-	executed map[int]bool
+	tables   []*table.Table // T(v) by vertex id, nil = not materialized
+	comps    []*component   // component by vertex id, nil = no edge ran yet
+	executed []bool         // by edge id
+	scratch  mergeScratch
 
 	// projectReduce enables the Sec 6 "push Distinct between the joins"
 	// extension: after every execution, columns of vertices with no
@@ -73,9 +74,9 @@ func NewRunner(env *Env, g *joingraph.Graph) *Runner {
 	return &Runner{
 		Env:       env,
 		G:         g,
-		tables:    make(map[int]*table.Table),
-		comps:     make(map[int]*component),
-		executed:  make(map[int]bool),
+		tables:    make([]*table.Table, len(g.Vertices)),
+		comps:     make([]*component, len(g.Vertices)),
+		executed:  make([]bool, len(g.Edges)),
 		redundant: RedundantEdges(g),
 	}
 }
@@ -220,22 +221,21 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	var nc *component
 	switch {
 	case ca == nil && cb == nil:
-		rel := table.NewRelation([]int{a, b}, []*xmltree.Document{r.tables[a].Doc, r.tables[b].Doc})
-		for i := range pairs.C {
-			rel.AppendRow([]xmltree.NodeID{pairs.C[i], pairs.S[i]})
-		}
+		// The pair columns are the relation: adopt them.
+		rel := table.FromColumns([]int{a, b}, []*xmltree.Document{r.tables[a].Doc, r.tables[b].Doc},
+			[][]xmltree.NodeID{pairs.C, pairs.S})
 		nc = &component{rel: rel, verts: []int{a, b}}
 	case ca != nil && cb == nil:
-		rel := extendWithPairs(ca.rel, a, pairs, b, r.tables[b].Doc)
+		rel := r.scratch.extend(ca.rel, a, pairs, b, r.tables[b].Doc)
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), b)}
 	case ca == nil && cb != nil:
-		rel := extendWithPairs(cb.rel, b, pairs.Swapped(), a, r.tables[a].Doc)
+		rel := r.scratch.extend(cb.rel, b, pairs.Swapped(), a, r.tables[a].Doc)
 		nc = &component{rel: rel, verts: append(append([]int(nil), cb.verts...), a)}
 	case ca == cb:
-		rel := filterByPairs(ca.rel, a, b, pairs)
+		rel := r.scratch.filter(ca.rel, a, b, pairs)
 		nc = &component{rel: rel, verts: ca.verts}
 	default:
-		rel := joinOnPairs(ca.rel, a, cb.rel, b, pairs)
+		rel := r.scratch.joinOn(ca.rel, a, cb.rel, b, pairs)
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), cb.verts...)}
 	}
 	r.Env.Rec.ChargeTuples(nc.rel.NumRows())
@@ -245,7 +245,7 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	for _, v := range nc.verts {
 		r.comps[v] = nc
 		if nc.rel.HasColumn(v) {
-			r.tables[v] = nc.rel.DistinctNodes(v)
+			r.tables[v] = nc.rel.DistinctNodes(v, &r.scratch.words)
 		}
 	}
 	return nc.rel.NumRows(), nil
@@ -284,93 +284,6 @@ func (r *Runner) reduce(nc *component) {
 		return
 	}
 	nc.rel = nc.rel.Project(keep).Distinct()
-}
-
-// extendWithPairs joins rel (owning vertex a) with the pair list to add a
-// column for the new vertex b.
-func extendWithPairs(rel *table.Relation, a int, pairs ops.Pairs, b int, docB *xmltree.Document) *table.Relation {
-	matches := make(map[xmltree.NodeID][]xmltree.NodeID, len(pairs.C))
-	for i := range pairs.C {
-		matches[pairs.C[i]] = append(matches[pairs.C[i]], pairs.S[i])
-	}
-	cols := append(append([]int(nil), rel.ColumnIDs()...), b)
-	docs := make([]*xmltree.Document, 0, len(cols))
-	for _, id := range rel.ColumnIDs() {
-		docs = append(docs, rel.Doc(id))
-	}
-	docs = append(docs, docB)
-	out := table.NewRelation(cols, docs)
-	colA := rel.Column(a)
-	n := rel.NumRows()
-	row := make([]xmltree.NodeID, len(cols))
-	for i := 0; i < n; i++ {
-		ms := matches[colA[i]]
-		if len(ms) == 0 {
-			continue
-		}
-		for _, m := range ms {
-			for ci, id := range rel.ColumnIDs() {
-				row[ci] = rel.Column(id)[i]
-			}
-			row[len(cols)-1] = m
-			out.AppendRow(row)
-		}
-	}
-	return out
-}
-
-// filterByPairs keeps the rows of rel whose (a, b) columns form a pair.
-func filterByPairs(rel *table.Relation, a, b int, pairs ops.Pairs) *table.Relation {
-	set := make(map[[2]xmltree.NodeID]struct{}, len(pairs.C))
-	for i := range pairs.C {
-		set[[2]xmltree.NodeID{pairs.C[i], pairs.S[i]}] = struct{}{}
-	}
-	colA, colB := rel.Column(a), rel.Column(b)
-	return rel.Filter(func(i int) bool {
-		_, ok := set[[2]xmltree.NodeID{colA[i], colB[i]}]
-		return ok
-	})
-}
-
-// joinOnPairs joins two component relations through the pair list
-// (C bound to ra's vertex a, S to rb's vertex b).
-func joinOnPairs(ra *table.Relation, a int, rb *table.Relation, b int, pairs ops.Pairs) *table.Relation {
-	matches := make(map[xmltree.NodeID][]xmltree.NodeID, len(pairs.C))
-	for i := range pairs.C {
-		matches[pairs.C[i]] = append(matches[pairs.C[i]], pairs.S[i])
-	}
-	rbIdx := make(map[xmltree.NodeID][]int)
-	colB := rb.Column(b)
-	for i := range colB {
-		rbIdx[colB[i]] = append(rbIdx[colB[i]], i)
-	}
-	cols := append(append([]int(nil), ra.ColumnIDs()...), rb.ColumnIDs()...)
-	docs := make([]*xmltree.Document, 0, len(cols))
-	for _, id := range ra.ColumnIDs() {
-		docs = append(docs, ra.Doc(id))
-	}
-	for _, id := range rb.ColumnIDs() {
-		docs = append(docs, rb.Doc(id))
-	}
-	out := table.NewRelation(cols, docs)
-	colA := ra.Column(a)
-	na := ra.NumRows()
-	wa := ra.NumCols()
-	row := make([]xmltree.NodeID, len(cols))
-	for i := 0; i < na; i++ {
-		for _, m := range matches[colA[i]] {
-			for _, j := range rbIdx[m] {
-				for ci, id := range ra.ColumnIDs() {
-					row[ci] = ra.Column(id)[i]
-				}
-				for ci, id := range rb.ColumnIDs() {
-					row[wa+ci] = rb.Column(id)[j]
-				}
-				out.AppendRow(row)
-			}
-		}
-	}
-	return out
 }
 
 // Relation returns the component relation containing vertex v, or nil.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -222,17 +221,25 @@ func (k Key) Compare(o Key) int {
 	return strings.Compare(k.Str, o.Str)
 }
 
+// pathWalker evaluates a key or aggregate path for row after row, reusing
+// its frontier buffers and the sort-unique bitmap from one row to the next.
+type pathWalker struct {
+	cur, next []xmltree.NodeID
+	words     []uint64
+}
+
 // matchNodes returns every node reached from n along path — a node *set* in
 // document order, per XPath step semantics. An empty path yields n itself.
 // After each step the frontier is sorted and deduplicated: nested frontier
 // nodes (e.g. `//a//b` over nested <a> elements) produce overlapping
 // descendant scans, and without the dedup an aggregate would fold the shared
 // matches once per overlapping ancestor. Node ids are pre-order ranks, so
-// ascending id order is document order.
-func matchNodes(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) []xmltree.NodeID {
-	cur := []xmltree.NodeID{n}
+// ascending id order is document order. The result is the walker's own
+// buffer, valid until its next call.
+func (w *pathWalker) matchNodes(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) []xmltree.NodeID {
+	cur, next := append(w.cur[:0], n), w.next
 	for _, st := range path {
-		var next []xmltree.NodeID
+		next = next[:0]
 		for _, c := range cur {
 			switch {
 			case st.Attr && !st.Desc:
@@ -260,7 +267,10 @@ func matchNodes(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) []xmltree
 					}
 				}
 			default:
-				for _, ch := range d.Children(c) {
+				// The children of c: hop from subtree to subtree; c's
+				// attributes sit first in its range and have none.
+				end := c + d.Size(c)
+				for ch := c + 1; ch <= end; ch += d.Size(ch) + 1 {
 					switch {
 					case st.Text:
 						if d.Kind(ch) == xmltree.KindText {
@@ -274,18 +284,12 @@ func matchNodes(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) []xmltree
 				}
 			}
 		}
-		if len(next) == 0 {
-			return nil
+		cur, next = xmltree.SortUnique(next, &w.words), cur
+		if len(cur) == 0 {
+			break
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		dedup := next[:1]
-		for _, m := range next[1:] {
-			if m != dedup[len(dedup)-1] {
-				dedup = append(dedup, m)
-			}
-		}
-		cur = dedup
 	}
+	w.cur, w.next = cur, next
 	return cur
 }
 
@@ -294,7 +298,11 @@ func matchNodes(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) []xmltree
 // it parses as a finite float64 — the same atomization the range predicates
 // of the value indices apply.
 func ExtractKey(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
-	ms := matchNodes(d, n, path)
+	return new(pathWalker).key(d, n, path)
+}
+
+func (w *pathWalker) key(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
+	ms := w.matchNodes(d, n, path)
 	if len(ms) == 0 {
 		return Key{}
 	}
@@ -310,8 +318,9 @@ func OrderKeys(rel *table.Relation, spec *OrderSpec) []Key {
 	doc := rel.Doc(spec.Vertex)
 	col := rel.Column(spec.Vertex)
 	keys := make([]Key, len(col))
+	var w pathWalker
 	for i, n := range col {
-		keys[i] = ExtractKey(doc, n, spec.Path)
+		keys[i] = w.key(doc, n, spec.Path)
 	}
 	return keys
 }
@@ -490,8 +499,9 @@ func FoldAgg(rel *table.Relation, spec *AggSpec) (*AggState, error) {
 	}
 	doc := rel.Doc(spec.Vertex)
 	col := rel.Column(spec.Vertex)
+	var w pathWalker
 	for _, n := range col {
-		for _, m := range matchNodes(doc, n, spec.Path) {
+		for _, m := range w.matchNodes(doc, n, spec.Path) {
 			s := strings.TrimSpace(doc.StringValue(m))
 			f, err := strconv.ParseFloat(s, 64)
 			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {

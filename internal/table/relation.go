@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -20,15 +21,19 @@ type Relation struct {
 
 // NewRelation creates an empty relation with the given columns.
 func NewRelation(colIDs []int, docs []*xmltree.Document) *Relation {
-	if len(colIDs) != len(docs) {
-		panic("table: colIDs and docs length mismatch")
+	return FromColumns(append([]int(nil), colIDs...), append([]*xmltree.Document(nil), docs...),
+		make([][]xmltree.NodeID, len(colIDs)))
+}
+
+// FromColumns returns a relation over prebuilt columns of one length. All
+// three slices and the column data are adopted, not copied: the caller hands
+// them over. This is how the Runner's merges publish columns they filled at
+// their exact output cardinality.
+func FromColumns(colIDs []int, docs []*xmltree.Document, cols [][]xmltree.NodeID) *Relation {
+	if len(colIDs) != len(docs) || len(colIDs) != len(cols) {
+		panic("table: colIDs, docs and cols length mismatch")
 	}
-	r := &Relation{
-		colIDs: append([]int(nil), colIDs...),
-		docs:   append([]*xmltree.Document(nil), docs...),
-		cols:   make([][]xmltree.NodeID, len(colIDs)),
-		byID:   make(map[int]int, len(colIDs)),
-	}
+	r := &Relation{colIDs: colIDs, docs: docs, cols: cols, byID: make(map[int]int, len(colIDs))}
 	for i, id := range colIDs {
 		if _, dup := r.byID[id]; dup {
 			panic(fmt.Sprintf("table: duplicate column id %d", id))
@@ -105,12 +110,10 @@ func (r *Relation) Row(i int) []xmltree.NodeID {
 
 // DistinctNodes returns the sorted duplicate-free set of nodes in the column
 // of vertex id, as a Table — the semijoin-reduced T(v) after executing an
-// edge (Algorithm 1 line 15).
-func (r *Relation) DistinctNodes(id int) *Table {
-	col := r.Column(id)
-	t := &Table{Doc: r.Doc(id), Nodes: append([]xmltree.NodeID(nil), col...)}
-	t.SortUnique()
-	return t
+// edge (Algorithm 1 line 15). words is xmltree.SortUnique's bitmap scratch
+// (nil allocates).
+func (r *Relation) DistinctNodes(id int, words *[]uint64) *Table {
+	return &Table{Doc: r.Doc(id), Nodes: xmltree.SortUnique(slices.Clone(r.Column(id)), words)}
 }
 
 // Project returns a new relation with only the columns for the given vertex
@@ -233,22 +236,6 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 	out := NewRelation(r.colIDs, r.docs)
 	for c := range r.cols {
 		out.cols[c] = r.cols[c][lo:hi]
-	}
-	return out
-}
-
-// Filter returns a new relation keeping only rows for which keep returns
-// true; keep receives the row index.
-func (r *Relation) Filter(keep func(row int) bool) *Relation {
-	out := NewRelation(r.colIDs, r.docs)
-	n := r.NumRows()
-	for i := 0; i < n; i++ {
-		if !keep(i) {
-			continue
-		}
-		for c := range r.cols {
-			out.cols[c] = append(out.cols[c], r.cols[c][i])
-		}
 	}
 	return out
 }

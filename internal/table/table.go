@@ -7,6 +7,7 @@ package table
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -42,25 +43,11 @@ func (t *Table) Clone() *Table {
 }
 
 // IsSorted reports whether the table is sorted by pre.
-func (t *Table) IsSorted() bool {
-	return sort.SliceIsSorted(t.Nodes, func(i, j int) bool { return t.Nodes[i] < t.Nodes[j] })
-}
+func (t *Table) IsSorted() bool { return slices.IsSorted(t.Nodes) }
 
 // SortUnique sorts the table by pre and removes duplicates in place,
 // restoring the canonical vertex-table form (document order, distinct).
-func (t *Table) SortUnique() {
-	if len(t.Nodes) < 2 {
-		return
-	}
-	sort.Slice(t.Nodes, func(i, j int) bool { return t.Nodes[i] < t.Nodes[j] })
-	out := t.Nodes[:1]
-	for _, n := range t.Nodes[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	t.Nodes = out
-}
+func (t *Table) SortUnique() { t.Nodes = xmltree.SortUnique(t.Nodes, nil) }
 
 // Contains reports whether the table contains node n; the table must be
 // sorted (binary search).

@@ -150,13 +150,13 @@ func TestRelationBasics(t *testing.T) {
 		t.Errorf("Distinct rows = %d, want 2", dist.NumRows())
 	}
 
-	tbl := r.DistinctNodes(10)
+	tbl := r.DistinctNodes(10, nil)
 	if tbl.Len() != 2 || tbl.Nodes[0] != 1 || tbl.Nodes[1] != 3 {
 		t.Errorf("DistinctNodes = %v", tbl.Nodes)
 	}
 }
 
-func TestRelationProjectSortFilter(t *testing.T) {
+func TestRelationProjectSort(t *testing.T) {
 	d := smallDoc(t)
 	r := NewRelation([]int{1, 2}, []*xmltree.Document{d, d})
 	r.AppendRow([]xmltree.NodeID{5, 1})
@@ -176,10 +176,21 @@ func TestRelationProjectSortFilter(t *testing.T) {
 		t.Errorf("SortBy col2 tie-break = %v", c)
 	}
 
-	f := r.Filter(func(row int) bool { return r.Column(1)[row] == 5 })
-	if f.NumRows() != 2 {
-		t.Errorf("Filter rows = %d, want 2", f.NumRows())
+}
+
+func TestFromColumnsAdopts(t *testing.T) {
+	d := smallDoc(t)
+	c1, c2 := []xmltree.NodeID{5, 3}, []xmltree.NodeID{1, 2}
+	r := FromColumns([]int{1, 2}, []*xmltree.Document{d, d}, [][]xmltree.NodeID{c1, c2})
+	if r.NumRows() != 2 || r.NumCols() != 2 || &r.Column(2)[0] != &c2[0] {
+		t.Errorf("FromColumns did not adopt its columns: %s", r)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("FromColumns accepted 2 ids for 1 column")
+		}
+	}()
+	FromColumns([]int{1, 2}, []*xmltree.Document{d, d}, [][]xmltree.NodeID{c1})
 }
 
 func TestFromTable(t *testing.T) {

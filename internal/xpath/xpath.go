@@ -15,7 +15,6 @@ package xpath
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/index"
@@ -230,7 +229,7 @@ func filterPred(ix *index.Index, context []xmltree.NodeID, p Pred) ([]xmltree.No
 			}
 			cur = append(cur, s)
 		}
-		sortNodes(cur)
+		cur = xmltree.SortUnique(cur, nil)
 		// Nested predicates inside predicate paths.
 		for _, np := range st.Preds {
 			kept, err := filterPred(ix, cur, np)
@@ -249,7 +248,7 @@ func filterPred(ix *index.Index, context []xmltree.NodeID, p Pred) ([]xmltree.No
 					cur = append(cur, s)
 				}
 			}
-			sortNodes(cur)
+			cur = xmltree.SortUnique(cur, nil)
 		}
 	}
 	survivors := make(map[xmltree.NodeID]bool)
@@ -308,8 +307,4 @@ func valueMatches(d *xmltree.Document, n xmltree.NodeID, op CmpOp, lit string) b
 		return val >= lit
 	}
 	return false
-}
-
-func sortNodes(s []xmltree.NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

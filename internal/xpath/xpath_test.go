@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -229,7 +230,7 @@ func naiveEval(d *xmltree.Document, e *Expr, context []xmltree.NodeID) []xmltree
 				}
 			}
 		}
-		sortNodes(next)
+		slices.Sort(next)
 		cur = next
 	}
 	return cur
