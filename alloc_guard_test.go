@@ -10,8 +10,8 @@ import (
 )
 
 // The allocation guard: a per-row allocation that creeps back into edge
-// execution or the aggregate fold fails here, in `go test`, before it reaches
-// roxmark. Each ceiling is ≈ 25 % above the count measured when it was
+// execution, the aggregate fold or item rendering fails here, in `go test`,
+// before it reaches roxmark. Each ceiling is ≈ 25 % above the count measured when it was
 // written (default XMark scale, go1.24); the counts scale with the result
 // rows, so a per-row regression overshoots a ceiling many times over. The
 // race detector changes what escapes, so the file is excluded under -race
@@ -53,5 +53,44 @@ func TestAllocGuardSumAggregate(t *testing.T) {
 	got := allocsPerQuery(t, `for $a in doc("xmark.xml")//open_auction return sum($a/initial)`)
 	if got > ceiling {
 		t.Errorf("sum aggregate: %.0f allocations per query, ceiling %d", got, ceiling)
+	}
+}
+
+func TestAllocGuardRenderedScan(t *testing.T) {
+	// roxmark's scan class drained the way the NDJSON path drains it: each
+	// row is rendered into the cursor's one buffer and read through
+	// ItemBytes, so 200 rows cost what 1 row costs plus the few doublings
+	// that grow the buffer to the largest item. Measured 175 for both (4 470
+	// against 190 when renderItem went through two strings.Builders, Children
+	// and Attributes slices and an xml.EscapeText round trip per text node).
+	const slack = 8
+	e := NewEngine(WithSeed(1))
+	e.LoadDocument(datagen.XMark(datagen.DefaultXMarkConfig()))
+	drain := func(limit, want int) func() {
+		return func() {
+			rows, err := e.Execute(context.Background(), Request{
+				Query: `for $p in doc("xmark.xml")//person[.//province] return $p`, Limit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			n, size := 0, 0
+			for rows.Next() {
+				n++
+				size += len(rows.ItemBytes())
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if n != want || size == 0 {
+				t.Fatalf("limit %d drained %d items, %d bytes", limit, n, size)
+			}
+		}
+	}
+	drain(200, 200)() // optimize once; every measured run replays the cached plan
+	one := testing.AllocsPerRun(20, drain(1, 1))
+	all := testing.AllocsPerRun(20, drain(200, 200))
+	if all > one+slack {
+		t.Errorf("rendered scan: 200 items allocate %.0f, 1 item %.0f: rendering allocates per item", all, one)
 	}
 }

@@ -86,7 +86,8 @@ func (b *localBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
 	c := b.e.shardCursor(ctx, x)
 	delivered := 0
 	for c.Next() {
-		it := shardItem{item: c.item}
+		// The item outlives the cursor's buffer on the channel: copy it out.
+		it := shardItem{item: string(c.buf)}
 		it.key, _ = c.Key()
 		select {
 		case st.items <- it:

@@ -1,0 +1,176 @@
+// Package ndjson is the one line writer behind every NDJSON response the
+// server streams: /v1/query?stream=ndjson (internal/serve) and the shard
+// execute wire (internal/shardrpc). A line is assembled in a buffer the
+// writer reuses and handed to the http.ResponseWriter, whose own buffer is the
+// batch; nothing is flushed per item. Instead a written line is on the wire
+// within flushInterval even if the row source then stalls — "slow consumers
+// see progress" as a bound, not as one syscall per item — and at the end of the
+// stream, when the handler returns. See DESIGN.md "Streaming execution and
+// limit pushdown".
+package ndjson
+
+import (
+	"encoding/json"
+	"net/http"
+	"sync"
+	"time"
+	"unicode/utf8"
+)
+
+// flushInterval bounds how long a written line may sit in the response's
+// buffers while the handler is busy (or parked) elsewhere.
+const flushInterval = 10 * time.Millisecond
+
+// Writer writes NDJSON lines to one response. Its methods are for the
+// handler's goroutine only; the mutex orders them with the flush timer, the
+// one other user of the ResponseWriter. The first failed write sticks: every
+// later line fails with it without touching the response. Close before the
+// handler returns.
+type Writer struct {
+	line []byte // the line being assembled, reused line to line
+
+	mu     sync.Mutex
+	w      http.ResponseWriter
+	fl     http.Flusher // nil when the response cannot flush: no timer then
+	timer  *time.Timer
+	armed  bool // a flush is pending for the lines written since the last one
+	closed bool
+	err    error
+}
+
+// NewWriter returns a line writer over w.
+func NewWriter(w http.ResponseWriter) *Writer {
+	fl, _ := w.(http.Flusher)
+	return &Writer{w: w, fl: fl}
+}
+
+// Item writes {"item":"…"}, byte for byte the line
+// json.Marshal(map[string]string{"item": string(item)}) produces.
+func (lw *Writer) Item(item []byte) error {
+	lw.line = appendString(append(lw.line[:0], `{"item":`...), item)
+	return lw.end()
+}
+
+// ItemField writes an item line with one more member, {"item":"…","name":v},
+// v encoded by encoding/json.
+func (lw *Writer) ItemField(item []byte, name string, v any) error {
+	lw.line = append(appendString(append(lw.line[:0], `{"item":`...), item), ',')
+	return lw.field(name, v)
+}
+
+// Field writes the one-member line {"name":v} — a stream's terminal stats,
+// error or done report — v encoded by encoding/json.
+func (lw *Writer) Field(name string, v any) error {
+	lw.line = append(lw.line[:0], '{')
+	return lw.field(name, v)
+}
+
+// field appends "name":v to the line and ends it; name needs no escaping.
+func (lw *Writer) field(name string, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	lw.line = append(append(append(lw.line, '"'), name...), '"', ':')
+	lw.line = append(lw.line, b...)
+	return lw.end()
+}
+
+// end closes the line's object, writes it and makes sure a flush is pending.
+func (lw *Writer) end() error {
+	lw.line = append(lw.line, '}', '\n')
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.err != nil {
+		return lw.err
+	}
+	if _, lw.err = lw.w.Write(lw.line); lw.err != nil {
+		return lw.err
+	}
+	if !lw.armed && lw.fl != nil {
+		lw.armed = true
+		if lw.timer == nil {
+			lw.timer = time.AfterFunc(flushInterval, lw.flush)
+		} else {
+			lw.timer.Reset(flushInterval)
+		}
+	}
+	return nil
+}
+
+// flush is the timer's callback. After Close it must not touch the response:
+// the handler may have returned.
+func (lw *Writer) flush() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	lw.armed = false
+	if !lw.closed {
+		lw.fl.Flush()
+	}
+}
+
+// Close ends the writer's use of the response: a pending flush is dropped —
+// the server flushes when the handler returns — and one already running has
+// finished by the time Close returns.
+func (lw *Writer) Close() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	lw.closed = true
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+}
+
+const hex = "0123456789abcdef"
+
+// appendString appends src as a JSON string literal, byte for byte as
+// encoding/json encodes a Go string with its default HTML-safe escaping:
+// quote, backslash and control bytes escaped (\b \f \n \r \t by name, the rest
+// and <, >, & as \u00XX), U+2028 and U+2029 escaped, and each byte of invalid
+// UTF-8 replaced by the six characters \ufffd.
+func appendString(dst, src []byte) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		b := src[i]
+		if b >= utf8.RuneSelf {
+			r, size := utf8.DecodeRune(src[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				dst = append(append(dst, src[start:i]...), `\ufffd`...)
+			case r == '\u2028' || r == '\u2029':
+				dst = append(append(dst, src[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+			default:
+				i += size
+				continue
+			}
+			i += size
+			start = i
+			continue
+		}
+		if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		dst = append(dst, src[start:i]...)
+		switch b {
+		case '\\', '"':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+		}
+		i++
+		start = i
+	}
+	return append(append(dst, src[start:]...), '"')
+}

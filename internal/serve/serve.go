@@ -35,6 +35,7 @@ import (
 
 	"repro"
 	"repro/internal/metrics"
+	"repro/internal/ndjson"
 	"repro/internal/shardrpc"
 	"repro/internal/xmltree"
 )
@@ -91,6 +92,11 @@ func New(pool *rox.Pool, cfg Config) *Handler {
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancelCause(r.Context())
 	defer cancel(nil)
+	// AfterFunc runs on its own goroutine even when the handler has already
+	// drained; a request arriving after Drain must not win that race.
+	if h.drainCtx.Err() != nil {
+		cancel(context.Cause(h.drainCtx))
+	}
 	stop := context.AfterFunc(h.drainCtx, func() {
 		cancel(context.Cause(h.drainCtx))
 	})
@@ -564,30 +570,29 @@ func intParam(r *http.Request, name string) (int, error) {
 }
 
 // streamNDJSON writes the cursor as newline-delimited JSON: one
-// {"item": ...} object per result item as it comes off the engine (flushed
-// so slow consumers see progress), then a final {"stats": ...} object — or,
-// if the stream fails after the 200 header is out, an {"error": ...} object
-// as the last line. A stream with no terminal line was truncated; clients
-// must treat it as failed, never as a short success.
+// {"item": ...} object per result item as it comes off the engine (straight
+// from the cursor's buffer through the shared line writer, whose bounded-delay
+// flush is what lets slow consumers see progress), then a final
+// {"stats": ...} object — or, if the stream fails after the 200 header is out,
+// an {"error": ...} object as the last line. A stream with no terminal line
+// was truncated; clients must treat it as failed, never as a short success.
 func streamNDJSON(w http.ResponseWriter, rows *rox.Rows) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
+	lw := ndjson.NewWriter(w)
+	defer lw.Close()
 	for rows.Next() {
-		if err := enc.Encode(map[string]string{"item": rows.Item()}); err != nil {
+		if lw.Item(rows.ItemBytes()) != nil {
 			return // client went away; rows.Close via the handler's defer
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
+	// A failed terminal write leaves no one to report to: the client is gone.
 	if err := rows.Err(); err != nil {
-		enc.Encode(map[string]string{"error": err.Error()})
+		_ = lw.Field("error", err.Error())
 		return
 	}
 	rows.Close()
-	enc.Encode(map[string]any{"stats": toQueryStats(rows.Stats())})
+	_ = lw.Field("stats", toQueryStats(rows.Stats()))
 }
 
 // StatusFor classifies an evaluation error: cancellation → 503 (client went

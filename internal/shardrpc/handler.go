@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/ndjson"
 	"repro/internal/plan"
 )
 
@@ -32,8 +33,8 @@ type Executor interface {
 type ShardRun interface {
 	// Next advances to the next item; false ends the item sequence.
 	Next() bool
-	// Item returns the current serialized item.
-	Item() string
+	// Item returns the current serialized item, valid until the next Next.
+	Item() []byte
 	// Key returns the current item's order-by merge key; ok is false when
 	// the query does not sort (no keys travel).
 	Key() (plan.Key, bool)
@@ -102,9 +103,10 @@ func HandleInventory(exec Executor) http.HandlerFunc {
 }
 
 // HandleExecute serves POST /shards/{shard}/execute: decode the request,
-// start the shard run, stream its items as NDJSON messages (flushing each so
-// the coordinator's merge sees them as they are produced), and always end
-// with the done report. Failures before the first byte use the HTTP status +
+// start the shard run, stream its items as NDJSON messages (through the shared
+// line writer: the coordinator's merge sees an item within its flush bound of
+// it being produced, with no flush per item), and always end with the done
+// report. Failures before the first byte use the HTTP status +
 // error envelope; once streaming began, errors travel in-band in the done
 // report. The handler must be registered on a pattern with a {shard} path
 // wildcard.
@@ -139,26 +141,24 @@ func HandleExecute(exec Executor) http.HandlerFunc {
 
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		flusher, _ := w.(http.Flusher)
+		lw := ndjson.NewWriter(w)
+		defer lw.Close()
+		// Each line is a Message, written member by member: item, then key.
 		for run.Next() {
-			item := run.Item()
-			m := Message{Item: &item}
+			var err error
 			if k, ok := run.Key(); ok {
-				kw := KeyFromPlan(k)
-				m.Key = &kw
+				err = lw.ItemField(run.Item(), "key", KeyFromPlan(k))
+			} else {
+				err = lw.Item(run.Item())
 			}
-			if enc.Encode(&m) != nil {
+			if err != nil {
 				// The coordinator went away (window filled, query canceled):
 				// stop producing; the deferred Close aborts the execution.
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
-		done := run.Done()
-		_ = enc.Encode(&Message{Done: &done})
+		// A failed write leaves no one to report to: the coordinator is gone.
+		_ = lw.Field("done", run.Done())
 	}
 }
 

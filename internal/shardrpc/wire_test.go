@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,10 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ops"
 	"repro/internal/plan"
+	"repro/internal/testutil"
 )
 
 // TestKeyRoundTrip: merge keys survive the wire bit-for-bit — the
@@ -111,7 +115,7 @@ func (r *fakeRun) Next() bool {
 	r.pos++
 	return true
 }
-func (r *fakeRun) Item() string { return r.items[r.pos-1] }
+func (r *fakeRun) Item() []byte { return []byte(r.items[r.pos-1]) }
 func (r *fakeRun) Key() (plan.Key, bool) {
 	if r.keys == nil {
 		return plan.Key{}, false
@@ -123,7 +127,7 @@ func (r *fakeRun) Close()     { r.closed = true }
 
 // fakeExec is a scripted Executor.
 type fakeExec struct {
-	run     *fakeRun
+	run     ShardRun
 	execErr error
 	gotReq  *ExecRequest
 	shards  []ShardInfo
@@ -314,5 +318,119 @@ func TestMessageWireShape(t *testing.T) {
 	wantDone := `{"done":{"generation":3,"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}`
 	if string(b) != wantDone {
 		t.Errorf("done encodes as %s, want %s", b, wantDone)
+	}
+}
+
+// TestHandlerLinesAreEncodedMessages: the handler writes its lines member by
+// member through the shared line writer; each is byte for byte the Message
+// encoding/json would produce, keyed or not.
+func TestHandlerLinesAreEncodedMessages(t *testing.T) {
+	items := []string{`<a x="1">b & c</a>`, "sep\u2028 \xff"}
+	for _, keys := range [][]plan.Key{nil, {{Present: true, IsNum: true, Num: 1e21}, {Present: true, Str: "<k>"}}} {
+		done := Done{Generation: 7, Stats: &Stats{Rows: 2, Scanned: 2, Plan: "a<b"}}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for i := range items {
+			m := Message{Item: &items[i]}
+			if keys != nil {
+				kw := KeyFromPlan(keys[i])
+				m.Key = &kw
+			}
+			if err := enc.Encode(&m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Encode(&Message{Done: &done}); err != nil {
+			t.Fatal(err)
+		}
+
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/shards/{shard}/execute",
+			HandleExecute(&fakeExec{run: &fakeRun{items: items, keys: keys, done: done}}))
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards/s.xml/execute",
+			strings.NewReader(`{"collection":"c","query":"q"}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if got := rec.Body.String(); got != want.String() {
+			t.Errorf("keys=%v: stream\n got %q\nwant %q", keys != nil, got, want.String())
+		}
+	}
+}
+
+// stallRun yields its items and then parks in Next until released — a shard
+// whose row source stalled mid-stream.
+type stallRun struct {
+	fakeRun
+	parked  chan struct{} // closed when Next parks
+	release chan struct{}
+}
+
+func (r *stallRun) Next() bool {
+	if r.fakeRun.Next() {
+		return true
+	}
+	close(r.parked)
+	<-r.release
+	return false
+}
+
+// TestHandlerFlushesWhileRunStalls pins "slow consumers see progress" for the
+// shard wire as a property, not a syscall per item: an item the handler wrote
+// reaches the coordinator within the line writer's flush bound while the
+// handler is still parked in the run's Next. (The deadline here is far above
+// the bound; what it tells apart is "flushed by the timer" from "flushed only
+// when the handler returns".)
+func TestHandlerFlushesWhileRunStalls(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	run := &stallRun{
+		fakeRun: fakeRun{items: []string{"<a/>"}, done: Done{Generation: 1}},
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/shards/{shard}/execute", HandleExecute(&fakeExec{run: run}))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	stream, err := NewClient(ts.Client()).Execute(context.Background(), ts.URL, "s.xml",
+		&ExecRequest{Collection: "c", Query: "q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	type next struct {
+		m   *Message
+		err error
+	}
+	msgs := make(chan next, 1)
+	go func() {
+		m, err := stream.Next()
+		msgs <- next{m, err}
+	}()
+	select {
+	case got := <-msgs:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if got.m.Item == nil || *got.m.Item != "<a/>" {
+			t.Fatalf("first message = %+v, want the item", got.m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("item never reached the client while the run was stalled")
+	}
+	select {
+	case <-run.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never parked in Next")
+	}
+	close(run.release)
+	m, err := stream.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Done == nil || m.Done.Generation != 1 {
+		t.Fatalf("stream did not end with the done report: %+v", m)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"strings"
 	"sync"
 
 	"repro/internal/classical"
@@ -116,9 +115,17 @@ type Rows struct {
 type rowsCore struct {
 	src   rowSource
 	env   *plan.Env
-	item  string
 	err   error
 	stats Stats
+
+	// The current item in the form its source produced it — raw, a view of a
+	// buffer the source reuses, or (raw nil) str, a string the source owns —
+	// and in the other form once asked for: Item keeps the string it makes of
+	// raw (isStr), ItemBytes copies a string-held item into scratch.
+	raw     []byte
+	str     string
+	isStr   bool
+	scratch []byte
 
 	mu     sync.Mutex
 	done   bool
@@ -130,8 +137,11 @@ type rowsCore struct {
 // and are driven only through rowsCore.
 type rowSource interface {
 	// next returns the next item; ok = false ends the stream, with err as
-	// the terminal error (nil for normal exhaustion).
-	next() (item string, ok bool, err error)
+	// the terminal error (nil for normal exhaustion). A source that renders
+	// into a buffer it reuses returns the item as raw, valid until the
+	// following next; one that holds its items as strings returns str and a
+	// nil raw.
+	next() (raw []byte, str string, ok bool, err error)
 	// finalize folds end-of-stream statistics into st and releases any
 	// resources (shard goroutines, context). Called exactly once, after the
 	// stream ended or the cursor was closed; st.Rows already holds the
@@ -165,21 +175,41 @@ func (r *Rows) Next() bool {
 	if c.done {
 		return false
 	}
-	item, ok, err := c.src.next()
+	raw, str, ok, err := c.src.next()
 	if !ok {
 		c.finish(err)
 		return false
 	}
-	c.item = item
+	c.raw, c.str, c.isStr = raw, str, raw == nil
 	c.stats.Rows++
 	return true
 }
 
 // Item returns the item Next advanced to: the serialized XML of one result
-// (or the single rendered value of an aggregate query).
+// (or the single rendered value of an aggregate query). The string is the
+// caller's to keep; it is made on the first call, so a consumer that only
+// forwards the bytes (see ItemBytes) never pays for it.
 func (r *Rows) Item() string {
 	defer runtime.KeepAlive(r) // see Next
-	return r.c.item
+	c := r.c
+	if !c.isStr {
+		c.str, c.isStr = string(c.raw), true
+	}
+	return c.str
+}
+
+// ItemBytes returns the item Next advanced to as a view of the cursor's own
+// buffer: valid only until the next call of Next or Close, and not to be
+// modified — the contract of bufio.Scanner.Bytes. It is the allocation-free
+// way to stream a result out; use Item for anything that outlives the row.
+func (r *Rows) ItemBytes() []byte {
+	defer runtime.KeepAlive(r) // see Next
+	c := r.c
+	if c.raw == nil {
+		c.scratch = append(c.scratch[:0], c.str...)
+		c.raw = c.scratch
+	}
+	return c.raw
 }
 
 // Err returns the terminal stream error: nil after normal exhaustion or
@@ -270,6 +300,7 @@ func (c *rowsCore) finish(err error) {
 		c.err = err
 	}
 	c.src.finalize(&c.stats)
+	c.raw, c.scratch = nil, nil // the source's buffer went with it
 	c.mu.Lock()
 	hooks := c.hooks
 	c.hooks = nil
@@ -333,9 +364,9 @@ type cursor struct {
 	edgeRows map[int]int
 	stats    Stats // join-phase statistics; report adds the stream's
 
-	row  int    // rows handed out so far
-	item string // the row advance rendered last
-	err  error  // what ended the cursor early: open's failure or ctx's error
+	row int    // rows handed out so far
+	buf []byte // the row advance rendered last; reused row to row, dropped at Close
+	err error  // what ended the cursor early: open's failure or ctx's error
 }
 
 // newCursor binds one execution; the stopwatch starts here so a shard's
@@ -473,7 +504,7 @@ func (c *cursor) open() error {
 	return nil
 }
 
-// advance renders the next row into item, false once the rows are out or ctx
+// advance renders the next row into buf, false once the rows are out or ctx
 // ended the stream (err). The join has fully materialized (that is ROX's
 // execution model), but each row's serialization waits for its advance, so a
 // window or an early Close never renders rows it does not return. An
@@ -495,9 +526,10 @@ func (c *cursor) advance() bool {
 		return false
 	}
 	if c.agg != nil {
-		c.item, _ = c.agg.Render(c.comp.Tail.Agg.Kind)
+		item, _ := c.agg.Render(c.comp.Tail.Agg.Kind)
+		c.buf = append(c.buf[:0], item...)
 	} else {
-		c.item = renderItem(c.comp, c.rel, c.row)
+		c.buf = appendItem(c.buf[:0], c.comp, c.rel, c.row)
 	}
 	c.row++
 	return true
@@ -526,11 +558,11 @@ func (c *cursor) report(delivered int) Stats {
 
 // next and finalize make the cursor the row source of a non-collection
 // query's Rows.
-func (c *cursor) next() (string, bool, error) {
+func (c *cursor) next() ([]byte, string, bool, error) {
 	if !c.advance() {
-		return "", false, c.err
+		return nil, "", false, c.err
 	}
-	return c.item, true, nil
+	return c.buf, "", true, nil
 }
 
 func (c *cursor) finalize(st *Stats) {
@@ -560,8 +592,9 @@ func (c *cursor) Next() bool {
 	return c.advance()
 }
 
-// Item returns the serialized item Next advanced to.
-func (c *cursor) Item() string { return c.item }
+// Item returns the serialized item Next advanced to, valid until the next
+// Next: a driver that keeps it (the local-shard pump) copies it out.
+func (c *cursor) Item() []byte { return c.buf }
 
 // Key returns the current item's order-by merge key; ok is false when the
 // query does not sort.
@@ -572,23 +605,22 @@ func (c *cursor) Key() (plan.Key, bool) {
 	return c.keys[c.row-1], true
 }
 
-// Close releases the materialized join.
-func (c *cursor) Close() { c.rel, c.keys = nil, nil }
+// Close releases the materialized join and the item buffer.
+func (c *cursor) Close() { c.rel, c.keys, c.buf = nil, nil, nil }
 
-// renderItem serializes one result row: the return expression's variables,
-// optionally wrapped in the constructor element.
-func renderItem(comp *xquery.Compiled, rel *table.Relation, row int) string {
+// appendItem serializes one result row onto dst: the return expression's
+// variables, optionally wrapped in the constructor element.
+func appendItem(dst []byte, comp *xquery.Compiled, rel *table.Relation, row int) []byte {
 	ret := comp.Return
-	var sb strings.Builder
 	if ret.Elem != "" {
-		sb.WriteString("<" + ret.Elem + ">")
+		dst = append(append(append(dst, '<'), ret.Elem...), '>')
 	}
 	for _, v := range ret.Vars {
 		vertex := comp.Vars[v]
-		sb.WriteString(xmltree.SerializeString(rel.Doc(vertex), rel.Column(vertex)[row]))
+		dst = xmltree.AppendSerialize(dst, rel.Doc(vertex), rel.Column(vertex)[row])
 	}
 	if ret.Elem != "" {
-		sb.WriteString("</" + ret.Elem + ">")
+		dst = append(append(append(dst, "</"...), ret.Elem...), '>')
 	}
-	return sb.String()
+	return dst
 }

@@ -565,8 +565,10 @@ func (e *Engine) XPath(docName, path string) ([]string, error) {
 		return nil, err
 	}
 	out := make([]string, len(nodes))
+	var buf []byte
 	for i, n := range nodes {
-		out[i] = xmltree.SerializeString(ix.Doc(), n)
+		buf = xmltree.AppendSerialize(buf[:0], ix.Doc(), n)
+		out[i] = string(buf)
 	}
 	return out, nil
 }

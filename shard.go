@@ -250,23 +250,26 @@ type scatterRows struct {
 	aggDone bool
 }
 
-func (s *scatterRows) next() (string, bool, error) {
+// next hands out strings: the items crossed a channel (or the wire), so each
+// is already its own allocation.
+func (s *scatterRows) next() ([]byte, string, bool, error) {
 	if s.mode == gatherAgg {
-		return s.nextAgg()
+		item, ok, err := s.nextAgg()
+		return nil, item, ok, err
 	}
 	for {
 		if s.hi >= 0 && s.pulled >= s.hi {
-			return "", false, nil // window full: finalize cancels the rest
+			return nil, "", false, nil // window full: finalize cancels the rest
 		}
 		it, ok, err := s.nextMerged()
 		if err != nil || !ok {
-			return "", false, err
+			return nil, "", false, err
 		}
 		s.pulled++
 		if s.pulled <= s.lo {
 			continue // inside the global offset: skip
 		}
-		return it.item, true, nil
+		return nil, it.item, true, nil
 	}
 }
 

@@ -672,3 +672,129 @@ func TestTailChangeWithLimitIsCacheMiss(t *testing.T) {
 		t.Error("warm windowed query missed its own entry")
 	}
 }
+
+// TestItemBytesAndItemAgree pins the item-buffer lifetime on both row sources
+// — the execution cursor (a document query) and the gather (a collection
+// query): ItemBytes is a view that the next Next may overwrite, Item is a
+// string that stays intact after it, the two carry the same bytes in either
+// call order, and a drain through ItemBytes equals a Collect.
+func TestItemBytesAndItemAgree(t *testing.T) {
+	e := NewEngine()
+	if err := e.LoadXML("ppl.xml", pricedShardXML(0, 40)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := e.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(100*i, 20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		`for $p in doc("ppl.xml")//person return $p`,
+		`for $p in doc("ppl.xml")//person return <r>{$p}</r>`,
+		`for $p in doc("ppl.xml")//person return sum($p/salary)`,
+		`for $p in collection("ppl")//person order by $p/age return $p`,
+		`for $p in collection("ppl")//person return count($p)`,
+	} {
+		want, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := e.Execute(context.Background(), Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []string // Item strings, read back after the cursor moved on
+		var viaBytes []string
+		for i := 0; rows.Next(); i++ {
+			var s string
+			var b []byte
+			if i%2 == 0 { // either call order
+				s, b = rows.Item(), rows.ItemBytes()
+			} else {
+				b, s = rows.ItemBytes(), rows.Item()
+			}
+			if s != string(b) {
+				t.Fatalf("%s row %d: Item %q != ItemBytes %q", q, i, s, b)
+			}
+			kept = append(kept, s)
+			viaBytes = append(viaBytes, string(b))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		assertSameItems(t, q+" (Item kept across Next)", want.Items, kept)
+		assertSameItems(t, q+" (ItemBytes)", want.Items, viaBytes)
+	}
+}
+
+// TestShardSlotReleasedBeforeEmit pins the fan-out contract of a shard cursor
+// under the smallest limiter: with one shard worker, six local shards of 60
+// rows each and an order by, the gather needs every shard's head before it
+// can emit — so a shard that still held the one slot while it filled its
+// 16-item channel would starve the other five and the query would hang. It
+// must complete, and every item must come through intact: the pump copies
+// each item out of the cursor's reused buffer before it crosses the channel,
+// so the merged result equals the same data sorted in one document.
+func TestShardSlotReleasedBeforeEmit(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const shards, perShard = 6, 60
+	spans := make([][2]int, shards)
+	sharded := NewEngine(WithShardWorkers(1))
+	for i := range spans {
+		spans[i] = [2]int{100 * i, perShard}
+		if err := sharded.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i),
+			pricedShardXML(spans[i][0], spans[i][1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := pricedSingleEngine(t, spans).Query(
+		`for $p in doc("ppl.xml")//person order by $p/age return $p`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := collectRows(sharded.Execute(ctx,
+		Request{Query: `for $p in collection("ppl")//person order by $p/age return $p`}))
+	if err != nil {
+		t.Fatalf("ordered scatter under one shard worker: %v", err)
+	}
+	if len(got.Items) != shards*perShard {
+		t.Fatalf("got %d items, want %d", len(got.Items), shards*perShard)
+	}
+	assertSameItems(t, "ordered scatter under one shard worker", want.Items, got.Items)
+}
+
+// TestExhaustionBeforeCancellation pins the order of the cursor's two ways to
+// end: a cursor whose every row went out reports clean exhaustion — nil Err,
+// not truncated — even when its context is canceled before the Next that
+// finds the rows gone.
+func TestExhaustionBeforeCancellation(t *testing.T) {
+	e := NewEngine()
+	if err := e.LoadXML("ppl.xml", pricedShardXML(0, 25)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rows, err := e.Execute(ctx, Request{Query: `for $p in doc("ppl.xml")//person return $p`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	for i := 0; i < 25; i++ {
+		if !rows.Next() {
+			t.Fatalf("stream ended after %d of 25 rows: %v", i, rows.Err())
+		}
+	}
+	cancel()
+	if rows.Next() {
+		t.Fatal("Next returned a 26th row")
+	}
+	if err := rows.Err(); err != nil {
+		t.Errorf("exhausted cursor reports %v after a late cancel, want nil", err)
+	}
+	if st := rows.Stats(); st.Truncated || st.Rows != 25 {
+		t.Errorf("stats = Rows %d Truncated %v, want 25/false", st.Rows, st.Truncated)
+	}
+}
