@@ -2,8 +2,6 @@ package index
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/xmltree"
 )
@@ -58,7 +56,7 @@ func NewDelta(base *Index, doc *xmltree.Document) *Index {
 			val := doc.ValueID(n)
 			ix.texts[val] = append(ix.texts[val], n)
 			ix.allTexts = append(ix.allTexts, n)
-			if f, err := strconv.ParseFloat(strings.TrimSpace(doc.Value(n)), 64); err == nil {
+			if f, ok := xmltree.ParseNumber(doc.Value(n)); ok {
 				ix.numericTexts = append(ix.numericTexts, numText{f, n})
 			}
 		}

@@ -21,8 +21,6 @@ package index
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/xmltree"
 )
@@ -53,8 +51,9 @@ type Index struct {
 	// probed by the nested-loop index-lookup join on attribute vertices.
 	attrEq map[attrKey][]xmltree.NodeID
 
-	// numericTexts lists text nodes whose value parses as a number, sorted
-	// by value; it answers range predicates like text() < 145.
+	// numericTexts lists text nodes whose value xmltree.ParseNumber accepts
+	// (finite, so the values are totally ordered), sorted by value; it
+	// answers range predicates like text() < 145 by binary search.
 	numericTexts []numText
 
 	// allTexts lists every text node in document order — the kind
@@ -104,7 +103,7 @@ func New(doc *xmltree.Document) *Index {
 			val := doc.ValueID(n)
 			ix.texts[val] = append(ix.texts[val], n)
 			ix.allTexts = append(ix.allTexts, n)
-			if f, err := strconv.ParseFloat(strings.TrimSpace(doc.Value(n)), 64); err == nil {
+			if f, ok := xmltree.ParseNumber(doc.Value(n)); ok {
 				ix.numericTexts = append(ix.numericTexts, numText{f, n})
 			}
 		}

@@ -11,7 +11,9 @@ package ndjson
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -47,15 +49,16 @@ func NewWriter(w http.ResponseWriter) *Writer {
 // Item writes {"item":"…"}, byte for byte the line
 // json.Marshal(map[string]string{"item": string(item)}) produces.
 func (lw *Writer) Item(item []byte) error {
-	lw.line = appendString(append(lw.line[:0], `{"item":`...), item)
+	lw.line = AppendString(append(lw.line[:0], `{"item":`...), item)
 	return lw.end()
 }
 
-// ItemField writes an item line with one more member, {"item":"…","name":v},
-// v encoded by encoding/json.
-func (lw *Writer) ItemField(item []byte, name string, v any) error {
-	lw.line = append(appendString(append(lw.line[:0], `{"item":`...), item), ',')
-	return lw.field(name, v)
+// ItemRaw writes an item line with one more member, {"item":"…","name":raw};
+// raw is the member's value, already JSON (see AppendString, AppendFloat).
+func (lw *Writer) ItemRaw(item []byte, name string, raw []byte) error {
+	lw.line = append(AppendString(append(lw.line[:0], `{"item":`...), item), ',')
+	lw.line = append(appendName(lw.line, name), raw...)
+	return lw.end()
 }
 
 // Field writes the one-member line {"name":v} — a stream's terminal stats,
@@ -71,9 +74,13 @@ func (lw *Writer) field(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	lw.line = append(append(append(lw.line, '"'), name...), '"', ':')
-	lw.line = append(lw.line, b...)
+	lw.line = append(appendName(lw.line, name), b...)
 	return lw.end()
+}
+
+// appendName appends "name": — a member name that needs no escaping.
+func appendName(dst []byte, name string) []byte {
+	return append(append(append(dst, '"'), name...), '"', ':')
 }
 
 // end closes the line's object, writes it and makes sure a flush is pending.
@@ -123,18 +130,20 @@ func (lw *Writer) Close() {
 
 const hex = "0123456789abcdef"
 
-// appendString appends src as a JSON string literal, byte for byte as
+// AppendString appends src as a JSON string literal, byte for byte as
 // encoding/json encodes a Go string with its default HTML-safe escaping:
 // quote, backslash and control bytes escaped (\b \f \n \r \t by name, the rest
 // and <, >, & as \u00XX), U+2028 and U+2029 escaped, and each byte of invalid
 // UTF-8 replaced by the six characters \ufffd.
-func appendString(dst, src []byte) []byte {
+func AppendString[T []byte | string](dst []byte, src T) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(src); {
 		b := src[i]
 		if b >= utf8.RuneSelf {
-			r, size := utf8.DecodeRune(src[i:])
+			// At most one rune's bytes are converted, so the string stays on
+			// the stack (encoding/json decodes a []byte the same way).
+			r, size := utf8.DecodeRuneInString(string(src[i:min(len(src), i+utf8.UTFMax)]))
 			switch {
 			case r == utf8.RuneError && size == 1:
 				dst = append(append(dst, src[start:i]...), `\ufffd`...)
@@ -173,4 +182,20 @@ func appendString(dst, src []byte) []byte {
 		start = i
 	}
 	return append(append(dst, src[start:]...), '"')
+}
+
+// AppendFloat appends a finite f as encoding/json encodes a float64: the
+// shortest digits that round-trip, in exponent form only below 1e-6 and from
+// 1e21 up, with a two-digit exponent's leading zero dropped.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 is written e-9
+		dst = dst[:n-1]
+	}
+	return dst
 }

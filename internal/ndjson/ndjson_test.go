@@ -93,7 +93,7 @@ func TestFieldLinesMatchEncodingJSON(t *testing.T) {
 	lw := NewWriter(rec)
 	defer lw.Close()
 	for _, err := range []error{
-		lw.ItemField([]byte(item), "key", k),
+		lw.ItemRaw([]byte(item), "key", []byte(`{"p":true,"f":1e+21,"s":"\u003ck\u003e"}`)),
 		lw.Field("stats", stats),
 		lw.Field("error", "it <failed>"),
 	} {

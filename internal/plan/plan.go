@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/joingraph"
@@ -138,8 +139,9 @@ func (t *Tail) Apply(rel *table.Relation) *table.Relation {
 // during the key sort. Keys are nil when the tail has no order by. scanned is
 // the distinct result cardinality before the Limit window was applied (equal
 // to the output row count for unlimited tails): the limit push-down happens
-// here, after every sort and before any serialization, so a `limit 10` query
-// never pays to render rows 11..n.
+// here — the key sort selects only the rows up to the window's end, and the
+// window is cut before any serialization — so a `limit 10` query never pays to
+// order or render rows 11..n.
 func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, scanned int) {
 	if t == nil {
 		return rel, nil, rel.NumRows()
@@ -156,16 +158,14 @@ func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, sc
 	if len(sortCols) > 0 {
 		out.SortBy(sortCols)
 	}
-	if t.Order != nil {
-		out, keys = sortByKeys(out, t.Order)
-	}
 	scanned = out.NumRows()
+	lo, hi := t.Limit.Window(scanned)
+	if t.Order != nil {
+		out, keys = sortByKeys(out, t.Order, hi)
+		keys = keys[lo:]
+	}
 	if t.Limit != nil {
-		lo, hi := t.Limit.Window(scanned)
 		out = out.Slice(lo, hi)
-		if keys != nil {
-			keys = keys[lo:hi]
-		}
 	}
 	if len(t.Final) > 0 {
 		out = out.Project(t.Final)
@@ -173,28 +173,76 @@ func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, sc
 	return out, keys, scanned
 }
 
-// sortByKeys stable-sorts the relation rows by the extracted order key and
-// returns the keys in the new row order. Stability over the preceding τ sort
-// pins the tie order to document order — the property the scatter-gather
-// merge relies on for byte-identity.
-func sortByKeys(rel *table.Relation, spec *OrderSpec) (*table.Relation, []Key) {
-	keys := OrderKeys(rel, spec)
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
+// keyedRow is one row of the key sort: its order key and its position in the
+// τ-sorted relation.
+type keyedRow struct {
+	key Key
+	row int
+}
+
+// compare is the tail's total order over keyed rows: the key in the spec's
+// direction, then the row position. It is the order a stable sort by key over
+// the τ sort yields — ties keep document order — written as a total order so
+// that any selection algorithm, on any shard, produces the same rows; that is
+// the property the scatter-gather merge relies on for byte-identity.
+func (o *OrderSpec) compare(a, b keyedRow) int {
+	c := a.key.Compare(b.key)
+	if o.Desc {
+		c = -c
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		c := keys[idx[a]].Compare(keys[idx[b]])
-		if spec.Desc {
-			return c > 0
+	if c == 0 {
+		c = cmp.Compare(a.row, b.row)
+	}
+	return c
+}
+
+// sortByKeys returns the first k rows of rel under the spec's total order, and
+// their keys in that order. With k short of the relation it keeps the k best
+// rows seen so far in a max-heap — the worst of them on top, displaced by
+// any better row — so only k keys are held and k rows sorted and permuted.
+func sortByKeys(rel *table.Relation, spec *OrderSpec, k int) (*table.Relation, []Key) {
+	col := rel.Column(spec.Vertex)
+	k = max(0, min(k, len(col)))
+	w := newPathWalker(rel.Doc(spec.Vertex), spec.Path)
+	sel := make([]keyedRow, 0, k)
+	for i, n := range col {
+		e := keyedRow{w.key(n), i}
+		switch {
+		case len(sel) < k:
+			sel = append(sel, e)
+			if len(sel) == k && k < len(col) {
+				for j := k/2 - 1; j >= 0; j-- {
+					spec.siftDown(sel, j)
+				}
+			}
+		case k > 0 && spec.compare(e, sel[0]) < 0:
+			sel[0] = e
+			spec.siftDown(sel, 0)
 		}
-		return c < 0
-	})
-	sorted := make([]Key, len(keys))
-	for i, ri := range idx {
-		sorted[i] = keys[ri]
 	}
-	return rel.Permute(idx), sorted
+	slices.SortFunc(sel, spec.compare)
+	idx, keys := make([]int, len(sel)), make([]Key, len(sel))
+	for i, e := range sel {
+		idx[i], keys[i] = e.row, e.key
+	}
+	return rel.Permute(idx), keys
+}
+
+// siftDown restores the max-heap property of h below position i.
+func (o *OrderSpec) siftDown(h []keyedRow, i int) {
+	for {
+		big := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if o.compare(h[c], h[big]) > 0 {
+				big = c
+			}
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 // Required returns the vertices that must appear in the final joined

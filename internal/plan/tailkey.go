@@ -221,70 +221,73 @@ func (k Key) Compare(o Key) int {
 	return strings.Compare(k.Str, o.Str)
 }
 
-// pathWalker evaluates a key or aggregate path for row after row, reusing
-// its frontier buffers and the sort-unique bitmap from one row to the next.
+// pathWalker evaluates one key or aggregate path over one document for row
+// after row. The path's names are resolved to the document's qname ids once,
+// so a step compares ids, and the frontier buffers and the sort-unique bitmap
+// are reused from one row to the next.
 type pathWalker struct {
+	doc       *xmltree.Document
+	path      []KeyStep
+	ids       []int32 // qname id per step; -1, which no named node has, when the document lacks the name
 	cur, next []xmltree.NodeID
 	words     []uint64
 }
 
-// matchNodes returns every node reached from n along path — a node *set* in
-// document order, per XPath step semantics. An empty path yields n itself.
-// After each step the frontier is sorted and deduplicated: nested frontier
-// nodes (e.g. `//a//b` over nested <a> elements) produce overlapping
-// descendant scans, and without the dedup an aggregate would fold the shared
-// matches once per overlapping ancestor. Node ids are pre-order ranks, so
-// ascending id order is document order. The result is the walker's own
-// buffer, valid until its next call.
-func (w *pathWalker) matchNodes(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) []xmltree.NodeID {
+func newPathWalker(d *xmltree.Document, path []KeyStep) *pathWalker {
+	w := &pathWalker{doc: d, path: path, ids: make([]int32, len(path))}
+	for i, st := range path {
+		w.ids[i] = -1
+		if id, ok := d.QNames().Lookup(st.Name); ok {
+			w.ids[i] = id
+		}
+	}
+	return w
+}
+
+// matchNodes returns every node reached from n along the path — a node *set*
+// in document order, per XPath step semantics. An empty path yields n itself.
+// A frontier of several nodes is sorted and deduplicated after its step:
+// nested frontier nodes (e.g. `//a//b` over nested <a> elements) produce
+// overlapping descendant scans, and without the dedup an aggregate would fold
+// the shared matches once per overlapping ancestor. Node ids are pre-order
+// ranks, so ascending id order is document order — which one node's children
+// or descendants already are. The result is the walker's own buffer, valid
+// until its next call.
+func (w *pathWalker) matchNodes(n xmltree.NodeID) []xmltree.NodeID {
+	d := w.doc
 	cur, next := append(w.cur[:0], n), w.next
-	for _, st := range path {
+	for si, st := range w.path {
+		id, kind := w.ids[si], stepKind(st)
 		next = next[:0]
 		for _, c := range cur {
+			end := c + d.Size(c)
 			switch {
 			case st.Attr && !st.Desc:
-				if a := d.Attribute(c, st.Name); a != xmltree.NoNode {
+				if a := d.AttributeByNameID(c, id); a != xmltree.NoNode {
 					next = append(next, a)
 				}
 			case st.Desc:
 				// Subtree scan: node ids are pre-order, so ascending ids
 				// within the subtree range are document order.
-				end := c + d.Size(c)
 				for i := c + 1; i <= end; i++ {
-					switch {
-					case st.Attr:
-						if d.Kind(i) == xmltree.KindAttr && d.NodeName(i) == st.Name {
-							next = append(next, i)
-						}
-					case st.Text:
-						if d.Kind(i) == xmltree.KindText {
-							next = append(next, i)
-						}
-					default:
-						if d.Kind(i) == xmltree.KindElem && d.NodeName(i) == st.Name {
-							next = append(next, i)
-						}
+					if d.Kind(i) == kind && (st.Text || d.NameID(i) == id) {
+						next = append(next, i)
 					}
 				}
 			default:
 				// The children of c: hop from subtree to subtree; c's
 				// attributes sit first in its range and have none.
-				end := c + d.Size(c)
 				for ch := c + 1; ch <= end; ch += d.Size(ch) + 1 {
-					switch {
-					case st.Text:
-						if d.Kind(ch) == xmltree.KindText {
-							next = append(next, ch)
-						}
-					default:
-						if d.Kind(ch) == xmltree.KindElem && d.NodeName(ch) == st.Name {
-							next = append(next, ch)
-						}
+					if d.Kind(ch) == kind && (st.Text || d.NameID(ch) == id) {
+						next = append(next, ch)
 					}
 				}
 			}
 		}
-		cur, next = xmltree.SortUnique(next, &w.words), cur
+		if len(cur) > 1 {
+			next = xmltree.SortUnique(next, &w.words)
+		}
+		cur, next = next, cur
 		if len(cur) == 0 {
 			break
 		}
@@ -293,36 +296,31 @@ func (w *pathWalker) matchNodes(d *xmltree.Document, n xmltree.NodeID, path []Ke
 	return cur
 }
 
-// ExtractKey atomizes the order-by key of node n: the string value of the
-// first node the path reaches in document order, classified as numeric when
-// it parses as a finite float64 — the same atomization the range predicates
-// of the value indices apply.
-func ExtractKey(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
-	return new(pathWalker).key(d, n, path)
+// stepKind is the node kind a step selects.
+func stepKind(st KeyStep) xmltree.Kind {
+	switch {
+	case st.Attr:
+		return xmltree.KindAttr
+	case st.Text:
+		return xmltree.KindText
+	}
+	return xmltree.KindElem
 }
 
-func (w *pathWalker) key(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
-	ms := w.matchNodes(d, n, path)
+// ExtractKey atomizes the order-by key of node n: the first node the path
+// reaches in document order, read through xmltree's one atomization rule —
+// numeric exactly when the range predicates of the value indices say so.
+func ExtractKey(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
+	return newPathWalker(d, path).key(n)
+}
+
+func (w *pathWalker) key(n xmltree.NodeID) Key {
+	ms := w.matchNodes(n)
 	if len(ms) == 0 {
 		return Key{}
 	}
-	s := strings.TrimSpace(d.StringValue(ms[0]))
-	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
-		return Key{Present: true, IsNum: true, Num: f, Str: s}
-	}
-	return Key{Present: true, Str: s}
-}
-
-// OrderKeys extracts the order-by key of every row of rel.
-func OrderKeys(rel *table.Relation, spec *OrderSpec) []Key {
-	doc := rel.Doc(spec.Vertex)
-	col := rel.Column(spec.Vertex)
-	keys := make([]Key, len(col))
-	var w pathWalker
-	for i, n := range col {
-		keys[i] = w.key(doc, n, spec.Path)
-	}
-	return keys
+	s, f, isNum := w.doc.Atomize(ms[0])
+	return Key{Present: true, IsNum: isNum, Num: f, Str: s}
 }
 
 // AggState is the partial-aggregate fold state — the unit of the shard merge
@@ -498,13 +496,11 @@ func FoldAgg(rel *table.Relation, spec *AggSpec) (*AggState, error) {
 		return st, nil
 	}
 	doc := rel.Doc(spec.Vertex)
-	col := rel.Column(spec.Vertex)
-	var w pathWalker
-	for _, n := range col {
-		for _, m := range w.matchNodes(doc, n, spec.Path) {
-			s := strings.TrimSpace(doc.StringValue(m))
-			f, err := strconv.ParseFloat(s, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+	w := newPathWalker(doc, spec.Path)
+	for _, n := range rel.Column(spec.Vertex) {
+		for _, m := range w.matchNodes(n) {
+			s, f, isNum := doc.Atomize(m)
+			if !isNum {
 				return nil, fmt.Errorf("plan: %s %w: %q (node %d of %s)",
 					spec.Kind, ErrNonNumeric, s, m, doc.Name())
 			}

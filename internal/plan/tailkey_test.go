@@ -197,7 +197,7 @@ func TestMatchNodesNestedDescendantIsSet(t *testing.T) {
 	if st.Count != 2 || st.Sum() != 3 {
 		t.Errorf("sum($r//a//b) state = count %d sum %g, want (2, 3)", st.Count, st.Sum())
 	}
-	if ms := new(pathWalker).matchNodes(d, root[0], path); len(ms) != 2 || ms[0] >= ms[1] {
+	if ms := newPathWalker(d, path).matchNodes(root[0]); len(ms) != 2 || ms[0] >= ms[1] {
 		t.Errorf("matchNodes = %v, want 2 distinct nodes in document order", ms)
 	}
 }

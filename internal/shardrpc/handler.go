@@ -144,10 +144,12 @@ func HandleExecute(exec Executor) http.HandlerFunc {
 		lw := ndjson.NewWriter(w)
 		defer lw.Close()
 		// Each line is a Message, written member by member: item, then key.
+		var key []byte
 		for run.Next() {
 			var err error
 			if k, ok := run.Key(); ok {
-				err = lw.ItemField(run.Item(), "key", KeyFromPlan(k))
+				key = KeyFromPlan(k).AppendJSON(key[:0])
+				err = lw.ItemRaw(run.Item(), "key", key)
 			} else {
 				err = lw.Item(run.Item())
 			}

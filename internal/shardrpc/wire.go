@@ -27,6 +27,7 @@ package shardrpc
 import (
 	"fmt"
 
+	"repro/internal/ndjson"
 	"repro/internal/ops"
 	"repro/internal/plan"
 )
@@ -91,9 +92,9 @@ func ToPlan(steps []PlanStep) plan.Plan {
 }
 
 // Key is a wire-encoded order-by merge key. All numeric keys are finite by
-// construction (plan.ExtractKeys only marks finite parses as numeric), so the
-// float64 JSON round-trip is exact and the coordinator's k-way merge compares
-// exactly the keys the shard sorted by.
+// construction (xmltree.ParseNumber accepts nothing else), so the float64
+// JSON round-trip is exact and the coordinator's k-way merge compares exactly
+// the keys the shard sorted by.
 type Key struct {
 	Present bool    `json:"p,omitempty"`
 	Num     bool    `json:"n,omitempty"`
@@ -104,6 +105,23 @@ type Key struct {
 // KeyFromPlan encodes a merge key for the wire.
 func KeyFromPlan(k plan.Key) Key {
 	return Key{Present: k.Present, Num: k.IsNum, F: k.Num, S: k.Str}
+}
+
+// AppendJSON appends the key's JSON object member by member, byte for byte
+// what json.Marshal(k) produces: the execute handler writes one per item.
+func (k Key) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	if k.Present {
+		dst = append(dst, `"p":true,`...)
+	}
+	if k.Num {
+		dst = append(dst, `"n":true,`...)
+	}
+	dst = ndjson.AppendFloat(append(dst, `"f":`...), k.F)
+	if k.S != "" {
+		dst = ndjson.AppendString(append(dst, `,"s":`...), k.S)
+	}
+	return append(dst, '}')
 }
 
 // ToPlan decodes the wire key.

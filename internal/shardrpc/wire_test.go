@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
+	"repro/internal/ndjson"
 	"repro/internal/ops"
 	"repro/internal/plan"
 	"repro/internal/testutil"
@@ -43,6 +45,66 @@ func TestKeyRoundTrip(t *testing.T) {
 			t.Errorf("key %d: round-trip %+v != %+v", i, got, k)
 		}
 	}
+}
+
+// FuzzKeyAppendJSON: a keyed item line written member by member is byte for
+// byte the Message encoding/json writes (the coordinator's decoder and
+// roxmark's oracle both read those bytes), for every finite float and any
+// string bytes.
+func FuzzKeyAppendJSON(f *testing.F) {
+	for _, seed := range []struct {
+		p, n bool
+		f    float64
+		s    string
+	}{
+		{},
+		{p: true, n: true, f: math.Copysign(0, -1), s: "-0"},
+		{p: true, n: true, f: 145.5, s: "145.50"},
+		{p: true, n: true, f: 1e21, s: "1e21"},
+		{p: true, n: true, f: 999999999999999868928, s: "just below exponent form"},
+		{p: true, n: true, f: 1e-6},
+		{p: true, n: true, f: 9.99e-7, s: "9.99e-7"},
+		{p: true, n: true, f: -1.5e-9},
+		{p: true, n: true, f: 1e100},
+		{p: true, n: true, f: math.MaxFloat64},
+		{p: true, n: true, f: math.SmallestNonzeroFloat64},
+		{p: true, s: "zebra"},
+		{p: true, s: `<k a="1">&</k> \ /`},
+		{p: true, s: "ctl \x00\x1f\x7f\b\f\n\r\t"},
+		{p: true, s: "caf\u00e9 \u2028\u2029 \U0001F600 \ufffd"},
+		{p: true, s: "invalid \xff\xc0\xaf truncated \xe2\x80"},
+		{n: true, f: 3, s: "fields the engine never combines"},
+	} {
+		f.Add(seed.p, seed.n, seed.f, seed.s)
+	}
+	f.Fuzz(func(t *testing.T, p, n bool, num float64, s string) {
+		if math.IsNaN(num) || math.IsInf(num, 0) {
+			t.Skip("keys are finite by construction; encoding/json rejects the rest")
+		}
+		k := Key{Present: p, Num: n, F: num, S: s}
+		item := "<a>" + s + "</a>"
+		want, err := json.Marshal(Message{Item: &item, Key: &k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		lw := ndjson.NewWriter(rec)
+		defer lw.Close()
+		if err := lw.ItemRaw([]byte(item), "key", k.AppendJSON(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.String(); got != string(want)+"\n" {
+			t.Fatalf("key %+v:\n got %q\nwant %q", k, got, want)
+		}
+		var back Message
+		if err := json.Unmarshal(rec.Body.Bytes(), &back); err != nil {
+			t.Fatal(err)
+		}
+		// An invalid byte does not survive any JSON encoder; the rest must.
+		if utf8.ValidString(s) && (*back.Key != k || *back.Item != item) {
+			t.Fatalf("round trip %+v != %+v", *back.Key, k)
+		}
+	})
 }
 
 // TestAggRoundTripExact: the partial-aggregate fold state transfers exactly —

@@ -316,7 +316,7 @@ func NewValueSummary(buckets, topK int) *ValueSummary {
 
 // Add records one value.
 func (v *ValueSummary) Add(s string) {
-	if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
+	if f, ok := xmltree.ParseNumber(s); ok {
 		v.numCount++
 		v.raw = append(v.raw, f)
 		return

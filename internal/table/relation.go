@@ -1,9 +1,9 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/xmltree"
 )
@@ -133,46 +133,63 @@ func (r *Relation) Project(ids []int) *Relation {
 	return out
 }
 
-// Distinct returns a new relation with duplicate rows removed. Row order is
-// not preserved (rows come out sorted lexicographically by column values),
-// which is fine because XQuery ordering is re-established by the tail's sort.
-func (r *Relation) Distinct() *Relation {
-	n := r.NumRows()
-	idx := make([]int, n)
+// compareRows orders rows a and b by the columns at positions pos.
+func (r *Relation) compareRows(pos []int, a, b int) int {
+	for _, p := range pos {
+		if c := cmp.Compare(r.cols[p][a], r.cols[p][b]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// ordered reports whether the rows already ascend by the columns at pos;
+// strict also rules out ties.
+func (r *Relation) ordered(pos []int, strict bool) bool {
+	limit := 0
+	if strict {
+		limit = -1
+	}
+	for i := 1; i < r.NumRows(); i++ {
+		if r.compareRows(pos, i-1, i) > limit {
+			return false
+		}
+	}
+	return true
+}
+
+// rowIndices returns 0..n-1, the identity permutation a sort starts from.
+func (r *Relation) rowIndices() []int {
+	idx := make([]int, r.NumRows())
 	for i := range idx {
 		idx[i] = i
 	}
-	less := func(a, b int) bool {
-		for c := range r.cols {
-			if r.cols[c][a] != r.cols[c][b] {
-				return r.cols[c][a] < r.cols[c][b]
-			}
-		}
-		return false
+	return idx
+}
+
+// Distinct returns a new relation with duplicate rows removed. Row order is
+// not preserved (rows come out sorted lexicographically by column values),
+// which is fine because XQuery ordering is re-established by the tail's sort.
+// A relation already in strictly ascending order — a one-variable path
+// query's step output is a sorted node set — is returned as a view sharing
+// r's columns.
+func (r *Relation) Distinct() *Relation {
+	pos := make([]int, len(r.cols))
+	for c := range pos {
+		pos[c] = c
 	}
-	equal := func(a, b int) bool {
-		for c := range r.cols {
-			if r.cols[c][a] != r.cols[c][b] {
-				return false
-			}
-		}
-		return true
+	if r.ordered(pos, true) {
+		return r.Slice(0, r.NumRows())
 	}
-	sort.Slice(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-	out := NewRelation(r.colIDs, r.docs)
-	for i, ri := range idx {
-		if i > 0 && equal(idx[i-1], ri) {
-			continue
-		}
-		for c := range r.cols {
-			out.cols[c] = append(out.cols[c], r.cols[c][ri])
-		}
-	}
-	return out
+	idx := r.rowIndices()
+	slices.SortFunc(idx, func(a, b int) int { return r.compareRows(pos, a, b) })
+	idx = slices.CompactFunc(idx, func(a, b int) bool { return r.compareRows(pos, a, b) == 0 })
+	return r.Permute(idx)
 }
 
 // SortBy sorts the relation rows by the given vertex-id columns (node id
-// ascending, i.e. document order), implementing the tail's numbering τ.
+// ascending, i.e. document order), implementing the tail's numbering τ. The
+// sort is stable; rows already in that order are left as they are.
 func (r *Relation) SortBy(ids []int) {
 	pos := make([]int, len(ids))
 	for i, id := range ids {
@@ -182,26 +199,12 @@ func (r *Relation) SortBy(ids []int) {
 		}
 		pos[i] = p
 	}
-	n := r.NumRows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if r.ordered(pos, false) {
+		return
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, p := range pos {
-			if r.cols[p][idx[a]] != r.cols[p][idx[b]] {
-				return r.cols[p][idx[a]] < r.cols[p][idx[b]]
-			}
-		}
-		return false
-	})
-	for c := range r.cols {
-		newCol := make([]xmltree.NodeID, n)
-		for i, ri := range idx {
-			newCol[i] = r.cols[c][ri]
-		}
-		r.cols[c] = newCol
-	}
+	idx := r.rowIndices()
+	slices.SortStableFunc(idx, func(a, b int) int { return r.compareRows(pos, a, b) })
+	r.cols = r.Permute(idx).cols
 }
 
 // Permute returns a new relation whose row i is r's row idx[i]. Indices may

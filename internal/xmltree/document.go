@@ -194,31 +194,79 @@ func (d *Document) Values() *Dict { return d.vals }
 
 // StringValue returns the XPath string value of n: for text, attribute,
 // comment and pi nodes their own value; for document and element nodes the
-// concatenation of all descendant text node values in document order.
+// concatenation of all descendant text node values in document order. A node
+// with at most one text descendant — every leaf element — yields the value
+// dictionary's own string; only mixed content is concatenated into a new one.
 func (d *Document) StringValue(n NodeID) string {
 	switch d.Kind(n) {
 	case KindText, KindAttr, KindComment, KindPI:
 		return d.Value(n)
 	}
-	var sb strings.Builder
 	end := n + d.Size(n)
-	for i := n + 1; i <= end; i++ {
-		if d.Kind(i) == KindText {
-			sb.WriteString(d.Value(i))
-		}
+	first := d.nextText(n+1, end)
+	if first > end {
+		return ""
+	}
+	i := d.nextText(first+1, end)
+	if i > end {
+		return d.Value(first)
+	}
+	var sb strings.Builder
+	sb.WriteString(d.Value(first))
+	for ; i <= end; i = d.nextText(i+1, end) {
+		sb.WriteString(d.Value(i))
 	}
 	return sb.String()
 }
 
-// NumberValue returns the string value of n parsed as a float64; ok is false
-// if the value is not numeric.
-func (d *Document) NumberValue(n NodeID) (v float64, ok bool) {
-	s := strings.TrimSpace(d.StringValue(n))
+// nextText returns the first text node in [i, end], or end+1.
+func (d *Document) nextText(i, end NodeID) NodeID {
+	for i <= end && d.Kind(i) != KindText {
+		i++
+	}
+	return i
+}
+
+// ParseNumber is the engine's one rule for reading a value as a number: s
+// with surrounding white space removed must parse as a finite float64. The
+// value indices, the synopsis and the plan tail all classify through it, so a
+// text node is numeric to a range predicate exactly when it is numeric to an
+// order key or an aggregate. NaN and the infinities are strings: admitting
+// them would break the value order the numeric index is binary-searched by.
+func ParseNumber(s string) (float64, bool) {
+	return parseTrimmed(strings.TrimSpace(s))
+}
+
+func parseTrimmed(s string) (float64, bool) {
+	// A finite number starts, after its sign, with a digit or a point: that
+	// excludes strconv's "NaN", "Inf" and "Infinity" spellings (an overflow
+	// is its ErrRange), and deciding it here keeps strconv from allocating
+	// an error for every ordinary string.
+	t := s
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		t = t[1:]
+	}
+	if t == "" || (t[0] != '.' && (t[0] < '0' || t[0] > '9')) {
+		return 0, false
+	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, false
 	}
 	return f, true
+}
+
+// Atomize returns the typed value of n: its string value without surrounding
+// white space and, when ParseNumber accepts it, the number it spells.
+func (d *Document) Atomize(n NodeID) (s string, num float64, isNum bool) {
+	s = strings.TrimSpace(d.StringValue(n))
+	num, isNum = parseTrimmed(s)
+	return s, num, isNum
+}
+
+// NumberValue returns the string value of n read as a number (ParseNumber).
+func (d *Document) NumberValue(n NodeID) (v float64, ok bool) {
+	return ParseNumber(d.StringValue(n))
 }
 
 // IsAncestorOf reports whether a is a proper ancestor of n, using the pre
@@ -269,7 +317,14 @@ func (d *Document) Attribute(n NodeID, name string) NodeID {
 	if !ok {
 		return NoNode
 	}
-	for _, a := range d.Attributes(n) {
+	return d.AttributeByNameID(n, id)
+}
+
+// AttributeByNameID is Attribute for a name already resolved in QNames.
+func (d *Document) AttributeByNameID(n NodeID, id int32) NodeID {
+	// Attributes directly follow their owner, before any other child.
+	end := n + d.Size(n)
+	for a := n + 1; a <= end && d.Kind(a) == KindAttr; a++ {
 		if d.NameID(a) == id {
 			return a
 		}

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/shardrpc"
 	"repro/internal/testutil"
+	"repro/internal/xmltree"
 )
 
 // swapExec is a shardrpc.Executor that delegates to a swappable engine — the
@@ -202,6 +204,66 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 						replay.Stats.CacheHit, replay.Stats.SampleTuples)
 				}
 			})
+		}
+	}
+}
+
+// TestPageWindowsShardedEquivalence: the key sort selects only a window's
+// first offset+count rows on every shard, and the gather merges what the
+// shards selected — so every window of roxmark's page rotation, and its topk,
+// over 4 local shards and over 4 remote ones (2 servers) must stay byte for
+// byte the window of the unsharded document, cold and replayed.
+func TestPageWindowsShardedEquivalence(t *testing.T) {
+	cfg := datagen.DefaultXMarkConfig()
+	single := NewEngine()
+	single.LoadDocument(datagen.XMark(cfg))
+	shards := datagen.XMarkShards(cfg, 4)
+	local := NewEngine()
+	local.LoadCollection("xmark", shards)
+	var endpoints []Endpoint
+	for _, half := range [][]*xmltree.Document{shards[:2], shards[2:]} {
+		srv := NewEngine()
+		for _, d := range half {
+			srv.LoadDocument(d)
+		}
+		_, ts := newShardServer(t, srv)
+		endpoints = append(endpoints, Endpoint{URL: ts.URL})
+	}
+	remote := NewEngine()
+	if err := remote.LoadCollectionRemote(context.Background(), "xmark", endpoints); err != nil {
+		t.Fatal(err)
+	}
+
+	const page = `//open_auction[reserve] order by $a/initial return $a`
+	const topk = `//open_auction[reserve] order by $a/current descending return $a`
+	type window struct {
+		tail          string
+		limit, offset int
+	}
+	windows := []window{{topk, 10, 0}, {page, 0, 25}, {page, 0, 0}}
+	for i := 0; i < 17; i++ {
+		windows = append(windows, window{page, 10, 10 * i})
+	}
+	ctx := context.Background()
+	for _, w := range windows {
+		want, err := collectRows(single.Execute(ctx, Request{
+			Query: `for $a in doc("xmark.xml")` + w.tail, Limit: w.limit, Offset: w.offset}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.limit > 0 && len(want.Items) != w.limit {
+			t.Fatalf("limit %d offset %d: the document has only %d rows", w.limit, w.offset, len(want.Items))
+		}
+		for name, eng := range map[string]*Engine{"local": local, "remote": remote} {
+			for _, phase := range []string{"cold", "replay"} {
+				got, err := collectRows(eng.Execute(ctx, Request{
+					Query: `for $a in collection("xmark")` + w.tail, Limit: w.limit, Offset: w.offset}))
+				if err != nil {
+					t.Fatalf("%s limit %d offset %d: %v", name, w.limit, w.offset, err)
+				}
+				assertSameItems(t, fmt.Sprintf("%s %s limit %d offset %d", name, phase, w.limit, w.offset),
+					want.Items, got.Items)
+			}
 		}
 	}
 }

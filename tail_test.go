@@ -3,10 +3,14 @@ package rox
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/testutil"
+	"repro/internal/xmltree"
 )
 
 // tailEngine loads a small shop corpus with numeric and non-numeric leaves.
@@ -223,5 +227,69 @@ func TestScatterAggregateStats(t *testing.T) {
 	}
 	if avg := testutil.DrainCursor(t, rows); len(avg) != 1 || avg[0] != "20" {
 		t.Errorf("scatter avg = %v, want [20]", avg)
+	}
+}
+
+// TestNonFiniteTextIsNotNumeric: a text node spelled NaN or Inf is a string
+// to every reader of xmltree.ParseNumber. The numeric index used to admit
+// them, and a NaN among its values broke the sort order TextRange
+// binary-searches: on this document `< 4` returned <v>7</v> and two NaNs, and
+// `>= 0` missed 0, 1, 2 and 7. Pinned for the three index builders — bulk,
+// packed and the ingest delta — static ≡ ROX.
+func TestNonFiniteTextIsNotNumeric(t *testing.T) {
+	const head = `<v>5</v><v>NaN</v><v>1</v><v>nan</v><v>7</v><v>NaN</v><v>2</v>`
+	const rest = `<v>Inf</v><v>3</v><v>NaN</v><v>0</v><v>9</v><v>NaN</v><v>4</v>`
+
+	bulk := NewEngine()
+	if err := bulk.LoadXML("r.xml", "<r>"+head+rest+"</r>"); err != nil {
+		t.Fatal(err)
+	}
+	d, err := xmltree.ParseString("r.xml", "<r>"+head+rest+"</r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "r.roxd")
+	if err := index.WritePackedFile(path, index.New(d)); err != nil {
+		t.Fatal(err)
+	}
+	packed := NewEngine()
+	if err := packed.LoadPacked(path); err != nil {
+		t.Fatal(err)
+	}
+	ingested := NewEngine()
+	if err := ingested.LoadXML("r.xml", "<r>"+head+"</r>"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ingested.Append("r.xml", rest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingested.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct{ query, want string }{
+		{`for $v in doc("r.xml")//v[text() < 4] return $v`, "1 2 3 0"},
+		{`for $v in doc("r.xml")//v[text() >= 0] return $v`, "5 1 7 2 3 0 9 4"},
+		{`for $v in doc("r.xml")//v[text() > 8] return $v`, "9"},
+		{`for $v in doc("r.xml")//v order by $v return $v limit 3`, "0 1 2"},
+		{`for $v in doc("r.xml")//v order by $v descending return $v limit 6`, "nan NaN NaN NaN NaN Inf"},
+	} {
+		var want []string
+		for _, v := range strings.Fields(c.want) {
+			want = append(want, "<v>"+v+"</v>")
+		}
+		for name, eng := range map[string]*Engine{"bulk": bulk, "packed": packed, "ingested": ingested} {
+			rox, err := eng.Query(c.query)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.query, err)
+			}
+			static, err := eng.QueryStatic(c.query)
+			if err != nil {
+				t.Fatalf("%s %s (static): %v", name, c.query, err)
+			}
+			if !slices.Equal(rox.Items, want) || !slices.Equal(static.Items, want) {
+				t.Errorf("%s %s:\n  rox    %v\n  static %v\n  want   %v", name, c.query, rox.Items, static.Items, want)
+			}
+		}
 	}
 }
