@@ -20,7 +20,7 @@ import (
 func allocsPerQuery(t *testing.T, query string) float64 {
 	t.Helper()
 	e := NewEngine(WithSeed(1))
-	e.LoadDocument(datagen.XMark(datagen.DefaultXMarkConfig()))
+	_ = e.LoadSource(FromDocument(datagen.XMark(datagen.DefaultXMarkConfig())))
 	run := func() {
 		res, err := collectRows(e.Execute(context.Background(), Request{Query: query}))
 		if err != nil {
@@ -78,7 +78,7 @@ func TestAllocGuardRenderedScan(t *testing.T) {
 	// and Attributes slices and an xml.EscapeText round trip per text node).
 	const slack = 8
 	e := NewEngine(WithSeed(1))
-	e.LoadDocument(datagen.XMark(datagen.DefaultXMarkConfig()))
+	_ = e.LoadSource(FromDocument(datagen.XMark(datagen.DefaultXMarkConfig())))
 	drain := func(limit, want int) func() {
 		return func() {
 			rows, err := e.Execute(context.Background(), Request{

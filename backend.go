@@ -360,7 +360,7 @@ type Endpoint struct {
 // LoadCollectionRemote registers remote shards of the named collection: each
 // endpoint's documents become shards served over HTTP by a roxserve in
 // shard-server role, interleaving freely with local shards registered through
-// the other LoadCollection* calls (the gather cannot tell them apart).
+// LoadCollectionSource (the gather cannot tell them apart).
 // Endpoints without an explicit shard list are asked for their inventory
 // using ctx. Like every Load*, the registration is one copy-on-write catalog
 // swap; shard names must be unique across the collection's endpoints, a

@@ -35,7 +35,7 @@ func benchIngestFrag(i int) string {
 // under a serving ingest endpoint.
 func BenchmarkIngestAppend(b *testing.B) {
 	eng := NewEngine(WithSeed(7))
-	if err := eng.LoadXML("people.xml", benchIngestBase(500)); err != nil {
+	if err := eng.LoadSource(FromXML("people.xml", benchIngestBase(500))); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
@@ -57,7 +57,7 @@ func BenchmarkIngestAppend(b *testing.B) {
 // steady state of a serving node between compactions.
 func BenchmarkQueryWithDelta(b *testing.B) {
 	eng := NewEngine(WithSeed(7))
-	if err := eng.LoadXML("people.xml", benchIngestBase(500)); err != nil {
+	if err := eng.LoadSource(FromXML("people.xml", benchIngestBase(500))); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
@@ -89,7 +89,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	walDir := b.TempDir()
 	{
 		eng := NewEngine(WithSeed(7))
-		if err := eng.LoadXML("people.xml", base); err != nil {
+		if err := eng.LoadSource(FromXML("people.xml", base)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.OpenIngestDir(walDir); err != nil {
@@ -111,7 +111,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(WithSeed(7))
-		if err := eng.LoadXML("people.xml", base); err != nil {
+		if err := eng.LoadSource(FromXML("people.xml", base)); err != nil {
 			b.Fatal(err)
 		}
 		n, err := eng.OpenIngestDir(walDir)

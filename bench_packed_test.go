@@ -52,7 +52,7 @@ func BenchmarkColdStartShred(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(WithSeed(7))
-		if err := eng.LoadFile("xmark.xml", xmlPath); err != nil {
+		if err := eng.LoadSource(FromFile("xmark.xml", xmlPath)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.Query(benchColdQuery); err != nil {
@@ -69,7 +69,7 @@ func BenchmarkColdStartPacked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(WithSeed(7))
-		if err := eng.LoadPacked(packedPath); err != nil {
+		if err := eng.LoadSource(FromPacked(packedPath)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.Query(benchColdQuery); err != nil {
@@ -83,7 +83,7 @@ func BenchmarkColdStartPacked(b *testing.B) {
 func BenchmarkQueryHeapShred(b *testing.B) {
 	xmlPath, _ := coldStartFixture(b)
 	eng := NewEngine(WithSeed(7))
-	if err := eng.LoadFile("xmark.xml", xmlPath); err != nil {
+	if err := eng.LoadSource(FromFile("xmark.xml", xmlPath)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -100,7 +100,7 @@ func BenchmarkQueryHeapShred(b *testing.B) {
 func BenchmarkQueryPackedMapped(b *testing.B) {
 	_, packedPath := coldStartFixture(b)
 	eng := NewEngine(WithSeed(7))
-	if err := eng.LoadPacked(packedPath); err != nil {
+	if err := eng.LoadSource(FromPacked(packedPath)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

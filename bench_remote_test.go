@@ -24,7 +24,7 @@ func remoteScatterEngine(b *testing.B, shards, cacheSize int) *Engine {
 	b.Helper()
 	server := NewEngine(WithSeed(1))
 	for _, d := range datagen.XMarkShards(datagen.DefaultXMarkConfig(), shards) {
-		server.LoadDocument(d)
+		_ = server.LoadSource(FromDocument(d))
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/shards", shardrpc.HandleInventory(server))

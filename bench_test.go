@@ -9,7 +9,6 @@
 package rox
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -423,7 +422,7 @@ func concurrencyBenchEngine() (*Engine, string) {
 	cfg := datagen.DefaultXMarkConfig()
 	d := datagen.XMark(cfg)
 	e := NewEngine(WithSeed(1), WithPlanCache(0))
-	e.LoadDocument(d)
+	_ = e.LoadSource(FromDocument(d))
 	q := `
 		let $d := doc("xmark.xml")
 		for $o in $d//open_auction[.//current/text() < 145],
@@ -493,7 +492,7 @@ func BenchmarkColdQuery(b *testing.B) {
 	cfg := datagen.DefaultXMarkConfig()
 	d := datagen.XMark(cfg)
 	e := NewEngine(WithSeed(1), WithPlanCache(0))
-	e.LoadDocument(d)
+	_ = e.LoadSource(FromDocument(d))
 	q := `
 		let $d := doc("xmark.xml")
 		for $o in $d//open_auction[.//current/text() < 145],
@@ -521,7 +520,7 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	cfg := datagen.DefaultXMarkConfig()
 	d := datagen.XMark(cfg)
 	e := NewEngine(WithSeed(1))
-	e.LoadDocument(d)
+	_ = e.LoadSource(FromDocument(d))
 	prep, err := e.Prepare(`
 		let $d := doc("xmark.xml")
 		for $o in $d//open_auction[.//current/text() < 145],
@@ -556,7 +555,7 @@ func BenchmarkPreparedQueryConcurrent(b *testing.B) {
 	cfg := datagen.DefaultXMarkConfig()
 	d := datagen.XMark(cfg)
 	e := NewEngine(WithSeed(1))
-	e.LoadDocument(d)
+	_ = e.LoadSource(FromDocument(d))
 	prep, err := e.Prepare(`
 		let $d := doc("xmark.xml")
 		for $o in $d//open_auction[.//current/text() < 145],
@@ -605,24 +604,6 @@ func BenchmarkXPathEval(b *testing.B) {
 	}
 }
 
-// BenchmarkBinaryRoundtrip measures shredded-document persistence against
-// re-shredding from XML text.
-func BenchmarkBinaryRoundtrip(b *testing.B) {
-	d := datagen.XMark(datagen.DefaultXMarkConfig())
-	var buf bytes.Buffer
-	if err := xmltree.WriteBinary(&buf, d); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := xmltree.ReadBinary(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Sharded-collection benches: the scatter-gather path. ---
 
 // scatterBenchEngine loads the default XMark corpus split into 4 shards of
@@ -631,7 +612,9 @@ func BenchmarkBinaryRoundtrip(b *testing.B) {
 func scatterBenchEngine(shards int) *Engine {
 	cfg := datagen.DefaultXMarkConfig()
 	e := NewEngine(WithSeed(1))
-	e.LoadCollection("xmark", datagen.XMarkShards(cfg, shards))
+	for _, d := range datagen.XMarkShards(cfg, shards) {
+		_ = e.LoadCollectionSource("xmark", FromDocument(d))
+	}
 	return e
 }
 
@@ -643,7 +626,9 @@ const scatterBenchQuery = `for $p in collection("xmark")//person[.//province] re
 func BenchmarkCollectionScatterCold(b *testing.B) {
 	cfg := datagen.DefaultXMarkConfig()
 	e := NewEngine(WithSeed(1), WithPlanCache(0))
-	e.LoadCollection("xmark", datagen.XMarkShards(cfg, 4))
+	for _, d := range datagen.XMarkShards(cfg, 4) {
+		_ = e.LoadCollectionSource("xmark", FromDocument(d))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Query(scatterBenchQuery); err != nil {
@@ -657,7 +642,7 @@ func BenchmarkCollectionScatterCold(b *testing.B) {
 func BenchmarkOrderedQuery(b *testing.B) {
 	cfg := datagen.DefaultXMarkConfig()
 	e := NewEngine(WithSeed(1))
-	e.LoadDocument(datagen.XMark(cfg))
+	_ = e.LoadSource(FromDocument(datagen.XMark(cfg)))
 	prep, err := e.Prepare(
 		`for $a in doc("xmark.xml")//open_auction[reserve] order by $a/current descending return $a`)
 	if err != nil {
@@ -734,7 +719,9 @@ func BenchmarkCollectionScatterCached(b *testing.B) {
 func limitScatterEngine(cacheSize int) *Engine {
 	cfg := datagen.DefaultXMarkConfig()
 	e := NewEngine(WithSeed(1), WithPlanCache(cacheSize))
-	e.LoadCollection("xmark", datagen.XMarkShards(cfg, 12))
+	for _, d := range datagen.XMarkShards(cfg, 12) {
+		_ = e.LoadCollectionSource("xmark", FromDocument(d))
+	}
 	return e
 }
 
@@ -811,7 +798,7 @@ func BenchmarkLimitScatterFullDrain(b *testing.B) {
 func BenchmarkStreamingQuery(b *testing.B) {
 	cfg := datagen.DefaultXMarkConfig()
 	e := NewEngine(WithSeed(1))
-	e.LoadDocument(datagen.XMark(cfg))
+	_ = e.LoadSource(FromDocument(datagen.XMark(cfg)))
 	prep, err := e.Prepare(`for $p in doc("xmark.xml")//person[.//province] return $p`)
 	if err != nil {
 		b.Fatal(err)

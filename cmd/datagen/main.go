@@ -10,7 +10,7 @@
 //
 // With -shards N the XMark corpus is emitted pre-split into N shard
 // documents whose contents partition the single-document corpus in order —
-// load them with roxserve -collection or rox.LoadCollection and query them
+// load them with roxserve -collection or rox.LoadCollectionSource and query them
 // with collection("name").
 //
 // With -pack each document is emitted as a packed ROXD v2 container
@@ -39,40 +39,22 @@ func main() {
 	divisor := flag.Int("divisor", 1, "divide Table 3 author-tag counts")
 	seed := flag.Int64("seed", 2009, "generation seed")
 	venuesFlag := flag.String("venues", "", "comma-separated venue subset (default: all 23)")
-	binaryOut := flag.Bool("binary", false, "write the binary shredded format (.roxd) instead of XML text")
-	pack := flag.Bool("pack", false, "write packed v2 containers with persistent indices (.roxd) instead of XML text")
+	pack := flag.Bool("pack", false, "write packed containers with persistent indices (.roxd) instead of XML text")
 	persons := flag.Int("persons", 600, "xmark: person count")
 	items := flag.Int("items", 500, "xmark: item count")
 	auctions := flag.Int("auctions", 400, "xmark: open auction count")
 	shards := flag.Int("shards", 0, "xmark: split the corpus into N shard files (written to -outdir)")
 	flag.Parse()
 
-	mode := modeXML
-	switch {
-	case *binaryOut && *pack:
-		fmt.Fprintln(os.Stderr, "datagen: -binary and -pack are mutually exclusive")
-		os.Exit(1)
-	case *binaryOut:
-		mode = modeBinary
-	case *pack:
-		mode = modePacked
-	}
-	if err := run(*kind, *out, *outdir, *scale, *divisor, *seed, *venuesFlag, mode, *persons, *items, *auctions, *shards); err != nil {
+	if err := run(*kind, *out, *outdir, *scale, *divisor, *seed, *venuesFlag, *pack, *persons, *items, *auctions, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-// outMode selects the on-disk representation of generated documents.
-type outMode int
-
-const (
-	modeXML    outMode = iota // XML text
-	modeBinary                // ROXD v1 sequential stream
-	modePacked                // ROXD v2 packed container + persistent indices
-)
-
-func run(kind, out, outdir string, scale, divisor int, seed int64, venuesFlag string, mode outMode, persons, items, auctions, shards int) error {
+// run generates the corpus; pack selects packed .roxd containers (with
+// persistent indices) over XML text as the on-disk form.
+func run(kind, out, outdir string, scale, divisor int, seed int64, venuesFlag string, pack bool, persons, items, auctions, shards int) error {
 	switch kind {
 	case "xmark":
 		cfg := datagen.DefaultXMarkConfig()
@@ -80,15 +62,15 @@ func run(kind, out, outdir string, scale, divisor int, seed int64, venuesFlag st
 		cfg.Persons, cfg.Items, cfg.OpenAuctions = persons, items, auctions
 		if shards > 0 {
 			for _, d := range datagen.XMarkShards(cfg, shards) {
-				path := docPath(outdir, d.Name(), mode)
-				if err := writeDoc(d, path, mode); err != nil {
+				path := docPath(outdir, d.Name(), pack)
+				if err := writeDoc(d, path, pack); err != nil {
 					return err
 				}
 				fmt.Printf("wrote %s\n", path)
 			}
 			return nil
 		}
-		return writeDoc(datagen.XMark(cfg), out, mode)
+		return writeDoc(datagen.XMark(cfg), out, pack)
 	case "dblp":
 		venues := datagen.Catalog()
 		if venuesFlag != "" {
@@ -115,8 +97,8 @@ func run(kind, out, outdir string, scale, divisor int, seed int64, venuesFlag st
 		sort.Strings(names)
 		for _, name := range names {
 			d := docs[name]
-			path := docPath(outdir, name, mode)
-			if err := writeDoc(d, path, mode); err != nil {
+			path := docPath(outdir, name, pack)
+			if err := writeDoc(d, path, pack); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s (%d author tags)\n", path, datagen.AuthorTagCount(d))
@@ -127,19 +109,16 @@ func run(kind, out, outdir string, scale, divisor int, seed int64, venuesFlag st
 	}
 }
 
-func docPath(outdir, name string, mode outMode) string {
+func docPath(outdir, name string, pack bool) string {
 	path := filepath.Join(outdir, name)
-	if mode != modeXML {
+	if pack {
 		path += ".roxd"
 	}
 	return path
 }
 
-func writeDoc(d *xmltree.Document, path string, mode outMode) error {
-	switch mode {
-	case modeBinary:
-		return xmltree.WriteBinaryFile(d, path)
-	case modePacked:
+func writeDoc(d *xmltree.Document, path string, pack bool) error {
+	if pack {
 		return index.WritePackedFile(path, index.New(d))
 	}
 	f, err := os.Create(path)

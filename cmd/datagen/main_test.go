@@ -13,7 +13,7 @@ import (
 func TestRunXMark(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "x.xml")
-	if err := run("xmark", out, dir, 1, 1, 7, "", modeXML, 30, 20, 15, 0); err != nil {
+	if err := run("xmark", out, dir, 1, 1, 7, "", false, 30, 20, 15, 0); err != nil {
 		t.Fatalf("run xmark: %v", err)
 	}
 	d, err := xmltree.ParseFile("", out)
@@ -25,24 +25,9 @@ func TestRunXMark(t *testing.T) {
 	}
 }
 
-func TestRunXMarkBinary(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "x.roxd")
-	if err := run("xmark", out, dir, 1, 1, 7, "", modeBinary, 30, 20, 15, 0); err != nil {
-		t.Fatalf("run xmark binary: %v", err)
-	}
-	d, err := xmltree.ReadBinaryFile(out)
-	if err != nil {
-		t.Fatalf("binary unreadable: %v", err)
-	}
-	if d.CountName("person") != 30 {
-		t.Errorf("persons = %d, want 30", d.CountName("person"))
-	}
-}
-
 func TestRunXMarkPackedShards(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("xmark", "", dir, 1, 1, 7, "", modePacked, 30, 20, 15, 2); err != nil {
+	if err := run("xmark", "", dir, 1, 1, 7, "", true, 30, 20, 15, 2); err != nil {
 		t.Fatalf("run xmark packed shards: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -70,7 +55,7 @@ func TestRunXMarkPackedShards(t *testing.T) {
 
 func TestRunDBLPSubset(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("dblp", "", dir, 1, 50, 7, "VLDB,ADBIS", modeXML, 0, 0, 0, 0); err != nil {
+	if err := run("dblp", "", dir, 1, 50, 7, "VLDB,ADBIS", false, 0, 0, 0, 0); err != nil {
 		t.Fatalf("run dblp: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -88,32 +73,26 @@ func TestRunDBLPSubset(t *testing.T) {
 	}
 }
 
-func TestRunDBLPBinary(t *testing.T) {
+func TestRunDBLPPacked(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("dblp", "", dir, 1, 50, 7, "EDBT", modeBinary, 0, 0, 0, 0); err != nil {
-		t.Fatalf("run dblp binary: %v", err)
+	if err := run("dblp", "", dir, 1, 50, 7, "EDBT", true, 0, 0, 0, 0); err != nil {
+		t.Fatalf("run dblp packed: %v", err)
 	}
-	entries, _ := os.ReadDir(dir)
-	found := false
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".roxd") {
-			found = true
-			if _, err := xmltree.ReadBinaryFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Errorf("unreadable %s: %v", e.Name(), err)
-			}
-		}
+	ix, err := index.OpenPackedFile(filepath.Join(dir, "EDBT.xml.roxd"))
+	if err != nil {
+		t.Fatalf("open packed venue: %v", err)
 	}
-	if !found {
-		t.Errorf("no .roxd written")
+	if got := ix.Doc().Name(); got != "EDBT.xml" {
+		t.Errorf("stored doc name = %q, want EDBT.xml", got)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("nope", "", dir, 1, 1, 7, "", modeXML, 0, 0, 0, 0); err == nil {
+	if err := run("nope", "", dir, 1, 1, 7, "", false, 0, 0, 0, 0); err == nil {
 		t.Errorf("unknown kind should fail")
 	}
-	if err := run("dblp", "", dir, 1, 1, 7, "NotAVenue", modeXML, 0, 0, 0, 0); err == nil {
+	if err := run("dblp", "", dir, 1, 1, 7, "NotAVenue", false, 0, 0, 0, 0); err == nil {
 		t.Errorf("unknown venue should fail")
 	}
 }

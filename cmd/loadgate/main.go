@@ -3,7 +3,7 @@
 // when any query class regressed beyond the slack on p50 or p99, recorded
 // errors, or truncated a stream. The slacks are deliberately generous — the
 // gate exists to catch a 2× tail blow-up on a shared CI runner, not to chase
-// single-digit noise (the same philosophy as cmd/benchdiff for throughput).
+// single-digit noise.
 //
 // Usage:
 //

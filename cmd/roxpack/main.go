@@ -8,13 +8,12 @@
 // Usage:
 //
 //	roxpack -outdir corpus/ shard-0.xml shard-1.xml      # pack XML files
-//	roxpack -outdir corpus/ legacy.roxd                  # repack a v1 file
 //	roxpack -check corpus/*.roxd                         # audit packed files
 //
-// Each input FILE.xml (or v1 FILE.roxd) becomes OUTDIR/FILE.roxd, named
-// inside the container after the input's base name so doc("FILE.xml") and
-// shard globs keep working. Inputs are processed in argument order and the
-// output is byte-deterministic per input.
+// Each input FILE.xml becomes OUTDIR/FILE.roxd, named inside the container
+// after the input's base name so doc("FILE.xml") and shard globs keep
+// working. Inputs are processed in argument order and the output is
+// byte-deterministic per input.
 //
 // Serve packed shards directly:
 //
@@ -45,7 +44,7 @@ func main() {
 
 func run(w *os.File, outdir string, check bool, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("no input files (pass XML or .roxd paths)")
+		return fmt.Errorf("no input files (pass XML paths, or .roxd paths with -check)")
 	}
 	if check {
 		for _, path := range args {
@@ -63,26 +62,23 @@ func run(w *os.File, outdir string, check bool, args []string) error {
 	return nil
 }
 
-// packFile shreds (or re-reads) one input and writes the packed container
-// with persistent index sections.
+// packFile shreds one XML input and writes the packed container with
+// persistent index sections.
 func packFile(w *os.File, outdir, path string) error {
 	base := filepath.Base(path)
-	var (
-		d   *xmltree.Document
-		err error
-	)
 	if strings.HasSuffix(base, ".roxd") {
-		d, err = xmltree.ReadBinaryFile(path) // v1 (or v2) → heap; repack below
-	} else {
-		d, err = xmltree.ParseFile(base, path)
+		// A container is only ever made from XML. Open it anyway, so a file
+		// in the removed v1 format gets the decoder's re-pack hint.
+		if _, err := xmltree.OpenPackedFile(path); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		return fmt.Errorf("%s: already packed; use -check", path)
 	}
+	d, err := xmltree.ParseFile(base, path)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	name := base
-	if !strings.HasSuffix(name, ".roxd") {
-		name = strings.TrimSuffix(name, filepath.Ext(name)) + ".roxd"
-	}
+	name := strings.TrimSuffix(base, filepath.Ext(base)) + ".roxd"
 	out := filepath.Join(outdir, name)
 	ix := index.New(d)
 	if err := index.WritePackedFile(out, ix); err != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -47,32 +49,42 @@ func TestPackXMLAndCheck(t *testing.T) {
 	}
 }
 
-func TestRepackV1(t *testing.T) {
+// TestPackedInputs: roxpack packs XML only. A v2 container as pack input is
+// refused with a pointer to -check; a file in the removed v1 stream format
+// fails both modes with the decoder's typed error and its re-pack hint.
+func TestPackedInputs(t *testing.T) {
 	dir := t.TempDir()
-	d, err := xmltree.ParseString("legacy.xml", sampleXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := filepath.Join(dir, "legacy.roxd")
-	if err := xmltree.WriteBinaryFile(d, v1); err != nil {
-		t.Fatal(err)
-	}
 	out := filepath.Join(dir, "out")
 	if err := os.Mkdir(out, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(os.Stdout, out, false, []string{v1}); err != nil {
-		t.Fatalf("repack v1: %v", err)
+	if err := run(os.Stdout, out, false, []string{writeSample(t, dir, "people.xml")}); err != nil {
+		t.Fatalf("pack: %v", err)
 	}
-	p, err := xmltree.OpenPackedFile(filepath.Join(out, "legacy.roxd"))
-	if err != nil {
-		t.Fatalf("open repacked: %v", err)
+	v1 := filepath.Join(dir, "legacy.roxd")
+	if err := os.WriteFile(v1, []byte("ROXD\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := index.FromPacked(p); err != nil {
-		t.Errorf("repacked container lacks index sections: %v", err)
-	}
-	if got := p.Doc().Name(); got != "legacy.xml" {
-		t.Errorf("repacked doc name = %q, want legacy.xml", got)
+	for _, tc := range []struct {
+		name  string
+		check bool
+		path  string
+		want  string // substring of the error
+		v1    bool   // and it is the *xmltree.FormatError of a version 1 file
+	}{
+		{"pack a v2 container", false, filepath.Join(out, "people.roxd"), "already packed; use -check", false},
+		{"pack a v1 file", false, v1, "re-pack", true},
+		{"check a v1 file", true, v1, "re-pack", true},
+	} {
+		err := run(os.Stdout, out, tc.check, []string{tc.path})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+			continue
+		}
+		var fe *xmltree.FormatError
+		if got := errors.As(err, &fe) && fe.Version == 1; got != tc.v1 {
+			t.Errorf("%s: err = %v; is a version 1 *xmltree.FormatError = %v, want %v", tc.name, err, got, tc.v1)
+		}
 	}
 }
 

@@ -10,19 +10,17 @@
 //	roxq -doc data.xml -xpath '//person[@id="p1"]' # direct XPath evaluation
 //
 // Each -doc FILE is loaded under its base name, so doc("people.xml") refers
-// to -doc path/to/people.xml. Files ending in .roxd are loaded from the
-// binary shredded format (see cmd/datagen -binary).
+// to -doc path/to/people.xml. Files ending in .roxd are packed containers
+// (cmd/roxpack, datagen -pack), mapped under their stored document name.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro"
-	"repro/internal/xmltree"
 )
 
 type multiFlag []string
@@ -46,13 +44,13 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for sampling")
 	flag.Parse()
 
-	if err := run(docs, *query, *file, *xpathExpr, *classical, *explain, *stats, *tau, *seed); err != nil {
+	if err := run(os.Stdout, docs, *query, *file, *xpathExpr, *classical, *explain, *stats, *tau, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "roxq:", err)
 		os.Exit(1)
 	}
 }
 
-func run(docs []string, query, file, xpathExpr string, classical, explain, stats bool, tau int, seed int64) error {
+func run(out io.Writer, docs []string, query, file, xpathExpr string, classical, explain, stats bool, tau int, seed int64) error {
 	if query == "" && file == "" && xpathExpr == "" {
 		return fmt.Errorf("need -query, -file or -xpath")
 	}
@@ -64,29 +62,27 @@ func run(docs []string, query, file, xpathExpr string, classical, explain, stats
 		query = string(b)
 	}
 	eng := rox.NewEngine(rox.WithSampleSize(tau), rox.WithSeed(seed))
+	// firstDoc is the name the first -doc loaded under (its base name, or the
+	// name stored in a .roxd container): what -xpath addresses.
+	var firstDoc string
 	for _, path := range docs {
-		if strings.HasSuffix(path, ".roxd") {
-			d, err := xmltree.ReadBinaryFile(path)
-			if err != nil {
-				return fmt.Errorf("load %s: %w", path, err)
-			}
-			eng.LoadDocument(d)
-			continue
-		}
-		if err := eng.LoadFile(filepath.Base(path), path); err != nil {
+		if err := eng.LoadSource(rox.FromPath("", path)); err != nil {
 			return fmt.Errorf("load %s: %w", path, err)
+		}
+		if firstDoc == "" {
+			firstDoc = eng.Documents()[0] // the only document so far
 		}
 	}
 	if xpathExpr != "" {
 		if len(docs) == 0 {
 			return fmt.Errorf("-xpath needs at least one -doc")
 		}
-		items, err := eng.XPath(docName(docs[0]), xpathExpr)
+		items, err := eng.XPath(firstDoc, xpathExpr)
 		if err != nil {
 			return err
 		}
 		for _, item := range items {
-			fmt.Println(item)
+			fmt.Fprintln(out, item)
 		}
 		return nil
 	}
@@ -95,7 +91,7 @@ func run(docs []string, query, file, xpathExpr string, classical, explain, stats
 		if err != nil {
 			return err
 		}
-		fmt.Print(s)
+		fmt.Fprint(out, s)
 		return nil
 	}
 	var res *rox.Result
@@ -109,7 +105,7 @@ func run(docs []string, query, file, xpathExpr string, classical, explain, stats
 		return err
 	}
 	for _, item := range res.Items {
-		fmt.Println(item)
+		fmt.Fprintln(out, item)
 	}
 	if stats {
 		fmt.Fprintf(os.Stderr, "rows=%d elapsed=%s exec-tuples=%d sample-tuples=%d intermediates=%d\nplan: %s\n",
@@ -117,15 +113,4 @@ func run(docs []string, query, file, xpathExpr string, classical, explain, stats
 			res.Stats.SampleTuples, res.Stats.CumulativeIntermediate, res.Stats.Plan)
 	}
 	return nil
-}
-
-// docName returns the name a loaded file is addressable under: the base
-// name for XML files, the embedded document name for .roxd files.
-func docName(path string) string {
-	if strings.HasSuffix(path, ".roxd") {
-		if d, err := xmltree.ReadBinaryFile(path); err == nil {
-			return d.Name()
-		}
-	}
-	return filepath.Base(path)
 }

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/datagen"
+	"repro/internal/index"
 	"repro/internal/xmltree"
 )
 
@@ -21,15 +23,15 @@ func writeXML(t *testing.T, dir, name, content string) string {
 func TestRunQuery(t *testing.T) {
 	dir := t.TempDir()
 	doc := writeXML(t, dir, "people.xml", `<people><person id="p1"/><person id="p2"/></people>`)
-	if err := run([]string{doc}, `for $p in doc("people.xml")//person return $p`, "", "", false, false, true, 100, 1); err != nil {
+	if err := run(io.Discard, []string{doc}, `for $p in doc("people.xml")//person return $p`, "", "", false, false, true, 100, 1); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// classical path
-	if err := run([]string{doc}, `for $p in doc("people.xml")//person return $p`, "", "", true, false, false, 100, 1); err != nil {
+	if err := run(io.Discard, []string{doc}, `for $p in doc("people.xml")//person return $p`, "", "", true, false, false, 100, 1); err != nil {
 		t.Fatalf("run classical: %v", err)
 	}
 	// explain path
-	if err := run([]string{doc}, `for $p in doc("people.xml")//person return $p`, "", "", false, true, false, 100, 1); err != nil {
+	if err := run(io.Discard, []string{doc}, `for $p in doc("people.xml")//person return $p`, "", "", false, true, false, 100, 1); err != nil {
 		t.Fatalf("run explain: %v", err)
 	}
 }
@@ -38,7 +40,7 @@ func TestRunQueryFromFile(t *testing.T) {
 	dir := t.TempDir()
 	doc := writeXML(t, dir, "d.xml", `<r><x/></r>`)
 	qf := writeXML(t, dir, "q.xq", `for $x in doc("d.xml")//x return $x`)
-	if err := run([]string{doc}, "", qf, "", false, false, false, 100, 1); err != nil {
+	if err := run(io.Discard, []string{doc}, "", qf, "", false, false, false, 100, 1); err != nil {
 		t.Fatalf("run from file: %v", err)
 	}
 }
@@ -46,44 +48,57 @@ func TestRunQueryFromFile(t *testing.T) {
 func TestRunXPath(t *testing.T) {
 	dir := t.TempDir()
 	doc := writeXML(t, dir, "d.xml", `<r><x k="1"/><x k="2"/></r>`)
-	if err := run([]string{doc}, "", "", `//x[@k='2']`, false, false, false, 100, 1); err != nil {
+	if err := run(io.Discard, []string{doc}, "", "", `//x[@k='2']`, false, false, false, 100, 1); err != nil {
 		t.Fatalf("run xpath: %v", err)
 	}
-	if err := run(nil, "", "", `//x`, false, false, false, 100, 1); err == nil {
+	if err := run(io.Discard, nil, "", "", `//x`, false, false, false, 100, 1); err == nil {
 		t.Errorf("xpath without docs should fail")
 	}
 }
 
-func TestRunBinaryDoc(t *testing.T) {
+// TestRunPackedDoc: a .roxd -doc is mapped through the same rox.FromPath rule
+// as every other entry point — it answers -query and -xpath byte-identically
+// to the XML it was packed from, addressed by its stored document name (not
+// the file's base name).
+func TestRunPackedDoc(t *testing.T) {
 	dir := t.TempDir()
-	d := datagen.XMark(datagen.XMarkConfig{Seed: 1, Persons: 20, Items: 15, OpenAuctions: 10,
-		MaxPrice: 100, PriceBidderCorrelation: 1, MaxBiddersExtra: 3,
-		ProvinceFrac: 0.5, EducationFrac: 0.5, ReserveFrac: 0.5, QuantityOneFrac: 0.5})
-	path := filepath.Join(dir, "xm.roxd")
-	if err := xmltree.WriteBinaryFile(d, path); err != nil {
+	const xml = `<site><person id="p1"><name>Ada</name></person><person id="p2"><name>Grace</name></person></site>`
+	xmlPath := writeXML(t, dir, "people.xml", xml)
+	d, err := xmltree.ParseString("people.xml", xml)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{path}, `for $p in doc("xmark.xml")//person return $p`, "", "", false, false, false, 100, 1); err != nil {
-		t.Fatalf("run with .roxd: %v", err)
+	packedPath := filepath.Join(dir, "shard-7.roxd")
+	if err := index.WritePackedFile(packedPath, index.New(d)); err != nil {
+		t.Fatal(err)
 	}
-	if got := docName(path); got != "xmark.xml" {
-		t.Errorf("docName(.roxd) = %q", got)
-	}
-	if got := docName("/a/b/c.xml"); got != "c.xml" {
-		t.Errorf("docName(xml) = %q", got)
+	for _, tc := range []struct{ name, query, xpath string }{
+		{"query", `for $n in doc("people.xml")//person/name return $n`, ""},
+		{"xpath", "", `//person[@id='p2']`},
+	} {
+		var fromXML, fromPacked bytes.Buffer
+		if err := run(&fromXML, []string{xmlPath}, tc.query, "", tc.xpath, false, false, false, 100, 1); err != nil {
+			t.Fatalf("%s over XML: %v", tc.name, err)
+		}
+		if err := run(&fromPacked, []string{packedPath}, tc.query, "", tc.xpath, false, false, false, 100, 1); err != nil {
+			t.Fatalf("%s over .roxd: %v", tc.name, err)
+		}
+		if fromXML.Len() == 0 || fromXML.String() != fromPacked.String() {
+			t.Errorf("%s: XML answered %q, .roxd answered %q", tc.name, fromXML.String(), fromPacked.String())
+		}
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(nil, "", "", "", false, false, false, 100, 1); err == nil {
+	if err := run(io.Discard, nil, "", "", "", false, false, false, 100, 1); err == nil {
 		t.Errorf("no input should fail")
 	}
-	if err := run([]string{"/nonexistent.xml"}, "q", "", "", false, false, false, 100, 1); err == nil {
+	if err := run(io.Discard, []string{"/nonexistent.xml"}, "q", "", "", false, false, false, 100, 1); err == nil {
 		t.Errorf("missing doc should fail")
 	}
 	dir := t.TempDir()
 	doc := writeXML(t, dir, "d.xml", `<r/>`)
-	if err := run([]string{doc}, "not an xquery", "", "", false, false, false, 100, 1); err == nil {
+	if err := run(io.Discard, []string{doc}, "not an xquery", "", "", false, false, false, 100, 1); err == nil {
 		t.Errorf("bad query should fail")
 	}
 }

@@ -76,10 +76,9 @@
 // shards were local. Remote and local shards mix freely in one collection.
 //
 // Each -doc FILE is loaded under its base name, so doc("people.xml") refers
-// to -doc path/to/people.xml. Files ending in .roxd are loaded from the
-// binary shredded format: packed v2 containers (cmd/roxpack, datagen -pack)
-// are memory-mapped with their persistent value indices attached zero-copy,
-// v1 streams (datagen -binary) are decoded into the heap and indexed.
+// to -doc path/to/people.xml. Files ending in .roxd are packed containers
+// (cmd/roxpack, datagen -pack): memory-mapped under their stored document
+// name, with their persistent value indices attached zero-copy.
 //
 // Sharded collections load with -collection NAME=GLOB, e.g.
 //
@@ -126,7 +125,6 @@ import (
 	"repro"
 	"repro/internal/datagen"
 	"repro/internal/serve"
-	"repro/internal/xmltree"
 )
 
 type multiFlag []string
@@ -307,27 +305,20 @@ func writePortFile(path, addr string) error {
 	return nil
 }
 
-// loadDoc registers one document from disk: .roxd files go through the
-// packed loader (a v2 container is memory-mapped with its persistent indices
-// attached, a v1 stream is decoded and indexed), anything else is parsed as
-// XML text named by its base name.
+// loadDoc registers one document from disk (rox.FromPath: a .roxd container
+// is mapped under its stored name, anything else is XML named by its base
+// name).
 func loadDoc(eng *rox.Engine, path string) error {
-	if strings.HasSuffix(path, ".roxd") {
-		if err := eng.LoadPacked(path); err != nil {
-			return fmt.Errorf("load %s: %w", path, err)
-		}
-		return nil
-	}
-	if err := eng.LoadFile(filepath.Base(path), path); err != nil {
+	if err := eng.LoadSource(rox.FromPath("", path)); err != nil {
 		return fmt.Errorf("load %s: %w", path, err)
 	}
 	return nil
 }
 
 // loadCollectionSpec loads one -collection NAME=GLOB spec: every matching
-// file becomes a shard, registered in sorted path order (which fixes the
-// collection's result order). An all-.roxd glob goes through the packed
-// collection loader — every shard mapped, no shredding or index builds.
+// file becomes a shard (rox.FromPath each, so packed and XML shards mix),
+// registered in one catalog swap in sorted path order, which fixes the
+// collection's result order.
 func loadCollectionSpec(eng *rox.Engine, spec string) error {
 	name, pattern, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || pattern == "" {
@@ -341,38 +332,13 @@ func loadCollectionSpec(eng *rox.Engine, spec string) error {
 		return fmt.Errorf("-collection %s: no files match %q", name, pattern)
 	}
 	sort.Strings(paths)
-	packed := true
-	for _, path := range paths {
-		if !strings.HasSuffix(path, ".roxd") {
-			packed = false
-			break
-		}
+	srcs := make([]rox.Source, len(paths))
+	for i, path := range paths {
+		srcs[i] = rox.FromPath("", path)
 	}
-	if packed {
-		if err := eng.LoadCollectionPacked(name, paths); err != nil {
-			return fmt.Errorf("-collection %s: %w", name, err)
-		}
-		return nil
+	if err := eng.LoadCollectionSource(name, srcs...); err != nil {
+		return fmt.Errorf("-collection %s: %w", name, err)
 	}
-	docs := make([]*xmltree.Document, 0, len(paths))
-	for _, path := range paths {
-		if strings.HasSuffix(path, ".roxd") {
-			// Mixed spec: decode the binary shard into the heap so the whole
-			// collection still registers in one copy-on-write swap.
-			d, err := xmltree.ReadBinaryFile(path)
-			if err != nil {
-				return fmt.Errorf("load %s: %w", path, err)
-			}
-			docs = append(docs, d)
-			continue
-		}
-		d, err := xmltree.ParseFile(filepath.Base(path), path)
-		if err != nil {
-			return fmt.Errorf("load %s: %w", path, err)
-		}
-		docs = append(docs, d)
-	}
-	eng.LoadCollection(name, docs)
 	return nil
 }
 
@@ -413,6 +379,6 @@ func loadDemo(eng *rox.Engine) {
 		}
 	}
 	for _, d := range datagen.GenerateDBLP(cfg, venues) {
-		eng.LoadDocument(d)
+		_ = eng.LoadSource(rox.FromDocument(d)) // a shredded document cannot fail to load
 	}
 }

@@ -24,7 +24,7 @@ const peopleXML = `<people>
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eng := rox.NewEngine(rox.WithSeed(7))
-	if err := eng.LoadXML("people.xml", peopleXML); err != nil {
+	if err := eng.LoadSource(rox.FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newHandler(rox.NewPool(eng, 4), 1<<20, "", "standalone"))
@@ -107,7 +107,7 @@ func TestQueryErrors(t *testing.T) {
 
 func TestQueryBodyTooLarge(t *testing.T) {
 	eng := rox.NewEngine()
-	if err := eng.LoadXML("people.xml", peopleXML); err != nil {
+	if err := eng.LoadSource(rox.FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newHandler(rox.NewPool(eng, 1), 16, "", "standalone"))
@@ -220,11 +220,11 @@ func collectionServer(t *testing.T) *httptest.Server {
 func collectionServerCorpus(t *testing.T, corpusDir string) *httptest.Server {
 	t.Helper()
 	eng := rox.NewEngine(rox.WithSeed(7))
-	if err := eng.LoadXML("people.xml", peopleXML); err != nil {
+	if err := eng.LoadSource(rox.FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := eng.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i), shardBody(2)); err != nil {
+		if err := eng.LoadCollectionSource("ppl", rox.FromXML(fmt.Sprintf("ppl-%d.xml", i), shardBody(2))); err != nil {
 			t.Fatal(err)
 		}
 	}

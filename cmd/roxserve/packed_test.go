@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -88,6 +89,68 @@ func TestLoadCollectionSpecPacked(t *testing.T) {
 	}
 	if len(res.Items) != 6 {
 		t.Fatalf("items = %d, want 6", len(res.Items))
+	}
+}
+
+// TestLoadCollectionSpecMixed: a glob matching packed and XML shards loads
+// through the one path rule — same shards, same sorted order, same answers
+// as the all-XML glob — and in one catalog swap: a bad shard anywhere in the
+// glob registers nothing.
+func TestLoadCollectionSpecMixed(t *testing.T) {
+	xmlDir, mixedDir := t.TempDir(), t.TempDir()
+	for i, name := range []string{"a.xml", "b.xml"} {
+		if err := os.WriteFile(filepath.Join(xmlDir, name), []byte(shardBody(2+i)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	packFixture(t, mixedDir, "a.xml", shardBody(2)) // a.xml.roxd, stored name a.xml
+	if err := os.WriteFile(filepath.Join(mixedDir, "b.xml"), []byte(shardBody(3)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const q = `for $p in collection("ppl")//person/name return $p`
+	var answers [2][]string
+	for i, dir := range []string{xmlDir, mixedDir} {
+		eng := rox.NewEngine(rox.WithSeed(7))
+		if err := loadCollectionSpec(eng, "ppl="+filepath.Join(dir, "*")); err != nil {
+			t.Fatalf("loadCollectionSpec %s: %v", dir, err)
+		}
+		shards, err := eng.CollectionShards("ppl")
+		if err != nil || len(shards) != 2 || shards[0] != "a.xml" || shards[1] != "b.xml" {
+			t.Fatalf("shards = %v (%v), want [a.xml b.xml]", shards, err)
+		}
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = res.Items
+	}
+	if len(answers[0]) != 5 || strings.Join(answers[0], "") != strings.Join(answers[1], "") {
+		t.Errorf("all-XML glob answered %v, mixed glob %v", answers[0], answers[1])
+	}
+
+	if err := os.WriteFile(filepath.Join(mixedDir, "c.xml"), []byte("<people><person"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := rox.NewEngine()
+	if err := loadCollectionSpec(eng, "ppl="+filepath.Join(mixedDir, "*")); err == nil {
+		t.Fatal("glob with a malformed shard loaded")
+	}
+	if docs := eng.Documents(); len(docs) != 0 {
+		t.Errorf("failed glob registered %v", docs)
+	}
+}
+
+// TestLoadDocRefusesV1: a file in the removed ROXD v1 stream format fails
+// -doc with the decoder's typed error and its re-pack hint.
+func TestLoadDocRefusesV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.roxd")
+	if err := os.WriteFile(path, []byte("ROXD\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := loadDoc(rox.NewEngine(), path)
+	var fe *xmltree.FormatError
+	if !errors.As(err, &fe) || fe.Version != 1 || !strings.Contains(err.Error(), "re-pack") {
+		t.Errorf("loadDoc on a v1 file = %v, want *xmltree.FormatError{Version: 1} with the re-pack hint", err)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestV1Aliases(t *testing.T) {
 // endpoint.
 func TestShardRole(t *testing.T) {
 	eng := rox.NewEngine(rox.WithSeed(7))
-	if err := eng.LoadXML("people.xml", peopleXML); err != nil {
+	if err := eng.LoadSource(rox.FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newHandler(rox.NewPool(eng, 2), 1<<20, "", "shard"))
@@ -87,7 +87,7 @@ func TestShardRole(t *testing.T) {
 // the scattered result.
 func TestCoordinatorOverShardServer(t *testing.T) {
 	shardEng := rox.NewEngine(rox.WithSeed(7))
-	if err := shardEng.LoadXML("ppl-0.xml", peopleXML); err != nil {
+	if err := shardEng.LoadSource(rox.FromXML("ppl-0.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	shardSrv := httptest.NewServer(newHandler(rox.NewPool(shardEng, 2), 1<<20, "", "shard"))

@@ -120,7 +120,7 @@ func TestConcurrentLoadAndQuery(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < extras; i++ {
 			name := fmt.Sprintf("extra-%d.xml", i)
-			if err := e.LoadXML(name, "<r><x>1</x></r>"); err != nil {
+			if err := e.LoadSource(FromXML(name, "<r><x>1</x></r>")); err != nil {
 				t.Error(err)
 				return
 			}

@@ -54,7 +54,7 @@ func TestEngineXPathAgreesWithQuery(t *testing.T) {
 	cfg := datagen.DefaultXMarkConfig()
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 150, 120, 100
 	e := NewEngine()
-	e.LoadDocument(datagen.XMark(cfg))
+	_ = e.LoadSource(FromDocument(datagen.XMark(cfg)))
 
 	paths := []struct {
 		xpath, xquery string
@@ -95,7 +95,7 @@ func TestConcurrentEngines(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			e := NewEngine(WithSeed(seed))
-			e.LoadDocument(doc) // safe: Document is immutable
+			_ = e.LoadSource(FromDocument(doc)) // safe: Document is immutable
 			res, err := e.Query(`
 				for $o in doc("xmark.xml")//open_auction[.//current/text() < 145],
 				    $p in doc("xmark.xml")//person
@@ -129,10 +129,10 @@ func TestEngineWithExtensions(t *testing.T) {
 	opts.MaterializeLimit = 50
 	opts.EagerProject = true
 	e := NewEngine(WithOptimizerOptions(opts))
-	if err := e.LoadXML("people.xml", peopleXML); err != nil {
+	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadXML("orders.xml", ordersXML); err != nil {
+	if err := e.LoadSource(FromXML("orders.xml", ordersXML)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(`
@@ -151,7 +151,7 @@ func TestEngineWithExtensions(t *testing.T) {
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(WithSeed(99))
-		if err := e.LoadXML("people.xml", peopleXML); err != nil {
+		if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Query(`for $p in doc("people.xml")//person/name return $p`)

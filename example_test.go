@@ -11,10 +11,10 @@ import (
 // the ROX run-time optimizer.
 func ExampleEngine_Query() {
 	eng := rox.NewEngine()
-	if err := eng.LoadXML("people.xml", `<people>
+	if err := eng.LoadSource(rox.FromXML("people.xml", `<people>
 		<person id="p1"><name>Alice</name></person>
 		<person id="p2"><name>Bob</name></person>
-	</people>`); err != nil {
+	</people>`)); err != nil {
 		panic(err)
 	}
 	res, err := eng.Query(`for $n in doc("people.xml")//person/name return $n`)
@@ -38,14 +38,14 @@ func ExampleEngine_Prepare() {
 			panic(err)
 		}
 	}
-	check(eng.LoadXML("people.xml", `<people>
+	check(eng.LoadSource(rox.FromXML("people.xml", `<people>
 		<person id="p1"><name>Alice</name></person>
 		<person id="p2"><name>Bob</name></person>
-	</people>`))
-	check(eng.LoadXML("orders.xml", `<orders>
+	</people>`)))
+	check(eng.LoadSource(rox.FromXML("orders.xml", `<orders>
 		<order person="p2" total="8"/>
 		<order person="p1" total="5"/>
-	</orders>`))
+	</orders>`)))
 
 	prep, err := eng.Prepare(`
 		for $p in doc("people.xml")//person,
@@ -65,16 +65,16 @@ func ExampleEngine_Prepare() {
 	// second run cache hit: true sample tuples: 0
 }
 
-// ExampleEngine_LoadCollection registers a sharded collection and queries it
+// ExampleEngine_LoadCollectionSource registers a sharded collection and queries it
 // scatter-gather: every shard runs the full ROX pipeline independently and
 // the ordered results merge back in collection order.
-func ExampleEngine_LoadCollection() {
+func ExampleEngine_LoadCollectionSource() {
 	eng := rox.NewEngine()
 	for i, xml := range []string{
 		`<site><person id="p0"><name>Ada</name></person></site>`,
 		`<site><person id="p1"><name>Grace</name></person></site>`,
 	} {
-		if err := eng.LoadCollectionShardXML("site", fmt.Sprintf("site-%d.xml", i), xml); err != nil {
+		if err := eng.LoadCollectionSource("site", rox.FromXML(fmt.Sprintf("site-%d.xml", i), xml)); err != nil {
 			panic(err)
 		}
 	}
@@ -98,10 +98,10 @@ func ExampleEngine_LoadCollection() {
 // caller does not read.
 func ExampleEngine_Execute() {
 	eng := rox.NewEngine()
-	if err := eng.LoadXML("people.xml", `<people>
+	if err := eng.LoadSource(rox.FromXML("people.xml", `<people>
 		<person id="p1"><name>Alice</name></person>
 		<person id="p2"><name>Bob</name></person>
-	</people>`); err != nil {
+	</people>`)); err != nil {
 		panic(err)
 	}
 	ctx := context.Background()
@@ -127,10 +127,10 @@ func ExampleEngine_Execute() {
 // adapter; the cursor closes itself when the loop ends.
 func ExampleRows_All() {
 	eng := rox.NewEngine()
-	if err := eng.LoadXML("shop.xml", `<shop>
+	if err := eng.LoadSource(rox.FromXML("shop.xml", `<shop>
 		<item><price>10</price></item>
 		<item><price>25</price></item>
-	</shop>`); err != nil {
+	</shop>`)); err != nil {
 		panic(err)
 	}
 	rows, err := eng.Execute(context.Background(),
@@ -155,12 +155,12 @@ func ExampleRows_All() {
 // full.
 func ExamplePrepared_Execute() {
 	eng := rox.NewEngine()
-	if err := eng.LoadXML("shop.xml", `<shop>
+	if err := eng.LoadSource(rox.FromXML("shop.xml", `<shop>
 		<item><price>10</price></item>
 		<item><price>45</price></item>
 		<item><price>25</price></item>
 		<item><price>30</price></item>
-	</shop>`); err != nil {
+	</shop>`)); err != nil {
 		panic(err)
 	}
 	prep, err := eng.Prepare(`for $p in doc("shop.xml")//item/price order by $p descending return $p`)
@@ -193,11 +193,11 @@ func ExamplePrepared_Execute() {
 // per-shard partial aggregates and k-way merge the ordered streams.
 func ExampleEngine_Query_aggregatesAndOrderBy() {
 	eng := rox.NewEngine()
-	if err := eng.LoadXML("shop.xml", `<shop>
+	if err := eng.LoadSource(rox.FromXML("shop.xml", `<shop>
 		<item id="i1"><price>10</price></item>
 		<item id="i2"><price>25.5</price></item>
 		<item id="i3"><price>30</price></item>
-	</shop>`); err != nil {
+	</shop>`)); err != nil {
 		panic(err)
 	}
 	for _, q := range []string{

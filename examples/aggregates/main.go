@@ -21,9 +21,17 @@ func main() {
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 200, 120, 100
 
 	single := rox.NewEngine(rox.WithSeed(1))
-	single.LoadDocument(datagen.XMark(cfg))
+	if err := single.LoadSource(rox.FromDocument(datagen.XMark(cfg))); err != nil {
+		log.Fatal(err)
+	}
 	sharded := rox.NewEngine(rox.WithSeed(1))
-	sharded.LoadCollection("xmark", datagen.XMarkShards(cfg, 4))
+	var shards []rox.Source
+	for _, d := range datagen.XMarkShards(cfg, 4) {
+		shards = append(shards, rox.FromDocument(d))
+	}
+	if err := sharded.LoadCollectionSource("xmark", shards...); err != nil {
+		log.Fatal(err)
+	}
 
 	queries := []struct{ label, docQ, collQ string }{
 		{

@@ -40,29 +40,36 @@ func main() {
 
 	// Pack once (roxpack / datagen -pack do the same); reuse existing files
 	// so a warm fixture directory skips straight to the mapped load.
-	paths := make([]string, len(docs))
+	packed := make([]rox.Source, len(docs))
 	for i, d := range docs {
-		paths[i] = filepath.Join(dir, d.Name()+".roxd")
-		if _, err := os.Stat(paths[i]); err == nil {
+		path := filepath.Join(dir, d.Name()+".roxd")
+		packed[i] = rox.FromPacked(path)
+		if _, err := os.Stat(path); err == nil {
 			continue // warm fixture directory: reuse the packed shard
 		}
-		if err := index.WritePackedFile(paths[i], index.New(d)); err != nil {
+		if err := index.WritePackedFile(path, index.New(d)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("fixture: %d packed shards\n", len(paths))
+	fmt.Printf("fixture: %d packed shards\n", len(packed))
 
 	// Cold start A: re-shred the XML corpus and rebuild every index.
 	shredStart := time.Now()
 	shredded := rox.NewEngine(rox.WithSeed(1))
-	shredded.LoadCollection("xmark", datagen.XMarkShards(cfg, shards))
+	var fresh []rox.Source
+	for _, d := range datagen.XMarkShards(cfg, shards) {
+		fresh = append(fresh, rox.FromDocument(d))
+	}
+	if err := shredded.LoadCollectionSource("xmark", fresh...); err != nil {
+		log.Fatal(err)
+	}
 	shredTime := time.Since(shredStart)
 
 	// Cold start B: map the packed containers and attach their persistent
 	// index sections.
 	packedStart := time.Now()
 	mapped := rox.NewEngine(rox.WithSeed(1))
-	if err := mapped.LoadCollectionPacked("xmark", paths); err != nil {
+	if err := mapped.LoadCollectionSource("xmark", packed...); err != nil {
 		log.Fatal(err)
 	}
 	packedTime := time.Since(packedStart)

@@ -25,10 +25,10 @@ const purchases = `<purchases>
 
 func main() {
 	eng := rox.NewEngine(rox.WithSeed(1))
-	if err := eng.LoadXML("people.xml", people); err != nil {
+	if err := eng.LoadSource(rox.FromXML("people.xml", people)); err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.LoadXML("purchases.xml", purchases); err != nil {
+	if err := eng.LoadSource(rox.FromXML("purchases.xml", purchases)); err != nil {
 		log.Fatal(err)
 	}
 

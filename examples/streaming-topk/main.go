@@ -20,7 +20,13 @@ func main() {
 	cfg := datagen.DefaultXMarkConfig()
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 200, 120, 100
 	eng := rox.NewEngine(rox.WithSeed(1))
-	eng.LoadCollection("xmark", datagen.XMarkShards(cfg, 12))
+	var shards []rox.Source
+	for _, d := range datagen.XMarkShards(cfg, 12) {
+		shards = append(shards, rox.FromDocument(d))
+	}
+	if err := eng.LoadCollectionSource("xmark", shards...); err != nil {
+		log.Fatal(err)
+	}
 	ctx := context.Background()
 
 	// Full drain first: the complete ordered result, for comparison.

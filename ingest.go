@@ -2,6 +2,7 @@ package rox
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -62,9 +63,14 @@ type Ingester struct {
 	counters *metrics.IngestCounters
 	// broken latches a durability failure (a WAL write error): every
 	// subsequent operation fails with it, because the log no longer
-	// faithfully describes the in-memory state.
+	// faithfully describes the in-memory state. It wraps ErrIngestBroken.
 	broken error
 }
+
+// ErrIngestBroken is wrapped by every error an Ingester returns once a
+// durability failure (a WAL append, WAL commit or compaction commit that did
+// not reach disk) has latched it: the server's fault, never the client's.
+var ErrIngestBroken = errors.New("rox: ingest durability failure")
 
 // ingestDoc is the per-document overlay state between compactions.
 type ingestDoc struct {
@@ -235,7 +241,7 @@ func (g *Ingester) Append(target, xml string) error {
 		if err := g.dir.WAL().LogAppend(ingest.Append{Target: target, Frag: "ingest", XML: xml}); err != nil {
 			// The log no longer matches memory; refuse further work rather
 			// than risk committing appends the WAL never saw.
-			g.broken = fmt.Errorf("rox: ingest wal append failed: %w", err)
+			g.broken = fmt.Errorf("%w: wal append failed: %w", ErrIngestBroken, err)
 			return g.broken
 		}
 	}
@@ -370,7 +376,7 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 	if g.dir != nil {
 		var err error
 		if seq, err = g.dir.WAL().LogCommit(); err != nil {
-			g.broken = fmt.Errorf("rox: ingest wal commit failed: %w", err)
+			g.broken = fmt.Errorf("%w: wal commit failed: %w", ErrIngestBroken, err)
 			return 0, g.broken
 		}
 	}
@@ -494,7 +500,7 @@ func (g *Ingester) compactLocked() error {
 	}
 	if g.dir != nil {
 		if err := g.dir.CommitCompaction(snaps); err != nil {
-			g.broken = fmt.Errorf("rox: ingest compaction failed to commit: %w", err)
+			g.broken = fmt.Errorf("%w: compaction failed to commit: %w", ErrIngestBroken, err)
 			return g.broken
 		}
 	}

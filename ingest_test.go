@@ -32,7 +32,7 @@ func ingestReference(t *testing.T, frags int) *Engine {
 		text += f
 	}
 	ref := NewEngine()
-	if err := ref.LoadXML("site.xml", text); err != nil {
+	if err := ref.LoadSource(FromXML("site.xml", text)); err != nil {
 		t.Fatal(err)
 	}
 	return ref
@@ -49,7 +49,7 @@ func mustQuery(t *testing.T, e *Engine, q string) []string {
 
 func TestIngestMatchesBulkLoad(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -84,7 +84,7 @@ func TestIngestMatchesBulkLoad(t *testing.T) {
 
 func TestIngestUncommittedInvisible(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	before := mustQuery(t, eng, ingestQuery)
@@ -122,7 +122,7 @@ func TestIngestCreatesDocument(t *testing.T) {
 
 func TestIngestGenerationAdvances(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	var last uint64
@@ -146,7 +146,7 @@ func TestIngestGenerationAdvances(t *testing.T) {
 
 func TestIngestPlanCacheAbsorbsCommit(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the plan cache.
@@ -181,7 +181,7 @@ func TestIngestPlanCacheAbsorbsCommit(t *testing.T) {
 func TestIngestCollectionRoundRobin(t *testing.T) {
 	eng := NewEngine()
 	for _, sh := range []string{"a.xml", "b.xml"} {
-		if err := eng.LoadCollectionShardXML("people", sh, `<site/>`); err != nil {
+		if err := eng.LoadCollectionSource("people", FromXML(sh, `<site/>`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestIngestFourShardEquivalence(t *testing.T) {
 
 	eng := NewEngine(WithSeed(3))
 	for _, sh := range shards {
-		if err := eng.LoadCollectionShardXML("people", sh, `<site/>`); err != nil {
+		if err := eng.LoadCollectionSource("people", FromXML(sh, `<site/>`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestIngestFourShardEquivalence(t *testing.T) {
 
 	ref := NewEngine(WithSeed(3))
 	for _, sh := range shards {
-		if err := ref.LoadCollectionShardXML("people", sh, `<site>`+want[sh]+`</site>`); err != nil {
+		if err := ref.LoadCollectionSource("people", FromXML(sh, `<site>`+want[sh]+`</site>`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func TestIngestFourShardEquivalence(t *testing.T) {
 func TestIngestDriftReoptimizes(t *testing.T) {
 	const q = `for $n in doc("g.xml")//person/name return $n`
 	eng := NewEngine(WithSeed(7))
-	if err := eng.LoadXML("g.xml", driftDoc(40)); err != nil {
+	if err := eng.LoadSource(FromXML("g.xml", driftDoc(40))); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := eng.Prepare(q)
@@ -333,7 +333,7 @@ func TestIngestDriftReoptimizes(t *testing.T) {
 		t.Errorf("drift count = %d, want 1: %+v", cs.Counters.Drifts, cs.Counters)
 	}
 	plain := NewEngine(WithSeed(7), WithPlanCache(0))
-	if err := plain.LoadXML("g.xml", driftDoc(400)); err != nil {
+	if err := plain.LoadSource(FromXML("g.xml", driftDoc(400))); err != nil {
 		t.Fatal(err)
 	}
 	truth, err := plain.Query(q)
@@ -360,7 +360,7 @@ func TestIngestDriftReoptimizes(t *testing.T) {
 func TestIngestConcurrentReaders(t *testing.T) {
 	const batches = 30
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", `<site><person id="c0"><age>20</age></person></site>`); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", `<site><person id="c0"><age>20</age></person></site>`)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -422,7 +422,7 @@ func TestIngestWarmRestart(t *testing.T) {
 	walDir := filepath.Join(dir, "ingest")
 
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := eng.OpenIngestDir(walDir); err != nil || n != 0 {
@@ -448,7 +448,7 @@ func TestIngestWarmRestart(t *testing.T) {
 	}
 
 	restarted := NewEngine()
-	if err := restarted.LoadXML("site.xml", ingestBase); err != nil {
+	if err := restarted.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	n, err := restarted.OpenIngestDir(walDir)
@@ -493,7 +493,7 @@ func TestIngestCompaction(t *testing.T) {
 	walDir := filepath.Join(dir, "ingest")
 
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.OpenIngestDir(walDir); err != nil {
@@ -526,7 +526,7 @@ func TestIngestCompaction(t *testing.T) {
 	// Restart from the compacted snapshot: no batches to replay, results
 	// identical even though the corpus load is stale (pre-ingest).
 	restarted := NewEngine()
-	if err := restarted.LoadXML("site.xml", ingestBase); err != nil {
+	if err := restarted.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	n, err := restarted.OpenIngestDir(walDir)
@@ -567,7 +567,7 @@ func TestIngestCompaction(t *testing.T) {
 
 func TestIngestAutoCompact(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	ing := eng.Ingest()
@@ -590,7 +590,7 @@ func TestIngestAutoCompact(t *testing.T) {
 
 func TestIngestExternalSwapRebases(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("site.xml", ingestBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Append("site.xml", ingestFrags[0]); err != nil {
@@ -599,7 +599,7 @@ func TestIngestExternalSwapRebases(t *testing.T) {
 	// Someone reloads the document while an append is pending: the overlay
 	// rebases onto the new base, retaining its appends.
 	const newBase = `<site><person id="x1"><name>Zoe</name><age>99</age></person></site>`
-	if err := eng.LoadXML("site.xml", newBase); err != nil {
+	if err := eng.LoadSource(FromXML("site.xml", newBase)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Append("site.xml", ingestFrags[1]); err != nil {
@@ -609,7 +609,7 @@ func TestIngestExternalSwapRebases(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := NewEngine()
-	if err := ref.LoadXML("site.xml", newBase+ingestFrags[0]+ingestFrags[1]); err != nil {
+	if err := ref.LoadSource(FromXML("site.xml", newBase+ingestFrags[0]+ingestFrags[1])); err != nil {
 		t.Fatal(err)
 	}
 	got, want := mustQuery(t, eng, ingestQuery), mustQuery(t, ref, ingestQuery)

@@ -8,9 +8,8 @@
 package index
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -290,36 +289,20 @@ func WritePackedFile(path string, ix *Index) error {
 	return xmltree.WritePackedFile(path, ix.doc, PackSections(ix))
 }
 
-// OpenPackedFile opens a .roxd file of either version as a ready-to-query
-// Index. A v2 container is memory-mapped (platform permitting) and its
-// persistent index sections attached zero-copy — cold start does no O(n)
-// work. A v1 file, or a v2 container packed without index sections, falls
-// back to the heap decode + New rebuild.
+// OpenPackedFile opens a .roxd container as a ready-to-query Index: the file
+// is memory-mapped (platform permitting) and its persistent index sections
+// attached zero-copy — cold start does no O(n) work. A container packed
+// without index sections falls back to the New rebuild over the mapped
+// document; anything that is not a ROXD v2 container fails with a
+// *xmltree.FormatError.
 func OpenPackedFile(path string) (*Index, error) {
-	f, err := os.Open(path)
+	p, err := xmltree.OpenPackedFile(path)
 	if err != nil {
 		return nil, err
 	}
-	// io.ReadFull, not Read: a single Read may legally return fewer than 5
-	// bytes without error, which would misroute a v2 container to the v1
-	// heap-decode fallback. A genuinely short file is simply not packed.
-	var ver [5]byte
-	_, rerr := io.ReadFull(f, ver[:])
-	f.Close()
-	if rerr == nil && string(ver[:4]) == "ROXD" && ver[4] == 2 {
-		p, err := xmltree.OpenPackedFile(path)
-		if err != nil {
-			return nil, err
-		}
-		ix, err := FromPacked(p)
-		if err == ErrNoIndexSections {
-			return New(p.Doc()), nil
-		}
-		return ix, err
+	ix, err := FromPacked(p)
+	if errors.Is(err, ErrNoIndexSections) {
+		return New(p.Doc()), nil
 	}
-	d, err := xmltree.ReadBinaryFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return New(d), nil
+	return ix, err
 }

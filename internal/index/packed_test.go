@@ -1,7 +1,10 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -226,23 +229,63 @@ func TestFromPackedCorruptSections(t *testing.T) {
 	}
 }
 
-func TestOpenPackedFileV1(t *testing.T) {
+// TestOpenPackedFileRefusesV1: the removed version 1 stream format fails with
+// the decoder's typed error instead of the heap decode it used to get.
+func TestOpenPackedFileRefusesV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.roxd")
+	if err := os.WriteFile(path, []byte("ROXD\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenPackedFile(path)
+	var fe *xmltree.FormatError
+	if !errors.As(err, &fe) || fe.Version != 1 {
+		t.Fatalf("OpenPackedFile on v1 = %v, want *xmltree.FormatError{Version: 1}", err)
+	}
+}
+
+// FuzzDecodePacked feeds arbitrary bytes to the one container decoder: it
+// must never panic, every decode failure must be a *xmltree.FormatError, and
+// whatever does decode must attach (or refuse) its index sections and answer
+// a value probe without panicking — roxserve maps files on request, so a
+// panic here would be remotely triggerable.
+func FuzzDecodePacked(f *testing.F) {
 	d, err := xmltree.ParseString("a.xml", doc)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "v1.roxd")
-	if err := xmltree.WriteBinaryFile(d, path); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := xmltree.WritePacked(&buf, d, PackSections(New(d))); err != nil {
+		f.Fatal(err)
 	}
-	ix, err := OpenPackedFile(path)
-	if err != nil {
-		t.Fatalf("OpenPackedFile on v1: %v", err)
+	valid := buf.Bytes()
+	f.Add(valid)
+	// Every section of this small document fits one page, so the page
+	// boundaries are the section boundaries.
+	for cut := 4096; cut < len(valid); cut += 4096 {
+		f.Add(valid[:cut])
 	}
-	if ix.pk != nil {
-		t.Errorf("v1 file should build a heap index")
-	}
-	if got := ix.CountElements("item"); got != 3 {
-		t.Errorf("CountElements(item) = %d, want 3", got)
-	}
+	// The first directory entry ("kinds") follows magic, version + pad, the
+	// name "a.xml", node count and section count; flip a bit of its offset.
+	flipped := bytes.Clone(valid)
+	flipped[4+4+4+len("a.xml")+4+4+4+len("kinds")+1] ^= 0x40
+	f.Add(flipped)
+	f.Add([]byte("ROXD\x01\x00"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := xmltree.DecodePacked(data)
+		if err != nil {
+			var fe *xmltree.FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("decode failure %v (%T) is not a *xmltree.FormatError", err, err)
+			}
+			return
+		}
+		ix, err := FromPacked(p)
+		if err != nil {
+			return // refused at attach time: the typed failure, not a panic
+		}
+		ix.TextEq("10")
+		ix.TextRange(Ge, 100)
+	})
 }

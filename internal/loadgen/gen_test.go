@@ -30,7 +30,7 @@ func newPeopleServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eng := rox.NewEngine(rox.WithSeed(1))
 	for s := 0; s < 4; s++ {
-		if err := eng.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*50, 50)); err != nil {
+		if err := eng.LoadCollectionSource("ppl", rox.FromXML(fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*50, 50))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,8 +97,8 @@ func TestOpenLoopRun(t *testing.T) {
 		t.Errorf("self-compare flagged regressions: %v", regs)
 	}
 
-	// Injected 2.5x p99 slowdown must trip the gate — this is the latency
-	// analogue of benchdiff's regression test, proving the gate can fail.
+	// Injected 2.5x p99 slowdown must trip the gate — proof the gate can
+	// fail.
 	slow := *report
 	slow.Classes = make(map[string]ClassReport, len(report.Classes))
 	for name, c := range report.Classes {

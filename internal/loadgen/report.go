@@ -1,7 +1,7 @@
 // report.go turns a run's raw stats into the committed-baseline JSON shape
-// (LOAD_BASELINE.json) and diffs two reports the way cmd/benchdiff diffs
-// bench output: one ratio per class per percentile against a fixed slack,
-// gating the big movements rather than chasing run-to-run noise.
+// (LOAD_BASELINE.json) and diffs two reports: one ratio per class per
+// percentile against a fixed slack, gating the big movements rather than
+// chasing run-to-run noise.
 package loadgen
 
 import (

@@ -98,7 +98,7 @@ func TestSoakChaos(t *testing.T) {
 		eng := rox.NewEngine(rox.WithSeed(1))
 		for s := 0; s < 2; s++ {
 			name := fmt.Sprintf("ppl-%d.xml", base+s)
-			if err := eng.LoadXML(name, peopleXML((base+s)*50, 50)); err != nil {
+			if err := eng.LoadSource(rox.FromXML(name, peopleXML((base+s)*50, 50))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -62,13 +62,13 @@ func (s *Scenario) engineOptions() []rox.Option {
 func (s *Scenario) buildEngine(withShards bool) (*rox.Engine, error) {
 	eng := rox.NewEngine(s.engineOptions()...)
 	for _, d := range s.Docs {
-		if err := eng.LoadXML(d.Name, string(d.Data)); err != nil {
+		if err := eng.LoadSource(rox.FromXML(d.Name, string(d.Data))); err != nil {
 			return nil, fmt.Errorf("scenario %s: load doc/%s: %w", s.Name, d.Name, err)
 		}
 	}
 	if withShards {
 		for _, sh := range s.Shards {
-			if err := eng.LoadCollectionShardXML(s.Collection, sh.Name, string(sh.Data)); err != nil {
+			if err := eng.LoadCollectionSource(s.Collection, rox.FromXML(sh.Name, string(sh.Data))); err != nil {
 				return nil, fmt.Errorf("scenario %s: load shard/%s: %w", s.Name, sh.Name, err)
 			}
 		}
@@ -244,7 +244,7 @@ func (s *Scenario) runCluster(ctx context.Context) ([]Outcome, error) {
 			// A shard server holds its shards as plain documents; the
 			// coordinator's registration is what makes them shards of a
 			// collection.
-			if err := shardEng.LoadXML(sh.Name, string(sh.Data)); err != nil {
+			if err := shardEng.LoadSource(rox.FromXML(sh.Name, string(sh.Data))); err != nil {
 				return nil, fmt.Errorf("scenario %s: load shard/%s: %w", s.Name, sh.Name, err)
 			}
 			names = append(names, sh.Name)

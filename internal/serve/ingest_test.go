@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -160,7 +164,7 @@ func TestIngestEndpoint(t *testing.T) {
 func TestShardIngestEndpoint(t *testing.T) {
 	// Shard server with one document.
 	shardEng := rox.NewEngine(rox.WithSeed(1))
-	if err := shardEng.LoadXML("ppl-0.xml", peopleXML(0, 10, 0)); err != nil {
+	if err := shardEng.LoadSource(rox.FromXML("ppl-0.xml", peopleXML(0, 10, 0))); err != nil {
 		t.Fatal(err)
 	}
 	shardH := New(rox.NewPool(shardEng, 2), Config{Role: "shard"})
@@ -220,5 +224,48 @@ func TestShardIngestEndpoint(t *testing.T) {
 	wantBefore, wantAfter := fmt.Sprint(10+1), fmt.Sprint(10+2) // wire test added one
 	if len(before) != 1 || before[0] != wantBefore || len(after) != 1 || after[0] != wantAfter {
 		t.Fatalf("remote ingest counts: before %v want %s, after %v want %s", before, wantBefore, after, wantAfter)
+	}
+}
+
+// TestIngestAppendStatus pins who is blamed for a failed append: the client
+// (400) for anything wrong with its XML — even when the parser's message or
+// the document's name happens to contain "wal" — and the server (500) once a
+// durability failure has latched the ingester, classified by
+// rox.ErrIngestBroken and not by the error's text.
+func TestIngestAppendStatus(t *testing.T) {
+	eng := rox.NewEngine(rox.WithSeed(1))
+	if err := eng.LoadSource(rox.FromXML("wallet.xml", `<wallet><coin/></wallet>`)); err != nil {
+		t.Fatal(err)
+	}
+	walDir := t.TempDir()
+	if _, err := eng.OpenIngestDir(walDir); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(rox.NewPool(eng, 2), Config{}))
+	defer ts.Close()
+
+	for _, body := range []string{`<wal><x></wal>`, `<w><x></w>`} {
+		if status, resp := postIngest(t, ts.URL, "wallet.xml", "", body); status != http.StatusBadRequest {
+			t.Errorf("malformed fragment %s: status %d (%v), want 400", body, status, resp)
+		}
+	}
+	if status, resp := postIngest(t, ts.URL, "wallet.xml", "", `<coin/>`); status != http.StatusOK {
+		t.Fatalf("well-formed fragment: status %d (%v)", status, resp)
+	}
+
+	// Latch a durability failure: the next compaction cannot create its
+	// fresh WAL because a directory squats on the next epoch's file name.
+	var epoch int
+	if _, err := fmt.Sscanf(filepath.Base(eng.Ingest().Stats().WALPath), "ingest.%d.wal", &epoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(walDir, fmt.Sprintf("ingest.%d.wal", epoch+1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Ingest().Compact(context.Background()); !errors.Is(err, rox.ErrIngestBroken) {
+		t.Fatalf("Compact = %v, want an error wrapping rox.ErrIngestBroken", err)
+	}
+	if status, resp := postIngest(t, ts.URL, "wallet.xml", "", `<coin/>`); status != http.StatusInternalServerError {
+		t.Errorf("append on a latched ingester: status %d (%v), want 500", status, resp)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ndjson"
 	"repro/internal/shardrpc"
-	"repro/internal/xmltree"
 )
 
 // Config configures a Handler.
@@ -275,10 +274,10 @@ func serveIngest(pool *rox.Pool, maxBody int64, corpusDir string, w http.Respons
 		return
 	}
 	if err := eng.Append(name, xml); err != nil {
-		// An append failure is almost always the client's XML (parse error,
-		// pre-space overflow) — except a latched WAL failure, which is ours.
+		// An append failure is the client's XML (parse error, pre-space
+		// overflow) — except a latched durability failure, which is ours.
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "wal") {
+		if errors.Is(err, rox.ErrIngestBroken) {
 			status = http.StatusInternalServerError
 		}
 		writeError(w, status, fmt.Errorf("append to %q: %w", name, err))
@@ -409,33 +408,20 @@ func serveCollectionLoad(pool *rox.Pool, maxBody int64, corpusDir string, w http
 			writeError(w, http.StatusForbidden, err)
 			return
 		}
-		if strings.HasSuffix(file, ".roxd") {
-			if err := pool.Engine().LoadCollectionShardPacked(name, path); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("load shard file %s: %w", file, err))
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{
-				"collection": name,
-				"file":       file,
-				"status":     "mapped",
-			})
-			return
-		}
 		if shard == "" {
 			shard = filepath.Base(file)
 		}
-		d, err := xmltree.ParseFile(shard, path)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parse shard file %s: %w", file, err))
+		// rox.FromPath picks the format; the suffix here only words the reply.
+		reply := map[string]any{"collection": name, "file": file, "status": "mapped"}
+		verb := "load"
+		if !strings.HasSuffix(path, ".roxd") {
+			reply["shard"], reply["status"], verb = shard, "loaded", "parse"
+		}
+		if err := pool.Engine().LoadCollectionSource(name, rox.FromPath(shard, path)); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("%s shard file %s: %w", verb, file, err))
 			return
 		}
-		pool.Engine().LoadCollectionShard(name, d)
-		writeJSON(w, http.StatusOK, map[string]any{
-			"collection": name,
-			"shard":      shard,
-			"file":       file,
-			"status":     "loaded",
-		})
+		writeJSON(w, http.StatusOK, reply)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
@@ -455,7 +441,7 @@ func serveCollectionLoad(pool *rox.Pool, maxBody int64, corpusDir string, w http
 	}
 	// Copy-on-write load: safe while queries are in flight, and only this
 	// shard's cached plans are invalidated.
-	if err := pool.Engine().LoadCollectionShardXML(name, shard, string(body)); err != nil {
+	if err := pool.Engine().LoadCollectionSource(name, rox.FromXML(shard, string(body))); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parse shard %s: %w", shard, err))
 		return
 	}
@@ -600,13 +586,16 @@ func streamNDJSON(w http.ResponseWriter, rows *rox.Rows) {
 // (it rejected the shard request as malformed or unknown) → 400, any other
 // remote-shard failure (server unreachable, 5xx, mid-stream drop) → 502 so
 // clients can tell a cluster fault from a coordinator fault, client mistakes
-// (unparsable query, unknown document) → 400, anything else is an
-// engine-internal failure → 500 so monitoring sees it and clients know to
-// retry.
+// (unparsable query, unknown document) → 400, anything else — a latched
+// ingest durability failure first, whatever its message happens to contain —
+// is an engine-internal failure → 500 so monitoring sees it and clients know
+// to retry.
 func StatusFor(err error) int {
 	var remote *shardrpc.RemoteError
 	var uerr *url.Error
 	switch {
+	case errors.Is(err, rox.ErrIngestBroken):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &remote):

@@ -44,8 +44,7 @@ func newPeopleServer(t *testing.T, pad int) (*Handler, *httptest.Server) {
 	t.Helper()
 	eng := rox.NewEngine(rox.WithSeed(1))
 	for s := 0; s < 4; s++ {
-		if err := eng.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", s),
-			peopleXML(s*100, 100, pad)); err != nil {
+		if err := eng.LoadCollectionSource("ppl", rox.FromXML(fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*100, 100, pad))); err != nil {
 			t.Fatal(err)
 		}
 	}

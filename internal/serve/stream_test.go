@@ -24,11 +24,11 @@ import (
 // collection queries (items from the gather).
 func TestStreamLinesMatchEncodingJSON(t *testing.T) {
 	eng := rox.NewEngine(rox.WithSeed(1))
-	if err := eng.LoadXML("ppl.xml", peopleXML(0, 50, 0)); err != nil {
+	if err := eng.LoadSource(rox.FromXML("ppl.xml", peopleXML(0, 50, 0))); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 2; s++ {
-		if err := eng.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*100, 30, 0)); err != nil {
+		if err := eng.LoadCollectionSource("ppl", rox.FromXML(fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*100, 30, 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func (d *discardResponse) Flush()                      {}
 func newScanHandler(tb testing.TB) *Handler {
 	tb.Helper()
 	eng := rox.NewEngine(rox.WithSeed(1))
-	eng.LoadDocument(datagen.XMark(datagen.DefaultXMarkConfig()))
+	_ = eng.LoadSource(rox.FromDocument(datagen.XMark(datagen.DefaultXMarkConfig())))
 	return New(rox.NewPool(eng, 2), Config{})
 }
 

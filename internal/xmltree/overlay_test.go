@@ -160,16 +160,16 @@ func TestFlattenAndWriters(t *testing.T) {
 	}
 	docsEqual(t, flat, want)
 
-	// The binary writer must persist the flattened form transparently.
+	// The container writer must persist the flattened form transparently.
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, seg); err != nil {
+	if err := WritePacked(&buf, seg, nil); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := ReadBinary(&buf)
+	p, err := DecodePacked(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	docsEqual(t, rd, want)
+	docsEqual(t, p.Doc(), want)
 }
 
 func TestEmptySnapshotIsBase(t *testing.T) {

@@ -10,12 +10,14 @@ import (
 	"unsafe"
 )
 
-// Packed (ROXD v2) is the on-disk, memory-mappable evolution of the v1
-// stream format in binary.go: instead of length-prefixed streams that must
-// be decoded column by column, every column lives in its own page-aligned,
-// fixed-width section that readers can use zero-copy — the mapped file IS
-// the node table. See the "On-disk store and persistent indices" section of
-// DESIGN.md for the full layout and lifetime rules.
+// Packed (ROXD v2) is the one on-disk form of a shredded document: shredding
+// large XML is far more expensive than reading back the columnar node table,
+// so tools persist the shredded form (the moral equivalent of MonetDB's BAT
+// storage). Every column lives in its own page-aligned, fixed-width section
+// that readers can use zero-copy — the mapped file IS the node table. See the
+// "On-disk store and persistent indices" section of DESIGN.md for the full
+// layout and lifetime rules. (DecodePacked refuses a version 1 header by
+// name: that sequential stream format is no longer read.)
 //
 // File layout (all integers little endian):
 //
@@ -40,8 +42,14 @@ import (
 // open (O(dictionary size), not O(nodes)).
 
 const (
+	packedMagic   = "ROXD"
 	packedVersion = 2
 	packedPage    = 4096
+
+	// maxNodes/maxString bound what a header may claim so a corrupt or
+	// hostile file cannot ask for gigabytes.
+	maxNodes  = 1 << 30
+	maxString = 1 << 28
 )
 
 // Core section names of the v2 container. Extra sections (e.g. the
@@ -259,9 +267,9 @@ func Float64sBytes(vals []float64) []byte {
 }
 
 // dictSections encodes d as an offset table + concatenated blob. The offset
-// table is u32, so a blob past 4 GiB is unrepresentable: values are unbounded
-// (maxString caps one entry at 256 MiB, not the sum), and wrapping offsets
-// would silently emit a corrupt container.
+// table is u32, so a blob past 4 GiB is unrepresentable: the sum of the
+// values is unbounded, and wrapping offsets would silently emit a corrupt
+// container.
 func dictSections(d *Dict, offName, blobName string) ([]Section, error) {
 	off := make([]uint32, d.Len()+1)
 	var total uint64
@@ -334,7 +342,7 @@ func WritePacked(w io.Writer, d *Document, extra []Section) error {
 	}
 
 	var hdr []byte
-	hdr = append(hdr, binaryMagic...)
+	hdr = append(hdr, packedMagic...)
 	hdr = append(hdr, packedVersion, 0, 0, 0)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(d.name)))
 	hdr = append(hdr, d.name...)
@@ -426,15 +434,21 @@ func DecodePacked(data []byte) (*Packed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if string(magic) != binaryMagic {
+	if string(magic) != packedMagic {
 		return nil, formatErr(0, "", fmt.Sprintf("not a shredded document (magic %q)", magic), nil)
 	}
-	ver, err := take(4, "version")
+	ver, err := take(1, "version")
 	if err != nil {
 		return nil, err
 	}
+	if ver[0] == 1 {
+		return nil, formatErr(1, "", "the version 1 stream format was removed; re-pack the document from its XML (roxpack, or datagen -pack)", nil)
+	}
 	if ver[0] != packedVersion {
 		return nil, formatErr(int(ver[0]), "", fmt.Sprintf("unsupported version %d (want %d)", ver[0], packedVersion), nil)
+	}
+	if _, err := take(3, "header padding"); err != nil {
+		return nil, err
 	}
 	u32 := func(what string) (uint32, error) {
 		b, err := take(4, what)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,21 +124,6 @@ func TestPackedFile(t *testing.T) {
 	}
 }
 
-func TestReadBinaryAcceptsPacked(t *testing.T) {
-	// The v1 entry point transparently reads a v2 container (heap-backed,
-	// fully validated).
-	d := mustParse(t, sampleXML)
-	data := packDoc(t, d, nil)
-	d2, err := ReadBinary(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("ReadBinary on packed container: %v", err)
-	}
-	sameDoc(t, d, d2)
-	if d2.Mapped() {
-		t.Errorf("stream-read container must not claim a mapping")
-	}
-}
-
 func TestPackedRejectsCorrupt(t *testing.T) {
 	d := mustParse(t, sampleXML)
 	data := packDoc(t, d, nil)
@@ -175,6 +161,15 @@ func TestPackedRejectsCorrupt(t *testing.T) {
 		var fe *FormatError
 		if !errors.As(err, &fe) || fe.Version != 9 {
 			t.Errorf("unknown version error = %v, want *FormatError{Version: 9}", err)
+		}
+	}
+	// Version 1 (the removed stream format) is refused by name, however
+	// little of the file there is.
+	for _, v1 := range [][]byte{[]byte("ROXD\x01"), []byte("ROXD\x01\x00"), append([]byte("ROXD\x01"), data[5:]...)} {
+		_, err := DecodePacked(v1)
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Version != 1 || !strings.Contains(err.Error(), "re-pack") {
+			t.Errorf("v1 header (%d bytes): err = %v, want *FormatError{Version: 1} with the re-pack hint", len(v1), err)
 		}
 	}
 	// Root invariants: flip the root kind byte inside the kinds section
@@ -215,10 +210,10 @@ func TestSectionCasts(t *testing.T) {
 	}
 }
 
-// FuzzBinaryRoundTrip drives arbitrary XML through the packed container and
-// requires the mapped-view document to serialize byte-identically to the
-// in-memory one — and the v1 stream path to agree with both.
-func FuzzBinaryRoundTrip(f *testing.F) {
+// FuzzPackedRoundTrip drives arbitrary XML through the packed container and
+// requires the decoded-view document to serialize byte-identically to the
+// in-memory one.
+func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add(sampleXML)
 	f.Add("<a/>")
 	f.Add(`<r x="1"><b>two</b>three<c y="z"/></r>`)
@@ -243,18 +238,6 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		if err := p.Verify(); err != nil {
 			t.Fatalf("packed document fails validation: %v", err)
-		}
-
-		var v1 bytes.Buffer
-		if err := WriteBinary(&v1, d); err != nil {
-			t.Fatalf("WriteBinary: %v", err)
-		}
-		d1, err := ReadBinary(&v1)
-		if err != nil {
-			t.Fatalf("ReadBinary: %v", err)
-		}
-		if got := SerializeString(d1, d1.Root()); got != want {
-			t.Fatalf("v1 serialization differs:\n got %q\nwant %q", got, want)
 		}
 	})
 }

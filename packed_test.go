@@ -12,18 +12,19 @@ import (
 )
 
 // packShardFiles writes each document as a packed .roxd container (with
-// persistent index sections) under dir and returns the file paths in shard
-// order.
-func packShardFiles(t *testing.T, dir string, docs []*xmltree.Document) []string {
+// persistent index sections) under dir and returns the files as sources in
+// shard order.
+func packShardFiles(t *testing.T, dir string, docs []*xmltree.Document) []Source {
 	t.Helper()
-	paths := make([]string, len(docs))
+	srcs := make([]Source, len(docs))
 	for i, d := range docs {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("%s.roxd", d.Name()))
-		if err := index.WritePackedFile(paths[i], index.New(d)); err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("%s.roxd", d.Name()))
+		if err := index.WritePackedFile(path, index.New(d)); err != nil {
 			t.Fatalf("pack shard %s: %v", d.Name(), err)
 		}
+		srcs[i] = FromPacked(path)
 	}
-	return paths
+	return srcs
 }
 
 // TestPackedCollectionEquivalence is the storage half of the sharding
@@ -35,7 +36,7 @@ func TestPackedCollectionEquivalence(t *testing.T) {
 	cfg := datagen.DefaultXMarkConfig()
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 200, 120, 100
 	single := NewEngine()
-	single.LoadDocument(datagen.XMark(cfg))
+	_ = single.LoadSource(FromDocument(datagen.XMark(cfg)))
 
 	queries := []struct{ name, docQ, collQ string }{
 		{
@@ -66,10 +67,10 @@ func TestPackedCollectionEquivalence(t *testing.T) {
 	}
 
 	for _, shards := range []int{4, 12} {
-		paths := packShardFiles(t, t.TempDir(), datagen.XMarkShards(cfg, shards))
+		srcs := packShardFiles(t, t.TempDir(), datagen.XMarkShards(cfg, shards))
 		packed := NewEngine()
-		if err := packed.LoadCollectionPacked("xmark", paths); err != nil {
-			t.Fatalf("%d shards: LoadCollectionPacked: %v", shards, err)
+		if err := packed.LoadCollectionSource("xmark", srcs...); err != nil {
+			t.Fatalf("%d shards: LoadCollectionSource: %v", shards, err)
 		}
 		if runtime.GOOS == "linux" {
 			for _, name := range packed.Documents() {
@@ -129,12 +130,12 @@ func TestPackedShardSwapDrift(t *testing.T) {
 		}
 		return path
 	}
-	var paths []string
+	var srcs []Source
 	for i, sp := range spans {
-		paths = append(paths, packPpl(i, sp))
+		srcs = append(srcs, FromPacked(packPpl(i, sp)))
 	}
 	packed := NewEngine()
-	if err := packed.LoadCollectionPacked("ppl", paths); err != nil {
+	if err := packed.LoadCollectionSource("ppl", srcs...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +147,7 @@ func TestPackedShardSwapDrift(t *testing.T) {
 		}
 		xml += "</people>"
 		eng := NewEngine()
-		if err := eng.LoadXML("ppl.xml", xml); err != nil {
+		if err := eng.LoadSource(FromXML("ppl.xml", xml)); err != nil {
 			t.Fatal(err)
 		}
 		return eng
@@ -184,7 +185,7 @@ func TestPackedShardSwapDrift(t *testing.T) {
 	// The swap: a new packed file for the middle shard, mapped in O(1) under
 	// the same stored document name while the old mapping drains.
 	spans[1] = [2]int{100, 300}
-	if err := packed.LoadCollectionShardPacked("ppl", packPpl(1, spans[1])); err != nil {
+	if err := packed.LoadCollectionSource("ppl", FromPacked(packPpl(1, spans[1]))); err != nil {
 		t.Fatal(err)
 	}
 	single = singleFor(spans)
@@ -218,22 +219,22 @@ func TestPackedShardSwapDrift(t *testing.T) {
 	}
 }
 
-// TestLoadPackedDocument covers the single-document packed loaders: a packed
-// file queries identically to the XML it was shredded from, and a v1 binary
-// file still loads through the same entry point.
+// TestLoadPackedDocument covers the single-document packed load: a packed
+// file queries identically to the document it was packed from, and a missing
+// file fails the load.
 func TestLoadPackedDocument(t *testing.T) {
 	cfg := datagen.DefaultXMarkConfig()
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 50, 30, 20
 	d := datagen.XMark(cfg)
 
 	mem := NewEngine()
-	mem.LoadDocument(d)
+	_ = mem.LoadSource(FromDocument(d))
 	path := filepath.Join(t.TempDir(), "xmark.roxd")
 	if err := index.WritePackedFile(path, index.New(d)); err != nil {
 		t.Fatal(err)
 	}
 	packed := NewEngine()
-	if err := packed.LoadPacked(path); err != nil {
+	if err := packed.LoadSource(FromPacked(path)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,7 +249,7 @@ func TestLoadPackedDocument(t *testing.T) {
 	}
 	assertSameItems(t, "packed doc", want.Items, got.Items)
 
-	if err := packed.LoadPacked(filepath.Join(t.TempDir(), "absent.roxd")); err == nil {
+	if err := packed.LoadSource(FromPacked(filepath.Join(t.TempDir(), "absent.roxd"))); err == nil {
 		t.Errorf("missing packed file should fail")
 	}
 }

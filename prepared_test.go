@@ -112,7 +112,7 @@ func TestPrepareDeterministicFingerprint(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	e := NewEngine(WithSeed(7), WithPlanCache(0))
-	if err := e.LoadXML("people.xml", peopleXML); err != nil {
+	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	q := `for $p in doc("people.xml")//person return $p`
@@ -141,7 +141,7 @@ func TestStaleGenerationRevalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadXML("unrelated.xml", "<r><x>1</x></r>"); err != nil {
+	if err := e.LoadSource(FromXML("unrelated.xml", "<r><x>1</x></r>")); err != nil {
 		t.Fatal(err)
 	}
 	second, err := e.Query(q)
@@ -188,7 +188,7 @@ func driftDoc(n int) string {
 func TestDriftTriggersReoptimization(t *testing.T) {
 	const q = `for $n in doc("d.xml")//person/name return $n`
 	e := NewEngine(WithSeed(7))
-	if err := e.LoadXML("d.xml", driftDoc(40)); err != nil {
+	if err := e.LoadSource(FromXML("d.xml", driftDoc(40))); err != nil {
 		t.Fatal(err)
 	}
 	warm, err := e.Query(q)
@@ -201,7 +201,7 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 
 	// Reload the same name with 10× the data: same fingerprint, new
 	// generation, every cardinality 10× the expectation.
-	if err := e.LoadXML("d.xml", driftDoc(400)); err != nil {
+	if err := e.LoadSource(FromXML("d.xml", driftDoc(400))); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(q)
@@ -223,7 +223,7 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 
 	// Ground truth: an uncached engine over the same reloaded corpus.
 	plain := NewEngine(WithSeed(7), WithPlanCache(0))
-	if err := plain.LoadXML("d.xml", driftDoc(400)); err != nil {
+	if err := plain.LoadSource(FromXML("d.xml", driftDoc(400))); err != nil {
 		t.Fatal(err)
 	}
 	truth, err := plain.Query(q)
@@ -257,13 +257,13 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 func TestIdenticalReloadNoDrift(t *testing.T) {
 	const q = `for $n in doc("d.xml")//person/name return $n`
 	e := NewEngine(WithSeed(7))
-	if err := e.LoadXML("d.xml", driftDoc(60)); err != nil {
+	if err := e.LoadSource(FromXML("d.xml", driftDoc(60))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadXML("d.xml", driftDoc(60)); err != nil {
+	if err := e.LoadSource(FromXML("d.xml", driftDoc(60))); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(q)
@@ -351,7 +351,7 @@ func TestPreparedContextCancel(t *testing.T) {
 // TestCacheLRUBound: a 2-entry cache holds only the two most recent shapes.
 func TestCacheLRUBound(t *testing.T) {
 	e := NewEngine(WithSeed(7), WithPlanCache(2))
-	if err := e.LoadXML("people.xml", peopleXML); err != nil {
+	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{
@@ -422,7 +422,7 @@ func TestPoolPrepared(t *testing.T) {
 	}
 	// A statement prepared on a different engine is rejected.
 	other := NewEngine()
-	if err := other.LoadXML("people.xml", peopleXML); err != nil {
+	if err := other.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	foreign, err := other.Prepare(`for $p in doc("people.xml")//person return $p`)

@@ -75,7 +75,7 @@ func pricedSingleEngine(t *testing.T, spans [][2]int) *Engine {
 	}
 	sb.WriteString("</people>")
 	eng := NewEngine()
-	if err := eng.LoadXML("ppl.xml", sb.String()); err != nil {
+	if err := eng.LoadSource(FromXML("ppl.xml", sb.String())); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -88,7 +88,7 @@ func pricedServerEngine(t *testing.T, idx []int, spans [][2]int) *Engine {
 	t.Helper()
 	eng := NewEngine()
 	for _, i := range idx {
-		if err := eng.LoadXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(spans[i][0], spans[i][1])); err != nil {
+		if err := eng.LoadSource(FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(spans[i][0], spans[i][1]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,8 +127,7 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 
 	local := NewEngine()
 	for i, sp := range spans {
-		if err := local.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i),
-			pricedShardXML(sp[0], sp[1])); err != nil {
+		if err := local.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,8 +145,7 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 	// Mixed: shard 0 local, shards 1,2 remote.
 	_, tsC := newShardServer(t, pricedServerEngine(t, []int{1, 2}, spans))
 	mixed := NewEngine()
-	if err := mixed.LoadCollectionShardXML("ppl", "ppl-0.xml",
-		pricedShardXML(spans[0][0], spans[0][1])); err != nil {
+	if err := mixed.LoadCollectionSource("ppl", FromXML("ppl-0.xml", pricedShardXML(spans[0][0], spans[0][1]))); err != nil {
 		t.Fatal(err)
 	}
 	if err := mixed.LoadCollectionRemote(context.Background(), "ppl",
@@ -216,15 +214,17 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 func TestPageWindowsShardedEquivalence(t *testing.T) {
 	cfg := datagen.DefaultXMarkConfig()
 	single := NewEngine()
-	single.LoadDocument(datagen.XMark(cfg))
+	_ = single.LoadSource(FromDocument(datagen.XMark(cfg)))
 	shards := datagen.XMarkShards(cfg, 4)
 	local := NewEngine()
-	local.LoadCollection("xmark", shards)
+	for _, d := range shards {
+		_ = local.LoadCollectionSource("xmark", FromDocument(d))
+	}
 	var endpoints []Endpoint
 	for _, half := range [][]*xmltree.Document{shards[:2], shards[2:]} {
 		srv := NewEngine()
 		for _, d := range half {
-			srv.LoadDocument(d)
+			_ = srv.LoadSource(FromDocument(d))
 		}
 		_, ts := newShardServer(t, srv)
 		endpoints = append(endpoints, Endpoint{URL: ts.URL})
@@ -305,8 +305,7 @@ func TestRemoteDriftReoptimization(t *testing.T) {
 	// generation moves, so the coordinator's next request replays-and-verifies
 	// and the drift machinery re-optimizes on the server.
 	spans[1] = [2]int{100, 300}
-	if err := exA.current().LoadXML("ppl-1.xml",
-		pricedShardXML(spans[1][0], spans[1][1])); err != nil {
+	if err := exA.current().LoadSource(FromXML("ppl-1.xml", pricedShardXML(spans[1][0], spans[1][1]))); err != nil {
 		t.Fatal(err)
 	}
 	single := pricedSingleEngine(t, spans)
@@ -442,8 +441,7 @@ func TestRemoteShardServerDown(t *testing.T) {
 
 	build := func(opts ...Option) *Engine {
 		eng := NewEngine(opts...)
-		if err := eng.LoadCollectionShardXML("ppl", "ppl-0.xml",
-			pricedShardXML(spans[0][0], spans[0][1])); err != nil {
+		if err := eng.LoadCollectionSource("ppl", FromXML("ppl-0.xml", pricedShardXML(spans[0][0], spans[0][1]))); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.LoadCollectionRemote(context.Background(), "ppl",
@@ -528,7 +526,7 @@ func TestRemoteMidStreamFailure(t *testing.T) {
 	})
 	build := func(opts ...Option) *Engine {
 		eng := NewEngine(opts...)
-		if err := eng.LoadCollectionShardXML("c", "c-0.xml", `<r><x>local</x></r>`); err != nil {
+		if err := eng.LoadCollectionSource("c", FromXML("c-0.xml", `<r><x>local</x></r>`)); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.LoadCollectionRemote(context.Background(), "c",

@@ -7,7 +7,7 @@
 // The Engine is the high-level entry point:
 //
 //	eng := rox.NewEngine()
-//	eng.LoadXML("people.xml", "<people>…</people>")
+//	eng.LoadSource(rox.FromXML("people.xml", "<people>…</people>"))
 //	res, err := eng.Query(`for $p in doc("people.xml")//person return $p`)
 //	for _, item := range res.Items { fmt.Println(item) }
 //
@@ -26,11 +26,11 @@
 // optimizer discovers are cached by canonical Join Graph fingerprint, so
 // repeated queries replay with zero sampling work until the data drifts
 // (Prepare compiles once for that hot path). Corpora larger than one
-// shredded tree load as sharded collections (LoadCollection) and are queried
-// with collection("name") — scatter-gather execution that runs the full ROX
-// optimizer independently per shard and streams the merged result through
-// the cursor, stopping early (and canceling leftover shard work) once a
-// limit window fills. See Pool for a bounded-concurrency front end and
+// shredded tree load as sharded collections (LoadCollectionSource) and are
+// queried with collection("name") — scatter-gather execution that runs the
+// full ROX optimizer independently per shard and streams the merged result
+// through the cursor, stopping early (and canceling leftover shard work) once
+// a limit window fills. See Pool for a bounded-concurrency front end and
 // cmd/roxserve for an HTTP server built on it.
 package rox
 
@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -208,38 +207,8 @@ func (e *Engine) newQueryEnv() *plan.Env {
 	return plan.NewQueryEnv(e.catalog(), metrics.NewRecorder(), e.seed)
 }
 
-// LoadXML shreds and indexes an XML document given as a string. The name is
-// what doc("name") in queries refers to. Thin wrapper over
-// LoadSource(name, FromXML(...)).
-func (e *Engine) LoadXML(name, xml string) error {
-	return e.LoadSource(name, FromXML(name, xml))
-}
-
-// Load shreds and indexes an XML document from a reader. Thin wrapper over
-// LoadSource(name, FromReader(...)).
-func (e *Engine) Load(name string, r io.Reader) error {
-	return e.LoadSource(name, FromReader(name, r))
-}
-
-// LoadFile shreds and indexes an XML file; queries address it by the given
-// name (or the path's base name if name is empty). Thin wrapper over
-// LoadSource(name, FromFile(...)).
-func (e *Engine) LoadFile(name, path string) error {
-	return e.LoadSource(name, FromFile(name, path))
-}
-
-// LoadDocument registers a pre-shredded document (e.g. from the dataset
-// generators in internal/datagen). Thin wrapper over
-// LoadSource("", FromDocument(d)).
-func (e *Engine) LoadDocument(d *xmltree.Document) {
-	// FromDocument with no name override cannot fail: the document is
-	// already shredded and keeps its own name.
-	_ = e.LoadSource("", FromDocument(d))
-}
-
-// publishIndexed registers a pre-built index through the same copy-on-write
-// swap as publish — the path for packed files, whose indices come off disk
-// instead of an O(n) build.
+// publishIndexed registers one document's index in a copy-on-write catalog
+// swap.
 func (e *Engine) publishIndexed(ix *index.Index) {
 	e.mu.Lock()
 	cat := e.cat.Clone()
@@ -248,77 +217,16 @@ func (e *Engine) publishIndexed(ix *index.Index) {
 	e.mu.Unlock()
 }
 
-// LoadPacked registers a document from a .roxd file produced by cmd/roxpack
-// (or datagen -pack). A packed v2 container is memory-mapped and queried
-// zero-copy, with its persistent index sections attached directly — cold
-// start does none of the O(corpus) shredding and index building of LoadFile.
-// The document is addressed by the name stored in the container. A v1 .roxd
-// file loads too, via the heap decode + index rebuild. On platforms without
-// mmap the container is read into the heap (same layout, same indices).
-// Thin wrapper over LoadSource("", FromPacked(path)).
-func (e *Engine) LoadPacked(path string) error {
-	return e.LoadSource("", FromPacked(path))
-}
+// LoadFile shreds and indexes an XML file under the given name (the path's
+// base name if name is empty).
+//
+// Deprecated: use LoadSource(FromFile(name, path)).
+func (e *Engine) LoadFile(name, path string) error { return e.LoadSource(FromFile(name, path)) }
 
-// LoadCollectionShardPacked registers (or replaces, matching on the stored
-// document name) one shard of the named collection from a .roxd file. This
-// is the O(1) shard swap: replacing a shard maps the new file — no
-// re-shred, no index rebuild, no stop-the-world — and bumps only that
-// shard's generation stamp, so cached plans of sibling shards stay exactly
-// valid while the plan cache's stale-generation machinery absorbs the
-// change for the swapped shard. The old mapping stays valid for in-flight
-// queries over the previous catalog snapshot and is unmapped once
-// unreachable. Thin wrapper over LoadCollectionSource(coll, FromPacked(path)).
-func (e *Engine) LoadCollectionShardPacked(coll, path string) error {
-	return e.LoadCollectionSource(coll, FromPacked(path))
-}
-
-// LoadCollectionPacked registers every .roxd file as a shard of the named
-// collection, in slice order (which becomes the collection's result order).
-// Like LoadCollection, all shards are published in one copy-on-write swap:
-// concurrent queries see either the catalog before the call or the complete
-// collection, never a prefix. Thin wrapper over LoadCollectionSource with
-// FromPacked sources.
-func (e *Engine) LoadCollectionPacked(coll string, paths []string) error {
-	srcs := make([]Source, len(paths))
-	for i, path := range paths {
-		srcs[i] = FromPacked(path)
-	}
-	return e.LoadCollectionSource(coll, srcs...)
-}
-
-// LoadCollectionShard registers (or replaces, matching on document name) one
-// shard of the named collection, creating the collection on first use.
-// collection(coll) in queries scatters over the shards in registration order;
-// each shard also stays addressable as doc(shardName). Like every Load*, this
-// is a copy-on-write catalog swap, safe while queries are in flight: a
-// replaced shard bumps only its own generation stamp, so cached plans of the
-// sibling shards remain exactly valid. Thin wrapper over
-// LoadCollectionSource(coll, FromDocument(d)).
-func (e *Engine) LoadCollectionShard(coll string, d *xmltree.Document) {
-	// FromDocument cannot fail on an already-shredded document.
-	_ = e.LoadCollectionSource(coll, FromDocument(d))
-}
-
-// LoadCollection registers every document as a shard of the named collection,
-// in slice order (which becomes the collection's result order). All shards
-// are published in one copy-on-write swap: concurrent queries see either the
-// catalog before the call or the complete collection, never a prefix. Thin
-// wrapper over LoadCollectionSource with FromDocument sources.
-func (e *Engine) LoadCollection(coll string, docs []*xmltree.Document) {
-	srcs := make([]Source, len(docs))
-	for i, d := range docs {
-		srcs[i] = FromDocument(d)
-	}
-	_ = e.LoadCollectionSource(coll, srcs...)
-}
-
-// LoadCollectionShardXML shreds, indexes and registers one XML shard given as
-// a string; name is the shard's document name. Thin wrapper over
-// LoadCollectionSource(coll, FromXML(name, xml)).
-func (e *Engine) LoadCollectionShardXML(coll, name, xml string) error {
-	return e.LoadCollectionSource(coll, FromXML(name, xml))
-}
+// LoadPacked maps a .roxd container under its stored document name.
+//
+// Deprecated: use LoadSource(FromPacked(path)).
+func (e *Engine) LoadPacked(path string) error { return e.LoadSource(FromPacked(path)) }
 
 // Documents returns the names of the currently loaded documents, sorted
 // (collection shards included — every shard is also a document).

@@ -23,10 +23,10 @@ const ordersXML = `<orders>
 func engine(t *testing.T) *Engine {
 	t.Helper()
 	e := NewEngine(WithSeed(7))
-	if err := e.LoadXML("people.xml", peopleXML); err != nil {
+	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadXML("orders.xml", ordersXML); err != nil {
+	if err := e.LoadSource(FromXML("orders.xml", ordersXML)); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -131,7 +131,7 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := e.Query(`for $p in doc("missing.xml")//x return $p`); err == nil {
 		t.Errorf("query over unloaded document should fail")
 	}
-	if err := e.LoadXML("bad.xml", "<a><b></a>"); err == nil {
+	if err := e.LoadSource(FromXML("bad.xml", "<a><b></a>")); err == nil {
 		t.Errorf("malformed XML should fail to load")
 	}
 }
@@ -139,7 +139,7 @@ func TestEngineErrors(t *testing.T) {
 func TestEngineOptions(t *testing.T) {
 	e := NewEngine(WithSampleSize(25), WithSeed(3),
 		WithOptimizerOptions(core.Options{Tau: 25, Greedy: true}))
-	if err := e.LoadXML("people.xml", peopleXML); err != nil {
+	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(`for $p in doc("people.xml")//person return $p`)
@@ -155,7 +155,7 @@ func TestEngineWithGeneratedXMark(t *testing.T) {
 	cfg := datagen.DefaultXMarkConfig()
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 120, 100, 80
 	e := NewEngine()
-	e.LoadDocument(datagen.XMark(cfg))
+	_ = e.LoadSource(FromDocument(datagen.XMark(cfg)))
 	res, err := e.Query(`
 		let $d := doc("xmark.xml")
 		for $o in $d//open_auction[.//current/text() < 145],
@@ -177,7 +177,7 @@ func TestEngineWithGeneratedXMark(t *testing.T) {
 
 func TestLoadFromReader(t *testing.T) {
 	e := NewEngine()
-	if err := e.Load("r.xml", strings.NewReader("<a><b/></a>")); err != nil {
+	if err := e.LoadSource(FromReader("r.xml", strings.NewReader("<a><b/></a>"))); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(`for $b in doc("r.xml")//b return $b`)

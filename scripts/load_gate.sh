@@ -12,7 +12,7 @@
 # shared CI runners are noisy and the committed baseline was recorded on a
 # different machine. The gate exists to catch a serving-path catastrophe — a
 # lost index, an accidental O(n^2) merge, a blocking lock on the hot path —
-# not single-digit regressions (cmd/benchdiff owns those on micro-benchmarks).
+# not single-digit regressions (roxmark, benchmark/, resolves those).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -19,9 +19,11 @@ func newXMarkEngines(t *testing.T, n int) (single, sharded *Engine) {
 	cfg := datagen.DefaultXMarkConfig()
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 200, 120, 100
 	single = NewEngine()
-	single.LoadDocument(datagen.XMark(cfg))
+	_ = single.LoadSource(FromDocument(datagen.XMark(cfg)))
 	sharded = NewEngine()
-	sharded.LoadCollection("xmark", datagen.XMarkShards(cfg, n))
+	for _, d := range datagen.XMarkShards(cfg, n) {
+		_ = sharded.LoadCollectionSource("xmark", FromDocument(d))
+	}
 	return single, sharded
 }
 
@@ -203,8 +205,7 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 	shardSpans := [][2]int{{0, 30}, {100, 30}, {200, 30}} // {base, n} per shard
 	sharded := NewEngine()
 	for i, sp := range shardSpans {
-		if err := sharded.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i),
-			pricedShardXML(sp[0], sp[1])); err != nil {
+		if err := sharded.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +218,7 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 		}
 		sb.WriteString("</people>")
 		eng := NewEngine()
-		if err := eng.LoadXML("ppl.xml", sb.String()); err != nil {
+		if err := eng.LoadSource(FromXML("ppl.xml", sb.String())); err != nil {
 			t.Fatal(err)
 		}
 		return eng
@@ -265,8 +266,7 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 
 	// Reload the middle shard with 10× the data — far beyond the drift ratio.
 	shardSpans[1] = [2]int{100, 300}
-	if err := sharded.LoadCollectionShardXML("ppl", "ppl-1.xml",
-		pricedShardXML(shardSpans[1][0], shardSpans[1][1])); err != nil {
+	if err := sharded.LoadCollectionSource("ppl", FromXML("ppl-1.xml", pricedShardXML(shardSpans[1][0], shardSpans[1][1]))); err != nil {
 		t.Fatal(err)
 	}
 	single = singleFor(shardSpans)
@@ -361,7 +361,7 @@ func TestShardReloadInvalidatesOnlyThatShard(t *testing.T) {
 	eng := NewEngine()
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("ppl-%d.xml", i)
-		if err := eng.LoadCollectionShardXML("ppl", name, shardXML(40, 40)); err != nil {
+		if err := eng.LoadCollectionSource("ppl", FromXML(name, shardXML(40, 40))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +384,7 @@ func TestShardReloadInvalidatesOnlyThatShard(t *testing.T) {
 	}
 
 	// Reload the middle shard with 10× the data: far beyond the drift ratio.
-	if err := eng.LoadCollectionShardXML("ppl", "ppl-1.xml", shardXML(400, 400)); err != nil {
+	if err := eng.LoadCollectionSource("ppl", FromXML("ppl-1.xml", shardXML(400, 400))); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Query(q)
@@ -506,10 +506,10 @@ func TestCollectionCancellation(t *testing.T) {
 // TestCollectionErrors covers the failure surface of the collection API.
 func TestCollectionErrors(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadCollectionShardXML("a", "a-0.xml", `<r><x>1</x></r>`); err != nil {
+	if err := eng.LoadCollectionSource("a", FromXML("a-0.xml", `<r><x>1</x></r>`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.LoadCollectionShardXML("b", "b-0.xml", `<r><x>1</x></r>`); err != nil {
+	if err := eng.LoadCollectionSource("b", FromXML("b-0.xml", `<r><x>1</x></r>`)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -555,7 +555,7 @@ func TestCollectionErrors(t *testing.T) {
 func TestCollectionShardsAccessors(t *testing.T) {
 	eng := NewEngine()
 	for i := 0; i < 3; i++ {
-		if err := eng.LoadCollectionShardXML("c", fmt.Sprintf("s%d.xml", i), `<r><x>v</x></r>`); err != nil {
+		if err := eng.LoadCollectionSource("c", FromXML(fmt.Sprintf("s%d.xml", i), `<r><x>v</x></r>`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -580,14 +580,14 @@ func TestCollectionShardsAccessors(t *testing.T) {
 }
 
 // TestShardReloadViaDocPath: shards double as documents, so reloading one
-// through the plain document path (LoadXML under the shard's name) must move
-// that shard's generation stamp exactly like LoadCollectionShard — otherwise
+// through the plain document path (LoadSource under the shard's name) must move
+// that shard's generation stamp exactly like LoadCollectionSource — otherwise
 // cached per-shard plans would replay against changed data without drift
 // verification.
 func TestShardReloadViaDocPath(t *testing.T) {
 	eng := NewEngine()
 	for i := 0; i < 3; i++ {
-		if err := eng.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i), shardXML(40, 40)); err != nil {
+		if err := eng.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), shardXML(40, 40))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -597,7 +597,7 @@ func TestShardReloadViaDocPath(t *testing.T) {
 	}
 
 	// Reload the middle shard through the *document* API with 10x the data.
-	if err := eng.LoadXML("ppl-1.xml", shardXML(400, 400)); err != nil {
+	if err := eng.LoadSource(FromXML("ppl-1.xml", shardXML(400, 400))); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Query(q)

@@ -4,34 +4,32 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/index"
 	"repro/internal/xmltree"
 )
 
-// Source is one loadable document in any of the engine's ingestion formats:
-// XML text, a reader, a file, a packed .roxd container, or a pre-shredded
-// document. Build one with the From* constructors and load it with
-// Engine.LoadSource (single document) or Engine.LoadCollectionSource (shards
-// of a collection). The ten legacy Load* methods are thin wrappers over this
-// surface.
+// Source is one loadable document in any of the engine's ingestion forms:
+// XML text, a reader, an XML file, a packed .roxd container, or a
+// pre-shredded document. Build one with the From* constructors — each fixes
+// the document's name — and load it with Engine.LoadSource (single document)
+// or Engine.LoadCollectionSource (shards of a collection). This is the one
+// way a document reaches the engine.
 //
 // A Source is single-use in spirit but safe to reload: every open call
 // re-reads its input (re-parses the XML, re-opens the file), so loading the
 // same Source twice registers the current state of the input both times.
 type Source struct {
-	// open materializes the document's index. name is the caller's override:
-	// "" means use the source's intrinsic name; fixed-name sources (packed
-	// containers, pre-shredded documents) reject a conflicting override.
-	open func(name string) (*index.Index, error)
+	open func() (*index.Index, error) // materializes the document's index
 	desc string
 }
 
 // FromXML sources a document from XML text; name is the document name
-// (doc("name") in queries), overridable at LoadSource.
+// (doc("name") in queries).
 func FromXML(name, xml string) Source {
-	return Source{desc: "xml", open: func(override string) (*index.Index, error) {
-		d, err := xmltree.ParseString(pick(override, name), xml)
+	return Source{desc: "xml", open: func() (*index.Index, error) {
+		d, err := xmltree.ParseString(name, xml)
 		if err != nil {
 			return nil, err
 		}
@@ -42,8 +40,8 @@ func FromXML(name, xml string) Source {
 // FromReader sources a document from an XML reader. The reader is consumed
 // when the source is loaded — a Source built from a reader loads once.
 func FromReader(name string, r io.Reader) Source {
-	return Source{desc: "reader", open: func(override string) (*index.Index, error) {
-		d, err := xmltree.Parse(pick(override, name), r, xmltree.ParseOptions{})
+	return Source{desc: "reader", open: func() (*index.Index, error) {
+		d, err := xmltree.Parse(name, r, xmltree.ParseOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -51,11 +49,11 @@ func FromReader(name string, r io.Reader) Source {
 	}}
 }
 
-// FromFile sources a document from an XML file; an empty name (and empty
-// override) names the document after the path's base name, like LoadFile.
+// FromFile sources a document from an XML file; an empty name names the
+// document after the path's base name.
 func FromFile(name, path string) Source {
-	return Source{desc: "file " + path, open: func(override string) (*index.Index, error) {
-		docName := pick(override, name)
+	return Source{desc: "file " + path, open: func() (*index.Index, error) {
+		docName := name
 		if docName == "" {
 			docName = filepath.Base(path)
 		}
@@ -68,53 +66,48 @@ func FromFile(name, path string) Source {
 }
 
 // FromPacked sources a document from a .roxd container produced by
-// cmd/roxpack (or datagen -pack): memory-mapped, indices attached from disk,
-// no O(n) rebuild. The document name is the one stored in the container; a
-// LoadSource name override must match it or the load errors (a packed
-// document cannot be renamed — its serialized index postings embed the name).
+// cmd/roxpack (or datagen -pack): memory-mapped and queried zero-copy, its
+// persistent index sections attached from disk — none of the O(corpus)
+// shredding and index building of FromFile. On platforms without mmap the
+// container is read into the heap (same layout, same indices). The document
+// keeps the name stored in the container (a packed document cannot be
+// renamed — its serialized index postings embed the name).
+//
+// As a collection shard this is the O(1) shard swap: replacing a shard maps
+// the new file with no re-shred, no index rebuild and no stop-the-world. The
+// old mapping stays valid for in-flight queries over the previous catalog
+// snapshot and is unmapped once unreachable.
 func FromPacked(path string) Source {
-	return Source{desc: "packed " + path, open: func(override string) (*index.Index, error) {
-		ix, err := index.OpenPackedFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if override != "" && override != ix.Doc().Name() {
-			return nil, fmt.Errorf("rox: packed file %s holds document %q, not %q (packed documents cannot be renamed)",
-				path, ix.Doc().Name(), override)
-		}
-		return ix, nil
+	return Source{desc: "packed " + path, open: func() (*index.Index, error) {
+		return index.OpenPackedFile(path)
 	}}
 }
 
 // FromDocument sources a pre-shredded document (e.g. from the dataset
-// generators in internal/datagen). The document keeps its own name; a
-// LoadSource name override must match it.
+// generators in internal/datagen) under the document's own name.
 func FromDocument(d *xmltree.Document) Source {
-	return Source{desc: "document " + d.Name(), open: func(override string) (*index.Index, error) {
-		if override != "" && override != d.Name() {
-			return nil, fmt.Errorf("rox: document is named %q, not %q (pre-shredded documents cannot be renamed)",
-				d.Name(), override)
-		}
+	return Source{desc: "document " + d.Name(), open: func() (*index.Index, error) {
 		return index.New(d), nil
 	}}
 }
 
-// pick resolves a name override against a constructor-time name.
-func pick(override, name string) string {
-	if override != "" {
-		return override
+// FromPath sources a document from a file of either on-disk form, chosen by
+// the one path rule of the repository: a path ending in .roxd is a packed
+// container (FromPacked — it keeps its stored name and ignores xmlName),
+// anything else is XML text (FromFile under xmlName, "" = the base name).
+func FromPath(xmlName, path string) Source {
+	if strings.HasSuffix(path, ".roxd") {
+		return FromPacked(path)
 	}
-	return name
+	return FromFile(xmlName, path)
 }
 
-// LoadSource loads one document from any Source. name overrides the source's
-// intrinsic document name when non-empty ("" keeps it); fixed-name sources
-// (FromPacked, FromDocument) reject a conflicting override. Like every
-// Load*, the expensive work (parsing, shredding, index building, mapping)
-// happens outside the engine lock and the registration is one copy-on-write
-// catalog swap, safe while queries are in flight.
-func (e *Engine) LoadSource(name string, src Source) error {
-	ix, err := src.open(name)
+// LoadSource loads one document from any Source. The expensive work (parsing,
+// shredding, index building, mapping) happens outside the engine lock and
+// the registration is one copy-on-write catalog swap, safe while queries are
+// in flight.
+func (e *Engine) LoadSource(src Source) error {
+	ix, err := src.open()
 	if err != nil {
 		return err
 	}
@@ -122,16 +115,21 @@ func (e *Engine) LoadSource(name string, src Source) error {
 	return nil
 }
 
-// LoadCollectionSource loads every Source as a shard of the named collection,
-// in argument order (which becomes the collection's result order); each
-// shard keeps its source's intrinsic document name. All sources materialize
-// before anything registers, and registration is one copy-on-write swap:
-// concurrent queries see either the catalog before the call or the complete
-// collection, never a prefix — and a source error loads nothing at all.
+// LoadCollectionSource loads every Source as a shard of the named collection
+// (created on first use), in argument order, which becomes the collection's
+// result order; a source whose document name is already a shard replaces
+// that shard in place. collection(coll) scatters over the shards and each
+// also stays addressable as doc(shardName). All sources materialize before
+// anything registers, and registration is one copy-on-write swap: concurrent
+// queries see either the catalog before the call or the complete collection,
+// never a prefix — and a source error loads nothing at all. A replaced shard
+// bumps only its own generation stamp, so cached plans of the sibling shards
+// stay exactly valid while the plan cache's stale-generation machinery
+// absorbs the change for the swapped one.
 func (e *Engine) LoadCollectionSource(coll string, srcs ...Source) error {
 	ixs := make([]*index.Index, len(srcs)) // the expensive part, outside the lock
 	for i, src := range srcs {
-		ix, err := src.open("")
+		ix, err := src.open()
 		if err != nil {
 			return fmt.Errorf("rox: collection %q shard %d (%s): %w", coll, i, src.desc, err)
 		}

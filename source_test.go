@@ -1,9 +1,11 @@
 package rox
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,104 +14,95 @@ import (
 )
 
 // TestSourceConstructorEquivalence: every From* constructor loaded through
-// LoadSource yields the same query results as the legacy Load* wrapper it
-// backs — they are one surface.
+// LoadSource yields the same query results — they are one surface — and
+// FromPath applies the one path rule: the same document loaded as XML and as
+// its packed twin answers identically, the twin mapped and under its stored
+// name.
 func TestSourceConstructorEquivalence(t *testing.T) {
 	const xml = `<r><x>a</x><x>b</x></r>`
 	const q = `for $x in doc("d.xml")//x return $x`
-
-	legacy := NewEngine()
-	if err := legacy.LoadXML("d.xml", xml); err != nil {
-		t.Fatal(err)
-	}
-	want, err := legacy.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := []string{"<x>a</x>", "<x>b</x>"}
 
 	dir := t.TempDir()
 	xmlPath := filepath.Join(dir, "d.xml")
-	if err := os.WriteFile(xmlPath, []byte(xml), 0o644); err != nil {
-		t.Fatal(err)
+	aliasPath := filepath.Join(dir, "alias.xml") // same text, loaded under an explicit name
+	for _, p := range []string{xmlPath, aliasPath} {
+		if err := os.WriteFile(p, []byte(xml), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	doc, err := xmltree.ParseString("d.xml", xml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packedPath := filepath.Join(dir, "d.roxd")
+	packedPath := filepath.Join(dir, "twin.roxd")
 	if err := index.WritePackedFile(packedPath, index.New(doc)); err != nil {
 		t.Fatal(err)
 	}
 
 	sources := []struct {
-		name string
-		src  Source
+		name   string
+		src    Source
+		mapped bool
 	}{
-		{"FromXML", FromXML("d.xml", xml)},
-		{"FromReader", FromReader("d.xml", strings.NewReader(xml))},
-		{"FromFile", FromFile("", xmlPath)}, // empty name: path base
-		{"FromPacked", FromPacked(packedPath)},
-		{"FromDocument", FromDocument(doc)},
+		{"FromXML", FromXML("d.xml", xml), false},
+		{"FromReader", FromReader("d.xml", strings.NewReader(xml)), false},
+		{"FromFile", FromFile("", xmlPath), false}, // empty name: path base
+		{"FromPacked", FromPacked(packedPath), true},
+		{"FromDocument", FromDocument(doc), false},
+		{"FromPath xml", FromPath("", xmlPath), false},
+		{"FromPath xml named", FromPath("d.xml", aliasPath), false},
+		{"FromPath packed", FromPath("ignored.xml", packedPath), true}, // keeps its stored name
 	}
 	for _, s := range sources {
 		t.Run(s.name, func(t *testing.T) {
 			eng := NewEngine()
-			if err := eng.LoadSource("", s.src); err != nil {
+			if err := eng.LoadSource(s.src); err != nil {
 				t.Fatalf("LoadSource: %v", err)
+			}
+			if docs := eng.Documents(); len(docs) != 1 || docs[0] != "d.xml" {
+				t.Fatalf("Documents() = %v, want [d.xml]", docs)
 			}
 			got, err := eng.Query(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameItems(t, s.name, want.Items, got.Items)
+			assertSameItems(t, s.name, want, got.Items)
+			ix, err := eng.catalog().Index("d.xml")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runtime.GOOS == "linux" && ix.Doc().Mapped() != s.mapped {
+				t.Errorf("Mapped() = %v, want %v", ix.Doc().Mapped(), s.mapped)
+			}
 		})
 	}
 }
 
-// TestSourceRenameRules: a LoadSource name override renames renameable
-// sources and is rejected by fixed-name ones (packed containers and
-// pre-shredded documents embed their names).
-func TestSourceRenameRules(t *testing.T) {
-	const xml = `<r><x>v</x></r>`
-	t.Run("override renames xml", func(t *testing.T) {
-		eng := NewEngine()
-		if err := eng.LoadSource("other.xml", FromXML("d.xml", xml)); err != nil {
-			t.Fatal(err)
+// TestRemovedFormatRefused: a ROXD version 1 file — the stream format this
+// repository no longer reads — fails every load entry point with the typed
+// format error and its re-pack hint, and registers nothing.
+func TestRemovedFormatRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.roxd")
+	if err := os.WriteFile(path, []byte("ROXD\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	for name, err := range map[string]error{
+		"FromPacked":           eng.LoadSource(FromPacked(path)),
+		"FromPath":             eng.LoadSource(FromPath("", path)),
+		"LoadCollectionSource": eng.LoadCollectionSource("c", FromPath("", path)),
+	} {
+		var ferr *xmltree.FormatError
+		if !errors.As(err, &ferr) || ferr.Version != 1 {
+			t.Errorf("%s: err = %v, want *xmltree.FormatError{Version: 1}", name, err)
+		} else if !strings.Contains(err.Error(), "re-pack") {
+			t.Errorf("%s: %v lacks the re-pack hint", name, err)
 		}
-		if docs := eng.Documents(); len(docs) != 1 || docs[0] != "other.xml" {
-			t.Errorf("Documents() = %v, want [other.xml]", docs)
-		}
-	})
-	t.Run("packed rejects rename", func(t *testing.T) {
-		doc, err := xmltree.ParseString("d.xml", xml)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "d.roxd")
-		if err := index.WritePackedFile(path, index.New(doc)); err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine()
-		err = eng.LoadSource("other.xml", FromPacked(path))
-		if err == nil || !strings.Contains(err.Error(), "cannot be renamed") {
-			t.Errorf("packed rename err = %v, want cannot-be-renamed failure", err)
-		}
-		// A matching override is not a rename.
-		if err := eng.LoadSource("d.xml", FromPacked(path)); err != nil {
-			t.Errorf("matching override rejected: %v", err)
-		}
-	})
-	t.Run("document rejects rename", func(t *testing.T) {
-		doc, err := xmltree.ParseString("d.xml", xml)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine()
-		err = eng.LoadSource("other.xml", FromDocument(doc))
-		if err == nil || !strings.Contains(err.Error(), "cannot be renamed") {
-			t.Errorf("document rename err = %v, want cannot-be-renamed failure", err)
-		}
-	})
+	}
+	if docs := eng.Documents(); len(docs) != 0 {
+		t.Errorf("refused loads registered %v", docs)
+	}
 }
 
 // TestLoadCollectionSourceAtomicity: one bad source loads nothing at all, and

@@ -26,15 +26,14 @@ func TestQueryStatsParity(t *testing.T) {
 		t.Helper()
 		eng := NewEngine()
 		for i, sp := range spans {
-			if err := eng.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i),
-				pricedShardXML(sp[0], sp[1])); err != nil {
+			if err := eng.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.LoadXML("ppl.xml", pricedShardXML(0, 50)); err != nil {
+		if err := eng.LoadSource(FromXML("ppl.xml", pricedShardXML(0, 50))); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.LoadCollectionShardXML("solo", "solo-0.xml", pricedShardXML(0, 50)); err != nil {
+		if err := eng.LoadCollectionSource("solo", FromXML("solo-0.xml", pricedShardXML(0, 50))); err != nil {
 			t.Fatal(err)
 		}
 		return eng

@@ -32,7 +32,7 @@ func drainAll(t *testing.T, rows *Rows, phase string) []string {
 // handed-out rows, and the All() iterator agrees.
 func TestCursorProtocol(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", shardXML(20, 20)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", shardXML(20, 20))); err != nil {
 		t.Fatal(err)
 	}
 	const q = `for $p in doc("ppl.xml")//person[marker] return $p`
@@ -75,7 +75,7 @@ func TestCursorProtocol(t *testing.T) {
 // with what was actually returned and marks the result truncated.
 func TestCursorEarlyCloseTruncates(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", shardXML(30, 30)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", shardXML(30, 30))); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person[marker] return $p`})
@@ -246,8 +246,7 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 	spans := [][2]int{{0, 30}, {100, 30}, {200, 30}}
 	sharded := NewEngine()
 	for i, sp := range spans {
-		if err := sharded.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i),
-			pricedShardXML(sp[0], sp[1])); err != nil {
+		if err := sharded.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +259,7 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 		}
 		sb.WriteString("</people>")
 		eng := NewEngine()
-		if err := eng.LoadXML("ppl.xml", sb.String()); err != nil {
+		if err := eng.LoadSource(FromXML("ppl.xml", sb.String())); err != nil {
 			t.Fatal(err)
 		}
 		return eng
@@ -294,8 +293,7 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 
 	// Reload the middle shard with 10× the data — far beyond the drift ratio.
 	spans[1] = [2]int{100, 300}
-	if err := sharded.LoadCollectionShardXML("ppl", "ppl-1.xml",
-		pricedShardXML(spans[1][0], spans[1][1])); err != nil {
+	if err := sharded.LoadCollectionSource("ppl", FromXML("ppl-1.xml", pricedShardXML(spans[1][0], spans[1][1]))); err != nil {
 		t.Fatal(err)
 	}
 	want, err = singleFor(spans).Query(docQ)
@@ -375,7 +373,7 @@ func TestScatterEarlyTermination(t *testing.T) {
 // the run discovered must stay installed (the join work already happened).
 func TestCursorCancelMidStreamSingle(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", shardXML(50, 50)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", shardXML(50, 50))); err != nil {
 		t.Fatal(err)
 	}
 	const q = `for $p in doc("ppl.xml")//person[marker] return $p`
@@ -469,7 +467,7 @@ func TestCursorLeakReleasesGoroutines(t *testing.T) {
 // Close releases it through the garbage-collection cleanup.
 func TestPoolCursorSlotLifecycle(t *testing.T) {
 	eng := NewEngine()
-	if err := eng.LoadXML("ppl.xml", shardXML(10, 10)); err != nil {
+	if err := eng.LoadSource(FromXML("ppl.xml", shardXML(10, 10))); err != nil {
 		t.Fatal(err)
 	}
 	const q = `for $p in doc("ppl.xml")//person[marker] return $p`
@@ -521,7 +519,7 @@ func TestPoolCursorSlotLifecycle(t *testing.T) {
 // truncation — cold, replay, static and scatter, plus the aggregate shapes.
 func TestStatsRowsScannedSemantics(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", pricedShardXML(0, 40)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", pricedShardXML(0, 40))); err != nil {
 		t.Fatal(err)
 	}
 	const windowed = `for $p in doc("ppl.xml")//person return $p limit 5 offset 2`
@@ -597,7 +595,7 @@ func TestStatsRowsScannedSemantics(t *testing.T) {
 // item by construction) wherever they can be requested.
 func TestWindowValidation(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", shardXML(10, 10)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", shardXML(10, 10))); err != nil {
 		t.Fatal(err)
 	}
 	const aggQ = `for $p in doc("ppl.xml")//person return count($p)`
@@ -636,7 +634,7 @@ func TestWindowValidation(t *testing.T) {
 // both windows replay once warm.
 func TestTailChangeWithLimitIsCacheMiss(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", shardXML(20, 20)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", shardXML(20, 20))); err != nil {
 		t.Fatal(err)
 	}
 	const q = `for $p in doc("ppl.xml")//person[marker] return $p`
@@ -680,11 +678,11 @@ func TestTailChangeWithLimitIsCacheMiss(t *testing.T) {
 // call order, and a drain through ItemBytes equals a Collect.
 func TestItemBytesAndItemAgree(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", pricedShardXML(0, 40)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", pricedShardXML(0, 40))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := e.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(100*i, 20)); err != nil {
+		if err := e.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(100*i, 20))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -743,8 +741,7 @@ func TestShardSlotReleasedBeforeEmit(t *testing.T) {
 	sharded := NewEngine(WithShardWorkers(1))
 	for i := range spans {
 		spans[i] = [2]int{100 * i, perShard}
-		if err := sharded.LoadCollectionShardXML("ppl", fmt.Sprintf("ppl-%d.xml", i),
-			pricedShardXML(spans[i][0], spans[i][1])); err != nil {
+		if err := sharded.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(spans[i][0], spans[i][1]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -772,7 +769,7 @@ func TestShardSlotReleasedBeforeEmit(t *testing.T) {
 // finds the rows gone.
 func TestExhaustionBeforeCancellation(t *testing.T) {
 	e := NewEngine()
-	if err := e.LoadXML("ppl.xml", pricedShardXML(0, 25)); err != nil {
+	if err := e.LoadSource(FromXML("ppl.xml", pricedShardXML(0, 25))); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -17,12 +17,12 @@ import (
 func tailEngine(t *testing.T) *Engine {
 	t.Helper()
 	eng := NewEngine()
-	if err := eng.LoadXML("shop.xml", `<shop>
+	if err := eng.LoadSource(FromXML("shop.xml", `<shop>
 		<item id="i1"><quantity>1</quantity><price>10</price></item>
 		<item id="i2"><quantity>2</quantity><price>25.5</price></item>
 		<item id="i3"><quantity>1</quantity><price>30</price></item>
 		<item id="i4"><quantity>3</quantity></item>
-	</shop>`); err != nil {
+	</shop>`)); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -207,7 +207,7 @@ func TestScatterAggregateStats(t *testing.T) {
 		`<shop><item><price>30</price></item></shop>`,
 		`<shop></shop>`, // empty shard: identity partial state
 	} {
-		if err := eng.LoadCollectionShardXML("shop", strings.Repeat("s", i+1)+".xml", xml); err != nil {
+		if err := eng.LoadCollectionSource("shop", FromXML(strings.Repeat("s", i+1)+".xml", xml)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestNonFiniteTextIsNotNumeric(t *testing.T) {
 	const rest = `<v>Inf</v><v>3</v><v>NaN</v><v>0</v><v>9</v><v>NaN</v><v>4</v>`
 
 	bulk := NewEngine()
-	if err := bulk.LoadXML("r.xml", "<r>"+head+rest+"</r>"); err != nil {
+	if err := bulk.LoadSource(FromXML("r.xml", "<r>"+head+rest+"</r>")); err != nil {
 		t.Fatal(err)
 	}
 	d, err := xmltree.ParseString("r.xml", "<r>"+head+rest+"</r>")
@@ -253,11 +253,11 @@ func TestNonFiniteTextIsNotNumeric(t *testing.T) {
 		t.Fatal(err)
 	}
 	packed := NewEngine()
-	if err := packed.LoadPacked(path); err != nil {
+	if err := packed.LoadSource(FromPacked(path)); err != nil {
 		t.Fatal(err)
 	}
 	ingested := NewEngine()
-	if err := ingested.LoadXML("r.xml", "<r>"+head+"</r>"); err != nil {
+	if err := ingested.LoadSource(FromXML("r.xml", "<r>"+head+"</r>")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ingested.Append("r.xml", rest); err != nil {
