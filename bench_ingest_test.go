@@ -70,12 +70,12 @@ func BenchmarkQueryWithDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	const q = `for $p in doc("people.xml")//person order by $p/age return $p limit 10`
-	if _, err := eng.Query(q); err != nil {
+	if _, err := collectRows(eng.Execute(context.Background(), Request{Query: q})); err != nil {
 		b.Fatal(err) // warm the plan cache once
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(q); err != nil {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: q})); err != nil {
 			b.Fatal(err)
 		}
 	}

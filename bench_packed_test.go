@@ -6,6 +6,7 @@
 package rox
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -55,7 +56,7 @@ func BenchmarkColdStartShred(b *testing.B) {
 		if err := eng.LoadSource(FromFile("xmark.xml", xmlPath)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Query(benchColdQuery); err != nil {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: benchColdQuery})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +73,7 @@ func BenchmarkColdStartPacked(b *testing.B) {
 		if err := eng.LoadSource(FromPacked(packedPath)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Query(benchColdQuery); err != nil {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: benchColdQuery})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +89,7 @@ func BenchmarkQueryHeapShred(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(benchColdQuery); err != nil {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: benchColdQuery})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +106,7 @@ func BenchmarkQueryPackedMapped(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(benchColdQuery); err != nil {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: benchColdQuery})); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ func BenchmarkRemoteScatterCold(b *testing.B) {
 	e := remoteScatterEngine(b, 4, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Query(scatterBenchQuery)
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: scatterBenchQuery}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,12 +67,12 @@ func BenchmarkRemoteScatterCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm coordinator + server caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm coordinator + server caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,12 +91,12 @@ func BenchmarkRemoteScatterAggregate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm coordinator + server caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm coordinator + server caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,12 +115,12 @@ func BenchmarkRemoteScatterLimit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm coordinator + server caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm coordinator + server caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}

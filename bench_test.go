@@ -439,7 +439,7 @@ func BenchmarkSequentialQuery(b *testing.B) {
 	e, q := concurrencyBenchEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(q); err != nil {
+		if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := e.Query(q); err != nil {
+			if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
 				b.Error(err)
 				return
 			}
@@ -502,7 +502,7 @@ func BenchmarkColdQuery(b *testing.B) {
 	var sampled int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Query(q)
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -530,13 +530,13 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the cache
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -565,13 +565,13 @@ func BenchmarkPreparedQueryConcurrent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := prep.Query(); err != nil {
+			if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil {
 				b.Error(err)
 				return
 			}
@@ -631,7 +631,7 @@ func BenchmarkCollectionScatterCold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(scatterBenchQuery); err != nil {
+		if _, err := collectRows(e.Execute(context.Background(), Request{Query: scatterBenchQuery})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -648,12 +648,12 @@ func BenchmarkOrderedQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the cache
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -672,12 +672,12 @@ func BenchmarkAggregateScatter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the per-shard caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the per-shard caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -696,12 +696,12 @@ func BenchmarkCollectionScatterCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the per-shard caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the per-shard caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -737,7 +737,7 @@ func BenchmarkLimitScatterCold(b *testing.B) {
 	e := limitScatterEngine(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Query(limitScatterQuery)
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: limitScatterQuery}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -755,12 +755,12 @@ func BenchmarkLimitScatterCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the per-shard caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the per-shard caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := prep.Query()
+		res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -780,12 +780,12 @@ func BenchmarkLimitScatterFullDrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the per-shard caches
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the per-shard caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prep.Query(); err != nil {
+		if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -803,13 +803,13 @@ func BenchmarkStreamingQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := prep.Query(); err != nil { // warm the cache
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := prep.Execute(ctx)
+		rows, err := e.Execute(ctx, Request{Prepared: prep})
 		if err != nil {
 			b.Fatal(err)
 		}

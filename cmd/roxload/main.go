@@ -2,8 +2,7 @@
 // fixed arrival rate of weighted query classes (top-k, paginated window,
 // aggregate, full scatter, cache-hit replay) against /v1/query, records
 // per-class p50/p90/p99 in HDR-style histograms, samples the server's
-// goroutine and heap health, and writes a machine-readable report that
-// cmd/loadgate diffs against a committed LOAD_BASELINE.json.
+// goroutine and heap health, and writes a machine-readable report (-out).
 //
 // Usage:
 //
@@ -17,7 +16,7 @@
 //
 //	roxload -addr http://127.0.0.1:8080 -collection ppl -soak -duration 30s
 //
-// See the "Load harness and latency gates" section of DESIGN.md.
+// See the "Load harness and the perf gate" section of DESIGN.md.
 package main
 
 import (

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -40,9 +41,14 @@ func main() {
 	classical := flag.Bool("classical", false, "use the classical compile-time optimizer")
 	explain := flag.Bool("explain", false, "print the compiled Join Graph instead of executing")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
-	tau := flag.Int("tau", 100, "ROX sample size τ")
+	tau := flag.Int("tau", 100, "ROX sample size τ (at least 1)")
 	seed := flag.Int64("seed", 1, "random seed for sampling")
 	flag.Parse()
+	if *tau < 1 { // a usage error, not a τ the optimizer cannot use
+		fmt.Fprintf(os.Stderr, "roxq: -tau %d: the sample size must be at least 1\n", *tau)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := run(os.Stdout, docs, *query, *file, *xpathExpr, *classical, *explain, *stats, *tau, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "roxq:", err)
@@ -94,13 +100,11 @@ func run(out io.Writer, docs []string, query, file, xpathExpr string, classical,
 		fmt.Fprint(out, s)
 		return nil
 	}
-	var res *rox.Result
-	var err error
-	if classical {
-		res, err = eng.QueryStatic(query)
-	} else {
-		res, err = eng.Query(query)
+	rows, err := eng.Execute(context.Background(), rox.Request{Query: query, Static: classical})
+	if err != nil {
+		return err
 	}
+	res, err := rows.Collect()
 	if err != nil {
 		return err
 	}

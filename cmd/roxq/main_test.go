@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -100,5 +103,25 @@ func TestRunErrors(t *testing.T) {
 	doc := writeXML(t, dir, "d.xml", `<r/>`)
 	if err := run(io.Discard, []string{doc}, "not an xquery", "", "", false, false, false, 100, 1); err == nil {
 		t.Errorf("bad query should fail")
+	}
+}
+
+// TestTauBelowOneIsUsageError runs main in a child process: -tau below 1 is
+// rejected while the flags are parsed — a usage error, exit 2 — instead of
+// running every cold query into "core: Tau must be positive".
+func TestTauBelowOneIsUsageError(t *testing.T) {
+	if args := os.Getenv("ROXQ_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"roxq"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, tau := range []string{"0", "-3"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTauBelowOneIsUsageError$")
+		cmd.Env = append(os.Environ(), "ROXQ_MAIN_ARGS=-tau "+tau+" -query x")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-tau") {
+			t.Errorf("-tau %s: err %v, output %q; want exit 2 naming -tau", tau, err, out)
+		}
 	}
 }

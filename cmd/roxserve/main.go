@@ -144,7 +144,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 with -portfile for an ephemeral port)")
 	portFile := flag.String("portfile", "", "write the bound listen address to this file once serving (for scripts using ephemeral ports)")
 	workers := flag.Int("workers", 0, "max concurrent query evaluations (0 = GOMAXPROCS)")
-	tau := flag.Int("tau", 100, "ROX sample size τ")
+	tau := flag.Int("tau", 100, "ROX sample size τ (at least 1)")
 	seed := flag.Int64("seed", 1, "random seed for sampling (per query, reproducible)")
 	demo := flag.Bool("demo", false, "load a generated miniature DBLP corpus instead of -doc files")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST body size in bytes")
@@ -155,6 +155,11 @@ func main() {
 	compactAfter := flag.Int("compact-after", 0, "auto-compact the ingest overlays once they hold this many appended nodes (0 disables)")
 	drainGrace := flag.Duration("drain-grace", 2*time.Second, "how long in-flight requests may finish after a shutdown signal before they are canceled")
 	flag.Parse()
+	if *tau < 1 { // a usage error, not a server whose every cold query fails
+		fmt.Fprintf(os.Stderr, "roxserve: -tau %d: the sample size must be at least 1\n", *tau)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := serverConfig{
 		docs: docs, colls: colls, remotes: remotes,

@@ -3,10 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -573,5 +576,25 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	}
 	if stats == nil || stats.Rows != 2 || stats.Scanned != 3 || !stats.Truncated {
 		t.Fatalf("streamed stats = %+v", stats)
+	}
+}
+
+// TestTauBelowOneIsUsageError runs main in a child process: -tau below 1 is
+// rejected while the flags are parsed — a usage error, exit 2 — instead of
+// booting a server that answers every cold query 500.
+func TestTauBelowOneIsUsageError(t *testing.T) {
+	if args := os.Getenv("ROXSERVE_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"roxserve"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, tau := range []string{"0", "-3"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTauBelowOneIsUsageError$")
+		cmd.Env = append(os.Environ(), "ROXSERVE_MAIN_ARGS=-tau "+tau)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-tau") {
+			t.Errorf("-tau %s: err %v, output %q; want exit 2 naming -tau", tau, err, out)
+		}
 	}
 }

@@ -36,6 +36,15 @@ func postJSON(t *testing.T, url, body string, wantStatus int) map[string]any {
 	return out
 }
 
+// collect runs q on eng and drains the cursor.
+func collect(t *testing.T, eng *rox.Engine, q string) (*rox.Result, error) {
+	rows, err := eng.Execute(t.Context(), rox.Request{Query: q})
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
+}
+
 // packFixture shreds xml into a packed .roxd container named docName.
 func packFixture(t *testing.T, dir, docName, xml string) string {
 	t.Helper()
@@ -83,7 +92,7 @@ func TestLoadCollectionSpecPacked(t *testing.T) {
 	if err != nil || len(shards) != 3 {
 		t.Fatalf("shards = %v (%v), want 3", shards, err)
 	}
-	res, err := eng.Query(`for $p in collection("ppl")//person/name return $p`)
+	res, err := collect(t, eng, `for $p in collection("ppl")//person/name return $p`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestLoadCollectionSpecMixed(t *testing.T) {
 		if err != nil || len(shards) != 2 || shards[0] != "a.xml" || shards[1] != "b.xml" {
 			t.Fatalf("shards = %v (%v), want [a.xml b.xml]", shards, err)
 		}
-		res, err := eng.Query(q)
+		res, err := collect(t, eng, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,14 +35,14 @@ type baseline struct {
 func sequentialBaselines(t *testing.T, e *Engine) (rox, static []baseline) {
 	t.Helper()
 	for _, q := range concurrencyQueries {
-		r, err := e.Query(q)
+		r, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 		if err != nil {
-			t.Fatalf("baseline Query(%s): %v", q, err)
+			t.Fatalf("baseline ROX (%s): %v", q, err)
 		}
 		rox = append(rox, baseline{items: r.Items, plan: r.Stats.Plan})
-		s, err := e.QueryStatic(q)
+		s, err := collectRows(e.Execute(context.Background(), Request{Query: q, Static: true}))
 		if err != nil {
-			t.Fatalf("baseline QueryStatic(%s): %v", q, err)
+			t.Fatalf("baseline static (%s): %v", q, err)
 		}
 		static = append(static, baseline{items: s.Items, plan: s.Stats.Plan})
 	}
@@ -50,7 +50,7 @@ func sequentialBaselines(t *testing.T, e *Engine) (rox, static []baseline) {
 }
 
 // TestConcurrentQueriesMatchSequential fires N goroutines × M queries (mixed
-// Query/QueryStatic) against one engine and asserts every result — items and
+// ROX/static) against one engine and asserts every result — items and
 // the chosen plan — matches the sequential baseline. With a fixed engine
 // seed, every call draws the same sample stream, so even the ROX plans are
 // reproducible per call.
@@ -74,10 +74,10 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 				var err error
 				var want baseline
 				if useStatic {
-					res, err = e.QueryStatic(q)
+					res, err = collectRows(e.Execute(context.Background(), Request{Query: q, Static: true}))
 					want = staticBase[qi]
 				} else {
-					res, err = e.Query(q)
+					res, err = collectRows(e.Execute(context.Background(), Request{Query: q}))
 					want = roxBase[qi]
 				}
 				if err != nil {
@@ -109,7 +109,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 // must keep seeing a consistent catalog snapshot throughout.
 func TestConcurrentLoadAndQuery(t *testing.T) {
 	e := engine(t)
-	want, err := e.Query(concurrencyQueries[3])
+	want, err := collectRows(e.Execute(context.Background(), Request{Query: concurrencyQueries[3]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestConcurrentLoadAndQuery(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		res, err := e.Query(concurrencyQueries[3])
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: concurrencyQueries[3]}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	if p.Workers() != 2 {
 		t.Fatalf("workers = %d", p.Workers())
 	}
-	want, err := e.Query(concurrencyQueries[0])
+	want, err := collectRows(e.Execute(context.Background(), Request{Query: concurrencyQueries[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rox
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -68,7 +69,7 @@ func TestEngineXPathAgreesWithQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.xpath, err)
 		}
-		res, err := e.Query(p.xquery)
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: p.xquery}))
 		if err != nil {
 			t.Fatalf("%s: %v", p.xquery, err)
 		}
@@ -96,11 +97,11 @@ func TestConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			e := NewEngine(WithSeed(seed))
 			_ = e.LoadSource(FromDocument(doc)) // safe: Document is immutable
-			res, err := e.Query(`
+			res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 				for $o in doc("xmark.xml")//open_auction[.//current/text() < 145],
 				    $p in doc("xmark.xml")//person
 				where $o//bidder//personref/@person = $p/@id
-				return $p`)
+				return $p`}))
 			if err != nil {
 				errs <- err
 				return
@@ -135,11 +136,11 @@ func TestEngineWithExtensions(t *testing.T) {
 	if err := e.LoadSource(FromXML("orders.xml", ordersXML)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(`
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 		for $p in doc("people.xml")//person,
 		    $o in doc("orders.xml")//order
 		where $o/@person = $p/@id
-		return $o`)
+		return $o`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 		if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Query(`for $p in doc("people.xml")//person/name return $p`)
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("people.xml")//person/name return $p`}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,11 +169,11 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 
 func TestEngineConstructorReturn(t *testing.T) {
 	e := engine(t)
-	res, err := e.Query(`
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 		for $p in doc("people.xml")//person,
 		    $o in doc("orders.xml")//order
 		where $o/@person = $p/@id
-		return <match>{$p}{$o}</match>`)
+		return <match>{$p}{$o}</match>`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +192,11 @@ func TestEngineConstructorReturn(t *testing.T) {
 
 func TestEngineCountReturn(t *testing.T) {
 	e := engine(t)
-	res, err := e.Query(`
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 		for $p in doc("people.xml")//person,
 		    $o in doc("orders.xml")//order
 		where $o/@person = $p/@id
-		return count($o)`)
+		return count($o)`}))
 	if err != nil {
 		t.Fatal(err)
 	}

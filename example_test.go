@@ -7,9 +7,9 @@ import (
 	rox "repro"
 )
 
-// ExampleEngine_Query loads a document and runs a simple path query through
-// the ROX run-time optimizer.
-func ExampleEngine_Query() {
+// ExampleEngine_Execute_collect loads a document, runs a simple path query
+// through the ROX run-time optimizer and drains the cursor into a Result.
+func ExampleEngine_Execute_collect() {
 	eng := rox.NewEngine()
 	if err := eng.LoadSource(rox.FromXML("people.xml", `<people>
 		<person id="p1"><name>Alice</name></person>
@@ -17,7 +17,11 @@ func ExampleEngine_Query() {
 	</people>`)); err != nil {
 		panic(err)
 	}
-	res, err := eng.Query(`for $n in doc("people.xml")//person/name return $n`)
+	rows, err := eng.Execute(context.Background(), rox.Request{Query: `for $n in doc("people.xml")//person/name return $n`})
+	if err != nil {
+		panic(err)
+	}
+	res, err := rows.Collect()
 	if err != nil {
 		panic(err)
 	}
@@ -54,10 +58,15 @@ func ExampleEngine_Prepare() {
 		return <hit>{$p}{$o}</hit>`)
 	check(err)
 
-	first, err := prep.Query() // cache miss: full ROX run, plan installed
-	check(err)
-	second, err := prep.Query() // cache hit: replay, zero sampling work
-	check(err)
+	run := func() *rox.Result {
+		rows, err := eng.Execute(context.Background(), rox.Request{Prepared: prep})
+		check(err)
+		res, err := rows.Collect()
+		check(err)
+		return res
+	}
+	first := run()  // cache miss: full ROX run, plan installed
+	second := run() // cache hit: replay, zero sampling work
 	fmt.Println("rows:", first.Stats.Rows)
 	fmt.Println("second run cache hit:", second.Stats.CacheHit, "sample tuples:", second.Stats.SampleTuples)
 	// Output:
@@ -78,7 +87,11 @@ func ExampleEngine_LoadCollectionSource() {
 			panic(err)
 		}
 	}
-	res, err := eng.Query(`for $n in collection("site")//person/name return $n`)
+	rows, err := eng.Execute(context.Background(), rox.Request{Query: `for $n in collection("site")//person/name return $n`})
+	if err != nil {
+		panic(err)
+	}
+	res, err := rows.Collect()
 	if err != nil {
 		panic(err)
 	}
@@ -92,10 +105,9 @@ func ExampleEngine_LoadCollectionSource() {
 	// shards evaluated: 2
 }
 
-// ExampleEngine_Execute streams a query through the rox.Rows cursor — the
-// context-first entry point behind the legacy Query methods. Items are
-// serialized one Next at a time, so an early Close never pays for rows the
-// caller does not read.
+// ExampleEngine_Execute streams a query through the rox.Rows cursor. Items
+// are serialized one Next at a time, so an early Close never pays for rows
+// the caller does not read.
 func ExampleEngine_Execute() {
 	eng := rox.NewEngine()
 	if err := eng.LoadSource(rox.FromXML("people.xml", `<people>
@@ -149,11 +161,11 @@ func ExampleRows_All() {
 	// <price>25</price>
 }
 
-// ExamplePrepared_Execute pages through a result with limit/offset push-down:
-// one prepared statement serves every page, the window rides the cache key,
-// and over sharded collections the scatter stops pulling once the page is
-// full.
-func ExamplePrepared_Execute() {
+// ExampleEngine_Execute_prepared pages through a result with limit/offset
+// push-down: one prepared statement serves every page, the Request window
+// rides the cache key, and over sharded collections the scatter stops
+// pulling once the page is full.
+func ExampleEngine_Execute_prepared() {
 	eng := rox.NewEngine()
 	if err := eng.LoadSource(rox.FromXML("shop.xml", `<shop>
 		<item><price>10</price></item>
@@ -169,7 +181,7 @@ func ExamplePrepared_Execute() {
 	}
 	ctx := context.Background()
 	for page := 0; page < 2; page++ {
-		rows, err := prep.Execute(ctx, rox.WithLimit(2), rox.WithOffset(2*page))
+		rows, err := eng.Execute(ctx, rox.Request{Prepared: prep, Limit: 2, Offset: 2 * page})
 		if err != nil {
 			panic(err)
 		}
@@ -187,12 +199,23 @@ func ExamplePrepared_Execute() {
 	// page 1: <price>10</price>
 }
 
-// ExampleEngine_Query_aggregatesAndOrderBy shows the aggregation and
+// ExampleEngine_Execute_aggregatesAndOrderBy shows the aggregation and
 // ordering tail: numeric aggregates fold over every binding, order by sorts
 // result items by an extracted key. Over a collection the same queries merge
 // per-shard partial aggregates and k-way merge the ordered streams.
-func ExampleEngine_Query_aggregatesAndOrderBy() {
+func ExampleEngine_Execute_aggregatesAndOrderBy() {
 	eng := rox.NewEngine()
+	query := func(q string) []string {
+		rows, err := eng.Execute(context.Background(), rox.Request{Query: q})
+		if err != nil {
+			panic(err)
+		}
+		res, err := rows.Collect()
+		if err != nil {
+			panic(err)
+		}
+		return res.Items
+	}
 	if err := eng.LoadSource(rox.FromXML("shop.xml", `<shop>
 		<item id="i1"><price>10</price></item>
 		<item id="i2"><price>25.5</price></item>
@@ -205,17 +228,9 @@ func ExampleEngine_Query_aggregatesAndOrderBy() {
 		`for $i in doc("shop.xml")//item return avg($i/price)`,
 		`for $i in doc("shop.xml")//item return max($i/price)`,
 	} {
-		res, err := eng.Query(q)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Println(res.Items[0])
+		fmt.Println(query(q)[0])
 	}
-	res, err := eng.Query(`for $p in doc("shop.xml")//item/price order by $p descending return $p`)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Items)
+	fmt.Println(query(`for $p in doc("shop.xml")//item/price order by $p descending return $p`))
 	// Output:
 	// 65.5
 	// 21.833333333333332

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,14 +57,8 @@ func main() {
 		},
 	}
 	for _, q := range queries {
-		one, err := single.Query(q.docQ)
-		if err != nil {
-			log.Fatal(err)
-		}
-		many, err := sharded.Query(q.collQ)
-		if err != nil {
-			log.Fatal(err)
-		}
+		one := collect(single, rox.Request{Query: q.docQ})
+		many := collect(sharded, rox.Request{Query: q.collQ})
 		status := "MATCH"
 		if one.Items[0] != many.Items[0] {
 			status = "MISMATCH"
@@ -75,14 +70,8 @@ func main() {
 	// order by: every shard returns its items key-sorted, the gather side
 	// k-way merges — byte-identical to sorting the single catalog.
 	ordQ := `for $a in %s//open_auction where $a/current > 150 order by $a/current descending return $a`
-	one, err := single.Query(fmt.Sprintf(ordQ, `doc("xmark.xml")`))
-	if err != nil {
-		log.Fatal(err)
-	}
-	many, err := sharded.Query(fmt.Sprintf(ordQ, `collection("xmark")`))
-	if err != nil {
-		log.Fatal(err)
-	}
+	one := collect(single, rox.Request{Query: fmt.Sprintf(ordQ, `doc("xmark.xml")`)})
+	many := collect(sharded, rox.Request{Query: fmt.Sprintf(ordQ, `collection("xmark")`)})
 	identical := len(one.Items) == len(many.Items)
 	for i := 0; identical && i < len(one.Items); i++ {
 		identical = one.Items[i] == many.Items[i]
@@ -95,10 +84,20 @@ func main() {
 	}
 
 	// Cached replay: the second run replays every shard's plan.
-	again, err := sharded.Query(fmt.Sprintf(ordQ, `collection("xmark")`))
+	again := collect(sharded, rox.Request{Query: fmt.Sprintf(ordQ, `collection("xmark")`)})
+	fmt.Printf("replay: cache hit %v, sampling tuples %d\n",
+		again.Stats.CacheHit, again.Stats.SampleTuples)
+}
+
+// collect runs one request and drains its cursor into a Result.
+func collect(eng *rox.Engine, req rox.Request) *rox.Result {
+	rows, err := eng.Execute(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replay: cache hit %v, sampling tuples %d\n",
-		again.Stats.CacheHit, again.Stats.SampleTuples)
+	res, err := rows.Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -76,14 +77,8 @@ func main() {
 	fmt.Printf("cold start: shred %v, packed %v\n", shredTime, packedTime)
 
 	query := `for $p in collection("xmark")//person[education] order by $p/@id return $p limit 3`
-	want, err := shredded.Query(query)
-	if err != nil {
-		log.Fatal(err)
-	}
-	got, err := mapped.Query(query)
-	if err != nil {
-		log.Fatal(err)
-	}
+	want := collect(shredded, rox.Request{Query: query})
+	got := collect(mapped, rox.Request{Query: query})
 	identical := len(want.Items) == len(got.Items)
 	for i := 0; identical && i < len(want.Items); i++ {
 		identical = want.Items[i] == got.Items[i]
@@ -93,9 +88,19 @@ func main() {
 		fmt.Println(" ", item)
 	}
 
-	sum, err := mapped.Query(`for $a in collection("xmark")//open_auction return sum($a/initial)`)
+	sum := collect(mapped, rox.Request{Query: `for $a in collection("xmark")//open_auction return sum($a/initial)`})
+	fmt.Printf("sum over mapped shards: %s\n", sum.Items[0])
+}
+
+// collect runs one request and drains its cursor into a Result.
+func collect(eng *rox.Engine, req rox.Request) *rox.Result {
+	rows, err := eng.Execute(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sum over mapped shards: %s\n", sum.Items[0])
+	res, err := rows.Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,13 @@ func main() {
 	fmt.Println("Join Graph handed to ROX:")
 	fmt.Println(graph)
 
-	res, err := eng.Query(query)
+	// Execute returns a streaming cursor; Collect drains it into a Result.
+	ctx := context.Background()
+	rows, err := eng.Execute(ctx, rox.Request{Query: query})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := rows.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +68,10 @@ func main() {
 	fmt.Printf("executed plan: %s\n", res.Stats.Plan)
 
 	// The classical compile-time baseline computes the same answer.
-	stat, err := eng.QueryStatic(query)
+	if rows, err = eng.Execute(ctx, rox.Request{Query: query, Static: true}); err != nil {
+		log.Fatal(err)
+	}
+	stat, err := rows.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}

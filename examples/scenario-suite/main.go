@@ -2,7 +2,7 @@
 // expectations — executed against the in-process engine, a roxserve
 // handler and a loopback coordinator+shard cluster, with all three
 // required to stream identical items. The archive format and runner
-// semantics are specified in the "Load harness and latency gates"
+// semantics are specified in the "Load harness and the perf gate"
 // section of DESIGN.md; the repo's own suite lives in
 // internal/scenario/testdata.
 //

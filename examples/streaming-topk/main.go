@@ -31,7 +31,11 @@ func main() {
 
 	// Full drain first: the complete ordered result, for comparison.
 	const q = `for $c in collection("xmark")//open_auction/current order by $c descending return $c`
-	full, err := eng.Query(q)
+	rows, err := eng.Execute(ctx, rox.Request{Query: q})
+	if err != nil {
+		log.Fatal(err)
+	}
+	full, err := rows.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,8 +44,7 @@ func main() {
 
 	// Top 5 through the cursor: each shard's tail keeps at most 5 rows, the
 	// k-way merge stops after 5 items, the rest of the scatter is canceled.
-	rows, err := eng.Execute(ctx, rox.Request{Query: q, Limit: 5})
-	if err != nil {
+	if rows, err = eng.Execute(ctx, rox.Request{Query: q, Limit: 5}); err != nil {
 		log.Fatal(err)
 	}
 	rank := 0
@@ -63,13 +66,15 @@ func main() {
 	}
 	fmt.Printf("shards reporting truncated pulls: %d of %d\n", truncatedShards, len(st.Shards))
 
-	// Page two of the same result, through a prepared statement: the window
-	// overrides per execution, so one Prepared serves every page.
+	// Page two of the same result, through a prepared statement: the
+	// Request window overrides per execution, so one Prepared serves every
+	// page.
 	prep, err := eng.Prepare(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	page, err := prep.Execute(ctx, rox.WithLimit(3), rox.WithOffset(5))
+	pageTwo := rox.Request{Prepared: prep, Limit: 3, Offset: 5}
+	page, err := eng.Execute(ctx, pageTwo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,13 +85,13 @@ func main() {
 		}
 		fmt.Println("  " + item)
 	}
-	fmt.Println("page 2 equals full[5:8]:", pageEquals(full.Items[5:8], prep, ctx))
+	fmt.Println("page 2 equals full[5:8]:", pageEquals(ctx, eng, pageTwo, full.Items[5:8]))
 }
 
 // pageEquals re-runs page two and byte-compares it against the full drain's
 // slice — the windowed scatter must agree with the materialized result.
-func pageEquals(want []string, prep *rox.Prepared, ctx context.Context) bool {
-	rows, err := prep.Execute(ctx, rox.WithLimit(3), rox.WithOffset(5))
+func pageEquals(ctx context.Context, eng *rox.Engine, page rox.Request, want []string) bool {
+	rows, err := eng.Execute(ctx, page)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func ingestReference(t *testing.T, frags int) *Engine {
 
 func mustQuery(t *testing.T, e *Engine, q string) []string {
 	t.Helper()
-	res, err := e.Query(q)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -150,7 +150,7 @@ func TestIngestPlanCacheAbsorbsCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the plan cache.
-	res, err := eng.Query(ingestQuery)
+	res, err := collectRows(eng.Execute(context.Background(), Request{Query: ingestQuery}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestIngestPlanCacheAbsorbsCommit(t *testing.T) {
 	}
 	// A small append stays within the drift ratio: the stale-generation
 	// entry replays and revalidates rather than re-optimizing.
-	res, err = eng.Query(ingestQuery)
+	res, err = collectRows(eng.Execute(context.Background(), Request{Query: ingestQuery}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestIngestDriftReoptimizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := prep.Query()
+	warm, err := collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestIngestDriftReoptimizes(t *testing.T) {
 		}
 	}
 
-	res, err := prep.Query()
+	res, err := collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestIngestDriftReoptimizes(t *testing.T) {
 	if err := plain.LoadSource(FromXML("g.xml", driftDoc(400))); err != nil {
 		t.Fatal(err)
 	}
-	truth, err := plain.Query(q)
+	truth, err := collectRows(plain.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestIngestDriftReoptimizes(t *testing.T) {
 		t.Error("re-optimized results differ from uncached ground truth")
 	}
 	// The re-optimized plan is installed: the next execution replays clean.
-	again, err := prep.Query()
+	again, err := collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestIngestConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				res, err := eng.Query(`for $p in doc("site.xml")//person return count($p)`)
+				res, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $p in doc("site.xml")//person return count($p)`}))
 				if err != nil {
 					errs <- err
 					return

@@ -3,9 +3,9 @@
 // caller through every execution path, so library code never mints its own
 // root context. context.Background()/TODO() are reserved for package main,
 // tests, and functions explicitly annotated as roots with //roxvet:ctxroot —
-// the legacy no-ctx convenience wrappers. A function that already receives a
-// ctx must thread it, and exported APIs taking a ctx take it first. See the
-// "Invariants and static enforcement" section of DESIGN.md.
+// a lifecycle root such as a server's drain context. A function that already
+// receives a ctx must thread it, and exported APIs taking a ctx take it
+// first. See the "Invariants and static enforcement" section of DESIGN.md.
 package ctxflow
 
 import (

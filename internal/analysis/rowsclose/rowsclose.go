@@ -1,8 +1,9 @@
 // Package rowsclose enforces the rox.Rows cursor lifecycle: every cursor
 // obtained from Execute (or any other *rox.Rows-returning call) must be
-// finished — Close, the self-closing All iterator, or an escape that hands
-// ownership elsewhere — on every control-flow path, or shard goroutines and
-// pool admission slots leak until the GC's cleanup fires. The check is a
+// finished — Close, the self-closing All iterator or Collect drain, or an
+// escape that hands ownership elsewhere — on every control-flow path, or
+// shard goroutines and pool admission slots leak until the GC's cleanup
+// fires. The check is a
 // lostcancel-style pass over a per-function CFG (internal/analysis/cfg):
 // from each acquisition it walks all paths to the function exit and reports
 // the ones no finishing use dominates. Error-return paths from the same
@@ -25,7 +26,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "rowsclose",
 	Doc: "rowsclose reports rox.Rows cursors that are not finished on every path: " +
-		"each Execute result must reach Close or All (or escape by return, argument, " +
+		"each Execute result must reach Close, All or Collect (or escape by return, argument, " +
 		"assignment or channel send) before the function exits; defer rows.Close() " +
 		"right after the error check is the canonical form.",
 	Run: run,
@@ -33,7 +34,7 @@ var Analyzer = &analysis.Analyzer{
 
 // finishers are the Rows methods that end the stream and release resources;
 // every other method (Next, Item, Err, Stats) consumes without finishing.
-var finishers = map[string]bool{"Close": true, "All": true, "collect": true}
+var finishers = map[string]bool{"Close": true, "All": true, "Collect": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {

@@ -35,6 +35,15 @@ func drained(q string) ([]string, error) {
 	return rows.All()
 }
 
+// collected finishes through the self-closing Collect drain.
+func collected(q string) ([]string, error) {
+	rows, err := rox.Execute(q)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
+}
+
 // escapes hands the cursor to the caller: their lifecycle now.
 func escapes(q string) *rox.Rows {
 	rows := rox.Stream(q)
@@ -76,6 +85,7 @@ var (
 	_ = leak
 	_ = closed
 	_ = drained
+	_ = collected
 	_ = escapes
 	_ = errConsumedInCall
 	_ = blank

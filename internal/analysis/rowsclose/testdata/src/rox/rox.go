@@ -5,11 +5,12 @@ package rox
 // Rows is a streaming cursor.
 type Rows struct{}
 
-func (r *Rows) Next() bool             { return false }
-func (r *Rows) Item() string           { return "" }
-func (r *Rows) Err() error             { return nil }
-func (r *Rows) Close() error           { return nil }
-func (r *Rows) All() ([]string, error) { return nil, nil }
+func (r *Rows) Next() bool                 { return false }
+func (r *Rows) Item() string               { return "" }
+func (r *Rows) Err() error                 { return nil }
+func (r *Rows) Close() error               { return nil }
+func (r *Rows) All() ([]string, error)     { return nil, nil }
+func (r *Rows) Collect() ([]string, error) { return nil, nil }
 
 // Execute yields a cursor and an error, like the engine's Execute.
 func Execute(q string) (*Rows, error) { return &Rows{}, nil }

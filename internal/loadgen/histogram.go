@@ -2,9 +2,8 @@
 // fires queries at a roxserve at a fixed arrival rate (arrivals do not wait
 // for completions, so latency is measured under constant pressure instead of
 // the coordinated-omission closed loop), records per-class latency in
-// log-bucketed histograms, and emits a machine-readable report that
-// cmd/loadgate diffs against a committed baseline. See the "Load harness and
-// latency gates" section of DESIGN.md.
+// log-bucketed histograms, and emits a machine-readable report. See the
+// "Load harness and the perf gate" section of DESIGN.md.
 package loadgen
 
 import "math/bits"

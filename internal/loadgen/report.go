@@ -1,13 +1,6 @@
-// report.go turns a run's raw stats into the committed-baseline JSON shape
-// (LOAD_BASELINE.json) and diffs two reports: one ratio per class per
-// percentile against a fixed slack, gating the big movements rather than
-// chasing run-to-run noise.
+// report.go turns a run's raw stats into the report JSON roxload -out writes:
+// per-class percentiles and the server's worst health samples.
 package loadgen
-
-import (
-	"fmt"
-	"sort"
-)
 
 // ReportSchema versions the report JSON.
 const ReportSchema = 1
@@ -24,8 +17,7 @@ type ClassReport struct {
 	MaxNs     int64 `json:"max_ns"`
 }
 
-// A Report is the machine-readable outcome of one load run: the committed
-// LOAD_BASELINE.json shape, and what cmd/loadgate compares.
+// A Report is the machine-readable outcome of one load run.
 type Report struct {
 	Schema int `json:"schema"`
 	// Note documents how the file was produced, for the next human.
@@ -63,62 +55,4 @@ func BuildReport(cfg Config, rs *RunStats) *Report {
 		}
 	}
 	return r
-}
-
-// Thresholds are the Compare slacks: a percentile may grow by this fraction
-// over the baseline before it counts as a regression.
-type Thresholds struct {
-	P50 float64
-	P99 float64
-}
-
-// Compare diffs a current report against a baseline and returns one line per
-// regression (empty means the gate passes): per-class p50 and p99 ratios
-// over the slack, any errors or truncated streams in the current run, and
-// baseline classes that disappeared. Classes only in the current report are
-// ignored — adding load shapes must not invalidate an old baseline.
-func Compare(baseline, current *Report, th Thresholds) []string {
-	var names []string
-	for name := range baseline.Classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var regressions []string
-	for _, name := range names {
-		b := baseline.Classes[name]
-		c, ok := current.Classes[name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: class missing from current run", name))
-			continue
-		}
-		if c.Errors > 0 {
-			regressions = append(regressions, fmt.Sprintf("%s: %d errors (want 0)", name, c.Errors))
-		}
-		if c.Truncated > 0 {
-			regressions = append(regressions, fmt.Sprintf("%s: %d truncated streams (protocol violation, want 0)", name, c.Truncated))
-		}
-		if c.Count == 0 {
-			regressions = append(regressions, fmt.Sprintf("%s: no completed requests", name))
-			continue
-		}
-		for _, pct := range []struct {
-			label     string
-			base, cur int64
-			slack     float64
-		}{
-			{"p50", b.P50Ns, c.P50Ns, th.P50},
-			{"p99", b.P99Ns, c.P99Ns, th.P99},
-		} {
-			if pct.base <= 0 {
-				continue
-			}
-			ratio := float64(pct.cur) / float64(pct.base)
-			if ratio > 1+pct.slack {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: %s %.2fms vs baseline %.2fms (%.2fx > %.2fx allowed)",
-					name, pct.label, float64(pct.cur)/1e6, float64(pct.base)/1e6, ratio, 1+pct.slack))
-			}
-		}
-	}
-	return regressions
 }

@@ -207,7 +207,11 @@ func TestSoakChaos(t *testing.T) {
 	if int64(replayed) < stats.Ingests {
 		t.Errorf("recovery replayed %d batches, but %d ingests were acknowledged", replayed, stats.Ingests)
 	}
-	res, err := recovered.Query(`for $e in doc("ingest-log.xml")//entry return count($e)`)
+	rows, err := recovered.Execute(t.Context(), rox.Request{Query: `for $e in doc("ingest-log.xml")//entry return count($e)`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rows.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // archived expectations. Every tail shape the gather distinguishes (plain
 // concat, ordered merge, algebraic aggregate, limit window) plus remote and
 // partial-failure behavior is pinned this way; see the "Load harness and
-// latency gates" section of DESIGN.md for the format specification.
+// the perf gate" section of DESIGN.md for the format specification.
 package scenario
 
 import (

@@ -8,7 +8,7 @@
 // runner (internal/scenario) diffs a loopback coordinator+shard cluster
 // against a single server, and the soak harness (internal/loadgen) drives
 // concurrent query + reload + kill/restart traffic under the race detector.
-// See the "Load harness and latency gates" section of DESIGN.md.
+// See the "Load harness and the perf gate" section of DESIGN.md.
 //
 // A Handler also owns the drain lifecycle: Drain cancels the context of
 // every in-flight request, so streaming NDJSON responses end with a terminal
@@ -149,7 +149,7 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 		})
 	})
 	h.mux.HandleFunc("/v1/cache", func(w http.ResponseWriter, r *http.Request) {
-		cs := pool.CacheStats()
+		cs := pool.Engine().CacheStats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"enabled":       cs.Enabled,
 			"size":          cs.Size,
@@ -356,19 +356,12 @@ func serveQuery(pool *rox.Pool, maxBody int64, w http.ResponseWriter, r *http.Re
 		streamNDJSON(w, rows)
 		return
 	}
-	items := []string{}
-	for rows.Next() {
-		items = append(items, rows.Item())
-	}
-	if err := rows.Err(); err != nil {
+	res, err := rows.Collect()
+	if err != nil {
 		writeError(w, StatusFor(err), err)
 		return
 	}
-	rows.Close()
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Items: items,
-		Stats: toQueryStats(rows.Stats()),
-	})
+	writeJSON(w, http.StatusOK, QueryResponse{Items: res.Items, Stats: toQueryStats(res.Stats)})
 }
 
 // serveCollectionLoad replaces (or appends) one shard of a collection, from
@@ -586,16 +579,18 @@ func streamNDJSON(w http.ResponseWriter, rows *rox.Rows) {
 // (it rejected the shard request as malformed or unknown) → 400, any other
 // remote-shard failure (server unreachable, 5xx, mid-stream drop) → 502 so
 // clients can tell a cluster fault from a coordinator fault, client mistakes
-// (unparsable query, unknown document) → 400, anything else — a latched
-// ingest durability failure first, whatever its message happens to contain —
-// is an engine-internal failure → 500 so monitoring sees it and clients know
-// to retry.
+// (a malformed Request, unparsable query, unknown document) → 400, anything
+// else — a latched ingest durability failure first, whatever its message
+// happens to contain — is an engine-internal failure → 500 so monitoring sees
+// it and clients know to retry.
 func StatusFor(err error) int {
 	var remote *shardrpc.RemoteError
 	var uerr *url.Error
 	switch {
 	case errors.Is(err, rox.ErrIngestBroken):
 		return http.StatusInternalServerError
+	case errors.Is(err, rox.ErrInvalidRequest):
+		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &remote):

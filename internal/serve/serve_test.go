@@ -177,6 +177,33 @@ func TestCompleteStreamEndsWithStats(t *testing.T) {
 	}
 }
 
+// TestInvalidRequestIsClientError: a window on an aggregate return is the
+// client's mistake — rox.ErrInvalidRequest — so both the buffered and the
+// NDJSON /v1/query answer 400 with the error, never 500; StatusFor maps the
+// sentinel itself, whatever the wrapping.
+func TestInvalidRequestIsClientError(t *testing.T) {
+	_, ts := newPeopleServer(t, 0)
+	const q = `for $p in collection("ppl")//person return count($p)`
+	for _, stream := range []string{"", "ndjson"} {
+		resp, err := http.Get(queryURL(ts.URL, q, "limit", "5", "stream", stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("stream=%q: decode error body: %v", stream, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "aggregate") {
+			t.Errorf("stream=%q: status %d, body %v; want 400 naming the aggregate", stream, resp.StatusCode, body)
+		}
+	}
+	if got := StatusFor(fmt.Errorf("page 2: %w", rox.ErrInvalidRequest)); got != http.StatusBadRequest {
+		t.Errorf("StatusFor(wrapped ErrInvalidRequest) = %d, want 400", got)
+	}
+}
+
 // TestStatsHealthFields: /v1/stats exports the process-health samples the
 // load harness records (goroutine count, heap bytes).
 func TestStatsHealthFields(t *testing.T) {

@@ -1,6 +1,7 @@
 package rox
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -85,7 +86,7 @@ func TestPackedCollectionEquivalence(t *testing.T) {
 		}
 		for _, q := range queries {
 			t.Run(fmt.Sprintf("%d-shard/%s", shards, q.name), func(t *testing.T) {
-				want, err := single.Query(q.docQ)
+				want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 				if err != nil {
 					t.Fatalf("single-catalog query: %v", err)
 				}
@@ -93,12 +94,12 @@ func TestPackedCollectionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare: %v", err)
 				}
-				cold, err := prep.Query()
+				cold, err := collectRows(packed.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					t.Fatalf("cold scatter: %v", err)
 				}
 				assertSameItems(t, "cold scatter", want.Items, cold.Items)
-				replay, err := prep.Query()
+				replay, err := collectRows(packed.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					t.Fatalf("prepared replay: %v", err)
 				}
@@ -171,11 +172,11 @@ func TestPackedShardSwapDrift(t *testing.T) {
 	}
 	single := singleFor(spans)
 	for i, q := range queries {
-		want, err := single.Query(q.docQ)
+		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {
 			t.Fatalf("%s single: %v", q.name, err)
 		}
-		got, err := preps[i].Query()
+		got, err := collectRows(packed.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s cold: %v", q.name, err)
 		}
@@ -190,11 +191,11 @@ func TestPackedShardSwapDrift(t *testing.T) {
 	}
 	single = singleFor(spans)
 	for i, q := range queries {
-		want, err := single.Query(q.docQ)
+		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {
 			t.Fatalf("%s single after swap: %v", q.name, err)
 		}
-		drift, err := preps[i].Query()
+		drift, err := collectRows(packed.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s drift: %v", q.name, err)
 		}
@@ -207,7 +208,7 @@ func TestPackedShardSwapDrift(t *testing.T) {
 				t.Errorf("%s: untouched shard %s lost its cached plan", q.name, sh.Shard)
 			}
 		}
-		settled, err := preps[i].Query()
+		settled, err := collectRows(packed.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s settled: %v", q.name, err)
 		}
@@ -239,11 +240,11 @@ func TestLoadPackedDocument(t *testing.T) {
 	}
 
 	const q = `for $p in doc("xmark.xml")//person[education] order by $p/@id return $p`
-	want, err := mem.Query(q)
+	want, err := collectRows(mem.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := packed.Query(q)
+	got, err := collectRows(packed.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,10 @@ func (p *Pool) acquire(ctx context.Context) error {
 func (p *Pool) release() { p.lim.Release() }
 
 // Execute evaluates a Request on a pool worker and returns its streaming
-// cursor, waiting for a free slot if all are busy. The slot is released when
-// the cursor finishes — drain it or Close it; an un-Closed cursor that gets
+// cursor, waiting for a free slot if all are busy — Engine.Execute behind an
+// admission slot, so a Request{Prepared: p} runs the statement (prepared on
+// this pool's engine) with no recompilation. The slot is released when the
+// cursor finishes — drain it or Close it; an un-Closed cursor that gets
 // garbage collected releases the slot through its leak cleanup. ctx cancels
 // the wait, the evaluation and the stream.
 func (p *Pool) Execute(ctx context.Context, req Request) (*Rows, error) {
@@ -78,20 +80,6 @@ func (p *Pool) Execute(ctx context.Context, req Request) (*Rows, error) {
 		return nil, err
 	}
 	return p.adopt(p.eng.Execute(ctx, req))
-}
-
-// ExecutePrepared evaluates a prepared statement on a pool worker: no
-// recompilation, plan-cache lookup first, with the same cursor slot
-// lifecycle as Execute. The statement must be prepared on this pool's
-// engine.
-func (p *Pool) ExecutePrepared(ctx context.Context, prep *Prepared, opts ...ExecOption) (*Rows, error) {
-	if prep.eng != p.eng {
-		return nil, fmt.Errorf("rox: prepared statement belongs to a different engine")
-	}
-	if err := p.acquire(ctx); err != nil {
-		return nil, err
-	}
-	return p.adopt(prep.Execute(ctx, opts...))
 }
 
 // adopt ties an Execute outcome to the already-held admission slot: failures
@@ -113,7 +101,3 @@ func (p *Pool) adopt(rows *Rows, err error) (*Rows, error) {
 	})
 	return rows, nil
 }
-
-// CacheStats reports the engine's plan-cache counters — the servable
-// fleet-wide view next to Aggregator's tuple costs.
-func (p *Pool) CacheStats() CacheStats { return p.eng.CacheStats() }

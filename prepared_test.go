@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func TestPreparedQueryCacheHit(t *testing.T) {
 		t.Fatalf("prepared statement: text %q, fingerprint %q", prep.Text(), prep.Fingerprint())
 	}
 
-	first, err := prep.Query()
+	first, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestPreparedQueryCacheHit(t *testing.T) {
 		t.Error("first execution should run the sampling optimizer")
 	}
 
-	second, err := prep.Query()
+	second, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,24 +66,25 @@ func TestPreparedQueryCacheHit(t *testing.T) {
 	}
 }
 
-// TestQuerySharesCacheWithPrepared: Engine.Query and Prepared.Query of the
-// same query shape key to the same fingerprint, so either warms the other.
+// TestQuerySharesCacheWithPrepared: a Request's Query and its Prepared form
+// of the same query shape key to the same fingerprint, so either warms the
+// other.
 func TestQuerySharesCacheWithPrepared(t *testing.T) {
 	e := engine(t)
 	q := `for $p in doc("people.xml")//person return $p`
-	if _, err := e.Query(q); err != nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := e.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.Query()
+	res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.CacheHit {
-		t.Error("prepared execution should hit the plan Engine.Query installed")
+		t.Error("prepared execution should hit the plan the query text installed")
 	}
 }
 
@@ -117,7 +119,7 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	q := `for $p in doc("people.xml")//person return $p`
 	for i := 0; i < 3; i++ {
-		res, err := e.Query(q)
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,14 +139,14 @@ func TestCacheDisabled(t *testing.T) {
 func TestStaleGenerationRevalidates(t *testing.T) {
 	e := engine(t)
 	q := `for $p in doc("people.xml")//person return $p`
-	first, err := e.Query(q)
+	first, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.LoadSource(FromXML("unrelated.xml", "<r><x>1</x></r>")); err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Query(q)
+	second, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestStaleGenerationRevalidates(t *testing.T) {
 		t.Fatalf("counters = %+v, want 1 stale hit, 0 drifts", cs.Counters)
 	}
 	// Revalidation promoted the entry: the next lookup is exact.
-	if _, err := e.Query(q); err != nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
 		t.Fatal(err)
 	}
 	if cs := e.CacheStats(); cs.Counters.Hits < 1 {
@@ -191,7 +193,7 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 	if err := e.LoadSource(FromXML("d.xml", driftDoc(40))); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Query(q)
+	warm, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 	if err := e.LoadSource(FromXML("d.xml", driftDoc(400))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(q)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 	if err := plain.LoadSource(FromXML("d.xml", driftDoc(400))); err != nil {
 		t.Fatal(err)
 	}
-	truth, err := plain.Query(q)
+	truth, err := collectRows(plain.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestDriftTriggersReoptimization(t *testing.T) {
 		t.Fatalf("drift count = %d, want 1: %+v", cs.Counters.Drifts, cs.Counters)
 	}
 	// The re-optimized plan was installed: the follow-up is a clean hit.
-	again, err := e.Query(q)
+	again, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +262,13 @@ func TestIdenticalReloadNoDrift(t *testing.T) {
 	if err := e.LoadSource(FromXML("d.xml", driftDoc(60))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(q); err != nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.LoadSource(FromXML("d.xml", driftDoc(60))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(q)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ func TestPreparedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := prep.Query()
+	want, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +307,7 @@ func TestPreparedConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := prep.Query()
+				res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					errs <- err
 					return
@@ -336,14 +338,14 @@ func TestPreparedContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := collectRows(prep.Execute(ctx)); !errors.Is(err, context.Canceled) {
+	if _, err := collectRows(e.Execute(ctx, Request{Prepared: prep})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled prepared query: err = %v", err)
 	}
 	// Cancellation during a cache-hit replay must also propagate.
-	if _, err := prep.Query(); err != nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collectRows(prep.Execute(ctx)); !errors.Is(err, context.Canceled) {
+	if _, err := collectRows(e.Execute(ctx, Request{Prepared: prep})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled replay: err = %v", err)
 	}
 }
@@ -360,7 +362,7 @@ func TestCacheLRUBound(t *testing.T) {
 		`for $c in doc("people.xml")//person/city return $c`,
 	}
 	for _, q := range queries {
-		if _, err := e.Query(q); err != nil {
+		if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +371,7 @@ func TestCacheLRUBound(t *testing.T) {
 		t.Fatalf("cache size = %d, evictions = %d, want 2 and 1", cs.Size, cs.Counters.Evictions)
 	}
 	// The evicted first query misses again.
-	res, err := e.Query(queries[0])
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: queries[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +389,7 @@ func TestPoolPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Query(`for $p in doc("people.xml")//person return $p`)
+	want, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("people.xml")//person return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +400,7 @@ func TestPoolPrepared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := collectRows(p.ExecutePrepared(context.Background(), prep))
+			res, err := collectRows(p.Execute(context.Background(), Request{Prepared: prep}))
 			if err != nil {
 				errs <- err
 				return
@@ -416,7 +418,7 @@ func TestPoolPrepared(t *testing.T) {
 	if got := p.Aggregator().Queries(); got != n {
 		t.Errorf("aggregator queries = %d, want %d", got, n)
 	}
-	cs := p.CacheStats()
+	cs := e.CacheStats()
 	if !cs.Enabled || cs.Counters.Hits+cs.Counters.StaleHits < n {
 		t.Errorf("pool cache stats = %+v", cs)
 	}
@@ -429,8 +431,8 @@ func TestPoolPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collectRows(p.ExecutePrepared(context.Background(), foreign)); err == nil {
-		t.Error("foreign prepared statement should be rejected")
+	if _, err := collectRows(p.Execute(context.Background(), Request{Prepared: foreign})); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("foreign prepared statement: err = %v, want ErrInvalidRequest", err)
 	}
 }
 
@@ -448,7 +450,7 @@ func TestStatsRowsMatchesItems(t *testing.T) {
 	}
 	for _, q := range cases {
 		for round := 0; round < 2; round++ { // round 2 exercises the replay path
-			res, err := e.Query(q)
+			res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,7 +459,7 @@ func TestStatsRowsMatchesItems(t *testing.T) {
 					round, res.Stats.Rows, len(res.Items), q)
 			}
 		}
-		stat, err := e.QueryStatic(q)
+		stat, err := collectRows(e.Execute(context.Background(), Request{Query: q, Static: true}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +469,7 @@ func TestStatsRowsMatchesItems(t *testing.T) {
 		}
 	}
 	// The count query joins 3 order/person pairs but returns one item.
-	res, err := e.Query(cases[1])
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: cases[1]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,15 +498,140 @@ func TestNoSuchDocumentTyped(t *testing.T) {
 		t.Errorf("error text lost the document name: %v", err)
 	}
 	// The full query pipeline translates the catalog failure too.
-	_, err = e.Query(`for $x in doc("absent.xml")//a return $x`)
+	_, err = collectRows(e.Execute(context.Background(), Request{Query: `for $x in doc("absent.xml")//a return $x`}))
 	if !errors.Is(err, ErrNoSuchDocument) {
-		t.Fatalf("Query: errors.Is = false for %v", err)
+		t.Fatalf("Execute: errors.Is = false for %v", err)
 	}
 	if !errors.As(err, &nse) || nse.Name != "absent.xml" {
-		t.Fatalf("Query errors.As: got %+v", nse)
+		t.Fatalf("Execute errors.As: got %+v", nse)
 	}
-	_, err = e.QueryStatic(`for $x in doc("absent.xml")//a return $x`)
+	_, err = collectRows(e.Execute(context.Background(), Request{Query: `for $x in doc("absent.xml")//a return $x`, Static: true}))
 	if !errors.Is(err, ErrNoSuchDocument) {
-		t.Fatalf("QueryStatic: errors.Is = false for %v", err)
+		t.Fatalf("static Execute: errors.Is = false for %v", err)
+	}
+}
+
+// TestPreparedMatchesUnprepared: a Request carrying query text and one
+// carrying the same text prepared are one pipeline — Join Graph Isolation
+// compiles both to the same graph and cache key — and Pool.Execute is
+// Engine.Execute behind an admission slot. So every combination of the two
+// fields and the two entry points, each on a fresh engine with the same seed,
+// returns byte-identical items and identical Stats (Elapsed aside), cold and
+// on the replay, which is a cache hit for every non-static shape. One window
+// rule covers both fields: a zero window keeps the text's own limit clause,
+// and an aggregate takes a zero window without complaint.
+func TestPreparedMatchesUnprepared(t *testing.T) {
+	const doc = `for $n in doc("ppl.xml")//person/name return $n`
+	shapes := []struct {
+		name, q       string
+		static        bool
+		limit, offset int
+		items         int
+	}{
+		{name: "document", q: doc, items: 40},
+		{name: "4-shard collection", q: `for $n in collection("ppl")//person/name return $n`, items: 40},
+		{name: "static", q: doc, static: true, items: 40},
+		{name: "order by", q: `for $p in doc("ppl.xml")//person order by $p/age descending return $p`, items: 40},
+		{name: "aggregate", q: `for $p in doc("ppl.xml")//person return sum($p/salary)`, items: 1},
+		{name: "text limit", q: `for $p in doc("ppl.xml")//person return $p limit 1`, items: 1},
+		{name: "programmatic window", q: doc, limit: 7, offset: 3, items: 7},
+	}
+	newEng := func(t *testing.T) *Engine {
+		t.Helper()
+		eng := NewEngine(WithSeed(3))
+		if err := eng.LoadSource(FromXML("ppl.xml", pricedShardXML(0, 40))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if err := eng.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(10*i, 10))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng
+	}
+	// withoutElapsed zeroes the one wall-clock field, per shard too.
+	withoutElapsed := func(s Stats) Stats {
+		s.Elapsed = 0
+		s.Shards = slices.Clone(s.Shards)
+		for i := range s.Shards {
+			s.Shards[i].Stats.Elapsed = 0
+		}
+		return s
+	}
+	type path struct {
+		name     string
+		prepared bool
+		pooled   bool
+	}
+	paths := []path{
+		{"Engine/Query", false, false},
+		{"Engine/Prepared", true, false},
+		{"Pool/Query", false, true},
+		{"Pool/Prepared", true, true},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var ref [2]*Result
+			for i, p := range paths {
+				eng := newEng(t)
+				req := Request{Query: sh.q, Static: sh.static, Limit: sh.limit, Offset: sh.offset}
+				if p.prepared {
+					prep, err := eng.Prepare(sh.q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Query, req.Prepared = "", prep
+				}
+				execute := eng.Execute
+				if p.pooled {
+					execute = NewPool(eng, 2).Execute
+				}
+				for run := range 2 {
+					res, err := collectRows(execute(context.Background(), req))
+					if err != nil {
+						t.Fatalf("%s run %d: %v", p.name, run+1, err)
+					}
+					if len(res.Items) != sh.items {
+						t.Fatalf("%s run %d: %d items, want %d", p.name, run+1, len(res.Items), sh.items)
+					}
+					if hit := res.Stats.CacheHit; run == 1 && hit == sh.static {
+						t.Errorf("%s replay: CacheHit = %v on a static=%v shape", p.name, hit, sh.static)
+					}
+					if i == 0 {
+						ref[run] = res
+						continue
+					}
+					assertSameItems(t, p.name, ref[run].Items, res.Items)
+					if got, want := withoutElapsed(res.Stats), withoutElapsed(ref[run].Stats); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s run %d: Stats %+v\n%s run %d: Stats %+v", p.name, run+1, got, paths[0].name, run+1, want)
+					}
+				}
+			}
+			if sh.static && ref[1].Stats.SampleTuples != 0 {
+				t.Errorf("static replay sampled %d tuples: not the baseline plan", ref[1].Stats.SampleTuples)
+			}
+		})
+	}
+
+	// Every malformed Request is the caller's mistake, on both entry points.
+	eng := newEng(t)
+	foreign, err := newEng(t).Prepare(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := eng.Prepare(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]Request{
+		"foreign statement": {Prepared: foreign},
+		"both fields":       {Query: doc, Prepared: own},
+		"neither field":     {},
+	} {
+		for _, execute := range []func(context.Context, Request) (*Rows, error){eng.Execute, NewPool(eng, 1).Execute} {
+			if _, err := collectRows(execute(context.Background(), req)); !errors.Is(err, ErrInvalidRequest) {
+				t.Errorf("%s: err = %v, want ErrInvalidRequest", name, err)
+			}
+		}
 	}
 }

@@ -158,7 +158,7 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 		eng  *Engine
 	}{{"local-sharded", local}, {"remote", remote}, {"mixed", mixed}}
 	for _, q := range remoteEquivQueries {
-		want, err := single.Query(q.docQ)
+		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {
 			t.Fatalf("%s: single-catalog query: %v", q.name, err)
 		}
@@ -168,7 +168,7 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold, err := prep.Query()
+				cold, err := collectRows(cfg.eng.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					t.Fatalf("cold scatter: %v", err)
 				}
@@ -176,7 +176,7 @@ func TestRemoteCollectionEquivalence(t *testing.T) {
 				if len(cold.Stats.Shards) != 3 {
 					t.Errorf("ShardStats count = %d, want 3", len(cold.Stats.Shards))
 				}
-				replay, err := prep.Query()
+				replay, err := collectRows(cfg.eng.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					t.Fatalf("prepared replay: %v", err)
 				}
@@ -296,7 +296,7 @@ func TestRemoteDriftReoptimization(t *testing.T) {
 			t.Fatal(err)
 		}
 		preps[i] = p
-		if _, err := p.Query(); err != nil { // warm both sides
+		if _, err := collectRows(coord.Execute(context.Background(), Request{Prepared: p})); err != nil { // warm both sides
 			t.Fatalf("%s warm-up: %v", q.name, err)
 		}
 	}
@@ -310,11 +310,11 @@ func TestRemoteDriftReoptimization(t *testing.T) {
 	}
 	single := pricedSingleEngine(t, spans)
 	for i, q := range queries {
-		want, err := single.Query(q.docQ)
+		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {
 			t.Fatalf("%s single after reload: %v", q.name, err)
 		}
-		drift, err := preps[i].Query()
+		drift, err := collectRows(coord.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s drift query: %v", q.name, err)
 		}
@@ -327,7 +327,7 @@ func TestRemoteDriftReoptimization(t *testing.T) {
 				t.Errorf("%s: untouched remote shard %s lost its cached plan", q.name, sh.Shard)
 			}
 		}
-		settled, err := preps[i].Query()
+		settled, err := collectRows(coord.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s settled query: %v", q.name, err)
 		}
@@ -355,7 +355,7 @@ func TestRemotePlanHintSeedsRestartedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := prep.Query()
+	first, err := collectRows(coord.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestRemotePlanHintSeedsRestartedServer(t *testing.T) {
 	// generation stamps match), but an empty plan cache.
 	ex.swap(pricedServerEngine(t, []int{0, 1}, spans))
 
-	seeded, err := prep.Query()
+	seeded, err := collectRows(coord.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +379,8 @@ func TestRemotePlanHintSeedsRestartedServer(t *testing.T) {
 }
 
 // TestRemoteCacheOffSendsNoFingerprint: on a coordinator without a plan cache
-// "no key" is the contract on every entry point — Engine.Execute and
-// Prepared.Execute alike ship neither a fingerprint nor a plan hint, on the
+// "no key" is the contract for every Request — query text and prepared
+// statement alike ship neither a fingerprint nor a plan hint, on the
 // first request and on the repeat (when a hint store fed by the first done
 // report would have something to offer). The shard server still answers, and
 // still replays from its own cache.
@@ -400,8 +400,8 @@ func TestRemoteCacheOffSendsNoFingerprint(t *testing.T) {
 		name string
 		run  func() (*Rows, error)
 	}{
-		{"Engine.Execute", func() (*Rows, error) { return coord.Execute(context.Background(), Request{Query: q}) }},
-		{"Prepared.Execute", func() (*Rows, error) { return prep.Execute(context.Background()) }},
+		{"Request.Query", func() (*Rows, error) { return coord.Execute(context.Background(), Request{Query: q}) }},
+		{"Request.Prepared", func() (*Rows, error) { return coord.Execute(context.Background(), Request{Prepared: prep}) }},
 	}
 	for _, entry := range entries {
 		for round := 1; round <= 2; round++ {
@@ -453,7 +453,7 @@ func TestRemoteShardServerDown(t *testing.T) {
 	const q = `for $p in collection("ppl")//person return $p`
 
 	t.Run("fail-fast", func(t *testing.T) {
-		_, err := build().Query(q)
+		_, err := collectRows(build().Execute(context.Background(), Request{Query: q}))
 		if err == nil {
 			t.Fatal("query over a dead shard server succeeded")
 		}
@@ -462,7 +462,7 @@ func TestRemoteShardServerDown(t *testing.T) {
 		}
 	})
 	t.Run("retry-then-partial", func(t *testing.T) {
-		res, err := build(WithShardRetry(ShardRetryThenPartial)).Query(q)
+		res, err := collectRows(build(WithShardRetry(ShardRetryThenPartial)).Execute(context.Background(), Request{Query: q}))
 		if err != nil {
 			t.Fatalf("partial policy failed the query: %v", err)
 		}
@@ -538,7 +538,7 @@ func TestRemoteMidStreamFailure(t *testing.T) {
 	const q = `for $x in collection("c")//x return $x`
 
 	t.Run("fail-fast", func(t *testing.T) {
-		_, err := build().Query(q)
+		_, err := collectRows(build().Execute(context.Background(), Request{Query: q}))
 		if err == nil {
 			t.Fatal("query over a mid-stream drop succeeded")
 		}
@@ -547,7 +547,7 @@ func TestRemoteMidStreamFailure(t *testing.T) {
 		mu.Lock()
 		calls = 0
 		mu.Unlock()
-		res, err := build(WithShardRetry(ShardRetryThenPartial)).Query(q)
+		res, err := collectRows(build(WithShardRetry(ShardRetryThenPartial)).Execute(context.Background(), Request{Query: q}))
 		if err != nil {
 			t.Fatalf("partial policy failed the query: %v", err)
 		}
@@ -662,7 +662,7 @@ func TestRemoteErrorTypes(t *testing.T) {
 		[]Endpoint{{URL: ts.URL, Shards: []string{"nope.xml"}}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := eng.Query(`for $p in collection("ppl")//person return $p`)
+	_, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $p in collection("ppl")//person return $p`}))
 	if err == nil {
 		t.Fatal("query over an unknown remote shard succeeded")
 	}

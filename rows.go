@@ -1,13 +1,13 @@
 package rox
 
-// This file is the streaming half of the public API: the Rows cursor behind
-// Engine.Execute, Prepared.Execute and Pool.Execute, and the one execution
-// cursor every query path pulls its items from (the scatter-gather merge in
-// shard.go is the only other row source). Items are serialized (and, for
-// collection queries, merged across shards) one Next at a time — which is
-// what lets a `limit 10` query stop after ten items instead of materializing
-// the full result first. See the "Streaming execution and limit pushdown"
-// section of DESIGN.md.
+// This file is the streaming half of the public API: the Request that
+// Engine.Execute and Pool.Execute take, the Rows cursor they return, and the
+// one execution cursor every query path pulls its items from (the
+// scatter-gather merge in shard.go is the only other row source). Items are
+// serialized (and, for collection queries, merged across shards) one Next at
+// a time — which is what lets a `limit 10` query stop after ten items instead
+// of materializing the full result first. See the "Streaming execution and
+// limit pushdown" section of DESIGN.md.
 
 import (
 	"context"
@@ -26,57 +26,42 @@ import (
 	"repro/internal/xquery"
 )
 
-// Request describes one evaluation for Engine.Execute or Pool.Execute: the
-// query text plus execution knobs that previously each had a dedicated
-// method. The zero value of everything but Query is the default ROX path.
+// Request describes one evaluation for Engine.Execute or Pool.Execute: what
+// to run — query text or a prepared statement, exactly one of the two — plus
+// the execution knobs. The zero value of everything else is the default ROX
+// path. A malformed Request fails Execute with ErrInvalidRequest.
 type Request struct {
-	// Query is the XQuery text.
+	// Query is the XQuery text, compiled on every Execute.
 	Query string
+	// Prepared is a statement compiled once by Prepare on the same engine;
+	// it replaces Query. Both run the same pipeline and share one plan-cache
+	// entry per query shape.
+	Prepared *Prepared
 	// Static evaluates with the classical compile-time baseline instead of
-	// the ROX run-time optimizer (the old QueryStatic path). Static
-	// evaluation does not support collection() queries.
+	// the ROX run-time optimizer. Static evaluation does not support
+	// collection() queries.
 	Static bool
 	// Limit, when positive, caps the number of returned items; Offset skips
 	// that many items first. A non-zero Limit or Offset overrides any
 	// `limit ... offset ...` clause in the query text itself — the
-	// programmatic window wins, which is what a paginating caller wants.
-	// Negative values are an error; both zero means "no window beyond the
-	// query's own".
+	// programmatic window wins, which is what a paginating caller wants; an
+	// aggregate return, which yields one item, takes no window. Negative
+	// values are an error; both zero means "no window beyond the query's
+	// own".
 	Limit int
 	// Offset is the number of result items skipped before the first
 	// returned item.
 	Offset int
 }
 
-// ExecOption tunes one Prepared.Execute call.
-type ExecOption func(*execOpts)
-
-type execOpts struct {
-	limit, offset int
-	windowed      bool
-}
-
-// WithLimit caps the number of items the cursor returns; n <= 0 means no
-// cap. Together with WithOffset this overrides any limit clause compiled
-// into the prepared text, so one Prepared serves every page of a paginated
-// result.
-func WithLimit(n int) ExecOption {
-	return func(o *execOpts) { o.limit = n; o.windowed = true }
-}
-
-// WithOffset skips the first n items of the result.
-func WithOffset(n int) ExecOption {
-	return func(o *execOpts) { o.offset = n; o.windowed = true }
-}
-
 // requestWindow validates a programmatic limit/offset pair and turns it into
 // a tail window; (0, 0) means none (nil spec).
 func requestWindow(limit, offset int) (*plan.LimitSpec, error) {
 	if limit < 0 {
-		return nil, fmt.Errorf("rox: negative limit %d", limit)
+		return nil, fmt.Errorf("%w: negative limit %d", ErrInvalidRequest, limit)
 	}
 	if offset < 0 {
-		return nil, fmt.Errorf("rox: negative offset %d", offset)
+		return nil, fmt.Errorf("%w: negative offset %d", ErrInvalidRequest, offset)
 	}
 	if limit == 0 && offset == 0 {
 		return nil, nil

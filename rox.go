@@ -8,24 +8,25 @@
 //
 //	eng := rox.NewEngine()
 //	eng.LoadSource(rox.FromXML("people.xml", "<people>…</people>"))
-//	res, err := eng.Query(`for $p in doc("people.xml")//person return $p`)
+//	rows, err := eng.Execute(ctx, rox.Request{Query: `for $p in doc("people.xml")//person return $p`})
+//	res, err := rows.Collect()
 //	for _, item := range res.Items { fmt.Println(item) }
 //
-// Query uses the ROX run-time optimizer; QueryStatic runs the classical
-// compile-time baseline of the paper's evaluation for comparison. The
-// building blocks (shredded storage, indices, staircase joins, Join Graphs,
-// the optimizer, dataset generators, experiment drivers) live under
+// A Request runs through the ROX run-time optimizer; Request.Static runs the
+// classical compile-time baseline of the paper's evaluation for comparison.
+// The building blocks (shredded storage, indices, staircase joins, Join
+// Graphs, the optimizer, dataset generators, experiment drivers) live under
 // internal/ and are documented in DESIGN.md.
 //
 // One Engine serves any number of concurrent queries over its loaded
 // documents: the corpus lives in an immutable shared catalog and every call
-// gets its own per-query evaluation state. Execute is the context-first
-// streaming entry point — it returns a Rows cursor that serializes items
-// incrementally and pushes limit/offset windows down into the execution
-// (Rows.Collect drains a cursor into a materialized Result). Plans the
-// optimizer discovers are cached by canonical Join Graph fingerprint, so
-// repeated queries replay with zero sampling work until the data drifts
-// (Prepare compiles once for that hot path). Corpora larger than one
+// gets its own per-query evaluation state. Execute is the one entry point —
+// it returns a Rows cursor that serializes items incrementally and pushes
+// limit/offset windows down into the execution (Rows.Collect drains a cursor
+// into a materialized Result). Plans the optimizer discovers are cached by
+// canonical Join Graph fingerprint, so repeated queries replay with zero
+// sampling work until the data drifts (Prepare compiles once for that hot
+// path; Request.Prepared runs the statement). Corpora larger than one
 // shredded tree load as sharded collections (LoadCollectionSource) and are
 // queried with collection("name") — scatter-gather execution that runs the
 // full ROX optimizer independently per shard and streams the merged result
@@ -57,14 +58,14 @@ import (
 
 // Engine evaluates XQueries over a set of loaded documents.
 //
-// Concurrency contract: concurrent Execute, Query, QueryStatic, Explain,
-// XPath and XPathCount calls are safe — the loaded corpus (documents +
-// indices) is an immutable plan.Catalog shared by all in-flight queries, and
-// each call creates its own per-query state (cost recorder and seeded random
-// stream). Load* calls swap in a copy-on-write catalog under a write lock, so
-// they may run while queries are in flight: each query sees the catalog as of
-// its start. For reproducibility, a fixed WithSeed seed yields the same plan
-// and results on every call, sequential or concurrent.
+// Concurrency contract: concurrent Execute, Prepare, Explain, XPath and
+// XPathCount calls are safe — the loaded corpus (documents + indices) is an
+// immutable plan.Catalog shared by all in-flight queries, and each call
+// creates its own per-query state (cost recorder and seeded random stream).
+// Load* calls swap in a copy-on-write catalog under a write lock, so they may
+// run while queries are in flight: each query sees the catalog as of its
+// start. For reproducibility, a fixed WithSeed seed yields the same plan and
+// results on every call, sequential or concurrent.
 type Engine struct {
 	mu   sync.RWMutex  // guards cat (pointer swap on load)
 	cat  *plan.Catalog // immutable once published; replaced, never mutated
@@ -73,7 +74,7 @@ type Engine struct {
 
 	// cache holds the plans previous ROX runs discovered, keyed by the
 	// canonical Join Graph fingerprint and validated against the catalog
-	// generation; nil when disabled (WithPlanCache(0)). See Query for the
+	// generation; nil when disabled (WithPlanCache(0)). See Execute for the
 	// compile → lookup → execute pipeline.
 	cache      *plancache.Cache
 	driftRatio float64
@@ -112,9 +113,14 @@ const DefaultDriftRatio = plancache.DefaultDriftRatio
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithSampleSize sets the optimizer's sample size τ (default 100).
+// WithSampleSize sets the optimizer's sample size τ (default 100; values
+// <= 0 keep the default).
 func WithSampleSize(tau int) Option {
-	return func(e *Engine) { e.opts.Tau = tau }
+	return func(e *Engine) {
+		if tau > 0 {
+			e.opts.Tau = tau
+		}
+	}
 }
 
 // WithSeed fixes the random source of the sampling optimizer, making runs
@@ -130,7 +136,7 @@ func WithOptimizerOptions(o core.Options) Option {
 }
 
 // WithPlanCache bounds the engine's plan cache to the given number of
-// entries; capacity <= 0 disables caching entirely (every Query runs the
+// entries; capacity <= 0 disables caching entirely (every query runs the
 // full ROX sampling loop, the pre-cache behavior). The default is
 // DefaultPlanCacheSize.
 func WithPlanCache(capacity int) Option {
@@ -311,9 +317,8 @@ type ShardStats struct {
 // returned item, in query order, plus evaluation statistics. Aggregate
 // queries (count, sum, avg, min, max) always carry exactly one item —
 // avg/min/max over an empty sequence render as an empty item, XQuery's empty
-// sequence. Rows.Collect (and the Query conveniences built on it) produce a
-// Result by draining a cursor; callers that want items incrementally use
-// Execute.
+// sequence. Rows.Collect produces a Result by draining a cursor; callers that
+// want items incrementally iterate the cursor instead.
 type Result struct {
 	Items []string
 	Stats Stats
@@ -326,79 +331,24 @@ type Result struct {
 // Closing the cursor early cancels outstanding shard work; ctx cancels both
 // the evaluation and the stream. Safe to call from any number of goroutines
 // (each call gets its own cursor). Rows.Collect drains a cursor into a
-// materialized Result.
+// materialized Result. A malformed Request fails with ErrInvalidRequest.
 func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
-	comp, err := xquery.CompileString(req.Query, xquery.CompileOptions{})
+	comp, text, fp, err := e.compile(req)
 	if err != nil {
 		return nil, err
 	}
-	window, err := requestWindow(req.Limit, req.Offset)
-	if err != nil {
-		return nil, err
-	}
-	if window != nil {
-		if comp, err = overrideWindow(comp, window); err != nil {
-			return nil, err
-		}
-	}
-	return e.executeCompiled(ctx, comp, req.Query, "", req.Static)
-}
-
-// Query evaluates an XQuery through the compile → plan-cache lookup →
-// execute pipeline: a cached plan from an earlier run of the same query
-// shape replays with zero sampling work; otherwise the ROX run-time
-// optimizer runs and its discovered plan is installed. Safe to call from any
-// number of goroutines. It is Execute + Rows.Collect without a context; for
-// repeated queries prefer Prepare, which also skips recompilation.
-//
-//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use Execute.
-func (e *Engine) Query(q string) (*Result, error) {
-	return collectRows(e.Execute(context.Background(), Request{Query: q}))
-}
-
-// QueryStatic evaluates an XQuery with the classical compile-time baseline:
-// a static plan ordered by per-document statistics, blind to correlations.
-// Safe to call from any number of goroutines. It is Execute (with
-// Request.Static) + Rows.Collect without a context.
-//
-//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use Execute.
-func (e *Engine) QueryStatic(q string) (*Result, error) {
-	return collectRows(e.Execute(context.Background(), Request{Query: q, Static: true}))
-}
-
-// collectRows drains an Execute outcome for the no-ctx conveniences.
-func collectRows(rows *Rows, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
-}
-
-// overrideWindow applies a programmatic limit/offset window to a compiled
-// query, replacing any limit clause of the query text.
-func overrideWindow(comp *xquery.Compiled, window *plan.LimitSpec) (*xquery.Compiled, error) {
-	if comp.Tail.Agg != nil {
-		return nil, fmt.Errorf("rox: limit/offset cannot apply to an aggregate return (%s yields one item)", comp.Return.String())
-	}
-	return comp.WithTailLimit(window), nil
-}
-
-// executeCompiled is the routing behind Execute and Prepared.Execute: build
-// the per-query environment, then either scatter a collection query over its
-// shards or open the one execution cursor (rows.go) over the graph at the
-// current catalog generation and hand it to Rows as its row source — inline,
-// so the join has finished (and any evaluation error is returned) before
-// Execute returns. text is the original query text (remote shard backends
-// ship it instead of a serialized graph); fp is a precomputed cache key ("" =
-// derive here); see planKey.
-func (e *Engine) executeCompiled(ctx context.Context, comp *xquery.Compiled, text, fp string, static bool) (*Rows, error) {
+	// Route: a collection query scatters over its shards; anything else opens
+	// the one execution cursor (rows.go) over the graph at the current
+	// catalog generation and hands it to Rows as its row source — inline, so
+	// the join has finished (and any evaluation error is returned) before
+	// Execute returns.
 	env := e.newQueryEnv()
 	env.Interrupt = ctx.Err
 	collection := len(comp.Collections) > 0
 	switch {
-	case static && collection:
+	case req.Static && collection:
 		return nil, fmt.Errorf("%w: query reads collection %q", ErrStaticCollection, comp.Collections[0])
-	case static:
+	case req.Static:
 		fp = "" // the baseline plans from statistics, never from the cache
 	default:
 		fp = e.planKey(comp, fp)
@@ -407,15 +357,56 @@ func (e *Engine) executeCompiled(ctx context.Context, comp *xquery.Compiled, tex
 		return e.executeCollection(ctx, env, comp, text, fp)
 	}
 	c := e.newCursor(ctx, env, comp, fp, env.Catalog().Generation())
-	c.static = static
+	c.static = req.Static
 	if err := c.open(); err != nil {
 		return nil, err
 	}
 	return newRows(env, c.stats, c), nil
 }
 
+// compile settles what one Request runs: the compiled graph — compiled here
+// from Query, or the Prepared statement's own — with the programmatic window
+// applied when there is one, the query text (remote shard backends ship it
+// instead of a serialized graph), and a precomputed plan-cache key ("" =
+// derive it; see planKey). Every malformed Request fails here, wrapped in
+// ErrInvalidRequest.
+func (e *Engine) compile(req Request) (comp *xquery.Compiled, text, fp string, err error) {
+	switch p := req.Prepared; {
+	case p != nil && req.Query != "":
+		return nil, "", "", fmt.Errorf("%w: set Query or Prepared, not both", ErrInvalidRequest)
+	case p != nil && p.eng != e:
+		return nil, "", "", fmt.Errorf("%w: prepared statement belongs to a different engine", ErrInvalidRequest)
+	case p != nil:
+		comp, text, fp = p.comp, p.text, p.fp
+	case req.Query == "":
+		return nil, "", "", fmt.Errorf("%w: no query: set Query or Prepared", ErrInvalidRequest)
+	default:
+		if comp, err = xquery.CompileString(req.Query, xquery.CompileOptions{}); err != nil {
+			return nil, "", "", err
+		}
+		text = req.Query
+	}
+	window, err := requestWindow(req.Limit, req.Offset)
+	if err != nil || window == nil {
+		return comp, text, fp, err
+	}
+	if comp, err = overrideWindow(comp, window); err != nil {
+		return nil, "", "", err
+	}
+	return comp, text, "", nil // the window is part of the cache key: derive it
+}
+
+// overrideWindow applies a programmatic limit/offset window to a compiled
+// query, replacing any limit clause of the query text.
+func overrideWindow(comp *xquery.Compiled, window *plan.LimitSpec) (*xquery.Compiled, error) {
+	if comp.Tail.Agg != nil {
+		return nil, fmt.Errorf("%w: limit/offset cannot apply to an aggregate return (%s yields one item)", ErrInvalidRequest, comp.Return.String())
+	}
+	return comp.WithTailLimit(window), nil
+}
+
 // planKey settles the plan-cache key of one execution, in the one place
-// every entry point passes through: "" when the engine runs without a plan
+// every execution passes through: "" when the engine runs without a plan
 // cache (which is what tells every layer below — cursor, shard backends, the
 // shard wire — that there is nothing to look up, install or hint), otherwise
 // the precomputed key when the caller has one, otherwise cacheKey(comp).
@@ -462,7 +453,7 @@ func (e *Engine) Explain(q string) (string, error) {
 // XPath evaluates an absolute XPath expression over one loaded document
 // using the staircase-join evaluator, returning the serialized result nodes
 // in document order. This is the direct path-evaluation interface; full
-// FLWOR queries go through Query.
+// FLWOR queries go through Execute.
 func (e *Engine) XPath(docName, path string) ([]string, error) {
 	ix, err := e.catalog().Index(docName)
 	if err != nil {
@@ -492,11 +483,13 @@ func (e *Engine) XPathCount(docName, path string) (int, error) {
 }
 
 // Prepared is a compiled query bound to an Engine: Prepare pays the lexing,
-// parsing and Join Graph Isolation cost once, and every Prepared.Query call
-// goes straight to the plan-cache lookup. The compiled graph is immutable
-// after compilation, so a Prepared is safe for concurrent use by any number
-// of goroutines — the intended shape for a server hot path is one Prepared
-// per distinct query text, queried by every request.
+// parsing and Join Graph Isolation cost once, and every Execute of a
+// Request{Prepared: p} goes straight to the plan-cache lookup — with a
+// Request window overriding the text's limit clause, so one statement serves
+// every page of a paginated result. The compiled graph is immutable after
+// compilation, so a Prepared is safe for concurrent use by any number of
+// goroutines — the intended shape for a server hot path is one Prepared per
+// distinct query text, executed by every request.
 type Prepared struct {
 	eng  *Engine
 	comp *xquery.Compiled
@@ -504,49 +497,15 @@ type Prepared struct {
 	fp   string
 }
 
-// Prepare compiles an XQuery once for repeated execution. The returned
-// statement evaluates over whatever corpus the engine holds at each Query
-// call (documents loaded after Prepare are visible).
+// Prepare compiles an XQuery once for repeated execution on this engine. The
+// statement evaluates over whatever corpus the engine holds at each Execute
+// (documents loaded after Prepare are visible).
 func (e *Engine) Prepare(q string) (*Prepared, error) {
 	comp, err := xquery.CompileString(q, xquery.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{eng: e, comp: comp, text: q, fp: cacheKey(comp)}, nil
-}
-
-// Execute evaluates the prepared statement and returns a streaming Rows
-// cursor: plan-cache lookup first, the full ROX optimizer only on a miss or
-// after drift. Options set a limit/offset window without recompiling —
-// WithLimit/WithOffset override any limit clause of the prepared text, so
-// one statement serves every page of a paginated result. Safe to call from
-// any number of goroutines.
-func (p *Prepared) Execute(ctx context.Context, opts ...ExecOption) (*Rows, error) {
-	var eo execOpts
-	for _, o := range opts {
-		o(&eo)
-	}
-	comp, fp := p.comp, p.fp
-	if eo.windowed {
-		window, err := requestWindow(eo.limit, eo.offset)
-		if err != nil {
-			return nil, err
-		}
-		if comp, err = overrideWindow(comp, window); err != nil {
-			return nil, err
-		}
-		fp = "" // the window is part of the cache key; recompute for it
-	}
-	return p.eng.executeCompiled(ctx, comp, p.text, fp, false)
-}
-
-// Query evaluates the prepared statement: plan-cache lookup first, the full
-// ROX optimizer only on a miss or after drift. Safe to call from any number
-// of goroutines. It is Execute + Rows.Collect without a context.
-//
-//roxvet:ctxroot legacy no-ctx convenience; cancellation-aware callers use Execute.
-func (p *Prepared) Query() (*Result, error) {
-	return collectRows(p.Execute(context.Background()))
 }
 
 // Text returns the query text the statement was prepared from.
@@ -599,6 +558,12 @@ const Version = "1.1.0"
 //	if errors.As(err, &nse) { log.Println(nse.Name) }
 var ErrNoSuchDocument = errors.New("rox: no such document")
 
+// ErrInvalidRequest is the sentinel every malformed Request wraps — both or
+// neither of Query and Prepared set, a statement prepared on another engine,
+// a negative Limit or Offset, a window on an aggregate return. It is the
+// caller's mistake, not the engine's; match it with errors.Is.
+var ErrInvalidRequest = errors.New("rox: invalid request")
+
 // NoSuchDocumentError reports which document a failing query referred to.
 // It matches ErrNoSuchDocument under errors.Is.
 type NoSuchDocumentError struct {
@@ -618,7 +583,7 @@ func (e *NoSuchDocumentError) Is(target error) bool { return target == ErrNoSuch
 // name with errors.As on NoSuchCollectionError.
 var ErrNoSuchCollection = errors.New("rox: no such collection")
 
-// ErrStaticCollection is returned by QueryStatic for collection() queries:
+// ErrStaticCollection is returned for Request.Static collection() queries:
 // the classical compile-time baseline evaluates single documents only —
 // per-shard adaptivity is exactly what the static plan cannot express.
 var ErrStaticCollection = errors.New("rox: static baseline does not support collection()")

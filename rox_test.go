@@ -1,6 +1,7 @@
 package rox
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,9 +33,18 @@ func engine(t *testing.T) *Engine {
 	return e
 }
 
+// collectRows drains an Execute outcome into a materialized Result — the
+// tests' one-liner around Rows.Collect.
+func collectRows(rows *Rows, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
+}
+
 func TestEngineSimpleQuery(t *testing.T) {
 	e := engine(t)
-	res, err := e.Query(`for $p in doc("people.xml")//person return $p`)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("people.xml")//person return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +61,11 @@ func TestEngineSimpleQuery(t *testing.T) {
 
 func TestEngineJoinQuery(t *testing.T) {
 	e := engine(t)
-	res, err := e.Query(`
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 		for $p in doc("people.xml")//person,
 		    $o in doc("orders.xml")//order
 		where $o/@person = $p/@id
-		return $o`)
+		return $o`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +84,9 @@ func TestEngineJoinQuery(t *testing.T) {
 
 func TestEnginePredicateQuery(t *testing.T) {
 	e := engine(t)
-	res, err := e.Query(`
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 		for $o in doc("orders.xml")//order[./total/text() > 50]
-		return $o`)
+		return $o`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +102,11 @@ func TestEngineStaticMatchesROX(t *testing.T) {
 		where $o/@person = $p/@id
 		return $p`
 	e := engine(t)
-	rox, err := e.Query(q)
+	rox, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stat, err := e.QueryStatic(q)
+	stat, err := collectRows(e.Execute(context.Background(), Request{Query: q, Static: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +135,10 @@ func TestEngineExplain(t *testing.T) {
 
 func TestEngineErrors(t *testing.T) {
 	e := engine(t)
-	if _, err := e.Query(`this is not xquery`); err == nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: `this is not xquery`})); err == nil {
 		t.Errorf("garbage query should fail")
 	}
-	if _, err := e.Query(`for $p in doc("missing.xml")//x return $p`); err == nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("missing.xml")//x return $p`})); err == nil {
 		t.Errorf("query over unloaded document should fail")
 	}
 	if err := e.LoadSource(FromXML("bad.xml", "<a><b></a>")); err == nil {
@@ -142,7 +152,7 @@ func TestEngineOptions(t *testing.T) {
 	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(`for $p in doc("people.xml")//person return $p`)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("people.xml")//person return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +166,12 @@ func TestEngineWithGeneratedXMark(t *testing.T) {
 	cfg.Persons, cfg.Items, cfg.OpenAuctions = 120, 100, 80
 	e := NewEngine()
 	_ = e.LoadSource(FromDocument(datagen.XMark(cfg)))
-	res, err := e.Query(`
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `
 		let $d := doc("xmark.xml")
 		for $o in $d//open_auction[.//current/text() < 145],
 		    $p in $d//person[.//province]
 		where $o//bidder//personref/@person = $p/@id
-		return $p`)
+		return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestLoadFromReader(t *testing.T) {
 	if err := e.LoadSource(FromReader("r.xml", strings.NewReader("<a><b/></a>"))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(`for $b in doc("r.xml")//b return $b`)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `for $b in doc("r.xml")//b return $b`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestLoadFromReader(t *testing.T) {
 func TestQueryOrderSemantics(t *testing.T) {
 	// Result items must follow document order of the outer for variable.
 	e := engine(t)
-	res, err := e.Query(`for $p in doc("people.xml")//person/name return $p`)
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("people.xml")//person/name return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +213,28 @@ func TestQueryOrderSemantics(t *testing.T) {
 	for i, w := range want {
 		if !strings.Contains(res.Items[i], w) {
 			t.Errorf("item %d = %s, want %s", i, res.Items[i], w)
+		}
+	}
+}
+
+// TestSampleSizeBelowOneKeepsDefault: WithSampleSize(n <= 0) keeps the
+// default τ — the rule WithShardWorkers and WithDriftRatio follow — so a
+// cold query still samples instead of failing "Tau must be positive".
+func TestSampleSizeBelowOneKeepsDefault(t *testing.T) {
+	for _, tau := range []int{0, -1} {
+		e := NewEngine(WithSampleSize(tau))
+		if e.opts.Tau != core.DefaultOptions().Tau {
+			t.Errorf("WithSampleSize(%d): τ = %d, want the default %d", tau, e.opts.Tau, core.DefaultOptions().Tau)
+		}
+		if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("people.xml")//person return $p`}))
+		if err != nil {
+			t.Fatalf("WithSampleSize(%d): cold query: %v", tau, err)
+		}
+		if res.Stats.SampleTuples == 0 {
+			t.Errorf("WithSampleSize(%d): cold query did no sampling", tau)
 		}
 	}
 }

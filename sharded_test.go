@@ -59,11 +59,11 @@ func TestCollectionEquivalence(t *testing.T) {
 	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			want, err := single.Query(q.docQ)
+			want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 			if err != nil {
 				t.Fatalf("single-catalog query: %v", err)
 			}
-			got, err := sharded.Query(q.collQ)
+			got, err := collectRows(sharded.Execute(context.Background(), Request{Query: q.collQ}))
 			if err != nil {
 				t.Fatalf("collection query: %v", err)
 			}
@@ -136,7 +136,7 @@ func TestCollectionAggregateOrderEquivalence(t *testing.T) {
 		single, sharded := newXMarkEngines(t, shards)
 		for _, q := range queries {
 			t.Run(fmt.Sprintf("%d-shard/%s", shards, q.name), func(t *testing.T) {
-				want, err := single.Query(q.docQ)
+				want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 				if err != nil {
 					t.Fatalf("single-catalog query: %v", err)
 				}
@@ -144,12 +144,12 @@ func TestCollectionAggregateOrderEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare: %v", err)
 				}
-				cold, err := prep.Query()
+				cold, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					t.Fatalf("cold scatter: %v", err)
 				}
 				assertSameItems(t, "cold scatter", want.Items, cold.Items)
-				replay, err := prep.Query()
+				replay, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 				if err != nil {
 					t.Fatalf("prepared replay: %v", err)
 				}
@@ -247,12 +247,12 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 
 	single := singleFor(shardSpans)
 	for i, q := range queries {
-		want, err := single.Query(q.docQ)
+		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {
 			t.Fatalf("%s single: %v", q.name, err)
 		}
 		for _, phase := range []string{"cold", "replay"} {
-			got, err := preps[i].Query()
+			got, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: preps[i]}))
 			if err != nil {
 				t.Fatalf("%s %s: %v", q.name, phase, err)
 			}
@@ -271,11 +271,11 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 	}
 	single = singleFor(shardSpans)
 	for i, q := range queries {
-		want, err := single.Query(q.docQ)
+		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {
 			t.Fatalf("%s single after reload: %v", q.name, err)
 		}
-		drift, err := preps[i].Query()
+		drift, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s drift query: %v", q.name, err)
 		}
@@ -288,7 +288,7 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 				t.Errorf("%s: untouched shard %s lost its cached plan", q.name, sh.Shard)
 			}
 		}
-		settled, err := preps[i].Query()
+		settled, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: preps[i]}))
 		if err != nil {
 			t.Fatalf("%s settled query: %v", q.name, err)
 		}
@@ -305,7 +305,7 @@ func TestShardedAggregateDriftEquivalence(t *testing.T) {
 // own plan.
 func TestCollectionShardStatsRollup(t *testing.T) {
 	_, sharded := newXMarkEngines(t, 4)
-	res, err := sharded.Query(`for $p in collection("xmark")//person[education] return $p`)
+	res, err := collectRows(sharded.Execute(context.Background(), Request{Query: `for $p in collection("xmark")//person[education] return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,14 +367,14 @@ func TestShardReloadInvalidatesOnlyThatShard(t *testing.T) {
 	}
 	const q = `for $p in collection("ppl")//person[marker] return $p`
 
-	cold, err := eng.Query(q)
+	cold, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.CacheHit {
 		t.Fatalf("cold query reported a cache hit")
 	}
-	warm, err := eng.Query(q)
+	warm, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestShardReloadInvalidatesOnlyThatShard(t *testing.T) {
 	if err := eng.LoadCollectionSource("ppl", FromXML("ppl-1.xml", shardXML(400, 400))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(q)
+	res, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestShardReloadInvalidatesOnlyThatShard(t *testing.T) {
 	}
 
 	// And the shard settles: the re-optimized plan serves the next query.
-	settled, err := eng.Query(q)
+	settled, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +431,11 @@ func TestCollectionPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := prep.Query()
+	first, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := prep.Query()
+	second, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestCollectionPrepared(t *testing.T) {
 func TestCollectionConcurrent(t *testing.T) {
 	_, sharded := newXMarkEngines(t, 4)
 	const q = `for $p in collection("xmark")//person[education] return $p`
-	want, err := sharded.Query(q)
+	want, err := collectRows(sharded.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestCollectionErrors(t *testing.T) {
 	}
 
 	t.Run("unknown collection", func(t *testing.T) {
-		_, err := eng.Query(`for $x in collection("nope")//x return $x`)
+		_, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $x in collection("nope")//x return $x`}))
 		if !errors.Is(err, ErrNoSuchCollection) {
 			t.Errorf("err = %v, want ErrNoSuchCollection", err)
 		}
@@ -524,19 +524,19 @@ func TestCollectionErrors(t *testing.T) {
 		}
 	})
 	t.Run("two collections in one query", func(t *testing.T) {
-		_, err := eng.Query(`for $x in collection("a")//x, $y in collection("b")//x return $x`)
+		_, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $x in collection("a")//x, $y in collection("b")//x return $x`}))
 		if err == nil || !strings.Contains(err.Error(), "at most one collection") {
 			t.Errorf("err = %v, want at-most-one-collection failure", err)
 		}
 	})
 	t.Run("static baseline rejects collections", func(t *testing.T) {
-		_, err := eng.QueryStatic(`for $x in collection("a")//x return $x`)
+		_, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $x in collection("a")//x return $x`, Static: true}))
 		if !errors.Is(err, ErrStaticCollection) {
 			t.Errorf("err = %v, want ErrStaticCollection", err)
 		}
 	})
 	t.Run("name used as both doc and collection", func(t *testing.T) {
-		_, err := eng.Query(`for $x in collection("a")//x, $y in doc("a")//x return $x`)
+		_, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $x in collection("a")//x, $y in doc("a")//x return $x`}))
 		if err == nil || !strings.Contains(err.Error(), "both doc") {
 			t.Errorf("err = %v, want doc/collection conflict failure", err)
 		}
@@ -544,7 +544,7 @@ func TestCollectionErrors(t *testing.T) {
 	t.Run("unknown shard document still typed", func(t *testing.T) {
 		// doc() addressing of a shard that does not exist keeps the document
 		// error surface.
-		_, err := eng.Query(`for $x in doc("a-9.xml")//x return $x`)
+		_, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $x in doc("a-9.xml")//x return $x`}))
 		if !errors.Is(err, ErrNoSuchDocument) {
 			t.Errorf("err = %v, want ErrNoSuchDocument", err)
 		}
@@ -592,7 +592,7 @@ func TestShardReloadViaDocPath(t *testing.T) {
 		}
 	}
 	const q = `for $p in collection("ppl")//person[marker] return $p`
-	if _, err := eng.Query(q); err != nil {
+	if _, err := collectRows(eng.Execute(context.Background(), Request{Query: q})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -600,7 +600,7 @@ func TestShardReloadViaDocPath(t *testing.T) {
 	if err := eng.LoadSource(FromXML("ppl-1.xml", shardXML(400, 400))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(q)
+	res, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rox
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -63,7 +64,7 @@ func TestSourceConstructorEquivalence(t *testing.T) {
 			if docs := eng.Documents(); len(docs) != 1 || docs[0] != "d.xml" {
 				t.Fatalf("Documents() = %v, want [d.xml]", docs)
 			}
-			got, err := eng.Query(q)
+			got, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestLoadCollectionSourceOrder(t *testing.T) {
 	if len(shards) != 3 || shards[0] != "s0.xml" || shards[2] != "s2.xml" {
 		t.Errorf("CollectionShards = %v, want argument order", shards)
 	}
-	res, err := eng.Query(`for $x in collection("c")//x return $x`)
+	res, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $x in collection("c")//x return $x`}))
 	if err != nil {
 		t.Fatal(err)
 	}

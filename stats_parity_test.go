@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// TestQueryStatsParity is the stats-parity audit of the query entry points:
-// Execute (drained manually), Query and Prepared.Query are all the same
-// pipeline behind different conveniences, so for the same corpus and seed
-// they must report identical Rows, Scanned, Truncated and per-shard
-// breakdowns. Each path runs on its own fresh engine so plan-cache state
-// cannot leak between them.
+// TestQueryStatsParity is the stats-parity audit of the ways to drain the
+// one entry point: Execute drained manually, drained by Rows.Collect, and
+// run from a prepared statement are the same pipeline, so for the same
+// corpus and seed they must report identical Rows, Scanned, Truncated and
+// per-shard breakdowns. Each path runs on its own fresh engine so plan-cache
+// state cannot leak between them.
 //
 // The same holds across the drivers of the one execution cursor: a document
 // and a one-shard collection holding the same XML (the solo field) return
@@ -92,19 +92,19 @@ func TestQueryStatsParity(t *testing.T) {
 		{"Execute", func(t *testing.T, eng *Engine, q string) outcome {
 			return execute(t, eng, Request{Query: q})
 		}},
-		{"Query", func(t *testing.T, eng *Engine, q string) outcome {
-			res, err := eng.Query(q)
+		{"Collect", func(t *testing.T, eng *Engine, q string) outcome {
+			res, err := collectRows(eng.Execute(context.Background(), Request{Query: q}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return outcome{items: res.Items, stats: res.Stats}
 		}},
-		{"Prepared.Query", func(t *testing.T, eng *Engine, q string) outcome {
+		{"Prepared", func(t *testing.T, eng *Engine, q string) outcome {
 			prep, err := eng.Prepare(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := prep.Query()
+			res, err := collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 			if err != nil {
 				t.Fatal(err)
 			}

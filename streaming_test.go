@@ -27,8 +27,8 @@ func drainAll(t *testing.T, rows *Rows, phase string) []string {
 }
 
 // TestCursorProtocol pins the database/sql-style cursor contract on the
-// single-catalog path: Next/Item iteration matches the legacy materialized
-// Query, Err is nil after exhaustion, Close is idempotent, Stats counts the
+// single-catalog path: Next/Item iteration matches the materialized
+// Collect, Err is nil after exhaustion, Close is idempotent, Stats counts the
 // handed-out rows, and the All() iterator agrees.
 func TestCursorProtocol(t *testing.T) {
 	e := NewEngine()
@@ -36,7 +36,7 @@ func TestCursorProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `for $p in doc("ppl.xml")//person[marker] return $p`
-	want, err := e.Query(q)
+	want, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ type limitWindow struct {
 // TestLimitOffsetEquivalence is the streaming acceptance contract: for every
 // tail shape (plain, order by ascending/descending, constructor) over the
 // single catalog and 1-, 4- and 12-shard collections, a windowed query — via
-// a `limit` clause in the text, via Request.Limit/Offset, and via
-// Prepared.Execute(WithLimit/WithOffset) — returns exactly the full result's
+// a `limit` clause in the text, via Request.Limit/Offset, and via a
+// Request{Prepared} with the same window — returns exactly the full result's
 // [offset, offset+limit) slice, byte for byte, on the cold run and on the
 // plan-cache replay.
 func TestLimitOffsetEquivalence(t *testing.T) {
@@ -194,7 +194,7 @@ func TestLimitOffsetEquivalence(t *testing.T) {
 					continue // the single-catalog side is shard-count-invariant
 				}
 				t.Run(fmt.Sprintf("%d-shard/%s/%s", shards, shape.name, engName), func(t *testing.T) {
-					full, err := pick.eng.Query(pick.q)
+					full, err := collectRows(pick.eng.Execute(context.Background(), Request{Query: pick.q}))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -204,7 +204,7 @@ func TestLimitOffsetEquivalence(t *testing.T) {
 					for _, w := range windows {
 						want := slice(full.Items, w)
 
-						res, err := pick.eng.Query(clause(pick.q, w))
+						res, err := collectRows(pick.eng.Execute(context.Background(), Request{Query: clause(pick.q, w)}))
 						if err != nil {
 							t.Fatalf("%s clause: %v", w.name, err)
 						}
@@ -222,8 +222,8 @@ func TestLimitOffsetEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						for _, phase := range []string{"cold-or-warm", "replay"} {
-							rows, err := prep.Execute(context.Background(),
-								WithLimit(w.limit), WithOffset(w.offset))
+							rows, err := pick.eng.Execute(context.Background(),
+								Request{Prepared: prep, Limit: w.limit, Offset: w.offset})
 							if err != nil {
 								t.Fatalf("%s prepared %s: %v", w.name, phase, err)
 							}
@@ -272,16 +272,16 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := singleFor(spans)
-	want, err := single.Query(docQ)
+	want, err := collectRows(single.Execute(context.Background(), Request{Query: docQ}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := prep.Query()
+	cold, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameItems(t, "cold", want.Items, cold.Items)
-	replay, err := prep.Query()
+	replay, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +296,11 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 	if err := sharded.LoadCollectionSource("ppl", FromXML("ppl-1.xml", pricedShardXML(spans[1][0], spans[1][1]))); err != nil {
 		t.Fatal(err)
 	}
-	want, err = singleFor(spans).Query(docQ)
+	want, err = collectRows(singleFor(spans).Execute(context.Background(), Request{Query: docQ}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	drift, err := prep.Query()
+	drift, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 	if !drift.Stats.Reoptimized {
 		t.Error("reloaded shard did not re-optimize")
 	}
-	settled, err := prep.Query()
+	settled, err := collectRows(sharded.Execute(context.Background(), Request{Prepared: prep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +325,11 @@ func TestLimitReplayAndDriftSharded(t *testing.T) {
 func TestScatterEarlyTermination(t *testing.T) {
 	_, sharded := newXMarkEngines(t, 12)
 	const fullQ = `for $p in collection("xmark")//person return $p`
-	full, err := sharded.Query(fullQ)
+	full, err := collectRows(sharded.Execute(context.Background(), Request{Query: fullQ}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sharded.Query(fullQ + ` limit 10`)
+	res, err := collectRows(sharded.Execute(context.Background(), Request{Query: fullQ + ` limit 10`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCursorCancelMidStreamSingle(t *testing.T) {
 	if cs := e.CacheStats(); cs.Size == 0 {
 		t.Error("canceled cursor run installed no plan")
 	}
-	warm, err := e.Query(q)
+	warm, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestStatsRowsScannedSemantics(t *testing.T) {
 		}
 	}
 
-	cold, err := e.Query(windowed)
+	cold, err := collectRows(e.Execute(context.Background(), Request{Query: windowed}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestStatsRowsScannedSemantics(t *testing.T) {
 		t.Error("cold run claims a cache hit")
 	}
 
-	replay, err := e.Query(windowed)
+	replay, err := collectRows(e.Execute(context.Background(), Request{Query: windowed}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,26 +552,26 @@ func TestStatsRowsScannedSemantics(t *testing.T) {
 		t.Errorf("replay: CacheHit=%v SampleTuples=%d", replay.Stats.CacheHit, replay.Stats.SampleTuples)
 	}
 
-	static, err := e.QueryStatic(windowed)
+	static, err := collectRows(e.Execute(context.Background(), Request{Query: windowed, Static: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("static", static.Stats, 5, 40, true)
 
-	agg, err := e.Query(`for $p in doc("ppl.xml")//person return sum($p/salary)`)
+	agg, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person return sum($p/salary)`}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("aggregate", agg.Stats, 1, 40, false)
 
-	unlimited, err := e.Query(`for $p in doc("ppl.xml")//person return $p`)
+	unlimited, err := collectRows(e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("unlimited", unlimited.Stats, 40, 40, false)
 
 	_, sharded := newXMarkEngines(t, 4)
-	scatter, err := sharded.Query(`for $p in collection("xmark")//person[education] order by $p/@id return $p limit 6`)
+	scatter, err := collectRows(sharded.Execute(context.Background(), Request{Query: `for $p in collection("xmark")//person[education] order by $p/@id return $p limit 6`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,18 +600,18 @@ func TestWindowValidation(t *testing.T) {
 	}
 	const aggQ = `for $p in doc("ppl.xml")//person return count($p)`
 	//roxvet:ignore the call must fail validation; no cursor exists on the error path
-	if _, err := e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person return $p`, Limit: -1}); err == nil {
-		t.Error("negative limit accepted")
+	if _, err := e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person return $p`, Limit: -1}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("negative limit: err = %v, want ErrInvalidRequest", err)
 	}
 	//roxvet:ignore the call must fail validation; no cursor exists on the error path
-	if _, err := e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person return $p`, Offset: -2}); err == nil {
-		t.Error("negative offset accepted")
+	if _, err := e.Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person return $p`, Offset: -2}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("negative offset: err = %v, want ErrInvalidRequest", err)
 	}
 	//roxvet:ignore the call must fail validation; no cursor exists on the error path
-	if _, err := e.Execute(context.Background(), Request{Query: aggQ, Limit: 3}); err == nil || !strings.Contains(err.Error(), "aggregate") {
+	if _, err := e.Execute(context.Background(), Request{Query: aggQ, Limit: 3}); !errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "aggregate") {
 		t.Errorf("window on aggregate request: err = %v", err)
 	}
-	if _, err := e.Query(aggQ + ` limit 3`); err == nil || !strings.Contains(err.Error(), "aggregate") {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: aggQ + ` limit 3`})); err == nil || !strings.Contains(err.Error(), "aggregate") {
 		t.Errorf("limit clause on aggregate: err = %v", err)
 	}
 	prep, err := e.Prepare(aggQ)
@@ -619,11 +619,11 @@ func TestWindowValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	//roxvet:ignore the call must fail validation; no cursor exists on the error path
-	if _, err := prep.Execute(context.Background(), WithLimit(3)); err == nil || !strings.Contains(err.Error(), "aggregate") {
-		t.Errorf("WithLimit on prepared aggregate: err = %v", err)
+	if _, err := e.Execute(context.Background(), Request{Prepared: prep, Limit: 3}); !errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "aggregate") {
+		t.Errorf("window on prepared aggregate: err = %v", err)
 	}
 	// The aggregate still runs fine without a window.
-	if res, err := prep.Query(); err != nil || res.Items[0] != "10" {
+	if res, err := collectRows(e.Execute(context.Background(), Request{Prepared: prep})); err != nil || res.Items[0] != "10" {
 		t.Errorf("aggregate run: %v %v", res, err)
 	}
 }
@@ -652,17 +652,17 @@ func TestTailChangeWithLimitIsCacheMiss(t *testing.T) {
 	if p1.comp.Graph.Fingerprint() != p2.comp.Graph.Fingerprint() {
 		t.Error("window changed the Join Graph fingerprint — plans would not transfer")
 	}
-	if _, err := p1.Query(); err != nil {
+	if _, err := collectRows(e.Execute(context.Background(), Request{Prepared: p1})); err != nil {
 		t.Fatal(err)
 	}
-	second, err := p2.Query()
+	second, err := collectRows(e.Execute(context.Background(), Request{Prepared: p2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Stats.CacheHit {
 		t.Error("window change replayed the other window's entry")
 	}
-	warm, err := p2.Query()
+	warm, err := collectRows(e.Execute(context.Background(), Request{Prepared: p2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +693,7 @@ func TestItemBytesAndItemAgree(t *testing.T) {
 		`for $p in collection("ppl")//person order by $p/age return $p`,
 		`for $p in collection("ppl")//person return count($p)`,
 	} {
-		want, err := e.Query(q)
+		want, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -745,8 +745,7 @@ func TestShardSlotReleasedBeforeEmit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := pricedSingleEngine(t, spans).Query(
-		`for $p in doc("ppl.xml")//person order by $p/age return $p`)
+	want, err := collectRows(pricedSingleEngine(t, spans).Execute(context.Background(), Request{Query: `for $p in doc("ppl.xml")//person order by $p/age return $p`}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,9 @@ func TestAggregateResults(t *testing.T) {
 			var res *Result
 			switch phase {
 			case "static":
-				res, err = eng.QueryStatic(c.q)
+				res, err = collectRows(eng.Execute(context.Background(), Request{Query: c.q, Static: true}))
 			default:
-				res, err = prep.Query()
+				res, err = collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 			}
 			if err != nil {
 				t.Fatalf("%s (%s): %v", c.q, phase, err)
@@ -80,7 +80,7 @@ func TestAggregateEmptySequence(t *testing.T) {
 		{`for $i in doc("shop.xml")//item return max($i/missing)`, ""},
 	}
 	for _, c := range cases {
-		res, err := eng.Query(c.q)
+		res, err := collectRows(eng.Execute(context.Background(), Request{Query: c.q}))
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
@@ -98,10 +98,10 @@ func TestAggregateNonNumericFailsCleanly(t *testing.T) {
 		`for $i in doc("shop.xml")//item return sum($i/@id)`,
 		`for $i in doc("shop.xml")//item return min($i/@id)`,
 	} {
-		if _, err := eng.Query(q); !errors.Is(err, ErrNonNumericAggregate) {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: q})); !errors.Is(err, ErrNonNumericAggregate) {
 			t.Errorf("%s: err = %v, want ErrNonNumericAggregate", q, err)
 		}
-		if _, err := eng.QueryStatic(q); !errors.Is(err, ErrNonNumericAggregate) {
+		if _, err := collectRows(eng.Execute(context.Background(), Request{Query: q, Static: true})); !errors.Is(err, ErrNonNumericAggregate) {
 			t.Errorf("%s (static): err = %v, want ErrNonNumericAggregate", q, err)
 		}
 	}
@@ -139,9 +139,9 @@ func TestOrderByResults(t *testing.T) {
 			var res *Result
 			switch phase {
 			case "static":
-				res, err = eng.QueryStatic(c.q)
+				res, err = collectRows(eng.Execute(context.Background(), Request{Query: c.q, Static: true}))
 			default:
-				res, err = prep.Query()
+				res, err = collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 			}
 			if err != nil {
 				t.Fatalf("%s (%s): %v", c.q, phase, err)
@@ -184,7 +184,7 @@ func TestTailChangeIsCacheMiss(t *testing.T) {
 			t.Errorf("cache key collision between %q and %q", prev, q)
 		}
 		fps[prep.Fingerprint()] = q
-		res, err := prep.Query()
+		res, err := collectRows(eng.Execute(context.Background(), Request{Prepared: prep}))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -211,7 +211,7 @@ func TestScatterAggregateStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := eng.Query(`for $i in collection("shop")//item return sum($i/price)`)
+	res, err := collectRows(eng.Execute(context.Background(), Request{Query: `for $i in collection("shop")//item return sum($i/price)`}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +279,11 @@ func TestNonFiniteTextIsNotNumeric(t *testing.T) {
 			want = append(want, "<v>"+v+"</v>")
 		}
 		for name, eng := range map[string]*Engine{"bulk": bulk, "packed": packed, "ingested": ingested} {
-			rox, err := eng.Query(c.query)
+			rox, err := collectRows(eng.Execute(context.Background(), Request{Query: c.query}))
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, c.query, err)
 			}
-			static, err := eng.QueryStatic(c.query)
+			static, err := collectRows(eng.Execute(context.Background(), Request{Query: c.query, Static: true}))
 			if err != nil {
 				t.Fatalf("%s %s (static): %v", name, c.query, err)
 			}
