@@ -16,36 +16,15 @@ import (
 	"repro/internal/xquery"
 )
 
-// This file is the shard-execution contract of the scatter-gather: the
-// ShardBackend interface, its in-process and HTTP implementations, and the
-// engine's server half (ExecuteShard) that lets a roxserve in shard-server
-// role serve the HTTP side. The gather in shard.go is backend-agnostic — it
-// merges shardStream channels and never learns where the items came from.
+// This file is the shard-execution side of the scatter-gather: what one shard
+// execution is (shardExec), the two sources the gather pulls — the execution
+// cursor bound to a local shard, and remoteShard over a remote shard's
+// shardrpc response stream — and the engine's server half (ExecuteShard) that
+// lets a roxserve in shard-server role serve the remote side. The gather in
+// shard.go pulls both through shardSource and never learns where the items
+// came from.
 
-// ShardBackend executes a collection query against one shard: rebind the
-// compiled graph to the shard document, run the full ROX pipeline (plan-cache
-// lookup → replay or sampling optimizer → drift verification) against the
-// shard's own generation stamp, and stream the serialized result — items with
-// their order-by keys when the query sorts, or a single partial-aggregate
-// fold state — into the gather's channels, honoring ctx cancellation. The
-// end-of-stream report carries the shard's Stats, its generation stamp, and
-// the executed plan's replay payload.
-//
-// Two implementations exist: the in-process localBackend (shards indexed in
-// this engine's catalog) and the HTTP httpBackend (shards registered with
-// LoadCollectionRemote and served by a remote roxserve in shard-server role).
-// The interface is sealed — the run method is unexported because shardStream
-// is — so external packages pick backends by how they register shards, not by
-// implementing this.
-type ShardBackend interface {
-	// Kind names the backend ("local" or "http") for diagnostics.
-	Kind() string
-	// run executes one shard and streams into st. It must close st.items and
-	// send exactly one done report (before the close) on every path.
-	run(ctx context.Context, x *shardExec, st *shardStream)
-}
-
-// shardExec is one shard's execution order: everything a backend needs to run
+// shardExec is one shard's execution order: everything a source needs to run
 // a ForShard-rebound query, for either transport.
 type shardExec struct {
 	coll  string // collection name in the compiled graph
@@ -59,46 +38,12 @@ type shardExec struct {
 	// comp is the compiled query with the per-shard limit window already
 	// applied, not yet rebound to the shard document.
 	comp *xquery.Compiled
-	// query and shardLimit re-express comp for the wire: the HTTP backend
-	// ships text + window (compilation is deterministic, so the server
-	// rebuilds the identical graph) instead of a serialized graph.
+	// query and shardLimit re-express comp for the wire: a remote shard ships
+	// text + window (compilation is deterministic, so the server rebuilds the
+	// identical graph) instead of a serialized graph.
 	query      string
 	shardLimit int
 	baseFP     string // base plan-cache key; "" = caching disabled
-	interrupt  func() error
-}
-
-// localBackend runs shards in-process over the engine's own catalog.
-type localBackend struct {
-	e *Engine
-}
-
-// Kind names the backend.
-func (b *localBackend) Kind() string { return "local" }
-
-// run pumps one local shard's cursor into the gather's bounded item channel;
-// everything else — the fan-out slot around the join, the plan choice against
-// the shard's own generation stamp, the fold, the rendering, the statistics —
-// is the cursor's. The done report is always sent before the item channel
-// closes.
-func (b *localBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
-	defer close(st.items)
-	c := b.e.shardCursor(ctx, x)
-	delivered := 0
-	for c.Next() {
-		// The item outlives the cursor's buffer on the channel: copy it out.
-		it := shardItem{item: string(c.buf)}
-		it.key, _ = c.Key()
-		select {
-		case st.items <- it:
-			delivered++
-		case <-ctx.Done():
-			// The gather's early termination (or the caller) cut the stream
-			// short with an item in hand; the error ends the cursor.
-			c.err = ctx.Err()
-		}
-	}
-	st.done <- c.done(delivered)
 }
 
 // shardCursor binds the execution cursor to one shard: the compiled graph
@@ -108,7 +53,7 @@ func (b *localBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
 // exactly this shard's cached plans and no others.
 func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 	env := plan.NewQueryEnv(x.cat, metrics.NewRecorder(), e.seed)
-	env.Interrupt = x.interrupt
+	env.Interrupt = ctx.Err
 	fp := ""
 	if x.baseFP != "" {
 		// The rebound graph's own fingerprint would differ per shard too, but
@@ -121,62 +66,45 @@ func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 	return c
 }
 
-// done is a shard cursor's end-of-stream report for the gather.
-func (c *cursor) done(delivered int) shardDone {
-	return shardDone{
-		stats:    c.report(delivered),
-		rec:      c.env.Rec,
-		agg:      c.agg,
-		err:      c.err,
-		gen:      c.gen,
-		ranPlan:  c.ranPlan,
-		edgeRows: c.edgeRows,
-	}
+// item is the gather's view of a local shard's current item: the cursor's
+// own render buffer, uncopied.
+func (c *cursor) item() ([]byte, string) { return c.buf, "" }
+
+// done is a shard cursor's end-of-stream report.
+func (c *cursor) done() shardDone {
+	return shardDone{stats: c.report(), rec: c.env.Rec, agg: c.agg, err: c.err}
 }
 
-// httpBackend runs shards on remote shard servers over the shardrpc NDJSON
-// protocol. It keeps a hint store: the replay payload each endpoint's done
-// reports carried last, re-attached to the next request for that shard so a
-// warm cluster replays discovered plans with zero sampling — the coordinator
-// never re-learns what a shard server already knows, and a shard server
-// restarted cold re-learns from the coordinator's hint instead of sampling.
-type httpBackend struct {
+// remoteShard is a remote shard as a pull source: a thin adapter over its
+// shardrpc response stream, keeping the current item and key, the done line
+// once it arrived, and the error that ended the stream.
+type remoteShard struct {
 	e      *Engine
-	client *shardrpc.Client
-	// hints caches replay payloads keyed endpoint|baseFP|shard:name, each at
-	// the remote document generation that produced it. The existing
-	// stale/drift machinery runs on the serving side; this store only
-	// remembers what to hint.
-	hints *plancache.Cache
+	x      *shardExec
+	ctx    context.Context
+	sw     metrics.Stopwatch // coordinator-observed: slot wait and wire included
+	stream *shardrpc.Stream  // nil once the stream ended, or if it never opened
+	cur    string
+	key    plan.Key
+	rows   int
+	fin    *shardrpc.Done
+	err    error
 }
-
-// Kind names the backend.
-func (b *httpBackend) Kind() string { return "http" }
 
 // hintKey derives the hint-store key for one remote shard execution.
 func (x *shardExec) hintKey() string {
 	return x.remote.Endpoint + "|" + x.baseFP + "|shard:" + x.shard
 }
 
-// run executes one shard remotely: acquire a fan-out slot around request
-// establishment (the remote join work is bounded by the server's own limiter;
-// holding a coordinator slot while streaming would starve an ordered merge
-// exactly like a local shard holding its slot while blocked on a full
-// channel), stream the response into the gather, and report the done line's
-// stats with the coordinator-observed elapsed time. Cancellation — window
-// filled, caller gone — closes the response body, which aborts the remote
-// execution mid-stream.
-func (b *httpBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
-	defer close(st.items)
-	sw := metrics.Start()
-	rec := metrics.NewRecorder()
-	fail := func(err error) {
-		st.done <- shardDone{
-			err:   fmt.Errorf("rox: shard %q at %s: %w", x.shard, x.remote.Endpoint, err),
-			rec:   rec,
-			stats: Stats{Elapsed: sw.Elapsed(), Truncated: true},
-		}
-	}
+// openRemote establishes one remote shard execution, attaching the hint
+// store's replay payload for the shard. It holds a fan-out slot around
+// request establishment only: the remote join work is bounded by the
+// server's own limiter, and a coordinator slot held while the gather is busy
+// with other shards would starve an ordered merge exactly like a local shard
+// holding its slot past its join. Cancellation — window filled, caller gone —
+// closes the response body, which aborts the remote execution mid-stream.
+func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, error) {
+	r := &remoteShard{e: e, x: x, ctx: ctx, sw: metrics.Start()}
 	req := &shardrpc.ExecRequest{
 		Collection:  x.coll,
 		Query:       x.query,
@@ -184,7 +112,7 @@ func (b *httpBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
 		Fingerprint: x.baseFP,
 	}
 	if x.baseFP != "" {
-		if entry, outcome := b.hints.Lookup(x.hintKey(), 0); outcome != plancache.Miss && entry != nil {
+		if entry, outcome := e.hints.Lookup(x.hintKey(), 0); outcome != plancache.Miss && entry != nil {
 			p := entry.Plan
 			req.Hint = &shardrpc.PlanHint{
 				Generation: entry.Generation,
@@ -193,90 +121,100 @@ func (b *httpBackend) run(ctx context.Context, x *shardExec, st *shardStream) {
 			}
 		}
 	}
-	if err := b.e.shardLim.Acquire(ctx); err != nil {
-		fail(err)
-		return
+	if r.err = e.shardLim.Acquire(ctx); r.err == nil {
+		r.stream, r.err = e.shardClient.Execute(ctx, x.remote.Endpoint, x.remote.Doc, req)
+		e.shardLim.Release()
 	}
-	stream, err := b.client.Execute(ctx, x.remote.Endpoint, x.remote.Doc, req)
-	b.e.shardLim.Release()
-	if err != nil {
-		fail(err)
-		return
+	if r.err != nil {
+		r.err = fmt.Errorf("rox: shard %q at %s: %w", x.shard, x.remote.Endpoint, r.err)
 	}
-	defer stream.Close()
-	emitted := 0
-	for {
-		m, err := stream.Next()
-		if err != nil {
-			// A canceled context surfaces as a transport read error; report
-			// the cancellation itself so the gather treats it like a local
-			// shard's early termination.
-			if cerr := ctx.Err(); cerr != nil {
-				st.done <- shardDone{err: cerr, rec: rec,
-					stats: Stats{Rows: emitted, Elapsed: sw.Elapsed(), Truncated: true}}
-				return
-			}
-			fail(err)
-			return
-		}
-		if m.Done != nil {
-			b.finish(x, m.Done, st, rec, sw, emitted)
-			return
-		}
-		it := shardItem{item: *m.Item}
-		if m.Key != nil {
-			it.key = m.Key.ToPlan()
-		}
-		select {
-		case st.items <- it:
-			emitted++
-		case <-ctx.Done():
-			// Window filled or caller canceled: stop reading; the deferred
-			// body close aborts the remote execution.
-			st.done <- shardDone{err: ctx.Err(), rec: rec,
-				stats: Stats{Rows: emitted, Elapsed: sw.Elapsed(), Truncated: true}}
-			return
-		}
-	}
+	return r, r.err
 }
 
-// finish turns the stream's done report into the gather's shardDone and
-// refreshes the hint store with the replay payload the server returned.
-func (b *httpBackend) finish(x *shardExec, d *shardrpc.Done, st *shardStream,
-	rec *metrics.Recorder, sw metrics.Stopwatch, emitted int) {
-	done := shardDone{rec: rec, gen: d.Generation}
-	if d.Stats != nil {
-		done.stats = statsFromWire(*d.Stats)
+// Next reads the stream's next message: an item, or the done line (or a
+// transport failure) that ends it.
+func (r *remoteShard) Next() bool {
+	if r.stream == nil {
+		return false
 	}
-	// Elapsed is coordinator-observed: what this query actually spent on the
-	// shard, network included (the shard-side compute time is close but not
-	// what the gather waited for).
-	done.stats.Elapsed = sw.Elapsed()
-	done.stats.Rows = emitted
-	if d.Agg != nil {
-		done.agg = d.Agg.State()
-		done.stats.Rows = 1
+	m, err := r.stream.Next()
+	switch {
+	case err != nil:
+		// A canceled context surfaces as a transport read error; report the
+		// cancellation itself, as a local shard does.
+		if r.err = r.ctx.Err(); r.err == nil {
+			r.err = fmt.Errorf("rox: shard %q at %s: %w", r.x.shard, r.x.remote.Endpoint, err)
+		}
+	case m.Done != nil:
+		r.finish(m.Done)
+	default:
+		r.cur, r.key = *m.Item, plan.Key{}
+		if m.Key != nil {
+			r.key = m.Key.ToPlan()
+		}
+		r.rows++
+		return true
 	}
-	if d.Error != "" {
-		done.err = fmt.Errorf("rox: shard %q at %s: %s", x.shard, x.remote.Endpoint, d.Error)
-		done.stats.Truncated = true
-	} else if x.baseFP != "" && len(d.Plan) > 0 {
-		b.hints.Install(&plancache.Entry{
+	r.Close()
+	return false
+}
+
+// finish takes the done line: a shard-side failure becomes the stream's
+// error, a success refreshes the hint store with the replay payload the
+// server returned.
+func (r *remoteShard) finish(d *shardrpc.Done) {
+	r.fin = d
+	x := r.x
+	switch {
+	case d.Error != "":
+		r.err = fmt.Errorf("rox: shard %q at %s: %s", x.shard, x.remote.Endpoint, d.Error)
+	case x.baseFP != "" && len(d.Plan) > 0:
+		r.e.hints.Install(&plancache.Entry{
 			Fingerprint: x.hintKey(),
 			Generation:  d.Generation,
 			Plan:        shardrpc.ToPlan(d.Plan),
 			Expected:    d.Expected,
 		})
 	}
-	st.done <- done
 }
 
-// backendFor picks the execution backend for one registered shard.
-func (e *Engine) backendFor(sh *plan.Shard) ShardBackend {
-	if sh.Remote != nil {
-		return e.remote
+func (r *remoteShard) item() ([]byte, string) { return nil, r.cur }
+
+// Key returns the current item's order-by merge key; ok is false when the
+// query does not sort.
+func (r *remoteShard) Key() (plan.Key, bool) { return r.key, r.x.comp.Tail.Order != nil }
+
+// done reports the done line's stats with the coordinator-observed elapsed
+// time — what this query actually spent on the shard, network included. A
+// stream the gather stopped pulling before its done line is canceled.
+func (r *remoteShard) done() shardDone {
+	d := shardDone{err: r.err}
+	if f := r.fin; f != nil {
+		if f.Stats != nil {
+			d.stats = statsFromWire(*f.Stats)
+		}
+		if f.Agg != nil {
+			d.agg = f.Agg.State()
+		}
+	} else if d.err == nil {
+		d.err = r.ctx.Err()
 	}
-	return e.local
+	d.stats.Elapsed = r.sw.Elapsed()
+	d.stats.Rows = r.rows
+	if d.agg != nil {
+		d.stats.Rows = 1
+	}
+	d.stats.Truncated = d.stats.Truncated || d.err != nil
+	return d
+}
+
+// Close releases the response; before the done line that aborts the remote
+// execution.
+func (r *remoteShard) Close() {
+	if r.stream != nil {
+		r.stream.Close()
+		r.stream = nil
+	}
 }
 
 // ShardFailurePolicy selects how a collection query treats a failing shard;
@@ -301,50 +239,6 @@ const (
 // restart should degrade a search result, not fail it.
 func WithShardRetry(p ShardFailurePolicy) Option {
 	return func(e *Engine) { e.shardRetry = p }
-}
-
-// runShardGuarded wraps a backend run with the ShardRetryThenPartial policy:
-// forward the inner stream, restart it once if it failed before contributing
-// any item, and convert a final failure into a partial completion. The
-// fail-fast default dispatches backends directly and never pays for this
-// indirection.
-func (e *Engine) runShardGuarded(ctx context.Context, be ShardBackend, x *shardExec, st *shardStream) {
-	defer close(st.items)
-	var last shardDone
-	for attempt := 0; attempt < 2; attempt++ {
-		inner := newShardStream(st.name)
-		go be.run(ctx, x, inner)
-		forwarded := false
-		for it := range inner.items {
-			select {
-			case st.items <- it:
-				forwarded = true
-			case <-ctx.Done():
-				// The gather is gone; unwind the inner producer and pass its
-				// report through.
-				for range inner.items {
-				}
-				st.done <- <-inner.done
-				return
-			}
-		}
-		last = <-inner.done
-		if last.err == nil || ctx.Err() != nil ||
-			errors.Is(last.err, context.Canceled) || errors.Is(last.err, context.DeadlineExceeded) {
-			// Success, or a cancellation (the gather's own early termination,
-			// never worth retrying).
-			st.done <- last
-			return
-		}
-		if forwarded {
-			break // items already merged: a restart could duplicate them
-		}
-	}
-	// Retry exhausted: complete without this shard. The gather records the
-	// error in the shard's stats and truncates instead of failing the query.
-	last.partial = true
-	last.stats.Truncated = true
-	st.done <- last
 }
 
 // Endpoint names one remote shard server for LoadCollectionRemote.
@@ -373,7 +267,7 @@ func (e *Engine) LoadCollectionRemote(ctx context.Context, coll string, endpoint
 		}
 		names := ep.Shards
 		if len(names) == 0 {
-			infos, err := e.remote.client.Shards(ctx, ep.URL)
+			infos, err := e.shardClient.Shards(ctx, ep.URL)
 			if err != nil {
 				return fmt.Errorf("rox: discovering shards at %s: %w", ep.URL, err)
 			}
@@ -398,11 +292,12 @@ func (e *Engine) LoadCollectionRemote(ctx context.Context, coll string, endpoint
 	return nil
 }
 
-// WithShardHTTPClient replaces the HTTP client the engine's remote shard
-// backend uses (default: a fresh http.Client with transport defaults and no
-// overall timeout — execute responses stream for as long as queries run).
+// WithShardHTTPClient replaces the HTTP client the engine talks to remote
+// shard servers with (default: a fresh http.Client with transport defaults
+// and no overall timeout — execute responses stream for as long as queries
+// run).
 func WithShardHTTPClient(hc *http.Client) Option {
-	return func(e *Engine) { e.remoteHTTP = hc }
+	return func(e *Engine) { e.shardClient = shardrpc.NewClient(hc) }
 }
 
 // statsFromWire decodes a shard server's stats report.
@@ -499,13 +394,12 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 	// goroutine. It opens on the first Next, so a failure past this point
 	// travels in-band in the done report.
 	return e.shardCursor(ctx, &shardExec{
-		coll:      req.Collection,
-		shard:     shard,
-		gen:       gen,
-		cat:       cat,
-		comp:      comp,
-		baseFP:    fp,
-		interrupt: ctx.Err,
+		coll:   req.Collection,
+		shard:  shard,
+		gen:    gen,
+		cat:    cat,
+		comp:   comp,
+		baseFP: fp,
 	}), nil
 }
 
@@ -513,19 +407,18 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 // report — stats, generation stamp, fold state, and the executed plan's
 // replay payload for the coordinator's next hint.
 func (c *cursor) Done() shardrpc.Done {
-	d := c.done(c.row)
-	out := shardrpc.Done{Generation: d.gen}
-	if d.err != nil {
-		out.Error = d.err.Error()
+	out := shardrpc.Done{Generation: c.gen}
+	if c.err != nil {
+		out.Error = c.err.Error()
 	}
-	ws := statsToWire(d.stats)
+	ws := statsToWire(c.report())
 	out.Stats = &ws
-	if d.agg != nil {
-		out.Agg = shardrpc.AggFromState(d.agg)
+	if c.agg != nil {
+		out.Agg = shardrpc.AggFromState(c.agg)
 	}
-	if d.ranPlan != nil {
-		out.Plan = shardrpc.StepsFromPlan(d.ranPlan)
-		out.Expected = d.edgeRows
+	if c.ranPlan != nil {
+		out.Plan = shardrpc.StepsFromPlan(c.ranPlan)
+		out.Expected = c.edgeRows
 	}
 	return out
 }

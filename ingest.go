@@ -356,7 +356,7 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 	// every run.
 	for _, key := range sortedKeys(g.remotes) {
 		rb := g.remotes[key]
-		if _, err := g.e.remote.client.Ingest(ctx, rb.endpoint, rb.doc, &shardrpc.IngestRequest{Fragments: rb.frags}); err != nil {
+		if _, err := g.e.shardClient.Ingest(ctx, rb.endpoint, rb.doc, &shardrpc.IngestRequest{Fragments: rb.frags}); err != nil {
 			return 0, fmt.Errorf("rox: ingest into remote shard %q at %s: %w", rb.doc, rb.endpoint, err)
 		}
 		delete(g.remotes, key)

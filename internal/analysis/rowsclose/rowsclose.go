@@ -2,7 +2,7 @@
 // obtained from Execute (or any other *rox.Rows-returning call) must be
 // finished — Close, the self-closing All iterator or Collect drain, or an
 // escape that hands ownership elsewhere — on every control-flow path, or
-// shard goroutines and pool admission slots leak until the GC's cleanup
+// shard streams and pool admission slots leak until the GC's cleanup
 // fires. The check is a
 // lostcancel-style pass over a per-function CFG (internal/analysis/cfg):
 // from each acquisition it walks all paths to the function exit and reports

@@ -45,11 +45,10 @@ type Catalog struct {
 	docGens map[string]uint64
 }
 
-// Remote is a shard's backend slot when its data lives in another process: the
-// base URL of the shard server (a roxserve in shard-server role) and the
-// document name there. A Shard carrying a Remote has no local index — the
-// engine routes its execution through the HTTP shard backend instead of the
-// in-process one.
+// Remote locates a shard whose data lives in another process: the base URL
+// of the shard server (a roxserve in shard-server role) and the document name
+// there. A Shard carrying a Remote has no local index — the engine executes
+// it over the shard wire instead of in process.
 type Remote struct {
 	Endpoint string
 	Doc      string
@@ -70,8 +69,8 @@ type Shard struct {
 	// not the remote data — the serving document's own generation travels on
 	// the wire with every response instead.
 	Gen uint64
-	// Remote, when non-nil, is the shard's backend slot: the shard's data is
-	// served by another process and the engine executes it over HTTP.
+	// Remote, when non-nil, locates the shard: its data is served by another
+	// process and the engine executes it over HTTP.
 	Remote *Remote
 }
 

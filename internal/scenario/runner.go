@@ -77,148 +77,11 @@ func (s *Scenario) buildEngine(withShards bool) (*rox.Engine, error) {
 }
 
 func (s *Scenario) runInProcess(ctx context.Context) ([]Outcome, error) {
-	eng, err := s.buildEngine(true)
-	if err != nil {
-		return nil, err
-	}
-	var walDir string
-	if s.Restart != "" {
-		// A durable ingest directory, so the simulated crash below has a WAL
-		// to replay.
-		if walDir, err = os.MkdirTemp("", "scenario-wal-"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(walDir)
-		if _, err := eng.OpenIngestDir(walDir); err != nil {
-			return nil, fmt.Errorf("scenario %s: open ingest dir: %w", s.Name, err)
-		}
-	}
-	outs, err := s.runLocalQueries(ctx, eng, s.PreQueries, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range s.Ingests {
-		if err := eng.Append(st.Target, st.XML); err != nil {
-			return nil, fmt.Errorf("scenario %s: ingest/%s: %w", s.Name, st.Name, err)
-		}
-		if _, err := eng.Commit(ctx); err != nil {
-			return nil, fmt.Errorf("scenario %s: commit ingest/%s: %w", s.Name, st.Name, err)
-		}
-	}
-	if s.Restart != "" {
-		// The crash: drop the live engine, rebuild from the original corpus,
-		// and let WAL replay restore every committed batch.
-		if err := eng.Ingest().Close(); err != nil {
-			return nil, err
-		}
-		if eng, err = s.buildEngine(true); err != nil {
-			return nil, err
-		}
-		if _, err := eng.OpenIngestDir(walDir); err != nil {
-			return nil, fmt.Errorf("scenario %s: reopen ingest dir: %w", s.Name, err)
-		}
-	}
-	return s.runLocalQueries(ctx, eng, s.Queries, outs)
-}
-
-// runLocalQueries appends each query's outcomes (Repeat runs) to outs.
-func (s *Scenario) runLocalQueries(ctx context.Context, eng *rox.Engine, queries []ScenarioQuery, outs []Outcome) ([]Outcome, error) {
-	for _, q := range queries {
-		for run := 0; run < s.Repeat; run++ {
-			o := Outcome{Query: q.Name, Run: run}
-			items, execErr := executeLocal(ctx, eng, q)
-			if execErr != nil {
-				o.Err = execErr.Error()
-			} else {
-				o.Items = items
-			}
-			outs = append(outs, o)
-		}
-	}
-	return outs, nil
-}
-
-// executeLocal runs one query on an in-process engine, draining and closing
-// the cursor on every path.
-func executeLocal(ctx context.Context, eng *rox.Engine, q ScenarioQuery) ([]string, error) {
-	rows, err := eng.Execute(ctx, rox.Request{Query: q.Text, Static: q.Mode == "static"})
-	if err != nil {
-		return nil, err
-	}
-	items := []string{}
-	for rows.Next() {
-		items = append(items, rows.Item())
-	}
-	err = rows.Err()
-	rows.Close()
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
+	return s.lifecycle(ctx, func() (*rox.Engine, error) { return s.buildEngine(true) }, false)
 }
 
 func (s *Scenario) runServer(ctx context.Context) ([]Outcome, error) {
-	eng, err := s.buildEngine(true)
-	if err != nil {
-		return nil, err
-	}
-	var walDir string
-	if s.Restart != "" {
-		if walDir, err = os.MkdirTemp("", "scenario-wal-"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(walDir)
-		if _, err := eng.OpenIngestDir(walDir); err != nil {
-			return nil, fmt.Errorf("scenario %s: open ingest dir: %w", s.Name, err)
-		}
-	}
-	ts := httptest.NewServer(serve.New(rox.NewPool(eng, 4), serve.Config{}))
-	defer func() { ts.Close() }()
-	outs, err := s.runHTTP(ctx, ts.Client(), ts.URL, s.PreQueries, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.ingestHTTP(ctx, ts.Client(), ts.URL); err != nil {
-		return nil, err
-	}
-	if s.Restart != "" {
-		// The crash: a fresh server process over the original corpus, warm-
-		// started from the WAL directory.
-		ts.Close()
-		if err := eng.Ingest().Close(); err != nil {
-			return nil, err
-		}
-		if eng, err = s.buildEngine(true); err != nil {
-			return nil, err
-		}
-		if _, err := eng.OpenIngestDir(walDir); err != nil {
-			return nil, fmt.Errorf("scenario %s: reopen ingest dir: %w", s.Name, err)
-		}
-		ts = httptest.NewServer(serve.New(rox.NewPool(eng, 4), serve.Config{}))
-	}
-	return s.runHTTP(ctx, ts.Client(), ts.URL, s.Queries, outs)
-}
-
-// ingestHTTP applies every ingest step through the serving surface:
-// POST /v1/collections/{target}/ingest, one committed batch per step.
-func (s *Scenario) ingestHTTP(ctx context.Context, client *http.Client, base string) error {
-	for _, st := range s.Ingests {
-		u := base + "/v1/collections/" + url.PathEscape(st.Target) + "/ingest?create=1"
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(st.XML))
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return fmt.Errorf("scenario %s: ingest/%s: %w", s.Name, st.Name, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("scenario %s: ingest/%s: status %d: %s", s.Name, st.Name, resp.StatusCode, body)
-		}
-	}
-	return nil
+	return s.lifecycle(ctx, func() (*rox.Engine, error) { return s.buildEngine(true) }, true)
 }
 
 func (s *Scenario) runCluster(ctx context.Context) ([]Outcome, error) {
@@ -253,71 +116,108 @@ func (s *Scenario) runCluster(ctx context.Context) ([]Outcome, error) {
 		shardServers = append(shardServers, sv)
 		endpoints = append(endpoints, rox.Endpoint{URL: sv.URL, Shards: names})
 	}
-	coord, err := s.buildEngine(false)
-	if err != nil {
-		return nil, err
-	}
-	if len(endpoints) > 0 {
-		if err := coord.LoadCollectionRemote(ctx, s.Collection, endpoints); err != nil {
-			return nil, fmt.Errorf("scenario %s: register remote shards: %w", s.Name, err)
-		}
-	}
 	if s.Fault == "kill-shard-server" {
 		if len(shardServers) < 2 {
 			return nil, fmt.Errorf("scenario %s: fault kill-shard-server needs at least 2 shards", s.Name)
 		}
 		shardServers[len(shardServers)-1].Close()
 	}
+	// The coordinator's own WAL covers locally ingested documents; the shard
+	// servers hold remotely ingested fragments across the coordinator restart
+	// (they own durability for their shards).
+	return s.lifecycle(ctx, func() (*rox.Engine, error) {
+		coord, err := s.buildEngine(false)
+		if err != nil || len(endpoints) == 0 {
+			return coord, err
+		}
+		if err := coord.LoadCollectionRemote(ctx, s.Collection, endpoints); err != nil {
+			return nil, fmt.Errorf("scenario %s: register remote shards: %w", s.Name, err)
+		}
+		return coord, nil
+	}, true)
+}
+
+// lifecycle drives one target through the scenario's steps: build its
+// engine, run the pre-queries, apply the ingest steps and — when the
+// scenario restarts — crash (drop the engine, rebuild it from the original
+// corpus and let WAL replay restore every committed batch) before running the
+// queries. overHTTP serves each engine through the production handler and
+// drives it over the NDJSON wire; otherwise the steps call the engine.
+func (s *Scenario) lifecycle(ctx context.Context, build func() (*rox.Engine, error), overHTTP bool) ([]Outcome, error) {
 	var walDir string
 	if s.Restart != "" {
-		// The coordinator's own WAL covers locally ingested documents; the
-		// shard servers hold remotely ingested fragments across the
-		// coordinator restart (they own durability for their shards).
+		// A durable ingest directory, so the crash has a WAL to replay.
 		var err error
 		if walDir, err = os.MkdirTemp("", "scenario-wal-"); err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(walDir)
-		if _, err := coord.OpenIngestDir(walDir); err != nil {
-			return nil, fmt.Errorf("scenario %s: open ingest dir: %w", s.Name, err)
-		}
 	}
-	ts := httptest.NewServer(serve.New(rox.NewPool(coord, 4), serve.Config{}))
-	defer func() { ts.Close() }()
-	outs, err := s.runHTTP(ctx, ts.Client(), ts.URL, s.PreQueries, nil)
+	t, err := s.start(build, walDir, overHTTP)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ingestHTTP(ctx, ts.Client(), ts.URL); err != nil {
+	defer func() { t.stop() }()
+	outs, err := s.runQueries(ctx, t, s.PreQueries, nil)
+	if err != nil {
 		return nil, err
 	}
-	if s.Restart != "" {
-		ts.Close()
-		if err := coord.Ingest().Close(); err != nil {
+	for _, st := range s.Ingests {
+		if err := s.ingest(ctx, t, st); err != nil {
 			return nil, err
 		}
-		if coord, err = s.buildEngine(false); err != nil {
-			return nil, err
-		}
-		if len(endpoints) > 0 {
-			if err := coord.LoadCollectionRemote(ctx, s.Collection, endpoints); err != nil {
-				return nil, fmt.Errorf("scenario %s: re-register remote shards: %w", s.Name, err)
-			}
-		}
-		if _, err := coord.OpenIngestDir(walDir); err != nil {
-			return nil, fmt.Errorf("scenario %s: reopen ingest dir: %w", s.Name, err)
-		}
-		ts = httptest.NewServer(serve.New(rox.NewPool(coord, 4), serve.Config{}))
 	}
-	return s.runHTTP(ctx, ts.Client(), ts.URL, s.Queries, outs)
+	if s.Restart != "" {
+		t.stop()
+		if err := t.eng.Ingest().Close(); err != nil {
+			return nil, err
+		}
+		restarted, err := s.start(build, walDir, overHTTP)
+		if err != nil {
+			return nil, err
+		}
+		t = restarted
+	}
+	return s.runQueries(ctx, t, s.Queries, outs)
 }
 
-// runHTTP drives the given queries through a serve.Handler's NDJSON stream,
-// appending their outcomes to outs.
-func (s *Scenario) runHTTP(ctx context.Context, client *http.Client, base string, queries []ScenarioQuery, outs []Outcome) ([]Outcome, error) {
+// target is one incarnation of a scenario target: its engine, and the test
+// server in front of it when the target is driven over HTTP.
+type target struct {
+	eng *rox.Engine
+	ts  *httptest.Server // nil: the steps call eng in process
+}
+
+// start builds a target's engine, attaches the WAL directory when there is
+// one, and puts the engine behind a server when overHTTP.
+func (s *Scenario) start(build func() (*rox.Engine, error), walDir string, overHTTP bool) (*target, error) {
+	eng, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if walDir != "" {
+		if _, err := eng.OpenIngestDir(walDir); err != nil {
+			return nil, fmt.Errorf("scenario %s: open ingest dir: %w", s.Name, err)
+		}
+	}
+	t := &target{eng: eng}
+	if overHTTP {
+		t.ts = httptest.NewServer(serve.New(rox.NewPool(eng, 4), serve.Config{}))
+	}
+	return t, nil
+}
+
+func (t *target) stop() {
+	if t.ts != nil {
+		t.ts.Close()
+	}
+}
+
+// runQueries appends each query's outcomes (Repeat runs) on t to outs.
+func (s *Scenario) runQueries(ctx context.Context, t *target, queries []ScenarioQuery, outs []Outcome) ([]Outcome, error) {
 	for _, q := range queries {
 		for run := 0; run < s.Repeat; run++ {
-			o, err := streamQuery(ctx, client, base, q)
+			o, err := t.query(ctx, q)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: query %s run %d: %w", s.Name, q.Name, run, err)
 			}
@@ -326,6 +226,53 @@ func (s *Scenario) runHTTP(ctx context.Context, client *http.Client, base string
 		}
 	}
 	return outs, nil
+}
+
+// query runs one query on the target. In process, an evaluation error is the
+// outcome, never a harness failure.
+func (t *target) query(ctx context.Context, q ScenarioQuery) (Outcome, error) {
+	if t.ts != nil {
+		return streamQuery(ctx, t.ts.Client(), t.ts.URL, q)
+	}
+	rows, err := t.eng.Execute(ctx, rox.Request{Query: q.Text, Static: q.Mode == "static"})
+	if err != nil {
+		return Outcome{Err: err.Error()}, nil
+	}
+	res, err := rows.Collect()
+	if err != nil {
+		return Outcome{Err: err.Error()}, nil
+	}
+	return Outcome{Items: res.Items}, nil
+}
+
+// ingest applies one ingest step as one committed batch: through the engine
+// in process, or through the serving surface — POST
+// /v1/collections/{target}/ingest.
+func (s *Scenario) ingest(ctx context.Context, t *target, st IngestStep) error {
+	if t.ts == nil {
+		if err := t.eng.Append(st.Target, st.XML); err != nil {
+			return fmt.Errorf("scenario %s: ingest/%s: %w", s.Name, st.Name, err)
+		}
+		if _, err := t.eng.Commit(ctx); err != nil {
+			return fmt.Errorf("scenario %s: commit ingest/%s: %w", s.Name, st.Name, err)
+		}
+		return nil
+	}
+	u := t.ts.URL + "/v1/collections/" + url.PathEscape(st.Target) + "/ingest?create=1"
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(st.XML))
+	if err != nil {
+		return err
+	}
+	resp, err := t.ts.Client().Do(req)
+	if err != nil {
+		return fmt.Errorf("scenario %s: ingest/%s: %w", s.Name, st.Name, err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("scenario %s: ingest/%s: status %d: %s", s.Name, st.Name, resp.StatusCode, body)
+	}
+	return nil
 }
 
 // streamQuery executes one query over the NDJSON wire. A pre-stream refusal

@@ -579,10 +579,11 @@ func streamNDJSON(w http.ResponseWriter, rows *rox.Rows) {
 // (it rejected the shard request as malformed or unknown) → 400, any other
 // remote-shard failure (server unreachable, 5xx, mid-stream drop) → 502 so
 // clients can tell a cluster fault from a coordinator fault, client mistakes
-// (a malformed Request, unparsable query, unknown document) → 400, anything
-// else — a latched ingest durability failure first, whatever its message
-// happens to contain — is an engine-internal failure → 500 so monitoring sees
-// it and clients know to retry.
+// (a malformed Request or unparsable query, an unknown document or
+// collection, a static collection query, a non-numeric aggregate) → 400,
+// anything else — a latched ingest durability failure first — is an
+// engine-internal failure → 500 so monitoring sees it and clients know to
+// retry. Every class is a typed error; no message text is matched.
 func StatusFor(err error) int {
 	var remote *shardrpc.RemoteError
 	var uerr *url.Error
@@ -603,10 +604,7 @@ func StatusFor(err error) int {
 	case errors.Is(err, rox.ErrNoSuchDocument) ||
 		errors.Is(err, rox.ErrNoSuchCollection) ||
 		errors.Is(err, rox.ErrStaticCollection) ||
-		errors.Is(err, rox.ErrNonNumericAggregate) ||
-		strings.HasPrefix(err.Error(), "xquery:") ||
-		strings.Contains(err.Error(), "not registered") ||
-		strings.Contains(err.Error(), "not loaded"):
+		errors.Is(err, rox.ErrNonNumericAggregate):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

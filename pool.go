@@ -20,7 +20,7 @@ import (
 // engine's scatter-gather shard fan-out. The two limits compose instead of
 // multiplying: a pooled query over an N-shard collection holds one pool slot
 // while its shard evaluations contend on the engine-wide shard limiter, so
-// total shard goroutines stay bounded by the engine's cap no matter how many
+// total shard evaluations stay bounded by the engine's cap no matter how many
 // pool workers scatter at once.
 //
 // Execute returns a streaming cursor whose admission slot stays held until

@@ -627,6 +627,7 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 		"foreign statement": {Prepared: foreign},
 		"both fields":       {Query: doc, Prepared: own},
 		"neither field":     {},
+		"malformed query":   {Query: `for $p in doc("d.xml")//p give-back $p`},
 	} {
 		for _, execute := range []func(context.Context, Request) (*Rows, error){eng.Execute, NewPool(eng, 1).Execute} {
 			if _, err := collectRows(execute(context.Background(), req)); !errors.Is(err, ErrInvalidRequest) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,7 +424,7 @@ func TestRemoteCacheOffSendsNoFingerprint(t *testing.T) {
 				i, req.Fingerprint, req.Hint)
 		}
 	}
-	if size := coord.remote.hints.Len(); size != 0 {
+	if size := coord.hints.Len(); size != 0 {
 		t.Errorf("cache-off coordinator stored %d plan hints", size)
 	}
 }
@@ -564,6 +565,86 @@ func TestRemoteMidStreamFailure(t *testing.T) {
 			t.Errorf("shard was executed %d times; items already merged must not retry", n)
 		}
 	})
+}
+
+// TestRemoteRetryRecovers: a shard whose first execute fails before any of
+// its items entered the merge — a pre-stream 500, or a 200 that drops before
+// its first item — is executed once more under ShardRetryThenPartial, and
+// when that execute serves, the result is complete: every item, not
+// truncated, no shard error. Under fail-fast the first failure fails the
+// query, and the shard is never executed again.
+func TestRemoteRetryRecovers(t *testing.T) {
+	spans := [][2]int{{0, 30}, {100, 30}}
+	const q = `for $p in collection("ppl")//person order by $p/age return $p`
+	want, err := collectRows(pricedSingleEngine(t, spans).Execute(context.Background(),
+		Request{Query: `for $p in doc("ppl.xml")//person order by $p/age return $p`}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := shardrpc.HandleExecute(pricedServerEngine(t, []int{1}, spans))
+	faults := []struct {
+		name string
+		fail http.HandlerFunc
+	}{
+		{"pre-stream 500", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, `{"error":"shard warming up"}`, http.StatusInternalServerError)
+		}},
+		{"200 dropped before any item", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // kill the connection: no item, no done report
+		}},
+	}
+	for _, fault := range faults {
+		var calls atomic.Int32
+		ts := fakeShardServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if calls.Add(1) == 1 {
+				fault.fail(w, r)
+				return
+			}
+			serve(w, r)
+		})
+		build := func(opts ...Option) *Engine {
+			eng := NewEngine(opts...)
+			if err := eng.LoadCollectionSource("ppl", FromXML("ppl-0.xml", pricedShardXML(spans[0][0], spans[0][1]))); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.LoadCollectionRemote(context.Background(), "ppl",
+				[]Endpoint{{URL: ts.URL, Shards: []string{"ppl-1.xml"}}}); err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+		t.Run(fault.name+"/partial", func(t *testing.T) {
+			calls.Store(0)
+			res, err := collectRows(build(WithShardRetry(ShardRetryThenPartial)).Execute(context.Background(), Request{Query: q}))
+			if err != nil {
+				t.Fatalf("retried shard failed the query: %v", err)
+			}
+			assertSameItems(t, "retried scatter", want.Items, res.Items)
+			if res.Stats.Truncated {
+				t.Error("a recovered result is marked Truncated")
+			}
+			for _, sh := range res.Stats.Shards {
+				if sh.Err != "" {
+					t.Errorf("shard %s reports %q after recovering", sh.Shard, sh.Err)
+				}
+			}
+			if n := calls.Load(); n != 2 {
+				t.Errorf("shard executed %d times, want 2", n)
+			}
+		})
+		t.Run(fault.name+"/fail-fast", func(t *testing.T) {
+			calls.Store(0)
+			if _, err := collectRows(build().Execute(context.Background(), Request{Query: q})); err == nil {
+				t.Fatal("fail-fast query over a failing shard succeeded")
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("shard executed %d times under fail-fast, want 1", n)
+			}
+		})
+	}
 }
 
 // TestRemoteSlowShardDeadline: a stalled shard server cannot hold a query

@@ -128,7 +128,7 @@ type rowSource interface {
 	// nil raw.
 	next() (raw []byte, str string, ok bool, err error)
 	// finalize folds end-of-stream statistics into st and releases any
-	// resources (shard goroutines, context). Called exactly once, after the
+	// resources (shard sources, context). Called exactly once, after the
 	// stream ended or the cursor was closed; st.Rows already holds the
 	// number of items handed out, and Scanned, Truncated and Elapsed are the
 	// source's to stamp.
@@ -139,7 +139,7 @@ type rowSource interface {
 // statistics known up front (plan, cache outcome, tuple costs); the cursor
 // counts Rows as the stream progresses and the source stamps the rest when it
 // ends. The returned cursor self-closes if it becomes unreachable without
-// Close, so an abandoned cursor cannot leak shard goroutines or pool slots.
+// Close, so an abandoned cursor cannot leak shard streams or pool slots.
 func newRows(env *plan.Env, stats Stats, src rowSource) *Rows {
 	c := &rowsCore{src: src, env: env, stats: stats}
 	r := &Rows{c: c}
@@ -306,19 +306,20 @@ func (c *rowsCore) finish(err error) {
 // or off the shard wire. It owns, exactly once each, the plan choice (open),
 // the recorder-delta Stats of the join phase, the aggregate fold, the
 // per-row rendering with its order key (advance), and the end-of-stream
-// report (report, done). Three drivers pull it and add nothing of their own:
+// report (report, done). Three drivers pull it and add nothing of their own,
+// and none of them needs a goroutine or a channel to do it:
 //
 //   - a non-collection or static query opens it inside Execute and hands it
-//     to Rows as the row source (next, finalize) — no goroutine, no channel;
-//   - localBackend.run pumps it (Next) into its shard's channel for the
-//     gather;
+//     to Rows as the row source (next, finalize);
+//   - the scatter-gather opens it as a local shard's source (openShard) and
+//     pulls it straight into the merge (Next, item, Key, done, Close);
 //   - Engine.ExecuteShard returns it as the shardrpc.ShardRun the shard
 //     server's handler streams from (Next, Item, Key, Done, Close).
 //
-// The latter two are shard cursors: they open lazily on the first Next,
-// holding an engine-wide fan-out slot for exactly the join, and an aggregate
-// tail reports its fold state for the gather to merge instead of rendering
-// it as an item.
+// The latter two are shard cursors: they open holding an engine-wide fan-out
+// slot for exactly the join — the gather ahead of its first pull, the
+// handler on the first Next — and an aggregate tail reports its fold state
+// for the gather to merge instead of rendering it as an item.
 type cursor struct {
 	e    *Engine
 	ctx  context.Context
@@ -520,15 +521,13 @@ func (c *cursor) advance() bool {
 	return true
 }
 
-// report closes the books on the stream: delivered is how many items the
-// driver actually handed on (a pump that lost its last item to a
-// cancellation delivered one fewer than advance rendered). Scanned is the
-// pre-window cardinality; the stream is truncated when it never opened or
-// when fewer items went out than it held — the scanned rows, or an
-// aggregate's one.
-func (c *cursor) report(delivered int) Stats {
+// report closes the books on the stream: every row advance rendered went out
+// to the driver. Scanned is the pre-window cardinality; the stream is
+// truncated when it never opened or when fewer items went out than it held —
+// the scanned rows, or an aggregate's one.
+func (c *cursor) report() Stats {
 	st := c.stats
-	want := c.scanned
+	want, delivered := c.scanned, c.row
 	if c.agg != nil {
 		want = 1
 		if c.shard {
@@ -551,34 +550,37 @@ func (c *cursor) next() ([]byte, string, bool, error) {
 }
 
 func (c *cursor) finalize(st *Stats) {
-	*st = c.report(st.Rows)
+	*st = c.report()
 	c.Close()
 }
 
+// openShard runs a shard cursor's join holding an engine-wide fan-out slot
+// and releases it before any item goes out: the join work the limiter bounds
+// is done, and an ordered gather needs every shard's head before it can merge
+// — a shard still holding its slot while its consumer is busy elsewhere
+// could starve the shards the merge is waiting for. A failure ends the item
+// sequence; it travels in the done report.
+func (c *cursor) openShard() error {
+	if c.err = c.e.shardLim.Acquire(c.ctx); c.err != nil {
+		return c.err
+	}
+	defer c.e.shardLim.Release()
+	return c.open()
+}
+
 // Next, Item, Key and Close are the pull face of a shard cursor — the
-// shardrpc.ShardRun a shard server streams from, and what localBackend.run
-// pumps. The first Next runs the join holding an engine-wide fan-out slot and
-// releases it before any item goes out: the join work the limiter bounds is
-// done, and an ordered gather needs every shard's head before it can merge —
-// a shard still holding its slot while its consumer is slow could starve the
-// shards the merge is waiting for. A failure ends the item sequence; it
-// travels in the done report.
+// shardrpc.ShardRun a shard server streams from, and the local half of the
+// gather's shardSource. A cursor the gather did not open opens on its first
+// Next.
 func (c *cursor) Next() bool {
-	if !c.opened && c.err == nil {
-		if c.err = c.e.shardLim.Acquire(c.ctx); c.err != nil {
-			return false
-		}
-		err := c.open()
-		c.e.shardLim.Release()
-		if err != nil {
-			return false
-		}
+	if !c.opened && c.err == nil && c.openShard() != nil {
+		return false
 	}
 	return c.advance()
 }
 
 // Item returns the serialized item Next advanced to, valid until the next
-// Next: a driver that keeps it (the local-shard pump) copies it out.
+// Next.
 func (c *cursor) Item() []byte { return c.buf }
 
 // Key returns the current item's order-by merge key; ok is false when the

@@ -39,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -87,13 +86,16 @@ type Engine struct {
 	shardLim     *conc.Limiter
 	shardWorkers int
 
-	// local and remote are the two ShardBackend implementations collection
-	// queries dispatch shards to (see backend.go); shardRetry is the
-	// failure policy WithShardRetry selects.
-	local      *localBackend
-	remote     *httpBackend
-	remoteHTTP *http.Client
-	shardRetry ShardFailurePolicy
+	// shardClient talks to remote shard servers (see backend.go); hints
+	// caches the replay payload each remote shard's done line carried last,
+	// keyed endpoint|baseFP|shard:name at the remote document generation
+	// that produced it, and re-attaches it to the next request for that
+	// shard — a warm cluster replays discovered plans with zero sampling,
+	// and a shard server restarted cold re-learns from the hint instead of
+	// sampling. shardRetry is the failure policy WithShardRetry selects.
+	shardClient *shardrpc.Client
+	hints       *plancache.Cache
+	shardRetry  ShardFailurePolicy
 
 	// ing is the engine's shared live-ingest handle, created lazily by
 	// Engine.Ingest (see ingest.go).
@@ -181,6 +183,7 @@ func NewEngine(options ...Option) *Engine {
 		cat:        plan.NewCatalog(),
 		cache:      plancache.New(DefaultPlanCacheSize),
 		driftRatio: DefaultDriftRatio,
+		hints:      plancache.New(DefaultPlanCacheSize),
 	}
 	for _, o := range options {
 		o(e)
@@ -189,11 +192,8 @@ func NewEngine(options ...Option) *Engine {
 		e.shardWorkers = runtime.GOMAXPROCS(0)
 	}
 	e.shardLim = conc.NewLimiter(e.shardWorkers)
-	e.local = &localBackend{e: e}
-	e.remote = &httpBackend{
-		e:      e,
-		client: shardrpc.NewClient(e.remoteHTTP),
-		hints:  plancache.New(DefaultPlanCacheSize),
+	if e.shardClient == nil {
+		e.shardClient = shardrpc.NewClient(nil)
 	}
 	return e
 }
@@ -366,7 +366,7 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 
 // compile settles what one Request runs: the compiled graph — compiled here
 // from Query, or the Prepared statement's own — with the programmatic window
-// applied when there is one, the query text (remote shard backends ship it
+// applied when there is one, the query text (remote shards ship it
 // instead of a serialized graph), and a precomputed plan-cache key ("" =
 // derive it; see planKey). Every malformed Request fails here, wrapped in
 // ErrInvalidRequest.
@@ -382,7 +382,7 @@ func (e *Engine) compile(req Request) (comp *xquery.Compiled, text, fp string, e
 		return nil, "", "", fmt.Errorf("%w: no query: set Query or Prepared", ErrInvalidRequest)
 	default:
 		if comp, err = xquery.CompileString(req.Query, xquery.CompileOptions{}); err != nil {
-			return nil, "", "", err
+			return nil, "", "", fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
 		text = req.Query
 	}
@@ -407,7 +407,7 @@ func overrideWindow(comp *xquery.Compiled, window *plan.LimitSpec) (*xquery.Comp
 
 // planKey settles the plan-cache key of one execution, in the one place
 // every execution passes through: "" when the engine runs without a plan
-// cache (which is what tells every layer below — cursor, shard backends, the
+// cache (which is what tells every layer below — cursor, remote shards, the
 // shard wire — that there is nothing to look up, install or hint), otherwise
 // the precomputed key when the caller has one, otherwise cacheKey(comp).
 func (e *Engine) planKey(comp *xquery.Compiled, precomputed string) string {
@@ -559,9 +559,10 @@ const Version = "1.1.0"
 var ErrNoSuchDocument = errors.New("rox: no such document")
 
 // ErrInvalidRequest is the sentinel every malformed Request wraps — both or
-// neither of Query and Prepared set, a statement prepared on another engine,
-// a negative Limit or Offset, a window on an aggregate return. It is the
-// caller's mistake, not the engine's; match it with errors.Is.
+// neither of Query and Prepared set, query text that does not compile, a
+// statement prepared on another engine, a negative Limit or Offset, a window
+// on an aggregate return (the text's limit clause or the Request's). It is
+// the caller's mistake, not the engine's; match it with errors.Is.
 var ErrInvalidRequest = errors.New("rox: invalid request")
 
 // NoSuchDocumentError reports which document a failing query referred to.

@@ -2,6 +2,7 @@ package rox
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -10,27 +11,27 @@ import (
 )
 
 // This file implements streaming scatter-gather evaluation of collection()
-// queries.
+// queries. A collection is an ordered list of shards — independently
+// shredded and indexed documents registered under one logical name. The
+// query compiles once; at execution time the engine rebinds the graph to
+// each shard (CloneRebindDoc) and runs the complete ROX pipeline — plan-cache
+// lookup, sampling optimizer on a miss, drift verification — independently
+// on every shard, so each shard discovers the join order its own value
+// distributions justify: the paper's thesis applied to partitioned data.
 //
-// A collection is an ordered list of shards — independently shredded and
-// indexed documents registered under one logical name. A query that reads
-// collection("c") compiles once into a Join Graph whose collection-anchored
-// vertices carry the collection name; at execution time the engine
-// instantiates that graph per shard (CloneRebindDoc) and runs the complete
-// ROX pipeline — plan-cache lookup, sampling optimizer on a miss, drift
-// verification — independently on every shard. Per-shard optimization is the
-// paper's thesis applied to partitioned data: each shard discovers the join
-// order its own value distributions justify, instead of trusting statistics
-// averaged over the whole corpus.
-//
-// The gather side is pull-driven: every shard streams its serialized items
-// through a bounded channel, and the Rows cursor merges them one Next at a
-// time (the "Streaming execution and limit pushdown" section of DESIGN.md).
-// The merge shape depends on the query's own tail:
+// The gather side is pull-driven: every shard is a pull source — a local
+// execution cursor, or an adapter over a remote shard's response stream —
+// whose open (the join, or the request) starts concurrently with the others
+// and holds a fan-out slot for exactly that long. The Rows cursor then pulls
+// the merged result straight from the sources one Next at a time, waiting for
+// a shard's open only when it first needs that shard (the "Streaming
+// execution and limit pushdown" section of DESIGN.md). No goroutine outlives
+// an open and no item crosses a channel. The merge shape depends on the
+// query's own tail:
 //
 //   - Plain ordered-item queries concatenate: the gather consumes shards in
-//     shard registration order, pulling each shard's items as that shard
-//     produces them. Within a shard the tail sort restores document order,
+//     shard registration order, streaming shard 0 while later shards are
+//     still joining. Within a shard the tail sort restores document order,
 //     so the concatenation equals the document order of the same data loaded
 //     as one catalog whenever the shards partition the corpus in order — the
 //     byte-identity contract the sharding tests pin down.
@@ -42,36 +43,35 @@ import (
 //     of the per-shard extrema. Only the merged state is rendered.
 //   - order by queries k-way merge: every shard streams its items already
 //     key-sorted plus the extracted keys, and the gather side repeatedly
-//     takes the best head among the shard streams, ties going to the
+//     takes the best head among the shard sources, ties going to the
 //     earliest shard — which, with stable per-shard sorting, reproduces the
 //     single catalog's stable sort byte for byte.
 //
-// A limit/offset window pushes down: each shard's tail keeps only its first
-// offset+limit rows (any shard can contribute at most that many items to the
-// merged prefix), and the gather stops pulling — and cancels the shard work
-// still running — as soon as offset+limit items came off the merge. `limit
-// 10` over a 12-shard collection therefore does ~10 merge steps and aborts
-// the shards it never needed, instead of computing the full union.
+// A limit/offset window pushes down (see executeCollection), and the gather
+// stops pulling — and cancels the shard work still running — as soon as
+// offset+limit items came off the merge: `limit 10` over a 12-shard
+// collection does ~10 merge steps instead of computing the full union.
 
-// shardStreamBuf is the per-shard item channel capacity: enough slack that a
-// producing shard stays ahead of the merge without the gather buffering an
-// unbounded result.
-const shardStreamBuf = 16
-
-// shardItem is one serialized result item in flight from a shard to the
-// gather, with its order-by merge key when the tail sorts.
-type shardItem struct {
-	item string
-	key  plan.Key
+// shardSource is one shard of a scatter as the gather pulls it: the face the
+// shard server's handler drives (shardrpc.ShardRun), with the current item in
+// the form its transport produced — a view of a local cursor's own render
+// buffer, valid until that source's next Next, or a remote stream's decoded
+// string — so neither is copied on its way to Rows. The execution cursor and
+// remoteShard implement it; both are opened before the gather pulls them.
+type shardSource interface {
+	Next() bool
+	item() (raw []byte, str string)
+	Key() (plan.Key, bool)
+	// done is the end-of-stream report, final once Next returned false.
+	done() shardDone
+	Close()
 }
 
-// shardDone is a shard's end-of-stream report: its full per-shard Stats, the
+// shardDone is a shard's end-of-stream report: its per-shard Stats, the
 // recorder to fold into the query's rollup, the partial-aggregate state for
-// aggregate queries, and the error that ended the shard early (nil for
-// normal completion; the context error when the gather canceled it). The
-// backend also reports the generation stamp it validated cached plans
-// against and the executed plan's replay payload (what a shard server hands
-// back for the coordinator's next plan hint).
+// aggregate queries, and the error that ended the shard early — nil for
+// normal completion and for a local cursor the gather merely stopped
+// pulling, the context error for a canceled one.
 type shardDone struct {
 	stats Stats
 	rec   *metrics.Recorder
@@ -80,29 +80,17 @@ type shardDone struct {
 	// partial marks a shard the ShardRetryThenPartial policy gave up on: err
 	// is recorded in the shard's stats instead of failing the query.
 	partial bool
-	gen     uint64
-	ranPlan *plan.Plan
-	// edgeRows is the executed plan's observed per-edge cardinalities — the
-	// drift baseline that travels with the plan.
-	edgeRows map[int]int
 }
 
-// shardStream is one shard's side of the scatter: items is closed when the
-// shard stops emitting; done (buffered) always receives exactly one report
-// before items closes.
-type shardStream struct {
-	name  string
-	items chan shardItem
-	done  chan shardDone
-}
-
-// newShardStream builds one shard's stream pair.
-func newShardStream(name string) *shardStream {
-	return &shardStream{
-		name:  name,
-		items: make(chan shardItem, shardStreamBuf),
-		done:  make(chan shardDone, 1),
-	}
+// scatterShard is the gather's state for one shard.
+type scatterShard struct {
+	x        *shardExec
+	opened   chan struct{} // closed once the open set src
+	src      shardSource
+	attempts int  // opens so far; ShardRetryThenPartial allows two
+	pulled   int  // items pulled by the gather: what "entered the merge" means
+	ended    bool // src's stream is over and rep is its report
+	rep      shardDone
 }
 
 // gather modes.
@@ -115,13 +103,12 @@ const (
 // executeCollection evaluates a compiled collection query scatter-gather and
 // returns its streaming cursor. The caller's env supplies the catalog
 // snapshot (all shards are read at the generation the query started at) and
-// receives the merged cost rollup when the cursor finishes. Each shard runs
-// on its registered backend — in-process for local shards, shardrpc HTTP for
-// remote ones — behind the uniform ShardBackend contract, so the gather
-// merges mixed local/remote collections without knowing. text is the query
-// text (remote shards ship it instead of a serialized graph); baseFP is the
-// precomputed cache key ("" when caching is disabled); the compiler
-// guarantees exactly one collection.
+// receives the merged cost rollup when the cursor finishes. Each shard opens
+// on its registered transport — in-process for local shards, shardrpc HTTP
+// for remote ones — and the gather merges mixed local/remote collections
+// without knowing. text is the query text (remote shards ship it instead of
+// a serialized graph); baseFP is the precomputed cache key ("" when caching
+// is disabled); the compiler guarantees exactly one collection.
 func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xquery.Compiled, text, baseFP string) (*Rows, error) {
 	if len(comp.Collections) != 1 {
 		// Unreachable: xquery.Compile rejects multi-collection queries.
@@ -134,8 +121,16 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 	if err != nil {
 		return nil, translateErr(err)
 	}
-	sw := metrics.Start()
 	shards := col.Shards
+	sctx, cancel := context.WithCancel(ctx)
+	s := &scatterRows{e: e, parent: ctx, sctx: sctx, cancel: cancel, env: env, sw: metrics.Start(),
+		shards: make([]scatterShard, len(shards)), mode: gatherPlain, hi: -1}
+	switch {
+	case comp.Tail.Agg != nil:
+		s.mode, s.aggKind = gatherAgg, comp.Tail.Agg.Kind
+	case comp.Tail.Order != nil:
+		s.mode, s.desc = gatherOrdered, comp.Tail.Order.Desc
+	}
 
 	// Push the window down per shard: a shard can contribute at most
 	// offset+count items to the merged prefix, so its own tail needs no more
@@ -143,38 +138,24 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 	// items may come from any shard, so a shard-local skip would drop the
 	// wrong rows. An offset-only window therefore clears the shard tail
 	// entirely (nothing bounds what one shard may contribute).
-	window := comp.Tail.Limit
-	shardComp := comp
-	shardLimit := 0
-	if window != nil {
+	shardComp, shardLimit := comp, 0
+	if window := comp.Tail.Limit; window != nil {
 		var shardSpec *plan.LimitSpec
+		s.lo = max(window.Offset, 0)
 		if window.Count > 0 {
-			shardSpec = &plan.LimitSpec{Count: window.Offset + window.Count}
-			shardLimit = shardSpec.Count
+			s.hi = s.lo + window.Count
+			shardLimit = window.Offset + window.Count
+			shardSpec = &plan.LimitSpec{Count: shardLimit}
 		}
 		shardComp = comp.WithTailLimit(shardSpec)
 	}
 
-	// Scatter. Each shard gets its own env (recorder + seeded random stream)
-	// over the shared snapshot; the derived context aborts the remaining
-	// shards as soon as one fails, the caller cancels, the cursor closes, or
-	// the gather's window fills.
-	sctx, cancel := context.WithCancel(ctx)
-	parentInterrupt := env.Interrupt
-	interrupt := func() error {
-		if err := sctx.Err(); err != nil {
-			return err
-		}
-		if parentInterrupt != nil {
-			return parentInterrupt()
-		}
-		return nil
-	}
-	streams := make([]*shardStream, len(shards))
+	// Scatter: start every shard's open. Each shard gets its own env
+	// (recorder + seeded random stream) over the shared snapshot; sctx aborts
+	// the remaining shards as soon as one fails, the caller cancels, the
+	// cursor closes, or the gather's window fills.
 	for i, sh := range shards {
-		st := newShardStream(sh.Name())
-		streams[i] = st
-		x := &shardExec{
+		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &shardExec{
 			coll:       collName,
 			shard:      sh.Name(),
 			gen:        sh.Gen,
@@ -184,233 +165,238 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 			query:      text,
 			shardLimit: shardLimit,
 			baseFP:     baseFP,
-			interrupt:  interrupt,
-		}
-		be := e.backendFor(sh)
-		if e.shardRetry == ShardRetryThenPartial {
-			go e.runShardGuarded(sctx, be, x, st)
-		} else {
-			go be.run(sctx, x, st)
-		}
-	}
-
-	src := &scatterRows{
-		parent:  ctx,
-		cancel:  cancel,
-		env:     env,
-		sw:      sw,
-		streams: streams,
-		dones:   make([]*shardDone, len(streams)),
-		mode:    gatherPlain,
-		lo:      0,
-		hi:      -1,
-	}
-	switch {
-	case comp.Tail.Agg != nil:
-		src.mode = gatherAgg
-		src.aggKind = comp.Tail.Agg.Kind
-	case comp.Tail.Order != nil:
-		src.mode = gatherOrdered
-		src.desc = comp.Tail.Order.Desc
-	}
-	if window != nil {
-		if src.lo = window.Offset; src.lo < 0 {
-			src.lo = 0
-		}
-		if window.Count > 0 {
-			src.hi = src.lo + window.Count
-		}
+		}}
+		go func(sh *scatterShard) {
+			defer close(sh.opened)
+			s.open(sh)
+		}(&s.shards[i])
 	}
 	stats := Stats{Plan: fmt.Sprintf("scatter(%s/%d)", collName, len(shards))}
-	return newRows(env, stats, src), nil
+	return newRows(env, stats, s), nil
 }
 
 // scatterRows is the gather side as a cursor row source: it pulls the merged
-// result one item at a time from the shard streams, applies the global
+// result one item at a time from the shard sources, applies the global
 // offset/limit window, and on finalize cancels whatever shard work the
 // window made unnecessary before assembling the per-shard statistics.
 type scatterRows struct {
+	e       *Engine
 	parent  context.Context // caller's ctx: its cancellation is a stream error
+	sctx    context.Context // the shards' ctx: parent's, canceled at finalize
 	cancel  context.CancelFunc
 	env     *plan.Env
 	sw      metrics.Stopwatch // the query's clock; finalize stamps Elapsed
-	streams []*shardStream
-	dones   []*shardDone
+	shards  []scatterShard
 	mode    int
 	desc    bool
 	aggKind plan.AggKind
 
 	lo, hi int // global window over merged items; hi < 0 = unbounded
-	pulled int // merged items consumed, offset skips included
+	merged int // merged items consumed, offset skips included
 
-	cur     int // gatherPlain: stream currently being drained
-	heads   []shardItem
-	hasHead []bool
-	started bool
+	// cur is the shard the current item came from; gatherPlain drains it
+	// until it ends. heads marks, for gatherOrdered, the shards whose current
+	// item still waits in the merge (nil until the first merge step).
+	cur     int
+	heads   []bool
 	aggDone bool
 }
 
-// next hands out strings: the items crossed a channel (or the wire), so each
-// is already its own allocation.
+// open starts — or, retrying, restarts — one shard: its join or its request,
+// holding a fan-out slot. Under ShardRetryThenPartial a failed open is
+// retried once, inline. A source is only ever replaced after it failed, and
+// a failed source holds nothing to close.
+func (s *scatterRows) open(sh *scatterShard) {
+	for {
+		var err error
+		sh.src, err = s.e.openShard(s.sctx, sh.x)
+		if sh.attempts++; err == nil || !s.retryable(sh, err) {
+			return
+		}
+	}
+}
+
+// openShard opens one shard of a scatter on the transport its registration
+// names. The source is valid even when the open failed: it ends at once,
+// reporting the failure.
+func (e *Engine) openShard(ctx context.Context, x *shardExec) (shardSource, error) {
+	if x.remote != nil {
+		return e.openRemote(ctx, x)
+	}
+	c := e.shardCursor(ctx, x)
+	return c, c.openShard()
+}
+
+// retryable reports whether ShardRetryThenPartial restarts a shard that
+// failed with err: only once, only before any of its items entered the merge
+// (a mid-stream restart could duplicate rows), and never for a cancellation —
+// the gather's own early termination, or the caller's.
+func (s *scatterRows) retryable(sh *scatterShard, err error) bool {
+	return s.e.shardRetry == ShardRetryThenPartial && sh.attempts < 2 && sh.pulled == 0 && !s.canceled(err)
+}
+
+func (s *scatterRows) canceled(err error) bool {
+	return s.sctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// next hands out the current item in its source's own form: a local
+// cursor's buffer, valid until the gather pulls that shard again — which is
+// never before the following next — or a remote item's string.
 func (s *scatterRows) next() ([]byte, string, bool, error) {
 	if s.mode == gatherAgg {
-		item, ok, err := s.nextAgg()
-		return nil, item, ok, err
+		return s.nextAgg()
 	}
 	for {
-		if s.hi >= 0 && s.pulled >= s.hi {
+		if s.hi >= 0 && s.merged >= s.hi {
 			return nil, "", false, nil // window full: finalize cancels the rest
 		}
-		it, ok, err := s.nextMerged()
+		ok, err := s.nextMerged()
 		if err != nil || !ok {
 			return nil, "", false, err
 		}
-		s.pulled++
-		if s.pulled <= s.lo {
+		s.merged++
+		if s.merged <= s.lo {
 			continue // inside the global offset: skip
 		}
-		return nil, it.item, true, nil
+		raw, str := s.shards[s.cur].src.item()
+		return raw, str, true, nil
 	}
 }
 
-// nextMerged produces the next item of the merged shard order: shard
-// concatenation for plain queries, k-way key merge for ordered ones.
-func (s *scatterRows) nextMerged() (shardItem, bool, error) {
+// nextMerged advances the merged shard order by one item and points cur at
+// its shard: shard concatenation for plain queries, k-way key merge for
+// ordered ones.
+func (s *scatterRows) nextMerged() (bool, error) {
 	if s.mode == gatherOrdered {
 		return s.nextOrdered()
 	}
-	for s.cur < len(s.streams) {
-		it, ok, err := s.pull(s.cur)
-		if err != nil {
-			return shardItem{}, false, err
+	for ; s.cur < len(s.shards); s.cur++ {
+		if ok, err := s.pull(s.cur); err != nil || ok {
+			return ok, err
 		}
-		if ok {
-			return it, true, nil
-		}
-		s.cur++ // stream exhausted cleanly: move to the next shard
 	}
-	return shardItem{}, false, nil
+	return false, nil
 }
 
-// nextOrdered k-way merges the shard streams by order key. Every stream's
-// head is pulled before the first emission; afterwards only the winning
-// stream is refilled. The strict better-than comparison leaves ties with the
+// nextOrdered k-way merges the shard sources by order key. Each source's
+// current item is its head: every source is pulled once before the first
+// emission, afterwards only the one the previous item came from — on this
+// call, not the previous one, since that item had to stay in its source's
+// buffer until now. The strict better-than comparison leaves ties with the
 // earliest shard, which — shards partitioning the corpus in document order,
 // per-shard sorts being stable — makes the merge output byte-identical to a
 // stable sort over the single-catalog corpus.
-func (s *scatterRows) nextOrdered() (shardItem, bool, error) {
-	if !s.started {
-		s.started = true
-		s.heads = make([]shardItem, len(s.streams))
-		s.hasHead = make([]bool, len(s.streams))
-		for i := range s.streams {
+func (s *scatterRows) nextOrdered() (bool, error) {
+	if s.heads == nil {
+		s.heads = make([]bool, len(s.shards))
+		for i := range s.shards {
 			if err := s.fill(i); err != nil {
-				return shardItem{}, false, err
+				return false, err
 			}
 		}
+	} else if err := s.fill(s.cur); err != nil {
+		return false, err
 	}
 	best := -1
-	for i := range s.streams {
-		if !s.hasHead[i] {
+	var bestKey plan.Key
+	for i, ok := range s.heads {
+		if !ok {
 			continue
 		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		c := s.heads[i].key.Compare(s.heads[best].key)
-		if (s.desc && c > 0) || (!s.desc && c < 0) {
-			best = i
+		k, _ := s.shards[i].src.Key()
+		if c := k.Compare(bestKey); best == -1 || (s.desc && c > 0) || (!s.desc && c < 0) {
+			best, bestKey = i, k
 		}
 	}
 	if best == -1 {
-		return shardItem{}, false, nil
+		return false, nil
 	}
-	it := s.heads[best]
-	s.hasHead[best] = false
-	if err := s.fill(best); err != nil {
-		return shardItem{}, false, err
-	}
-	return it, true, nil
+	s.cur, s.heads[best] = best, false
+	return true, nil
 }
 
-// fill refreshes stream i's head slot.
+// fill pulls shard i's next head.
 func (s *scatterRows) fill(i int) error {
-	it, ok, err := s.pull(i)
-	if err != nil {
-		return err
-	}
-	s.heads[i] = it
-	s.hasHead[i] = ok
-	return nil
+	ok, err := s.pull(i)
+	s.heads[i] = ok
+	return err
 }
 
-// pull takes the next item off stream i, honoring the caller's cancellation.
-// ok = false means the stream ended; a stream that ended because its shard
-// failed surfaces that failure as the stream error — unless the failure
-// policy converted it to a partial completion, which ends the stream cleanly
-// (finalize records the shard's error in its stats).
-func (s *scatterRows) pull(i int) (shardItem, bool, error) {
+// pull advances shard i by one item, first waiting for its open. ok = false
+// means the stream ended: a shard that failed surfaces its error as the
+// stream error — unless ShardRetryThenPartial restarts it (inline, nothing of
+// it merged yet) or gives it up as a partial completion, which ends it
+// cleanly (finalize records the error in the shard's stats).
+func (s *scatterRows) pull(i int) (bool, error) {
+	sh := &s.shards[i]
 	select {
-	case it, ok := <-s.streams[i].items:
-		if !ok {
-			if d := s.doneOf(i); d.err != nil && !d.partial {
-				return shardItem{}, false, d.err
-			}
-			return shardItem{}, false, nil
-		}
-		return it, true, nil
+	case <-sh.opened:
 	case <-s.parent.Done():
-		return shardItem{}, false, s.parent.Err()
+		return false, s.parent.Err()
 	}
+	for !sh.ended {
+		if sh.src.Next() {
+			sh.pulled++
+			return true, nil
+		}
+		d := sh.src.done()
+		if d.err != nil && s.retryable(sh, d.err) {
+			s.open(sh)
+			continue
+		}
+		if d.err != nil && s.e.shardRetry == ShardRetryThenPartial && !s.canceled(d.err) {
+			d.partial, d.stats.Truncated = true, true
+		}
+		sh.ended, sh.rep = true, d
+	}
+	if sh.rep.err != nil && !sh.rep.partial {
+		return false, sh.rep.err
+	}
+	return false, nil
 }
 
-// nextAgg waits for every shard's partial-aggregate state, merges them
+// nextAgg pulls every shard to its end, merges the partial-aggregate states
 // algebraically and emits the single rendered item.
-func (s *scatterRows) nextAgg() (string, bool, error) {
+func (s *scatterRows) nextAgg() ([]byte, string, bool, error) {
 	if s.aggDone {
-		return "", false, nil
+		return nil, "", false, nil
 	}
 	s.aggDone = true
 	var merged plan.AggState
-	for i := range s.streams {
-		d := s.doneOf(i)
-		if d.err != nil {
-			if d.partial {
-				continue // policy: aggregate over the shards that answered
+	for i := range s.shards {
+		for { // an aggregate shard streams no items, only its fold state
+			ok, err := s.pull(i)
+			if err != nil {
+				return nil, "", false, err
 			}
-			return "", false, d.err
+			if !ok {
+				break
+			}
 		}
-		merged.Merge(d.agg)
+		if d := &s.shards[i].rep; !d.partial { // policy: merge the shards that answered
+			merged.Merge(d.agg)
+		}
 	}
 	item, _ := merged.Render(s.aggKind)
-	return item, true, nil
-}
-
-// doneOf returns stream i's end-of-stream report, waiting for it if the
-// shard is still running. The report is memoized — finalize reads it again
-// for the stats rollup.
-func (s *scatterRows) doneOf(i int) *shardDone {
-	if s.dones[i] == nil {
-		d := <-s.streams[i].done
-		s.dones[i] = &d
-	}
-	return s.dones[i]
+	return nil, item, true, nil
 }
 
 // finalize ends the scatter: cancel the shards the merge no longer needs,
-// drain their streams so every goroutine exits, and roll the per-shard
-// statistics up into the query's Stats — in shard (result) order, truncated
-// shards included, so observability survives early termination.
+// wait for the opens still in flight, close every source, and roll the
+// per-shard statistics up into the query's Stats — in shard (result) order,
+// truncated shards included, so observability survives early termination.
 func (s *scatterRows) finalize(st *Stats) {
 	s.cancel()
 	completed := 0
 	allHit := true
-	for i := range s.streams {
-		for range s.streams[i].items {
-			// Drain whatever the shard had buffered so its goroutine exits.
+	for i := range s.shards {
+		sh := &s.shards[i]
+		<-sh.opened // an open in flight aborts at its next interrupt poll
+		d := sh.rep
+		if !sh.ended {
+			d = sh.src.done()
 		}
-		d := s.doneOf(i)
+		sh.src.Close()
 		st.ExecTuples += d.stats.ExecTuples
 		st.SampleTuples += d.stats.SampleTuples
 		st.CumulativeIntermediate += d.stats.CumulativeIntermediate
@@ -426,7 +412,7 @@ func (s *scatterRows) finalize(st *Stats) {
 			// cover the full union.
 			st.Truncated = true
 		}
-		ss := ShardStats{Shard: s.streams[i].name, Stats: d.stats}
+		ss := ShardStats{Shard: sh.x.shard, Stats: d.stats}
 		if d.partial {
 			ss.Err = d.err.Error()
 		}

@@ -353,8 +353,8 @@ func TestScatterEarlyTermination(t *testing.T) {
 		}
 	}
 	// The scanned rollup can never exceed the full union, and the emitted
-	// rows stay within the windowed pull budget per shard (cap + channel
-	// slack), never the full per-shard result. The wall-clock effect of the
+	// rows stay within the windowed pull budget per shard (the cap), never
+	// the full per-shard result. The wall-clock effect of the
 	// cancellation is pinned by BenchmarkLimitScatter* against the
 	// full-drain baseline, where the per-shard work is big enough to
 	// dominate scheduling noise.
@@ -413,7 +413,7 @@ func TestCursorCancelMidStreamSingle(t *testing.T) {
 }
 
 // TestCursorCancelMidStreamSharded cancels a scatter mid-stream: the cursor
-// surfaces ctx.Err(), every shard goroutine exits, and the shards that
+// surfaces ctx.Err(), every shard open in flight exits, and the shards that
 // completed before the cancel keep their installed plans.
 func TestCursorCancelMidStreamSharded(t *testing.T) {
 	_, sharded := newXMarkEngines(t, 4)
@@ -445,7 +445,7 @@ func TestCursorCancelMidStreamSharded(t *testing.T) {
 }
 
 // TestCursorLeakReleasesGoroutines: a scatter cursor abandoned without Close
-// is cleaned up by the runtime — shard goroutines exit once the handle is
+// is cleaned up by the runtime — no shard open outlives the handle being
 // garbage collected.
 func TestCursorLeakReleasesGoroutines(t *testing.T) {
 	_, sharded := newXMarkEngines(t, 4)
@@ -729,11 +729,11 @@ func TestItemBytesAndItemAgree(t *testing.T) {
 // TestShardSlotReleasedBeforeEmit pins the fan-out contract of a shard cursor
 // under the smallest limiter: with one shard worker, six local shards of 60
 // rows each and an order by, the gather needs every shard's head before it
-// can emit — so a shard that still held the one slot while it filled its
-// 16-item channel would starve the other five and the query would hang. It
-// must complete, and every item must come through intact: the pump copies
-// each item out of the cursor's reused buffer before it crosses the channel,
-// so the merged result equals the same data sorted in one document.
+// can emit — so a shard that still held the one slot past its join would
+// starve the other five opens and the query would hang. It must complete, and
+// every item must come through intact: each shard's head stays in its own
+// cursor's buffer until the merge takes it, so the merged result equals the
+// same data sorted in one document.
 func TestShardSlotReleasedBeforeEmit(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const shards, perShard = 6, 60
