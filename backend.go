@@ -282,13 +282,11 @@ func (e *Engine) LoadCollectionRemote(ctx context.Context, coll string, endpoint
 			remotes = append(remotes, plan.Remote{Endpoint: ep.URL, Doc: n})
 		}
 	}
-	e.mu.Lock()
-	cat := e.cat.Clone()
-	for _, r := range remotes {
-		cat.AddCollectionShardRemote(coll, r)
-	}
-	e.cat = cat
-	e.mu.Unlock()
+	e.publish(func(cat *plan.Catalog) {
+		for _, r := range remotes {
+			cat.AddCollectionShardRemote(coll, r)
+		}
+	})
 	return nil
 }
 

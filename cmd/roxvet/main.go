@@ -3,20 +3,20 @@
 // engine's concurrency and determinism contracts (see the "Invariants and
 // static enforcement" section of DESIGN.md).
 //
-// It runs two ways:
+// It runs one way, as a vet tool (test files included):
 //
-//	roxvet ./...                      # standalone, over package patterns
-//	go vet -vettool=$(which roxvet) ./...  # as a vet tool, test files included
+//	go vet -vettool=$(which roxvet) ./...
 //
 // The vet-tool form speaks the go command's unit-checker protocol, so
 // results are cached in the build cache and re-vetting an unchanged tree is
-// nearly free. Diagnostics can be suppressed line-by-line with
-// `//roxvet:ignore <reason>`; the reason is mandatory.
+// nearly free. Run without a protocol argument, roxvet prints its usage and
+// the analyzer list and exits 2. Diagnostics can be suppressed line-by-line
+// with `//roxvet:ignore <reason>`; the reason is mandatory.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -41,49 +41,18 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string) int {
-	// Vet-tool protocol first: -V=full, -flags, or a *.cfg unit file.
-	if code := analysis.VettoolMain(args, analyzers, os.Stderr); code >= 0 {
+// run speaks the vet-tool protocol (-V=full, -flags, or a *.cfg unit file)
+// and answers anything else with the usage text on stderr and exit code 2.
+func run(args []string, stderr io.Writer) int {
+	if code := analysis.VettoolMain(args, analyzers, stderr); code >= 0 {
 		return code
 	}
-
-	fs := flag.NewFlagSet("roxvet", flag.ContinueOnError)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	dir := fs.String("C", ".", "change to this directory before loading packages")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: roxvet [-list] [-C dir] [package patterns]\n\nAnalyzers:\n")
-		for _, a := range analyzers {
-			fmt.Fprintf(fs.Output(), "  %-12s %s\n\n", a.Name, a.Doc)
-		}
+	fmt.Fprintf(stderr, "usage: go vet -vettool=$(which roxvet) [packages]\n\nAnalyzers:\n")
+	for _, a := range analyzers {
+		fmt.Fprintf(stderr, "  %-12s %s\n\n", a.Name, a.Doc)
 	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Println(a.Name)
-		}
-		return 0
-	}
-	pkgs, err := analysis.Load(*dir, fs.Args()...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "roxvet: %v\n", err)
-		return 1
-	}
-	exit := 0
-	for _, pkg := range pkgs {
-		findings, err := analysis.RunPackage(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "roxvet: %v\n", err)
-			return 1
-		}
-		for _, f := range findings {
-			fmt.Println(f)
-			exit = 2
-		}
-	}
-	return exit
+	return 2
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"os/exec"
@@ -37,7 +38,7 @@ func captureStdout(t *testing.T, f func()) string {
 // makes before trusting a vettool: -V=full (the build-cache key) and -flags.
 func TestVettoolProtocol(t *testing.T) {
 	out := captureStdout(t, func() {
-		if code := run([]string{"-V=full"}); code != 0 {
+		if code := run([]string{"-V=full"}, io.Discard); code != 0 {
 			t.Errorf("-V=full exit = %d, want 0", code)
 		}
 	})
@@ -45,7 +46,7 @@ func TestVettoolProtocol(t *testing.T) {
 		t.Errorf("-V=full output %q lacks version/buildID", out)
 	}
 	out = captureStdout(t, func() {
-		if code := run([]string{"-flags"}); code != 0 {
+		if code := run([]string{"-flags"}, io.Discard); code != 0 {
 			t.Errorf("-flags exit = %d, want 0", code)
 		}
 	})
@@ -54,20 +55,21 @@ func TestVettoolProtocol(t *testing.T) {
 	}
 }
 
-func TestListAnalyzers(t *testing.T) {
-	out := captureStdout(t, func() {
-		if code := run([]string{"-list"}); code != 0 {
-			t.Errorf("-list exit = %d, want 0", code)
+// TestUsageListsAnalyzers pins the answer to a non-protocol invocation: the
+// usage text, naming every analyzer, and exit code 2.
+func TestUsageListsAnalyzers(t *testing.T) {
+	for _, args := range [][]string{nil, {"./..."}} {
+		var out strings.Builder
+		if code := run(args, &out); code != 2 {
+			t.Errorf("run(%q) exit = %d, want 2", args, code)
 		}
-	})
-	want := []string{"catalogmut", "ctxflow", "detorder", "fsumonly", "rowsclose", "tailpure", "waldurable"}
-	got := strings.Fields(out)
-	if len(got) != len(want) {
-		t.Fatalf("-list printed %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("-list printed %v, want %v", got, want)
+		if !strings.HasPrefix(out.String(), "usage: ") {
+			t.Errorf("run(%q) printed %q, want the usage text", args, out.String())
+		}
+		for _, name := range []string{"catalogmut", "ctxflow", "detorder", "fsumonly", "rowsclose", "tailpure", "waldurable"} {
+			if !strings.Contains(out.String(), "  "+name+" ") {
+				t.Errorf("usage text lacks analyzer %s:\n%s", name, out.String())
+			}
 		}
 	}
 }
@@ -88,9 +90,9 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestStandaloneSeededViolations runs the standalone front end over a module
-// seeded with one ctxflow and one detorder violation and checks both are
-// reported with the right analyzer tags.
+// TestStandaloneSeededViolations runs `go vet -vettool=roxvet` over a
+// throwaway module seeded with one ctxflow and one detorder violation and
+// checks both are reported with the right analyzer tags.
 func TestStandaloneSeededViolations(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.24\n",
@@ -112,10 +114,9 @@ func Dump(m map[string]int) {
 }
 `,
 	})
-	var code int
-	out := captureStdout(t, func() { code = run([]string{"-C", dir, "./..."}) })
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; output:\n%s", code, out)
+	out, code := vetModule(t, dir)
+	if code != 1 {
+		t.Fatalf("go vet exit = %d, want 1; output:\n%s", code, out)
 	}
 	for _, tag := range []string{"[ctxflow]", "[detorder]"} {
 		if !strings.Contains(out, tag) {
@@ -124,6 +125,8 @@ func Dump(m map[string]int) {
 	}
 }
 
+// TestStandaloneCleanModule checks that `go vet -vettool=roxvet` passes a
+// throwaway module with nothing to report.
 func TestStandaloneCleanModule(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.24\n",
@@ -133,10 +136,8 @@ func TestStandaloneCleanModule(t *testing.T) {
 func Double(x int) int { return 2 * x }
 `,
 	})
-	var code int
-	out := captureStdout(t, func() { code = run([]string{"-C", dir, "./..."}) })
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; output:\n%s", code, out)
+	if out, code := vetModule(t, dir); code != 0 {
+		t.Fatalf("go vet exit = %d, want 0; output:\n%s", code, out)
 	}
 }
 
@@ -150,17 +151,41 @@ func repoRoot(t testing.TB) string {
 	return strings.TrimSpace(string(out))
 }
 
+// buildRoxvet builds roxvet into dir and returns the binary's path.
+func buildRoxvet(t testing.TB, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "roxvet")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/roxvet")
+	build.Dir = repoRoot(t)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building roxvet: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// vetModule runs `go vet -vettool=roxvet ./...` in the module at dir and
+// returns its combined output and exit code.
+func vetModule(t *testing.T, dir string) (string, int) {
+	t.Helper()
+	vet := exec.Command("go", "vet", "-vettool="+buildRoxvet(t, t.TempDir()), "./...")
+	vet.Dir = dir
+	out, err := vet.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatalf("go vet: %v\n%s", err, out)
+	}
+	return string(out), 0
+}
+
 // vetWithRoxvet builds roxvet into dir and runs `go vet -vettool` over the
 // whole repository, returning the elapsed wall-clock time.
 func vetWithRoxvet(t testing.TB, dir string) time.Duration {
 	t.Helper()
 	root := repoRoot(t)
-	bin := filepath.Join(dir, "roxvet")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/roxvet")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building roxvet: %v\n%s", err, out)
-	}
+	bin := buildRoxvet(t, dir)
 	start := time.Now()
 	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	vet.Dir = root

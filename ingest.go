@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/ingest"
-	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/shardrpc"
 	"repro/internal/xmltree"
@@ -60,7 +59,12 @@ type Ingester struct {
 	// hold at least this many appended nodes; 0 disables auto-compaction.
 	compactAfter int
 
-	counters *metrics.IngestCounters
+	// Lifetime event counts, and the catalog generation the last commit (or
+	// replayed WAL batch) published: the ingester's own ledger, which Stats
+	// reports.
+	appends, commits, compactions, replayed int64
+	lastGen                                 uint64
+
 	// broken latches a durability failure (a WAL write error): every
 	// subsequent operation fails with it, because the log no longer
 	// faithfully describes the in-memory state. It wraps ErrIngestBroken.
@@ -110,11 +114,10 @@ type remoteBatch struct {
 func (e *Engine) Ingest() *Ingester {
 	e.ingOnce.Do(func() {
 		e.ing = &Ingester{
-			e:        e,
-			docs:     make(map[string]*ingestDoc),
-			remotes:  make(map[string]*remoteBatch),
-			rr:       make(map[string]int),
-			counters: &metrics.IngestCounters{},
+			e:       e,
+			docs:    make(map[string]*ingestDoc),
+			remotes: make(map[string]*remoteBatch),
+			rr:      make(map[string]int),
 		}
 	})
 	return e.ing
@@ -132,29 +135,15 @@ func (e *Engine) Commit(ctx context.Context) (uint64, error) {
 }
 
 // OpenIngestDir attaches a durable ingest directory to the engine's shared
-// Ingester: compacted snapshots in the directory are (re)registered, the WAL
-// is replayed batch by batch on top of them — each batch published as its
+// Ingester. The compacted snapshots in the directory are all opened, then
+// (re)registered in one catalog swap, so a corrupt one registers none. The
+// WAL is replayed batch by batch on top of them — each batch published as its
 // own catalog swap, so generation stamps advance exactly as they did before
 // the restart — and subsequent appends and commits are logged there. It
 // returns the number of committed batches recovered. Call it after the
 // corpus is loaded and before serving ingest traffic.
 func (e *Engine) OpenIngestDir(path string) (int, error) {
 	return e.Ingest().OpenDir(path)
-}
-
-// SetCounters routes the ingester's observability counters to c (e.g. a
-// serving pool's metrics.Aggregator.Ingest) instead of the private default.
-// Call before ingesting.
-func (g *Ingester) SetCounters(c *metrics.IngestCounters) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c == nil || c == g.counters {
-		return
-	}
-	// Carry over history accumulated before the handoff — boot-time WAL
-	// replay happens before the serving aggregator exists.
-	c.Absorb(g.counters.Snapshot())
-	g.counters = c
 }
 
 // SetCompactAfter makes Commit trigger a Compact once the published
@@ -179,17 +168,24 @@ func (g *Ingester) OpenDir(path string) (int, error) {
 	}
 	// Compacted snapshots supersede whatever the corpus load registered
 	// under the same names: they already contain every batch the truncated
-	// WAL no longer holds. Name order, so every restart assigns the same
-	// generation stamps.
+	// WAL no longer holds. All of them open before any registers, so a
+	// corrupt snapshot publishes nothing; then one swap registers them in
+	// name order, so every restart assigns the same generation stamps.
 	snaps := d.SnapshotPaths()
+	var ixs []*index.Index
 	for _, doc := range sortedKeys(snaps) {
 		ix, err := index.OpenPackedFile(snaps[doc])
 		if err != nil {
 			d.Close()
 			return 0, fmt.Errorf("rox: ingest snapshot %s: %w", snaps[doc], err)
 		}
-		g.e.publishIndexed(ix)
+		ixs = append(ixs, ix)
 	}
+	g.e.publish(func(cat *plan.Catalog) {
+		for _, ix := range ixs {
+			cat.AddIndexed(ix)
+		}
+	})
 	// Re-apply the committed batches, one publish per batch: the catalog
 	// generation advances monotonically through the same sequence of states
 	// the pre-crash process published.
@@ -200,14 +196,12 @@ func (g *Ingester) OpenDir(path string) (int, error) {
 				return 0, fmt.Errorf("rox: replaying wal batch %d: %w", b.Seq, err)
 			}
 		}
-		gen := g.publishLocked()
 		// Record where replay got to without counting new commits — these
 		// batches were already counted in their first life.
-		g.counters.SetLastCommit(b.Seq, gen)
+		g.lastGen = g.publishLocked()
 	}
-	g.counters.Replayed(len(batches))
+	g.replayed += int64(len(batches))
 	g.dir = d
-	g.updateGauges()
 	return len(batches), nil
 }
 
@@ -245,8 +239,7 @@ func (g *Ingester) Append(target, xml string) error {
 			return g.broken
 		}
 	}
-	g.counters.Append()
-	g.updateGauges()
+	g.appends++
 	return nil
 }
 
@@ -264,7 +257,7 @@ func (g *Ingester) bufferRemote(r *plan.Remote, xml string) error {
 		g.remotes[key] = rb
 	}
 	rb.frags = append(rb.frags, shardrpc.IngestFragment{Frag: "ingest", XML: xml})
-	g.counters.Append()
+	g.appends++
 	return nil
 }
 
@@ -369,7 +362,6 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 		}
 	}
 	if !anyDirty {
-		g.updateGauges()
 		return g.lastSeq(), nil
 	}
 	var seq uint64
@@ -380,14 +372,13 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 			return 0, g.broken
 		}
 	}
-	gen := g.publishLocked()
-	g.counters.Commit(seq, gen)
+	g.lastGen = g.publishLocked()
+	g.commits++
 	if g.compactAfter > 0 && g.totalDeltaNodes() >= g.compactAfter {
 		if err := g.compactLocked(); err != nil {
 			return seq, err
 		}
 	}
-	g.updateGauges()
 	return seq, nil
 }
 
@@ -395,41 +386,39 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 // swap, marks their appends committed, and returns the resulting catalog
 // generation.
 func (g *Ingester) publishLocked() uint64 {
-	g.e.mu.Lock()
-	cat := g.e.cat.Clone()
-	// Name order: AddIndexed stamps each document with a fresh generation, so
-	// the per-document stamps must be assigned in the same order on every
-	// run — a WAL replay reproduces the pre-crash stamps exactly.
-	for _, name := range sortedKeys(g.docs) {
-		st := g.docs[name]
-		if st.dirty() == 0 {
-			continue
-		}
-		snap := st.app.Snapshot()
-		var ix *index.Index
-		if snap.Segmented() {
-			if st.baseIx == nil {
-				// Possible only for a document this ingester created whose
-				// base was never indexed — establish the base index once.
-				st.baseIx = index.New(snap.Flatten())
+	return g.e.publish(func(cat *plan.Catalog) {
+		// Name order: AddIndexed stamps each document with a fresh
+		// generation, so the per-document stamps must be assigned in the same
+		// order on every run — a WAL replay reproduces the pre-crash stamps
+		// exactly.
+		for _, name := range sortedKeys(g.docs) {
+			st := g.docs[name]
+			if st.dirty() == 0 {
+				continue
+			}
+			snap := st.app.Snapshot()
+			var ix *index.Index
+			if snap.Segmented() {
+				if st.baseIx == nil {
+					// Possible only for a document this ingester created
+					// whose base was never indexed — establish the base
+					// index once.
+					st.baseIx = index.New(snap.Flatten())
+					ix = st.baseIx
+				} else {
+					ix = index.NewDelta(st.baseIx, snap)
+				}
+			} else if st.baseIx != nil && st.baseIx.Doc() == snap {
 				ix = st.baseIx
 			} else {
-				ix = index.NewDelta(st.baseIx, snap)
+				ix = index.New(snap)
+				st.baseIx = ix
 			}
-		} else if st.baseIx != nil && st.baseIx.Doc() == snap {
-			ix = st.baseIx
-		} else {
-			ix = index.New(snap)
-			st.baseIx = ix
+			cat.AddIndexed(ix)
+			st.published = ix
+			st.committed = len(st.frags)
 		}
-		cat.AddIndexed(ix)
-		st.published = ix
-		st.committed = len(st.frags)
-	}
-	g.e.cat = cat
-	gen := cat.Generation()
-	g.e.mu.Unlock()
-	return gen
+	})
 }
 
 // Compact flattens every published overlay into a plain single-segment
@@ -444,9 +433,7 @@ func (g *Ingester) Compact(ctx context.Context) error {
 	if _, err := g.commitLocked(ctx); err != nil {
 		return err
 	}
-	err := g.compactLocked()
-	g.updateGauges()
-	return err
+	return g.compactLocked()
 }
 
 // compactLocked rewrites and re-publishes every overlay-bearing document.
@@ -483,13 +470,11 @@ func (g *Ingester) compactLocked() error {
 	if len(rewrites) == 0 {
 		return nil
 	}
-	g.e.mu.Lock()
-	cat := g.e.cat.Clone()
-	for _, rw := range rewrites {
-		cat.AddIndexed(rw.ix)
-	}
-	g.e.cat = cat
-	g.e.mu.Unlock()
+	g.e.publish(func(cat *plan.Catalog) {
+		for _, rw := range rewrites {
+			cat.AddIndexed(rw.ix)
+		}
+	})
 	for _, rw := range rewrites {
 		st := g.docs[rw.name]
 		st.app = xmltree.NewAppender(rw.ix.Doc())
@@ -504,7 +489,7 @@ func (g *Ingester) compactLocked() error {
 			return g.broken
 		}
 	}
-	g.counters.Compaction()
+	g.compactions++
 	return nil
 }
 
@@ -538,17 +523,15 @@ type IngestStats struct {
 func (g *Ingester) Stats() IngestStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	snap := g.counters.Snapshot()
 	st := IngestStats{
 		PendingDocs:     g.pendingDocs(),
 		DeltaDocs:       g.deltaDocCount(),
 		DeltaNodes:      g.totalDeltaNodes(),
-		LastCommitSeq:   snap.LastCommitSeq,
-		LastCommitGen:   snap.LastCommitGen,
-		Appends:         snap.Appends,
-		Commits:         snap.Commits,
-		Compactions:     snap.Compactions,
-		ReplayedBatches: snap.ReplayedBatches,
+		LastCommitGen:   g.lastGen,
+		Appends:         g.appends,
+		Commits:         g.commits,
+		Compactions:     g.compactions,
+		ReplayedBatches: g.replayed,
 	}
 	if g.dir != nil {
 		st.Durable = true
@@ -618,14 +601,6 @@ func (g *Ingester) totalDeltaNodes() int {
 		n += st.deltaNodes()
 	}
 	return n
-}
-
-func (g *Ingester) updateGauges() {
-	var walBytes int64
-	if g.dir != nil {
-		walBytes = g.dir.WAL().Size()
-	}
-	g.counters.SetGauges(walBytes, g.pendingDocs(), g.deltaDocCount(), g.totalDeltaNodes())
 }
 
 // IngestShard implements the shard-server side of remote ingest (see

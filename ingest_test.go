@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 const ingestBase = `<site><person id="p1"><name>Alice</name><age>30</age></person></site>`
@@ -465,13 +463,6 @@ func TestIngestWarmRestart(t *testing.T) {
 	if !st.Durable || st.ReplayedBatches != 2 || st.LastCommitGen == 0 {
 		t.Fatalf("restart stats: %+v", st)
 	}
-	// Re-pointing the counters at a serving aggregator must not lose the
-	// replay history — roxserve attaches the aggregator after boot replay.
-	var agg metrics.IngestCounters
-	restarted.Ingest().SetCounters(&agg)
-	if st = restarted.Ingest().Stats(); st.ReplayedBatches != 2 || st.LastCommitGen == 0 {
-		t.Fatalf("stats lost across counter handoff: %+v", st)
-	}
 	// Ingest continues where the log left off, with increasing sequences.
 	if err := restarted.Append("site.xml", ingestFrags[2]); err != nil {
 		t.Fatal(err)
@@ -485,6 +476,63 @@ func TestIngestWarmRestart(t *testing.T) {
 	}
 	if got := mustQuery(t, restarted, ingestQuery); !reflect.DeepEqual(got, mustQuery(t, ingestReference(t, 3), ingestQuery)) {
 		t.Fatalf("post-restart ingest diverged: %v", got)
+	}
+}
+
+// TestOpenIngestDirCorruptSnapshotPublishesNothing pins that OpenIngestDir
+// opens every compacted snapshot before it registers any: when one of them is
+// corrupt the call fails and the catalog still holds the corpus load, not a
+// mix of snapshots and stale documents.
+func TestOpenIngestDirCorruptSnapshotPublishesNothing(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "ingest")
+	docs := []string{"a.xml", "b.xml"}
+	load := func() *Engine {
+		eng := NewEngine()
+		for _, name := range docs {
+			if err := eng.LoadSource(FromXML(name, `<log><e/></log>`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng
+	}
+	eng := load()
+	if _, err := eng.OpenIngestDir(walDir); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, name := range docs {
+		if err := eng.Append(name, `<e/>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Ingest().Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Ingest().Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(walDir, "b.xml.*.roxd"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("b.xml snapshots = %v (%v), want one", snaps, err)
+	}
+	// Unlink first: the first engine may still map the old file.
+	if err := os.Remove(snaps[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps[0], []byte("ROXD"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := load()
+	if _, err := restarted.OpenIngestDir(walDir); err == nil {
+		t.Fatal("OpenIngestDir over a corrupt snapshot succeeded")
+	}
+	q := `for $e in doc("a.xml")//e return count($e)`
+	if got := mustQuery(t, restarted, q); !reflect.DeepEqual(got, []string{"1"}) {
+		t.Fatalf("a.xml after the failed open: %v, want [1] (the corpus load)", got)
 	}
 }
 

@@ -2,8 +2,8 @@
 // golang.org/x/tools/go/analysis, sized for this repository's needs: it
 // defines the Analyzer/Pass/Diagnostic vocabulary, runs analyzers over
 // type-checked packages, and applies the `//roxvet:ignore <reason>`
-// suppression directive uniformly across every entry point (standalone
-// roxvet, `go vet -vettool`, and the analysistest golden harness).
+// suppression directive uniformly across both entry points (`go vet
+// -vettool=roxvet` and the analysistest golden harness).
 //
 // The engine's load-bearing invariants — immutable published catalogs,
 // context propagation, cursor lifecycles, graph/tail isolation, deterministic
@@ -13,10 +13,9 @@
 // escape-hatch policy.
 //
 // The x/tools module is deliberately not imported: this repository builds
-// with the standard library only, so the framework (package loading via
-// `go list -export`, the vet tool protocol in unitchecker.go, the golden
-// harness in analysistest) is implemented from go/ast, go/types and the go
-// toolchain already shipped in the build image.
+// with the standard library only, so the framework (the vet tool protocol in
+// unitchecker.go, the golden harness in analysistest) is implemented from
+// go/ast, go/types and the go command itself.
 package analysis
 
 import (
@@ -110,9 +109,9 @@ func NewInfo() *types.Info {
 // RunPackage applies every analyzer to pkg, filters the findings through the
 // `//roxvet:ignore <reason>` directives of the package's files, appends a
 // diagnostic for each malformed (reason-less) directive, and returns the
-// surviving findings sorted by position. This is the single choke point all
-// three front ends (standalone, vettool, analysistest) share, so directive
-// semantics cannot drift between them.
+// surviving findings sorted by position. This is the single choke point both
+// front ends (vettool, analysistest) share, so directive semantics cannot
+// drift between them.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

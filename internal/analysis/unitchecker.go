@@ -4,7 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -50,7 +54,7 @@ type unitConfig struct {
 // VettoolMain implements the whole vettool protocol for a multichecker
 // binary. It returns the process exit code; main wires it straight into
 // os.Exit. Non-protocol invocations (no .cfg argument) return -1 so the
-// caller can fall through to standalone mode.
+// caller can print its usage.
 func VettoolMain(args []string, analyzers []*Analyzer, stderr io.Writer) int {
 	for _, a := range args {
 		switch {
@@ -115,7 +119,7 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]Finding, error) {
 		return nil, nil
 	}
 	fset := token.NewFileSet()
-	files, err := parseDir(fset, "", cfg.GoFiles) // GoFiles are absolute
+	files, err := parseFiles(fset, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return nil, nil
@@ -131,4 +135,67 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]Finding, error) {
 		return nil, err
 	}
 	return RunPackage(pkg, analyzers)
+}
+
+// exportImporter resolves imports from compiled export-data files, with an
+// optional import-path rewrite map (vendoring, test variants). Export-data
+// import is how the real toolchain composes: since Go 1.20 there are no
+// pre-compiled .a files under GOROOT, so importer.Default() cannot resolve
+// even "fmt", and the unit config names an export file for every dependency.
+type exportImporter struct {
+	gc        types.ImporterFrom
+	importMap map[string]string
+}
+
+// newExportImporter builds an importer over path -> export-file bindings.
+func newExportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) *exportImporter {
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
+	return &exportImporter{
+		gc:        importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
+		importMap: importMap,
+	}
+}
+
+func (ei *exportImporter) Import(path string) (*types.Package, error) {
+	return ei.ImportFrom(path, "", 0)
+}
+
+func (ei *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if mapped, ok := ei.importMap[path]; ok {
+		path = mapped
+	}
+	return ei.gc.ImportFrom(path, dir, 0)
+}
+
+// parseFiles parses one package's files (absolute paths) with comments.
+func parseFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(paths))
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// checkFiles type-checks one package's parsed files.
+func checkFiles(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {
+	info := NewInfo()
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	return &Package{Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

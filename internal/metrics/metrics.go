@@ -173,11 +173,6 @@ type Aggregator struct {
 	queries int64
 	errors  int64
 	costs   [2]Cost
-
-	// Ingest carries the live-ingest counters next to the query totals so one
-	// Aggregator is the full fleet-wide view a server reports. It is atomic
-	// throughout (see IngestCounters) and not guarded by mu.
-	Ingest IngestCounters
 }
 
 // Observe folds one finished evaluation's recorder into the aggregate. The

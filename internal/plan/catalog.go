@@ -19,7 +19,8 @@ import (
 // to load while queries are in flight should mutate a Clone and swap the
 // pointer (copy-on-write), which is what rox.Engine does.
 type Catalog struct {
-	docs map[string]*xmltree.Document
+	// idxs registers the documents by name; every index holds its document,
+	// so this one map answers Doc, Index and Names.
 	idxs map[string]*index.Index
 
 	// colls registers logical collections: named, ordered lists of shards.
@@ -103,7 +104,6 @@ func (c *Collection) ShardNames() []string {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		docs:    make(map[string]*xmltree.Document),
 		idxs:    make(map[string]*index.Index),
 		colls:   make(map[string]*Collection),
 		docGens: make(map[string]uint64),
@@ -123,7 +123,6 @@ func (c *Catalog) AddDocument(d *xmltree.Document) {
 // generation stamp or cached per-shard plans would keep replaying against
 // data that changed under them.
 func (c *Catalog) AddIndexed(ix *index.Index) {
-	c.docs[ix.Doc().Name()] = ix.Doc()
 	c.idxs[ix.Doc().Name()] = ix
 	c.gen++
 	c.docGens[ix.Doc().Name()] = c.gen
@@ -218,14 +217,10 @@ func (c *Catalog) Collections() []string {
 // shard replace in the clone never shows through to holders of the original.
 func (c *Catalog) Clone() *Catalog {
 	out := &Catalog{
-		docs:    make(map[string]*xmltree.Document, len(c.docs)),
 		idxs:    make(map[string]*index.Index, len(c.idxs)),
 		colls:   make(map[string]*Collection, len(c.colls)),
 		docGens: make(map[string]uint64, len(c.docGens)),
 		gen:     c.gen,
-	}
-	for name, d := range c.docs {
-		out.docs[name] = d
 	}
 	for name, ix := range c.idxs {
 		out.idxs[name] = ix
@@ -267,11 +262,11 @@ func (e *UnknownCollectionError) Error() string {
 
 // Doc returns the registered document with the given name.
 func (c *Catalog) Doc(name string) (*xmltree.Document, error) {
-	d, ok := c.docs[name]
+	ix, ok := c.idxs[name]
 	if !ok {
 		return nil, &UnknownDocumentError{Name: name}
 	}
-	return d, nil
+	return ix.Doc(), nil
 }
 
 // Index returns the index of the named document.
@@ -285,8 +280,8 @@ func (c *Catalog) Index(name string) (*index.Index, error) {
 
 // Names returns the registered document names, sorted.
 func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.docs))
-	for name := range c.docs {
+	out := make([]string, 0, len(c.idxs))
+	for name := range c.idxs {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -294,7 +289,7 @@ func (c *Catalog) Names() []string {
 }
 
 // Len returns the number of registered documents.
-func (c *Catalog) Len() int { return len(c.docs) }
+func (c *Catalog) Len() int { return len(c.idxs) }
 
 // Generation returns the catalog's registration counter. It changes on every
 // document load (including reloads under an existing name) and is preserved

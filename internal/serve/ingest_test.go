@@ -59,12 +59,39 @@ func queryItems(t *testing.T, base, q string) []string {
 	return qr.Items
 }
 
+// ingestJSON is the ingest object of /v1/stats.
+type ingestJSON struct {
+	Appends         int64  `json:"appends"`
+	Commits         int64  `json:"commits"`
+	Compactions     int64  `json:"compactions"`
+	ReplayedBatches int64  `json:"replayed_batches"`
+	DeltaDocs       int    `json:"delta_docs"`
+	DeltaNodes      int    `json:"delta_nodes"`
+	PendingDocs     int    `json:"pending_docs"`
+	LastCommitGen   uint64 `json:"last_commit_gen"`
+	Durable         bool   `json:"durable"`
+}
+
+// getIngestStats fetches /v1/stats through h and returns its ingest object.
+func getIngestStats(t *testing.T, h http.Handler) ingestJSON {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats struct {
+		Ingest ingestJSON `json:"ingest"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("bad /v1/stats response %q: %v", rec.Body.Bytes(), err)
+	}
+	return stats.Ingest
+}
+
 // TestIngestEndpoint is the serving-surface contract of POST
 // /collections/{name}/ingest: a committed batch is visible to the next
 // query, an unknown target 404s without &create=1, bad XML 400s, and the
 // ingest counters surface in /v1/stats and GET /v1/collections.
 func TestIngestEndpoint(t *testing.T) {
-	_, ts := newPeopleServer(t, 0)
+	h, ts := newPeopleServer(t, 0)
 
 	countQ := `for $p in collection("ppl")//person return count($p)`
 	before := queryItems(t, ts.URL, countQ)
@@ -114,33 +141,15 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// Observability: /v1/stats carries the ingest section with live counters.
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := getIngestStats(t, h)
+	if st.Appends != 3 || st.Commits != 3 {
+		t.Fatalf("stats ingest counters: %+v", st)
 	}
-	defer sresp.Body.Close()
-	var stats struct {
-		Ingest struct {
-			Appends       int64  `json:"appends"`
-			Commits       int64  `json:"commits"`
-			DeltaDocs     int    `json:"delta_docs"`
-			DeltaNodes    int    `json:"delta_nodes"`
-			PendingDocs   int    `json:"pending_docs"`
-			LastCommitGen uint64 `json:"last_commit_gen"`
-			Durable       bool   `json:"durable"`
-		} `json:"ingest"`
+	if st.DeltaNodes == 0 || st.LastCommitGen == 0 {
+		t.Fatalf("stats ingest gauges: %+v", st)
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ingest.Appends != 3 || stats.Ingest.Commits != 3 {
-		t.Fatalf("stats ingest counters: %+v", stats.Ingest)
-	}
-	if stats.Ingest.DeltaNodes == 0 || stats.Ingest.LastCommitGen == 0 {
-		t.Fatalf("stats ingest gauges: %+v", stats.Ingest)
-	}
-	if stats.Ingest.PendingDocs != 0 || stats.Ingest.Durable {
-		t.Fatalf("stats ingest state: %+v", stats.Ingest)
+	if st.PendingDocs != 0 || st.Durable {
+		t.Fatalf("stats ingest state: %+v", st)
 	}
 
 	// GET /v1/collections carries the same ingest object.
@@ -267,5 +276,102 @@ func TestIngestAppendStatus(t *testing.T) {
 	}
 	if status, resp := postIngest(t, ts.URL, "wallet.xml", "", `<coin/>`); status != http.StatusInternalServerError {
 		t.Errorf("append on a latched ingester: status %d (%v), want 500", status, resp)
+	}
+}
+
+// bootLog returns an engine holding log.xml as loaded from the corpus, with
+// the durable ingest directory dir attached; it fails the test unless
+// exactly replayed WAL batches were recovered.
+func bootLog(t *testing.T, dir string, replayed int) *rox.Engine {
+	t.Helper()
+	eng := rox.NewEngine(rox.WithSeed(1))
+	if err := eng.LoadSource(rox.FromXML("log.xml", `<log><e/></log>`)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := eng.OpenIngestDir(dir); err != nil || n != replayed {
+		t.Fatalf("OpenIngestDir = %d, %v; want %d batches replayed", n, err, replayed)
+	}
+	t.Cleanup(func() { eng.Ingest().Close() })
+	return eng
+}
+
+// TestIngestStatsAcrossRestart pins that the batches a restarted engine
+// replayed from its WAL before any server existed show in the /v1/stats of
+// the server built on it, and that the lifetime counts go on from there.
+func TestIngestStatsAcrossRestart(t *testing.T) {
+	walDir := t.TempDir()
+	eng := bootLog(t, walDir, 0)
+	for i := 0; i < 2; i++ {
+		if err := eng.Append("log.xml", `<e/>`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Commit(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Ingest().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := New(rox.NewPool(bootLog(t, walDir, 2), 2), Config{})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	if st := getIngestStats(t, h); st.ReplayedBatches != 2 || st.LastCommitGen == 0 || st.Commits != 0 {
+		t.Fatalf("stats after restart: %+v, want 2 replayed batches, a commit generation and no commits", st)
+	}
+	if status, resp := postIngest(t, ts.URL, "log.xml", "", `<e/>`); status != http.StatusOK {
+		t.Fatalf("ingest status %d: %v", status, resp)
+	}
+	if st := getIngestStats(t, h); st.Commits != 1 || st.ReplayedBatches != 2 {
+		t.Fatalf("stats after one more ingest: %+v, want 1 commit and 2 replayed batches", st)
+	}
+}
+
+// TestIngestStatsConcurrentWithWrites reads the ingester's statistics, directly
+// and through /v1/stats, while another goroutine appends, commits and
+// compacts. Under -race it pins that the ingester's ledger is read under the
+// same lock its writers hold.
+func TestIngestStatsConcurrentWithWrites(t *testing.T) {
+	eng := bootLog(t, t.TempDir(), 0)
+	h := New(rox.NewPool(eng, 2), Config{})
+	const batches = 20
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			for i := 1; i <= batches; i++ {
+				if err := eng.Append("log.xml", `<e/>`); err != nil {
+					return err
+				}
+				if _, err := eng.Commit(t.Context()); err != nil {
+					return err
+				}
+				if i%5 == 0 {
+					if err := eng.Ingest().Compact(t.Context()); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}()
+	}()
+	var commits int64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		st := eng.Ingest().Stats()
+		if st.Commits < commits {
+			t.Fatalf("commits went back from %d to %d", commits, st.Commits)
+		}
+		commits = st.Commits
+		getIngestStats(t, h)
+	}
+	if st := getIngestStats(t, h); st.Appends != batches || st.Commits != batches || st.Compactions != batches/5 {
+		t.Fatalf("final stats: %+v, want %d appends and commits, %d compactions", st, batches, batches/5)
 	}
 }

@@ -117,9 +117,6 @@ func (h *Handler) Drain() { h.drainCancel(ErrDraining) }
 // file the process can open.
 func (h *Handler) register(pool *rox.Pool, cfg Config) {
 	maxBody, corpusDir := cfg.MaxBody, cfg.CorpusDir
-	// Route the engine ingester's counters into the pool's aggregator so
-	// /stats reports them next to the query totals.
-	pool.Engine().Ingest().SetCounters(&pool.Aggregator().Ingest)
 	h.mux.HandleFunc("GET /v1/shards", shardrpc.HandleInventory(pool.Engine()))
 	h.mux.HandleFunc("POST /v1/shards/{shard}/execute", shardrpc.HandleExecute(pool.Engine()))
 	h.mux.HandleFunc("POST /v1/shards/{shard}/ingest", shardrpc.HandleIngest(pool.Engine()))
@@ -256,15 +253,8 @@ func serveIngest(pool *rox.Pool, maxBody int64, corpusDir string, w http.Respons
 		}
 		xml = string(body)
 	} else {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("fragment body exceeds %d bytes", maxBody))
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r, maxBody, "fragment")
+		if !ok {
 			return
 		}
 		xml = string(body)
@@ -302,15 +292,8 @@ func serveIngest(pool *rox.Pool, maxBody int64, corpusDir string, w http.Respons
 func serveQuery(pool *rox.Pool, maxBody int64, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" && (r.Method == http.MethodPost || r.Method == http.MethodPut) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("query body exceeds %d bytes", maxBody))
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r, maxBody, "query")
+		if !ok {
 			return
 		}
 		q = string(body)
@@ -417,15 +400,8 @@ func serveCollectionLoad(pool *rox.Pool, maxBody int64, corpusDir string, w http
 		writeJSON(w, http.StatusOK, reply)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("shard body exceeds %d bytes", maxBody))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, maxBody, "shard")
+	if !ok {
 		return
 	}
 	if len(strings.TrimSpace(string(body))) == 0 {
@@ -533,6 +509,23 @@ func resolveCorpusPath(corpusDir, file string) (string, error) {
 		return "", fmt.Errorf("file %q is outside the corpus directory", file)
 	}
 	return abs, nil
+}
+
+// readBody reads a POST body of at most maxBody bytes. On failure it has
+// already replied — 413 "<what> body exceeds N bytes" past the bound, 400 on
+// any other read error — and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, maxBody int64, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, maxBody))
+	} else {
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return nil, false
 }
 
 // intParam reads a non-negative integer query parameter ("" = 0).

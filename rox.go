@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/plancache"
@@ -61,12 +60,12 @@ import (
 // XPathCount calls are safe — the loaded corpus (documents + indices) is an
 // immutable plan.Catalog shared by all in-flight queries, and each call
 // creates its own per-query state (cost recorder and seeded random stream).
-// Load* calls swap in a copy-on-write catalog under a write lock, so they may
-// run while queries are in flight: each query sees the catalog as of its
-// start. For reproducibility, a fixed WithSeed seed yields the same plan and
-// results on every call, sequential or concurrent.
+// Load* calls and ingest commits swap in a copy-on-write catalog through one
+// publish, so they may run while queries are in flight: each query sees the
+// catalog as of its start. For reproducibility, a fixed WithSeed seed yields
+// the same plan and results on every call, sequential or concurrent.
 type Engine struct {
-	mu   sync.RWMutex  // guards cat (pointer swap on load)
+	mu   sync.RWMutex  // guards cat; written only by publish
 	cat  *plan.Catalog // immutable once published; replaced, never mutated
 	opts core.Options
 	seed int64
@@ -213,14 +212,18 @@ func (e *Engine) newQueryEnv() *plan.Env {
 	return plan.NewQueryEnv(e.catalog(), metrics.NewRecorder(), e.seed)
 }
 
-// publishIndexed registers one document's index in a copy-on-write catalog
-// swap.
-func (e *Engine) publishIndexed(ix *index.Index) {
+// publish is the one writer of the engine's catalog: it clones the current
+// snapshot, lets register add to the clone, swaps the clone in and returns
+// its generation — one copy-on-write swap, so a query sees the catalog
+// before the call or after it, never a part. Do the expensive work (parsing,
+// index building, mapping) before calling; register runs under the lock.
+func (e *Engine) publish(register func(*plan.Catalog)) uint64 {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	cat := e.cat.Clone()
-	cat.AddIndexed(ix)
+	register(cat)
 	e.cat = cat
-	e.mu.Unlock()
+	return cat.Generation()
 }
 
 // LoadFile shreds and indexes an XML file under the given name (the path's

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/index"
+	"repro/internal/plan"
 	"repro/internal/xmltree"
 )
 
@@ -111,7 +112,7 @@ func (e *Engine) LoadSource(src Source) error {
 	if err != nil {
 		return err
 	}
-	e.publishIndexed(ix)
+	e.publish(func(cat *plan.Catalog) { cat.AddIndexed(ix) })
 	return nil
 }
 
@@ -135,12 +136,10 @@ func (e *Engine) LoadCollectionSource(coll string, srcs ...Source) error {
 		}
 		ixs[i] = ix
 	}
-	e.mu.Lock()
-	cat := e.cat.Clone()
-	for _, ix := range ixs {
-		cat.AddCollectionShard(coll, ix)
-	}
-	e.cat = cat
-	e.mu.Unlock()
+	e.publish(func(cat *plan.Catalog) {
+		for _, ix := range ixs {
+			cat.AddCollectionShard(coll, ix)
+		}
+	})
 	return nil
 }
