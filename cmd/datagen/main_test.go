@@ -43,7 +43,7 @@ func TestRunXMarkPackedShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open packed %s: %v", e.Name(), err)
 		}
-		persons += ix.CountElements("person")
+		persons += len(ix.Elements("person"))
 	}
 	if len(entries) != 2 {
 		t.Errorf("wrote %d shards, want 2", len(entries))

@@ -41,7 +41,7 @@ func TestPackXMLAndCheck(t *testing.T) {
 	if got := ix.Doc().Name(); got != "people.xml" {
 		t.Errorf("stored doc name = %q, want people.xml", got)
 	}
-	if n := ix.CountElements("person"); n != 2 {
+	if n := len(ix.Elements("person")); n != 2 {
 		t.Errorf("person count = %d, want 2", n)
 	}
 	if err := run(os.Stdout, out, true, []string{packed}); err != nil {

@@ -4,22 +4,27 @@
 //   - an element index D∋elt(q): qualified name → all element nodes with
 //     that name, in document order;
 //   - a text value index D∋text(v): value → all text nodes with that value;
-//   - an attribute value index D∋attr(v, qelt, qattr): value (+ element and
-//     attribute name restrictions) → owner elements, plus the attribute-node
-//     variants the Join Graph vertices need.
+//   - an attribute value index: (attribute name, value) → attribute nodes,
+//     the probe behind the Join Graph's attribute vertices.
 //
 // All lookups return pre-materialized, duplicate-free, document-ordered node
 // slices, so the *count* of qualifying nodes is available at lookup cost —
-// the property Phase 1 of Algorithm 1 depends on. Lookups are O(1) after the
-// one-time index build (hash on name/value), and the numeric range lookup is
-// O(log n + |R|) over a sorted auxiliary, the "ordered store" flavour of the
-// paper's value index.
+// the property Phase 1 of Algorithm 1 depends on. Every index has one layout,
+// the offset-table arrays of the packed container's sections (packed.go),
+// whether New built it, FromPacked mapped it or NewDelta built it over an
+// appended range: a name or text-value lookup is a dictionary lookup, two
+// offset reads and a slice; an (attribute, value) probe binary-searches a
+// sorted key array; and the numeric range lookup is O(log n + |R|) over a
+// value-sorted auxiliary, the "ordered store" flavour of the paper's value
+// index.
 //
 // Returned slices are owned by the index: callers must copy before mutating
 // (Table construction in the runtime always copies).
 package index
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -28,151 +33,236 @@ import (
 // Index holds all per-document indices. Build one with New (an O(n) scan)
 // or attach one to the persistent sections of a packed container with
 // FromPacked / OpenPackedFile (no scan — the mapped sections are the index);
-// afterwards it is immutable and safe for concurrent readers. Both backings
-// answer every lookup identically.
+// afterwards it is immutable and safe for concurrent readers.
 type Index struct {
 	doc *xmltree.Document
 
-	// pk is the mapped backing: non-nil for an index attached to persistent
-	// sections, in which case the map fields below stay nil and every
-	// accessor reads the offset tables and posting arrays instead.
-	pk *packed
-
-	// base is the overlaid index for a delta built with NewDelta (delta.go):
-	// the map fields then cover only the appended node range, and accessors
-	// answer base-then-delta. Nil for a single-level index.
+	// base is the overlaid index of a delta built with NewDelta (delta.go):
+	// the tables below then cover only the appended node range, and every
+	// accessor answers base-then-delta. Nil for a single-level index.
 	base *Index
 
-	elems map[int32][]xmltree.NodeID // elem name id → elem nodes
-	attrs map[int32][]xmltree.NodeID // attr name id → attr nodes
-	texts map[int32][]xmltree.NodeID // value id → text nodes
+	elems  postings // elem name id → elem nodes
+	attrs  postings // attr name id → attr nodes
+	texts  postings // value id → text nodes
+	attrEq postings // aeqKey(attr name id, value id) → attr nodes
 
-	// attrEq maps (attr name id, value id) → attribute nodes, the index
-	// probed by the nested-loop index-lookup join on attribute vertices.
-	attrEq map[attrKey][]xmltree.NodeID
+	// numVal and numPre list the text nodes whose value xmltree.ParseNumber
+	// accepts (finite, so the values are totally ordered), sorted by (value,
+	// pre); they answer range predicates like text() < 145 by binary search.
+	numVal []float64
+	numPre []xmltree.NodeID
 
-	// numericTexts lists text nodes whose value xmltree.ParseNumber accepts
-	// (finite, so the values are totally ordered), sorted by value; it
-	// answers range predicates like text() < 145 by binary search.
-	numericTexts []numText
-
-	// allTexts lists every text node in document order — the kind
-	// restriction S = D_text of the staircase join for predicate-free
-	// text() vertices.
-	allTexts []xmltree.NodeID
-
-	// allElems and allAttrs are the kind restrictions S = D_elem and
-	// S = D_attr ("*" and "@*" tests).
-	allElems []xmltree.NodeID
-	allAttrs []xmltree.NodeID
+	// allElems, allAttrs and allTexts are the kind restrictions D_elem,
+	// D_attr and D_text in document order: the staircase join's S for "*",
+	// "@*" and predicate-free text() vertices.
+	allElems, allAttrs, allTexts []xmltree.NodeID
 }
 
-type attrKey struct {
-	name  int32
-	value int32
+// postings groups nodes into document-ordered runs, run i being
+// pst[off[i]:off[i+1]]. A dense table (keys == nil) has one run per
+// dictionary id; a keyed table has one run per key in keys, which ascend
+// strictly. An empty keyed table has a single offset and so answers nil
+// whichever way it is read.
+type postings struct {
+	keys []uint64
+	off  []uint32
+	pst  []xmltree.NodeID
 }
 
-type numText struct {
-	val float64
-	pre xmltree.NodeID
+// get returns the run of key, nil when the table has none or it is empty.
+func (p *postings) get(key uint64) []xmltree.NodeID {
+	i := key
+	if p.keys != nil {
+		j, ok := slices.BinarySearch(p.keys, key)
+		if !ok {
+			return nil
+		}
+		i = uint64(j)
+	}
+	if i+1 >= uint64(len(p.off)) {
+		return nil
+	}
+	lo, hi := p.off[i], p.off[i+1]
+	if lo >= hi {
+		return nil
+	}
+	return p.pst[lo:hi]
+}
+
+// group lays document-ordered nodes out as n runs, node i going to run
+// run(i): count the runs, then fill back to front so each run keeps
+// document order.
+func group(nodes []xmltree.NodeID, n int, run func(i int) uint32) postings {
+	off := make([]uint32, n+1)
+	for i := range nodes {
+		off[run(i)]++
+	}
+	var end uint32
+	for r := range n {
+		end += off[r]
+		off[r] = end
+	}
+	off[n] = end
+	pst := make([]xmltree.NodeID, len(nodes))
+	for i := len(nodes) - 1; i >= 0; i-- {
+		r := run(i)
+		off[r]--
+		pst[off[r]] = nodes[i]
+	}
+	return postings{off: off, pst: pst}
+}
+
+// dense groups nodes by dictionary id, one run per id in [0, n).
+func dense(nodes []xmltree.NodeID, n int, id func(xmltree.NodeID) uint64) postings {
+	return group(nodes, n, func(i int) uint32 { return uint32(id(nodes[i])) })
+}
+
+// keyed groups nodes by key, one run per key that occurs.
+func keyed(nodes []xmltree.NodeID, key func(xmltree.NodeID) uint64) postings {
+	ranks := make([]uint64, len(nodes))
+	for i, n := range nodes {
+		ranks[i] = key(n)
+	}
+	keys := slices.Clone(ranks)
+	slices.Sort(keys)
+	keys = slices.Clone(slices.Compact(keys)) // the keys stay live: drop the duplicates' room
+	for i, k := range ranks {
+		r, _ := slices.BinarySearch(keys, k)
+		ranks[i] = uint64(r)
+	}
+	p := group(nodes, len(keys), func(i int) uint32 { return uint32(ranks[i]) })
+	p.keys = keys
+	return p
+}
+
+func aeqKey(name, value int32) uint64 {
+	return uint64(uint32(name))<<32 | uint64(uint32(value))
 }
 
 // New builds all indices for doc with one scan over the node table.
-func New(doc *xmltree.Document) *Index {
-	ix := &Index{
-		doc:    doc,
-		elems:  make(map[int32][]xmltree.NodeID),
-		attrs:  make(map[int32][]xmltree.NodeID),
-		texts:  make(map[int32][]xmltree.NodeID),
-		attrEq: make(map[attrKey][]xmltree.NodeID),
+func New(doc *xmltree.Document) *Index { return buildLevel(doc, nil) }
+
+// buildLevel indexes the nodes of doc that base does not cover — all of
+// them for New — counting first, then filling. A single-level index gets
+// dense tables, the layout of the packed sections; a delta gets keyed ones,
+// since a dense table spans its whole dictionary and a commit must cost
+// O(appended nodes).
+func buildLevel(doc *xmltree.Document, base *Index) *Index {
+	from := 0
+	if base != nil {
+		from = base.doc.Len()
 	}
-	for i := 0; i < doc.Len(); i++ {
+	var count [256]int // nodes per Kind
+	for i := from; i < doc.Len(); i++ {
+		count[doc.Kind(xmltree.NodeID(i))]++
+	}
+	ix := &Index{
+		doc:      doc,
+		base:     base,
+		allElems: make([]xmltree.NodeID, 0, count[xmltree.KindElem]),
+		allAttrs: make([]xmltree.NodeID, 0, count[xmltree.KindAttr]),
+		allTexts: make([]xmltree.NodeID, 0, count[xmltree.KindText]),
+	}
+	type numText struct {
+		val float64
+		pre xmltree.NodeID
+	}
+	var nums []numText
+	for i := from; i < doc.Len(); i++ {
 		n := xmltree.NodeID(i)
 		switch doc.Kind(n) {
 		case xmltree.KindElem:
-			id := doc.NameID(n)
-			ix.elems[id] = append(ix.elems[id], n)
 			ix.allElems = append(ix.allElems, n)
 		case xmltree.KindAttr:
-			name, val := doc.NameID(n), doc.ValueID(n)
-			ix.attrs[name] = append(ix.attrs[name], n)
 			ix.allAttrs = append(ix.allAttrs, n)
-			k := attrKey{name, val}
-			ix.attrEq[k] = append(ix.attrEq[k], n)
 		case xmltree.KindText:
-			val := doc.ValueID(n)
-			ix.texts[val] = append(ix.texts[val], n)
 			ix.allTexts = append(ix.allTexts, n)
 			if f, ok := xmltree.ParseNumber(doc.Value(n)); ok {
-				ix.numericTexts = append(ix.numericTexts, numText{f, n})
+				nums = append(nums, numText{f, n})
 			}
 		}
 	}
-	sort.Slice(ix.numericTexts, func(a, b int) bool {
-		if ix.numericTexts[a].val != ix.numericTexts[b].val {
-			return ix.numericTexts[a].val < ix.numericTexts[b].val
-		}
-		return ix.numericTexts[a].pre < ix.numericTexts[b].pre
+	slices.SortFunc(nums, func(a, b numText) int {
+		return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.pre, b.pre))
 	})
+	ix.numVal, ix.numPre = make([]float64, len(nums)), make([]xmltree.NodeID, len(nums))
+	for i, nt := range nums {
+		ix.numVal[i], ix.numPre[i] = nt.val, nt.pre
+	}
+	table := func(nodes []xmltree.NodeID, ids int, key func(xmltree.NodeID) uint64) postings {
+		if base == nil {
+			return dense(nodes, ids, key)
+		}
+		return keyed(nodes, key)
+	}
+	name := func(n xmltree.NodeID) uint64 { return uint64(doc.NameID(n)) }
+	value := func(n xmltree.NodeID) uint64 { return uint64(doc.ValueID(n)) }
+	ix.elems = table(ix.allElems, doc.QNames().Len(), name)
+	ix.attrs = table(ix.allAttrs, doc.QNames().Len(), name)
+	ix.texts = table(ix.allTexts, doc.Values().Len(), value)
+	ix.attrEq = keyed(ix.allAttrs, func(n xmltree.NodeID) uint64 { return aeqKey(doc.NameID(n), doc.ValueID(n)) })
+	ix.allElems, ix.allAttrs, ix.allTexts = orNil(ix.allElems), orNil(ix.allAttrs), orNil(ix.allTexts)
 	return ix
+}
+
+// orNil returns nil for an empty slice: a kind restriction without nodes is
+// nil, as it is when mapped from an omitted section.
+func orNil(nodes []xmltree.NodeID) []xmltree.NodeID {
+	if len(nodes) == 0 {
+		return nil
+	}
+	return nodes
 }
 
 // Doc returns the indexed document.
 func (ix *Index) Doc() *xmltree.Document { return ix.doc }
 
+// overBase returns own for a single-level index and, for a delta, base's
+// answer followed by own: document order, as every delta pre exceeds every
+// base pre.
+func (ix *Index) overBase(own []xmltree.NodeID, base func(*Index) []xmltree.NodeID) []xmltree.NodeID {
+	if ix.base == nil {
+		return own
+	}
+	return concatNodes(base(ix.base), own)
+}
+
 // Elements implements D∋elt(q): all element nodes with qualified name q, in
 // document order. The slice length is the exact count.
 func (ix *Index) Elements(qname string) []xmltree.NodeID {
-	if ix.base != nil {
-		return ix.deltaElements(qname)
-	}
 	id, ok := ix.doc.QNames().Lookup(qname)
 	if !ok {
 		return nil
 	}
-	if ix.pk != nil {
-		return ix.pk.postings(ix.pk.elemOff, ix.pk.elemPst, id)
-	}
-	return ix.elems[id]
+	return ix.overBase(ix.elems.get(uint64(id)),
+		func(b *Index) []xmltree.NodeID { return b.Elements(qname) })
 }
 
 // AttributesByName returns all attribute nodes named qattr, in document
 // order (the vertex table of an @name Join Graph vertex).
 func (ix *Index) AttributesByName(qattr string) []xmltree.NodeID {
-	if ix.base != nil {
-		return ix.deltaAttributesByName(qattr)
-	}
 	id, ok := ix.doc.QNames().Lookup(qattr)
 	if !ok {
 		return nil
 	}
-	if ix.pk != nil {
-		return ix.pk.postings(ix.pk.attrOff, ix.pk.attrPst, id)
-	}
-	return ix.attrs[id]
+	return ix.overBase(ix.attrs.get(uint64(id)),
+		func(b *Index) []xmltree.NodeID { return b.AttributesByName(qattr) })
 }
 
 // TextEq implements D∋text(v): all text nodes whose value equals v.
 func (ix *Index) TextEq(v string) []xmltree.NodeID {
-	if ix.base != nil {
-		return ix.deltaTextEq(v)
-	}
 	id, ok := ix.doc.Values().Lookup(v)
 	if !ok {
 		return nil
 	}
-	if ix.pk != nil {
-		return ix.pk.postings(ix.pk.textOff, ix.pk.textPst, id)
-	}
-	return ix.texts[id]
+	return ix.overBase(ix.texts.get(uint64(id)),
+		func(b *Index) []xmltree.NodeID { return b.TextEq(v) })
 }
 
 // AttrEq returns all attribute nodes named qattr whose value equals v — the
 // probe used by the nested-loop index-lookup join on attribute vertices.
 func (ix *Index) AttrEq(qattr, v string) []xmltree.NodeID {
-	if ix.base != nil {
-		return ix.deltaAttrEq(qattr, v)
-	}
 	name, ok := ix.doc.QNames().Lookup(qattr)
 	if !ok {
 		return nil
@@ -181,47 +271,8 @@ func (ix *Index) AttrEq(qattr, v string) []xmltree.NodeID {
 	if !ok {
 		return nil
 	}
-	if ix.pk != nil {
-		key := aeqKey(name, val)
-		i := sort.Search(len(ix.pk.aeqKey), func(i int) bool { return ix.pk.aeqKey[i] >= key })
-		if i == len(ix.pk.aeqKey) || ix.pk.aeqKey[i] != key {
-			return nil
-		}
-		return ix.pk.postings(ix.pk.aeqOff, ix.pk.aeqPst, int32(i))
-	}
-	return ix.attrEq[attrKey{name, val}]
-}
-
-// AttrParents implements the paper's D∋attr(v, qelt, qattr): the owner
-// elements with name qelt of attributes named qattr valued v. Pass qelt ""
-// to skip the element-name restriction.
-func (ix *Index) AttrParents(v, qelt, qattr string) []xmltree.NodeID {
-	attrs := ix.AttrEq(qattr, v)
-	if len(attrs) == 0 {
-		return nil
-	}
-	var eltID int32 = -1
-	if qelt != "" {
-		id, ok := ix.doc.QNames().Lookup(qelt)
-		if !ok {
-			return nil
-		}
-		eltID = id
-	}
-	out := make([]xmltree.NodeID, 0, len(attrs))
-	for _, a := range attrs {
-		p := ix.doc.Parent(a)
-		if eltID >= 0 && ix.doc.NameID(p) != eltID {
-			continue
-		}
-		out = append(out, p)
-	}
-	// Parents of document-ordered attributes are document-ordered, and an
-	// element owns each attribute name at most once — no dedup needed.
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return ix.overBase(ix.attrEq.get(aeqKey(name, val)),
+		func(b *Index) []xmltree.NodeID { return b.AttrEq(qattr, v) })
 }
 
 // RangeOp is a comparison operator for numeric range lookups.
@@ -272,132 +323,48 @@ func (op RangeOp) Compare(v, bound float64) bool {
 	}
 }
 
-// numLen/numValAt/numPreAt read the sorted numeric auxiliary through
-// whichever backing the index has (struct slice on the heap, two parallel
-// mapped arrays when packed).
-func (ix *Index) numLen() int {
-	if ix.pk != nil {
-		return len(ix.pk.numVal)
-	}
-	return len(ix.numericTexts)
-}
-
-func (ix *Index) numValAt(i int) float64 {
-	if ix.pk != nil {
-		return ix.pk.numVal[i]
-	}
-	return ix.numericTexts[i].val
-}
-
-func (ix *Index) numPreAt(i int) xmltree.NodeID {
-	if ix.pk != nil {
-		return ix.pk.numPre[i]
-	}
-	return ix.numericTexts[i].pre
-}
-
 // TextRange returns all text nodes with a numeric value v satisfying
 // "v op bound", in document order. Cost O(log n + |R|) while the matches are
 // dense in their id span (xmltree.SortUnique's bitmap sweep), else
 // O(log n + |R| log |R|).
 func (ix *Index) TextRange(op RangeOp, bound float64) []xmltree.NodeID {
-	if ix.base != nil {
-		// Both halves come out pre-sorted and the delta's pres all exceed the
-		// base's, so concatenation is the merge.
-		return concatNodes(ix.base.TextRange(op, bound), ix.textRangeSelf(op, bound))
-	}
-	return ix.textRangeSelf(op, bound)
-}
+	n := len(ix.numVal)
+	ge := sort.SearchFloat64s(ix.numVal, bound)                            // first value >= bound
+	gt := sort.Search(n, func(i int) bool { return ix.numVal[i] > bound }) // first value > bound
 
-// textRangeSelf answers TextRange over this level's own numeric auxiliary.
-func (ix *Index) textRangeSelf(op RangeOp, bound float64) []xmltree.NodeID {
-	n := ix.numLen()
-	var lo, hi int // half-open [lo, hi) range in the value-sorted auxiliary
+	var lo, hi int // half-open range of the matches in the auxiliary
 	switch op {
 	case Lt:
-		lo, hi = 0, sort.Search(n, func(i int) bool { return ix.numValAt(i) >= bound })
+		lo, hi = 0, ge
 	case Le:
-		lo, hi = 0, sort.Search(n, func(i int) bool { return ix.numValAt(i) > bound })
+		lo, hi = 0, gt
 	case Gt:
-		lo, hi = sort.Search(n, func(i int) bool { return ix.numValAt(i) > bound }), n
+		lo, hi = gt, n
 	case Ge:
-		lo, hi = sort.Search(n, func(i int) bool { return ix.numValAt(i) >= bound }), n
+		lo, hi = ge, n
 	case EqNum:
-		lo = sort.Search(n, func(i int) bool { return ix.numValAt(i) >= bound })
-		hi = sort.Search(n, func(i int) bool { return ix.numValAt(i) > bound })
+		lo, hi = ge, gt
 	}
-	if lo >= hi {
-		return nil
+	var own []xmltree.NodeID
+	if lo < hi {
+		// Value order back into document order.
+		own = xmltree.SortUnique(slices.Clone(ix.numPre[lo:hi]), nil)
 	}
-	out := make([]xmltree.NodeID, hi-lo)
-	for i := lo; i < hi; i++ {
-		out[i-lo] = ix.numPreAt(i)
-	}
-	return xmltree.SortUnique(out, nil) // value order back into document order
+	return ix.overBase(own, func(b *Index) []xmltree.NodeID { return b.TextRange(op, bound) })
 }
 
 // Texts returns every text node of the document in document order (the kind
 // restriction D_text).
-func (ix *Index) Texts() []xmltree.NodeID {
-	if ix.base != nil {
-		return concatNodes(ix.base.Texts(), ix.allTexts)
-	}
-	if ix.pk != nil {
-		return ix.pk.allText
-	}
-	return ix.allTexts
-}
+func (ix *Index) Texts() []xmltree.NodeID { return ix.overBase(ix.allTexts, (*Index).Texts) }
 
 // AllElements returns every element node in document order (the kind
 // restriction D_elem, the "*" name test).
 func (ix *Index) AllElements() []xmltree.NodeID {
-	if ix.base != nil {
-		return concatNodes(ix.base.AllElements(), ix.allElems)
-	}
-	if ix.pk != nil {
-		return ix.pk.allElem
-	}
-	return ix.allElems
+	return ix.overBase(ix.allElems, (*Index).AllElements)
 }
 
 // AllAttributes returns every attribute node in document order (the "@*"
 // test).
 func (ix *Index) AllAttributes() []xmltree.NodeID {
-	if ix.base != nil {
-		return concatNodes(ix.base.AllAttributes(), ix.allAttrs)
-	}
-	if ix.pk != nil {
-		return ix.pk.allAttr
-	}
-	return ix.allAttrs
-}
-
-// CountElements returns the number of elements named qname at index-lookup
-// cost, without materializing anything new.
-func (ix *Index) CountElements(qname string) int { return len(ix.Elements(qname)) }
-
-// CountTextEq returns the number of text nodes valued v.
-func (ix *Index) CountTextEq(v string) int { return len(ix.TextEq(v)) }
-
-// ElementNames returns all distinct element names present in the document,
-// sorted (used by catalogs and the plan enumerator).
-func (ix *Index) ElementNames() []string {
-	if ix.base != nil {
-		return ix.deltaElementNames()
-	}
-	var out []string
-	if ix.pk != nil {
-		for id := 0; id+1 < len(ix.pk.elemOff); id++ {
-			if ix.pk.elemOff[id+1] > ix.pk.elemOff[id] {
-				out = append(out, ix.doc.QNames().String(int32(id)))
-			}
-		}
-	} else {
-		out = make([]string, 0, len(ix.elems))
-		for id := range ix.elems {
-			out = append(out, ix.doc.QNames().String(id))
-		}
-	}
-	sort.Strings(out)
-	return out
+	return ix.overBase(ix.allAttrs, (*Index).AllAttributes)
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -43,8 +44,8 @@ func TestElements(t *testing.T) {
 	if got := ix.Elements("absent"); got != nil {
 		t.Errorf("Elements(absent) = %v", got)
 	}
-	if ix.CountElements("person") != 2 {
-		t.Errorf("CountElements(person) = %d", ix.CountElements("person"))
+	if n := len(ix.Elements("person")); n != 2 {
+		t.Errorf("len(Elements(person)) = %d", n)
 	}
 }
 
@@ -62,8 +63,8 @@ func TestTextEq(t *testing.T) {
 	if got := ix.TextEq("Bob"); got != nil {
 		t.Errorf("TextEq(Bob) = %v", got)
 	}
-	if ix.CountTextEq("rare") != 1 {
-		t.Errorf("CountTextEq(rare) = %d", ix.CountTextEq("rare"))
+	if n := len(ix.TextEq("rare")); n != 1 {
+		t.Errorf("len(TextEq(rare)) = %d", n)
 	}
 }
 
@@ -76,16 +77,6 @@ func TestAttrIndexes(t *testing.T) {
 	refs := ix.AttrEq("ref", "i1")
 	if len(refs) != 1 || d.Value(refs[0]) != "i1" {
 		t.Fatalf("AttrEq(ref,i1) = %v", refs)
-	}
-	parents := ix.AttrParents("i1", "person", "ref")
-	if len(parents) != 1 || d.NodeName(parents[0]) != "person" {
-		t.Fatalf("AttrParents = %v", parents)
-	}
-	if got := ix.AttrParents("i1", "item", "ref"); got != nil {
-		t.Errorf("AttrParents with wrong qelt = %v", got)
-	}
-	if got := ix.AttrParents("i1", "", "ref"); len(got) != 1 {
-		t.Errorf("AttrParents without qelt restriction = %v", got)
 	}
 	if got := ix.AttrEq("nosuch", "x"); got != nil {
 		t.Errorf("AttrEq(nosuch) = %v", got)
@@ -118,17 +109,20 @@ func TestTextRange(t *testing.T) {
 	check(Gt, 1000, nil)
 }
 
+// TestElementNames: exactly the document's element names have element
+// postings — a name only attributes use ("id", "ref") has an empty run.
 func TestElementNames(t *testing.T) {
-	_, ix := build(t)
-	names := ix.ElementNames()
-	want := []string{"auction", "item", "name", "note", "person", "price"}
-	if len(names) != len(want) {
-		t.Fatalf("ElementNames = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("ElementNames = %v, want %v", names, want)
+	d, ix := build(t)
+	var names []string
+	for id := range d.QNames().Len() {
+		if q := d.QNames().String(int32(id)); len(ix.Elements(q)) > 0 {
+			names = append(names, q)
 		}
+	}
+	sort.Strings(names)
+	want := []string{"auction", "item", "name", "note", "person", "price"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("names with element postings = %v, want %v", names, want)
 	}
 }
 

@@ -1,25 +1,25 @@
-// Persistent index sections: the postings the in-memory Index builds with an
-// O(n) scan (New) can instead be computed once at pack time, appended to a
-// ROXD v2 container as fixed-width sections, and attached zero-copy on open
-// — FromPacked is "point at the mapped sections", not a rebuild. This is the
-// RadegastXDB-style native storage design the ROADMAP names: node table +
-// string heap + value indices, all in one mappable shard file. See the
-// "On-disk store and persistent indices" section of DESIGN.md.
+// Persistent index sections: the arrays New builds with an O(n) scan are
+// written once at pack time, appended to a ROXD v2 container as fixed-width
+// sections, and attached zero-copy on open — FromPacked is "point at the
+// mapped sections", not a rebuild. This is the RadegastXDB-style native
+// storage design the ROADMAP names: node table + string heap + value
+// indices, all in one mappable shard file. See the "On-disk store and
+// persistent indices" section of DESIGN.md.
 package index
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/xmltree"
 )
 
 // Section names of the persistent index, appended after the document's own
-// sections. Postings are grouped by dense dictionary id: a [idCount+1]u32
-// offset table into one concatenated []int32 posting array, so a lookup is
-// two bounds reads and a slice — the same O(1) the in-memory maps give,
-// without building them.
+// sections. They are the Index's own arrays (index.go): postings grouped by
+// dense dictionary id are a [idCount+1]u32 offset table into one
+// concatenated []int32 posting array, so a lookup is two bounds reads and a
+// slice.
 const (
 	secElemOff = "ix.elem.off" // per qname id → element postings
 	secElemPst = "ix.elem.pst"
@@ -37,109 +37,27 @@ const (
 	secAllText = "ix.all.text"
 )
 
-// packed is the mapped-backing counterpart of the Index maps: offset tables
-// and posting arrays that alias the container's sections. All slices are
-// read-only views; the Document they came with keeps the mapping alive.
-type packed struct {
-	elemOff []uint32
-	elemPst []xmltree.NodeID
-	attrOff []uint32
-	attrPst []xmltree.NodeID
-	textOff []uint32
-	textPst []xmltree.NodeID
-
-	aeqKey []uint64
-	aeqOff []uint32
-	aeqPst []xmltree.NodeID
-
-	numVal []float64
-	numPre []xmltree.NodeID
-
-	allElem, allAttr, allText []xmltree.NodeID
-}
-
-// postings returns the posting list of dense id within an offset table, nil
-// when the id is out of range or empty (matching the nil the map lookups of
-// the heap backing return).
-func (pk *packed) postings(off []uint32, pst []xmltree.NodeID, id int32) []xmltree.NodeID {
-	if id < 0 || int(id)+1 >= len(off) {
-		return nil
-	}
-	lo, hi := off[id], off[id+1]
-	if lo >= hi {
-		return nil
-	}
-	return pst[lo:hi]
-}
-
-// PackSections serializes a built index into its persistent sections, in
-// deterministic order. The sections are pure functions of the document, so
+// PackSections serializes a single-level index (New, FromPacked) into its
+// persistent sections, in deterministic order: they are views of the
+// index's own arrays. The sections are pure functions of the document, so
 // packing the same corpus always produces the same bytes.
 func PackSections(ix *Index) []xmltree.Section {
-	doc := ix.doc
-	elemOff, elemPst := packPostings(ix.elems, doc.QNames().Len())
-	attrOff, attrPst := packPostings(ix.attrs, doc.QNames().Len())
-	textOff, textPst := packPostings(ix.texts, doc.Values().Len())
-
-	// attrEq keys are sparse (name, value) pairs: sort them into one array
-	// and binary-search at lookup time.
-	keys := make([]uint64, 0, len(ix.attrEq))
-	for k := range ix.attrEq {
-		keys = append(keys, aeqKey(k.name, k.value))
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	aeqOff := make([]uint32, len(keys)+1)
-	var aeqPst []xmltree.NodeID
-	for i, k := range keys {
-		aeqOff[i] = uint32(len(aeqPst))
-		aeqPst = append(aeqPst, ix.attrEq[attrKey{int32(k >> 32), int32(uint32(k))}]...)
-	}
-	aeqOff[len(keys)] = uint32(len(aeqPst))
-
-	numVal := make([]float64, len(ix.numericTexts))
-	numPre := make([]xmltree.NodeID, len(ix.numericTexts))
-	for i, nt := range ix.numericTexts {
-		numVal[i], numPre[i] = nt.val, nt.pre
-	}
-
 	return []xmltree.Section{
-		{Name: secElemOff, Data: xmltree.Uint32sBytes(elemOff)},
-		{Name: secElemPst, Data: xmltree.Int32sBytes(elemPst)},
-		{Name: secAttrOff, Data: xmltree.Uint32sBytes(attrOff)},
-		{Name: secAttrPst, Data: xmltree.Int32sBytes(attrPst)},
-		{Name: secTextOff, Data: xmltree.Uint32sBytes(textOff)},
-		{Name: secTextPst, Data: xmltree.Int32sBytes(textPst)},
-		{Name: secAeqKey, Data: xmltree.Uint64sBytes(keys)},
-		{Name: secAeqOff, Data: xmltree.Uint32sBytes(aeqOff)},
-		{Name: secAeqPst, Data: xmltree.Int32sBytes(aeqPst)},
-		{Name: secNumVal, Data: xmltree.Float64sBytes(numVal)},
-		{Name: secNumPre, Data: xmltree.Int32sBytes(numPre)},
+		{Name: secElemOff, Data: xmltree.Uint32sBytes(ix.elems.off)},
+		{Name: secElemPst, Data: xmltree.Int32sBytes(ix.elems.pst)},
+		{Name: secAttrOff, Data: xmltree.Uint32sBytes(ix.attrs.off)},
+		{Name: secAttrPst, Data: xmltree.Int32sBytes(ix.attrs.pst)},
+		{Name: secTextOff, Data: xmltree.Uint32sBytes(ix.texts.off)},
+		{Name: secTextPst, Data: xmltree.Int32sBytes(ix.texts.pst)},
+		{Name: secAeqKey, Data: xmltree.Uint64sBytes(ix.attrEq.keys)},
+		{Name: secAeqOff, Data: xmltree.Uint32sBytes(ix.attrEq.off)},
+		{Name: secAeqPst, Data: xmltree.Int32sBytes(ix.attrEq.pst)},
+		{Name: secNumVal, Data: xmltree.Float64sBytes(ix.numVal)},
+		{Name: secNumPre, Data: xmltree.Int32sBytes(ix.numPre)},
 		{Name: secAllElem, Data: xmltree.Int32sBytes(ix.allElems)},
 		{Name: secAllAttr, Data: xmltree.Int32sBytes(ix.allAttrs)},
 		{Name: secAllText, Data: xmltree.Int32sBytes(ix.allTexts)},
 	}
-}
-
-// packPostings flattens an id-keyed posting map into a dense offset table
-// (one entry per dictionary id, empty ids included) plus the concatenated
-// posting array.
-func packPostings(m map[int32][]xmltree.NodeID, idCount int) ([]uint32, []xmltree.NodeID) {
-	off := make([]uint32, idCount+1)
-	total := 0
-	for _, p := range m {
-		total += len(p)
-	}
-	pst := make([]xmltree.NodeID, 0, total)
-	for id := 0; id < idCount; id++ {
-		off[id] = uint32(len(pst))
-		pst = append(pst, m[int32(id)]...)
-	}
-	off[idCount] = uint32(len(pst))
-	return off, pst
-}
-
-func aeqKey(name, value int32) uint64 {
-	return uint64(uint32(name))<<32 | uint64(uint32(value))
 }
 
 // ErrNoIndexSections reports a packed container without persistent index
@@ -152,8 +70,11 @@ var ErrNoIndexSections = fmt.Errorf("index: packed container has no index sectio
 // mapped sections are the index. Returns ErrNoIndexSections when the
 // container was packed without them.
 func FromPacked(p *xmltree.Packed) (*Index, error) {
+	if p.Section(secElemOff) == nil {
+		return nil, ErrNoIndexSections
+	}
 	doc := p.Doc()
-	pk := &packed{}
+	ix := &Index{doc: doc}
 	var err error
 	u32 := func(sec string) []uint32 {
 		if err != nil {
@@ -171,60 +92,54 @@ func FromPacked(p *xmltree.Packed) (*Index, error) {
 		out, err = castSection(sec, p.Section(sec), xmltree.AsInt32s)
 		return out
 	}
-	if p.Section(secElemOff) == nil {
-		return nil, ErrNoIndexSections
-	}
-	pk.elemOff, pk.elemPst = u32(secElemOff), nodes(secElemPst)
-	pk.attrOff, pk.attrPst = u32(secAttrOff), nodes(secAttrPst)
-	pk.textOff, pk.textPst = u32(secTextOff), nodes(secTextPst)
+	ix.elems = postings{off: u32(secElemOff), pst: nodes(secElemPst)}
+	ix.attrs = postings{off: u32(secAttrOff), pst: nodes(secAttrPst)}
+	ix.texts = postings{off: u32(secTextOff), pst: nodes(secTextPst)}
 	if err == nil {
-		pk.aeqKey, err = castSection(secAeqKey, p.Section(secAeqKey), xmltree.AsUint64s)
+		ix.attrEq.keys, err = castSection(secAeqKey, p.Section(secAeqKey), xmltree.AsUint64s)
 	}
-	pk.aeqOff, pk.aeqPst = u32(secAeqOff), nodes(secAeqPst)
+	ix.attrEq.off, ix.attrEq.pst = u32(secAeqOff), nodes(secAeqPst)
 	if err == nil {
-		pk.numVal, err = castSection(secNumVal, p.Section(secNumVal), xmltree.AsFloat64s)
+		ix.numVal, err = castSection(secNumVal, p.Section(secNumVal), xmltree.AsFloat64s)
 	}
-	pk.numPre = nodes(secNumPre)
-	pk.allElem, pk.allAttr, pk.allText = nodes(secAllElem), nodes(secAllAttr), nodes(secAllText)
+	ix.numPre = nodes(secNumPre)
+	ix.allElems, ix.allAttrs, ix.allTexts = nodes(secAllElem), nodes(secAllAttr), nodes(secAllText)
 	if err != nil {
 		return nil, err
 	}
 	// Consistency between the offset tables and the dictionaries they are
 	// indexed by: a mismatch means the sections belong to a different
 	// document revision.
-	if len(pk.elemOff) != doc.QNames().Len()+1 || len(pk.attrOff) != doc.QNames().Len()+1 {
+	if len(ix.elems.off) != doc.QNames().Len()+1 || len(ix.attrs.off) != doc.QNames().Len()+1 {
 		return nil, fmt.Errorf("index: qname offset tables sized %d/%d, dictionary has %d entries",
-			len(pk.elemOff)-1, len(pk.attrOff)-1, doc.QNames().Len())
+			len(ix.elems.off)-1, len(ix.attrs.off)-1, doc.QNames().Len())
 	}
-	if len(pk.textOff) != doc.Values().Len()+1 {
+	if len(ix.texts.off) != doc.Values().Len()+1 {
 		return nil, fmt.Errorf("index: text offset table sized %d, value dictionary has %d entries",
-			len(pk.textOff)-1, doc.Values().Len())
+			len(ix.texts.off)-1, doc.Values().Len())
 	}
-	if len(pk.aeqOff) != len(pk.aeqKey)+1 {
+	if len(ix.attrEq.off) != len(ix.attrEq.keys)+1 {
 		return nil, fmt.Errorf("index: attr-eq offset table sized %d for %d keys",
-			len(pk.aeqOff)-1, len(pk.aeqKey))
+			len(ix.attrEq.off)-1, len(ix.attrEq.keys))
 	}
-	if len(pk.numVal) != len(pk.numPre) {
+	if len(ix.numVal) != len(ix.numPre) {
 		return nil, fmt.Errorf("index: numeric auxiliary arrays sized %d vs %d",
-			len(pk.numVal), len(pk.numPre))
+			len(ix.numVal), len(ix.numPre))
 	}
-	// Bounds validation of the mapped sections, at attach time rather than at
-	// query time: a corrupt or hostile container must fail the load with a
-	// typed error, not panic a posting slice or a node-column access inside a
-	// query goroutine (roxserve maps files on request, so a deferred panic
-	// would be remotely triggerable). O(postings) — linear scans over mapped
-	// memory, still far cheaper than the O(n) rebuild this path avoids.
+	// Bounds and ordering validation of the mapped sections, at attach time
+	// rather than at query time: a corrupt or hostile container must fail the
+	// load with a typed error, not panic a posting slice or a node-column
+	// access inside a query goroutine (roxserve maps files on request, so a
+	// deferred panic would be remotely triggerable), nor make a binary search
+	// answer wrongly. O(postings) — linear scans over mapped memory, still far
+	// cheaper than the O(n) rebuild this path avoids.
 	for _, tbl := range []struct {
 		sec string
-		off []uint32
-		pst []xmltree.NodeID
+		p   postings
 	}{
-		{secElemOff, pk.elemOff, pk.elemPst},
-		{secAttrOff, pk.attrOff, pk.attrPst},
-		{secTextOff, pk.textOff, pk.textPst},
-		{secAeqOff, pk.aeqOff, pk.aeqPst},
+		{secElemOff, ix.elems}, {secAttrOff, ix.attrs}, {secTextOff, ix.texts}, {secAeqOff, ix.attrEq},
 	} {
-		if err := checkOffsets(tbl.sec, tbl.off, len(tbl.pst)); err != nil {
+		if err := checkOffsets(tbl.sec, tbl.p.off, len(tbl.p.pst)); err != nil {
 			return nil, err
 		}
 	}
@@ -232,15 +147,25 @@ func FromPacked(p *xmltree.Packed) (*Index, error) {
 		sec string
 		pst []xmltree.NodeID
 	}{
-		{secElemPst, pk.elemPst}, {secAttrPst, pk.attrPst}, {secTextPst, pk.textPst},
-		{secAeqPst, pk.aeqPst}, {secNumPre, pk.numPre},
-		{secAllElem, pk.allElem}, {secAllAttr, pk.allAttr}, {secAllText, pk.allText},
+		{secElemPst, ix.elems.pst}, {secAttrPst, ix.attrs.pst}, {secTextPst, ix.texts.pst},
+		{secAeqPst, ix.attrEq.pst}, {secNumPre, ix.numPre},
+		{secAllElem, ix.allElems}, {secAllAttr, ix.allAttrs}, {secAllText, ix.allTexts},
 	} {
 		if err := checkNodeIDs(ps.sec, ps.pst, doc.Len()); err != nil {
 			return nil, err
 		}
 	}
-	return &Index{doc: doc, pk: pk}, nil
+	for i := 1; i < len(ix.attrEq.keys); i++ {
+		if ix.attrEq.keys[i] <= ix.attrEq.keys[i-1] {
+			return nil, fmt.Errorf("index: section %s: keys not strictly ascending at entry %d", secAeqKey, i)
+		}
+	}
+	for i, v := range ix.numVal {
+		if math.IsNaN(v) || i > 0 && v < ix.numVal[i-1] {
+			return nil, fmt.Errorf("index: section %s: value %v at entry %d breaks the ascending order", secNumVal, v, i)
+		}
+	}
+	return ix, nil
 }
 
 // checkOffsets rejects an offset table whose entries decrease or point past
@@ -293,8 +218,9 @@ func WritePackedFile(path string, ix *Index) error {
 // is memory-mapped (platform permitting) and its persistent index sections
 // attached zero-copy — cold start does no O(n) work. A container packed
 // without index sections falls back to the New rebuild over the mapped
-// document; anything that is not a ROXD v2 container fails with a
-// *xmltree.FormatError.
+// document, after the full Packed.Verify the rebuild's dictionary-id tables
+// rely on (both are O(n)); anything that is not a ROXD v2 container fails
+// with a *xmltree.FormatError.
 func OpenPackedFile(path string) (*Index, error) {
 	p, err := xmltree.OpenPackedFile(path)
 	if err != nil {
@@ -302,6 +228,9 @@ func OpenPackedFile(path string) (*Index, error) {
 	}
 	ix, err := FromPacked(p)
 	if errors.Is(err, ErrNoIndexSections) {
+		if err := p.Verify(); err != nil {
+			return nil, err
+		}
 		return New(p.Doc()), nil
 	}
 	return ix, err

@@ -2,19 +2,24 @@ package index
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/xmltree"
 )
 
 // buildPacked writes the indexed test document through the packed container
-// and opens it back — heap index and mapped index over the same corpus.
+// and attaches its index sections — heap-built index and mapped index over
+// the same corpus.
 func buildPacked(t *testing.T) (*Index, *Index) {
 	t.Helper()
 	d, err := xmltree.ParseString("a.xml", doc)
@@ -26,12 +31,13 @@ func buildPacked(t *testing.T) (*Index, *Index) {
 	if err := WritePackedFile(path, heap); err != nil {
 		t.Fatalf("WritePackedFile: %v", err)
 	}
-	packed, err := OpenPackedFile(path)
+	p, err := xmltree.OpenPackedFile(path)
 	if err != nil {
 		t.Fatalf("OpenPackedFile: %v", err)
 	}
-	if packed.pk == nil {
-		t.Fatalf("opened index is not backed by persistent sections")
+	packed, err := FromPacked(p)
+	if err != nil {
+		t.Fatalf("FromPacked: %v", err)
 	}
 	if runtime.GOOS == "linux" && !packed.Doc().Mapped() {
 		t.Errorf("packed document should be memory-mapped on linux")
@@ -55,28 +61,15 @@ func TestPackedEquivalence(t *testing.T) {
 	for _, q := range []string{"item", "person", "price", "note", "name", "auction", "absent", "id", "ref"} {
 		eq(t, "Elements("+q+")", heap.Elements(q), packed.Elements(q))
 		eq(t, "AttributesByName("+q+")", heap.AttributesByName(q), packed.AttributesByName(q))
-		if h, p := heap.CountElements(q), packed.CountElements(q); h != p {
-			t.Errorf("CountElements(%s): %d vs %d", q, h, p)
-		}
 	}
 	for _, v := range []string{"10", "145", "200", "rare", "Alice", "i1", "i3", "absent"} {
 		eq(t, "TextEq("+v+")", heap.TextEq(v), packed.TextEq(v))
-		if h, p := heap.CountTextEq(v), packed.CountTextEq(v); h != p {
-			t.Errorf("CountTextEq(%s): %d vs %d", v, h, p)
-		}
 	}
 	for _, c := range [][2]string{
 		{"id", "i1"}, {"id", "i3"}, {"ref", "i1"}, {"ref", "i3"},
 		{"id", "absent"}, {"absent", "i1"}, {"ref", "10"},
 	} {
 		eq(t, "AttrEq("+c[0]+","+c[1]+")", heap.AttrEq(c[0], c[1]), packed.AttrEq(c[0], c[1]))
-	}
-	for _, c := range [][3]string{
-		{"i1", "", "ref"}, {"i1", "person", "ref"}, {"i1", "item", "ref"},
-		{"i3", "item", "id"}, {"i3", "", "id"},
-	} {
-		eq(t, "AttrParents("+c[0]+","+c[1]+","+c[2]+")",
-			heap.AttrParents(c[0], c[1], c[2]), packed.AttrParents(c[0], c[1], c[2]))
 	}
 	for _, op := range []RangeOp{Lt, Le, Gt, Ge, EqNum} {
 		for _, bound := range []float64{-5, 10, 144.5, 145, 200, 1e6} {
@@ -87,9 +80,6 @@ func TestPackedEquivalence(t *testing.T) {
 	eq(t, "Texts", heap.Texts(), packed.Texts())
 	eq(t, "AllElements", heap.AllElements(), packed.AllElements())
 	eq(t, "AllAttributes", heap.AllAttributes(), packed.AllAttributes())
-	if h, p := heap.ElementNames(), packed.ElementNames(); !reflect.DeepEqual(h, p) {
-		t.Errorf("ElementNames: %v vs %v", h, p)
-	}
 }
 
 func TestPackSectionsRoundTrip(t *testing.T) {
@@ -108,6 +98,24 @@ func TestPackSectionsRoundTrip(t *testing.T) {
 		if secs[i].Name != again[i].Name || string(secs[i].Data) != string(again[i].Data) {
 			t.Errorf("section %s not deterministic", secs[i].Name)
 		}
+	}
+}
+
+// TestPackedFormatGolden pins the container bytes New and PackSections
+// write for a fixed generated document. Packed corpora and the compacted
+// snapshots of ingest directories keep opening only while these bytes hold:
+// a change to the constant is a format change.
+func TestPackedFormatGolden(t *testing.T) {
+	cfg := datagen.DefaultXMarkConfig()
+	cfg.Persons, cfg.Items, cfg.OpenAuctions = 60, 50, 40
+	d := datagen.XMark(cfg)
+	var buf bytes.Buffer
+	if err := xmltree.WritePacked(&buf, d, PackSections(New(d))); err != nil {
+		t.Fatal(err)
+	}
+	const want = "82493c80b121e9623adc338dac5870e61c93cf26a3e453f9e8844e722cb4d582"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("packed container SHA-256 = %s, want %s (%d bytes)", got, want, buf.Len())
 	}
 }
 
@@ -135,8 +143,8 @@ func TestFromPackedMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenPackedFile fallback: %v", err)
 	}
-	if got := ix.CountElements("item"); got != heap.CountElements("item") {
-		t.Errorf("fallback index CountElements(item) = %d", got)
+	if got, want := len(ix.Elements("item")), len(heap.Elements("item")); got != want {
+		t.Errorf("fallback index has %d item elements, want %d", got, want)
 	}
 
 	// Sections from a different document revision → typed failure, not
@@ -190,6 +198,15 @@ func TestFromPackedCorruptSections(t *testing.T) {
 		}},
 		{"offset table not monotonic", secTextOff, func(b []byte) {
 			binary.LittleEndian.PutUint32(b, 0xffff0000)
+		}},
+		{"attr-eq keys not ascending", secAeqKey, func(b []byte) {
+			binary.LittleEndian.PutUint64(b, math.MaxUint64)
+		}},
+		{"numeric values out of order", secNumVal, func(b []byte) {
+			binary.LittleEndian.PutUint64(b, math.Float64bits(1e300))
+		}},
+		{"numeric value NaN", secNumVal, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[len(b)-8:], math.Float64bits(math.NaN()))
 		}},
 	}
 	for _, tc := range cases {
@@ -245,9 +262,10 @@ func TestOpenPackedFileRefusesV1(t *testing.T) {
 
 // FuzzDecodePacked feeds arbitrary bytes to the one container decoder: it
 // must never panic, every decode failure must be a *xmltree.FormatError, and
-// whatever does decode must attach (or refuse) its index sections and answer
-// a value probe without panicking — roxserve maps files on request, so a
-// panic here would be remotely triggerable.
+// whatever does decode must attach its index sections (or, without any,
+// pass Verify and rebuild them with New) or refuse with an error, then
+// answer every lookup without panicking — roxserve maps files on request, so
+// a panic here would be remotely triggerable.
 func FuzzDecodePacked(f *testing.F) {
 	d, err := xmltree.ParseString("a.xml", doc)
 	if err != nil {
@@ -271,6 +289,11 @@ func FuzzDecodePacked(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("ROXD\x01\x00"))
 	f.Add([]byte{})
+	var bare bytes.Buffer // no index sections: the New fallback
+	if err := xmltree.WritePacked(&bare, d, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bare.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := xmltree.DecodePacked(data)
@@ -282,10 +305,51 @@ func FuzzDecodePacked(f *testing.F) {
 			return
 		}
 		ix, err := FromPacked(p)
-		if err != nil {
+		if errors.Is(err, ErrNoIndexSections) {
+			if p.Verify() != nil {
+				return
+			}
+			ix = New(p.Doc())
+		} else if err != nil {
 			return // refused at attach time: the typed failure, not a panic
 		}
-		ix.TextEq("10")
-		ix.TextRange(Ge, 100)
+		probeAll(t, ix)
 	})
+}
+
+// probeAll calls every lookup with names and values from the document's own
+// dictionaries (the first few ids) and requires each answer to reference
+// nodes of the document.
+func probeAll(t *testing.T, ix *Index) {
+	doc := ix.Doc()
+	check := func(what string, nodes []xmltree.NodeID) {
+		for _, n := range nodes {
+			if n < 0 || int(n) >= doc.Len() {
+				t.Fatalf("%s answered node %d of a %d-node document", what, n, doc.Len())
+			}
+		}
+	}
+	var names, values []string
+	for id := range min(doc.QNames().Len(), 4) {
+		names = append(names, doc.QNames().String(int32(id)))
+	}
+	for id := range min(doc.Values().Len(), 4) {
+		values = append(values, doc.Values().String(int32(id)))
+	}
+	for _, q := range names {
+		check("Elements", ix.Elements(q))
+		check("AttributesByName", ix.AttributesByName(q))
+		for _, v := range values {
+			check("AttrEq", ix.AttrEq(q, v))
+		}
+	}
+	for _, v := range values {
+		check("TextEq", ix.TextEq(v))
+	}
+	for _, op := range []RangeOp{Lt, Le, Gt, Ge, EqNum} {
+		check("TextRange", ix.TextRange(op, 100))
+	}
+	check("Texts", ix.Texts())
+	check("AllElements", ix.AllElements())
+	check("AllAttributes", ix.AllAttributes())
 }

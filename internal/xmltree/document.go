@@ -391,8 +391,11 @@ func (d *Document) Validate() error {
 			if d.Size(i) != 0 {
 				return fmt.Errorf("attr node %d: size %d, want 0", i, d.Size(i))
 			}
-			if d.NameID(i) < 0 || d.ValueID(i) < 0 {
-				return fmt.Errorf("attr node %d: missing name or value", i)
+			if d.NameID(i) < 0 || int(d.NameID(i)) >= d.qnames.Len() {
+				return fmt.Errorf("attr node %d: bad name id %d", i, d.NameID(i))
+			}
+			if d.ValueID(i) < 0 || int(d.ValueID(i)) >= d.vals.Len() {
+				return fmt.Errorf("attr node %d: bad value id %d", i, d.ValueID(i))
 			}
 			// Attributes directly follow their owner, before any
 			// non-attribute sibling.
@@ -405,8 +408,8 @@ func (d *Document) Validate() error {
 			if d.Size(i) != 0 {
 				return fmt.Errorf("%v node %d: size %d, want 0", d.Kind(i), i, d.Size(i))
 			}
-			if d.Kind(i) == KindText && d.ValueID(i) < 0 {
-				return fmt.Errorf("text node %d: missing value", i)
+			if d.Kind(i) == KindText && (d.ValueID(i) < 0 || int(d.ValueID(i)) >= d.vals.Len()) {
+				return fmt.Errorf("text node %d: bad value id %d", i, d.ValueID(i))
 			}
 		case KindDoc:
 			return fmt.Errorf("node %d: interior doc node", i)

@@ -206,6 +206,39 @@ func TestParseMalformed(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsDictionaryIDs: every dictionary reference a node makes
+// must resolve, or a validated document still panics in Value or NodeName.
+func TestValidateBoundsDictionaryIDs(t *testing.T) {
+	cases := []struct {
+		name   string
+		kind   Kind
+		tamper func(d *Document, i int)
+	}{
+		{"text value id", KindText, func(d *Document, i int) { d.values[i] = int32(d.vals.Len()) }},
+		{"attribute value id", KindAttr, func(d *Document, i int) { d.values[i] = int32(d.vals.Len()) }},
+		{"attribute name id", KindAttr, func(d *Document, i int) { d.names[i] = int32(d.qnames.Len()) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := ParseString("v.xml", `<r a="x">t</r>`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("untampered document: %v", err)
+			}
+			for i := range d.Len() {
+				if d.Kind(NodeID(i)) == tc.kind {
+					tc.tamper(d, i)
+				}
+			}
+			if err := d.Validate(); err == nil {
+				t.Errorf("Validate accepted a %s past its dictionary", tc.name)
+			}
+		})
+	}
+}
+
 func TestDict(t *testing.T) {
 	d := NewDict()
 	a := d.Intern("alpha")
