@@ -148,3 +148,46 @@ func TestAllocGuardScatterScan(t *testing.T) {
 		t.Errorf("scatter scan: 200 items allocate %.0f, 1 item %.0f: the gather allocates per item", all, one)
 	}
 }
+
+func TestAllocGuardRepeatedText(t *testing.T) {
+	// The statement cache: a repeated query text runs the statement Prepare
+	// would have returned — no compile, no fingerprint, over a collection no
+	// shard rebinds — so it allocates no more than that prepared statement.
+	// Measured 530 against 530 for the join and 504 against 504 for the
+	// 4-shard top-k; before the cache the texts cost 657 and 599, their
+	// statements 530 and 534 (the statement, too, rebound every shard).
+	e := NewEngine(WithSeed(1))
+	cfg := datagen.DefaultXMarkConfig()
+	_ = e.LoadSource(FromDocument(datagen.XMark(cfg)))
+	for _, d := range datagen.XMarkShards(cfg, 4) {
+		_ = e.LoadCollectionSource("xmark", FromDocument(d))
+	}
+	for _, q := range []string{
+		`let $d := doc("xmark.xml")
+		for $o in $d//open_auction[.//current/text() < 145], $p in $d//person[.//province]
+		where $o//bidder//personref/@person = $p/@id return $p limit 50`,
+		`for $a in collection("xmark")//open_auction[reserve] order by $a/current descending return $a limit 10`,
+	} {
+		p, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(req Request) func() {
+			return func() {
+				res, err := collectRows(e.Execute(context.Background(), req))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Items) == 0 {
+					t.Fatal("query returned no items")
+				}
+			}
+		}
+		run(Request{Query: q})() // optimize once; every measured run replays
+		text := testing.AllocsPerRun(20, run(Request{Query: q}))
+		prepared := testing.AllocsPerRun(20, run(Request{Prepared: p}))
+		if text > prepared {
+			t.Errorf("%.40s…: the text allocates %.0f per query, its prepared statement %.0f", q, text, prepared)
+		}
+	}
+}

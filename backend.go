@@ -25,7 +25,7 @@ import (
 // came from.
 
 // shardExec is one shard's execution order: everything a source needs to run
-// a ForShard-rebound query, for either transport.
+// the statement on one shard, for either transport.
 type shardExec struct {
 	coll  string // collection name in the compiled graph
 	shard string // shard document name
@@ -35,15 +35,26 @@ type shardExec struct {
 	gen    uint64
 	remote *plan.Remote  // non-nil for http shards: where the data lives
 	cat    *plan.Catalog // catalog snapshot the query runs against (local)
-	// comp is the compiled query with the per-shard limit window already
-	// applied, not yet rebound to the shard document.
-	comp *xquery.Compiled
-	// query and shardLimit re-express comp for the wire: a remote shard ships
-	// text + window (compilation is deterministic, so the server rebuilds the
-	// identical graph) instead of a serialized graph.
-	query      string
+	// stmt is the statement the shard runs: a local shard runs its memoized
+	// rebind, a remote one ships its text (compilation is deterministic, so
+	// the server rebuilds the identical graph) instead of a serialized graph.
+	stmt *Prepared
+	// window is the shard's tail window, replacing the statement's own limit
+	// clause; shardLimit is its count for the wire (0 = none).
+	window     *plan.LimitSpec
 	shardLimit int
 	baseFP     string // base plan-cache key; "" = caching disabled
+}
+
+// bound is the graph a shard cursor runs: the statement rebound to the shard
+// document, with the shard's window on top when it is not the statement's
+// own.
+func (x *shardExec) bound() *xquery.Compiled {
+	c := x.stmt.forShard(x.shard)
+	if c.Tail.Limit != x.window {
+		c = c.WithTailLimit(x.window)
+	}
+	return c
 }
 
 // shardCursor binds the execution cursor to one shard: the compiled graph
@@ -61,14 +72,14 @@ func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 		// shard of every query (Prepared computes baseFP once, ever).
 		fp = x.baseFP + "|shard:" + x.shard
 	}
-	c := e.newCursor(ctx, env, x.comp.ForShard(x.coll, x.shard), fp, x.gen)
+	c := e.newCursor(ctx, env, x.bound(), fp, x.gen)
 	c.shard = true
 	return c
 }
 
 // item is the gather's view of a local shard's current item: the cursor's
 // own render buffer, uncopied.
-func (c *cursor) item() ([]byte, string) { return c.buf, "" }
+func (c *cursor) item() []byte { return c.buf }
 
 // done is a shard cursor's end-of-stream report.
 func (c *cursor) done() shardDone {
@@ -76,15 +87,17 @@ func (c *cursor) done() shardDone {
 }
 
 // remoteShard is a remote shard as a pull source: a thin adapter over its
-// shardrpc response stream, keeping the current item and key, the done line
-// once it arrived, and the error that ended the stream.
+// shardrpc response stream, keeping the current item and key — views of the
+// stream's buffers, valid until the next Next, as a local cursor's item is of
+// its own — the done line once it arrived, and the error that ended the
+// stream.
 type remoteShard struct {
 	e      *Engine
 	x      *shardExec
 	ctx    context.Context
 	sw     metrics.Stopwatch // coordinator-observed: slot wait and wire included
 	stream *shardrpc.Stream  // nil once the stream ended, or if it never opened
-	cur    string
+	cur    []byte
 	key    plan.Key
 	rows   int
 	fin    *shardrpc.Done
@@ -107,7 +120,7 @@ func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, er
 	r := &remoteShard{e: e, x: x, ctx: ctx, sw: metrics.Start()}
 	req := &shardrpc.ExecRequest{
 		Collection:  x.coll,
-		Query:       x.query,
+		Query:       x.stmt.text,
 		ShardLimit:  x.shardLimit,
 		Fingerprint: x.baseFP,
 	}
@@ -131,13 +144,13 @@ func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, er
 	return r, r.err
 }
 
-// Next reads the stream's next message: an item, or the done line (or a
+// Next reads the stream's next line: an item, or the done line (or a
 // transport failure) that ends it.
 func (r *remoteShard) Next() bool {
 	if r.stream == nil {
 		return false
 	}
-	m, err := r.stream.Next()
+	ok, err := r.stream.Next()
 	switch {
 	case err != nil:
 		// A canceled context surfaces as a transport read error; report the
@@ -145,13 +158,12 @@ func (r *remoteShard) Next() bool {
 		if r.err = r.ctx.Err(); r.err == nil {
 			r.err = fmt.Errorf("rox: shard %q at %s: %w", r.x.shard, r.x.remote.Endpoint, err)
 		}
-	case m.Done != nil:
-		r.finish(m.Done)
+	case !ok:
+		r.finish(r.stream.Done())
 	default:
-		r.cur, r.key = *m.Item, plan.Key{}
-		if m.Key != nil {
-			r.key = m.Key.ToPlan()
-		}
+		r.cur = r.stream.Item()
+		k, _ := r.stream.Key()
+		r.key = k.ToPlan()
 		r.rows++
 		return true
 	}
@@ -178,11 +190,11 @@ func (r *remoteShard) finish(d *shardrpc.Done) {
 	}
 }
 
-func (r *remoteShard) item() ([]byte, string) { return nil, r.cur }
+func (r *remoteShard) item() []byte { return r.cur }
 
 // Key returns the current item's order-by merge key; ok is false when the
 // query does not sort.
-func (r *remoteShard) Key() (plan.Key, bool) { return r.key, r.x.comp.Tail.Order != nil }
+func (r *remoteShard) Key() (plan.Key, bool) { return r.key, r.x.stmt.comp.Tail.Order != nil }
 
 // done reports the done line's stats with the coordinator-observed elapsed
 // time — what this query actually spent on the shard, network included. A
@@ -345,10 +357,13 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest,
 			Err: errors.New("rox: execute request names no collection")}
 	}
-	comp, err := xquery.CompileString(req.Query, xquery.CompileOptions{})
+	// The statement cache compiles each text once for every coordinator that
+	// sends it.
+	stmt, err := e.statement(req.Query)
 	if err != nil {
 		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest, Err: err}
 	}
+	comp := stmt.comp
 	if !slices.Contains(comp.Collections, req.Collection) {
 		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest,
 			Err: fmt.Errorf("rox: query does not read collection %q", req.Collection)}
@@ -372,11 +387,15 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 	if req.ShardLimit > 0 {
 		window = &plan.LimitSpec{Count: req.ShardLimit}
 	}
-	comp = comp.WithTailLimit(window)
 	gen := cat.DocGeneration(shard)
-	// A coordinator without caching sends no key; planKey then keys locally so
-	// this server still replays across such requests.
-	fp := e.planKey(comp, req.Fingerprint)
+	fp := ""
+	if e.cache != nil {
+		if fp = req.Fingerprint; fp == "" {
+			// A coordinator without caching sends no key: key locally, so
+			// this server still replays across such requests.
+			fp = cacheKey(comp.WithTailLimit(window))
+		}
+	}
 	if fp != "" && req.Hint != nil && len(req.Hint.Steps) > 0 {
 		// Seed the cache with the coordinator's replay payload; Install keeps
 		// an existing entry from a newer generation, so a hint can only add
@@ -396,7 +415,8 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 		shard:  shard,
 		gen:    gen,
 		cat:    cat,
-		comp:   comp,
+		stmt:   stmt,
+		window: window,
 		baseFP: fp,
 	}), nil
 }

@@ -30,6 +30,7 @@ const flushInterval = 10 * time.Millisecond
 // handler returns.
 type Writer struct {
 	line []byte // the line being assembled, reused line to line
+	html bool   // item strings escape <, > and & (see SetEscapeHTML)
 
 	mu     sync.Mutex
 	w      http.ResponseWriter
@@ -43,20 +44,27 @@ type Writer struct {
 // NewWriter returns a line writer over w.
 func NewWriter(w http.ResponseWriter) *Writer {
 	fl, _ := w.(http.Flusher)
-	return &Writer{w: w, fl: fl}
+	return &Writer{w: w, fl: fl, html: true}
 }
 
+// SetEscapeHTML selects how item strings treat <, > and &: escaped as
+// six-byte \u00XX sequences (the default, what encoding/json writes) or left
+// alone (what a json.Encoder after SetEscapeHTML(false) writes). Both are
+// plain JSON and decode to the same item.
+func (lw *Writer) SetEscapeHTML(on bool) { lw.html = on }
+
 // Item writes {"item":"…"}, byte for byte the line
-// json.Marshal(map[string]string{"item": string(item)}) produces.
+// json.Marshal(map[string]string{"item": string(item)}) produces (or, with
+// HTML escaping off, the line of a json.Encoder that does not escape HTML).
 func (lw *Writer) Item(item []byte) error {
-	lw.line = AppendString(append(lw.line[:0], `{"item":`...), item)
+	lw.line = AppendString(append(lw.line[:0], `{"item":`...), item, lw.html)
 	return lw.end()
 }
 
 // ItemRaw writes an item line with one more member, {"item":"…","name":raw};
 // raw is the member's value, already JSON (see AppendString, AppendFloat).
 func (lw *Writer) ItemRaw(item []byte, name string, raw []byte) error {
-	lw.line = append(AppendString(append(lw.line[:0], `{"item":`...), item), ',')
+	lw.line = append(AppendString(append(lw.line[:0], `{"item":`...), item, lw.html), ',')
 	lw.line = append(appendName(lw.line, name), raw...)
 	return lw.end()
 }
@@ -131,11 +139,13 @@ func (lw *Writer) Close() {
 const hex = "0123456789abcdef"
 
 // AppendString appends src as a JSON string literal, byte for byte as
-// encoding/json encodes a Go string with its default HTML-safe escaping:
-// quote, backslash and control bytes escaped (\b \f \n \r \t by name, the rest
-// and <, >, & as \u00XX), U+2028 and U+2029 escaped, and each byte of invalid
-// UTF-8 replaced by the six characters \ufffd.
-func AppendString[T []byte | string](dst []byte, src T) []byte {
+// encoding/json encodes a Go string: quote, backslash and control bytes
+// escaped (\b \f \n \r \t by name, the rest as \u00XX), U+2028 and U+2029
+// escaped, and each byte of invalid UTF-8 replaced by the six characters
+// \ufffd. With html set, <, > and & are escaped as \u00XX too — encoding/json's
+// default; without, they are left alone, as a json.Encoder writes them after
+// SetEscapeHTML(false).
+func AppendString[T []byte | string](dst []byte, src T, html bool) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(src); {
@@ -157,7 +167,7 @@ func AppendString[T []byte | string](dst []byte, src T) []byte {
 			start = i
 			continue
 		}
-		if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+		if b >= ' ' && b != '"' && b != '\\' && (!html || b != '<' && b != '>' && b != '&') {
 			i++
 			continue
 		}

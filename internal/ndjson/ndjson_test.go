@@ -23,8 +23,21 @@ func itemLineOracle(t testing.TB, item []byte) []byte {
 	return append(line, '\n')
 }
 
+// itemLineNoHTML is the line a json.Encoder with HTML escaping off writes:
+// what the shard wire's item lines must be.
+func itemLineNoHTML(t testing.TB, item []byte) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(map[string]string{"item": string(item)}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // FuzzAppendJSONString: an item line is byte for byte what encoding/json
-// produces for the same item, whatever the bytes.
+// produces for the same item, whatever the bytes — HTML-escaped by default,
+// and as a non-escaping json.Encoder writes it after SetEscapeHTML(false).
 func FuzzAppendJSONString(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -57,6 +70,17 @@ func FuzzAppendJSONString(f *testing.F) {
 		want = append(want, want...)
 		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 			t.Fatalf("item %q:\n got %q\nwant %q", item, got, want)
+		}
+
+		rec = httptest.NewRecorder()
+		raw := NewWriter(rec)
+		defer raw.Close()
+		raw.SetEscapeHTML(false)
+		if err := raw.Item(item); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.Body.Bytes(), itemLineNoHTML(t, item); !bytes.Equal(got, want) {
+			t.Fatalf("item %q, HTML escaping off:\n got %q\nwant %q", item, got, want)
 		}
 	})
 }

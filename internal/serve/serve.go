@@ -290,7 +290,8 @@ func serveIngest(pool *rox.Pool, maxBody int64, corpusDir string, w http.Respons
 
 // serveQuery evaluates one /query request, buffered JSON or NDJSON stream.
 func serveQuery(pool *rox.Pool, maxBody int64, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query() // parsed once: every parameter below reads it
+	q := params.Get("q")
 	if q == "" && (r.Method == http.MethodPost || r.Method == http.MethodPut) {
 		body, ok := readBody(w, r, maxBody, "query")
 		if !ok {
@@ -303,7 +304,7 @@ func serveQuery(pool *rox.Pool, maxBody int64, w http.ResponseWriter, r *http.Re
 		return
 	}
 	req := rox.Request{Query: q}
-	switch mode := r.URL.Query().Get("mode"); mode {
+	switch mode := params.Get("mode"); mode {
 	case "", "rox":
 	case "static":
 		req.Static = true
@@ -312,16 +313,16 @@ func serveQuery(pool *rox.Pool, maxBody int64, w http.ResponseWriter, r *http.Re
 		return
 	}
 	var err error
-	if req.Limit, err = intParam(r, "limit"); err != nil {
+	if req.Limit, err = intParam(params, "limit"); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Offset, err = intParam(r, "offset"); err != nil {
+	if req.Offset, err = intParam(params, "offset"); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	streaming := false
-	switch stream := r.URL.Query().Get("stream"); stream {
+	switch stream := params.Get("stream"); stream {
 	case "":
 	case "ndjson":
 		streaming = true
@@ -529,8 +530,8 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody int64, what string
 }
 
 // intParam reads a non-negative integer query parameter ("" = 0).
-func intParam(r *http.Request, name string) (int, error) {
-	s := r.URL.Query().Get(name)
+func intParam(params url.Values, name string) (int, error) {
+	s := params.Get(name)
 	if s == "" {
 		return 0, nil
 	}

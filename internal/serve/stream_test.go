@@ -96,14 +96,14 @@ func TestStreamFlushesWhileSourceStalls(t *testing.T) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		item := "<x>first</x>"
-		json.NewEncoder(w).Encode(shardrpc.Message{Item: &item})
+		json.NewEncoder(w).Encode(map[string]string{"item": item})
 		w.(http.Flusher).Flush()
 		select {
 		case <-release:
 		case <-r.Context().Done():
 			return
 		}
-		json.NewEncoder(w).Encode(shardrpc.Message{Done: &shardrpc.Done{Generation: 1}})
+		json.NewEncoder(w).Encode(map[string]shardrpc.Done{"done": {Generation: 1}})
 	})
 	shardSrv := httptest.NewServer(shard)
 	defer shardSrv.Close()

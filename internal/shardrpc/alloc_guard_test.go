@@ -1,0 +1,68 @@
+//go:build !race
+
+package shardrpc
+
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/plan"
+)
+
+// loopReader serves the same bytes forever, allocating nothing.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.b[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.b)
+	}
+	return n, nil
+}
+
+// TestAllocGuardStreamScan: scanning an item line allocates nothing, with or
+// without a key, escaped or not, and longer than the read buffer or not —
+// the item and the key's string land in buffers the stream reuses. (The race
+// detector changes what escapes; the file is excluded under -race.)
+func TestAllocGuardStreamScan(t *testing.T) {
+	item := `<open_auction id="a1"><initial>145.50</initial> "quoted" &amp; é` + "\n</open_auction>"
+	for _, tc := range []struct {
+		name string
+		item string
+		key  *plan.Key
+	}{
+		{"item", item, nil},
+		{"numeric key", item, &plan.Key{Present: true, IsNum: true, Num: 145.5, Str: "145.50"}},
+		{"string key", item, &plan.Key{Present: true, Str: `person "p1" <&>`}},
+		{"long line", strings.Repeat(item, 40), &plan.Key{Present: true, IsNum: true, Num: -1.5e-9}},
+	} {
+		for _, html := range []bool{false, true} {
+			run := &fakeRun{items: []string{tc.item}, done: Done{}}
+			if tc.key != nil {
+				run.keys = []plan.Key{*tc.key}
+			}
+			body := handlerStream(t, run, html)
+			line := body[:bytes.IndexByte(body, '\n')+1]
+			s := newStream(io.NopCloser(&loopReader{b: line}), "test")
+			next := func() {
+				if ok, err := s.Next(); !ok || err != nil {
+					t.Fatalf("%s: ok=%v err=%v", tc.name, ok, err)
+				}
+			}
+			next() // size the buffers
+			if string(s.Item()) != tc.item {
+				t.Fatalf("%s: item %q", tc.name, s.Item())
+			}
+			if got := testing.AllocsPerRun(100, next); got != 0 {
+				t.Errorf("%s (html escaped %v): %.1f allocations per line, want 0", tc.name, html, got)
+			}
+		}
+	}
+}

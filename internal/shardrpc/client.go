@@ -12,8 +12,13 @@ import (
 )
 
 // maxErrorBody bounds how much of a non-200 response body the client reads
-// looking for the error envelope.
+// looking for the error envelope, and the ingest acknowledgement.
 const maxErrorBody = 1 << 16
+
+// maxShardList bounds the inventory body of GET /v1/shards. An entry is
+// some 50 bytes, so the bound admits hundreds of thousands of shards while
+// still capping what a misbehaving server can make the client buffer.
+const maxShardList = 16 << 20
 
 // Client issues shard-server requests. The zero client is not usable; build
 // one with NewClient. One Client is safe for concurrent use by any number of
@@ -48,7 +53,7 @@ func (c *Client) Shards(ctx context.Context, base string) ([]ShardInfo, error) {
 		return nil, remoteErr(base, resp)
 	}
 	var list ShardList
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&list); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardList)).Decode(&list); err != nil {
 		return nil, fmt.Errorf("shardrpc: %s: decoding shard list: %w", base, err)
 	}
 	return list.Shards, nil
@@ -78,7 +83,7 @@ func (c *Client) Execute(ctx context.Context, base, shard string, req *ExecReque
 		defer resp.Body.Close()
 		return nil, remoteErr(base, resp)
 	}
-	return &Stream{body: resp.Body, dec: json.NewDecoder(resp.Body), endpoint: base}, nil
+	return newStream(resp.Body, base), nil
 }
 
 // Ingest appends one batch of fragments to a shard document and commits it
@@ -110,35 +115,6 @@ func (c *Client) Ingest(ctx context.Context, base, shard string, req *IngestRequ
 	}
 	return &ack, nil
 }
-
-// Stream is the NDJSON message sequence of one execute response. Next returns
-// messages until the done report (the protocol's last message); the caller
-// recognizes it by Message.Done and stops there.
-type Stream struct {
-	body     io.ReadCloser
-	dec      *json.Decoder
-	endpoint string
-}
-
-// Next decodes the next message. A stream that ends without a done report was
-// cut mid-flight (server died, connection dropped) and surfaces as an error.
-func (s *Stream) Next() (*Message, error) {
-	var m Message
-	if err := s.dec.Decode(&m); err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("shardrpc: %s: stream ended without done report", s.endpoint)
-		}
-		return nil, fmt.Errorf("shardrpc: %s: reading stream: %w", s.endpoint, err)
-	}
-	if m.Item == nil && m.Done == nil {
-		return nil, fmt.Errorf("shardrpc: %s: malformed stream message", s.endpoint)
-	}
-	return &m, nil
-}
-
-// Close releases the response. Closing before the done report aborts the
-// remote execution: the server sees its request context cancel.
-func (s *Stream) Close() error { return s.body.Close() }
 
 // remoteErr builds the typed error for a non-200 response, reading the error
 // envelope when the server sent one.

@@ -143,25 +143,34 @@ func HandleExecute(exec Executor) http.HandlerFunc {
 		w.WriteHeader(http.StatusOK)
 		lw := ndjson.NewWriter(w)
 		defer lw.Close()
-		// Each line is a Message, written member by member: item, then key.
-		var key []byte
-		for run.Next() {
-			var err error
-			if k, ok := run.Key(); ok {
-				key = KeyFromPlan(k).AppendJSON(key[:0])
-				err = lw.ItemRaw(run.Item(), "key", key)
-			} else {
-				err = lw.Item(run.Item())
-			}
-			if err != nil {
-				// The coordinator went away (window filled, query canceled):
-				// stop producing; the deferred Close aborts the execution.
-				return
-			}
-		}
-		// A failed write leaves no one to report to: the coordinator is gone.
-		_ = lw.Field("done", run.Done())
+		// XML is mostly angle brackets: escaped, every one would cost six
+		// bytes on the wire and an unescape at the coordinator.
+		lw.SetEscapeHTML(false)
+		writeRun(lw, run)
 	}
+}
+
+// writeRun streams a shard run's lines: one per item, written member by
+// member — the item, then its key when the query sorts — and the done report
+// last.
+func writeRun(lw *ndjson.Writer, run ShardRun) {
+	var key []byte
+	for run.Next() {
+		var err error
+		if k, ok := run.Key(); ok {
+			key = KeyFromPlan(k).AppendJSON(key[:0])
+			err = lw.ItemRaw(run.Item(), "key", key)
+		} else {
+			err = lw.Item(run.Item())
+		}
+		if err != nil {
+			// The coordinator went away (window filled, query canceled): stop
+			// producing; the handler's deferred Close aborts the execution.
+			return
+		}
+	}
+	// A failed write leaves no one to report to: the coordinator is gone.
+	_ = lw.Field("done", run.Done())
 }
 
 // writeJSON writes a JSON response with the given status.

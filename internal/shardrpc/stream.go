@@ -1,0 +1,300 @@
+package shardrpc
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"strconv"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
+	"unsafe"
+)
+
+// streamBufSize is the read buffer of one execute stream. Most item lines fit
+// it; a longer one is reassembled in a buffer the stream keeps. A larger
+// buffer costs every remote shard request more allocated bytes than the reads
+// it saves.
+const streamBufSize = 4 << 10
+
+// The two line shapes the execute handler writes (see HandleExecute), matched
+// by prefix: an item, with its key member when the query sorts, and the done
+// report.
+var (
+	itemPrefix = []byte(`{"item":"`)
+	keyMember  = []byte(`,"key":{`)
+	donePrefix = []byte(`{"done":`)
+)
+
+// Stream is the NDJSON line sequence of one execute response. Next scans it
+// line by line without reflection: an item line is unescaped into a buffer
+// the stream reuses, its key parsed in place, and only the done line — once
+// per stream — goes through encoding/json. Both the HTML-escaped item lines
+// of older servers and the unescaped ones of the current handler scan the
+// same, as any JSON decoder reads them.
+type Stream struct {
+	body     io.ReadCloser
+	br       *bufio.Reader
+	endpoint string
+
+	long  []byte // a line longer than br's buffer, reassembled
+	item  []byte // the current item, unescaped
+	keyS  []byte // the current key's string member, unescaped
+	key   Key    // the current key; S aliases keyS
+	keyed bool
+	done  *Done
+}
+
+func newStream(body io.ReadCloser, endpoint string) *Stream {
+	return &Stream{body: body, br: bufio.NewReaderSize(body, streamBufSize), endpoint: endpoint}
+}
+
+// Next reads the next line. An item line returns true, and Item and Key hold
+// it until the following Next. The done line — the protocol's last — returns
+// false, and Done holds the report. A stream cut before its done line (server
+// died, connection dropped) or carrying a line of any other shape returns an
+// error.
+func (s *Stream) Next() (bool, error) {
+	line, err := s.readLine()
+	switch {
+	case err == io.EOF:
+		return false, fmt.Errorf("shardrpc: %s: stream ended without done report", s.endpoint)
+	case err != nil:
+		return false, fmt.Errorf("shardrpc: %s: reading stream: %w", s.endpoint, err)
+	}
+	if rest, ok := bytes.CutPrefix(line, itemPrefix); ok && s.scanItem(rest) {
+		return true, nil
+	}
+	if v, ok := bytes.CutPrefix(line, donePrefix); ok && bytes.HasSuffix(v, []byte("}\n")) {
+		var d *Done
+		if json.Unmarshal(v[:len(v)-2], &d) == nil && d != nil {
+			s.done = d
+			return false, nil
+		}
+	}
+	return false, fmt.Errorf("shardrpc: %s: malformed stream line %.80q", s.endpoint, line)
+}
+
+// Item returns the current item: a view of the stream's buffer, valid until
+// the next Next and not to be modified.
+func (s *Stream) Item() []byte { return s.item }
+
+// Key returns the current item's order-by key; ok is false when the line
+// carried none. Like Item, the key's S aliases the stream's buffer: it is
+// valid until the next Next and must be copied to be kept.
+func (s *Stream) Key() (k Key, ok bool) { return s.key, s.keyed }
+
+// Done returns the done report once Next returned false without an error.
+func (s *Stream) Done() *Done { return s.done }
+
+// Close releases the response. Closing before the done report aborts the
+// remote execution: the server sees its request context cancel.
+func (s *Stream) Close() error { return s.body.Close() }
+
+// readLine returns the next line, newline included: a view of the read
+// buffer, or of long when the line outgrew it. A line the body ends inside is
+// io.ErrUnexpectedEOF; io.EOF means the body ended between lines.
+func (s *Stream) readLine() ([]byte, error) {
+	line, err := s.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		s.long = append(s.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = s.br.ReadSlice('\n')
+			s.long = append(s.long, line...)
+		}
+		line = s.long
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return line, err
+}
+
+// scanItem takes an item line after its opening `{"item":"` — the item
+// string, an optional key member, then `}` and the newline — into item and
+// key.
+func (s *Stream) scanItem(b []byte) bool {
+	var ok bool
+	if s.item, b, ok = unquote(s.item[:0], b); !ok {
+		return false
+	}
+	s.key, s.keyed = Key{}, false
+	if rest, found := bytes.CutPrefix(b, keyMember); found {
+		if b, ok = s.scanKey(rest); !ok {
+			return false
+		}
+		s.keyed = true
+	}
+	return string(b) == "}\n"
+}
+
+// scanKey parses a key object after its opening brace, in the member order
+// Key.AppendJSON (and encoding/json) write — "p" and "n" when true, "f"
+// always, "s" when non-empty — and returns the bytes after its closing brace.
+func (s *Stream) scanKey(b []byte) ([]byte, bool) {
+	var k Key
+	b, k.Present = bytes.CutPrefix(b, []byte(`"p":true,`))
+	b, k.Num = bytes.CutPrefix(b, []byte(`"n":true,`))
+	b, ok := bytes.CutPrefix(b, []byte(`"f":`))
+	n := numberLen(b)
+	if !ok || n == 0 {
+		return nil, false
+	}
+	f, err := strconv.ParseFloat(string(b[:n]), 64)
+	if err != nil {
+		return nil, false // out of float64 range, as encoding/json rejects it
+	}
+	k.F, b = f, b[n:]
+	if rest, found := bytes.CutPrefix(b, []byte(`,"s":"`)); found {
+		if s.keyS, b, ok = unquote(s.keyS[:0], rest); !ok {
+			return nil, false
+		}
+		k.S = unsafe.String(unsafe.SliceData(s.keyS), len(s.keyS))
+	}
+	if len(b) == 0 || b[0] != '}' {
+		return nil, false
+	}
+	s.key = k
+	return b[1:], true
+}
+
+// numberLen returns the length of the JSON number at the start of b, 0 if
+// there is none: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+func numberLen(b []byte) int {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		if j := digits(b, i+1); j > i+1 {
+			i = j
+		} else {
+			return 0
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if k := digits(b, j); k > j {
+			i = k
+		} else {
+			return 0
+		}
+	}
+	return i
+}
+
+// digits returns the index of the first non-digit of b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// unquote appends the JSON string starting at b — its opening quote already
+// consumed — to dst, unescaped exactly as encoding/json decodes it (a lone
+// surrogate escape and each byte of invalid UTF-8 become U+FFFD), and returns
+// what follows the closing quote. ok is false for a string JSON rejects: a
+// raw control byte, an unknown escape, or no closing quote.
+func unquote(dst, b []byte) (out, rest []byte, ok bool) {
+	start := 0
+	for i := 0; i < len(b); {
+		c := b[i]
+		switch {
+		case c == '"':
+			return append(dst, b[start:i]...), b[i+1:], true
+		case c < ' ':
+			return dst, nil, false
+		case c == '\\':
+			dst = append(dst, b[start:i]...)
+			if i+1 >= len(b) {
+				return dst, nil, false
+			}
+			switch e := b[i+1]; e {
+			case '"', '\\', '/':
+				dst = append(dst, e)
+			case 'b':
+				dst = append(dst, '\b')
+			case 'f':
+				dst = append(dst, '\f')
+			case 'n':
+				dst = append(dst, '\n')
+			case 'r':
+				dst = append(dst, '\r')
+			case 't':
+				dst = append(dst, '\t')
+			case 'u':
+				r := hex4(b[i+2:])
+				if r < 0 {
+					return dst, nil, false
+				}
+				i += 4
+				if utf16.IsSurrogate(r) {
+					// A pair only if a second escape follows that completes
+					// it; otherwise the first half decodes alone.
+					r2 := rune(-1)
+					if i+3 < len(b) && b[i+2] == '\\' && b[i+3] == 'u' {
+						r2 = hex4(b[i+4:])
+					}
+					if dec := utf16.DecodeRune(r, r2); dec != unicode.ReplacementChar {
+						r = dec
+						i += 6
+					} else {
+						r = unicode.ReplacementChar
+					}
+				}
+				dst = utf8.AppendRune(dst, r)
+			default:
+				return dst, nil, false
+			}
+			i += 2
+			start = i
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				dst = utf8.AppendRune(append(dst, b[start:i]...), utf8.RuneError)
+				start = i + 1
+			}
+			i += size
+		}
+	}
+	return dst, nil, false
+}
+
+// hex4 decodes the four hex digits at the start of b, -1 if there are not
+// four.
+func hex4(b []byte) rune {
+	if len(b) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c = c - 'a' + 10
+		case 'A' <= c && c <= 'F':
+			c = c - 'A' + 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}

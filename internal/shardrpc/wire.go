@@ -11,17 +11,27 @@
 // exact partial-aggregate fold state, followed by one done report carrying
 // per-shard stats, the serving document's generation stamp, and the replay
 // payload the coordinator should hint with next time. Everything rides
-// NDJSON over a single POST so the coordinator can merge streams incremental
+// NDJSON over a single POST so the coordinator can merge streams incrementally
 // and abort a remote shard by closing the response body.
 //
 // Two endpoints, mounted under /v1/ by cmd/roxserve:
 //
 //	GET  /v1/shards                        → ShardList (inventory + generations)
-//	POST /v1/shards/{shard}/execute        → NDJSON stream of Message lines
+//	POST /v1/shards/{shard}/execute        → NDJSON stream: item lines, one done line
+//
+// A stream has two line shapes, {"item":"…"} (with a "key" member when the
+// query sorts) and {"done":{…}}. The handler writes them member by member,
+// items without HTML escaping, so an XML item costs its own bytes plus its
+// quote and control escapes; the client's Stream scans them by hand, with
+// encoding/json only for the done report. Both forms of item line — escaped
+// or not — are plain JSON, so any JSON reader interoperates with either side.
+// The engine behind the handler compiles each query text once and reuses the
+// statement across requests.
 //
 // Errors before the stream starts use an HTTP status plus an {"error": ...}
 // JSON envelope; failures after streaming began arrive in-band as the done
-// report's error field. See DESIGN.md "Shard-server wire contract".
+// report's error field. See the "Shard-server wire contract" section of
+// DESIGN.md.
 package shardrpc
 
 import (
@@ -108,7 +118,8 @@ func KeyFromPlan(k plan.Key) Key {
 }
 
 // AppendJSON appends the key's JSON object member by member, byte for byte
-// what json.Marshal(k) produces: the execute handler writes one per item.
+// what a json.Encoder with HTML escaping off writes for k — the form of every
+// member of an item line: the execute handler writes one per item.
 func (k Key) AppendJSON(dst []byte) []byte {
 	dst = append(dst, '{')
 	if k.Present {
@@ -119,7 +130,7 @@ func (k Key) AppendJSON(dst []byte) []byte {
 	}
 	dst = ndjson.AppendFloat(append(dst, `"f":`...), k.F)
 	if k.S != "" {
-		dst = ndjson.AppendString(append(dst, `,"s":`...), k.S)
+		dst = ndjson.AppendString(append(dst, `,"s":`...), k.S, false)
 	}
 	return append(dst, '}')
 }
@@ -185,14 +196,6 @@ type Done struct {
 	// next time.
 	Plan     []PlanStep  `json:"plan,omitempty"`
 	Expected map[int]int `json:"expected,omitempty"`
-}
-
-// Message is one NDJSON line of an execute response stream: an item (with its
-// sort key when the query orders), or the final done report.
-type Message struct {
-	Item *string `json:"item,omitempty"`
-	Key  *Key    `json:"key,omitempty"`
-	Done *Done   `json:"done,omitempty"`
 }
 
 // ShardInfo is one entry of a shard server's document inventory.

@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -48,8 +48,8 @@ func TestKeyRoundTrip(t *testing.T) {
 }
 
 // FuzzKeyAppendJSON: a keyed item line written member by member is byte for
-// byte the Message encoding/json writes (the coordinator's decoder and
-// roxmark's oracle both read those bytes), for every finite float and any
+// byte the Message a json.Encoder with HTML escaping off writes (the
+// coordinator's scanner reads those bytes), for every finite float and any
 // string bytes.
 func FuzzKeyAppendJSON(f *testing.F) {
 	for _, seed := range []struct {
@@ -83,18 +83,21 @@ func FuzzKeyAppendJSON(f *testing.F) {
 		}
 		k := Key{Present: p, Num: n, F: num, S: s}
 		item := "<a>" + s + "</a>"
-		want, err := json.Marshal(Message{Item: &item, Key: &k})
-		if err != nil {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(Message{Item: &item, Key: &k}); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
 		lw := ndjson.NewWriter(rec)
 		defer lw.Close()
+		lw.SetEscapeHTML(false)
 		if err := lw.ItemRaw([]byte(item), "key", k.AppendJSON(nil)); err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.Body.String(); got != string(want)+"\n" {
-			t.Fatalf("key %+v:\n got %q\nwant %q", k, got, want)
+		if got := rec.Body.String(); got != want.String() {
+			t.Fatalf("key %+v:\n got %q\nwant %q", k, got, want.String())
 		}
 		var back Message
 		if err := json.Unmarshal(rec.Body.Bytes(), &back); err != nil {
@@ -228,23 +231,24 @@ func TestHandlerExecuteStream(t *testing.T) {
 	defer stream.Close()
 	var items []string
 	for {
-		m, err := stream.Next()
+		ok, err := stream.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Done != nil {
-			if m.Done.Generation != gen {
-				t.Errorf("done generation = %d, want %d", m.Done.Generation, gen)
+		if !ok {
+			d := stream.Done()
+			if d.Generation != gen {
+				t.Errorf("done generation = %d, want %d", d.Generation, gen)
 			}
-			if m.Done.Stats == nil || m.Done.Stats.Scanned != 2 {
-				t.Errorf("done stats = %+v", m.Done.Stats)
+			if d.Stats == nil || d.Stats.Scanned != 2 {
+				t.Errorf("done stats = %+v", d.Stats)
 			}
 			break
 		}
-		if m.Key == nil {
+		if _, keyed := stream.Key(); !keyed {
 			t.Error("ordered item arrived without a key")
 		}
-		items = append(items, *m.Item)
+		items = append(items, string(stream.Item()))
 	}
 	if !reflect.DeepEqual(items, run.items) {
 		t.Errorf("items = %v, want %v", items, run.items)
@@ -326,8 +330,8 @@ func TestClientTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Close()
-	if m, err := stream.Next(); err != nil || m.Item == nil {
-		t.Fatalf("first item: m=%+v err=%v", m, err)
+	if ok, err := stream.Next(); err != nil || !ok || string(stream.Item()) != "<a/>" {
+		t.Fatalf("first item: ok=%v item=%q err=%v", ok, stream.Item(), err)
 	}
 	if _, err := stream.Next(); err == nil {
 		t.Fatal("truncated stream ended without an error")
@@ -357,41 +361,34 @@ func TestClientShardNameEscaping(t *testing.T) {
 	}
 }
 
-// TestMessageWireShape pins the NDJSON field names — the wire contract
-// documented in DESIGN.md ("Shard-server wire contract").
+// TestMessageWireShape pins the NDJSON line shapes — the wire contract
+// documented in DESIGN.md ("Shard-server wire contract"): an item line with
+// its XML unescaped, as a json.Encoder writes the Message after
+// SetEscapeHTML(false), and the done line as encoding/json writes it.
 func TestMessageWireShape(t *testing.T) {
-	item := "<a/>"
-	m := Message{Item: &item, Key: &Key{Present: true, Num: true, F: 1.5}}
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	run := &fakeRun{
+		items: []string{"<a/>"},
+		keys:  []plan.Key{{Present: true, IsNum: true, Num: 1.5}},
+		done:  Done{Generation: 3, Stats: &Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}},
 	}
-	// encoding/json HTML-escapes angle brackets; the decoder undoes it, so
-	// XML payloads survive the round-trip with these wire bytes.
-	want := `{"item":"\u003ca/\u003e","key":{"p":true,"n":true,"f":1.5}}`
-	if string(b) != want {
-		t.Errorf("message encodes as %s, want %s", b, want)
-	}
-	d := Message{Done: &Done{Generation: 3, Stats: &Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}}}
-	b, err = json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDone := `{"done":{"generation":3,"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}`
-	if string(b) != wantDone {
-		t.Errorf("done encodes as %s, want %s", b, wantDone)
+	want := `{"item":"<a/>","key":{"p":true,"n":true,"f":1.5}}` + "\n" +
+		`{"done":{"generation":3,"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}` + "\n"
+	if got := string(handlerStream(t, run, false)); got != want {
+		t.Errorf("stream\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestHandlerLinesAreEncodedMessages: the handler writes its lines member by
-// member through the shared line writer; each is byte for byte the Message
-// encoding/json would produce, keyed or not.
+// member through the shared line writer; each item line is byte for byte the
+// Message a json.Encoder with HTML escaping off produces, keyed or not, and
+// the done line the one encoding/json produces.
 func TestHandlerLinesAreEncodedMessages(t *testing.T) {
 	items := []string{`<a x="1">b & c</a>`, "sep\u2028 \xff"}
 	for _, keys := range [][]plan.Key{nil, {{Present: true, IsNum: true, Num: 1e21}, {Present: true, Str: "<k>"}}} {
 		done := Done{Generation: 7, Stats: &Stats{Rows: 2, Scanned: 2, Plan: "a<b"}}
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
 		for i := range items {
 			m := Message{Item: &items[i]}
 			if keys != nil {
@@ -402,22 +399,34 @@ func TestHandlerLinesAreEncodedMessages(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := enc.Encode(&Message{Done: &done}); err != nil {
+		if err := json.NewEncoder(&want).Encode(&Message{Done: &done}); err != nil {
 			t.Fatal(err)
 		}
-
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /v1/shards/{shard}/execute",
-			HandleExecute(&fakeExec{run: &fakeRun{items: items, keys: keys, done: done}}))
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards/s.xml/execute",
-			strings.NewReader(`{"collection":"c","query":"q"}`)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
-		if got := rec.Body.String(); got != want.String() {
+		got := handlerStream(t, &fakeRun{items: items, keys: keys, done: done}, false)
+		if string(got) != want.String() {
 			t.Errorf("keys=%v: stream\n got %q\nwant %q", keys != nil, got, want.String())
 		}
+	}
+}
+
+// TestHandlerInventoryLarge: discovery reads an inventory far past the bound
+// on error envelopes — 3 000 documents named like a packed shard set.
+func TestHandlerInventoryLarge(t *testing.T) {
+	shards := make([]ShardInfo, 3000)
+	for i := range shards {
+		shards[i] = ShardInfo{Name: fmt.Sprintf("shard-%05d.xml", i), Generation: uint64(i + 1)}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/shards", HandleInventory(&fakeExec{shards: shards}))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	got, err := NewClient(nil).Shards(context.Background(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, shards) {
+		t.Errorf("inventory of %d shards came back as %d", len(shards), len(got))
 	}
 }
 
@@ -463,21 +472,22 @@ func TestHandlerFlushesWhileRunStalls(t *testing.T) {
 	}
 	defer stream.Close()
 	type next struct {
-		m   *Message
-		err error
+		item string
+		ok   bool
+		err  error
 	}
-	msgs := make(chan next, 1)
+	lines := make(chan next, 1)
 	go func() {
-		m, err := stream.Next()
-		msgs <- next{m, err}
+		ok, err := stream.Next()
+		lines <- next{string(stream.Item()), ok, err}
 	}()
 	select {
-	case got := <-msgs:
+	case got := <-lines:
 		if got.err != nil {
 			t.Fatal(got.err)
 		}
-		if got.m.Item == nil || *got.m.Item != "<a/>" {
-			t.Fatalf("first message = %+v, want the item", got.m)
+		if !got.ok || got.item != "<a/>" {
+			t.Fatalf("first line = %+v, want the item", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("item never reached the client while the run was stalled")
@@ -488,11 +498,11 @@ func TestHandlerFlushesWhileRunStalls(t *testing.T) {
 		t.Fatal("handler never parked in Next")
 	}
 	close(run.release)
-	m, err := stream.Next()
+	ok, err := stream.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Done == nil || m.Done.Generation != 1 {
-		t.Fatalf("stream did not end with the done report: %+v", m)
+	if ok || stream.Done().Generation != 1 {
+		t.Fatalf("stream did not end with the done report: item %v, done %+v", ok, stream.Done())
 	}
 }

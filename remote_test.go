@@ -516,7 +516,7 @@ func TestRemoteMidStreamFailure(t *testing.T) {
 		fl, _ := w.(http.Flusher)
 		for i := 0; i < 2; i++ {
 			item := fmt.Sprintf("<x>%d</x>", i)
-			if err := enc.Encode(shardrpc.Message{Item: &item}); err != nil {
+			if err := enc.Encode(map[string]string{"item": item}); err != nil {
 				return
 			}
 			if fl != nil {
@@ -692,7 +692,7 @@ func TestRemoteCancelOnWindowFill(t *testing.T) {
 		fl, _ := w.(http.Flusher)
 		for i := 0; ; i++ {
 			item := fmt.Sprintf("<x>%d</x>", i)
-			if err := enc.Encode(shardrpc.Message{Item: &item}); err != nil {
+			if err := enc.Encode(map[string]string{"item": item}); err != nil {
 				once.Do(func() { close(canceled) })
 				return
 			}

@@ -31,7 +31,9 @@ import (
 // the execution knobs. The zero value of everything else is the default ROX
 // path. A malformed Request fails Execute with ErrInvalidRequest.
 type Request struct {
-	// Query is the XQuery text, compiled on every Execute.
+	// Query is the XQuery text. An engine with a plan cache compiles a text
+	// once and keeps the statement for the next Execute of the same text;
+	// without one every Execute compiles.
 	Query string
 	// Prepared is a statement compiled once by Prepare on the same engine;
 	// it replaces Query. Both run the same pipeline and share one plan-cache
@@ -103,14 +105,12 @@ type rowsCore struct {
 	err   error
 	stats Stats
 
-	// The current item in the form its source produced it — raw, a view of a
-	// buffer the source reuses, or (raw nil) str, a string the source owns —
-	// and in the other form once asked for: Item keeps the string it makes of
-	// raw (isStr), ItemBytes copies a string-held item into scratch.
-	raw     []byte
-	str     string
-	isStr   bool
-	scratch []byte
+	// The current item as its source produced it — a view of a buffer the
+	// source reuses, valid until the next Next — and, once Item asked for it,
+	// the string Item made of it (isStr).
+	raw   []byte
+	str   string
+	isStr bool
 
 	mu     sync.Mutex
 	done   bool
@@ -122,11 +122,9 @@ type rowsCore struct {
 // and are driven only through rowsCore.
 type rowSource interface {
 	// next returns the next item; ok = false ends the stream, with err as
-	// the terminal error (nil for normal exhaustion). A source that renders
-	// into a buffer it reuses returns the item as raw, valid until the
-	// following next; one that holds its items as strings returns str and a
-	// nil raw.
-	next() (raw []byte, str string, ok bool, err error)
+	// the terminal error (nil for normal exhaustion). The item is a view of a
+	// buffer the source reuses, valid until the following next.
+	next() (item []byte, ok bool, err error)
 	// finalize folds end-of-stream statistics into st and releases any
 	// resources (shard sources, context). Called exactly once, after the
 	// stream ended or the cursor was closed; st.Rows already holds the
@@ -160,12 +158,12 @@ func (r *Rows) Next() bool {
 	if c.done {
 		return false
 	}
-	raw, str, ok, err := c.src.next()
+	raw, ok, err := c.src.next()
 	if !ok {
 		c.finish(err)
 		return false
 	}
-	c.raw, c.str, c.isStr = raw, str, raw == nil
+	c.raw, c.isStr = raw, false
 	c.stats.Rows++
 	return true
 }
@@ -189,12 +187,7 @@ func (r *Rows) Item() string {
 // way to stream a result out; use Item for anything that outlives the row.
 func (r *Rows) ItemBytes() []byte {
 	defer runtime.KeepAlive(r) // see Next
-	c := r.c
-	if c.raw == nil {
-		c.scratch = append(c.scratch[:0], c.str...)
-		c.raw = c.scratch
-	}
-	return c.raw
+	return r.c.raw
 }
 
 // Err returns the terminal stream error: nil after normal exhaustion or
@@ -285,7 +278,7 @@ func (c *rowsCore) finish(err error) {
 		c.err = err
 	}
 	c.src.finalize(&c.stats)
-	c.raw, c.scratch = nil, nil // the source's buffer went with it
+	c.raw = nil // the source's buffer went with it
 	c.mu.Lock()
 	hooks := c.hooks
 	c.hooks = nil
@@ -542,11 +535,11 @@ func (c *cursor) report() Stats {
 
 // next and finalize make the cursor the row source of a non-collection
 // query's Rows.
-func (c *cursor) next() ([]byte, string, bool, error) {
+func (c *cursor) next() ([]byte, bool, error) {
 	if !c.advance() {
-		return nil, "", false, c.err
+		return nil, false, c.err
 	}
-	return c.buf, "", true, nil
+	return c.buf, true, nil
 }
 
 func (c *cursor) finalize(st *Stats) {

@@ -76,6 +76,10 @@ type Engine struct {
 	// compile → lookup → execute pipeline.
 	cache      *plancache.Cache
 	driftRatio float64
+	// stmts maps query text to its compiled statement (statement.go), so a
+	// repeated text compiles once — here and on a shard server alike. It has
+	// the plan cache's capacity and is nil when the plan cache is.
+	stmts *statementCache
 
 	// shardLim bounds the engine-wide scatter-gather fan-out: every in-flight
 	// collection query's shard evaluations contend on this one limiter, so
@@ -186,6 +190,9 @@ func NewEngine(options ...Option) *Engine {
 	}
 	for _, o := range options {
 		o(e)
+	}
+	if e.cache != nil {
+		e.stmts = newStatementCache(e.cache.Capacity())
 	}
 	if e.shardWorkers <= 0 {
 		e.shardWorkers = runtime.GOMAXPROCS(0)
@@ -336,7 +343,7 @@ type Result struct {
 // (each call gets its own cursor). Rows.Collect drains a cursor into a
 // materialized Result. A malformed Request fails with ErrInvalidRequest.
 func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
-	comp, text, fp, err := e.compile(req)
+	stmt, comp, fp, err := e.compile(req)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +364,7 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 		fp = e.planKey(comp, fp)
 	}
 	if collection {
-		return e.executeCollection(ctx, env, comp, text, fp)
+		return e.executeCollection(ctx, env, stmt, comp, fp)
 	}
 	c := e.newCursor(ctx, env, comp, fp, env.Catalog().Generation())
 	c.static = req.Static
@@ -367,36 +374,38 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 	return newRows(env, c.stats, c), nil
 }
 
-// compile settles what one Request runs: the compiled graph — compiled here
-// from Query, or the Prepared statement's own — with the programmatic window
-// applied when there is one, the query text (remote shards ship it
-// instead of a serialized graph), and a precomputed plan-cache key ("" =
-// derive it; see planKey). Every malformed Request fails here, wrapped in
-// ErrInvalidRequest.
-func (e *Engine) compile(req Request) (comp *xquery.Compiled, text, fp string, err error) {
-	switch p := req.Prepared; {
-	case p != nil && req.Query != "":
-		return nil, "", "", fmt.Errorf("%w: set Query or Prepared, not both", ErrInvalidRequest)
-	case p != nil && p.eng != e:
-		return nil, "", "", fmt.Errorf("%w: prepared statement belongs to a different engine", ErrInvalidRequest)
-	case p != nil:
-		comp, text, fp = p.comp, p.text, p.fp
+// compile settles what one Request runs: the statement — the Prepared one,
+// or the statement cache's for Query (statement.go) — its compiled graph with
+// the programmatic window applied when there is one, and a precomputed
+// plan-cache key ("" = derive it; see planKey). The statement goes along for
+// a collection query: remote shards ship its text instead of a serialized
+// graph, local ones run its memoized rebinds. Every malformed Request fails
+// here, wrapped in ErrInvalidRequest.
+func (e *Engine) compile(req Request) (stmt *Prepared, comp *xquery.Compiled, fp string, err error) {
+	switch stmt = req.Prepared; {
+	case stmt != nil && req.Query != "":
+		return nil, nil, "", fmt.Errorf("%w: set Query or Prepared, not both", ErrInvalidRequest)
+	case stmt != nil && stmt.eng != e:
+		return nil, nil, "", fmt.Errorf("%w: prepared statement belongs to a different engine", ErrInvalidRequest)
+	case stmt != nil:
 	case req.Query == "":
-		return nil, "", "", fmt.Errorf("%w: no query: set Query or Prepared", ErrInvalidRequest)
+		return nil, nil, "", fmt.Errorf("%w: no query: set Query or Prepared", ErrInvalidRequest)
 	default:
-		if comp, err = xquery.CompileString(req.Query, xquery.CompileOptions{}); err != nil {
-			return nil, "", "", fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+		if stmt, err = e.statement(req.Query); err != nil {
+			return nil, nil, "", fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
-		text = req.Query
 	}
 	window, err := requestWindow(req.Limit, req.Offset)
-	if err != nil || window == nil {
-		return comp, text, fp, err
+	if err != nil {
+		return nil, nil, "", err
 	}
-	if comp, err = overrideWindow(comp, window); err != nil {
-		return nil, "", "", err
+	if window == nil {
+		return stmt, stmt.comp, stmt.fp, nil
 	}
-	return comp, text, "", nil // the window is part of the cache key: derive it
+	if comp, err = overrideWindow(stmt.comp, window); err != nil {
+		return nil, nil, "", err
+	}
+	return stmt, comp, "", nil // the window is part of the cache key: derive it
 }
 
 // overrideWindow applies a programmatic limit/offset window to a compiled
@@ -491,13 +500,19 @@ func (e *Engine) XPathCount(docName, path string) (int, error) {
 // Request window overriding the text's limit clause, so one statement serves
 // every page of a paginated result. The compiled graph is immutable after
 // compilation, so a Prepared is safe for concurrent use by any number of
-// goroutines — the intended shape for a server hot path is one Prepared per
-// distinct query text, executed by every request.
+// goroutines — one Prepared per distinct query text, executed by every
+// request, is the server hot path, and the shape an engine with a plan cache
+// gives Request{Query} by itself (its statement cache).
 type Prepared struct {
 	eng  *Engine
 	comp *xquery.Compiled
 	text string
 	fp   string
+
+	// shards memoizes comp rebound to each shard document the statement ran
+	// on, by shard name (forShard, statement.go).
+	mu     sync.Mutex
+	shards map[string]*xquery.Compiled
 }
 
 // Prepare compiles an XQuery once for repeated execution on this engine. The

@@ -53,14 +53,14 @@ import (
 // collection does ~10 merge steps instead of computing the full union.
 
 // shardSource is one shard of a scatter as the gather pulls it: the face the
-// shard server's handler drives (shardrpc.ShardRun), with the current item in
-// the form its transport produced — a view of a local cursor's own render
-// buffer, valid until that source's next Next, or a remote stream's decoded
-// string — so neither is copied on its way to Rows. The execution cursor and
+// shard server's handler drives (shardrpc.ShardRun), with the current item as
+// a view of the buffer its transport produced it in — a local cursor's render
+// buffer, a remote stream's unescape buffer — valid until that source's next
+// Next, so no item is copied on its way to Rows. The execution cursor and
 // remoteShard implement it; both are opened before the gather pulls them.
 type shardSource interface {
 	Next() bool
-	item() (raw []byte, str string)
+	item() []byte
 	Key() (plan.Key, bool)
 	// done is the end-of-stream report, final once Next returned false.
 	done() shardDone
@@ -106,10 +106,11 @@ const (
 // receives the merged cost rollup when the cursor finishes. Each shard opens
 // on its registered transport — in-process for local shards, shardrpc HTTP
 // for remote ones — and the gather merges mixed local/remote collections
-// without knowing. text is the query text (remote shards ship it instead of
-// a serialized graph); baseFP is the precomputed cache key ("" when caching
-// is disabled); the compiler guarantees exactly one collection.
-func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xquery.Compiled, text, baseFP string) (*Rows, error) {
+// without knowing. stmt is the statement comp came from, comp carrying the
+// request's window (remote shards ship the statement's text, local ones run
+// its per-shard rebinds); baseFP is the precomputed cache key ("" when
+// caching is disabled); the compiler guarantees exactly one collection.
+func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Prepared, comp *xquery.Compiled, baseFP string) (*Rows, error) {
 	if len(comp.Collections) != 1 {
 		// Unreachable: xquery.Compile rejects multi-collection queries.
 		return nil, fmt.Errorf("rox: a query may read at most one collection, got %d (%v)",
@@ -137,17 +138,17 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 	// than that. The offset itself must stay at the gather — the skipped
 	// items may come from any shard, so a shard-local skip would drop the
 	// wrong rows. An offset-only window therefore clears the shard tail
-	// entirely (nothing bounds what one shard may contribute).
-	shardComp, shardLimit := comp, 0
+	// entirely (nothing bounds what one shard may contribute). Without a
+	// window the shards run the statement's own tail, which has none either.
+	var shardSpec *plan.LimitSpec
+	shardLimit := 0
 	if window := comp.Tail.Limit; window != nil {
-		var shardSpec *plan.LimitSpec
 		s.lo = max(window.Offset, 0)
 		if window.Count > 0 {
 			s.hi = s.lo + window.Count
 			shardLimit = window.Offset + window.Count
 			shardSpec = &plan.LimitSpec{Count: shardLimit}
 		}
-		shardComp = comp.WithTailLimit(shardSpec)
 	}
 
 	// Scatter: start every shard's open. Each shard gets its own env
@@ -161,8 +162,8 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, comp *xqu
 			gen:        sh.Gen,
 			remote:     sh.Remote,
 			cat:        cat,
-			comp:       shardComp,
-			query:      text,
+			stmt:       stmt,
+			window:     shardSpec,
 			shardLimit: shardLimit,
 			baseFP:     baseFP,
 		}}
@@ -200,6 +201,7 @@ type scatterRows struct {
 	cur     int
 	heads   []bool
 	aggDone bool
+	aggBuf  []byte // the rendered aggregate item
 }
 
 // open starts — or, retrying, restarts — one shard: its join or its request,
@@ -239,27 +241,26 @@ func (s *scatterRows) canceled(err error) bool {
 	return s.sctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// next hands out the current item in its source's own form: a local
-// cursor's buffer, valid until the gather pulls that shard again — which is
-// never before the following next — or a remote item's string.
-func (s *scatterRows) next() ([]byte, string, bool, error) {
+// next hands out the current item as a view of its source's buffer, valid
+// until the gather pulls that shard again — which is never before the
+// following next.
+func (s *scatterRows) next() ([]byte, bool, error) {
 	if s.mode == gatherAgg {
 		return s.nextAgg()
 	}
 	for {
 		if s.hi >= 0 && s.merged >= s.hi {
-			return nil, "", false, nil // window full: finalize cancels the rest
+			return nil, false, nil // window full: finalize cancels the rest
 		}
 		ok, err := s.nextMerged()
 		if err != nil || !ok {
-			return nil, "", false, err
+			return nil, false, err
 		}
 		s.merged++
 		if s.merged <= s.lo {
 			continue // inside the global offset: skip
 		}
-		raw, str := s.shards[s.cur].src.item()
-		return raw, str, true, nil
+		return s.shards[s.cur].src.item(), true, nil
 	}
 }
 
@@ -356,10 +357,10 @@ func (s *scatterRows) pull(i int) (bool, error) {
 }
 
 // nextAgg pulls every shard to its end, merges the partial-aggregate states
-// algebraically and emits the single rendered item.
-func (s *scatterRows) nextAgg() ([]byte, string, bool, error) {
+// algebraically and renders the single item into aggBuf.
+func (s *scatterRows) nextAgg() ([]byte, bool, error) {
 	if s.aggDone {
-		return nil, "", false, nil
+		return nil, false, nil
 	}
 	s.aggDone = true
 	var merged plan.AggState
@@ -367,7 +368,7 @@ func (s *scatterRows) nextAgg() ([]byte, string, bool, error) {
 		for { // an aggregate shard streams no items, only its fold state
 			ok, err := s.pull(i)
 			if err != nil {
-				return nil, "", false, err
+				return nil, false, err
 			}
 			if !ok {
 				break
@@ -378,7 +379,8 @@ func (s *scatterRows) nextAgg() ([]byte, string, bool, error) {
 		}
 	}
 	item, _ := merged.Render(s.aggKind)
-	return nil, item, true, nil
+	s.aggBuf = append(s.aggBuf[:0], item...)
+	return s.aggBuf, true, nil
 }
 
 // finalize ends the scatter: cancel the shards the merge no longer needs,
