@@ -325,7 +325,7 @@ func (op RangeOp) Compare(v, bound float64) bool {
 
 // TextRange returns all text nodes with a numeric value v satisfying
 // "v op bound", in document order. Cost O(log n + |R|) while the matches are
-// dense in their id span (xmltree.SortUnique's bitmap sweep), else
+// dense in their id span (xmltree.SortedSet's bitmap sweep), else
 // O(log n + |R| log |R|).
 func (ix *Index) TextRange(op RangeOp, bound float64) []xmltree.NodeID {
 	n := len(ix.numVal)
@@ -348,7 +348,7 @@ func (ix *Index) TextRange(op RangeOp, bound float64) []xmltree.NodeID {
 	var own []xmltree.NodeID
 	if lo < hi {
 		// Value order back into document order.
-		own = xmltree.SortUnique(slices.Clone(ix.numPre[lo:hi]), nil)
+		own = xmltree.SortedSet(ix.numPre[lo:hi], nil, nil)
 	}
 	return ix.overBase(own, func(b *Index) []xmltree.NodeID { return b.TextRange(op, bound) })
 }

@@ -1,7 +1,7 @@
 package ops
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/xmltree"
@@ -29,13 +29,31 @@ func (p *Pairs) Swapped() Pairs { return Pairs{C: p.S, S: p.C} }
 
 // searchGE returns the first index i with s[i] >= pre.
 func searchGE(s []xmltree.NodeID, pre xmltree.NodeID) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= pre })
+	i, _ := slices.BinarySearch(s, pre)
+	return i
+}
+
+// gallopGE returns the first index i >= from with s[i] >= pre, where every
+// s[j] with j < from is below pre. It probes from, from+1, from+3, from+7, …
+// until it overshoots and then binary-searches the last gap, so it costs
+// O(log d) comparisons for an answer d positions ahead — never more than a
+// constant factor over a full binary search, and O(1) for a neighbour.
+func gallopGE(s []xmltree.NodeID, from int, pre xmltree.NodeID) int {
+	lo, hi := from, from
+	for step := 1; hi < len(s) && s[hi] < pre; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	i, _ := slices.BinarySearch(s[lo:min(hi, len(s))], pre)
+	return lo + i
 }
 
 // StepPairs evaluates the structural join Dk/axis(C, S) in pair form: it
 // returns every (c, s) with c ∈ C, s ∈ S and s on the given axis of c, in
-// C-major order. C and S must be sorted by pre and duplicate-free (the
-// canonical vertex-table form). Kind tests are implicit in the axis
+// C-major order; a context's partners come in document order, except that
+// the ancestor axes list them nearest first. S must be sorted by pre and
+// duplicate-free (the canonical vertex-table form); C is sorted the same way
+// for a vertex table, but a chain-sampling input may repeat and reorder
+// nodes, and is evaluated all the same. Kind tests are implicit in the axis
 // semantics (AxisHolds); name tests come from S being an index lookup result.
 //
 // This is a cut-off sampled operator (ℓ(OP), Sec 2.3): if limit > 0, result
@@ -46,25 +64,63 @@ func searchGE(s []xmltree.NodeID, pre xmltree.NodeID) int {
 //
 // The operator is zero-investment with respect to C: per context tuple it
 // costs O(log |S|) for the range search plus the produced output, never a
-// scan of all of S.
+// scan of all of S. The descendant(-or-self), child and attribute steps
+// search by galloping (see stepper.seek), so over a document-ordered C of
+// disjoint subtrees the searches total O(|C| log(|S|/|C|)).
 func StepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID, limit int) (Pairs, int) {
-	sw := metrics.Start()
 	var out Pairs
+	consumed := StepPairsInto(&out, rec, d, axis, C, S, limit)
+	return out, consumed
+}
+
+// StepPairsInto is StepPairs writing into out, whose columns are truncated
+// and reused: a caller stepping edge after edge keeps one Pairs and
+// allocates only when an edge outgrows every earlier one. The result
+// aliases those columns until the next call. It returns consumed.
+func StepPairsInto(out *Pairs, rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID, limit int) int {
+	sw := metrics.Start()
+	out.C, out.S = out.C[:0], out.S[:0]
+	st := stepper{d: d, axis: axis, S: S, out: out}
 	consumed := 0
 	for _, c := range C {
-		stepOne(d, axis, c, S, &out)
+		st.step(c)
 		consumed++
 		if limit > 0 && out.Len() >= limit {
 			break
 		}
 	}
 	rec.ChargeOp(consumed+out.Len(), sw.Elapsed())
-	return out, consumed
+	return consumed
 }
 
-// stepOne appends all (c, s) pairs for one context node. Attribute context
+// stepper evaluates one step for a sequence of context nodes. It remembers
+// where the previous context's range began in S: a document-ordered C only
+// ever moves that lower bound forward, so the next search gallops from there
+// instead of binary-searching all of S again.
+type stepper struct {
+	d    *xmltree.Document
+	axis Axis
+	S    []xmltree.NodeID
+	out  *Pairs
+	pos  int            // first S index >= lo
+	lo   xmltree.NodeID // the previous context's lower bound
+}
+
+// seek returns the first S index holding a node >= lo. A lower bound below
+// the previous one (an out-of-order context) restarts the gallop at 0, which
+// still costs O(log |S|).
+func (st *stepper) seek(lo xmltree.NodeID) int {
+	if lo < st.lo {
+		st.pos = 0
+	}
+	st.pos, st.lo = gallopGE(st.S, st.pos, lo), lo
+	return st.pos
+}
+
+// step appends all (c, s) pairs for one context node. Attribute context
 // nodes only participate in self and attr-owner axes (see AxisHolds).
-func stepOne(d *xmltree.Document, axis Axis, c xmltree.NodeID, S []xmltree.NodeID, out *Pairs) {
+func (st *stepper) step(c xmltree.NodeID) {
+	d, S, out, axis := st.d, st.S, st.out, st.axis
 	if d.Kind(c) == xmltree.KindAttr && axis != AxisSelf && axis != AxisAttrOwner {
 		return
 	}
@@ -75,14 +131,14 @@ func stepOne(d *xmltree.Document, axis Axis, c xmltree.NodeID, S []xmltree.NodeI
 			lo = c
 		}
 		hi := c + d.Size(c)
-		for i := searchGE(S, lo); i < len(S) && S[i] <= hi; i++ {
+		for i := st.seek(lo); i < len(S) && S[i] <= hi; i++ {
 			if d.Kind(S[i]) != xmltree.KindAttr {
 				out.append(c, S[i])
 			}
 		}
 	case AxisChild:
 		hi := c + d.Size(c)
-		i := searchGE(S, c+1)
+		i := st.seek(c + 1)
 		for i < len(S) && S[i] <= hi {
 			s := S[i]
 			if d.Kind(s) == xmltree.KindAttr {
@@ -94,12 +150,12 @@ func stepOne(d *xmltree.Document, axis Axis, c xmltree.NodeID, S []xmltree.NodeI
 				i++
 				continue
 			}
-			// s is inside some child subtree; jump past that subtree.
+			// s is inside some child subtree; gallop past that subtree.
 			a := s
 			for d.Parent(a) != c {
 				a = d.Parent(a)
 			}
-			i = searchGE(S, a+d.Size(a)+1)
+			i = gallopGE(S, i+1, a+d.Size(a)+1)
 		}
 	case AxisParent:
 		p := d.Parent(c)
@@ -154,7 +210,7 @@ func stepOne(d *xmltree.Document, axis Axis, c xmltree.NodeID, S []xmltree.NodeI
 			for d.Parent(a) != p {
 				a = d.Parent(a)
 			}
-			i = searchGE(S, a+d.Size(a)+1)
+			i = gallopGE(S, i+1, a+d.Size(a)+1)
 		}
 	case AxisPrecSibling:
 		p := d.Parent(c)
@@ -177,11 +233,11 @@ func stepOne(d *xmltree.Document, axis Axis, c xmltree.NodeID, S []xmltree.NodeI
 			for d.Parent(a) != p {
 				a = d.Parent(a)
 			}
-			i = searchGE(S, a+d.Size(a)+1)
+			i = gallopGE(S, i+1, a+d.Size(a)+1)
 		}
 	case AxisAttribute:
 		hi := c + d.Size(c)
-		for i := searchGE(S, c+1); i < len(S) && S[i] <= hi; i++ {
+		for i := st.seek(c + 1); i < len(S) && S[i] <= hi; i++ {
 			s := S[i]
 			if d.Kind(s) != xmltree.KindAttr || d.Parent(s) != c {
 				// Attribute nodes of c occupy the pre slots directly
@@ -202,8 +258,8 @@ func stepOne(d *xmltree.Document, axis Axis, c xmltree.NodeID, S []xmltree.NodeI
 }
 
 func contains(s []xmltree.NodeID, n xmltree.NodeID) bool {
-	i := searchGE(s, n)
-	return i < len(s) && s[i] == n
+	_, ok := slices.BinarySearch(s, n)
+	return ok
 }
 
 // StaircaseSemi evaluates the structural join in the classic staircase-join

@@ -166,15 +166,16 @@ func (env *Env) VertexNodes(v *joingraph.Vertex) ([]xmltree.NodeID, *xmltree.Doc
 // VertexTable materializes T(v), the table of all nodes satisfying vertex v,
 // through an index lookup (Algorithm 1 lines 8–12, generalized to attribute
 // and range-predicate vertices). The result is duplicate-free and in
-// document order.
+// document order, and it is a view: its Nodes are the index extent itself,
+// shared with every other query, which tables being read-only makes safe.
+// The materialization is still charged per tuple, as the cost model has it.
 func (env *Env) VertexTable(v *joingraph.Vertex) (*table.Table, error) {
 	nodes, d, err := env.VertexNodes(v)
 	if err != nil {
 		return nil, err
 	}
-	// The index owns its slices; copy before handing out a mutable table.
 	env.Rec.ChargeTuples(len(nodes))
-	return table.NewTable(d, append([]xmltree.NodeID(nil), nodes...)), nil
+	return table.NewTable(d, nodes), nil
 }
 
 // probeFor returns the value-index probe of a text/attr vertex, used as the

@@ -107,7 +107,8 @@ type mergeScratch struct {
 	valGrp []int32    // joinOn: byNode group per pair value, -1 = no row
 	grpCnt []int32    // joinOn: output rows per context row of a byKey group
 	packed []uint64   // filter: the pairs as sorted integers
-	words  []uint64   // xmltree.SortUnique's bitmap
+	words  []uint64   // xmltree.SortedSet's bitmap
+	pairs  ops.Pairs  // the step pairs of the edge being merged
 }
 
 // grow returns s resized to n elements of unspecified content, reallocating
@@ -141,6 +142,18 @@ func expanded(rel *table.Relation, cnt []int32, total, extra int) ([]int, []*xml
 		cols = append(cols, repeatRows(rel.Column(id), cnt, total))
 	}
 	return ids, docs, cols
+}
+
+// adopt starts a component from the first edge's pairs: the pair columns
+// are the relation. They are copied at their exact length into one
+// allocation, so the pairs may live in scratch that the next edge reuses.
+func adopt(a int, docA *xmltree.Document, b int, docB *xmltree.Document, pairs ops.Pairs) *table.Relation {
+	n := pairs.Len()
+	cols := make([]xmltree.NodeID, 2*n)
+	copy(cols, pairs.C)
+	copy(cols[n:], pairs.S)
+	return table.FromColumns([]int{a, b}, []*xmltree.Document{docA, docB},
+		[][]xmltree.NodeID{cols[:n:n], cols[n:]})
 }
 
 // extend joins rel (owning vertex a) with the pair list (C bound to a) to

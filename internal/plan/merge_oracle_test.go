@@ -160,14 +160,14 @@ var oracleDocs = func() [2]*xmltree.Document {
 	return docs
 }()
 
-// checkMergeCase decodes one case — which merge, the relation(s) with
-// cross-document columns and duplicate values, and a pair list that is
-// C-major, arbitrary (duplicate and non-adjacent keys) or value-ordered,
-// dense or sparse in its id span, possibly empty — and compares the merge
-// with its oracle.
+// checkMergeCase decodes one case — which merge (the first edge's adoption
+// included), the relation(s) with cross-document columns and duplicate
+// values, and a pair list that is C-major, arbitrary (duplicate and
+// non-adjacent keys) or value-ordered, dense or sparse in its id span,
+// possibly empty — and compares the merge with its oracle.
 func checkMergeCase(ms *mergeScratch, data []byte) error {
 	s := &byteStream{b: data}
-	kind := s.next(4)
+	kind := s.next(5)
 	m := 1 + s.next(12)                         // distinct node ids per column
 	spread := xmltree.NodeID(1 + 500*s.next(2)) // 1 = dense ids, 501 = sparse
 	node := func() xmltree.NodeID { return xmltree.NodeID(s.next(m)) * spread }
@@ -210,6 +210,17 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 	case 2:
 		b := s.next(ra.NumCols())
 		got, want = ms.filter(ra, a, b, pairs), oracleFilter(ra, a, b, pairs)
+	case 4:
+		// A first edge: the relation is the pair list, copied out of the
+		// scratch it may live in.
+		got = adopt(0, oracleDocs[0], 99, oracleDocs[1], pairs)
+		want = table.NewRelation([]int{0, 99}, oracleDocs[:])
+		for i := range pairs.C {
+			want.AppendRow([]xmltree.NodeID{pairs.C[i], pairs.S[i]})
+		}
+		if n := pairs.Len(); n > 0 && (&got.Column(0)[0] == &pairs.C[0] || &got.Column(99)[0] == &pairs.S[0] || cap(got.Column(0)) != n) {
+			return fmt.Errorf("adopt kept the pair buffers or over-allocated: %d pairs, cap %d", n, cap(got.Column(0)))
+		}
 	default:
 		rb := relation(10)
 		b := 10 + s.next(rb.NumCols())
@@ -261,12 +272,17 @@ func FuzzMergeMatchesOracle(f *testing.F) {
 // — staircase steps in both directions, hash and merge joins across two
 // documents, full and cut off by an ExecLimit — in random edge orders, and
 // checks every intermediate relation and refreshed T(v) against the oracle.
+// Step pairs go through the Runner's scratch as in ExecEdge, and every
+// relation a round produced must still equal its oracle after each later
+// edge: relations are read-only, and the scratch the next step overwrites
+// must not be one of their columns.
 func TestRunnerMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
 		f := newFixture(t)
 		r := NewRunner(f.env, f.g)
-		limit := rng.Intn(4) // 0 = unlimited
+		limit := rng.Intn(4)             // 0 = unlimited
+		var earlier [][2]*table.Relation // got, want
 		for _, id := range rng.Perm(len(f.g.Edges)) {
 			e := f.g.Edges[id]
 			ctxV, innerV := e.From, e.To
@@ -283,13 +299,21 @@ func TestRunnerMergeMatchesOracle(t *testing.T) {
 			}
 			var pairs ops.Pairs
 			if e.Kind == joingraph.StepEdge {
-				pairs, _, err = r.PairsFor(e, ctxV, ctxT, innerT, limit)
-				if err != nil {
-					t.Fatal(err)
+				// Into the Runner's scratch, as ExecEdge steps.
+				axis := e.Axis
+				if ctxV == e.To {
+					axis = axis.Reverse()
 				}
+				ops.StepPairsInto(&r.scratch.pairs, nil, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, limit)
+				pairs = r.scratch.pairs
 			} else {
 				alg := []ops.JoinAlg{ops.JoinHash, ops.JoinMerge}[rng.Intn(2)]
 				pairs, _ = ops.ValueJoinPairs(metrics.NewRecorder(), alg, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, nil, limit)
+			}
+			for _, rel := range earlier {
+				if err := sameRelation(rel[0], rel[1]); err != nil {
+					t.Fatalf("round %d edge %d: an earlier relation changed: %v", round, id, err)
+				}
 			}
 			var want *table.Relation
 			switch ca, cb := r.comps[ctxV], r.comps[innerV]; {
@@ -314,6 +338,7 @@ func TestRunnerMergeMatchesOracle(t *testing.T) {
 			if err := sameRelation(got, want); err != nil {
 				t.Fatalf("round %d edge %d (limit %d): %v", round, id, limit, err)
 			}
+			earlier = append(earlier, [2]*table.Relation{got, want})
 			for _, v := range got.ColumnIDs() {
 				nodes := slices.Clone(got.Column(v))
 				slices.Sort(nodes)

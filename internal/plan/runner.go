@@ -6,7 +6,6 @@ import (
 	"repro/internal/joingraph"
 	"repro/internal/ops"
 	"repro/internal/table"
-	"repro/internal/xmltree"
 )
 
 // Runner executes Join Graph edges one at a time, fully materializing
@@ -195,7 +194,8 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 		if ctxV == e.To {
 			axis = axis.Reverse()
 		}
-		pairs, _ = ops.StepPairs(r.Env.Rec, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, r.ExecLimit)
+		ops.StepPairsInto(&r.scratch.pairs, r.Env.Rec, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, r.ExecLimit)
+		pairs = r.scratch.pairs
 	case alg == ops.JoinNLIndex:
 		pairs, _, err = r.PairsFor(e, ctxV, ctxT, innerT, r.ExecLimit)
 		if err != nil {
@@ -221,9 +221,7 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	var nc *component
 	switch {
 	case ca == nil && cb == nil:
-		// The pair columns are the relation: adopt them.
-		rel := table.FromColumns([]int{a, b}, []*xmltree.Document{r.tables[a].Doc, r.tables[b].Doc},
-			[][]xmltree.NodeID{pairs.C, pairs.S})
+		rel := adopt(a, r.tables[a].Doc, b, r.tables[b].Doc, pairs)
 		nc = &component{rel: rel, verts: []int{a, b}}
 	case ca != nil && cb == nil:
 		rel := r.scratch.extend(ca.rel, a, pairs, b, r.tables[b].Doc)
@@ -245,7 +243,7 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	for _, v := range nc.verts {
 		r.comps[v] = nc
 		if nc.rel.HasColumn(v) {
-			r.tables[v] = nc.rel.DistinctNodes(v, &r.scratch.words)
+			r.tables[v] = nc.rel.DistinctNodes(v, r.tables[v], &r.scratch.words)
 		}
 	}
 	return nc.rel.NumRows(), nil

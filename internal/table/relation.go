@@ -89,7 +89,9 @@ func (r *Relation) Doc(id int) *xmltree.Document {
 	return r.docs[pos]
 }
 
-// AppendRow appends one tuple given in column order.
+// AppendRow appends one tuple given in column order. It is for relations
+// built row by row from NewRelation: a relation's columns may be views shared
+// with other relations and tables, which are read-only.
 func (r *Relation) AppendRow(row []xmltree.NodeID) {
 	if len(row) != len(r.cols) {
 		panic("table: row width mismatch")
@@ -110,27 +112,35 @@ func (r *Relation) Row(i int) []xmltree.NodeID {
 
 // DistinctNodes returns the sorted duplicate-free set of nodes in the column
 // of vertex id, as a Table — the semijoin-reduced T(v) after executing an
-// edge (Algorithm 1 line 15). words is xmltree.SortUnique's bitmap scratch
-// (nil allocates).
-func (r *Relation) DistinctNodes(id int, words *[]uint64) *Table {
-	return &Table{Doc: r.Doc(id), Nodes: xmltree.SortUnique(slices.Clone(r.Column(id)), words)}
+// edge (Algorithm 1 line 15). prev is v's table before the edge (nil when
+// unknown); a merge only drops or repeats rows, so the column holds a subset
+// of prev's nodes. No node is copied that need not be:
+//   - a strictly ascending column becomes the table's Nodes, a view;
+//   - a column that still holds as many distinct nodes as prev holds them
+//     all, and the table reuses prev's Nodes;
+//   - otherwise the set is written into a slice of its exact size.
+//
+// The Table itself is always new: every refresh is a new T(v) to the ROX
+// optimizer, which re-draws S(v) from it (Algorithm 1 line 16). words is
+// xmltree.SortedSet's bitmap scratch (nil allocates).
+func (r *Relation) DistinctNodes(id int, prev *Table, words *[]uint64) *Table {
+	var within []xmltree.NodeID
+	if prev != nil {
+		within = prev.Nodes
+	}
+	return &Table{Doc: r.Doc(id), Nodes: xmltree.SortedSet(r.Column(id), within, words)}
 }
 
-// Project returns a new relation with only the columns for the given vertex
-// ids, preserving row order (duplicates retained; apply Distinct for set
-// semantics).
+// Project returns a relation with only the columns for the given vertex ids,
+// preserving row order (duplicates retained; apply Distinct for set
+// semantics). The columns are r's own, shared rather than copied.
 func (r *Relation) Project(ids []int) *Relation {
 	docs := make([]*xmltree.Document, len(ids))
+	cols := make([][]xmltree.NodeID, len(ids))
 	for i, id := range ids {
-		docs[i] = r.Doc(id)
+		docs[i], cols[i] = r.Doc(id), r.Column(id)
 	}
-	out := NewRelation(ids, docs)
-	n := r.NumRows()
-	for i, id := range ids {
-		src := r.Column(id)
-		out.cols[i] = append(make([]xmltree.NodeID, 0, n), src...)
-	}
-	return out
+	return FromColumns(slices.Clone(ids), docs, cols)
 }
 
 // compareRows orders rows a and b by the columns at positions pos.
@@ -172,8 +182,14 @@ func (r *Relation) rowIndices() []int {
 // which is fine because XQuery ordering is re-established by the tail's sort.
 // A relation already in strictly ascending order — a one-variable path
 // query's step output is a sorted node set — is returned as a view sharing
-// r's columns.
+// r's columns. One column is a node set: xmltree.SortedSet dedups it
+// without a comparator sort over row indices.
 func (r *Relation) Distinct() *Relation {
+	if len(r.cols) == 1 {
+		out := NewRelation(r.colIDs, r.docs)
+		out.cols[0] = xmltree.SortedSet(r.cols[0], nil, nil)
+		return out
+	}
 	pos := make([]int, len(r.cols))
 	for c := range pos {
 		pos[c] = c

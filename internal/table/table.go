@@ -7,7 +7,6 @@ package table
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -17,6 +16,12 @@ import (
 // ROX algorithm are duplicate-free and sorted by pre (document order), which
 // the staircase joins both require and guarantee; intermediate sample chains
 // may temporarily be unsorted.
+//
+// A Table is read-only by contract: its Nodes are often a view of memory it
+// does not own — an index extent (plan.Env.VertexTable), a relation column
+// (Relation.DistinctNodes) or another table (Sample) — and many tables, and
+// concurrent queries, may share one backing array. Nothing writes through
+// Nodes; a caller that needs a different node set builds a new Table.
 type Table struct {
 	Doc   *xmltree.Document
 	Nodes []xmltree.NodeID
@@ -35,20 +40,6 @@ func (t *Table) Len() int {
 	return len(t.Nodes)
 }
 
-// Clone returns a deep copy of the table.
-func (t *Table) Clone() *Table {
-	nodes := make([]xmltree.NodeID, len(t.Nodes))
-	copy(nodes, t.Nodes)
-	return &Table{Doc: t.Doc, Nodes: nodes}
-}
-
-// IsSorted reports whether the table is sorted by pre.
-func (t *Table) IsSorted() bool { return slices.IsSorted(t.Nodes) }
-
-// SortUnique sorts the table by pre and removes duplicates in place,
-// restoring the canonical vertex-table form (document order, distinct).
-func (t *Table) SortUnique() { t.Nodes = xmltree.SortUnique(t.Nodes, nil) }
-
 // Contains reports whether the table contains node n; the table must be
 // sorted (binary search).
 func (t *Table) Contains(n xmltree.NodeID) bool {
@@ -58,15 +49,15 @@ func (t *Table) Contains(n xmltree.NodeID) bool {
 
 // Sample implements ℓ(T) from Sec 2.3: a uniform random sample of at most l
 // tuples, without replacement, returned in document order so it remains a
-// valid staircase-join context input. When l >= Len the whole table is
-// copied. The caller provides the random source explicitly — both for
-// determinism (seeded runs reproduce their plans) and for concurrency: the
-// table itself is only read, so concurrent queries may sample the same
-// shared table as long as each passes its own per-query *rand.Rand (the one
-// carried by its plan.Env).
+// valid staircase-join context input. When l >= Len the sample is the whole
+// table, and t itself is returned. The caller provides the random source
+// explicitly — both for determinism (seeded runs reproduce their plans) and
+// for concurrency: the table itself is only read, so concurrent queries may
+// sample the same shared table as long as each passes its own per-query
+// *rand.Rand (the one carried by its plan.Env).
 func (t *Table) Sample(l int, rng *rand.Rand) *Table {
 	if l >= t.Len() {
-		return t.Clone()
+		return t
 	}
 	// Floyd's algorithm: O(l) distinct indices out of n.
 	n := t.Len()
@@ -88,36 +79,4 @@ func (t *Table) Sample(l int, rng *rand.Rand) *Table {
 		nodes[i] = t.Nodes[k]
 	}
 	return &Table{Doc: t.Doc, Nodes: nodes}
-}
-
-// Intersect returns a new sorted table containing the nodes present in both
-// t and other (both must be sorted by pre, same document).
-func (t *Table) Intersect(other *Table) *Table {
-	out := make([]xmltree.NodeID, 0, min(len(t.Nodes), len(other.Nodes)))
-	i, j := 0, 0
-	for i < len(t.Nodes) && j < len(other.Nodes) {
-		switch {
-		case t.Nodes[i] < other.Nodes[j]:
-			i++
-		case t.Nodes[i] > other.Nodes[j]:
-			j++
-		default:
-			out = append(out, t.Nodes[i])
-			i++
-			j++
-		}
-	}
-	return &Table{Doc: t.Doc, Nodes: out}
-}
-
-// Filter returns a new table with the nodes for which keep returns true,
-// preserving order.
-func (t *Table) Filter(keep func(xmltree.NodeID) bool) *Table {
-	out := make([]xmltree.NodeID, 0, len(t.Nodes))
-	for _, n := range t.Nodes {
-		if keep(n) {
-			out = append(out, n)
-		}
-	}
-	return &Table{Doc: t.Doc, Nodes: out}
 }

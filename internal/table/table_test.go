@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,21 +18,50 @@ func smallDoc(t *testing.T) *xmltree.Document {
 	return d
 }
 
-func TestSortUnique(t *testing.T) {
+// TestDistinctSortsOneColumn pins the one-column tail distinct: an unsorted
+// column with duplicates comes out as its ascending node set, the input
+// column untouched, and a strictly ascending column is kept as a view.
+func TestDistinctSortsOneColumn(t *testing.T) {
 	d := smallDoc(t)
-	tb := NewTable(d, []xmltree.NodeID{5, 3, 5, 1, 3, 9})
-	tb.SortUnique()
-	want := []xmltree.NodeID{1, 3, 5, 9}
-	if len(tb.Nodes) != len(want) {
-		t.Fatalf("got %v, want %v", tb.Nodes, want)
+	in := []xmltree.NodeID{5, 3, 5, 1, 3, 9}
+	r := FromColumns([]int{7}, []*xmltree.Document{d}, [][]xmltree.NodeID{slices.Clone(in)})
+	got := r.Distinct()
+	if want := []xmltree.NodeID{1, 3, 5, 9}; !slices.Equal(got.Column(7), want) || got.Doc(7) != d {
+		t.Fatalf("Distinct = %v, want %v", got.Column(7), want)
 	}
-	for i := range want {
-		if tb.Nodes[i] != want[i] {
-			t.Fatalf("got %v, want %v", tb.Nodes, want)
-		}
+	if !slices.Equal(r.Column(7), in) {
+		t.Errorf("Distinct rewrote its input column: %v", r.Column(7))
 	}
-	if !tb.IsSorted() {
-		t.Errorf("not sorted after SortUnique")
+	sorted := got.Distinct()
+	if &sorted.Column(7)[0] != &got.Column(7)[0] {
+		t.Errorf("Distinct copied an already distinct ascending column")
+	}
+}
+
+// TestDistinctNodesReusesUnreducedTable walks the three ways T(v) is
+// refreshed after a merge: a column that still holds every node of the
+// previous table reuses that table's nodes, a strictly ascending column is viewed
+// in place, and a reduced unsorted column is written at its exact size.
+func TestDistinctNodesReusesUnreducedTable(t *testing.T) {
+	d := smallDoc(t)
+	prev := NewTable(d, []xmltree.NodeID{1, 3, 5, 9})
+	rel := func(col ...xmltree.NodeID) *Relation {
+		return FromColumns([]int{4}, []*xmltree.Document{d}, [][]xmltree.NodeID{col})
+	}
+	var words []uint64
+	if got := rel(9, 1, 3, 3, 5, 1).DistinctNodes(4, prev, &words); got == prev || &got.Nodes[0] != &prev.Nodes[0] {
+		t.Errorf("unreduced column: got %v, want a new table over the previous table's nodes", got.Nodes)
+	}
+	asc := rel(1, 5, 9)
+	if got := asc.DistinctNodes(4, prev, &words); !slices.Equal(got.Nodes, asc.Column(4)) || &got.Nodes[0] != &asc.Column(4)[0] {
+		t.Errorf("ascending column: got %v, want a view of the column", got.Nodes)
+	}
+	got := rel(9, 3, 9, 3).DistinctNodes(4, prev, &words)
+	if !slices.Equal(got.Nodes, []xmltree.NodeID{3, 9}) || cap(got.Nodes) != 2 || got.Doc != d {
+		t.Errorf("reduced column: got %v (cap %d), want [3 9] at its exact size", got.Nodes, cap(got.Nodes))
+	}
+	if got := rel(3, 1, 3).DistinctNodes(4, nil, nil); !slices.Equal(got.Nodes, []xmltree.NodeID{1, 3}) {
+		t.Errorf("no previous table: got %v, want [1 3]", got.Nodes)
 	}
 }
 
@@ -68,7 +98,7 @@ func TestSampleProperties(t *testing.T) {
 		if s.Len() != want {
 			return false
 		}
-		if !s.IsSorted() {
+		if !slices.IsSorted(s.Nodes) {
 			return false
 		}
 		seen := map[xmltree.NodeID]bool{}
@@ -82,6 +112,15 @@ func TestSampleProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSampleWholeTableIsTheTable(t *testing.T) {
+	tb := &Table{Nodes: []xmltree.NodeID{2, 4, 6}}
+	for _, l := range []int{3, 10} {
+		if s := tb.Sample(l, rand.New(rand.NewSource(1))); s != tb {
+			t.Errorf("Sample(%d) of %d nodes copied the table", l, tb.Len())
+		}
 	}
 }
 
@@ -107,28 +146,6 @@ func TestSampleUniformity(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	a := &Table{Nodes: []xmltree.NodeID{1, 3, 5, 7, 9}}
-	b := &Table{Nodes: []xmltree.NodeID{2, 3, 4, 7, 10}}
-	got := a.Intersect(b)
-	want := []xmltree.NodeID{3, 7}
-	if len(got.Nodes) != 2 || got.Nodes[0] != want[0] || got.Nodes[1] != want[1] {
-		t.Errorf("Intersect = %v, want %v", got.Nodes, want)
-	}
-	empty := a.Intersect(&Table{})
-	if empty.Len() != 0 {
-		t.Errorf("intersect with empty = %v", empty.Nodes)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	a := &Table{Nodes: []xmltree.NodeID{1, 2, 3, 4, 5, 6}}
-	got := a.Filter(func(n xmltree.NodeID) bool { return n%2 == 0 })
-	if got.Len() != 3 || got.Nodes[0] != 2 || got.Nodes[2] != 6 {
-		t.Errorf("Filter = %v", got.Nodes)
-	}
-}
-
 func TestRelationBasics(t *testing.T) {
 	d := smallDoc(t)
 	r := NewRelation([]int{10, 20}, []*xmltree.Document{d, d})
@@ -150,7 +167,7 @@ func TestRelationBasics(t *testing.T) {
 		t.Errorf("Distinct rows = %d, want 2", dist.NumRows())
 	}
 
-	tbl := r.DistinctNodes(10, nil)
+	tbl := r.DistinctNodes(10, nil, nil)
 	if tbl.Len() != 2 || tbl.Nodes[0] != 1 || tbl.Nodes[1] != 3 {
 		t.Errorf("DistinctNodes = %v", tbl.Nodes)
 	}

@@ -23,21 +23,74 @@ import (
 // reused, growing to the widest span seen; nil allocates per call. The sweep
 // zeroes every word it set, so the scratch is all-zero between calls.
 func SortUnique(ids []NodeID, words *[]uint64) []NodeID {
+	lo, hi, ascending := idSpan(ids)
+	if ascending {
+		return ids
+	}
+	w := mark(ids, lo, hi, words)
+	if w == nil {
+		slices.Sort(ids)
+		return slices.Compact(ids)
+	}
+	return sweep(w, lo, ids[:0])
+}
+
+// SortedSet is SortUnique that leaves ids untouched: it returns ids itself
+// when they already ascend strictly, and otherwise their node set in a new
+// slice of exactly its size. within, when the caller knows one, is an
+// ascending node set holding every id of ids; a result of len(within) ids
+// can then only be within, which is returned instead of a copy. A column
+// whose distinct values are all still there thus costs its bitmap sweep and
+// nothing else.
+func SortedSet(ids, within []NodeID, words *[]uint64) []NodeID {
+	lo, hi, ascending := idSpan(ids)
+	if ascending {
+		return ids
+	}
+	w := mark(ids, lo, hi, words)
+	if w == nil {
+		out := slices.Clone(ids)
+		slices.Sort(out)
+		if out = slices.Compact(out); len(out) == len(within) {
+			return within
+		}
+		return out
+	}
+	n := 0
+	for _, word := range w {
+		n += bits.OnesCount64(word)
+	}
+	if n == len(within) {
+		clear(w)
+		return within
+	}
+	return sweep(w, lo, make([]NodeID, 0, n))
+}
+
+// idSpan reports whether ids already ascend strictly and, when they do not,
+// their least and greatest id.
+func idSpan(ids []NodeID) (lo, hi NodeID, ascending bool) {
 	i := 1
 	for i < len(ids) && ids[i-1] < ids[i] {
 		i++
 	}
 	if i >= len(ids) {
-		return ids
+		return 0, 0, true
 	}
-	lo, hi := ids[0], ids[i-1]
+	lo, hi = ids[0], ids[i-1]
 	for _, v := range ids[i:] {
 		lo, hi = min(lo, v), max(hi, v)
 	}
+	return lo, hi, false
+}
+
+// mark sets one bit per id over the span [lo, hi] in the scratch words and
+// returns them, or nil when the ids are too sparse in their span for a sweep
+// (more than 64 ids of span per input id).
+func mark(ids []NodeID, lo, hi NodeID, words *[]uint64) []uint64 {
 	nw := (int64(hi) - int64(lo) + 64) / 64
 	if nw > int64(len(ids)) {
-		slices.Sort(ids)
-		return slices.Compact(ids)
+		return nil
 	}
 	var local []uint64
 	if words == nil {
@@ -51,7 +104,11 @@ func SortUnique(ids []NodeID, words *[]uint64) []NodeID {
 		o := uint64(int64(v) - int64(lo))
 		w[o>>6] |= 1 << (o & 63)
 	}
-	out := ids[:0]
+	return w
+}
+
+// sweep appends the ids marked in w, low to high, to out and zeroes w.
+func sweep(w []uint64, lo NodeID, out []NodeID) []NodeID {
 	for wi, word := range w {
 		if word == 0 {
 			continue

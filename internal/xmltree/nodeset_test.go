@@ -70,9 +70,35 @@ func TestSortUniqueMatchesSortCompact(t *testing.T) {
 			if i := slices.IndexFunc(words[:cap(words)], func(w uint64) bool { return w != 0 }); i >= 0 {
 				t.Fatalf("%s: scratch word %d left set after SortUnique(%v)", name, i, in)
 			}
+			checkSortedSet(t, name, in, want, &words)
 		}
 	}
 	if cap(words) == 0 {
 		t.Errorf("no input took the bitmap path")
+	}
+}
+
+// checkSortedSet holds SortedSet to the same answer as SortUnique on one
+// input, never writing to it: within a strict superset it returns a new
+// slice, within the set itself it returns within.
+func checkSortedSet(t *testing.T, name string, in, want []NodeID, words *[]uint64) {
+	t.Helper()
+	orig := slices.Clone(in)
+	super := want
+	if len(want) > 0 {
+		super = append(slices.Clone(want), want[len(want)-1]+1)
+	}
+	got := SortedSet(in, super, words)
+	if !slices.Equal(got, want) || !slices.Equal(in, orig) {
+		t.Fatalf("%s: SortedSet(%v) = %v and left the input %v, want %v", name, orig, got, in, want)
+	}
+	if !slices.Equal(in, want) && len(got) > 0 && &got[0] == &super[0] {
+		t.Fatalf("%s: SortedSet(%v) returned its strict superset", name, orig)
+	}
+	if got := SortedSet(in, want, words); !slices.Equal(in, want) && len(want) > 0 && &got[0] != &want[0] {
+		t.Fatalf("%s: SortedSet(%v) copied a set equal to within", name, orig)
+	}
+	if i := slices.IndexFunc((*words)[:cap(*words)], func(w uint64) bool { return w != 0 }); i >= 0 {
+		t.Fatalf("%s: scratch word %d left set after SortedSet(%v)", name, i, orig)
 	}
 }
