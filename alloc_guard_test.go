@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/datagen"
 )
 
@@ -65,7 +66,7 @@ const replayedJoin = `let $d := doc("xmark.xml")
 		where $o//bidder//personref/@person = $p/@id return $p limit 50`
 
 func TestAllocGuardReplayedJoin(t *testing.T) {
-	// Measured 389: vertex tables view the index, a refreshed T(v) is a view
+	// Measured 387: vertex tables view the index, a refreshed T(v) is a view
 	// or its exact-size set, step pairs reuse one buffer (530 when each of
 	// those was a copy or grew from nothing; 5 851 with a hash map and a
 	// slice per context node in every merge).
@@ -78,13 +79,72 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// The object count above cannot see a copy of a whole index extent or
 	// column, which is one allocation however large. Bytes can. Measured
-	// 224 710 (382 107 with VertexTable copying each extent, DistinctNodes
+	// 204 166 (382 107 with VertexTable copying each extent, DistinctNodes
 	// cloning each column and the step pairs growing per edge). The ceiling
-	// is ≈ 11 % above, not 25 %: bringing back the extent copy alone costs
-	// 276 301, the column clone alone 285 076, and each must fail here.
-	const ceiling = 250_000
+	// is ≈ 5 % above, not 25 %: bringing back the extent copy alone costs
+	// 255 750, the column clone alone 250 694, and keying the @person = @id
+	// hash join's build by string instead of value id 221 962; each must
+	// fail here.
+	const ceiling = 215_000
 	if got := bytesPerRun(20, replayer(t, replayedJoin)); got > ceiling {
 		t.Errorf("replayed join: %.0f bytes per query, ceiling %d", got, ceiling)
+	}
+}
+
+// coldFourWay loads four DBLP venues at a tenth of their tags into an engine
+// without a plan cache and returns a function running roxmark's c31 query on
+// them: every call compiles it, chain-samples and executes the joins — the
+// paper's Sec 4 cold run — and one of the joins is a hash join over an
+// unreduced text extent.
+func coldFourWay(t *testing.T) func() {
+	t.Helper()
+	e := NewEngine(WithSeed(1), WithPlanCache(0))
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.TagDivisor = 10
+	var combo datagen.Combo
+	for i, name := range []string{"SIGMOD", "ICDE", "VLDB", "Bioinformatics"} {
+		v, ok := datagen.VenueByName(name)
+		if !ok {
+			t.Fatalf("no venue %q", name)
+		}
+		combo.Venues[i] = v
+		if err := e.LoadSource(FromDocument(datagen.GenerateVenue(cfg, v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := bench.FourWayQuery(combo)
+	run := func() {
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: query}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) == 0 {
+			t.Fatal("query returned no items")
+		}
+	}
+	run()
+	return run
+}
+
+func TestAllocGuardColdFourWay(t *testing.T) {
+	// Measured 913: sampled pairs live in one optimizer buffer, restricted
+	// probes filter in place, the value index is the hash join's build side
+	// over an unreduced extent, and the optimizer looks edges up in lists
+	// built once and draws samples without a map (3 230 when each of those
+	// allocated; 1 839 with a slice per restricted probe alone).
+	const ceiling = 1140
+	if got := testing.AllocsPerRun(20, coldFourWay(t)); got > ceiling {
+		t.Errorf("cold four-way: %.0f allocations per query, ceiling %d", got, ceiling)
+	}
+}
+
+func TestAllocGuardColdFourWayBytes(t *testing.T) {
+	// Measured 178 934 (523 379 before the change above). Building a hash
+	// table over the unreduced extent instead of probing the index costs
+	// 243 594 and must fail here.
+	const ceiling = 225_000
+	if got := bytesPerRun(20, coldFourWay(t)); got > ceiling {
+		t.Errorf("cold four-way: %.0f bytes per query, ceiling %d", got, ceiling)
 	}
 }
 

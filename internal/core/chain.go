@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/metrics"
@@ -13,11 +14,11 @@ import (
 // the properties of Algorithm 2: StopVertex, the input sample I(p) for the
 // next round, the accumulated cost estimate, and the scale factor sf.
 type pathState struct {
-	edges []int        // edge ids in traversal order
-	stop  int          // StopVertex(p)
-	input *table.Table // I(p): the sampled tuples flowing through the path
-	cost  float64      // estimated combined intermediate cardinality
-	sf    float64      // join hit ratio of the last extension
+	edges []int       // edge ids in traversal order; never written once built
+	stop  int         // StopVertex(p)
+	input table.Table // I(p): the sampled tuples flowing through the path
+	cost  float64     // estimated combined intermediate cardinality
+	sf    float64     // join hit ratio of the last extension
 }
 
 // chainSample implements Algorithm 2. Given the unexecuted edge ids, it
@@ -57,14 +58,12 @@ func (o *Optimizer) chainSample(remaining []int) ([]int, error) {
 		return []int{minEdge}, nil
 	}
 
-	remSet := make(map[int]bool, len(remaining))
-	for _, id := range remaining {
-		remSet[id] = true
-	}
+	// remaining lists exactly the pending edges, and nothing below executes
+	// or implies one.
 	branching := func(v int) int {
 		n := 0
-		for _, e2 := range o.g.EdgesOf(v) {
-			if remSet[e2.ID] {
+		for _, e2 := range o.incident[v] {
+			if o.pending(e2.ID) {
 				n++
 			}
 		}
@@ -103,24 +102,26 @@ func (o *Optimizer) chainSample(remaining []int) ([]int, error) {
 	exploration := o.trace.newExploration(minEdge, source)
 
 	// Lines 6–10.
-	paths := []*pathState{{stop: source, input: startSample, cost: 0, sf: 1}}
+	paths := []*pathState{{stop: source, input: *startSample, cost: 0, sf: 1}}
 	cutoff := o.opt.Tau
 
+	// extensions lists p's extending edges in one buffer, valid until the
+	// next call.
+	var extBuf []int
 	extensions := func(p *pathState) []int {
-		inPath := make(map[int]bool, len(p.edges))
-		for _, id := range p.edges {
-			inPath[id] = true
-		}
-		var out []int
-		for _, e2 := range o.g.EdgesOf(p.stop) {
-			if remSet[e2.ID] && !inPath[e2.ID] {
-				out = append(out, e2.ID)
+		extBuf = extBuf[:0]
+		for _, e2 := range o.incident[p.stop] {
+			if o.pending(e2.ID) && !slices.Contains(p.edges, e2.ID) {
+				extBuf = append(extBuf, e2.ID)
 			}
 		}
-		return out
+		return extBuf
 	}
 
-	// Lines 11–31: breadth-first extension rounds.
+	// Lines 11–31: breadth-first extension rounds. Each round fills the
+	// candidate list the round before last used (the trace copies what it
+	// keeps), so two lists serve all rounds.
+	var spare []*pathState
 	for round := 0; round < o.opt.MaxRounds; round++ {
 		anyExt := false
 		for _, p := range paths {
@@ -138,7 +139,7 @@ func (o *Optimizer) chainSample(remaining []int) ([]int, error) {
 			cutoff += o.opt.Tau
 		}
 
-		var next []*pathState
+		next := spare[:0]
 		for _, p := range paths {
 			exts := extensions(p)
 			if len(exts) == 0 {
@@ -152,11 +153,11 @@ func (o *Optimizer) chainSample(remaining []int) ([]int, error) {
 				if err != nil {
 					return nil, err
 				}
-				pairs, consumed, err := o.runner.PairsFor(e2, p.stop, p.input, inner, cutoff)
+				consumed, err := o.runner.PairsInto(&o.pairs, e2, p.stop, &p.input, inner, cutoff)
 				if err != nil {
 					return nil, err
 				}
-				est := ops.EstimateFull(pairs.Len(), consumed, p.input.Len())
+				est := ops.EstimateFull(o.pairs.Len(), consumed, p.input.Len())
 				// The result tuples flowing on live in v'’s document.
 				doc := p.input.Doc
 				if inner != nil {
@@ -164,10 +165,15 @@ func (o *Optimizer) chainSample(remaining []int) ([]int, error) {
 				} else if ct, cerr := o.conceptualTable(vPrime); cerr == nil {
 					doc = ct.Doc
 				}
+				edges := make([]int, len(p.edges)+1)
+				copy(edges, p.edges)
+				edges[len(p.edges)] = id
+				// Only the result tuples outlive the next sample: they
+				// become I(p), copied out of the optimizer's pair buffer.
 				np := &pathState{
-					edges: append(append([]int(nil), p.edges...), id),
+					edges: edges,
 					stop:  vPrime,
-					input: table.NewTable(doc, pairs.S),
+					input: table.Table{Doc: doc, Nodes: slices.Clone(o.pairs.S)},
 					cost:  p.cost + est*float64(srcCard)/float64(o.opt.Tau),
 					sf:    est / float64(o.opt.Tau),
 				}
@@ -181,7 +187,7 @@ func (o *Optimizer) chainSample(remaining []int) ([]int, error) {
 			sort.SliceStable(next, func(i, j int) bool { return next[i].cost < next[j].cost })
 			next = next[:o.opt.BeamWidth]
 		}
-		paths = next
+		paths, spare = next, paths
 		exploration.addRound(paths)
 
 		// Lines 24–31: stopping condition — some pi is superior to every

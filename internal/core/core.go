@@ -119,12 +119,13 @@ type Optimizer struct {
 	g   *joingraph.Graph
 	opt Options
 
-	runner    *plan.Runner
-	redundant map[int]bool
+	runner   *plan.Runner
+	incident [][]*joingraph.Edge // per vertex, g.EdgesOf(v) computed once
+	pairs    ops.Pairs           // sampled pairs, read before the next sample
 
 	weights  map[int]float64 // edge id → w(e); absent = unweighted
 	cards    map[int]int     // vertex id → card(v)
-	samples  map[int]*sampleEntry
+	samples  map[int]sampleEntry
 	concepts map[int]*table.Table // conceptual (index extent) tables
 
 	joinUF  *unionFind
@@ -156,19 +157,37 @@ func New(env *plan.Env, g *joingraph.Graph, opt Options) (*Optimizer, error) {
 		opt.BeamWidth = 16
 	}
 	return &Optimizer{
-		env:       env,
-		g:         g,
-		opt:       opt,
-		runner:    plan.NewRunner(env, g),
-		redundant: plan.RedundantEdges(g),
-		weights:   make(map[int]float64),
-		cards:     make(map[int]int),
-		samples:   make(map[int]*sampleEntry),
-		concepts:  make(map[int]*table.Table),
-		joinUF:    newUnionFind(len(g.Vertices)),
-		implied:   make(map[int]bool),
-		trace:     &Trace{},
+		env:      env,
+		g:        g,
+		opt:      opt,
+		runner:   plan.NewRunner(env, g),
+		incident: incidence(g),
+		weights:  make(map[int]float64),
+		cards:    make(map[int]int),
+		samples:  make(map[int]sampleEntry),
+		concepts: make(map[int]*table.Table),
+		joinUF:   newUnionFind(len(g.Vertices)),
+		implied:  make(map[int]bool),
+		trace:    &Trace{},
 	}, nil
+}
+
+// incidence returns every vertex's incident edges in edge-id order — what
+// g.EdgesOf answers — from one backing array, so the optimizer's loops look
+// them up without allocating.
+func incidence(g *joingraph.Graph) [][]*joingraph.Edge {
+	all := make([]*joingraph.Edge, 0, 2*len(g.Edges))
+	out := make([][]*joingraph.Edge, len(g.Vertices))
+	for v := range g.Vertices {
+		start := len(all)
+		for _, e := range g.Edges {
+			if e.Touches(v) {
+				all = append(all, e)
+			}
+		}
+		out[v] = all[start:len(all):len(all)]
+	}
+	return out
 }
 
 // Run executes the full ROX loop (Algorithm 1) and applies the tail. It is
@@ -287,11 +306,11 @@ func (o *Optimizer) phase1() error {
 		}
 		o.cards[v.ID] = ct.Len()
 		s := ct.Sample(o.opt.Tau, o.env.Rand)
-		o.samples[v.ID] = &sampleEntry{basedOn: ct, s: s}
+		o.samples[v.ID] = sampleEntry{basedOn: ct, s: s}
 		o.env.Rec.ChargeTuples(s.Len())
 	}
 	for _, e := range o.g.Edges {
-		if o.redundant[e.ID] {
+		if o.runner.Redundant(e.ID) {
 			continue
 		}
 		if w, ok, err := o.estimateCard(e); err != nil {
@@ -340,11 +359,11 @@ func (o *Optimizer) currentSample(v int) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e := o.samples[v]; e != nil && e.basedOn == base {
+	if e, ok := o.samples[v]; ok && e.basedOn == base {
 		return e.s, nil
 	}
 	s := base.Sample(o.opt.Tau, o.env.Rand)
-	o.samples[v] = &sampleEntry{basedOn: base, s: s}
+	o.samples[v] = sampleEntry{basedOn: base, s: s}
 	o.env.Rec.ChargeTuples(s.Len())
 	o.cards[v] = base.Len()
 	return s, nil
@@ -411,11 +430,11 @@ func (o *Optimizer) estimateCard(e *joingraph.Edge) (float64, bool, error) {
 		return 0, false, err
 	}
 	sw := metrics.Start()
-	pairs, consumed, err := o.runner.PairsFor(e, v, C, inner, o.opt.Tau)
+	consumed, err := o.runner.PairsInto(&o.pairs, e, v, C, inner, o.opt.Tau)
 	if err != nil {
 		return 0, false, err
 	}
-	est := ops.EstimateFull(pairs.Len(), consumed, C.Len())
+	est := ops.EstimateFull(o.pairs.Len(), consumed, C.Len())
 	w := float64(vCard) / float64(C.Len()) * est
 	if o.opt.TimeWeights {
 		// Sec 6: fold the observed per-tuple execution time of the sampled
@@ -423,7 +442,7 @@ func (o *Optimizer) estimateCard(e *joingraph.Edge) (float64, bool, error) {
 		// following step) rank below equally-sized expensive ones. The
 		// factor is measured nanoseconds per processed tuple; all edges
 		// are scaled the same way, keeping weights comparable.
-		work := consumed + pairs.Len()
+		work := consumed + o.pairs.Len()
 		if work > 0 {
 			perTuple := float64(sw.Elapsed().Nanoseconds()) / float64(work)
 			if perTuple < 1 {
@@ -448,13 +467,19 @@ func (o *Optimizer) innerFor(e *joingraph.Edge, other int) (*table.Table, error)
 	return o.conceptualTable(other)
 }
 
-// remainingEdges lists unexecuted, non-redundant, non-implied edges. Join
-// edges whose endpoints are already connected through executed joins are
-// marked implied (value equality is transitive) and dropped.
+// pending reports whether edge id is unexecuted, non-redundant and not
+// implied; after remainingEdges, exactly the edges it lists.
+func (o *Optimizer) pending(id int) bool {
+	return !o.runner.Executed(id) && !o.runner.Redundant(id) && !o.implied[id]
+}
+
+// remainingEdges lists the pending edges. Join edges whose endpoints are
+// already connected through executed joins are first marked implied (value
+// equality is transitive) and dropped.
 func (o *Optimizer) remainingEdges() []int {
-	var out []int
+	out := make([]int, 0, len(o.g.Edges))
 	for _, e := range o.g.Edges {
-		if o.runner.Executed(e.ID) || o.redundant[e.ID] || o.implied[e.ID] {
+		if !o.pending(e.ID) {
 			continue
 		}
 		if e.Kind == joingraph.JoinEdge && o.joinUF.find(e.From) == o.joinUF.find(e.To) {
@@ -564,8 +589,8 @@ func (o *Optimizer) execEdge(id int) error {
 	}
 	reweighed := map[int]bool{}
 	for _, v := range []int{e.From, e.To} {
-		for _, e2 := range o.g.EdgesOf(v) {
-			if o.runner.Executed(e2.ID) || o.redundant[e2.ID] || o.implied[e2.ID] || reweighed[e2.ID] {
+		for _, e2 := range o.incident[v] {
+			if o.runner.Executed(e2.ID) || o.runner.Redundant(e2.ID) || o.implied[e2.ID] || reweighed[e2.ID] {
 				continue
 			}
 			reweighed[e2.ID] = true

@@ -77,14 +77,12 @@ func (t *Trace) newExploration(minEdge, source int) *Exploration {
 	return e
 }
 
+// addRound snapshots the candidate paths. A snapshot shares its path's edge
+// list, which is never written once the path is built.
 func (e *Exploration) addRound(paths []*pathState) {
-	r := Round{}
-	for _, p := range paths {
-		r.Paths = append(r.Paths, PathSnapshot{
-			Edges: append([]int(nil), p.edges...),
-			Cost:  p.cost,
-			SF:    p.sf,
-		})
+	r := Round{Paths: make([]PathSnapshot, len(paths))}
+	for i, p := range paths {
+		r.Paths[i] = PathSnapshot{Edges: p.edges, Cost: p.cost, SF: p.sf}
 	}
 	e.Rounds = append(e.Rounds, r)
 }

@@ -179,34 +179,21 @@ func (env *Env) VertexTable(v *joingraph.Vertex) (*table.Table, error) {
 }
 
 // probeFor returns the value-index probe of a text/attr vertex, used as the
-// inner side of a nested-loop index-lookup join. Probe results are further
-// restricted to restrictTo when non-nil (the vertex's current materialized
-// table), preserving zero-investment via binary search.
-func (env *Env) probeFor(v *joingraph.Vertex, restrictTo *table.Table) (func(string) []xmltree.NodeID, error) {
+// inner side of an index join: the nodes of v's document and kind (and
+// attribute name) whose own value equals the argument, in document order.
+// It ignores v's predicate; the joins restrict the hits to the inner table
+// where that table is not the whole predicate-free extent.
+func (env *Env) probeFor(v *joingraph.Vertex) (func(string) []xmltree.NodeID, error) {
 	ix, err := env.Index(v.Doc)
 	if err != nil {
 		return nil, err
 	}
-	var base func(string) []xmltree.NodeID
 	switch v.Kind {
 	case joingraph.VText:
-		base = ops.TextProbe(ix)
+		return ops.TextProbe(ix), nil
 	case joingraph.VAttr:
-		base = ops.AttrProbe(ix, v.QName)
+		return ops.AttrProbe(ix, v.QName), nil
 	default:
 		return nil, fmt.Errorf("plan: vertex %s is not probeable", v.Label())
 	}
-	if restrictTo == nil {
-		return base, nil
-	}
-	return func(val string) []xmltree.NodeID {
-		hits := base(val)
-		out := make([]xmltree.NodeID, 0, len(hits))
-		for _, n := range hits {
-			if restrictTo.Contains(n) {
-				out = append(out, n)
-			}
-		}
-		return out
-	}, nil
 }

@@ -272,10 +272,10 @@ func FuzzMergeMatchesOracle(f *testing.F) {
 // — staircase steps in both directions, hash and merge joins across two
 // documents, full and cut off by an ExecLimit — in random edge orders, and
 // checks every intermediate relation and refreshed T(v) against the oracle.
-// Step pairs go through the Runner's scratch as in ExecEdge, and every
-// relation a round produced must still equal its oracle after each later
-// edge: relations are read-only, and the scratch the next step overwrites
-// must not be one of their columns.
+// Step and hash-join pairs go through the Runner's scratch as in ExecEdge,
+// and every relation a round produced must still equal its oracle after
+// each later edge: relations are read-only, and the scratch the next edge
+// overwrites must not be one of their columns.
 func TestRunnerMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
@@ -306,9 +306,12 @@ func TestRunnerMergeMatchesOracle(t *testing.T) {
 				}
 				ops.StepPairsInto(&r.scratch.pairs, nil, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, limit)
 				pairs = r.scratch.pairs
+			} else if rng.Intn(2) == 0 {
+				// A hash join writes into the same scratch.
+				ops.HashJoinPairsInto(&r.scratch.pairs, nil, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
+				pairs = r.scratch.pairs
 			} else {
-				alg := []ops.JoinAlg{ops.JoinHash, ops.JoinMerge}[rng.Intn(2)]
-				pairs, _ = ops.ValueJoinPairs(metrics.NewRecorder(), alg, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, nil, limit)
+				pairs, _ = ops.MergeJoinPairs(metrics.NewRecorder(), ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
 			}
 			for _, rel := range earlier {
 				if err := sameRelation(rel[0], rel[1]); err != nil {

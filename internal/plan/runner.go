@@ -6,6 +6,7 @@ import (
 	"repro/internal/joingraph"
 	"repro/internal/ops"
 	"repro/internal/table"
+	"repro/internal/xmltree"
 )
 
 // Runner executes Join Graph edges one at a time, fully materializing
@@ -34,9 +35,10 @@ type Runner struct {
 	// full data.
 	ExecLimit int
 
-	tables   []*table.Table // T(v) by vertex id, nil = not materialized
-	comps    []*component   // component by vertex id, nil = no edge ran yet
-	executed []bool         // by edge id
+	tables   []*table.Table                  // T(v) by vertex id, nil = not materialized
+	comps    []*component                    // component by vertex id, nil = no edge ran yet
+	executed []bool                          // by edge id
+	probes   []func(string) []xmltree.NodeID // value probe by vertex id, built on first use
 	scratch  mergeScratch
 
 	// projectReduce enables the Sec 6 "push Distinct between the joins"
@@ -82,6 +84,9 @@ func NewRunner(env *Env, g *joingraph.Graph) *Runner {
 
 // Executed reports whether edge id has been executed.
 func (r *Runner) Executed(id int) bool { return r.executed[id] }
+
+// Redundant reports whether edge id is one RedundantEdges lets ROX skip.
+func (r *Runner) Redundant(id int) bool { return r.redundant[id] }
 
 // RemainingEdges returns the ids of unexecuted, non-redundant edges.
 func (r *Runner) RemainingEdges() []int {
@@ -130,33 +135,72 @@ func (r *Runner) Card(v int) int {
 // index restricted to the inner table (nested-loop index lookup join — the
 // zero-investment algorithm of Sec 2.3); a nil inner means the probe is
 // unrestricted (the inner vertex's conceptual table is its full index
-// extent). Step edges require a non-nil inner.
+// extent), and so does an inner that still is that extent (holdsExtent).
+// Step edges require a non-nil inner.
 func (r *Runner) PairsFor(e *joingraph.Edge, ctxVertex int, ctx, inner *table.Table, limit int) (ops.Pairs, int, error) {
+	var out ops.Pairs
+	consumed, err := r.PairsInto(&out, e, ctxVertex, ctx, inner, limit)
+	return out, consumed, err
+}
+
+// PairsInto is PairsFor writing into out, whose columns are truncated and
+// reused (ops.StepPairsInto): a caller that only reads the pairs before the
+// next call — the optimizer's sampling — keeps one buffer for all of them.
+// The result aliases out's columns until the next call. It returns consumed.
+func (r *Runner) PairsInto(out *ops.Pairs, e *joingraph.Edge, ctxVertex int, ctx, inner *table.Table, limit int) (int, error) {
 	if !e.Touches(ctxVertex) {
-		return ops.Pairs{}, 0, fmt.Errorf("plan: vertex %d not on edge %d", ctxVertex, e.ID)
+		return 0, fmt.Errorf("plan: vertex %d not on edge %d", ctxVertex, e.ID)
 	}
 	other := e.Other(ctxVertex)
 	switch e.Kind {
 	case joingraph.StepEdge:
 		if inner == nil {
-			return ops.Pairs{}, 0, fmt.Errorf("plan: step edge %d needs an inner table", e.ID)
+			return 0, fmt.Errorf("plan: step edge %d needs an inner table", e.ID)
 		}
 		axis := e.Axis
 		if ctxVertex == e.To {
 			axis = axis.Reverse()
 		}
-		p, consumed := ops.StepPairs(r.Env.Rec, ctx.Doc, axis, ctx.Nodes, inner.Nodes, limit)
-		return p, consumed, nil
+		return ops.StepPairsInto(out, r.Env.Rec, ctx.Doc, axis, ctx.Nodes, inner.Nodes, limit), nil
 	case joingraph.JoinEdge:
-		probe, err := r.Env.probeFor(r.G.Vertices[other], inner)
+		probe, err := r.probe(other)
 		if err != nil {
-			return ops.Pairs{}, 0, err
+			return 0, err
 		}
-		p, consumed := ops.NLIndexJoinPairs(r.Env.Rec, ctx.Doc, ctx.Nodes, probe, limit)
-		return p, consumed, nil
+		if inner == nil || r.holdsExtent(other, inner) {
+			return ops.NLIndexJoinPairsInto(out, r.Env.Rec, ctx.Doc, ctx.Nodes, probe, limit), nil
+		}
+		return ops.RestrictedNLIndexJoinPairsInto(out, r.Env.Rec, ctx.Doc, ctx.Nodes, probe, inner.Nodes, limit), nil
 	default:
-		return ops.Pairs{}, 0, fmt.Errorf("plan: edge %d has unknown kind", e.ID)
+		return 0, fmt.Errorf("plan: edge %d has unknown kind", e.ID)
 	}
+}
+
+// probe returns vertex v's value-index probe (Env.probeFor), built once per
+// Runner; a Runner that joins no values allocates nothing for them.
+func (r *Runner) probe(v int) (func(string) []xmltree.NodeID, error) {
+	if r.probes == nil {
+		r.probes = make([]func(string) []xmltree.NodeID, len(r.G.Vertices))
+	}
+	if p := r.probes[v]; p != nil {
+		return p, nil
+	}
+	p, err := r.Env.probeFor(r.G.Vertices[v])
+	if err != nil {
+		return nil, err
+	}
+	r.probes[v] = p
+	return p, nil
+}
+
+// holdsExtent reports whether t, an inner table of a value join into vertex
+// v, is still v's whole index extent, so that v's value probe hits only
+// nodes of t: no edge at v ran yet, t is the table EnsureTable built, and v
+// is a text or attribute vertex without a predicate.
+func (r *Runner) holdsExtent(v int, t *table.Table) bool {
+	vert := r.G.Vertices[v]
+	return r.comps[v] == nil && t != nil && r.tables[v] == t &&
+		(vert.Kind == joingraph.VText || vert.Kind == joingraph.VAttr) && vert.Pred.Kind == joingraph.PredNone
 }
 
 // ExecEdge fully executes edge e (Algorithm 1 line 13): it materializes both
@@ -166,7 +210,11 @@ func (r *Runner) PairsFor(e *joingraph.Edge, ctxVertex int, ctx, inner *table.Ta
 // intermediate relation.
 //
 // If reverse is true the edge runs with To as context side. alg selects the
-// equi-join algorithm (ignored for steps).
+// equi-join algorithm (ignored for steps). A hash join whose inner side
+// still holds its index extent probes that vertex's value index instead of
+// building a table over the extent (ops.IndexHashJoinPairsInto): the same
+// pairs, the same charge. Every edge's pairs land in the Runner's scratch,
+// which the merge reads and adopt copies from.
 func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int, error) {
 	if err := r.Env.CheckInterrupt(); err != nil {
 		return 0, err
@@ -187,25 +235,25 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 		return 0, err
 	}
 
-	var pairs ops.Pairs
+	out, rec := &r.scratch.pairs, r.Env.Rec
 	switch {
-	case e.Kind == joingraph.StepEdge:
-		axis := e.Axis
-		if ctxV == e.To {
-			axis = axis.Reverse()
+	case e.Kind == joingraph.StepEdge || alg == ops.JoinNLIndex:
+		if _, err := r.PairsInto(out, e, ctxV, ctxT, innerT, r.ExecLimit); err != nil {
+			return 0, err
 		}
-		ops.StepPairsInto(&r.scratch.pairs, r.Env.Rec, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, r.ExecLimit)
-		pairs = r.scratch.pairs
-	case alg == ops.JoinNLIndex:
-		pairs, _, err = r.PairsFor(e, ctxV, ctxT, innerT, r.ExecLimit)
+	case alg == ops.JoinHash && r.holdsExtent(innerV, innerT):
+		probe, err := r.probe(innerV)
 		if err != nil {
 			return 0, err
 		}
+		ops.IndexHashJoinPairsInto(out, rec, ctxT.Doc, ctxT.Nodes, probe, innerT.Len(), r.ExecLimit)
+	case alg == ops.JoinHash:
+		ops.HashJoinPairsInto(out, rec, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, r.ExecLimit)
 	default:
-		pairs, _ = ops.ValueJoinPairs(r.Env.Rec, alg, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, nil, r.ExecLimit)
+		*out, _ = ops.ValueJoinPairs(rec, alg, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, nil, r.ExecLimit)
 	}
 
-	rows, err := r.merge(ctxV, innerV, pairs)
+	rows, err := r.merge(ctxV, innerV, *out)
 	if err != nil {
 		return 0, err
 	}

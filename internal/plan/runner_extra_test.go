@@ -1,11 +1,14 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/joingraph"
+	"repro/internal/metrics"
 	"repro/internal/ops"
+	"repro/internal/xmltree"
 )
 
 func TestExecEdgeTwiceFails(t *testing.T) {
@@ -90,6 +93,74 @@ func TestPairsForJoinNilInner(t *testing.T) {
 	// nil inner is an error for step edges.
 	if _, _, err := r.PairsFor(f.g.Edges[f.ePersonName], f.person, pt, nil, 0); err == nil {
 		t.Errorf("step edge with nil inner should fail")
+	}
+}
+
+// TestExecEdgeHashOverExtentMatchesHashJoin: a hash join whose inner vertex
+// still holds its index extent probes that vertex's value index instead of
+// building a table over the extent. Its pairs, and the recorder's Tuples and
+// Ops, must be those of HashJoinPairs over the same two tables — on text and
+// attribute vertices, in both directions, full and cut off.
+func TestExecEdgeHashOverExtentMatchesHashJoin(t *testing.T) {
+	type joinCase struct {
+		env  *Env
+		g    *joingraph.Graph
+		edge int
+	}
+	cases := func() []joinCase {
+		f := newFixture(t)
+		d, err := xmltree.ParseString("attrs",
+			`<r><a ref="1"/><a ref="2"/><a ref="2"/><a ref="4"/><b id="2"/><b id="1"/><b id="2"/><b id="3"/></r>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := NewEnv(metrics.NewRecorder(), 1)
+		env.AddDocument(d)
+		g := joingraph.New()
+		join := g.AddJoin(g.AddAttr("attrs", "ref", joingraph.NoPred), g.AddAttr("attrs", "id", joingraph.NoPred))
+		return []joinCase{{f.env, f.g, f.eJoin}, {env, g, join}}
+	}
+	for _, limit := range []int{0, 1, 2, 3} {
+		for _, reverse := range []bool{false, true} {
+			for i, c := range cases() {
+				r := NewRunner(c.env, c.g)
+				r.ExecLimit = limit
+				e := c.g.Edges[c.edge]
+				ctxV, innerV := e.From, e.To
+				if reverse {
+					ctxV, innerV = innerV, ctxV
+				}
+				ctxT, err := r.EnsureTable(ctxV)
+				if err != nil {
+					t.Fatal(err)
+				}
+				innerT, err := r.EnsureTable(innerV)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.holdsExtent(innerV, innerT) {
+					t.Fatalf("case %d: the fresh inner table is not taken for its extent", i)
+				}
+				before := c.env.Rec.Total()
+				rows, err := r.ExecEdge(e, reverse, ops.JoinHash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := c.env.Rec.Total()
+				hashRec := metrics.NewRecorder()
+				want, _ := ops.HashJoinPairs(hashRec, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
+				if got := r.scratch.pairs; want.Len() == 0 || !slices.Equal(got.C, want.C) || !slices.Equal(got.S, want.S) {
+					t.Fatalf("case %d limit %d reverse %v: pairs C=%v S=%v, hash join C=%v S=%v",
+						i, limit, reverse, got.C, got.S, want.C, want.S)
+				}
+				// ExecEdge charges the join, then the merged relation's rows.
+				w := hashRec.Total()
+				if tuples, n := after.Tuples-before.Tuples-int64(rows), after.Ops-before.Ops; tuples != w.Tuples || n != w.Ops {
+					t.Errorf("case %d limit %d reverse %v: charged %d tuples in %d ops, hash join %d in %d",
+						i, limit, reverse, tuples, n, w.Tuples, w.Ops)
+				}
+			}
+		}
 	}
 }
 

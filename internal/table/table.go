@@ -7,7 +7,7 @@ package table
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/xmltree"
 )
@@ -40,13 +40,6 @@ func (t *Table) Len() int {
 	return len(t.Nodes)
 }
 
-// Contains reports whether the table contains node n; the table must be
-// sorted (binary search).
-func (t *Table) Contains(n xmltree.NodeID) bool {
-	i := sort.Search(len(t.Nodes), func(i int) bool { return t.Nodes[i] >= n })
-	return i < len(t.Nodes) && t.Nodes[i] == n
-}
-
 // Sample implements ℓ(T) from Sec 2.3: a uniform random sample of at most l
 // tuples, without replacement, returned in document order so it remains a
 // valid staircase-join context input. When l >= Len the sample is the whole
@@ -59,23 +52,22 @@ func (t *Table) Sample(l int, rng *rand.Rand) *Table {
 	if l >= t.Len() {
 		return t
 	}
-	// Floyd's algorithm: O(l) distinct indices out of n.
+	// Floyd's algorithm: l distinct indices out of n in l draws. The chosen
+	// indices stay sorted, in the slice that becomes the sample: a draw k
+	// already chosen is replaced by j, which exceeds every index chosen so
+	// far and so appends.
 	n := t.Len()
-	chosen := make(map[int]struct{}, l)
+	nodes := make([]xmltree.NodeID, 0, max(l, 0))
 	for j := n - l; j < n; j++ {
-		k := rng.Intn(j + 1)
-		if _, dup := chosen[k]; dup {
-			k = j
+		k := xmltree.NodeID(rng.Intn(j + 1))
+		i, dup := slices.BinarySearch(nodes, k)
+		if dup {
+			nodes = append(nodes, xmltree.NodeID(j))
+		} else {
+			nodes = slices.Insert(nodes, i, k)
 		}
-		chosen[k] = struct{}{}
 	}
-	idx := make([]int, 0, l)
-	for k := range chosen {
-		idx = append(idx, k)
-	}
-	sort.Ints(idx)
-	nodes := make([]xmltree.NodeID, len(idx))
-	for i, k := range idx {
+	for i, k := range nodes {
 		nodes[i] = t.Nodes[k]
 	}
 	return &Table{Doc: t.Doc, Nodes: nodes}

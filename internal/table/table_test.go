@@ -65,21 +65,6 @@ func TestDistinctNodesReusesUnreducedTable(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	d := smallDoc(t)
-	tb := NewTable(d, []xmltree.NodeID{1, 3, 5, 9})
-	for _, n := range []xmltree.NodeID{1, 3, 5, 9} {
-		if !tb.Contains(n) {
-			t.Errorf("Contains(%d) = false", n)
-		}
-	}
-	for _, n := range []xmltree.NodeID{0, 2, 4, 10} {
-		if tb.Contains(n) {
-			t.Errorf("Contains(%d) = true", n)
-		}
-	}
-}
-
 func TestSampleProperties(t *testing.T) {
 	// Property: a sample of size l has min(l, n) distinct tuples, all drawn
 	// from the source, in document order.
@@ -103,7 +88,7 @@ func TestSampleProperties(t *testing.T) {
 		}
 		seen := map[xmltree.NodeID]bool{}
 		for _, n := range s.Nodes {
-			if seen[n] || !tb.Contains(n) {
+			if _, in := slices.BinarySearch(tb.Nodes, n); seen[n] || !in {
 				return false
 			}
 			seen[n] = true
@@ -112,6 +97,53 @@ func TestSampleProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// floydMapSample is Sample as it was with Floyd's chosen indices in a map,
+// then sorted: the oracle the map-free sampler must reproduce draw for draw.
+func floydMapSample(t *Table, l int, rng *rand.Rand) []xmltree.NodeID {
+	n := t.Len()
+	chosen := make(map[int]struct{}, l)
+	for j := n - l; j < n; j++ {
+		k := rng.Intn(j + 1)
+		if _, dup := chosen[k]; dup {
+			k = j
+		}
+		chosen[k] = struct{}{}
+	}
+	idx := make([]int, 0, l)
+	for k := range chosen {
+		idx = append(idx, k)
+	}
+	slices.Sort(idx)
+	nodes := make([]xmltree.NodeID, len(idx))
+	for i, k := range idx {
+		nodes[i] = t.Nodes[k]
+	}
+	return nodes
+}
+
+// TestSampleMatchesMapOracle draws samples of every size below n — l = n−1
+// included — with several draws from one stream per seed, so that a sampler
+// consuming the random stream differently would drift on a later draw.
+func TestSampleMatchesMapOracle(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		tb := &Table{Nodes: make([]xmltree.NodeID, n)}
+		for i := range tb.Nodes {
+			tb.Nodes[i] = xmltree.NodeID(3*i + 1)
+		}
+		for l := 0; l < n; l++ {
+			for seed := int64(0); seed < 6; seed++ {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for draw := 0; draw < 3; draw++ {
+					s, w := tb.Sample(l, got), floydMapSample(tb, l, want)
+					if !slices.Equal(s.Nodes, w) {
+						t.Fatalf("n %d l %d seed %d draw %d: Sample = %v, want %v", n, l, seed, draw, s.Nodes, w)
+					}
+				}
+			}
+		}
 	}
 }
 
