@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/index"
 	"repro/internal/ingest"
 	"repro/internal/plan"
-	"repro/internal/shardrpc"
 	"repro/internal/xmltree"
 )
 
@@ -49,7 +49,8 @@ type Ingester struct {
 	dir  *ingest.Dir           // durable state; nil for in-memory ingest
 	docs map[string]*ingestDoc // per-target overlay state
 	// remotes buffers appends routed to remote collection shards until
-	// Commit forwards each batch over shardrpc; keyed endpoint|doc.
+	// Commit forwards each batch to its shard server's ingest endpoint;
+	// keyed endpoint|doc.
 	remotes map[string]*remoteBatch
 	// rr holds per-collection round-robin cursors for appends addressed to a
 	// collection rather than a specific shard.
@@ -103,10 +104,11 @@ func (s *ingestDoc) deltaNodes() int {
 	return s.app.Len() - s.app.BaseLen()
 }
 
-// remoteBatch buffers fragments bound for one remote shard until Commit.
+// remoteBatch buffers fragments bound for one remote shard until Commit, in
+// append order.
 type remoteBatch struct {
 	endpoint, doc string
-	frags         []shardrpc.IngestFragment
+	frags         []string
 }
 
 // Ingest returns the engine's shared live-ingest handle, creating it on
@@ -246,6 +248,12 @@ func (g *Ingester) Append(target, xml string) error {
 // bufferRemote validates the fragment locally and queues it for the remote
 // shard; Commit forwards the batch. The shard server owns durability for
 // its own data, so remote appends are not written to the local WAL.
+//
+// Parsing each fragment on its own is what makes Commit's concatenation
+// exact: every fragment is well-formed by itself, and the parser drops
+// top-level text, comments and PIs, so the shard server shreds the joined
+// body into the same nodes and dictionary ids as the fragments appended one
+// by one.
 func (g *Ingester) bufferRemote(r *plan.Remote, xml string) error {
 	if _, err := xmltree.ParseString("ingest", xml); err != nil {
 		return err
@@ -256,7 +264,7 @@ func (g *Ingester) bufferRemote(r *plan.Remote, xml string) error {
 		rb = &remoteBatch{endpoint: r.Endpoint, doc: r.Doc}
 		g.remotes[key] = rb
 	}
-	rb.frags = append(rb.frags, shardrpc.IngestFragment{Frag: "ingest", XML: xml})
+	rb.frags = append(rb.frags, xml)
 	g.appends++
 	return nil
 }
@@ -325,11 +333,13 @@ func (st *ingestDoc) rebase(catIx *index.Index) error {
 	return nil
 }
 
-// Commit seals all pending appends as one batch and publishes them: remote
-// buffers are forwarded to their shard servers first, then (with a WAL
-// attached) a commit record is fsynced — the durability point — and finally
-// every changed document is re-published in a single copy-on-write catalog
-// swap, bumping each one's generation stamp. In-flight queries keep the
+// Commit seals all pending appends as one batch and publishes them: each
+// remote shard's buffer is forwarded first, as one body to its shard
+// server's public ingest endpoint (one commit there, all-or-nothing because
+// the server parses the whole body before it appends any of it), then (with
+// a WAL attached) a commit record is fsynced — the durability point — and
+// finally every changed document is re-published in a single copy-on-write
+// catalog swap, bumping each one's generation stamp. In-flight queries keep the
 // snapshot they started on; no query ever observes part of a batch. Returns
 // the WAL batch sequence (0 without a WAL). A Commit with nothing pending
 // is a no-op.
@@ -349,7 +359,7 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 	// every run.
 	for _, key := range sortedKeys(g.remotes) {
 		rb := g.remotes[key]
-		if _, err := g.e.shardClient.Ingest(ctx, rb.endpoint, rb.doc, &shardrpc.IngestRequest{Fragments: rb.frags}); err != nil {
+		if err := g.e.shardClient.Ingest(ctx, rb.endpoint, rb.doc, strings.Join(rb.frags, "")); err != nil {
 			return 0, fmt.Errorf("rox: ingest into remote shard %q at %s: %w", rb.doc, rb.endpoint, err)
 		}
 		delete(g.remotes, key)
@@ -601,30 +611,4 @@ func (g *Ingester) totalDeltaNodes() int {
 		n += st.deltaNodes()
 	}
 	return n
-}
-
-// IngestShard implements the shard-server side of remote ingest (see
-// shardrpc.Ingestor): append every fragment of the batch to the named
-// document through the engine's shared Ingester and commit, returning the
-// document's new generation stamp. Fragment errors fail the whole batch
-// before the commit — nothing is half-applied.
-func (e *Engine) IngestShard(ctx context.Context, doc string, req *shardrpc.IngestRequest) (*shardrpc.IngestResponse, error) {
-	if len(req.Fragments) == 0 {
-		return nil, &shardrpc.StatusError{Status: 400, Err: fmt.Errorf("rox: empty ingest batch")}
-	}
-	ing := e.Ingest()
-	for _, f := range req.Fragments {
-		if err := ing.Append(doc, f.XML); err != nil {
-			return nil, &shardrpc.StatusError{Status: 400, Err: err}
-		}
-	}
-	seq, err := ing.Commit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &shardrpc.IngestResponse{
-		Applied:    len(req.Fragments),
-		Seq:        seq,
-		Generation: e.catalog().DocGeneration(doc),
-	}, nil
 }

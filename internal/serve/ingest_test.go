@@ -11,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
+	"repro/internal/shardrpc"
 )
 
 // postIngest posts fragment XML to /v1/collections/{name}/ingest and decodes
@@ -167,53 +169,27 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardIngestEndpoint covers the coordinator→shard wire path: a
-// coordinator with a remote collection ingests through its own Append/Commit
-// and the fragments land on the shard server via POST /shards/{shard}/ingest.
+// TestShardIngestEndpoint covers remote ingest end to end: a coordinator
+// with a remote collection ingests through its own Append/Commit, the
+// fragment lands on the shard server through that server's public ingest
+// endpoint, and the old shard ingest route is no longer served.
 func TestShardIngestEndpoint(t *testing.T) {
-	// Shard server with one document.
 	shardEng := rox.NewEngine(rox.WithSeed(1))
 	if err := shardEng.LoadSource(rox.FromXML("ppl-0.xml", peopleXML(0, 10, 0))); err != nil {
 		t.Fatal(err)
 	}
-	shardH := New(rox.NewPool(shardEng, 2), Config{Role: "shard"})
-	shardTS := httptest.NewServer(shardH)
+	shardTS := httptest.NewServer(New(rox.NewPool(shardEng, 2), Config{Role: "shard"}))
 	t.Cleanup(shardTS.Close)
 
-	// Direct wire-level ingest against the shard endpoint.
-	body := `{"fragments":[{"frag":"f","xml":"<person id=\"px\"><name>wire</name><age>1</age><salary>2</salary><bio/></person>"}]}`
-	resp, err := http.Post(shardTS.URL+"/v1/shards/ppl-0.xml/ingest", "application/json", strings.NewReader(body))
+	resp, err := http.Post(shardTS.URL+"/v1/shards/ppl-0.xml/ingest", "application/json", strings.NewReader(`{"fragments":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("shard ingest status %d: %s", resp.StatusCode, raw)
-	}
-	var ir struct {
-		Applied    int    `json:"applied"`
-		Generation uint64 `json:"generation"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatal(err)
-	}
-	if ir.Applied != 1 || ir.Generation == 0 {
-		t.Fatalf("shard ingest response: %+v", ir)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/shards/{shard}/ingest status %d, want 404", resp.StatusCode)
 	}
 
-	// Empty batch: 400.
-	resp2, err := http.Post(shardTS.URL+"/v1/shards/ppl-0.xml/ingest", "application/json", strings.NewReader(`{"fragments":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch status %d", resp2.StatusCode)
-	}
-
-	// Coordinator with the shard as a remote collection: collection-level
-	// ingest routes over the wire and is visible to scatter-gather queries.
 	coordEng := rox.NewEngine(rox.WithSeed(1))
 	if err := coordEng.LoadCollectionRemote(t.Context(), "ppl",
 		[]rox.Endpoint{{URL: shardTS.URL}}); err != nil {
@@ -230,9 +206,204 @@ func TestShardIngestEndpoint(t *testing.T) {
 		t.Fatalf("coordinator ingest status %d: %v", status, iresp)
 	}
 	after := queryItems(t, coordTS.URL, countQ)
-	wantBefore, wantAfter := fmt.Sprint(10+1), fmt.Sprint(10+2) // wire test added one
-	if len(before) != 1 || before[0] != wantBefore || len(after) != 1 || after[0] != wantAfter {
-		t.Fatalf("remote ingest counts: before %v want %s, after %v want %s", before, wantBefore, after, wantAfter)
+	if len(before) != 1 || before[0] != "10" || len(after) != 1 || after[0] != "11" {
+		t.Fatalf("remote ingest counts: before %v want 10, after %v want 11", before, after)
+	}
+	if st := shardEng.Ingest().Stats(); st.Appends != 1 || st.Commits != 1 {
+		t.Fatalf("shard server ingest stats %+v, want 1 append and 1 commit", st)
+	}
+}
+
+// TestIngestBodyAllOrNothing pins that one ingest body is one batch, applied
+// whole or not at all: a body whose second element is malformed is refused
+// with nothing appended — neither published by the next accepted body nor
+// logged for a restart to replay.
+func TestIngestBodyAllOrNothing(t *testing.T) {
+	walDir := t.TempDir()
+	eng := bootLog(t, walDir, 0)
+	ts := httptest.NewServer(New(rox.NewPool(eng, 2), Config{}))
+	defer ts.Close()
+	countQ := `for $e in doc("log.xml")//e return count($e)`
+
+	if status, resp := postIngest(t, ts.URL, "log.xml", "", `<e n="good"/><e n="bad"`); status != http.StatusBadRequest {
+		t.Fatalf("half-malformed body: status %d (%v), want 400", status, resp)
+	}
+	if status, resp := postIngest(t, ts.URL, "log.xml", "", `<e n="a"/><e n="b"/>`); status != http.StatusOK {
+		t.Fatalf("well-formed body: status %d (%v)", status, resp)
+	}
+	if got := queryItems(t, ts.URL, countQ); len(got) != 1 || got[0] != "3" {
+		t.Fatalf("count after the accepted body = %v, want 3 (the seed e and its own two)", got)
+	}
+	if st := eng.Ingest().Stats(); st.Appends != 1 || st.Commits != 1 {
+		t.Fatalf("ingest stats %+v, want 1 append and 1 commit", st)
+	}
+	if err := eng.Ingest().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := collectItems(t, bootLog(t, walDir, 1), countQ); len(got) != 1 || got[0] != "3" {
+		t.Fatalf("count after restart = %v, want 3", got)
+	}
+}
+
+// collectItems runs q on eng and returns its items.
+func collectItems(t *testing.T, eng *rox.Engine, q string) []string {
+	t.Helper()
+	rows, err := eng.Execute(t.Context(), rox.Request{Query: q})
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	res, err := rows.Collect()
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res.Items
+}
+
+// TestRemoteIngestMatchesLocal commits fragments appended to a collection of
+// two remote shards once, and pins that each shard server sees exactly one
+// commit of one batch, and that the results are byte-identical to an engine
+// that appended the same fragments to the same shards held locally.
+// Round-robin sends the third fragment, with its XML declaration and
+// comment, to the first shard after the first fragment, so that shard
+// server parses them between elements of one body.
+func TestRemoteIngestMatchesLocal(t *testing.T) {
+	ref := rox.NewEngine(rox.WithSeed(1))
+	coord := rox.NewEngine(rox.WithSeed(1))
+	var shardEngs []*rox.Engine
+	var endpoints []rox.Endpoint
+	for s := 0; s < 2; s++ {
+		name, xml := fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*10, 10, 0)
+		if err := ref.LoadCollectionSource("ppl", rox.FromXML(name, xml)); err != nil {
+			t.Fatal(err)
+		}
+		shardEng := rox.NewEngine(rox.WithSeed(1))
+		if err := shardEng.LoadSource(rox.FromXML(name, xml)); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(rox.NewPool(shardEng, 2), Config{Role: "shard"}))
+		t.Cleanup(ts.Close)
+		shardEngs = append(shardEngs, shardEng)
+		endpoints = append(endpoints, rox.Endpoint{URL: ts.URL})
+	}
+	if err := coord.LoadCollectionRemote(t.Context(), "ppl", endpoints); err != nil {
+		t.Fatal(err)
+	}
+
+	frags := []string{
+		`<person id="q1"><name>a</name><age>61</age><salary>5</salary><nick>x</nick></person>`,
+		`<person id="q2"><name>b</name><age>40</age><salary>11</salary></person><person id="q3"><name>c</name><age>40</age><salary>13</salary><nick>y</nick></person>`,
+		`<?xml version="1.0"?><!-- moved --><person id="q4"><name>d</name><age>19</age><salary>7</salary></person>`,
+		`<person id="q5"><name>e</name><age>33</age><salary>17</salary></person>`,
+	}
+	for _, eng := range []*rox.Engine{ref, coord} {
+		for _, f := range frags {
+			if err := eng.Append("ppl", f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Commit(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, eng := range shardEngs {
+		if st := eng.Ingest().Stats(); st.Commits != 1 || st.Appends != 1 {
+			t.Errorf("shard server %d ingest stats %+v, want one batch: 1 append, 1 commit", i, st)
+		}
+	}
+	for _, q := range []string{
+		`for $p in collection("ppl")//person return count($p)`,
+		`for $p in collection("ppl")//person order by $p/age descending return $p`,
+		`for $p in collection("ppl")//person return sum($p/salary)`,
+		`for $n in collection("ppl")//person/nick return $n`,
+	} {
+		want, got := collectItems(t, ref, q), collectItems(t, coord, q)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s:\nremote %q\nlocal  %q", q, got, want)
+		}
+	}
+	if got := collectItems(t, coord, `for $p in collection("ppl")//person return count($p)`); got[0] != "25" {
+		t.Errorf("count after ingest = %v, want 25", got)
+	}
+}
+
+// TestRemoteIngestFailureKeepsBuffers pins how a remote batch fails: a shard
+// document that vanished from its server (404) and a batch over the server's
+// MaxBody (413) both fail the coordinator's Commit with a typed
+// *shardrpc.RemoteError and its /v1 ingest with 400, and keep the buffered
+// fragments: once the shard server is fixed, a retry publishes each exactly
+// once.
+func TestRemoteIngestFailureKeepsBuffers(t *testing.T) {
+	seed := peopleXML(0, 10, 0)
+	shardServer := func(t *testing.T, cfg Config, docs ...string) (*rox.Engine, http.Handler) {
+		eng := rox.NewEngine(rox.WithSeed(1))
+		for _, name := range docs {
+			if err := eng.LoadSource(rox.FromXML(name, seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg.Role = "shard"
+		return eng, New(rox.NewPool(eng, 2), cfg)
+	}
+	for _, tc := range []struct {
+		name   string
+		status int
+		// cfg and docs build the shard server the batch fails against.
+		cfg  Config
+		docs []string
+	}{
+		{"vanished document", http.StatusNotFound, Config{}, nil},
+		{"oversized batch", http.StatusRequestEntityTooLarge, Config{MaxBody: 64}, []string{"ppl-0.xml"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cur atomic.Pointer[http.Handler]
+			shardEng, h := shardServer(t, Config{}, "ppl-0.xml")
+			cur.Store(&h)
+			shardTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				(*cur.Load()).ServeHTTP(w, r)
+			}))
+			t.Cleanup(shardTS.Close)
+			coord := rox.NewEngine(rox.WithSeed(1))
+			if err := coord.LoadCollectionRemote(t.Context(), "ppl", []rox.Endpoint{{URL: shardTS.URL}}); err != nil {
+				t.Fatal(err)
+			}
+			coordTS := httptest.NewServer(New(rox.NewPool(coord, 2), Config{}))
+			t.Cleanup(coordTS.Close)
+
+			_, broken := shardServer(t, tc.cfg, tc.docs...)
+			cur.Store(&broken)
+			if status, resp := postIngest(t, coordTS.URL, "ppl", "",
+				`<person id="r1"><name>retry</name><age>50</age><salary>1</salary></person>`); status != http.StatusBadRequest {
+				t.Fatalf("coordinator ingest status %d (%v), want 400", status, resp)
+			}
+			if err := coord.Append("ppl", `<person id="r2"><name>retry</name><age>51</age><salary>2</salary></person>`); err != nil {
+				t.Fatal(err)
+			}
+			_, err := coord.Commit(t.Context())
+			var remote *shardrpc.RemoteError
+			if !errors.As(err, &remote) || remote.Status != tc.status {
+				t.Fatalf("Commit = %v, want a *shardrpc.RemoteError with status %d", err, tc.status)
+			}
+
+			// Fixed: the document is back (a fresh load of it), or the bound
+			// admits the batch. The retry commits both fragments, once.
+			if tc.status == http.StatusNotFound {
+				shardEng, h = shardServer(t, Config{}, "ppl-0.xml")
+			}
+			cur.Store(&h)
+			if _, err := coord.Commit(t.Context()); err != nil {
+				t.Fatalf("retried Commit: %v", err)
+			}
+			if _, err := coord.Commit(t.Context()); err != nil {
+				t.Fatalf("empty Commit: %v", err)
+			}
+			if got := collectItems(t, coord, `for $p in collection("ppl")//person return count($p)`); len(got) != 1 || got[0] != "12" {
+				t.Fatalf("count after the retry = %v, want 12", got)
+			}
+			if st := shardEng.Ingest().Stats(); st.Appends != 1 || st.Commits != 1 {
+				t.Fatalf("shard server ingest stats %+v, want the retry as 1 append and 1 commit", st)
+			}
+		})
 	}
 }
 

@@ -119,7 +119,6 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 	maxBody, corpusDir := cfg.MaxBody, cfg.CorpusDir
 	h.mux.HandleFunc("GET /v1/shards", shardrpc.HandleInventory(pool.Engine()))
 	h.mux.HandleFunc("POST /v1/shards/{shard}/execute", shardrpc.HandleExecute(pool.Engine()))
-	h.mux.HandleFunc("POST /v1/shards/{shard}/ingest", shardrpc.HandleIngest(pool.Engine()))
 	h.mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":    "ok",
@@ -218,9 +217,11 @@ func ingestStatsJSON(eng *rox.Engine) map[string]any {
 // and commits it: POST /collections/{name}/ingest with the fragment XML as
 // the body, or ?file=PATH to ingest a file confined to the corpus directory
 // (same trust rules as /collections/load). The target may be a loaded
-// collection (fragments route round-robin across its shards, remote shards
-// forwarded over shardrpc at commit), a loaded document, or — with
-// &create=1 — a new document name. Each request is one committed batch:
+// collection (fragments route round-robin across its shards; a remote
+// shard's share is forwarded at commit as one body to this same endpoint on
+// its shard server), a loaded document, or — with &create=1 — a new document
+// name. The whole body is parsed before any of it is appended, so a malformed
+// element anywhere leaves nothing behind. Each request is one committed batch:
 // after the 200, the appends are durable (when a WAL is attached) and
 // visible to new queries; in-flight queries keep their snapshot.
 func serveIngest(pool *rox.Pool, maxBody int64, corpusDir string, w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,7 @@ import (
 )
 
 // maxErrorBody bounds how much of a non-200 response body the client reads
-// looking for the error envelope, and the ingest acknowledgement.
+// looking for the error envelope.
 const maxErrorBody = 1 << 16
 
 // maxShardList bounds the inventory body of GET /v1/shards. An entry is
@@ -86,34 +86,27 @@ func (c *Client) Execute(ctx context.Context, base, shard string, req *ExecReque
 	return newStream(resp.Body, base), nil
 }
 
-// Ingest appends one batch of fragments to a shard document and commits it
-// (POST /v1/shards/{shard}/ingest). The call returns once the server has
-// durably committed the batch; the response carries the document's new
-// generation stamp.
-func (c *Client) Ingest(ctx context.Context, base, shard string, req *IngestRequest) (*IngestResponse, error) {
-	body, err := json.Marshal(req)
+// Ingest appends xml — a batch of one or more top-level elements — to a
+// document on the shard server and commits it, through the server's public
+// ingest endpoint (POST /v1/collections/{doc}/ingest, without create). The
+// server parses the whole body before it appends any of it, so the batch
+// commits whole or not at all; the call returns once it has committed.
+func (c *Client) Ingest(ctx context.Context, base, doc, xml string) error {
+	u := joinURL(base, "/v1/collections/"+url.PathEscape(doc)+"/ingest")
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(xml))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	u := joinURL(base, "/v1/shards/"+url.PathEscape(shard)+"/ingest")
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", "application/xml")
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, remoteErr(base, resp)
+		return remoteErr(base, resp)
 	}
-	var ack IngestResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&ack); err != nil {
-		return nil, fmt.Errorf("shardrpc: %s: decoding ingest response: %w", base, err)
-	}
-	return &ack, nil
+	return nil
 }
 
 // remoteErr builds the typed error for a non-200 response, reading the error

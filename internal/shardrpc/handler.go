@@ -46,55 +46,6 @@ type ShardRun interface {
 	Close()
 }
 
-// Ingestor is the engine-side contract of the shard ingest endpoint:
-// append the batch's fragments to the named document and commit, so a
-// coordinator can ingest into remote collection shards. The shard server owns
-// durability for its own data — its WAL, if attached, logs the appends; the
-// coordinator never does.
-type Ingestor interface {
-	IngestShard(ctx context.Context, doc string, req *IngestRequest) (*IngestResponse, error)
-}
-
-// maxIngestBody bounds the ingest request body. Fragments are document
-// content, not queries, so the bound is larger than maxExecBody; batches
-// beyond it should be split by the coordinator.
-const maxIngestBody = 16 << 20
-
-// HandleIngest serves POST /shards/{shard}/ingest: decode the fragment
-// batch, apply and commit it through the engine, and report the applied
-// count, WAL sequence and resulting generation. The handler must be
-// registered on a pattern with a {shard} path wildcard.
-func HandleIngest(ing Ingestor) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		shard := r.PathValue("shard")
-		if shard == "" {
-			writeError(w, http.StatusBadRequest, "missing shard name")
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
-			return
-		}
-		var req IngestRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-			return
-		}
-		resp, err := ing.IngestShard(r.Context(), shard, &req)
-		if err != nil {
-			status := http.StatusInternalServerError
-			var se *StatusError
-			if errors.As(err, &se) {
-				status = se.Status
-			}
-			writeError(w, status, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
 // HandleInventory serves GET /shards.
 func HandleInventory(exec Executor) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

@@ -32,6 +32,10 @@
 // JSON envelope; failures after streaming began arrive in-band as the done
 // report's error field. See the "Shard-server wire contract" section of
 // DESIGN.md.
+//
+// Remote ingest has no wire of its own: Client.Ingest posts a batch's XML to
+// the shard server's public POST /v1/collections/{doc}/ingest, the endpoint
+// every other writer uses.
 package shardrpc
 
 import (
@@ -208,34 +212,6 @@ type ShardInfo struct {
 // execute shard requests against, sorted by name.
 type ShardList struct {
 	Shards []ShardInfo `json:"shards"`
-}
-
-// IngestFragment is one fragment of an ingest batch: XML text appended to
-// the target document (Frag labels parse errors only).
-type IngestFragment struct {
-	Frag string `json:"frag,omitempty"`
-	XML  string `json:"xml"`
-}
-
-// IngestRequest is the body of POST /v1/shards/{shard}/ingest: one batch of
-// fragments appended to the shard document and committed atomically. The
-// shard server owns durability — it WALs and fsyncs the batch before
-// acknowledging — so a coordinator forwarding remote appends does not log
-// them locally.
-type IngestRequest struct {
-	Fragments []IngestFragment `json:"fragments"`
-}
-
-// IngestResponse acknowledges a committed ingest batch.
-type IngestResponse struct {
-	// Applied is the number of fragments appended.
-	Applied int `json:"applied"`
-	// Seq is the shard server's WAL commit sequence (0 without a WAL).
-	Seq uint64 `json:"seq,omitempty"`
-	// Generation is the serving document's generation stamp after the commit,
-	// the same stamp execute responses carry — a coordinator can tell from it
-	// that its next plan hint will take the replay-and-verify path.
-	Generation uint64 `json:"generation"`
 }
 
 // errorEnvelope is the JSON body of a non-200 response, matching roxserve's

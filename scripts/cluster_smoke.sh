@@ -10,7 +10,8 @@
 # -remote-collection, and one single-process reference server loading all
 # four shards locally. Every query class the gather distinguishes — plain
 # concat, ordered merge, algebraic aggregate, limit window — is run against
-# both through the streaming NDJSON surface and diffed on the item lines.
+# both through the streaming NDJSON surface and diffed on the item lines,
+# before and after the same fragments are ingested into both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,22 +102,46 @@ queries=(
 )
 
 fail=0
-for q in "${queries[@]}"; do
-  for run in warm-up replay; do # second run exercises the plan-hint replay path
+compare() { # label
+  for q in "${queries[@]}"; do
     got="$(curl -sG "http://$coord/v1/query" --data-urlencode "q=$q" \
       --data-urlencode "stream=ndjson" | grep '"item"' || true)"
     want="$(curl -sG "http://$single/v1/query" --data-urlencode "q=$q" \
       --data-urlencode "stream=ndjson" | grep '"item"' || true)"
     if [ -z "$want" ]; then
-      echo "FAIL ($run): reference returned no items for: $q" >&2
+      echo "FAIL ($1): reference returned no items for: $q" >&2
       fail=1
     elif [ "$got" != "$want" ]; then
-      echo "FAIL ($run): cluster and single-process answers differ for: $q" >&2
+      echo "FAIL ($1): cluster and single-process answers differ for: $q" >&2
       diff <(printf '%s\n' "$want") <(printf '%s\n' "$got") | head -10 >&2
       fail=1
     else
-      echo "ok ($run): $q"
+      echo "ok ($1): $q"
+    fi
+  done
+}
+
+compare warm-up
+compare replay # the second run exercises the plan-hint replay path
+
+# Remote ingest: the coordinator forwards each fragment to the shard server
+# holding its round-robin shard, through that server's public ingest
+# endpoint. Both sides list the four shards in the same order, so each
+# fragment lands in the same shard on both.
+fragments=(
+  '<person id="p0100"><name>n100</name><age>71</age><salary>1234</salary></person>'
+  '<person id="p0101"><name>n101</name><age>18</age><salary>1777</salary></person>'
+)
+for f in "${fragments[@]}"; do
+  for addr in "$coord" "$single"; do
+    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+      -H 'Content-Type: application/xml' --data-binary "$f" \
+      "http://$addr/v1/collections/ppl/ingest")"
+    if [ "$code" != "200" ]; then
+      echo "FAIL: ingest into ppl on $addr answered $code, want 200" >&2
+      exit 1
     fi
   done
 done
+compare after-ingest
 exit $fail
