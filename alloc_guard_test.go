@@ -66,11 +66,14 @@ const replayedJoin = `let $d := doc("xmark.xml")
 		where $o//bidder//personref/@person = $p/@id return $p limit 50`
 
 func TestAllocGuardReplayedJoin(t *testing.T) {
-	// Measured 387: vertex tables view the index, a refreshed T(v) is a view
-	// or its exact-size set, step pairs reuse one buffer (530 when each of
-	// those was a copy or grew from nothing; 5 851 with a hash map and a
-	// slice per context node in every merge).
-	const ceiling = 486
+	// Measured 255: each edge's pairs are reserved at the cardinality the
+	// cached plan observed, a first edge's pairs become its relation, pair
+	// groups are counted before they are filled, T(v) is refreshed only where
+	// a later step reads it, and the Env's generator is never built (387
+	// before that; 530 when vertex tables copied the index, a refreshed T(v)
+	// cloned its column and step pairs grew per edge; 5 851 with a hash map
+	// and a slice per context node in every merge).
+	const ceiling = 319
 	if got := allocsPerQuery(t, replayedJoin); got > ceiling {
 		t.Errorf("replayed join: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
@@ -79,13 +82,14 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// The object count above cannot see a copy of a whole index extent or
 	// column, which is one allocation however large. Bytes can. Measured
-	// 204 166 (382 107 with VertexTable copying each extent, DistinctNodes
-	// cloning each column and the step pairs growing per edge). The ceiling
-	// is ≈ 5 % above, not 25 %: bringing back the extent copy alone costs
-	// 255 750, the column clone alone 250 694, and keying the @person = @id
-	// hash join's build by string instead of value id 221 962; each must
-	// fail here.
-	const ceiling = 215_000
+	// 161 776 (204 166 before the pair buffers were sized from the plan
+	// cache and owned by the relation; 382 107 with VertexTable copying each
+	// extent, DistinctNodes cloning each column and the step pairs growing
+	// per edge). The ceiling is ≈ 5 % above, not 25 %: pair buffers growing
+	// from empty again cost 172 735, and the extent copy, the column clone
+	// or a string-keyed @person = @id hash join build each cost more; each
+	// must fail here.
+	const ceiling = 170_000
 	if got := bytesPerRun(20, replayer(t, replayedJoin)); got > ceiling {
 		t.Errorf("replayed join: %.0f bytes per query, ceiling %d", got, ceiling)
 	}
@@ -127,7 +131,7 @@ func coldFourWay(t *testing.T) func() {
 }
 
 func TestAllocGuardColdFourWay(t *testing.T) {
-	// Measured 913: sampled pairs live in one optimizer buffer, restricted
+	// Measured 886: sampled pairs live in one optimizer buffer, restricted
 	// probes filter in place, the value index is the hash join's build side
 	// over an unreduced extent, and the optimizer looks edges up in lists
 	// built once and draws samples without a map (3 230 when each of those
@@ -139,7 +143,7 @@ func TestAllocGuardColdFourWay(t *testing.T) {
 }
 
 func TestAllocGuardColdFourWayBytes(t *testing.T) {
-	// Measured 178 934 (523 379 before the change above). Building a hash
+	// Measured 175 710 (523 379 before the change above). Building a hash
 	// table over the unreduced extent instead of probing the index costs
 	// 243 594 and must fail here.
 	const ceiling = 225_000
@@ -149,9 +153,10 @@ func TestAllocGuardColdFourWayBytes(t *testing.T) {
 }
 
 func TestAllocGuardSumAggregate(t *testing.T) {
-	// Measured 158: nothing per row (569 when StringValue built a string per
-	// leaf element, 3 112 when matchNodes materialized Children per row).
-	const ceiling = 198
+	// Measured 63: nothing per row (96 with pair buffers growing per run and
+	// an eager generator, 569 when StringValue built a string per leaf
+	// element, 3 112 when matchNodes materialized Children per row).
+	const ceiling = 79
 	got := allocsPerQuery(t, `for $a in doc("xmark.xml")//open_auction return sum($a/initial)`)
 	if got > ceiling {
 		t.Errorf("sum aggregate: %.0f allocations per query, ceiling %d", got, ceiling)
@@ -160,13 +165,43 @@ func TestAllocGuardSumAggregate(t *testing.T) {
 
 func TestAllocGuardTopK(t *testing.T) {
 	// roxmark's topk class: the key sort keeps ten keyed rows in a heap and
-	// reads each key as the dictionary's own string. Measured 201 (418 with a
-	// string per key and a reflective stable sort over every row).
-	const ceiling = 251
+	// reads each key as the dictionary's own string. Measured 85 (127 with
+	// pair buffers growing per run and an eager generator, 418 with a string
+	// per key and a reflective stable sort over every row).
+	const ceiling = 106
 	got := allocsPerQuery(t, `for $a in doc("xmark.xml")//open_auction[reserve]
 		order by $a/current descending return $a limit 10`)
 	if got > ceiling {
 		t.Errorf("top-k: %.0f allocations per query, ceiling %d", got, ceiling)
+	}
+}
+
+func TestAllocGuardShardReplayBytes(t *testing.T) {
+	// A replayed 4-shard aggregate: five Envs (the gather's and one per
+	// shard) and one small edge per shard, so fixed per-run costs dominate.
+	// Measured 18 778 bytes (57 137 when every replay grew its pair buffers
+	// from empty, copied a first edge's pairs and built five generators).
+	// The ceiling is ≈ 9 % above: the first edge's relation copying its
+	// pairs again costs 22 364, pair buffers growing from empty 23 322, and
+	// building each Env's generator eagerly 45 528; each must fail here.
+	const ceiling = 20_500
+	e := NewEngine(WithSeed(1))
+	for _, d := range datagen.XMarkShards(datagen.DefaultXMarkConfig(), 4) {
+		_ = e.LoadCollectionSource("xmark", FromDocument(d))
+	}
+	run := func() {
+		res, err := collectRows(e.Execute(context.Background(), Request{
+			Query: `for $a in collection("xmark")//open_auction return sum($a/initial)`}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) == 0 {
+			t.Fatal("query returned no items")
+		}
+	}
+	run() // optimize once; every measured run replays the cached plans
+	if got := bytesPerRun(20, run); got > ceiling {
+		t.Errorf("replayed shard sum: %.0f bytes per query, ceiling %d", got, ceiling)
 	}
 }
 

@@ -226,7 +226,15 @@ func (g *Graph) EdgesOf(v int) []*Edge {
 }
 
 // Degree returns the number of edges incident to v.
-func (g *Graph) Degree(v int) int { return len(g.EdgesOf(v)) }
+func (g *Graph) Degree(v int) int {
+	n := 0
+	for _, e := range g.Edges {
+		if e.Touches(v) {
+			n++
+		}
+	}
+	return n
+}
 
 // JoinEdges returns the equi-join edges (optionally including derived ones).
 func (g *Graph) JoinEdges(includeDerived bool) []*Edge {

@@ -31,7 +31,9 @@ import (
 // read-only at query time and may back any number of simultaneous
 // evaluations, while an Env must be owned by exactly one evaluation (the
 // recorder and random stream are stateful). Create a fresh Env per query via
-// NewQueryEnv; it is cheap (three pointer fields and a seeded PRNG).
+// NewQueryEnv; it is cheap: a few pointers and a *rand.Rand whose generator
+// state is only created by its first draw, so a replay, which never samples,
+// never pays for it.
 type Env struct {
 	cat *Catalog
 
@@ -58,9 +60,30 @@ func NewQueryEnv(cat *Catalog, rec *metrics.Recorder, seed int64) *Env {
 	return &Env{
 		cat:  cat,
 		Rec:  rec,
-		Rand: rand.New(rand.NewSource(seed)),
+		Rand: rand.New(&lazySource{seed: seed}),
 	}
 }
+
+// lazySource is rand.NewSource(seed) created on the first draw: the same
+// stream, draw for draw, without the generator's ≈ 5 KB of state for an Env
+// that never samples.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) get() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.get().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.get().Uint64() }
+
+// Seed restarts the stream at seed; it stays lazy until the next draw.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // NewEnv returns an Env over its own private (initially empty) catalog, with
 // the given recorder and a deterministic random source. This is the

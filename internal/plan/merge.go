@@ -62,14 +62,22 @@ func (pg *pairGroups) build(keys, vals []xmltree.NodeID) {
 		}
 		vals = pg.ownVals
 	}
-	pg.keys, pg.off, pg.vals, pg.last = pg.keys[:0], pg.off[:0], vals, 0
+	// Count the distinct keys, then fill keys and off at that size.
+	d := 0
 	for i, k := range keys {
 		if i == 0 || k != keys[i-1] {
-			pg.keys = append(pg.keys, k)
-			pg.off = append(pg.off, int32(i))
+			d++
 		}
 	}
-	pg.off = append(pg.off, int32(n))
+	pg.keys, pg.off, pg.vals, pg.last = grow(pg.keys, d), grow(pg.off, d+1), vals, 0
+	g := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			pg.keys[g], pg.off[g] = k, int32(i)
+			g++
+		}
+	}
+	pg.off[d] = int32(n)
 }
 
 // find returns the group of key k, or -1. Consecutive context rows usually
@@ -108,7 +116,7 @@ type mergeScratch struct {
 	grpCnt []int32    // joinOn: output rows per context row of a byKey group
 	packed []uint64   // filter: the pairs as sorted integers
 	words  []uint64   // xmltree.SortedSet's bitmap
-	pairs  ops.Pairs  // the step pairs of the edge being merged
+	pairs  ops.Pairs  // the pairs of the edge being merged, unless it is a first edge
 }
 
 // grow returns s resized to n elements of unspecified content, reallocating
@@ -144,16 +152,20 @@ func expanded(rel *table.Relation, cnt []int32, total, extra int) ([]int, []*xml
 	return ids, docs, cols
 }
 
-// adopt starts a component from the first edge's pairs: the pair columns
-// are the relation. They are copied at their exact length into one
-// allocation, so the pairs may live in scratch that the next edge reuses.
-func adopt(a int, docA *xmltree.Document, b int, docB *xmltree.Document, pairs ops.Pairs) *table.Relation {
-	n := pairs.Len()
-	cols := make([]xmltree.NodeID, 2*n)
-	copy(cols, pairs.C)
-	copy(cols[n:], pairs.S)
-	return table.FromColumns([]int{a, b}, []*xmltree.Document{docA, docB},
-		[][]xmltree.NodeID{cols[:n:n], cols[n:]})
+// adopt starts a component from the first edge's pairs (unswapped): the pair
+// columns are the relation. ExecEdge writes a first edge into a buffer of
+// its own, which the relation takes over as is. Pairs that alias ms.pairs —
+// the scratch the next edge overwrites — are copied instead, at their exact
+// length into one allocation.
+func (ms *mergeScratch) adopt(a int, docA *xmltree.Document, b int, docB *xmltree.Document, pairs ops.Pairs) *table.Relation {
+	c, s := pairs.C, pairs.S
+	if n := len(c); n > 0 && cap(ms.pairs.C) > 0 && &c[0] == &ms.pairs.C[:1][0] {
+		cols := make([]xmltree.NodeID, 2*n)
+		copy(cols, c)
+		copy(cols[n:], s)
+		c, s = cols[:n:n], cols[n:]
+	}
+	return table.FromColumns([]int{a, b}, []*xmltree.Document{docA, docB}, [][]xmltree.NodeID{c, s})
 }
 
 // extend joins rel (owning vertex a) with the pair list (C bound to a) to

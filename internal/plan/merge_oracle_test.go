@@ -211,15 +211,27 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 		b := s.next(ra.NumCols())
 		got, want = ms.filter(ra, a, b, pairs), oracleFilter(ra, a, b, pairs)
 	case 4:
-		// A first edge: the relation is the pair list, copied out of the
-		// scratch it may live in.
-		got = adopt(0, oracleDocs[0], 99, oracleDocs[1], pairs)
+		// A first edge: the relation is the pair list. Pairs in a buffer of
+		// their own become its columns; pairs in the scratch the next edge
+		// overwrites are copied out at their exact length.
+		inScratch := s.next(2) == 1
+		if inScratch {
+			ms.pairs.C, ms.pairs.S = append(ms.pairs.C[:0], pairs.C...), append(ms.pairs.S[:0], pairs.S...)
+			pairs = ms.pairs
+		}
+		got = ms.adopt(0, oracleDocs[0], 99, oracleDocs[1], pairs)
 		want = table.NewRelation([]int{0, 99}, oracleDocs[:])
 		for i := range pairs.C {
 			want.AppendRow([]xmltree.NodeID{pairs.C[i], pairs.S[i]})
 		}
-		if n := pairs.Len(); n > 0 && (&got.Column(0)[0] == &pairs.C[0] || &got.Column(99)[0] == &pairs.S[0] || cap(got.Column(0)) != n) {
-			return fmt.Errorf("adopt kept the pair buffers or over-allocated: %d pairs, cap %d", n, cap(got.Column(0)))
+		if n := pairs.Len(); n > 0 {
+			keptC, keptS := &got.Column(0)[0] == &pairs.C[0], &got.Column(99)[0] == &pairs.S[0]
+			switch {
+			case inScratch && (keptC || keptS || cap(got.Column(0)) != n):
+				return fmt.Errorf("adopt kept the scratch pair buffers or over-allocated: %d pairs, cap %d", n, cap(got.Column(0)))
+			case !inScratch && !(keptC && keptS):
+				return fmt.Errorf("adopt copied %d pairs it owns", n)
+			}
 		}
 	default:
 		rb := relation(10)
@@ -272,10 +284,12 @@ func FuzzMergeMatchesOracle(f *testing.F) {
 // — staircase steps in both directions, hash and merge joins across two
 // documents, full and cut off by an ExecLimit — in random edge orders, and
 // checks every intermediate relation and refreshed T(v) against the oracle.
-// Step and hash-join pairs go through the Runner's scratch as in ExecEdge,
-// and every relation a round produced must still equal its oracle after
-// each later edge: relations are read-only, and the scratch the next edge
-// overwrites must not be one of their columns.
+// Step and hash-join pairs go into Runner.pairBuffer as in ExecEdge — a
+// fresh buffer for a component's first edge, which its relation must take
+// over, the Runner's scratch otherwise — and every relation a round produced
+// must still equal its oracle after each later edge: relations are
+// read-only, and the scratch the next edge overwrites must not be one of
+// their columns.
 func TestRunnerMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
@@ -298,18 +312,17 @@ func TestRunnerMergeMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			var pairs ops.Pairs
-			if e.Kind == joingraph.StepEdge {
-				// Into the Runner's scratch, as ExecEdge steps.
+			first := r.comps[ctxV] == nil && r.comps[innerV] == nil
+			if buf := r.pairBuffer(id, ctxV, innerV, 0); e.Kind == joingraph.StepEdge {
 				axis := e.Axis
 				if ctxV == e.To {
 					axis = axis.Reverse()
 				}
-				ops.StepPairsInto(&r.scratch.pairs, nil, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, limit)
-				pairs = r.scratch.pairs
+				ops.StepPairsInto(buf, nil, ctxT.Doc, axis, ctxT.Nodes, innerT.Nodes, limit)
+				pairs = *buf
 			} else if rng.Intn(2) == 0 {
-				// A hash join writes into the same scratch.
-				ops.HashJoinPairsInto(&r.scratch.pairs, nil, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
-				pairs = r.scratch.pairs
+				ops.HashJoinPairsInto(buf, nil, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
+				pairs = *buf
 			} else {
 				pairs, _ = ops.MergeJoinPairs(metrics.NewRecorder(), ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
 			}
@@ -340,6 +353,9 @@ func TestRunnerMergeMatchesOracle(t *testing.T) {
 			got := r.Relation(ctxV)
 			if err := sameRelation(got, want); err != nil {
 				t.Fatalf("round %d edge %d (limit %d): %v", round, id, limit, err)
+			}
+			if first && pairs.Len() > 0 && (&got.Column(ctxV)[0] != &pairs.C[0] || &got.Column(innerV)[0] != &pairs.S[0]) {
+				t.Fatalf("round %d edge %d: the first edge's relation copied its own pairs", round, id)
 			}
 			earlier = append(earlier, [2]*table.Relation{got, want})
 			for _, v := range got.ColumnIDs() {

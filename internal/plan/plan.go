@@ -27,7 +27,8 @@ type Plan struct {
 	Steps []Step
 }
 
-// String renders the plan compactly, e.g. "e3 e1' e0(hash)".
+// String renders the plan compactly as its edge ids in step order, a reversed
+// step primed, e.g. "e3 e1' e0"; join algorithms are not shown.
 func (p *Plan) String() string {
 	parts := make([]string, len(p.Steps))
 	for i, s := range p.Steps {
@@ -47,7 +48,7 @@ func (p *Plan) String() string {
 // execute only a spanning tree of a join-equivalence class, Fig 4).
 func (p *Plan) Covers(g *joingraph.Graph) error {
 	redundant := RedundantEdges(g)
-	seen := make(map[int]bool)
+	seen := make([]bool, len(g.Edges))
 	uf := newUnionFind(len(g.Vertices))
 	for _, s := range p.Steps {
 		if s.EdgeID < 0 || s.EdgeID >= len(g.Edges) {
@@ -311,6 +312,11 @@ type RunConfig struct {
 	// option (intermediate cardinalities are only comparable between runs
 	// with the same reduction policy).
 	EagerProject bool
+	// Expected is the cached plan's per-edge cardinalities
+	// (plancache.Entry.Expected). Each edge's pair buffer reserves that many
+	// pairs up front instead of growing from empty. It sets capacity only:
+	// the relations and RunStats are those of a run without it.
+	Expected map[int]int
 }
 
 // Run executes the plan over graph g in env and applies the tail.
@@ -324,11 +330,13 @@ func RunWithConfig(env *Env, g *joingraph.Graph, p *Plan, tail *Tail, cfg RunCon
 		return nil, nil, err
 	}
 	r := NewRunner(env, g)
+	r.replay, r.hints = true, cfg.Expected
 	if cfg.EagerProject {
 		r.EnableProjectReduce(tail.Required(g))
 	}
 	edgeRows := make(map[int]int, len(p.Steps))
-	for _, s := range p.Steps {
+	for i, s := range p.Steps {
+		r.later = p.Steps[i+1:]
 		rows, err := r.ExecEdge(g.Edges[s.EdgeID], s.Reverse, s.Alg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("plan: step e%d: %w", s.EdgeID, err)

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/joingraph"
 	"repro/internal/ops"
@@ -48,7 +49,12 @@ type Runner struct {
 	// intermediates.
 	projectReduce bool
 	tailKeep      map[int]bool
-	redundant     map[int]bool // cached RedundantEdges(G)
+	redundant     []bool // cached RedundantEdges(G)
+
+	// A replay (RunWithConfig) sets these; the optimizer leaves them zero.
+	replay bool        // refresh T(v) only for vertices a step in later touches
+	later  []Step      // the plan steps after the one running
+	hints  map[int]int // edge id → rows the cached plan observed: pair capacity
 
 	// CumulativeIntermediate accumulates the cardinality of every
 	// intermediate relation produced, the Fig 5 metric.
@@ -213,8 +219,7 @@ func (r *Runner) holdsExtent(v int, t *table.Table) bool {
 // equi-join algorithm (ignored for steps). A hash join whose inner side
 // still holds its index extent probes that vertex's value index instead of
 // building a table over the extent (ops.IndexHashJoinPairsInto): the same
-// pairs, the same charge. Every edge's pairs land in the Runner's scratch,
-// which the merge reads and adopt copies from.
+// pairs, the same charge. The pairs land in pairBuffer's buffer.
 func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int, error) {
 	if err := r.Env.CheckInterrupt(); err != nil {
 		return 0, err
@@ -235,7 +240,7 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 		return 0, err
 	}
 
-	out, rec := &r.scratch.pairs, r.Env.Rec
+	out, rec := r.pairBuffer(e.ID, ctxV, innerV, ctxT.Len()+innerT.Len()), r.Env.Rec
 	switch {
 	case e.Kind == joingraph.StepEdge || alg == ops.JoinNLIndex:
 		if _, err := r.PairsInto(out, e, ctxV, ctxT, innerT, r.ExecLimit); err != nil {
@@ -262,6 +267,29 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 	return rows, nil
 }
 
+// pairBuffer returns the Pairs an edge between vertices a and b writes into.
+// A component's first edge gets a fresh buffer, which its relation adopts as
+// its two columns; every other edge writes into the Runner's scratch, which
+// the merge only reads. A replay reserves the rows the cached plan observed
+// for the edge — capacity only: a short hint grows by appending, so a hint
+// never changes the pairs. The reserve is capped by inputs, the two tables'
+// total size (so a stale or hostile hint cannot allocate beyond the data),
+// and by ExecLimit when one is set.
+func (r *Runner) pairBuffer(id, a, b, inputs int) *ops.Pairs {
+	n := min(r.hints[id], inputs)
+	if r.ExecLimit > 0 {
+		n = min(n, r.ExecLimit)
+	}
+	n = max(n, 0)
+	if r.comps[a] != nil || r.comps[b] != nil {
+		p := &r.scratch.pairs
+		p.C, p.S = slices.Grow(p.C[:0], n), slices.Grow(p.S[:0], n)
+		return p
+	}
+	buf := make([]xmltree.NodeID, 2*n)
+	return &ops.Pairs{C: buf[:0:n], S: buf[n:n]}
+}
+
 // merge folds the edge result pairs (C bound to vertex a, S to vertex b)
 // into the component state and returns the resulting relation cardinality.
 func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
@@ -269,7 +297,7 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	var nc *component
 	switch {
 	case ca == nil && cb == nil:
-		rel := adopt(a, r.tables[a].Doc, b, r.tables[b].Doc, pairs)
+		rel := r.scratch.adopt(a, r.tables[a].Doc, b, r.tables[b].Doc, pairs)
 		nc = &component{rel: rel, verts: []int{a, b}}
 	case ca != nil && cb == nil:
 		rel := r.scratch.extend(ca.rel, a, pairs, b, r.tables[b].Doc)
@@ -290,11 +318,23 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	}
 	for _, v := range nc.verts {
 		r.comps[v] = nc
-		if nc.rel.HasColumn(v) {
+		if nc.rel.HasColumn(v) && (!r.replay || r.readLater(v)) {
 			r.tables[v] = nc.rel.DistinctNodes(v, r.tables[v], &r.scratch.words)
 		}
 	}
 	return nc.rel.NumRows(), nil
+}
+
+// readLater reports whether a plan step after the running one touches vertex
+// v, the only way a replay reads T(v) again. A vertex no later step touches
+// keeps a stale T(v): its nodes are never read, and its Doc still holds.
+func (r *Runner) readLater(v int) bool {
+	for _, s := range r.later {
+		if r.G.Edges[s.EdgeID].Touches(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // reduce projects away the columns of vertices whose edges are all executed
@@ -373,15 +413,19 @@ func (r *Runner) FinalRelation(required []int) (*table.Relation, error) {
 // the edge is unnecessary (Sec 3.2: "descendant edges from the root are
 // ignored since these are not necessary to execute to produce the correct
 // result").
-func RedundantEdges(g *joingraph.Graph) map[int]bool {
-	out := make(map[int]bool)
+//
+// The result is indexed by edge id.
+func RedundantEdges(g *joingraph.Graph) []bool {
+	out := make([]bool, len(g.Edges))
 	for v, vert := range g.Vertices {
 		if vert.Kind != joingraph.VRoot {
 			continue
 		}
-		edges := g.EdgesOf(v)
 		allDesc := true
-		for _, e := range edges {
+		for _, e := range g.Edges {
+			if !e.Touches(v) {
+				continue
+			}
 			if e.Kind != joingraph.StepEdge || e.From != v ||
 				(e.Axis != ops.AxisDesc && e.Axis != ops.AxisDescSelf) {
 				allDesc = false
@@ -397,8 +441,10 @@ func RedundantEdges(g *joingraph.Graph) map[int]bool {
 		if !allDesc {
 			continue
 		}
-		for _, e := range edges {
-			out[e.ID] = true
+		for _, e := range g.Edges {
+			if e.Touches(v) {
+				out[e.ID] = true
+			}
 		}
 	}
 	return out

@@ -149,7 +149,9 @@ func TestExecEdgeHashOverExtentMatchesHashJoin(t *testing.T) {
 				after := c.env.Rec.Total()
 				hashRec := metrics.NewRecorder()
 				want, _ := ops.HashJoinPairs(hashRec, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, limit)
-				if got := r.scratch.pairs; want.Len() == 0 || !slices.Equal(got.C, want.C) || !slices.Equal(got.S, want.S) {
+				// The first edge's pairs are its relation's two columns.
+				rel := r.Relation(ctxV)
+				if got := (ops.Pairs{C: rel.Column(ctxV), S: rel.Column(innerV)}); want.Len() == 0 || !slices.Equal(got.C, want.C) || !slices.Equal(got.S, want.S) {
 					t.Fatalf("case %d limit %d reverse %v: pairs C=%v S=%v, hash join C=%v S=%v",
 						i, limit, reverse, got.C, got.S, want.C, want.S)
 				}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -39,8 +41,8 @@ func peopleXML(base, n, pad int) string {
 	return sb.String()
 }
 
-// newPeopleServer boots the production handler over a 4-shard collection.
-func newPeopleServer(t *testing.T, pad int) (*Handler, *httptest.Server) {
+// newPeopleHandler builds the production handler over a 4-shard collection.
+func newPeopleHandler(t *testing.T, pad int) *Handler {
 	t.Helper()
 	eng := rox.NewEngine(rox.WithSeed(1))
 	for s := 0; s < 4; s++ {
@@ -48,10 +50,48 @@ func newPeopleServer(t *testing.T, pad int) (*Handler, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	h := New(rox.NewPool(eng, 4), Config{})
+	return New(rox.NewPool(eng, 4), Config{})
+}
+
+// newPeopleServer boots the production handler over a 4-shard collection.
+func newPeopleServer(t *testing.T, pad int) (*Handler, *httptest.Server) {
+	t.Helper()
+	h := newPeopleHandler(t, pad)
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return h, ts
+}
+
+// socketBuffer is the kernel buffer size asked for on either end of a
+// connection a test needs to stay mid-stream. The kernel may double it, and
+// the two ends then hold a few hundred KiB, a fraction of a 4 MB stream;
+// a few KiB would do too, but stall the stream on TCP's zero-window probes.
+const socketBuffer = 64 << 10
+
+// smallSendListener gives every accepted connection a small send buffer.
+type smallSendListener struct{ net.Listener }
+
+func (l smallSendListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		err = tc.SetWriteBuffer(socketBuffer)
+	}
+	return c, err
+}
+
+// smallReceiveClient returns a client whose connections have a small
+// receive buffer.
+func smallReceiveClient(t *testing.T) *http.Client {
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := d.DialContext(ctx, network, addr)
+		if tc, ok := c.(*net.TCPConn); ok {
+			err = tc.SetReadBuffer(socketBuffer)
+		}
+		return c, err
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
 }
 
 // ndjsonLines reads an NDJSON stream to EOF, returning the decoded line
@@ -86,10 +126,14 @@ func ndjsonLines(t *testing.T, r *bufio.Scanner) (kinds []string, lastErr string
 // {"error": ...} line — the stream is explicitly failed, not truncated in a
 // way a naive client could misread as a short success.
 func TestDrainTerminatesStreamCleanly(t *testing.T) {
-	// ~4MB of items: far beyond loopback socket buffering, so the handler is
-	// still producing when Drain fires.
-	h, ts := newPeopleServer(t, 10*1024)
-	resp, err := http.Get(queryURL(ts.URL, `for $p in collection("ppl")//person return $p`, "stream", "ndjson"))
+	// ~4MB of items against socketBuffer on either end: the handler is still
+	// writing when Drain fires, however large the loopback defaults are.
+	h := newPeopleHandler(t, 10*1024)
+	ts := httptest.NewUnstartedServer(h)
+	ts.Listener = smallSendListener{ts.Listener}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	resp, err := smallReceiveClient(t).Get(queryURL(ts.URL, `for $p in collection("ppl")//person return $p`, "stream", "ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,15 @@ import (
 // vertex (identified by an integer id chosen by the caller) and holds node
 // ids of that vertex's document. The semantics of a Join Graph is a fully
 // joined Relation over all its vertices (Sec 2.1).
+//
+// A relation has a handful of columns (one per vertex of a query's Join
+// Graph), so a column is found by scanning colIDs, not through a map. The
+// schema slices colIDs and docs are never written after construction:
+// relations derived row-wise (Slice, Permute, Distinct) share them.
 type Relation struct {
 	colIDs []int               // vertex ids, in column order
 	docs   []*xmltree.Document // document per column
 	cols   [][]xmltree.NodeID  // columnar data; all columns same length
-	byID   map[int]int         // vertex id → column position
 }
 
 // NewRelation creates an empty relation with the given columns.
@@ -33,14 +37,26 @@ func FromColumns(colIDs []int, docs []*xmltree.Document, cols [][]xmltree.NodeID
 	if len(colIDs) != len(docs) || len(colIDs) != len(cols) {
 		panic("table: colIDs, docs and cols length mismatch")
 	}
-	r := &Relation{colIDs: colIDs, docs: docs, cols: cols, byID: make(map[int]int, len(colIDs))}
 	for i, id := range colIDs {
-		if _, dup := r.byID[id]; dup {
+		if slices.Contains(colIDs[:i], id) {
 			panic(fmt.Sprintf("table: duplicate column id %d", id))
 		}
-		r.byID[id] = i
 	}
-	return r
+	return &Relation{colIDs: colIDs, docs: docs, cols: cols}
+}
+
+// withCols returns a relation over r's schema, shared, and the given columns.
+func (r *Relation) withCols(cols [][]xmltree.NodeID) *Relation {
+	return &Relation{colIDs: r.colIDs, docs: r.docs, cols: cols}
+}
+
+// pos returns the column position of vertex id; the column must exist.
+func (r *Relation) pos(id int) int {
+	p := slices.Index(r.colIDs, id)
+	if p < 0 {
+		panic(fmt.Sprintf("table: no column for vertex %d", id))
+	}
+	return p
 }
 
 // FromTable lifts a single-vertex Table into a one-column Relation.
@@ -65,29 +81,14 @@ func (r *Relation) NumCols() int { return len(r.colIDs) }
 func (r *Relation) ColumnIDs() []int { return r.colIDs }
 
 // HasColumn reports whether the relation has a column for vertex id.
-func (r *Relation) HasColumn(id int) bool {
-	_, ok := r.byID[id]
-	return ok
-}
+func (r *Relation) HasColumn(id int) bool { return slices.Contains(r.colIDs, id) }
 
 // Column returns the data of the column bound to vertex id. It panics if the
 // column does not exist (callers check HasColumn or know the schema).
-func (r *Relation) Column(id int) []xmltree.NodeID {
-	pos, ok := r.byID[id]
-	if !ok {
-		panic(fmt.Sprintf("table: no column for vertex %d", id))
-	}
-	return r.cols[pos]
-}
+func (r *Relation) Column(id int) []xmltree.NodeID { return r.cols[r.pos(id)] }
 
 // Doc returns the document of the column bound to vertex id.
-func (r *Relation) Doc(id int) *xmltree.Document {
-	pos, ok := r.byID[id]
-	if !ok {
-		panic(fmt.Sprintf("table: no column for vertex %d", id))
-	}
-	return r.docs[pos]
-}
+func (r *Relation) Doc(id int) *xmltree.Document { return r.docs[r.pos(id)] }
 
 // AppendRow appends one tuple given in column order. It is for relations
 // built row by row from NewRelation: a relation's columns may be views shared
@@ -186,9 +187,7 @@ func (r *Relation) rowIndices() []int {
 // without a comparator sort over row indices.
 func (r *Relation) Distinct() *Relation {
 	if len(r.cols) == 1 {
-		out := NewRelation(r.colIDs, r.docs)
-		out.cols[0] = xmltree.SortedSet(r.cols[0], nil, nil)
-		return out
+		return r.withCols([][]xmltree.NodeID{xmltree.SortedSet(r.cols[0], nil, nil)})
 	}
 	pos := make([]int, len(r.cols))
 	for c := range pos {
@@ -209,11 +208,7 @@ func (r *Relation) Distinct() *Relation {
 func (r *Relation) SortBy(ids []int) {
 	pos := make([]int, len(ids))
 	for i, id := range ids {
-		p, ok := r.byID[id]
-		if !ok {
-			panic(fmt.Sprintf("table: SortBy unknown vertex %d", id))
-		}
-		pos[i] = p
+		pos[i] = r.pos(id)
 	}
 	if r.ordered(pos, false) {
 		return
@@ -226,15 +221,15 @@ func (r *Relation) SortBy(ids []int) {
 // Permute returns a new relation whose row i is r's row idx[i]. Indices may
 // repeat or drop rows; the caller owns idx (it is not retained).
 func (r *Relation) Permute(idx []int) *Relation {
-	out := NewRelation(r.colIDs, r.docs)
+	cols := make([][]xmltree.NodeID, len(r.cols))
 	for c := range r.cols {
 		col := make([]xmltree.NodeID, len(idx))
 		for i, ri := range idx {
 			col[i] = r.cols[c][ri]
 		}
-		out.cols[c] = col
+		cols[c] = col
 	}
-	return out
+	return r.withCols(cols)
 }
 
 // Slice returns a new relation holding rows [lo, hi) of r. The bounds are
@@ -252,11 +247,11 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 	if lo > hi {
 		lo = hi
 	}
-	out := NewRelation(r.colIDs, r.docs)
+	cols := make([][]xmltree.NodeID, len(r.cols))
 	for c := range r.cols {
-		out.cols[c] = r.cols[c][lo:hi]
+		cols[c] = r.cols[c][lo:hi]
 	}
-	return out
+	return r.withCols(cols)
 }
 
 // String renders a compact schema description.

@@ -386,7 +386,6 @@ func (c *cursor) open() error {
 		ran          *plan.Plan // non-nil once a sampling-free plan is chosen
 		cfg          plan.RunConfig
 		outcome      plancache.Outcome
-		expected     map[int]int
 		abandoned    int64 // drift path: the rejected replay's intermediates
 		hit, reoptim bool
 		err          error
@@ -402,7 +401,7 @@ func (c *cursor) open() error {
 		var entry *plancache.Entry
 		if entry, outcome = e.cache.Lookup(c.fp, c.gen); outcome != plancache.Miss {
 			cached := entry.Plan
-			ran, expected = &cached, entry.Expected
+			ran, cfg.Expected = &cached, entry.Expected
 			cfg.EagerProject = e.opts.EagerProject
 		}
 	}
@@ -417,7 +416,7 @@ func (c *cursor) open() error {
 		case outcome == plancache.Hit:
 			hit = true
 		default: // StaleGeneration: verify the successful replay
-			if _, _, _, drifted := plancache.Drift(expected, run.EdgeRows, e.driftRatio); drifted {
+			if _, _, _, drifted := plancache.Drift(cfg.Expected, run.EdgeRows, e.driftRatio); drifted {
 				e.cache.MarkDrift(c.fp, c.gen)
 				abandoned = run.CumulativeIntermediate
 				reoptim, ran = true, nil
