@@ -66,14 +66,15 @@ const replayedJoin = `let $d := doc("xmark.xml")
 		where $o//bidder//personref/@person = $p/@id return $p limit 50`
 
 func TestAllocGuardReplayedJoin(t *testing.T) {
-	// Measured 255: each edge's pairs are reserved at the cardinality the
+	// Measured 237: each edge's pairs are reserved at the cardinality the
 	// cached plan observed, a first edge's pairs become its relation, pair
 	// groups are counted before they are filled, T(v) is refreshed only where
-	// a later step reads it, and the Env's generator is never built (387
-	// before that; 530 when vertex tables copied the index, a refreshed T(v)
-	// cloned its column and step pairs grew per edge; 5 851 with a hash map
-	// and a slice per context node in every merge).
-	const ceiling = 319
+	// a later step reads it, a merge copies no column of a vertex nothing
+	// reads again, and the Env's generator is never built (255 with the dead
+	// columns copied; 387 before the rest; 530 when vertex tables copied the
+	// index, a refreshed T(v) cloned its column and step pairs grew per edge;
+	// 5 851 with a hash map and a slice per context node in every merge).
+	const ceiling = 296
 	if got := allocsPerQuery(t, replayedJoin); got > ceiling {
 		t.Errorf("replayed join: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
@@ -82,14 +83,15 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// The object count above cannot see a copy of a whole index extent or
 	// column, which is one allocation however large. Bytes can. Measured
-	// 161 776 (204 166 before the pair buffers were sized from the plan
-	// cache and owned by the relation; 382 107 with VertexTable copying each
-	// extent, DistinctNodes cloning each column and the step pairs growing
-	// per edge). The ceiling is ≈ 5 % above, not 25 %: pair buffers growing
-	// from empty again cost 172 735, and the extent copy, the column clone
-	// or a string-keyed @person = @id hash join build each cost more; each
-	// must fail here.
-	const ceiling = 170_000
+	// 130 272 (161 474 when every merge copies the columns of vertices no
+	// later step and no tail reads; 204 166 before the pair buffers were
+	// sized from the plan cache and owned by the relation; 382 107 with
+	// VertexTable copying each extent, DistinctNodes cloning each column and
+	// the step pairs growing per edge). The ceiling is ≈ 5 % above, not
+	// 25 %: copying the dead columns again, pair buffers growing from empty,
+	// the extent copy, the column clone or a string-keyed @person = @id hash
+	// join build each cost more; each must fail here.
+	const ceiling = 136_800
 	if got := bytesPerRun(20, replayer(t, replayedJoin)); got > ceiling {
 		t.Errorf("replayed join: %.0f bytes per query, ceiling %d", got, ceiling)
 	}
@@ -202,6 +204,57 @@ func TestAllocGuardShardReplayBytes(t *testing.T) {
 	run() // optimize once; every measured run replays the cached plans
 	if got := bytesPerRun(20, run); got > ceiling {
 		t.Errorf("replayed shard sum: %.0f bytes per query, ceiling %d", got, ceiling)
+	}
+}
+
+func TestAllocGuardReplayedTailOverlay(t *testing.T) {
+	// A replayed sum and top-k over a 4-shard collection with a pending
+	// ingest overlay on every shard: each shard's tail reads its key path's
+	// element postings level by level, base then delta, as views. Measured
+	// 261 and 328 allocations, 20 436 and 44 044 bytes. Concatenating the
+	// levels, as index.Elements does on an overlay, costs one allocation and
+	// ≈ 420 bytes per shard (265 and 332 allocations, 22 100 and 45 708
+	// bytes), and so does a walker allocating per path step; the ceilings
+	// leave two allocations and ≈ 2.5 % bytes of slack, so either fails here.
+	e := NewEngine(WithSeed(1))
+	for _, d := range datagen.XMarkShards(datagen.DefaultXMarkConfig(), 4) {
+		if err := e.LoadCollectionSource("xmark", FromDocument(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 { // round-robin: one appended auction per shard
+		if err := e.Append("xmark", `<open_auction id="ingested"><initial>12.5</initial>`+
+			`<reserve>3</reserve><current>40</current></open_auction>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, query   string
+		allocs, bytes float64
+	}{
+		{"sum", `for $a in collection("xmark")//open_auction return sum($a/initial)`, 263, 20_950},
+		{"top-k", `for $a in collection("xmark")//open_auction[reserve]
+			order by $a/current descending return $a limit 10`, 330, 45_150},
+	} {
+		run := func() {
+			res, err := collectRows(e.Execute(context.Background(), Request{Query: c.query}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Items) == 0 {
+				t.Fatal("query returned no items")
+			}
+		}
+		run() // optimize once; every measured run replays the cached plans
+		if got := testing.AllocsPerRun(20, run); got > c.allocs {
+			t.Errorf("overlay %s: %.0f allocations per query, ceiling %.0f", c.name, got, c.allocs)
+		}
+		if got := bytesPerRun(20, run); got > c.bytes {
+			t.Errorf("overlay %s: %.0f bytes per query, ceiling %.0f", c.name, got, c.bytes)
+		}
 	}
 }
 

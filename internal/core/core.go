@@ -212,9 +212,8 @@ func (o *Optimizer) Execute(tail *plan.Tail) (*table.Relation, *Result, error) {
 	startSample := rec.CostOf(metrics.PhaseSample)
 	startExec := rec.CostOf(metrics.PhaseExecute)
 
-	if o.opt.EagerProject {
-		o.runner.EnableProjectReduce(tail.Required(o.g))
-	}
+	required := tail.Required(o.g)
+	o.runner.SetTail(tail, required, o.opt.EagerProject)
 	sampledSearch := o.opt.MaterializeLimit > 0
 	if sampledSearch {
 		o.runner.ExecLimit = o.opt.MaterializeLimit
@@ -270,11 +269,11 @@ func (o *Optimizer) Execute(tail *plan.Tail) (*table.Relation, *Result, error) {
 				edgeRows[ev.EdgeID] = ev.Rows
 			}
 		}
-		rel, err := o.runner.FinalRelation(tail.Required(o.g))
+		rel, err := o.runner.FinalRelation(required)
 		if err != nil {
 			return nil, nil, err
 		}
-		out, keys, scanned = tail.Execute(rel)
+		out, keys, scanned = tail.ExecuteIn(o.env.Catalog(), rel)
 	}
 	res := &Result{
 		Rows:                   out.NumRows(),

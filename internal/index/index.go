@@ -239,6 +239,23 @@ func (ix *Index) Elements(qname string) []xmltree.NodeID {
 		func(b *Index) []xmltree.NodeID { return b.Elements(qname) })
 }
 
+// ElementLevels is Elements(qname) split by level, without the copy that
+// concatenating the levels costs: base is the overlaid index's answer (nil
+// for a single-level index), own this level's postings. Every own pre
+// exceeds every base pre, so base followed by own is Elements(qname). Both
+// are views, and base is one unless the overlaid index is an overlay too,
+// which NewDelta's callers never build.
+func (ix *Index) ElementLevels(qname string) (base, own []xmltree.NodeID) {
+	id, ok := ix.doc.QNames().Lookup(qname)
+	if !ok {
+		return nil, nil
+	}
+	if ix.base != nil {
+		base = ix.base.Elements(qname)
+	}
+	return base, ix.elems.get(uint64(id))
+}
+
 // AttributesByName returns all attribute nodes named qattr, in document
 // order (the vertex table of an @name Join Graph vertex).
 func (ix *Index) AttributesByName(qattr string) []xmltree.NodeID {

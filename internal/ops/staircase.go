@@ -33,17 +33,42 @@ func searchGE(s []xmltree.NodeID, pre xmltree.NodeID) int {
 	return i
 }
 
-// gallopGE returns the first index i >= from with s[i] >= pre, where every
+// GallopGE returns the first index i >= from with s[i] >= pre, where every
 // s[j] with j < from is below pre. It probes from, from+1, from+3, from+7, …
 // until it overshoots and then binary-searches the last gap, so it costs
 // O(log d) comparisons for an answer d positions ahead — never more than a
-// constant factor over a full binary search, and O(1) for a neighbour.
-func gallopGE(s []xmltree.NodeID, from int, pre xmltree.NodeID) int {
+// constant factor over a full binary search, and O(1) for a neighbour. The
+// staircase steps and the tail's key paths over element postings
+// (internal/plan) search this way.
+func GallopGE(s []xmltree.NodeID, from int, pre xmltree.NodeID) int {
 	lo, hi := from, from
 	for step := 1; hi < len(s) && s[hi] < pre; step <<= 1 {
 		lo, hi = hi+1, hi+step
 	}
+	if lo == hi { // the first probe or its neighbour answered
+		return lo
+	}
 	i, _ := slices.BinarySearch(s[lo:min(hi, len(s))], pre)
+	return lo + i
+}
+
+// gallopLE mirrors GallopGE: it returns the last index i <= from with
+// s[i] <= pre, where every s[j] with j > from is above pre, or -1 when there
+// is none. It probes from, from-1, from-3, from-7, … until it undershoots and
+// then binary-searches the last gap: O(log d) for an answer d positions back.
+func gallopLE(s []xmltree.NodeID, from int, pre xmltree.NodeID) int {
+	lo, hi := from, from
+	for step := 1; lo >= 0 && s[lo] > pre; step <<= 1 {
+		lo, hi = lo-step, lo-1
+	}
+	if lo == hi {
+		return lo
+	}
+	lo = max(lo, 0)
+	i, found := slices.BinarySearch(s[lo:hi+1], pre)
+	if !found {
+		i--
+	}
 	return lo + i
 }
 
@@ -64,9 +89,11 @@ func gallopGE(s []xmltree.NodeID, from int, pre xmltree.NodeID) int {
 //
 // The operator is zero-investment with respect to C: per context tuple it
 // costs O(log |S|) for the range search plus the produced output, never a
-// scan of all of S. The descendant(-or-self), child and attribute steps
-// search by galloping (see stepper.seek), so over a document-ordered C of
-// disjoint subtrees the searches total O(|C| log(|S|/|C|)).
+// scan of all of S. The descendant(-or-self), child, attribute, self,
+// parent, attribute-owner and ancestor(-or-self) steps search by galloping
+// (see stepper.seek; the last three then gallop backwards with gallopLE), so
+// over a document-ordered C of disjoint subtrees the searches total
+// O(|C| log(|S|/|C|)).
 func StepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID, limit int) (Pairs, int) {
 	var out Pairs
 	consumed := StepPairsInto(&out, rec, d, axis, C, S, limit)
@@ -104,16 +131,25 @@ type stepper struct {
 	out  *Pairs
 	pos  int            // first S index >= lo
 	lo   xmltree.NodeID // the previous context's lower bound
+
+	unordered bool // a context came out of order: search, do not gallop
 }
 
 // seek returns the first S index holding a node >= lo. A lower bound below
-// the previous one (an out-of-order context) restarts the gallop at 0, which
-// still costs O(log |S|).
+// the previous one is an out-of-order context: from then on the stepper
+// takes C to be unordered and binary-searches, each search O(log |S|),
+// where a gallop over jumps in random directions would cost twice that.
 func (st *stepper) seek(lo xmltree.NodeID) int {
-	if lo < st.lo {
-		st.pos = 0
+	switch {
+	case lo < st.lo:
+		st.unordered = true
+		st.pos = searchGE(st.S[:st.pos], lo)
+	case st.unordered:
+		st.pos += searchGE(st.S[st.pos:], lo)
+	default:
+		st.pos = GallopGE(st.S, st.pos, lo)
 	}
-	st.pos, st.lo = gallopGE(st.S, st.pos, lo), lo
+	st.lo = lo
 	return st.pos
 }
 
@@ -155,24 +191,31 @@ func (st *stepper) step(c xmltree.NodeID) {
 			for d.Parent(a) != c {
 				a = d.Parent(a)
 			}
-			i = gallopGE(S, i+1, a+d.Size(a)+1)
+			i = GallopGE(S, i+1, a+d.Size(a)+1)
 		}
 	case AxisParent:
-		p := d.Parent(c)
-		if p != xmltree.NoNode && contains(S, p) {
-			out.append(c, p)
+		if p := d.Parent(c); p != xmltree.NoNode {
+			if i := gallopLE(S, st.seek(c)-1, p); i >= 0 && S[i] == p {
+				out.append(c, p)
+			}
 		}
 	case AxisAnc, AxisAncSelf:
-		if axis == AxisAncSelf && contains(S, c) {
+		// Every ancestor of c precedes c, so all of them sit in S[:seek(c)],
+		// nearest last: each is found by galloping back from the previous
+		// one's position, and an ancestor below S[0] ends the walk.
+		i := st.seek(c)
+		if axis == AxisAncSelf && i < len(S) && S[i] == c {
 			out.append(c, c)
 		}
-		for a := d.Parent(c); a != xmltree.NoNode; a = d.Parent(a) {
-			if contains(S, a) {
+		i--
+		for a := d.Parent(c); a != xmltree.NoNode && i >= 0 && a >= S[0]; a = d.Parent(a) {
+			if i = gallopLE(S, i, a); i >= 0 && S[i] == a {
 				out.append(c, a)
+				i--
 			}
 		}
 	case AxisSelf:
-		if contains(S, c) {
+		if i := st.seek(c); i < len(S) && S[i] == c {
 			out.append(c, c)
 		}
 	case AxisFoll:
@@ -210,7 +253,7 @@ func (st *stepper) step(c xmltree.NodeID) {
 			for d.Parent(a) != p {
 				a = d.Parent(a)
 			}
-			i = gallopGE(S, i+1, a+d.Size(a)+1)
+			i = GallopGE(S, i+1, a+d.Size(a)+1)
 		}
 	case AxisPrecSibling:
 		p := d.Parent(c)
@@ -233,7 +276,7 @@ func (st *stepper) step(c xmltree.NodeID) {
 			for d.Parent(a) != p {
 				a = d.Parent(a)
 			}
-			i = gallopGE(S, i+1, a+d.Size(a)+1)
+			i = GallopGE(S, i+1, a+d.Size(a)+1)
 		}
 	case AxisAttribute:
 		hi := c + d.Size(c)
@@ -248,18 +291,14 @@ func (st *stepper) step(c xmltree.NodeID) {
 		}
 	case AxisAttrOwner:
 		if d.Kind(c) == xmltree.KindAttr {
-			if p := d.Parent(c); contains(S, p) {
+			p := d.Parent(c)
+			if i := gallopLE(S, st.seek(c)-1, p); i >= 0 && S[i] == p {
 				out.append(c, p)
 			}
 		}
 	default:
 		panic("ops: StepPairs of unknown axis")
 	}
-}
-
-func contains(s []xmltree.NodeID, n xmltree.NodeID) bool {
-	_, ok := slices.BinarySearch(s, n)
-	return ok
 }
 
 // StaircaseSemi evaluates the structural join in the classic staircase-join

@@ -153,8 +153,29 @@ func TestGallopGE(t *testing.T) {
 			for want < len(s) && s[want] < pre {
 				want++
 			}
-			if got := gallopGE(s, from, pre); got != want {
-				t.Fatalf("gallopGE(from %d, %d) = %d, want %d", from, pre, got, want)
+			if got := GallopGE(s, from, pre); got != want {
+				t.Fatalf("GallopGE(from %d, %d) = %d, want %d", from, pre, got, want)
+			}
+		}
+	}
+}
+
+// TestGallopLE checks the backward galloping search against a linear scan
+// from every start position, -1 (nothing left) included.
+func TestGallopLE(t *testing.T) {
+	s := []xmltree.NodeID{1, 2, 4, 8, 9, 10, 15, 16, 23, 42, 43, 60}
+	for from := -1; from < len(s); from++ {
+		hi := xmltree.NodeID(64)
+		if from+1 < len(s) {
+			hi = s[from+1] - 1
+		}
+		for pre := xmltree.NodeID(0); pre <= hi; pre++ {
+			want := from
+			for want >= 0 && s[want] > pre {
+				want--
+			}
+			if got := gallopLE(s, from, pre); got != want {
+				t.Fatalf("gallopLE(from %d, %d) = %d, want %d", from, pre, got, want)
 			}
 		}
 	}

@@ -213,7 +213,7 @@ func probeJoin(out *Pairs, dC *xmltree.Document, C []xmltree.NodeID, probe func(
 		} else {
 			j := 0
 			for _, s := range hits {
-				if j = gallopGE(S, j, s); j == len(S) {
+				if j = GallopGE(S, j, s); j == len(S) {
 					break
 				}
 				if S[j] == s {

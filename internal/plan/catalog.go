@@ -278,6 +278,18 @@ func (c *Catalog) Index(name string) (*index.Index, error) {
 	return ix, nil
 }
 
+// indexOf returns the registered index of document d, or nil when d is not
+// the document registered under its name (or c is nil).
+func (c *Catalog) indexOf(d *xmltree.Document) *index.Index {
+	if c == nil {
+		return nil
+	}
+	if ix := c.idxs[d.Name()]; ix != nil && ix.Doc() == d {
+		return ix
+	}
+	return nil
+}
+
 // Names returns the registered document names, sorted.
 func (c *Catalog) Names() []string {
 	out := make([]string, 0, len(c.idxs))

@@ -14,8 +14,9 @@ import (
 // a hash map; a merge runs count-then-fill, so each output column is
 // allocated once at the exact output cardinality and filled column by column;
 // output order is context-row-major, then pair order within one context node,
-// then — joining two relations — the second relation's row order; and every
-// index and per-row work array is mergeScratch, owned by the Runner.
+// then — joining two relations — the second relation's row order; a merge
+// copies only the live columns (mergeScratch.live); and every index and
+// per-row work array is mergeScratch, owned by the Runner.
 
 // pairGroups is a CSR-style index over a pair list (key[i], val[i]): the
 // distinct keys in ascending order and, per key, the run of its values in
@@ -110,18 +111,38 @@ func (pg *pairGroups) run(g int) []xmltree.NodeID { return pg.vals[pg.off[g]:pg.
 type mergeScratch struct {
 	byKey  pairGroups // the edge's pairs by context node
 	byNode pairGroups // joinOn: the second relation's rows by join node
-	rowCnt []int32    // output rows per context row
-	rowGrp []int32    // byKey group per context row, -1 = no partner
-	valGrp []int32    // joinOn: byNode group per pair value, -1 = no row
-	grpCnt []int32    // joinOn: output rows per context row of a byKey group
+	rows   []int32    // per context row: output rows, then byKey group (-1 = no partner)
+	grps   []int32    // joinOn: byNode group per pair value (-1 = no row), then output rows per byKey group
 	packed []uint64   // filter: the pairs as sorted integers
 	words  []uint64   // xmltree.SortedSet's bitmap
 	pairs  ops.Pairs  // the pairs of the edge being merged, unless it is a first edge
+	live   []bool     // by vertex id: the input columns a merge copies (Runner.markLive); nil copies all
+}
+
+// keeps reports whether a merge copies the input column of vertex id; width
+// counts the columns of rel it copies.
+func (ms *mergeScratch) keeps(id int) bool { return ms.live == nil || ms.live[id] }
+
+func (ms *mergeScratch) width(rel *table.Relation) int {
+	w := 0
+	for _, id := range rel.ColumnIDs() {
+		if ms.keeps(id) {
+			w++
+		}
+	}
+	return w
 }
 
 // grow returns s resized to n elements of unspecified content, reallocating
 // only when its capacity is short.
 func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// split returns two work arrays of n and m elements carved from *buf, which
+// it grows only when short.
+func split(buf *[]int32, n, m int) ([]int32, []int32) {
+	*buf = grow(*buf, n+m)
+	return (*buf)[:n:n], (*buf)[n:]
+}
 
 // repeatRows returns src with row i repeated cnt[i] times (0 drops it);
 // total is the sum of cnt.
@@ -137,17 +158,19 @@ func repeatRows(src []xmltree.NodeID, cnt []int32, total int) []xmltree.NodeID {
 	return dst
 }
 
-// expanded starts a merge's output: the schema of rel widened by extra
-// columns, rel's own columns already filled by repeatRows.
-func expanded(rel *table.Relation, cnt []int32, total, extra int) ([]int, []*xmltree.Document, [][]xmltree.NodeID) {
-	w := rel.NumCols() + extra
+// expanded starts a merge's output: rel's live columns, filled by repeatRows,
+// with room for extra more.
+func (ms *mergeScratch) expanded(rel *table.Relation, cnt []int32, total, extra int) ([]int, []*xmltree.Document, [][]xmltree.NodeID) {
+	w := ms.width(rel) + extra
 	ids := make([]int, 0, w)
 	docs := make([]*xmltree.Document, 0, w)
 	cols := make([][]xmltree.NodeID, 0, w)
 	for _, id := range rel.ColumnIDs() {
-		ids = append(ids, id)
-		docs = append(docs, rel.Doc(id))
-		cols = append(cols, repeatRows(rel.Column(id), cnt, total))
+		if ms.keeps(id) {
+			ids = append(ids, id)
+			docs = append(docs, rel.Doc(id))
+			cols = append(cols, repeatRows(rel.Column(id), cnt, total))
+		}
 	}
 	return ids, docs, cols
 }
@@ -174,19 +197,19 @@ func (ms *mergeScratch) extend(rel *table.Relation, a int, pairs ops.Pairs, b in
 	pg := &ms.byKey
 	pg.build(pairs.C, pairs.S)
 	colA := rel.Column(a)
-	ms.rowCnt, ms.rowGrp = grow(ms.rowCnt, len(colA)), grow(ms.rowGrp, len(colA))
+	rowCnt, rowGrp := split(&ms.rows, len(colA), len(colA))
 	total := 0
 	for i, k := range colA {
 		g := pg.find(k)
-		ms.rowGrp[i], ms.rowCnt[i] = int32(g), 0
+		rowGrp[i], rowCnt[i] = int32(g), 0
 		if g >= 0 {
-			ms.rowCnt[i] = pg.size(g)
+			rowCnt[i] = pg.size(g)
 			total += int(pg.size(g))
 		}
 	}
-	ids, docs, cols := expanded(rel, ms.rowCnt, total, 1)
+	ids, docs, cols := ms.expanded(rel, rowCnt, total, 1)
 	colB := make([]xmltree.NodeID, 0, total)
-	for _, g := range ms.rowGrp {
+	for _, g := range rowGrp {
 		if g >= 0 {
 			colB = append(colB, pg.run(int(g))...)
 		}
@@ -204,16 +227,16 @@ func (ms *mergeScratch) filter(rel *table.Relation, a, b int, pairs ops.Pairs) *
 	slices.Sort(p)
 	ms.packed = p
 	colA, colB := rel.Column(a), rel.Column(b)
-	ms.rowCnt = grow(ms.rowCnt, len(colA))
+	rowCnt, _ := split(&ms.rows, len(colA), 0)
 	total := 0
 	for i := range colA {
-		ms.rowCnt[i] = 0
+		rowCnt[i] = 0
 		if _, ok := slices.BinarySearch(p, pack(colA[i], colB[i])); ok {
-			ms.rowCnt[i] = 1
+			rowCnt[i] = 1
 			total++
 		}
 	}
-	return table.FromColumns(expanded(rel, ms.rowCnt, total, 0))
+	return table.FromColumns(ms.expanded(rel, rowCnt, total, 0))
 }
 
 // joinOn joins two component relations through the pair list (C bound to
@@ -223,37 +246,40 @@ func (ms *mergeScratch) joinOn(ra *table.Relation, a int, rb *table.Relation, b 
 	pg.build(pairs.C, pairs.S)
 	rows.build(rb.Column(b), nil)
 	// Per pair value its rb rows; per key the rb rows of all its values.
-	ms.valGrp, ms.grpCnt = grow(ms.valGrp, len(pg.vals)), grow(ms.grpCnt, len(pg.keys))
+	valGrp, grpCnt := split(&ms.grps, len(pg.vals), len(pg.keys))
 	for g := range pg.keys {
-		ms.grpCnt[g] = 0
+		grpCnt[g] = 0
 		for i := pg.off[g]; i < pg.off[g+1]; i++ {
 			h := rows.find(pg.vals[i])
-			ms.valGrp[i] = int32(h)
+			valGrp[i] = int32(h)
 			if h >= 0 {
-				ms.grpCnt[g] += rows.size(h)
+				grpCnt[g] += rows.size(h)
 			}
 		}
 	}
 	colA := ra.Column(a)
-	ms.rowCnt, ms.rowGrp = grow(ms.rowCnt, len(colA)), grow(ms.rowGrp, len(colA))
+	rowCnt, rowGrp := split(&ms.rows, len(colA), len(colA))
 	total := 0
 	for i, k := range colA {
 		g := pg.find(k)
-		ms.rowGrp[i], ms.rowCnt[i] = int32(g), 0
+		rowGrp[i], rowCnt[i] = int32(g), 0
 		if g >= 0 {
-			ms.rowCnt[i] = ms.grpCnt[g]
-			total += int(ms.grpCnt[g])
+			rowCnt[i] = grpCnt[g]
+			total += int(grpCnt[g])
 		}
 	}
-	ids, docs, cols := expanded(ra, ms.rowCnt, total, rb.NumCols())
+	ids, docs, cols := ms.expanded(ra, rowCnt, total, ms.width(rb))
 	for _, id := range rb.ColumnIDs() {
+		if !ms.keeps(id) {
+			continue
+		}
 		src := rb.Column(id)
 		dst := make([]xmltree.NodeID, 0, total)
-		for _, g := range ms.rowGrp {
+		for _, g := range rowGrp {
 			if g < 0 {
 				continue
 			}
-			for _, h := range ms.valGrp[pg.off[g]:pg.off[g+1]] {
+			for _, h := range valGrp[pg.off[g]:pg.off[g+1]] {
 				if h < 0 {
 					continue
 				}

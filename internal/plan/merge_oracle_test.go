@@ -201,14 +201,18 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 		sort.Stable(pairsBy{pairs, pairs.S})
 	}
 	var got, want *table.Relation
+	ms.live = nil
 	switch kind {
 	case 0:
+		ms.live = liveMask(s, a)
 		got, want = ms.extend(ra, a, pairs, 99, oracleDocs[1]), oracleExtend(ra, a, pairs, 99, oracleDocs[1])
 	case 1:
 		sw := pairs.Swapped()
+		ms.live = liveMask(s, a)
 		got, want = ms.extend(ra, a, sw, 99, oracleDocs[0]), oracleExtend(ra, a, sw, 99, oracleDocs[0])
 	case 2:
 		b := s.next(ra.NumCols())
+		ms.live = liveMask(s, a, b)
 		got, want = ms.filter(ra, a, b, pairs), oracleFilter(ra, a, b, pairs)
 	case 4:
 		// A first edge: the relation is the pair list. Pairs in a buffer of
@@ -236,12 +240,42 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 	default:
 		rb := relation(10)
 		b := 10 + s.next(rb.NumCols())
+		ms.live = liveMask(s, a, b)
 		got, want = ms.joinOn(ra, a, rb, b, pairs), oracleJoinOn(ra, a, rb, b, pairs)
+	}
+	if ms.live != nil {
+		// The oracle merges every column; the merge copies the live ones.
+		var ids []int
+		for _, id := range want.ColumnIDs() {
+			if ms.live[id] {
+				ids = append(ids, id)
+			}
+		}
+		want = want.Project(ids)
 	}
 	if err := sameRelation(got, want); err != nil {
 		return fmt.Errorf("merge kind %d over %s with pairs C=%v S=%v: %w", kind, ra, pairs.C, pairs.S, err)
 	}
 	return nil
+}
+
+// liveMask decodes which input columns a merge copies: nil (all of them) or
+// live bits by vertex id with the columns of one byte's set bits dead —
+// relation ids 0-2 and 10-12 — but the edge's endpoints and the new column
+// 99 always live, as Runner.markLive has them.
+func liveMask(s *byteStream, endpoints ...int) []bool {
+	mask := s.next(64)
+	if mask == 0 {
+		return nil
+	}
+	live := make([]bool, 100)
+	for bit, id := range []int{0, 1, 2, 10, 11, 12} {
+		live[id] = mask&(1<<bit) == 0
+	}
+	for _, id := range append(endpoints, 99) {
+		live[id] = true
+	}
+	return live
 }
 
 // pairsBy stably sorts a pair list by one of its columns.

@@ -143,7 +143,17 @@ func (t *Tail) Apply(rel *table.Relation) *table.Relation {
 // here — the key sort selects only the rows up to the window's end, and the
 // window is cut before any serialization — so a `limit 10` query never pays to
 // order or render rows 11..n.
+//
+// Execute hops the order-by key path node by node; ExecuteIn reads its
+// element steps from the catalog's index.
 func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, scanned int) {
+	return t.ExecuteIn(nil, rel)
+}
+
+// ExecuteIn is Execute with the order-by key path's element steps evaluated
+// over the element postings of cat's index of the key vertex's document (nil
+// hops), with the same result.
+func (t *Tail) ExecuteIn(cat *Catalog, rel *table.Relation) (out *table.Relation, keys []Key, scanned int) {
 	if t == nil {
 		return rel, nil, rel.NumRows()
 	}
@@ -162,7 +172,7 @@ func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, sc
 	scanned = out.NumRows()
 	lo, hi := t.Limit.Window(scanned)
 	if t.Order != nil {
-		out, keys = sortByKeys(out, t.Order, hi)
+		out, keys = sortByKeys(cat, out, t.Order, hi)
 		keys = keys[lo:]
 	}
 	if t.Limit != nil {
@@ -201,10 +211,11 @@ func (o *OrderSpec) compare(a, b keyedRow) int {
 // their keys in that order. With k short of the relation it keeps the k best
 // rows seen so far in a max-heap — the worst of them on top, displaced by
 // any better row — so only k keys are held and k rows sorted and permuted.
-func sortByKeys(rel *table.Relation, spec *OrderSpec, k int) (*table.Relation, []Key) {
+func sortByKeys(cat *Catalog, rel *table.Relation, spec *OrderSpec, k int) (*table.Relation, []Key) {
 	col := rel.Column(spec.Vertex)
 	k = max(0, min(k, len(col)))
-	w := newPathWalker(rel.Doc(spec.Vertex), spec.Path)
+	doc := rel.Doc(spec.Vertex)
+	w := newPathWalker(doc, cat.indexOf(doc), spec.Path)
 	sel := make([]keyedRow, 0, k)
 	for i, n := range col {
 		e := keyedRow{w.key(n), i}
@@ -259,12 +270,10 @@ func (t *Tail) Required(g *joingraph.Graph) []int {
 		}
 		return all
 	}
-	seen := make(map[int]bool)
 	var out []int
 	add := func(ids []int) {
 		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
+			if !slices.Contains(out, id) {
 				out = append(out, id)
 			}
 		}
@@ -331,9 +340,8 @@ func RunWithConfig(env *Env, g *joingraph.Graph, p *Plan, tail *Tail, cfg RunCon
 	}
 	r := NewRunner(env, g)
 	r.replay, r.hints = true, cfg.Expected
-	if cfg.EagerProject {
-		r.EnableProjectReduce(tail.Required(g))
-	}
+	required := tail.Required(g)
+	r.SetTail(tail, required, cfg.EagerProject)
 	edgeRows := make(map[int]int, len(p.Steps))
 	for i, s := range p.Steps {
 		r.later = p.Steps[i+1:]
@@ -343,11 +351,11 @@ func RunWithConfig(env *Env, g *joingraph.Graph, p *Plan, tail *Tail, cfg RunCon
 		}
 		edgeRows[s.EdgeID] = rows
 	}
-	rel, err := r.FinalRelation(tail.Required(g))
+	rel, err := r.FinalRelation(required)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, keys, scanned := tail.Execute(rel)
+	out, keys, scanned := tail.ExecuteIn(env.cat, rel)
 	return out, &RunStats{
 		CumulativeIntermediate: r.CumulativeIntermediate,
 		ResultRows:             out.NumRows(),

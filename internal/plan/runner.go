@@ -39,17 +39,17 @@ type Runner struct {
 	tables   []*table.Table                  // T(v) by vertex id, nil = not materialized
 	comps    []*component                    // component by vertex id, nil = no edge ran yet
 	executed []bool                          // by edge id
+	required []bool                          // by vertex id: the tail reads it (SetTail)
 	probes   []func(string) []xmltree.NodeID // value probe by vertex id, built on first use
 	scratch  mergeScratch
 
-	// projectReduce enables the Sec 6 "push Distinct between the joins"
-	// extension: after every execution, columns of vertices with no
-	// remaining unexecuted edges (and not needed by the tail) are
-	// projected away and the relation deduplicated, shrinking
-	// intermediates.
-	projectReduce bool
-	tailKeep      map[int]bool
-	redundant     []bool // cached RedundantEdges(G)
+	redundant []bool // cached RedundantEdges(G)
+
+	// dropDead, set by SetTail, makes every merge leave out the columns of
+	// dead vertices (markLive). projectReduce adds the Sec 6 "push Distinct
+	// between the joins" extension: a merge that left a column out
+	// deduplicates its rows, shrinking intermediates.
+	dropDead, projectReduce bool
 
 	// A replay (RunWithConfig) sets these; the optimizer leaves them zero.
 	replay bool        // refresh T(v) only for vertices a step in later touches
@@ -61,15 +61,27 @@ type Runner struct {
 	CumulativeIntermediate int64
 }
 
-// EnableProjectReduce turns on eager projection+distinct of completed
-// vertices; required lists the vertices the tail needs (never dropped).
-func (r *Runner) EnableProjectReduce(required []int) {
-	r.projectReduce = true
-	r.tailKeep = make(map[int]bool, len(required))
+// SetTail readies the Runner for the tail that reads its final relation:
+// from here on a merge copies only live columns (markLive) — those of the
+// vertices in required, which is tail.Required and what the caller passes
+// to FinalRelation, and those a step still to run touches. A tail without
+// Project returns every column, so it keeps them all. eager turns on the
+// projection+Distinct push-down (EnableProjectReduce).
+func (r *Runner) SetTail(tail *Tail, required []int, eager bool) {
+	if eager {
+		r.projectReduce = true
+	} else if tail == nil || len(tail.Project) == 0 {
+		return
+	}
+	r.dropDead = true
 	for _, v := range required {
-		r.tailKeep[v] = true
+		r.required[v] = true
 	}
 }
+
+// EnableProjectReduce turns on eager projection+distinct of completed
+// vertices; required lists the vertices the tail needs (never dropped).
+func (r *Runner) EnableProjectReduce(required []int) { r.SetTail(nil, required, true) }
 
 type component struct {
 	rel   *table.Relation
@@ -78,12 +90,22 @@ type component struct {
 
 // NewRunner returns a Runner over graph g in environment env.
 func NewRunner(env *Env, g *joingraph.Graph) *Runner {
+	// One allocation holds the edge and vertex bits. The live bits start
+	// all set: a Runner without SetTail copies every column.
+	ne, nv := len(g.Edges), len(g.Vertices)
+	bits := make([]bool, ne+2*nv)
+	live := bits[ne+nv:]
+	for v := range live {
+		live[v] = true
+	}
 	return &Runner{
 		Env:       env,
 		G:         g,
-		tables:    make([]*table.Table, len(g.Vertices)),
-		comps:     make([]*component, len(g.Vertices)),
-		executed:  make([]bool, len(g.Edges)),
+		tables:    make([]*table.Table, nv),
+		comps:     make([]*component, nv),
+		executed:  bits[:ne:ne],
+		required:  bits[ne : ne+nv : ne+nv],
+		scratch:   mergeScratch{live: live},
 		redundant: RedundantEdges(g),
 	}
 }
@@ -294,6 +316,7 @@ func (r *Runner) pairBuffer(id, a, b, inputs int) *ops.Pairs {
 // into the component state and returns the resulting relation cardinality.
 func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	ca, cb := r.comps[a], r.comps[b]
+	dropped := r.markLive(a, b, ca, cb)
 	var nc *component
 	switch {
 	case ca == nil && cb == nil:
@@ -313,8 +336,8 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), cb.verts...)}
 	}
 	r.Env.Rec.ChargeTuples(nc.rel.NumRows())
-	if r.projectReduce {
-		r.reduce(nc)
+	if r.projectReduce && dropped {
+		nc.rel = nc.rel.Distinct()
 	}
 	for _, v := range nc.verts {
 		r.comps[v] = nc
@@ -337,39 +360,47 @@ func (r *Runner) readLater(v int) bool {
 	return false
 }
 
-// reduce projects away the columns of vertices whose edges are all executed
-// and that the tail does not need, then deduplicates the rows — the eager
-// Distinct push-down of Sec 6. Dropped vertices keep their component
-// membership (for connectivity checks) but lose their column.
-func (r *Runner) reduce(nc *component) {
-	var keep []int
-	dropped := false
-	for _, v := range nc.verts {
-		if !nc.rel.HasColumn(v) {
-			continue
+// markLive decides which input columns the merge of an edge between a and
+// b copies — it sets the scratch's live bits, which stay all set without
+// SetTail — and reports whether it leaves a column of ca or cb behind. A dead
+// vertex keeps its component membership (for connectivity) but loses its
+// column. Live are the tail's vertices, a and b themselves (the edge being
+// merged still counts as to run, so T(a) and T(b) are refreshed as ever),
+// and the endpoints of every edge still to run: in a replay the plan's
+// later steps; under the optimizer every unexecuted, non-redundant edge.
+// With projectReduce a replay uses the optimizer's rule too: the push-down
+// deduplicates after a dropped column, which makes the rule visible in the
+// row counts, and a replay must reproduce the counts its optimizer run saw.
+func (r *Runner) markLive(a, b int, ca, cb *component) bool {
+	if !r.dropDead {
+		return false
+	}
+	live := r.scratch.live
+	copy(live, r.required)
+	live[a], live[b] = true, true
+	if r.replay && !r.projectReduce {
+		for _, s := range r.later {
+			e := r.G.Edges[s.EdgeID]
+			live[e.From], live[e.To] = true, true
 		}
-		needed := r.tailKeep[v]
-		if !needed {
-			for _, e := range r.G.EdgesOf(v) {
-				// The edge being merged right now is still unexecuted (it
-				// is flagged after merge returns), which conservatively
-				// keeps its endpoints for one extra round.
-				if !r.executed[e.ID] && !r.redundant[e.ID] {
-					needed = true
-					break
-				}
+	} else {
+		for _, e := range r.G.Edges {
+			if !r.executed[e.ID] && !r.redundant[e.ID] {
+				live[e.From], live[e.To] = true, true
 			}
 		}
-		if needed {
-			keep = append(keep, v)
-		} else {
-			dropped = true
+	}
+	for _, c := range [2]*component{ca, cb} {
+		if c == nil {
+			continue
+		}
+		for _, id := range c.rel.ColumnIDs() {
+			if !live[id] {
+				return true
+			}
 		}
 	}
-	if !dropped || len(keep) == 0 {
-		return
-	}
-	nc.rel = nc.rel.Project(keep).Distinct()
+	return false
 }
 
 // Relation returns the component relation containing vertex v, or nil.

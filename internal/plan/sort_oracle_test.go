@@ -170,7 +170,7 @@ func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 		return nil
 	}
 	for k := 0; k <= n+1; k++ {
-		got, keys := sortByKeys(rel, spec, k)
+		got, keys := sortByKeys(nil, rel, spec, k)
 		if err := same(fmt.Sprintf("k=%d", k), got, keys, 0, k); err != nil {
 			return err
 		}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/index"
+	"repro/internal/ops"
 	"repro/internal/table"
 	"repro/internal/xmltree"
 )
@@ -224,21 +226,44 @@ func (k Key) Compare(o Key) int {
 // pathWalker evaluates one key or aggregate path over one document for row
 // after row. The path's names are resolved to the document's qname ids once,
 // so a step compares ids, and the frontier buffers and the sort-unique bitmap
-// are reused from one row to the next.
+// are reused from one row to the next. Given the document's index, a child or
+// descendant element step reads that name's postings instead of visiting the
+// context's children or subtree (walkStep.postings); without one it hops, and
+// the hop is the oracle the postings walk is tested against.
 type pathWalker struct {
 	doc       *xmltree.Document
 	path      []KeyStep
-	ids       []int32 // qname id per step; -1, which no named node has, when the document lacks the name
+	steps     []walkStep // per path step
 	cur, next []xmltree.NodeID
 	words     []uint64
 }
 
-func newPathWalker(d *xmltree.Document, path []KeyStep) *pathWalker {
-	w := &pathWalker{doc: d, path: path, ids: make([]int32, len(path))}
+// walkStep is one path step's state: its qname id and, for an element step
+// over an index, the name's postings level by level (index.ElementLevels)
+// with the position where the previous context's search began in each. A
+// step whose name has no element postings hops, and finds nothing either.
+type walkStep struct {
+	id     int32          // qname id; -1, which no named node has, when the document lacks the name
+	lo     xmltree.NodeID // the previous context
+	pos    [2]int32
+	levels [2][]xmltree.NodeID
+}
+
+// indexed reports whether the step reads element postings.
+func (ws *walkStep) indexed() bool { return ws.levels[0] != nil || ws.levels[1] != nil }
+
+// newPathWalker returns a walker over d; ix, d's index, serves the element
+// steps (nil hops them).
+func newPathWalker(d *xmltree.Document, ix *index.Index, path []KeyStep) *pathWalker {
+	w := &pathWalker{doc: d, path: path, steps: make([]walkStep, len(path))}
 	for i, st := range path {
-		w.ids[i] = -1
+		ws := &w.steps[i]
+		ws.id = -1
 		if id, ok := d.QNames().Lookup(st.Name); ok {
-			w.ids[i] = id
+			ws.id = id
+		}
+		if ix != nil && stepKind(st) == xmltree.KindElem {
+			ws.levels[0], ws.levels[1] = ix.ElementLevels(st.Name)
 		}
 	}
 	return w
@@ -257,7 +282,8 @@ func (w *pathWalker) matchNodes(n xmltree.NodeID) []xmltree.NodeID {
 	d := w.doc
 	cur, next := append(w.cur[:0], n), w.next
 	for si, st := range w.path {
-		id, kind := w.ids[si], stepKind(st)
+		ws := &w.steps[si]
+		id, kind := ws.id, stepKind(st)
 		next = next[:0]
 		for _, c := range cur {
 			end := c + d.Size(c)
@@ -266,6 +292,8 @@ func (w *pathWalker) matchNodes(n xmltree.NodeID) []xmltree.NodeID {
 				if a := d.AttributeByNameID(c, id); a != xmltree.NoNode {
 					next = append(next, a)
 				}
+			case ws.indexed():
+				next = ws.postings(d, next, c, end, !st.Desc)
 			case st.Desc:
 				// Subtree scan: node ids are pre-order, so ascending ids
 				// within the subtree range are document order.
@@ -296,6 +324,33 @@ func (w *pathWalker) matchNodes(n xmltree.NodeID) []xmltree.NodeID {
 	return cur
 }
 
+// postings appends the step's elements inside c's subtree (c, end] to next:
+// all of them for a descendant step, for a child step those whose parent is
+// c — a deeper one's own subtree is skipped. Level by level, the search
+// gallops on from where the previous context's began: contexts arrive in
+// document order, row after row and within a frontier, and one that does
+// not restarts it.
+func (ws *walkStep) postings(d *xmltree.Document, next []xmltree.NodeID, c, end xmltree.NodeID, child bool) []xmltree.NodeID {
+	if c < ws.lo {
+		ws.pos = [2]int32{}
+	}
+	ws.lo = c
+	for l, run := range ws.levels {
+		i := ops.GallopGE(run, int(ws.pos[l]), c+1)
+		ws.pos[l] = int32(i)
+		for i < len(run) && run[i] <= end {
+			s := run[i]
+			if child && d.Parent(s) != c {
+				i = ops.GallopGE(run, i+1, s+d.Size(s)+1)
+				continue
+			}
+			next = append(next, s)
+			i++
+		}
+	}
+	return next
+}
+
 // stepKind is the node kind a step selects.
 func stepKind(st KeyStep) xmltree.Kind {
 	switch {
@@ -307,13 +362,9 @@ func stepKind(st KeyStep) xmltree.Kind {
 	return xmltree.KindElem
 }
 
-// ExtractKey atomizes the order-by key of node n: the first node the path
-// reaches in document order, read through xmltree's one atomization rule —
-// numeric exactly when the range predicates of the value indices say so.
-func ExtractKey(d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
-	return newPathWalker(d, path).key(n)
-}
-
+// key atomizes the order-by key of node n: the first node the path reaches
+// in document order, read through xmltree's one atomization rule — numeric
+// exactly when the range predicates of the value indices say so.
 func (w *pathWalker) key(n xmltree.NodeID) Key {
 	ms := w.matchNodes(n)
 	if len(ms) == 0 {
@@ -488,15 +539,23 @@ var ErrNonNumeric = errors.New("aggregate over non-numeric value")
 // counts the tuples; the numeric aggregates fold every value the path
 // reaches from each tuple's bound node. A value that does not atomize to a
 // finite number fails the query (not the process) with a positioned error
-// matching ErrNonNumeric.
+// matching ErrNonNumeric. FoldAgg hops the path node by node; FoldAggIn
+// reads its element steps from the catalog's index.
 func FoldAgg(rel *table.Relation, spec *AggSpec) (*AggState, error) {
+	return FoldAggIn(nil, rel, spec)
+}
+
+// FoldAggIn is FoldAgg with the path's element steps evaluated over the
+// element postings of cat's index of the vertex's document (nil hops), with
+// the same result.
+func FoldAggIn(cat *Catalog, rel *table.Relation, spec *AggSpec) (*AggState, error) {
 	st := &AggState{}
 	if spec.Kind == AggCount {
 		st.Count = int64(rel.NumRows())
 		return st, nil
 	}
 	doc := rel.Doc(spec.Vertex)
-	w := newPathWalker(doc, spec.Path)
+	w := newPathWalker(doc, cat.indexOf(doc), spec.Path)
 	for _, n := range rel.Column(spec.Vertex) {
 		for _, m := range w.matchNodes(n) {
 			s, f, isNum := doc.Atomize(m)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/table"
 	"repro/internal/xmltree"
 )
@@ -34,6 +35,17 @@ func elems(d *xmltree.Document, name string) []xmltree.NodeID {
 	return out
 }
 
+// extractKey atomizes the order-by key of n, hopping and over the element
+// postings of d's index, and fails the test unless the two agree.
+func extractKey(t *testing.T, d *xmltree.Document, n xmltree.NodeID, path []KeyStep) Key {
+	t.Helper()
+	k := newPathWalker(d, nil, path).key(n)
+	if ik := newPathWalker(d, index.New(d), path).key(n); ik != k {
+		t.Errorf("key of node %d along %v: %+v over postings, %+v hopping", n, path, ik, k)
+	}
+	return k
+}
+
 func TestExtractKey(t *testing.T) {
 	d := keyDoc(t)
 	as := elems(d, "a")
@@ -45,26 +57,26 @@ func TestExtractKey(t *testing.T) {
 	attr := []KeyStep{{Attr: true, Name: "id"}}
 
 	// First match in document order, atomized numerically.
-	if k := ExtractKey(d, as[0], child); !k.Present || !k.IsNum || k.Num != 10 {
+	if k := extractKey(t, d, as[0], child); !k.Present || !k.IsNum || k.Num != 10 {
 		t.Errorf("a[0]/b key = %+v, want numeric 10", k)
 	}
 	// /b on a[1] misses (the b is nested); //b finds it.
-	if k := ExtractKey(d, as[1], child); k.Present {
+	if k := extractKey(t, d, as[1], child); k.Present {
 		t.Errorf("a[1]/b key = %+v, want absent", k)
 	}
-	if k := ExtractKey(d, as[1], desc); !k.IsNum || k.Num != 7.5 {
+	if k := extractKey(t, d, as[1], desc); !k.IsNum || k.Num != 7.5 {
 		t.Errorf("a[1]//b key = %+v, want numeric 7.5", k)
 	}
 	// Non-numeric values stay string keys.
-	if k := ExtractKey(d, as[2], child); !k.Present || k.IsNum || k.Str != "abc" {
+	if k := extractKey(t, d, as[2], child); !k.Present || k.IsNum || k.Str != "abc" {
 		t.Errorf("a[2]/b key = %+v, want string abc", k)
 	}
 	// Attribute steps.
-	if k := ExtractKey(d, as[3], attr); !k.Present || k.Str != "w" {
+	if k := extractKey(t, d, as[3], attr); !k.Present || k.Str != "w" {
 		t.Errorf("a[3]/@id key = %+v, want string w", k)
 	}
 	// Empty path atomizes the node itself.
-	if k := ExtractKey(d, as[0], nil); !k.Present || !k.IsNum || k.Num != 102 {
+	if k := extractKey(t, d, as[0], nil); !k.Present || !k.IsNum || k.Num != 102 {
 		t.Errorf("a[0] self key = %+v, want numeric 102 (concatenated text)", k)
 	}
 }
@@ -197,7 +209,7 @@ func TestMatchNodesNestedDescendantIsSet(t *testing.T) {
 	if st.Count != 2 || st.Sum() != 3 {
 		t.Errorf("sum($r//a//b) state = count %d sum %g, want (2, 3)", st.Count, st.Sum())
 	}
-	if ms := newPathWalker(d, path).matchNodes(root[0]); len(ms) != 2 || ms[0] >= ms[1] {
+	if ms := newPathWalker(d, nil, path).matchNodes(root[0]); len(ms) != 2 || ms[0] >= ms[1] {
 		t.Errorf("matchNodes = %v, want 2 distinct nodes in document order", ms)
 	}
 }

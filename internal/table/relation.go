@@ -183,8 +183,10 @@ func (r *Relation) rowIndices() []int {
 // which is fine because XQuery ordering is re-established by the tail's sort.
 // A relation already in strictly ascending order — a one-variable path
 // query's step output is a sorted node set — is returned as a view sharing
-// r's columns. One column is a node set: xmltree.SortedSet dedups it
-// without a comparator sort over row indices.
+// r's columns. Only three or more columns sort row indices with a
+// comparator: one column is a node set, which xmltree.SortedSet dedups, and
+// two columns pack each row into one integer, c0<<32 | c1 (node ids are
+// non-negative int32s), whose typed sort is the lexicographic row order.
 func (r *Relation) Distinct() *Relation {
 	if len(r.cols) == 1 {
 		return r.withCols([][]xmltree.NodeID{xmltree.SortedSet(r.cols[0], nil, nil)})
@@ -196,10 +198,32 @@ func (r *Relation) Distinct() *Relation {
 	if r.ordered(pos, true) {
 		return r.Slice(0, r.NumRows())
 	}
+	if len(r.cols) == 2 {
+		return r.distinctPairs()
+	}
 	idx := r.rowIndices()
 	slices.SortFunc(idx, func(a, b int) int { return r.compareRows(pos, a, b) })
 	idx = slices.CompactFunc(idx, func(a, b int) bool { return r.compareRows(pos, a, b) == 0 })
 	return r.Permute(idx)
+}
+
+// distinctPairs is Distinct over exactly two columns: one sort and compact of
+// the packed rows, unpacked into one allocation split into the two columns.
+func (r *Relation) distinctPairs() *Relation {
+	c0, c1 := r.cols[0], r.cols[1]
+	packed := make([]uint64, len(c0))
+	for i := range packed {
+		packed[i] = uint64(uint32(c0[i]))<<32 | uint64(uint32(c1[i]))
+	}
+	slices.Sort(packed)
+	packed = slices.Compact(packed)
+	n := len(packed)
+	buf := make([]xmltree.NodeID, 2*n)
+	o0, o1 := buf[:n:n], buf[n:]
+	for i, x := range packed {
+		o0[i], o1[i] = xmltree.NodeID(x>>32), xmltree.NodeID(uint32(x))
+	}
+	return r.withCols([][]xmltree.NodeID{o0, o1})
 }
 
 // SortBy sorts the relation rows by the given vertex-id columns (node id

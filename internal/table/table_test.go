@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -35,6 +36,44 @@ func TestDistinctSortsOneColumn(t *testing.T) {
 	sorted := got.Distinct()
 	if &sorted.Column(7)[0] != &got.Column(7)[0] {
 		t.Errorf("Distinct copied an already distinct ascending column")
+	}
+}
+
+// TestDistinctPacksTwoColumns checks the packed two-column distinct against
+// a comparator sort and compact of the rows, large node ids included (the
+// high half of the packed key), and that the input columns stay untouched.
+func TestDistinctPacksTwoColumns(t *testing.T) {
+	d := smallDoc(t)
+	rng := rand.New(rand.NewSource(30))
+	for n := 0; n < 200; n += 7 {
+		in := [2][]xmltree.NodeID{make([]xmltree.NodeID, n), make([]xmltree.NodeID, n)}
+		for i := range n {
+			in[0][i], in[1][i] = xmltree.NodeID(rng.Intn(6)), xmltree.NodeID(rng.Intn(4))
+			if rng.Intn(5) == 0 {
+				in[rng.Intn(2)][i] = 1<<31 - 1 - xmltree.NodeID(rng.Intn(3))
+			}
+		}
+		var want [][2]xmltree.NodeID
+		for i := range n {
+			want = append(want, [2]xmltree.NodeID{in[0][i], in[1][i]})
+		}
+		slices.SortFunc(want, func(a, b [2]xmltree.NodeID) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		want = slices.Compact(want)
+		r := FromColumns([]int{3, 8}, []*xmltree.Document{d, d}, [][]xmltree.NodeID{slices.Clone(in[0]), slices.Clone(in[1])})
+		got := r.Distinct()
+		if got.NumRows() != len(want) {
+			t.Fatalf("n=%d: Distinct has %d rows, want %d", n, got.NumRows(), len(want))
+		}
+		for i, w := range want {
+			if row := got.Row(i); row[0] != w[0] || row[1] != w[1] {
+				t.Fatalf("n=%d: row %d = %v, want %v", n, i, row, w)
+			}
+		}
+		if !slices.Equal(r.Column(3), in[0]) || !slices.Equal(r.Column(8), in[1]) {
+			t.Fatalf("n=%d: Distinct rewrote its input columns", n)
+		}
 	}
 }
 

@@ -464,7 +464,7 @@ func (c *cursor) open() error {
 	if err == nil && comp.Tail.Agg != nil {
 		// The fold consumes the whole relation and can fail the query, so it
 		// belongs to the join phase, not the stream.
-		if c.agg, err = plan.FoldAgg(rel, comp.Tail.Agg); err != nil {
+		if c.agg, err = plan.FoldAggIn(env.Catalog(), rel, comp.Tail.Agg); err != nil {
 			err = fmt.Errorf("rox: %s: %w", comp.Return.String(), err)
 		}
 	}
