@@ -114,7 +114,8 @@ func (x *shardExec) hintKey() string {
 // request establishment only: the remote join work is bounded by the
 // server's own limiter, and a coordinator slot held while the gather is busy
 // with other shards would starve an ordered merge exactly like a local shard
-// holding its slot past its join. Cancellation — window filled, caller gone —
+// holding its slot past its join. Cancellation — caller gone, or a window
+// filled before the stream's rest could be read out (scatterRows.readOut) —
 // closes the response body, which aborts the remote execution mid-stream.
 func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, error) {
 	r := &remoteShard{e: e, x: x, ctx: ctx, sw: metrics.Start()}
@@ -220,12 +221,22 @@ func (r *remoteShard) done() shardDone {
 	return d
 }
 
-// Close releases the response; before the done line that aborts the remote
-// execution.
+// readOut reads the rest of a stream the gather stopped pulling, at most
+// limit bytes, unparsed: a response read to its end lets Close return the
+// connection to the transport's idle pool. The done line it may pass over is
+// not taken, so done reports the stream as canceled, as if it were aborted.
+func (r *remoteShard) readOut(limit int) {
+	if r.stream != nil {
+		r.stream.Finish(limit)
+	}
+}
+
+// Close releases the response; before the response's end that aborts the
+// remote execution and costs the connection (see scatterRows.readOut).
 func (r *remoteShard) Close() {
 	if r.stream != nil {
 		r.stream.Close()
-		r.stream = nil
+		r.stream, r.cur = nil, nil
 	}
 }
 
@@ -305,7 +316,13 @@ func (e *Engine) LoadCollectionRemote(ctx context.Context, coll string, endpoint
 // WithShardHTTPClient replaces the HTTP client the engine talks to remote
 // shard servers with (default: a fresh http.Client with transport defaults
 // and no overall timeout — execute responses stream for as long as queries
-// run).
+// run). Its transport's keep-alive connections are reused only by responses
+// read to their end: the gather finishes every stream that ended or that a
+// pushed-down window bounds, and aborts — closing the connection — only
+// streams with an unbounded rest, a failed scatter, or a canceled caller.
+// http.DefaultTransport, the default, keeps two idle connections per host,
+// so a server answering more concurrent shard requests than that still sees
+// new connections.
 func WithShardHTTPClient(hc *http.Client) Option {
 	return func(e *Engine) { e.shardClient = shardrpc.NewClient(hc) }
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 )
@@ -33,6 +34,21 @@ func (r StreamResult) OK() bool { return r.Status == http.StatusOK && r.Terminal
 // Truncated reports a stream that ended without any terminal line.
 func (r StreamResult) Truncated() bool { return r.Status == http.StatusOK && r.Terminal == "" }
 
+// maxSmallBody bounds a refusal's error envelope and a /v1/stats body. Both
+// are read to their end, so that closing them keeps the connection for the
+// next request: net/http drops a connection whose body is closed unread.
+const maxSmallBody = 1 << 20
+
+// readSmall reads a small JSON response body to its end, at most
+// maxSmallBody bytes, and decodes it into v.
+func readSmall(body io.Reader, v any) error {
+	b, err := io.ReadAll(io.LimitReader(body, maxSmallBody))
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
+}
+
 // StreamQuery executes one /v1/query NDJSON request. Transport and read
 // errors come back as the error; everything the server said lands in the
 // StreamResult.
@@ -56,7 +72,7 @@ func StreamQuery(ctx context.Context, client *http.Client, base string, params u
 		var body struct {
 			Error string `json:"error"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err == nil {
+		if err := readSmall(resp.Body, &body); err == nil {
 			res.ErrMsg = body.Error
 		}
 		res.Terminal = "error"
@@ -106,11 +122,12 @@ func FetchHealth(ctx context.Context, client *http.Client, base string) (Health,
 		return Health{}, err
 	}
 	defer resp.Body.Close()
+	var h Health
+	err = readSmall(resp.Body, &h) // on every status: the connection survives
 	if resp.StatusCode != http.StatusOK {
 		return Health{}, fmt.Errorf("stats status %d", resp.StatusCode)
 	}
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err != nil {
 		return Health{}, err
 	}
 	return h, nil

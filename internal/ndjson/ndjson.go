@@ -29,8 +29,9 @@ const flushInterval = 10 * time.Millisecond
 // later line fails with it without touching the response. Close before the
 // handler returns.
 type Writer struct {
-	line []byte // the line being assembled, reused line to line
-	html bool   // item strings escape <, > and & (see SetEscapeHTML)
+	line   []byte  // the line being assembled, reused line to line
+	pooled *[]byte // where line came from in linePool; nil once closed
+	html   bool    // item strings escape <, > and & (see SetEscapeHTML)
 
 	mu     sync.Mutex
 	w      http.ResponseWriter
@@ -41,10 +42,21 @@ type Writer struct {
 	err    error
 }
 
-// NewWriter returns a line writer over w.
+// maxPooledLine is the largest line buffer Close returns to linePool; a
+// larger one is dropped, so one huge item cannot keep that much heap live in
+// the pool (fmt's rule for its printer buffers).
+const maxPooledLine = 64 << 10
+
+// linePool recycles line buffers across responses, so a response does not
+// regrow its buffer from empty.
+var linePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// NewWriter returns a line writer over w. Its line buffer comes from a pool
+// and goes back at Close.
 func NewWriter(w http.ResponseWriter) *Writer {
 	fl, _ := w.(http.Flusher)
-	return &Writer{w: w, fl: fl, html: true}
+	p := linePool.Get().(*[]byte)
+	return &Writer{w: w, fl: fl, html: true, line: (*p)[:0], pooled: p}
 }
 
 // SetEscapeHTML selects how item strings treat <, > and &: escaped as
@@ -126,13 +138,20 @@ func (lw *Writer) flush() {
 
 // Close ends the writer's use of the response: a pending flush is dropped —
 // the server flushes when the handler returns — and one already running has
-// finished by the time Close returns.
+// finished by the time Close returns. The line buffer goes back to the pool.
 func (lw *Writer) Close() {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	lw.closed = true
 	if lw.timer != nil {
 		lw.timer.Stop()
+	}
+	if p := lw.pooled; p != nil {
+		if cap(lw.line) <= maxPooledLine {
+			*p = lw.line[:0]
+			linePool.Put(p)
+		}
+		lw.line, lw.pooled = nil, nil
 	}
 }
 

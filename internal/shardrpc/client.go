@@ -53,16 +53,21 @@ func (c *Client) Shards(ctx context.Context, base string) ([]ShardInfo, error) {
 		return nil, remoteErr(base, resp)
 	}
 	var list ShardList
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardList)).Decode(&list); err != nil {
+	body := io.LimitReader(resp.Body, maxShardList)
+	if err := json.NewDecoder(body).Decode(&list); err != nil {
 		return nil, fmt.Errorf("shardrpc: %s: decoding shard list: %w", base, err)
 	}
+	drain(body) // the encoder's trailing newline
 	return list.Shards, nil
 }
 
 // Execute starts one shard execution (POST /v1/shards/{shard}/execute) and
 // returns its response stream. The request is sent with the given context:
 // canceling it aborts an in-flight stream and closes the connection, which is
-// how a coordinator's filled limit window stops remote work. The caller must
+// how a coordinator stops remote work it no longer needs. A stream read to
+// its end — its done line, or Finish — leaves the connection to the
+// transport for the next request, which is how a coordinator keeps its
+// connections when a pushed-down window bounds what is left. The caller must
 // Close the returned stream on every path.
 func (c *Client) Execute(ctx context.Context, base, shard string, req *ExecRequest) (*Stream, error) {
 	body, err := json.Marshal(req)
@@ -106,7 +111,16 @@ func (c *Client) Ingest(ctx context.Context, base, doc, xml string) error {
 	if resp.StatusCode != http.StatusOK {
 		return remoteErr(base, resp)
 	}
+	drain(io.LimitReader(resp.Body, maxErrorBody))
 	return nil
+}
+
+// drain reads the rest of a response body — bounded by its caller — so that
+// closing it returns the connection to the transport's idle pool: net/http
+// drops a keep-alive connection whose response body is closed unread, and
+// the next request dials a new one.
+func drain(body io.Reader) {
+	_, _ = io.Copy(io.Discard, body)
 }
 
 // remoteErr builds the typed error for a non-200 response, reading the error

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -14,10 +15,35 @@ import (
 )
 
 // streamBufSize is the read buffer of one execute stream. Most item lines fit
-// it; a longer one is reassembled in a buffer the stream keeps. A larger
-// buffer costs every remote shard request more allocated bytes than the reads
-// it saves.
+// it; a longer one is reassembled in a buffer the stream keeps. The reader
+// comes from streamPool and goes back at Close, so in steady state a remote
+// shard request allocates neither it nor the item and key buffers; a larger
+// buffer would only pin more pooled memory for reads it rarely saves.
 const streamBufSize = 4 << 10
+
+// maxPooledBuf is the largest item, key or long-line buffer a closed stream
+// hands back to streamPool; a larger one is dropped, so one huge item cannot
+// keep that much heap live in the pool (fmt's rule for its printer buffers).
+const maxPooledBuf = 64 << 10
+
+// streamBufs are a stream's reusable buffers, recycled across streams through
+// streamPool.
+type streamBufs struct {
+	br               *bufio.Reader
+	long, item, keyS []byte
+}
+
+var streamPool = sync.Pool{New: func() any {
+	return &streamBufs{br: bufio.NewReaderSize(nil, streamBufSize)}
+}}
+
+// poolable returns b emptied, or nil when it is too large to pool.
+func poolable(b []byte) []byte {
+	if cap(b) > maxPooledBuf {
+		return nil
+	}
+	return b[:0]
+}
 
 // The two line shapes the execute handler writes (see HandleExecute), matched
 // by prefix: an item, with its key member when the query sorts, and the done
@@ -36,6 +62,7 @@ var (
 // same, as any JSON decoder reads them.
 type Stream struct {
 	body     io.ReadCloser
+	bufs     *streamBufs // the pooled buffers below; nil once closed
 	br       *bufio.Reader
 	endpoint string
 
@@ -48,12 +75,15 @@ type Stream struct {
 }
 
 func newStream(body io.ReadCloser, endpoint string) *Stream {
-	return &Stream{body: body, br: bufio.NewReaderSize(body, streamBufSize), endpoint: endpoint}
+	b := streamPool.Get().(*streamBufs)
+	b.br.Reset(body)
+	return &Stream{body: body, bufs: b, br: b.br, endpoint: endpoint, long: b.long, item: b.item, keyS: b.keyS}
 }
 
 // Next reads the next line. An item line returns true, and Item and Key hold
 // it until the following Next. The done line — the protocol's last — returns
-// false, and Done holds the report. A stream cut before its done line (server
+// false, and Done holds the report; the response is then read to its end,
+// so Close keeps the connection. A stream cut before its done line (server
 // died, connection dropped) or carrying a line of any other shape returns an
 // error.
 func (s *Stream) Next() (bool, error) {
@@ -71,6 +101,11 @@ func (s *Stream) Next() (bool, error) {
 		var d *Done
 		if json.Unmarshal(v[:len(v)-2], &d) == nil && d != nil {
 			s.done = d
+			// The done line is the server's last: what follows, the chunked
+			// terminator, is already on its way. Reading it now lets Close
+			// hand the connection back to the transport instead of
+			// dropping it for a body closed short of its end.
+			s.Finish(streamBufSize)
 			return false, nil
 		}
 	}
@@ -78,20 +113,44 @@ func (s *Stream) Next() (bool, error) {
 }
 
 // Item returns the current item: a view of the stream's buffer, valid until
-// the next Next and not to be modified.
+// the next Next or Close and not to be modified.
 func (s *Stream) Item() []byte { return s.item }
 
 // Key returns the current item's order-by key; ok is false when the line
 // carried none. Like Item, the key's S aliases the stream's buffer: it is
-// valid until the next Next and must be copied to be kept.
+// valid until the next Next or Close and must be copied to be kept.
 func (s *Stream) Key() (k Key, ok bool) { return s.key, s.keyed }
 
 // Done returns the done report once Next returned false without an error.
 func (s *Stream) Done() *Done { return s.done }
 
-// Close releases the response. Closing before the done report aborts the
-// remote execution: the server sees its request context cancel.
-func (s *Stream) Close() error { return s.body.Close() }
+// Finish reads the rest of the response raw, without scanning it, and
+// reports whether the body ended within limit bytes. A body read to its end
+// lets Close hand the connection back to the transport's idle pool; one
+// closed before its end costs the connection. What Finish reads is not a
+// line: Item, Key and Done are not updated.
+func (s *Stream) Finish(limit int) bool {
+	_, err := s.br.Discard(limit)
+	return err == io.EOF
+}
+
+// Close releases the response and returns the stream's buffers to the pool:
+// views Item and Key returned die here. Closing before the body's end —
+// before the done report, or before Finish read the rest — aborts the remote
+// execution: the server sees its request context cancel. Close is
+// idempotent.
+func (s *Stream) Close() error {
+	b := s.bufs
+	if b == nil {
+		return nil
+	}
+	err := s.body.Close()
+	b.br.Reset(nil)
+	b.long, b.item, b.keyS = poolable(s.long), poolable(s.item), poolable(s.keyS)
+	*s = Stream{done: s.done}
+	streamPool.Put(b)
+	return err
+}
 
 // readLine returns the next line, newline included: a view of the read
 // buffer, or of long when the line outgrew it. A line the body ends inside is

@@ -59,9 +59,11 @@ func oracleLines(body []byte) ([]line, error) {
 }
 
 // scanLines drains a stream through the scanner, copying what it must not
-// keep (the item and the key's string alias the stream's buffers).
+// keep (the item and the key's string alias the stream's buffers), and closes
+// it: its buffers go back to the pool for the next stream.
 func scanLines(body []byte) ([]line, error) {
 	s := newStream(io.NopCloser(bytes.NewReader(body)), "test")
+	defer s.Close()
 	var out []line
 	for {
 		ok, err := s.Next()
@@ -120,10 +122,12 @@ func handlerStream(t testing.TB, run ShardRun, html bool) []byte {
 // FuzzStreamScannerMatchesJSON: for any item bytes and keys the handler
 // writes — unescaped, as it does now, or HTML-escaped, as older servers did —
 // the scanner returns exactly the items, keys and done report that
-// encoding/json decodes from the same bytes. Every truncation of the stream
-// is an error, never a short success; a stream with one byte changed is an
-// error or, if the scanner accepts it, exactly what encoding/json reads.
-// Nothing panics.
+// encoding/json decodes from the same bytes — also when the stream scans
+// through buffers recycled from a stream of other sizes, so nothing a
+// previous stream left in them shows. Every truncation of the stream is an
+// error, never a short success; a stream with one byte changed is an error
+// or, if the scanner accepts it, exactly what encoding/json reads. Nothing
+// panics.
 func FuzzStreamScannerMatchesJSON(f *testing.F) {
 	for _, seed := range []struct {
 		item1, item2 string
@@ -168,6 +172,21 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 		}
 		if !sameLines(got, want) {
 			t.Fatalf("stream %q:\n scanner %+v\n  oracle %+v", body, got, want)
+		}
+
+		// The closed stream's buffers are in the pool. A stream of other
+		// sizes — a longer item and key string, a line past the read
+		// buffer — takes and returns them; body must scan the same again.
+		other := handlerStream(t, &fakeRun{
+			items: []string{string(item2) + strings.Repeat("~", streamBufSize), string(item1[:len(item1)/2])},
+			keys:  []plan.Key{{Present: true, Str: s + strings.Repeat("s", 300)}, {Present: true, IsNum: true, Num: 1}},
+			done:  Done{Generation: 1},
+		}, flags&htmlFlag == 0)
+		if _, err := scanLines(other); err != nil {
+			t.Fatalf("scanner rejects the handler's stream %q: %v", other, err)
+		}
+		if again, err := scanLines(body); err != nil || !sameLines(again, want) {
+			t.Fatalf("stream %q through recycled buffers:\n scanner %+v (%v)\n  oracle %+v", body, again, err, want)
 		}
 
 		if got, err := scanLines(body[:int(cut)%len(body)]); err == nil {

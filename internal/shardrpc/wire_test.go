@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -504,5 +505,61 @@ func TestHandlerFlushesWhileRunStalls(t *testing.T) {
 	}
 	if ok || stream.Done().Generation != 1 {
 		t.Fatalf("stream did not end with the done report: item %v, done %+v", ok, stream.Done())
+	}
+}
+
+// TestSmallResponsesKeepConnection: the client reads its small responses —
+// an ingest acknowledgement, the shard inventory up to its encoder's trailing
+// newline, an error envelope — to their end before closing them, so
+// sequential calls share one keep-alive connection instead of dialing one
+// each.
+func TestSmallResponsesKeepConnection(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
+		// The inventory, then its encoder's newline as a chunk of its own,
+		// as when the list outgrows the server's response buffer: the JSON
+		// decoder returns before the body's end.
+		b, _ := json.Marshal(ShardList{Shards: []ShardInfo{{Name: "a.xml", Generation: 1}}})
+		_, _ = w.Write(b)
+		w.(http.Flusher).Flush()
+		time.Sleep(time.Millisecond)
+		_, _ = w.Write([]byte("\n"))
+	})
+	mux.HandleFunc("POST /v1/collections/{doc}/ingest", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		writeJSON(w, http.StatusOK, map[string]int{"appended": 1, "generation": 2})
+	})
+	mux.HandleFunc("POST /v1/shards/{shard}/execute", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "no such shard")
+	})
+	ts := httptest.NewUnstartedServer(mux)
+	conns := testutil.CountConns(ts)
+	ts.Start()
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := NewClient(&http.Client{Transport: tr})
+
+	const n = 10
+	ctx := context.Background()
+	for i := range n {
+		if err := c.Ingest(ctx, ts.URL, "c.xml", "<a/>"); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d sequential ingests opened %d connections, want 1", n, got)
+	}
+	for i := range n {
+		if _, err := c.Shards(ctx, ts.URL); err != nil {
+			t.Fatalf("inventory %d: %v", i, err)
+		}
+		var re *RemoteError
+		if _, err := c.Execute(ctx, ts.URL, "nope.xml", &ExecRequest{}); !errors.As(err, &re) {
+			t.Fatalf("execute %d: %v, want a RemoteError", i, err)
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d sequential ingests, inventories and refusals opened %d connections, want 1", 3*n, got)
 	}
 }

@@ -1,13 +1,17 @@
 // Package testutil holds the hygiene assertions the repo's tests share:
-// goroutine-leak detection around scatter-gather fan-outs and cursor
-// drain-and-close discipline. The cursor helpers take a structural interface
+// goroutine-leak detection around scatter-gather fan-outs, cursor
+// drain-and-close discipline, and connection counting on test servers. The cursor helpers take a structural interface
 // rather than *rox.Rows so the package imports nothing from the engine — the
 // root package's own in-package tests (package rox) can use it without an
 // import cycle.
 package testutil
 
 import (
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -67,4 +71,17 @@ func DrainCursor(t testing.TB, c Cursor) []string {
 		t.Fatalf("cursor Close: %v", err)
 	}
 	return items
+}
+
+// CountConns makes an unstarted test server count the connections it
+// accepts, and returns the counter. A client that reuses its keep-alive
+// connections opens one per concurrent request, not one per request.
+func CountConns(ts *httptest.Server) *atomic.Int64 {
+	var n atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			n.Add(1)
+		}
+	}
+	return &n
 }

@@ -55,11 +55,20 @@ func (s *swapExec) ShardInventory() []shardrpc.ShardInfo {
 // cmd/roxserve mounts) over eng behind an httptest server.
 func newShardServer(t *testing.T, eng *Engine) (*swapExec, *httptest.Server) {
 	t.Helper()
+	ex, ts := newUnstartedShardServer(t, eng)
+	ts.Start()
+	return ex, ts
+}
+
+// newUnstartedShardServer is newShardServer before its Start, for a test
+// that configures the server first.
+func newUnstartedShardServer(t *testing.T, eng *Engine) (*swapExec, *httptest.Server) {
+	t.Helper()
 	ex := &swapExec{eng: eng}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/shards", shardrpc.HandleInventory(ex))
 	mux.HandleFunc("POST /v1/shards/{shard}/execute", shardrpc.HandleExecute(ex))
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewUnstartedServer(mux)
 	t.Cleanup(ts.Close)
 	return ex, ts
 }
@@ -727,6 +736,127 @@ func TestRemoteCancelOnWindowFill(t *testing.T) {
 	case <-canceled:
 	case <-time.After(5 * time.Second):
 		t.Fatal("remote shard request was never canceled after the window filled")
+	}
+}
+
+// TestScatterKeepsShardConnections: a scatter whose pushed-down window cut
+// remote streams short reads their bounded rest instead of aborting them, so
+// the coordinator's keep-alive connections survive the query. After warm-up,
+// windowed topk, page and scan queries over 4 remote shards on 2 servers
+// open well under one new connection per query (aborting, they opened about
+// three), with items byte for byte those of the local collection and the
+// window-cut shards still reported truncated.
+func TestScatterKeepsShardConnections(t *testing.T) {
+	cfg := datagen.DefaultXMarkConfig()
+	shards := datagen.XMarkShards(cfg, 4)
+	local := NewEngine()
+	for _, d := range shards {
+		_ = local.LoadCollectionSource("xmark", FromDocument(d))
+	}
+	var endpoints []Endpoint
+	var conns []*atomic.Int64
+	for _, half := range [][]*xmltree.Document{shards[:2], shards[2:]} {
+		srv := NewEngine()
+		for _, d := range half {
+			_ = srv.LoadSource(FromDocument(d))
+		}
+		_, ts := newUnstartedShardServer(t, srv)
+		conns = append(conns, testutil.CountConns(ts))
+		ts.Start()
+		endpoints = append(endpoints, Endpoint{URL: ts.URL})
+	}
+	// A private transport, closed at the end. Like DefaultTransport it keeps
+	// two idle connections per host: the two requests a query sends each
+	// server at once.
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	remote := NewEngine(WithShardHTTPClient(&http.Client{Transport: tr}))
+	ctx := context.Background()
+	if err := remote.LoadCollectionRemote(ctx, "xmark", endpoints); err != nil {
+		t.Fatal(err)
+	}
+
+	reqs := []Request{
+		{Query: `for $a in collection("xmark")//open_auction[reserve] order by $a/current descending return $a limit 10`},
+		{Query: `for $a in collection("xmark")//open_auction[reserve] order by $a/initial return $a`, Limit: 10, Offset: 30},
+		// The shards hold 64, 70, 62 and 58 matches: the window cuts the last.
+		{Query: `for $p in collection("xmark")//person[.//province] return $p limit 200`},
+	}
+	run := func(eng *Engine, req Request) *Result {
+		t.Helper()
+		res, err := collectRows(eng.Execute(ctx, req))
+		if err != nil {
+			t.Fatalf("%s: %v", req.Query, err)
+		}
+		return res
+	}
+	opened := func() int64 { return conns[0].Load() + conns[1].Load() }
+	for _, req := range reqs { // warm-up: plan caches, hint store, idle pool
+		run(remote, req)
+	}
+	before := opened()
+	const rounds = 10
+	for range rounds {
+		for _, req := range reqs {
+			got := run(remote, req)
+			assertSameItems(t, req.Query, run(local, req).Items, got.Items)
+			if !got.Stats.Truncated {
+				t.Errorf("%s: a window-cut scatter is not marked Truncated", req.Query)
+			}
+		}
+	}
+	queries := int64(rounds * len(reqs))
+	if n := opened() - before; 4*n > queries {
+		t.Errorf("%d windowed queries opened %d new shard connections, want well under one per query", queries, n)
+	}
+}
+
+// TestRemoteStalledPeerAfterWindow: a shard server that sends its window's
+// items and then stalls without its done line holds the query for no more
+// than the read-out budget: the coordinator gives up on reading the rest,
+// aborts the request, and the peer sees its request context cancel.
+func TestRemoteStalledPeerAfterWindow(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const window = 3
+	canceled := make(chan struct{})
+	ts := fakeShardServer(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		for i := range window {
+			fmt.Fprintf(w, "{\"item\":\"<x>%d</x>\"}\n", i)
+		}
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+			close(canceled)
+		case <-time.After(10 * time.Second):
+		}
+	})
+	eng := NewEngine()
+	if err := eng.LoadCollectionRemote(context.Background(), "c",
+		[]Endpoint{{URL: ts.URL, Shards: []string{"c-0.xml"}}}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rows, err := eng.Execute(context.Background(),
+		Request{Query: `for $x in collection("c")//x return $x`, Limit: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(testutil.DrainCursor(t, rows)); n != window {
+		t.Errorf("window returned %d items, want %d", n, window)
+	}
+	if elapsed := time.Since(start); elapsed > readOutBudget+time.Second {
+		t.Errorf("query over a stalled peer took %v, budget %v", elapsed, readOutBudget)
+	}
+	st := rows.Stats()
+	if !st.Truncated || len(st.Shards) != 1 || !st.Shards[0].Stats.Truncated || st.Shards[0].Stats.Rows != window {
+		t.Errorf("stats %+v: want the window-cut shard truncated after %d rows", st, window)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalled peer's request was never canceled")
 	}
 }
 
