@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/plan"
-	"repro/internal/plancache"
 	"repro/internal/shardrpc"
 	"repro/internal/xquery"
 )
@@ -30,8 +29,8 @@ type shardExec struct {
 	coll  string // collection name in the compiled graph
 	shard string // shard document name
 	// gen is the generation stamp cached plans validate against: the shard's
-	// registration stamp locally; remotely the serving document's own stamp
-	// (stamped on every response).
+	// registration stamp locally, the document's own stamp on the shard
+	// server that serves it. A remote shard's plans never leave that server.
 	gen    uint64
 	remote *plan.Remote  // non-nil for http shards: where the data lives
 	cat    *plan.Catalog // catalog snapshot the query runs against (local)
@@ -92,7 +91,6 @@ func (c *cursor) done() shardDone {
 // its own — the done line once it arrived, and the error that ended the
 // stream.
 type remoteShard struct {
-	e      *Engine
 	x      *shardExec
 	ctx    context.Context
 	sw     metrics.Stopwatch // coordinator-observed: slot wait and wire included
@@ -104,36 +102,21 @@ type remoteShard struct {
 	err    error
 }
 
-// hintKey derives the hint-store key for one remote shard execution.
-func (x *shardExec) hintKey() string {
-	return x.remote.Endpoint + "|" + x.baseFP + "|shard:" + x.shard
-}
-
-// openRemote establishes one remote shard execution, attaching the hint
-// store's replay payload for the shard. It holds a fan-out slot around
-// request establishment only: the remote join work is bounded by the
-// server's own limiter, and a coordinator slot held while the gather is busy
-// with other shards would starve an ordered merge exactly like a local shard
-// holding its slot past its join. Cancellation — caller gone, or a window
-// filled before the stream's rest could be read out (scatterRows.readOut) —
-// closes the response body, which aborts the remote execution mid-stream.
+// openRemote establishes one remote shard execution. It holds a fan-out
+// slot around request establishment only: the remote join work is bounded
+// by the server's own limiter, and a coordinator slot held while the gather
+// is busy with other shards would starve an ordered merge exactly like a
+// local shard holding its slot past its join. Cancellation — caller gone, or
+// a window filled before the stream's rest could be read out
+// (scatterRows.readOut) — closes the response body, which aborts the remote
+// execution mid-stream.
 func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, error) {
-	r := &remoteShard{e: e, x: x, ctx: ctx, sw: metrics.Start()}
+	r := &remoteShard{x: x, ctx: ctx, sw: metrics.Start()}
 	req := &shardrpc.ExecRequest{
 		Collection:  x.coll,
 		Query:       x.stmt.text,
 		ShardLimit:  x.shardLimit,
 		Fingerprint: x.baseFP,
-	}
-	if x.baseFP != "" {
-		if entry, outcome := e.hints.Lookup(x.hintKey(), 0); outcome != plancache.Miss && entry != nil {
-			p := entry.Plan
-			req.Hint = &shardrpc.PlanHint{
-				Generation: entry.Generation,
-				Steps:      shardrpc.StepsFromPlan(&p),
-				Expected:   entry.Expected,
-			}
-		}
 	}
 	if r.err = e.shardLim.Acquire(ctx); r.err == nil {
 		r.stream, r.err = e.shardClient.Execute(ctx, x.remote.Endpoint, x.remote.Doc, req)
@@ -173,21 +156,11 @@ func (r *remoteShard) Next() bool {
 }
 
 // finish takes the done line: a shard-side failure becomes the stream's
-// error, a success refreshes the hint store with the replay payload the
-// server returned.
+// error.
 func (r *remoteShard) finish(d *shardrpc.Done) {
 	r.fin = d
-	x := r.x
-	switch {
-	case d.Error != "":
-		r.err = fmt.Errorf("rox: shard %q at %s: %s", x.shard, x.remote.Endpoint, d.Error)
-	case x.baseFP != "" && len(d.Plan) > 0:
-		r.e.hints.Install(&plancache.Entry{
-			Fingerprint: x.hintKey(),
-			Generation:  d.Generation,
-			Plan:        shardrpc.ToPlan(d.Plan),
-			Expected:    d.Expected,
-		})
+	if d.Error != "" {
+		r.err = fmt.Errorf("rox: shard %q at %s: %s", r.x.shard, r.x.remote.Endpoint, d.Error)
 	}
 }
 
@@ -362,11 +335,12 @@ func statsToWire(s Stats) shardrpc.Stats {
 // ---- Server half: the engine as a shardrpc.Executor ----
 
 // ExecuteShard implements shardrpc.Executor: serve one shard execution
-// against this engine's catalog. The request's fingerprint and plan hint
-// plug into this engine's own plan cache — a hint installs as a cache entry
-// at the hint's generation, so the regular lookup classifies it (exact
-// generation → replay without verification; older → replay-and-verify with
-// drift re-optimization), exactly the machinery local shards use. Intended
+// against this engine's catalog. The request's fingerprint keys this
+// engine's own plan cache, which only this engine's runs write: a plan is
+// valid for the data it was sampled on, and generation stamps count this
+// process's loads (the "Distributed scatter-gather" section of DESIGN.md).
+// The lookup, replay-and-verify and drift re-optimization are exactly the
+// machinery local shards use. Intended
 // for cmd/roxserve's shard-server role; library callers use collection
 // queries, not this.
 func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.ExecRequest) (shardrpc.ShardRun, error) {
@@ -413,17 +387,6 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 			fp = cacheKey(comp.WithTailLimit(window))
 		}
 	}
-	if fp != "" && req.Hint != nil && len(req.Hint.Steps) > 0 {
-		// Seed the cache with the coordinator's replay payload; Install keeps
-		// an existing entry from a newer generation, so a hint can only add
-		// knowledge, never roll it back.
-		e.cache.Install(&plancache.Entry{
-			Fingerprint: fp + "|shard:" + shard,
-			Generation:  req.Hint.Generation,
-			Plan:        shardrpc.ToPlan(req.Hint.Steps),
-			Expected:    req.Hint.Expected,
-		})
-	}
 	// The run is the execution cursor itself, pulled by the handler's own
 	// goroutine. It opens on the first Next, so a failure past this point
 	// travels in-band in the done report.
@@ -439,10 +402,9 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 }
 
 // Done implements shardrpc.ShardRun: the wire form of the cursor's done
-// report — stats, generation stamp, fold state, and the executed plan's
-// replay payload for the coordinator's next hint.
+// report — stats and fold state.
 func (c *cursor) Done() shardrpc.Done {
-	out := shardrpc.Done{Generation: c.gen}
+	var out shardrpc.Done
 	if c.err != nil {
 		out.Error = c.err.Error()
 	}
@@ -450,10 +412,6 @@ func (c *cursor) Done() shardrpc.Done {
 	out.Stats = &ws
 	if c.agg != nil {
 		out.Agg = shardrpc.AggFromState(c.agg)
-	}
-	if c.ranPlan != nil {
-		out.Plan = shardrpc.StepsFromPlan(c.ranPlan)
-		out.Expected = c.edgeRows
 	}
 	return out
 }

@@ -57,10 +57,9 @@ func BenchmarkRemoteScatterCold(b *testing.B) {
 	}
 }
 
-// BenchmarkRemoteScatterCached is the steady-state distributed hot path: the
-// coordinator replays per-shard plan hints, every shard server replays its
-// cached plan with zero sampling, and the items stream back through the
-// ordered gather.
+// BenchmarkRemoteScatterCached is the steady-state distributed hot path:
+// every shard server replays its cached plan with zero sampling, and the
+// items stream back through the ordered gather.
 func BenchmarkRemoteScatterCached(b *testing.B) {
 	e := remoteScatterEngine(b, 4, DefaultPlanCacheSize)
 	prep, err := e.Prepare(scatterBenchQuery)

@@ -311,6 +311,7 @@ func (c *Catalog) Generation() uint64 { return c.gen }
 
 // DocGeneration returns the generation at which the named document was last
 // (re)registered, or 0 for a name this catalog does not hold. A shard server
-// stamps every execute response with this value, so a coordinator's cached
-// plan hints validate against exactly the document that served them.
+// validates its cached plans for the document against it. Like Generation it
+// counts this catalog's loads only — a restarted process starts over — so a
+// stamp never leaves the process except as inventory.
 func (c *Catalog) DocGeneration(name string) uint64 { return c.docGens[name] }

@@ -117,7 +117,7 @@ type Tail struct {
 	// of a scatter can merge without re-extracting them.
 	Order *OrderSpec
 	// Agg, when set, is folded over the final tuples by FoldAgg; the
-	// relation Apply returns is unchanged by it (aggregation happens at
+	// relation Execute returns is unchanged by it (aggregation happens at
 	// serialization, where a non-numeric value can fail the query).
 	Agg *AggSpec
 	// Limit, when set, windows the result rows after every sort: at most
@@ -125,14 +125,6 @@ type Tail struct {
 	// pre-window cardinality as its scanned count, so statistics can tell
 	// rows produced by the join from rows actually returned.
 	Limit *LimitSpec
-}
-
-// Apply runs the tail over the fully joined relation. Callers that need the
-// order-by keys of the result rows (the scatter-gather merge) or the
-// pre-limit cardinality use Execute.
-func (t *Tail) Apply(rel *table.Relation) *table.Relation {
-	out, _, _ := t.Execute(rel)
-	return out
 }
 
 // Execute runs the tail and returns the final relation plus, for ordered

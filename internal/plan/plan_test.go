@@ -398,7 +398,7 @@ func TestTailRequired(t *testing.T) {
 	}
 	// Applying a nil tail is the identity.
 	rel := table.FromTable(f.person, table.NewTable(nil, []xmltree.NodeID{1}))
-	if got := nilTail.Apply(rel); got != rel {
+	if got, _, _ := nilTail.Execute(rel); got != rel {
 		t.Errorf("nil tail should be identity")
 	}
 }

@@ -295,7 +295,7 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 // the merge only reads. A replay reserves the rows the cached plan observed
 // for the edge — capacity only: a short hint grows by appending, so a hint
 // never changes the pairs. The reserve is capped by inputs, the two tables'
-// total size (so a stale or hostile hint cannot allocate beyond the data),
+// total size (so a stale entry cannot allocate beyond the data),
 // and by ExecLimit when one is set.
 func (r *Runner) pairBuffer(id, a, b, inputs int) *ops.Pairs {
 	n := min(r.hints[id], inputs)

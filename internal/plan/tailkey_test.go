@@ -238,7 +238,7 @@ func TestTailApplyOrdersByKey(t *testing.T) {
 		Final:   []int{0},
 		Order:   &OrderSpec{Vertex: 0, Path: []KeyStep{{Desc: true, Name: "b"}}},
 	}
-	out := tail.Apply(rel)
+	out, _, _ := tail.Execute(rel)
 	// Keys: a[0]→10, a[1]→7.5, a[2]→"abc", a[3]→absent.
 	// Ascending: absent, 7.5, 10, "abc" → a[3], a[1], a[0], a[2].
 	want := []xmltree.NodeID{as[3], as[1], as[0], as[2]}
@@ -250,7 +250,7 @@ func TestTailApplyOrdersByKey(t *testing.T) {
 	}
 	// Descending reverses.
 	tail.Order.Desc = true
-	out = tail.Apply(rel)
+	out, _, _ = tail.Execute(rel)
 	col = out.Column(0)
 	for i, n := range want {
 		if col[len(want)-1-i] != n {

@@ -42,8 +42,7 @@ type Scenario struct {
 	Targets []string
 	// Repeat runs every query this many times (default 1); all runs must
 	// produce the archived output, so Repeat 2 exercises the plan-cache
-	// replay path (and, on the cluster target, cross-process plan-hint
-	// replay).
+	// replay path (on the cluster target, each shard server's own).
 	Repeat int
 	// Seed is the engine sampling seed (default 1).
 	Seed int64

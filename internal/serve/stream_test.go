@@ -103,7 +103,7 @@ func TestStreamFlushesWhileSourceStalls(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]shardrpc.Done{"done": {Generation: 1}})
+		json.NewEncoder(w).Encode(map[string]shardrpc.Done{"done": {Stats: &shardrpc.Stats{Rows: 1}}})
 	})
 	shardSrv := httptest.NewServer(shard)
 	defer shardSrv.Close()

@@ -78,7 +78,7 @@ func TestAllocGuardStreamRecycled(t *testing.T) {
 	run := &fakeRun{
 		items: []string{item, item, item},
 		keys:  []plan.Key{{Present: true, Str: "k1"}, {Present: true, Str: "k2"}, {Present: true, Str: "k3"}},
-		done:  Done{Generation: 1},
+		done:  Done{Stats: &Stats{Rows: 3}},
 	}
 	body := handlerStream(t, run, false)
 	r := bytes.NewReader(body)
@@ -110,7 +110,8 @@ func TestAllocGuardStreamRecycled(t *testing.T) {
 		scan()
 	}
 	runtime.ReadMemStats(&after)
-	// 480 bytes when measured: the Stream and the decoded done report.
+	// 560 bytes when measured: the Stream and the decoded done report with
+	// its stats.
 	const ceiling = 1024
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > ceiling {
 		t.Errorf("open, scan and close: %.0f bytes per stream, ceiling %d (the read buffer alone is %d)", got, ceiling, streamBufSize)

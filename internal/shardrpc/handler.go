@@ -11,8 +11,8 @@ import (
 	"repro/internal/plan"
 )
 
-// maxExecBody bounds the execute request body: query text plus a plan hint is
-// small; anything larger is malformed.
+// maxExecBody bounds the execute request body: query text plus a
+// fingerprint is small; anything larger is malformed.
 const maxExecBody = 1 << 20
 
 // Executor is the engine-side contract the shard-server handlers run against.

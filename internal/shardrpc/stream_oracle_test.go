@@ -143,6 +143,7 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 		{"invalid \xff\xfe\xc0\xaf", "truncated \xe2\x80", "invalid \xff\xc0\xaf truncated \xe2\x80", 1e21, keyedFlag | presentFlag | numFlag | htmlFlag},
 		{"surrogate \xed\xa0\x80", "repl \ufffd wide \U0001F600 \u00e9", "caf\u00e9 \U0001F600", math.MaxFloat64, keyedFlag | presentFlag | numFlag},
 		{strings.Repeat("<long line/>", 500), "short", strings.Repeat("s", 5000), math.SmallestNonzeroFloat64, keyedFlag | presentFlag | numFlag},
+		{"<a/>", "<b/>", "p<q", 3, keyedFlag | presentFlag | numFlag | legacyDoneFlag},
 	} {
 		f.Add([]byte(seed.item1), []byte(seed.item2), seed.s, seed.num, seed.flags, uint16(7), uint16(3), byte('"'))
 	}
@@ -152,7 +153,7 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 		}
 		run := &fakeRun{
 			items: []string{string(item1), string(item2)},
-			done:  Done{Generation: 9, Stats: &Stats{Rows: 2, Scanned: 3, Plan: s}, Plan: []PlanStep{{Edge: 1}}, Expected: map[int]int{1: 2}},
+			done:  Done{Stats: &Stats{Rows: 2, Scanned: 3, Plan: s}},
 		}
 		if flags&keyedFlag != 0 {
 			k := plan.Key{Present: flags&presentFlag != 0, IsNum: flags&numFlag != 0, Num: num, Str: s}
@@ -161,6 +162,9 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 			run.keys = []plan.Key{k, k2}
 		}
 		body := handlerStream(t, run, flags&htmlFlag != 0)
+		if flags&legacyDoneFlag != 0 {
+			body = legacyDone(t, body)
+		}
 
 		want, err := oracleLines(body)
 		if err != nil {
@@ -180,7 +184,7 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 		other := handlerStream(t, &fakeRun{
 			items: []string{string(item2) + strings.Repeat("~", streamBufSize), string(item1[:len(item1)/2])},
 			keys:  []plan.Key{{Present: true, Str: s + strings.Repeat("s", 300)}, {Present: true, IsNum: true, Num: 1}},
-			done:  Done{Generation: 1},
+			done:  Done{Stats: &Stats{Rows: 2}},
 		}, flags&htmlFlag == 0)
 		if _, err := scanLines(other); err != nil {
 			t.Fatalf("scanner rejects the handler's stream %q: %v", other, err)
@@ -204,14 +208,37 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 	})
 }
 
-// Fuzz flag bits: whether items carry keys, the key's two flags, and whether
-// the stream is written in the HTML-escaped form of older servers.
+// Fuzz flag bits: whether items carry keys, the key's two flags, whether
+// the stream is written in the HTML-escaped form of older servers, and
+// whether its done line carries the plan members older servers wrote.
 const (
 	keyedFlag uint8 = 1 << iota
 	presentFlag
 	numFlag
 	htmlFlag
+	legacyDoneFlag
 )
+
+// Servers that returned their plan wrote it in the done line, around the
+// members this side reads: the document's generation stamp first, the
+// executed plan's steps and per-edge cardinalities last.
+const (
+	legacyDoneHead = `{"done":{"generation":9,`
+	legacyDoneTail = `,"plan":[{"edge":1},{"edge":0,"reverse":true,"alg":2}],"expected":{"0":4,"1":2}}}` + "\n"
+)
+
+// legacyDone rewrites body's done line into the form servers that returned
+// their plan wrote.
+func legacyDone(t testing.TB, body []byte) []byte {
+	t.Helper()
+	i := bytes.LastIndex(body, []byte(`{"done":{`))
+	if i < 0 || !bytes.HasSuffix(body, []byte("}}\n")) {
+		t.Fatalf("stream %q ends without a done line", body)
+	}
+	out := append(bytes.Clone(body[:i]), legacyDoneHead...)
+	out = append(out, body[i+len(`{"done":{`):len(body)-len("}}\n")]...)
+	return append(out, legacyDoneTail...)
+}
 
 // TestStreamScansBothItemForms: one run written with and without HTML
 // escaping scans to the same lines, and the unescaped form is the shorter.
@@ -220,7 +247,7 @@ func TestStreamScansBothItemForms(t *testing.T) {
 		return &fakeRun{
 			items: []string{`<open_auction id="a1"><initial>145.50</initial> &amp; é</open_auction>`, "<b/>"},
 			keys:  []plan.Key{{Present: true, IsNum: true, Num: 145.5, Str: "145.50"}, {Present: true, Str: "<k>&"}},
-			done:  Done{Generation: 3},
+			done:  Done{Stats: &Stats{Rows: 2}},
 		}
 	}
 	plain, escaped := handlerStream(t, run(), false), handlerStream(t, run(), true)

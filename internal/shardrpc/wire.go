@@ -3,16 +3,17 @@
 // a coordinator engine executes one shard of a collection query on a remote
 // roxserve running in shard-server role.
 //
-// The protocol ships the paper's central artifact — a run-time discovered
-// plan — instead of raw data: a request carries the query text, the shard's
-// slice of the limit window, and a plan hint (cache fingerprint + the replay
-// payload of a previously discovered plan); the response streams serialized
-// result items (with their order-by keys when the query sorts), or a single
-// exact partial-aggregate fold state, followed by one done report carrying
-// per-shard stats, the serving document's generation stamp, and the replay
-// payload the coordinator should hint with next time. Everything rides
-// NDJSON over a single POST so the coordinator can merge streams incrementally
-// and abort a remote shard by closing the response body.
+// The protocol ships the query, not the data: a request carries the query
+// text, the shard's slice of the limit window and the coordinator's
+// plan-cache fingerprint; the response streams serialized result items (with
+// their order-by keys when the query sorts), or a single exact
+// partial-aggregate fold state, followed by one done report carrying
+// per-shard stats. Plans do not travel: the shard server discovers, caches
+// and replays them against its own data, as a standalone engine does — a
+// plan is valid for the data it was sampled on, and generation stamps are
+// counters of one process. Everything rides NDJSON over a single POST so the
+// coordinator can merge streams incrementally and abort a remote shard by
+// closing the response body.
 //
 // Two endpoints, mounted under /v1/ by cmd/roxserve:
 //
@@ -42,7 +43,6 @@ import (
 	"fmt"
 
 	"repro/internal/ndjson"
-	"repro/internal/ops"
 	"repro/internal/plan"
 )
 
@@ -52,8 +52,7 @@ type ExecRequest struct {
 	// compiled graph is rebound from it to the target shard document.
 	Collection string `json:"collection"`
 	// Query is the XQuery text, compiled on the shard server (compilation is
-	// deterministic, so coordinator and server agree on the graph's edge IDs
-	// and a plan hint's steps name the same joins on both sides).
+	// deterministic, so coordinator and server build the same graph).
 	Query string `json:"query"`
 	// ShardLimit caps how many rows this shard's tail may produce
 	// (coordinator offset+count); 0 means unlimited. It always replaces any
@@ -62,47 +61,9 @@ type ExecRequest struct {
 	ShardLimit int `json:"shard_limit,omitempty"`
 	// Fingerprint is the coordinator's base plan-cache key for this query
 	// shape; the server derives its per-shard key from it exactly like the
-	// in-process path ("" lets the server key on its own).
+	// in-process path, sparing itself a graph hash per request ("" lets the
+	// server key on its own).
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Hint carries the replay payload of a plan a previous execution of this
-	// shard discovered, letting the server replay with zero sampling when
-	// its data still matches the hint's generation (and fall into the
-	// replay-and-verify → drift machinery when it does not).
-	Hint *PlanHint `json:"hint,omitempty"`
-}
-
-// PlanHint is a cached plan's replay payload: the discovered step order, the
-// per-edge cardinalities the discovering run observed (the drift baseline),
-// and the shard document generation the plan was discovered at.
-type PlanHint struct {
-	Generation uint64      `json:"generation"`
-	Steps      []PlanStep  `json:"steps"`
-	Expected   map[int]int `json:"expected,omitempty"`
-}
-
-// PlanStep is one wire-encoded plan step.
-type PlanStep struct {
-	Edge    int  `json:"edge"`
-	Reverse bool `json:"reverse,omitempty"`
-	Alg     int  `json:"alg,omitempty"`
-}
-
-// StepsFromPlan encodes a plan's step order for the wire.
-func StepsFromPlan(p *plan.Plan) []PlanStep {
-	out := make([]PlanStep, len(p.Steps))
-	for i, s := range p.Steps {
-		out[i] = PlanStep{Edge: s.EdgeID, Reverse: s.Reverse, Alg: int(s.Alg)}
-	}
-	return out
-}
-
-// ToPlan decodes wire steps back into an executable plan.
-func ToPlan(steps []PlanStep) plan.Plan {
-	out := plan.Plan{Steps: make([]plan.Step, len(steps))}
-	for i, s := range steps {
-		out.Steps[i] = plan.Step{EdgeID: s.Edge, Reverse: s.Reverse, Alg: ops.JoinAlg(s.Alg)}
-	}
-	return out
 }
 
 // Key is a wire-encoded order-by merge key. All numeric keys are finite by
@@ -186,20 +147,11 @@ type Done struct {
 	// Error, when non-empty, reports a failure after streaming began (errors
 	// before any output use the HTTP status + error envelope instead).
 	Error string `json:"error,omitempty"`
-	// Generation is the serving document's own generation stamp; the
-	// coordinator stores it with the returned replay payload so the next
-	// request's hint validates against exactly this data version.
-	Generation uint64 `json:"generation,omitempty"`
 	// Stats is the shard-side cost breakdown of this execution.
 	Stats *Stats `json:"stats,omitempty"`
 	// Agg is the partial-aggregate fold state for aggregate queries (such
 	// streams carry no item lines).
 	Agg *Agg `json:"agg,omitempty"`
-	// Plan and Expected are the replay payload of the plan this execution
-	// ran (discovered or replayed): what the coordinator should hint with
-	// next time.
-	Plan     []PlanStep  `json:"plan,omitempty"`
-	Expected map[int]int `json:"expected,omitempty"`
 }
 
 // ShardInfo is one entry of a shard server's document inventory.

@@ -16,7 +16,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/ndjson"
-	"repro/internal/ops"
 	"repro/internal/plan"
 	"repro/internal/testutil"
 )
@@ -145,26 +144,6 @@ func TestAggRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestPlanStepsRoundTrip: a plan's step order survives the wire.
-func TestPlanStepsRoundTrip(t *testing.T) {
-	p := plan.Plan{Steps: []plan.Step{
-		{EdgeID: 3, Reverse: true, Alg: ops.JoinAlg(1)},
-		{EdgeID: 0},
-		{EdgeID: 7, Alg: ops.JoinAlg(2)},
-	}}
-	b, err := json.Marshal(StepsFromPlan(&p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps []PlanStep
-	if err := json.Unmarshal(b, &steps); err != nil {
-		t.Fatal(err)
-	}
-	if got := ToPlan(steps); !reflect.DeepEqual(got, p) {
-		t.Errorf("round-trip %+v != %+v", got, p)
-	}
-}
-
 // fakeRun is a scripted ShardRun.
 type fakeRun struct {
 	items  []string
@@ -211,11 +190,10 @@ func (e *fakeExec) ShardInventory() []ShardInfo { return e.shards }
 // TestHandlerExecuteStream: the handler streams items as NDJSON messages and
 // always ends with the done report; the client decodes the same sequence.
 func TestHandlerExecuteStream(t *testing.T) {
-	gen := uint64(7)
 	run := &fakeRun{
 		items: []string{"<a/>", "<b/>"},
 		keys:  []plan.Key{{Present: true, IsNum: true, Num: 1}, {Present: true, IsNum: true, Num: 2}},
-		done:  Done{Generation: gen, Stats: &Stats{Rows: 2, Scanned: 2}},
+		done:  Done{Stats: &Stats{Rows: 2, Scanned: 2}},
 	}
 	exec := &fakeExec{run: run}
 	mux := http.NewServeMux()
@@ -238,9 +216,6 @@ func TestHandlerExecuteStream(t *testing.T) {
 		}
 		if !ok {
 			d := stream.Done()
-			if d.Generation != gen {
-				t.Errorf("done generation = %d, want %d", d.Generation, gen)
-			}
 			if d.Stats == nil || d.Stats.Scanned != 2 {
 				t.Errorf("done stats = %+v", d.Stats)
 			}
@@ -370,12 +345,48 @@ func TestMessageWireShape(t *testing.T) {
 	run := &fakeRun{
 		items: []string{"<a/>"},
 		keys:  []plan.Key{{Present: true, IsNum: true, Num: 1.5}},
-		done:  Done{Generation: 3, Stats: &Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}},
+		done:  Done{Stats: &Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}},
 	}
 	want := `{"item":"<a/>","key":{"p":true,"n":true,"f":1.5}}` + "\n" +
-		`{"done":{"generation":3,"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}` + "\n"
+		`{"done":{"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}` + "\n"
 	if got := string(handlerStream(t, run, false)); got != want {
 		t.Errorf("stream\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStreamDecodesLegacyDone: a peer that still returns its plan in the
+// done line — the generation stamp, the plan's steps, their cardinalities —
+// streams to this client as any other: its items arrive and its done line
+// decodes, the members this side no longer reads ignored.
+func TestStreamDecodesLegacyDone(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/shards/{shard}/execute", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = io.WriteString(w, `{"item":"<a/>","key":{"p":true,"n":true,"f":1}}`+"\n"+
+			legacyDoneHead+`"stats":{"rows":1,"scanned":4,"elapsed_ns":5,"exec_tuples":6,"sample_tuples":7,"cumulative_intermediate":8,"plan":"p"}`+legacyDoneTail)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	stream, err := NewClient(ts.Client()).Execute(context.Background(), ts.URL, "s.xml",
+		&ExecRequest{Collection: "c", Query: "q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	if ok, err := stream.Next(); err != nil || !ok || string(stream.Item()) != "<a/>" {
+		t.Fatalf("item: ok=%v item=%q err=%v", ok, stream.Item(), err)
+	}
+	if k, keyed := stream.Key(); !keyed || k.F != 1 {
+		t.Errorf("key = %+v (keyed %v), want 1", k, keyed)
+	}
+	ok, err := stream.Next()
+	if err != nil || ok {
+		t.Fatalf("done line: ok=%v err=%v", ok, err)
+	}
+	want := Stats{Rows: 1, Scanned: 4, ElapsedNS: 5, ExecTuples: 6, SampleTuples: 7, CumulativeIntermediate: 8, Plan: "p"}
+	if d := stream.Done(); d.Error != "" || d.Stats == nil || *d.Stats != want || d.Agg != nil {
+		t.Errorf("done = %+v, want stats %+v", d, want)
 	}
 }
 
@@ -386,7 +397,7 @@ func TestMessageWireShape(t *testing.T) {
 func TestHandlerLinesAreEncodedMessages(t *testing.T) {
 	items := []string{`<a x="1">b & c</a>`, "sep\u2028 \xff"}
 	for _, keys := range [][]plan.Key{nil, {{Present: true, IsNum: true, Num: 1e21}, {Present: true, Str: "<k>"}}} {
-		done := Done{Generation: 7, Stats: &Stats{Rows: 2, Scanned: 2, Plan: "a<b"}}
+		done := Done{Stats: &Stats{Rows: 2, Scanned: 2, Plan: "a<b"}}
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		enc.SetEscapeHTML(false)
@@ -457,7 +468,7 @@ func (r *stallRun) Next() bool {
 func TestHandlerFlushesWhileRunStalls(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	run := &stallRun{
-		fakeRun: fakeRun{items: []string{"<a/>"}, done: Done{Generation: 1}},
+		fakeRun: fakeRun{items: []string{"<a/>"}, done: Done{Stats: &Stats{Rows: 1}}},
 		parked:  make(chan struct{}),
 		release: make(chan struct{}),
 	}
@@ -503,7 +514,7 @@ func TestHandlerFlushesWhileRunStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok || stream.Done().Generation != 1 {
+	if d := stream.Done(); ok || d.Stats == nil || d.Stats.Rows != 1 {
 		t.Fatalf("stream did not end with the done report: item %v, done %+v", ok, stream.Done())
 	}
 }

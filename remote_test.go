@@ -349,51 +349,156 @@ func TestRemoteDriftReoptimization(t *testing.T) {
 	}
 }
 
-// TestRemotePlanHintSeedsRestartedServer pins the plan-hint transfer: after a
-// shard server restarts cold (fresh engine, empty plan cache, same data), the
-// coordinator's hint — the replay payload the old server returned — lets the
-// new server replay without any sampling, instead of re-discovering the plan.
-func TestRemotePlanHintSeedsRestartedServer(t *testing.T) {
+// TestRemoteRestartReplaysOwnPlans: a shard server's plan cache is written
+// only by its own runs. A restarted server (fresh engine, empty plan cache,
+// generation stamps starting over below the old process's) pays one cold run
+// per query shape and shard, then serves exact hits; a later 10x reload of
+// one document re-optimizes exactly once, and the queries after it replay
+// without sampling. Items stay those of a local collection throughout.
+func TestRemoteRestartReplaysOwnPlans(t *testing.T) {
 	spans := [][2]int{{0, 40}, {100, 40}}
-	ex, ts := newShardServer(t, pricedServerEngine(t, []int{0, 1}, spans))
+	old := pricedServerEngine(t, []int{0, 1}, spans)
+	for range 3 { // push the old process's stamps past the restarted one's
+		for i, sp := range spans {
+			if err := old.LoadSource(FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ex, ts := newShardServer(t, old)
 	coord := NewEngine()
-	if err := coord.LoadCollectionRemote(context.Background(), "ppl",
-		[]Endpoint{{URL: ts.URL}}); err != nil {
+	if err := coord.LoadCollectionRemote(context.Background(), "ppl", []Endpoint{{URL: ts.URL}}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := coord.Prepare(`for $p in collection("ppl")//person order by $p/age return $p`)
+	const q = `for $p in collection("ppl")//person order by $p/age return $p`
+	prep, err := coord.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := collectRows(coord.Execute(context.Background(), Request{Prepared: prep}))
-	if err != nil {
-		t.Fatal(err)
+	localWant := func() []string {
+		t.Helper()
+		local := NewEngine()
+		for i, sp := range spans {
+			if err := local.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := collectRows(local.Execute(context.Background(), Request{Query: q}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Items
 	}
-	if first.Stats.SampleTuples == 0 {
-		t.Fatal("cold run did no sampling — the test premise is broken")
+	run := func(phase string, want []string) *Result {
+		t.Helper()
+		res, err := collectRows(coord.Execute(context.Background(), Request{Prepared: prep}))
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		assertSameItems(t, phase, want, res.Items)
+		return res
 	}
 
-	// "Restart" the server: same documents in the same load order (so the
-	// generation stamps match), but an empty plan cache.
-	ex.swap(pricedServerEngine(t, []int{0, 1}, spans))
+	want := localWant()
+	for range 2 { // warm both sides on the old process
+		run("warm-up", want)
+	}
 
-	seeded, err := collectRows(coord.Execute(context.Background(), Request{Prepared: prep}))
-	if err != nil {
+	fresh := pricedServerEngine(t, []int{0, 1}, spans)
+	ex.swap(fresh)
+	if cold := run("first run after restart", want); cold.Stats.SampleTuples == 0 {
+		t.Errorf("restarted server replayed a plan it never discovered: CacheHit=%v", cold.Stats.CacheHit)
+	}
+	before := fresh.CacheStats().Counters
+	const rounds = 4
+	for i := range rounds {
+		if res := run(fmt.Sprintf("restarted run %d", i), want); !res.Stats.CacheHit || res.Stats.SampleTuples != 0 {
+			t.Errorf("restarted run %d: CacheHit=%v SampleTuples=%d, want a replay", i, res.Stats.CacheHit, res.Stats.SampleTuples)
+		}
+	}
+	after := fresh.CacheStats().Counters
+	if hits := after.Hits - before.Hits; hits != rounds*int64(len(spans)) {
+		t.Errorf("restarted server: %d exact hits over %d runs of %d shards, want %d", hits, rounds, len(spans), rounds*len(spans))
+	}
+	if stale := after.StaleHits - before.StaleHits; stale != 0 {
+		t.Errorf("restarted server: %d stale-generation hits on unchanged data", stale)
+	}
+
+	// Drift: the restarted server reloads ppl-0.xml with 10x the persons.
+	spans[0] = [2]int{0, 400}
+	if err := fresh.LoadSource(FromXML("ppl-0.xml", pricedShardXML(spans[0][0], spans[0][1]))); err != nil {
 		t.Fatal(err)
 	}
-	assertSameItems(t, "hint-seeded run", first.Items, seeded.Items)
-	if !seeded.Stats.CacheHit || seeded.Stats.SampleTuples != 0 {
-		t.Errorf("restarted server sampled despite the coordinator's hint: CacheHit=%v SampleTuples=%d",
-			seeded.Stats.CacheHit, seeded.Stats.SampleTuples)
+	want = localWant()
+	reopt := 0
+	for i := range rounds {
+		res := run(fmt.Sprintf("run %d after the drift", i), want)
+		if res.Stats.Reoptimized {
+			reopt++
+		}
+		if i > 0 && res.Stats.SampleTuples != 0 {
+			t.Errorf("run %d after the drift sampled %d tuples, want a replay", i, res.Stats.SampleTuples)
+		}
+	}
+	if reopt != 1 {
+		t.Errorf("%d of %d runs after the drift re-optimized, want exactly 1", reopt, rounds)
+	}
+}
+
+// TestRemoteLegacyHintRequest: an execute body from a coordinator that
+// still sends a plan hint is answered as any other — 200 and the same items
+// — and the hint, a plan sampled on another process's data, reaches no plan
+// cache.
+func TestRemoteLegacyHintRequest(t *testing.T) {
+	server := pricedServerEngine(t, []int{0}, [][2]int{{0, 30}})
+	_, ts := newShardServer(t, server)
+	const query = `for $p in collection(\"ppl\")//person order by $p/age return $p`
+	execute := func(body string) []string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/shards/ppl-0.xml/execute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		var items []string
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var line struct {
+				Item *string        `json:"item"`
+				Done *shardrpc.Done `json:"done"`
+			}
+			if err := dec.Decode(&line); err != nil {
+				t.Fatal(err)
+			}
+			if line.Done != nil {
+				if line.Done.Error != "" {
+					t.Fatal(line.Done.Error)
+				}
+				return items
+			}
+			items = append(items, *line.Item)
+		}
+	}
+	want := execute(`{"collection":"ppl","query":"` + query + `"}`)
+	if len(want) != 30 {
+		t.Fatalf("%d items, want 30", len(want))
+	}
+	got := execute(`{"collection":"ppl","query":"` + query + `","fingerprint":"fp",` +
+		`"hint":{"generation":99,"steps":[{"edge":7,"reverse":true,"alg":2}],"expected":{"7":1}}}`)
+	assertSameItems(t, "hinted request", want, got)
+	if c := server.CacheStats().Counters; c.Invalidations != 0 || c.StaleHits != 0 {
+		t.Errorf("the hint reached the plan cache: %+v", c)
 	}
 }
 
 // TestRemoteCacheOffSendsNoFingerprint: on a coordinator without a plan cache
 // "no key" is the contract for every Request — query text and prepared
-// statement alike ship neither a fingerprint nor a plan hint, on the
-// first request and on the repeat (when a hint store fed by the first done
-// report would have something to offer). The shard server still answers, and
-// still replays from its own cache.
+// statement alike ship no fingerprint, on the first request and on the
+// repeat. The shard server still answers, and still replays from its own
+// cache.
 func TestRemoteCacheOffSendsNoFingerprint(t *testing.T) {
 	spans := [][2]int{{0, 30}, {100, 30}}
 	ex, ts := newShardServer(t, pricedServerEngine(t, []int{0, 1}, spans))
@@ -428,13 +533,9 @@ func TestRemoteCacheOffSendsNoFingerprint(t *testing.T) {
 		t.Fatalf("shard server saw %d execute requests, want %d", len(ex.seen), len(entries)*2*len(spans))
 	}
 	for i, req := range ex.seen {
-		if req.Fingerprint != "" || req.Hint != nil {
-			t.Errorf("request %d: fingerprint %q, hint %v; a cache-off coordinator sends neither",
-				i, req.Fingerprint, req.Hint)
+		if req.Fingerprint != "" {
+			t.Errorf("request %d: fingerprint %q; a cache-off coordinator sends none", i, req.Fingerprint)
 		}
-	}
-	if size := coord.hints.Len(); size != 0 {
-		t.Errorf("cache-off coordinator stored %d plan hints", size)
 	}
 }
 

@@ -330,18 +330,14 @@ type cursor struct {
 	sw     metrics.Stopwatch
 
 	// The finished join, set by open: the windowed final relation, the
-	// order-by keys when the tail sorts, the pre-window cardinality, the
-	// aggregate fold, and the executed plan with its observed per-edge
-	// cardinalities — the replay payload a shard server returns so the
-	// coordinator can hint the next execution.
-	opened   bool
-	rel      *table.Relation
-	keys     []plan.Key
-	scanned  int
-	agg      *plan.AggState
-	ranPlan  *plan.Plan
-	edgeRows map[int]int
-	stats    Stats // join-phase statistics; report adds the stream's
+	// order-by keys when the tail sorts, the pre-window cardinality and the
+	// aggregate fold.
+	opened  bool
+	rel     *table.Relation
+	keys    []plan.Key
+	scanned int
+	agg     *plan.AggState
+	stats   Stats // join-phase statistics; report adds the stream's
 
 	row int    // rows handed out so far
 	buf []byte // the row advance rendered last; reused row to row, dropped at Close
@@ -474,7 +470,6 @@ func (c *cursor) open() error {
 	}
 	c.opened = true
 	c.rel, c.keys, c.scanned = rel, run.Keys, run.Scanned
-	c.ranPlan, c.edgeRows = ran, run.EdgeRows
 	c.stats.CumulativeIntermediate = run.CumulativeIntermediate
 	c.stats.Plan = ran.String()
 	c.stats.CacheHit = hit

@@ -89,15 +89,10 @@ type Engine struct {
 	shardLim     *conc.Limiter
 	shardWorkers int
 
-	// shardClient talks to remote shard servers (see backend.go); hints
-	// caches the replay payload each remote shard's done line carried last,
-	// keyed endpoint|baseFP|shard:name at the remote document generation
-	// that produced it, and re-attaches it to the next request for that
-	// shard — a warm cluster replays discovered plans with zero sampling,
-	// and a shard server restarted cold re-learns from the hint instead of
-	// sampling. shardRetry is the failure policy WithShardRetry selects.
+	// shardClient talks to remote shard servers (see backend.go); a remote
+	// shard's plan lives in its server's own plan cache, never in this one.
+	// shardRetry is the failure policy WithShardRetry selects.
 	shardClient *shardrpc.Client
-	hints       *plancache.Cache
 	shardRetry  ShardFailurePolicy
 
 	// ing is the engine's shared live-ingest handle, created lazily by
@@ -186,7 +181,6 @@ func NewEngine(options ...Option) *Engine {
 		cat:        plan.NewCatalog(),
 		cache:      plancache.New(DefaultPlanCacheSize),
 		driftRatio: DefaultDriftRatio,
-		hints:      plancache.New(DefaultPlanCacheSize),
 	}
 	for _, o := range options {
 		o(e)
@@ -420,7 +414,7 @@ func overrideWindow(comp *xquery.Compiled, window *plan.LimitSpec) (*xquery.Comp
 // planKey settles the plan-cache key of one execution, in the one place
 // every execution passes through: "" when the engine runs without a plan
 // cache (which is what tells every layer below — cursor, remote shards, the
-// shard wire — that there is nothing to look up, install or hint), otherwise
+// shard wire — that there is nothing to look up, install or send), otherwise
 // the precomputed key when the caller has one, otherwise cacheKey(comp).
 func (e *Engine) planKey(comp *xquery.Compiled, precomputed string) string {
 	switch {

@@ -187,15 +187,12 @@ func TestStatementSharedAcrossScatters(t *testing.T) {
 	}
 
 	// Plan-cache keys: the coordinator caches its local shard's plans, the
-	// server its two shards', each under a prepared statement's base key; the
-	// coordinator's hints (only for streams that reached their done line)
-	// key on the endpoint as well.
-	var coordKeys, serverKeys, hintKeys []string
+	// server its two shards', each under a prepared statement's base key.
+	var coordKeys, serverKeys []string
 	for _, fp := range baseFPs {
 		coordKeys = append(coordKeys, fp+"|shard:ppl-0.xml")
 		for _, sh := range []string{"ppl-1.xml", "ppl-2.xml"} {
 			serverKeys = append(serverKeys, fp+"|shard:"+sh)
-			hintKeys = append(hintKeys, ts.URL+"|"+fp+"|shard:"+sh)
 		}
 	}
 	present := func(c *plancache.Cache, keys []string) int {
@@ -211,14 +208,12 @@ func TestStatementSharedAcrossScatters(t *testing.T) {
 		name  string
 		cache *plancache.Cache
 		keys  []string
-		all   bool
 	}{
-		{"coordinator plan cache", coord.cache, coordKeys, true},
-		{"shard server plan cache", server.cache, serverKeys, true},
-		{"coordinator hints", coord.hints, hintKeys, false},
+		{"coordinator plan cache", coord.cache, coordKeys},
+		{"shard server plan cache", server.cache, serverKeys},
 	} {
 		n := present(c.cache, c.keys)
-		if n != c.cache.Len() || (c.all && n != len(c.keys)) {
+		if n != c.cache.Len() || n != len(c.keys) {
 			t.Errorf("%s: %d entries, %d of them among the %d prepared keys %q",
 				c.name, c.cache.Len(), n, len(c.keys), c.keys)
 		}
