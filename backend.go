@@ -316,9 +316,11 @@ func statsFromWire(ws shardrpc.Stats) Stats {
 	}
 }
 
-// statsToWire encodes one shard's stats for the wire.
-func statsToWire(s Stats) shardrpc.Stats {
-	return shardrpc.Stats{
+// Wire is the stats' one JSON form, recursively over the per-shard
+// breakdown: the stats of a buffered /v1/query body, of an NDJSON stream's
+// terminal line and of a shard server's done report.
+func (s Stats) Wire() shardrpc.Stats {
+	out := shardrpc.Stats{
 		Rows:                   s.Rows,
 		Scanned:                s.Scanned,
 		Truncated:              s.Truncated,
@@ -330,6 +332,10 @@ func statsToWire(s Stats) shardrpc.Stats {
 		CacheHit:               s.CacheHit,
 		Reoptimized:            s.Reoptimized,
 	}
+	for _, sh := range s.Shards {
+		out.Shards = append(out.Shards, shardrpc.ShardStats{Shard: sh.Shard, Stats: sh.Stats.Wire()})
+	}
+	return out
 }
 
 // ---- Server half: the engine as a shardrpc.Executor ----
@@ -408,7 +414,7 @@ func (c *cursor) Done() shardrpc.Done {
 	if c.err != nil {
 		out.Error = c.err.Error()
 	}
-	ws := statsToWire(c.report())
+	ws := c.report().Wire()
 	out.Stats = &ws
 	if c.agg != nil {
 		out.Agg = shardrpc.AggFromState(c.agg)

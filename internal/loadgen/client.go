@@ -1,7 +1,7 @@
-// client.go is the NDJSON wire client the generator and the soak harness
-// share. It enforces the stream-termination contract everywhere: a response
-// body that ends without a terminal {"stats"} or {"error"} line is reported
-// as truncation, never as a short success.
+// client.go is the NDJSON wire client the generator, the soak harness and
+// the scenario runner share. It enforces the stream-termination contract
+// everywhere: a response body that ends without a terminal {"stats"} or
+// {"error"} line is reported as truncation, never as a short success.
 package loadgen
 
 import (
@@ -18,10 +18,10 @@ import (
 type StreamResult struct {
 	// Status is the HTTP status code.
 	Status int
-	// Items is the number of {"item"} lines read.
-	Items int
+	// Items are the {"item"} lines' items, in stream order.
+	Items []string
 	// Terminal is the stream's final line kind: "stats" (success), "error"
-	// (clean failure), or "" — truncation, a protocol violation.
+	// (clean failure, or a refusal), or "" — truncation.
 	Terminal string
 	// ErrMsg carries the error message of an "error" terminal or a non-200
 	// refusal.
@@ -50,8 +50,11 @@ func readSmall(body io.Reader, v any) error {
 }
 
 // StreamQuery executes one /v1/query NDJSON request. Transport and read
-// errors come back as the error; everything the server said lands in the
-// StreamResult.
+// errors come back as the error, and so does every breach of the stream
+// contract: a line after the terminal line, a line with no item, stats or
+// error member, a refusal without an {"error"} envelope. Everything else the
+// server said lands in the StreamResult; a stream that just ends without a
+// terminal line is Truncated, not an error.
 func StreamQuery(ctx context.Context, client *http.Client, base string, params url.Values) (StreamResult, error) {
 	v := url.Values{}
 	for k, vs := range params {
@@ -72,37 +75,38 @@ func StreamQuery(ctx context.Context, client *http.Client, base string, params u
 		var body struct {
 			Error string `json:"error"`
 		}
-		if err := readSmall(resp.Body, &body); err == nil {
-			res.ErrMsg = body.Error
+		if err := readSmall(resp.Body, &body); err != nil || body.Error == "" {
+			return res, fmt.Errorf("status %d with undecodable error body", resp.StatusCode)
 		}
-		res.Terminal = "error"
+		res.Terminal, res.ErrMsg = "error", body.Error
 		return res, nil
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	for sc.Scan() {
+		if res.Terminal != "" {
+			return res, fmt.Errorf("NDJSON line after terminal %q line: %q", res.Terminal, sc.Text())
+		}
 		var line struct {
 			Item  *string         `json:"item"`
 			Stats json.RawMessage `json:"stats"`
 			Error *string         `json:"error"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return res, fmt.Errorf("bad NDJSON line: %w", err)
+			return res, fmt.Errorf("bad NDJSON line %q: %w", sc.Text(), err)
 		}
 		switch {
 		case line.Item != nil:
-			res.Items++
+			res.Items = append(res.Items, *line.Item)
+		case line.Error != nil:
+			res.Terminal, res.ErrMsg = "error", *line.Error
 		case line.Stats != nil:
 			res.Terminal = "stats"
-		case line.Error != nil:
-			res.Terminal = "error"
-			res.ErrMsg = *line.Error
+		default:
+			return res, fmt.Errorf("NDJSON line with no item/stats/error: %q", sc.Text())
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, sc.Err()
 }
 
 // Health is the process-health sample /v1/stats exposes for the harness.

@@ -59,3 +59,39 @@ func TestClientKeepsConnection(t *testing.T) {
 		t.Errorf("%d sequential refusals and health samples opened %d connections, want 1", 2*n, got)
 	}
 }
+
+// TestStreamQueryRejectsBrokenStreams: the reader enforces the stream
+// contract, so a harness never counts a broken response as a success or a
+// clean refusal — a line after the terminal stats line, a line with no item,
+// stats or error member, and a refusal without an {"error"} envelope are each
+// an error. A well-formed stream reads to its items and its terminal.
+func TestStreamQueryRejectsBrokenStreams(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status int
+		body   string
+	}{
+		{"item after stats", http.StatusOK, `{"item":"<a/>"}` + "\n" + `{"stats":{"rows":1}}` + "\n" + `{"item":"<b/>"}` + "\n"},
+		{"unknown line", http.StatusOK, `{"item":"<a/>"}` + "\n" + `{"x":1}` + "\n" + `{"stats":{"rows":1}}` + "\n"},
+		{"refusal without envelope", http.StatusServiceUnavailable, "service unavailable\n"},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(tc.status)
+			_, _ = w.Write([]byte(tc.body))
+		}))
+		res, err := StreamQuery(context.Background(), ts.Client(), ts.URL, url.Values{"q": {"q"}})
+		ts.Close()
+		if err == nil {
+			t.Errorf("%s: accepted as %+v, want an error", tc.name, res)
+		}
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"item":"<a/>"}` + "\n" + `{"item":"<b/>"}` + "\n" + `{"stats":{"rows":2}}` + "\n"))
+	}))
+	defer ts.Close()
+	res, err := StreamQuery(context.Background(), ts.Client(), ts.URL, url.Values{"q": {"q"}})
+	if err != nil || !res.OK() || len(res.Items) != 2 || res.Items[0] != "<a/>" || res.Items[1] != "<b/>" {
+		t.Errorf("well-formed stream: %+v, %v", res, err)
+	}
+}

@@ -58,7 +58,7 @@ type SoakStats struct {
 	OK          int64 // full streams ending in stats
 	CleanErrors int64 // refusals and error terminals — acceptable under chaos
 	Canceled    int64 // aborted by the cancellation loop (transport errors)
-	Truncated   int64 // 200-streams with no terminal line: protocol violations
+	Truncated   int64 // broken streams: no terminal line, a contract breach, a transport error
 	Reloads     int64
 	ChaosRounds int64
 	Ingests     int64
@@ -133,14 +133,15 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakStats, error) {
 				case err != nil && (qctx.Err() != nil || runCtx.Err() != nil):
 					atomic.AddInt64(&stats.Canceled, 1)
 				case err != nil:
-					// Transport-level failure without a cancellation: under
-					// chaos against the *frontend* this is a hard failure —
-					// the server under soak must stay reachable.
+					// A transport failure or a broken stream without a
+					// cancellation: under chaos against the *frontend* this
+					// is a hard failure — the server under soak must stay
+					// reachable and keep the stream contract.
 					atomic.AddInt64(&stats.Truncated, 1)
-					stats.addFailure(&mu, fmt.Sprintf("query %d: transport error: %v", i, err))
+					stats.addFailure(&mu, fmt.Sprintf("query %d: %v", i, err))
 				case res.Truncated():
 					atomic.AddInt64(&stats.Truncated, 1)
-					stats.addFailure(&mu, fmt.Sprintf("query %d: stream truncated after %d items", i, res.Items))
+					stats.addFailure(&mu, fmt.Sprintf("query %d: stream truncated after %d items", i, len(res.Items)))
 				case res.OK():
 					atomic.AddInt64(&stats.OK, 1)
 				default:

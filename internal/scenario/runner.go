@@ -6,7 +6,6 @@
 package scenario
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -19,6 +18,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/loadgen"
 	"repro/internal/serve"
 )
 
@@ -275,73 +275,26 @@ func (s *Scenario) ingest(ctx context.Context, t *target, st IngestStep) error {
 	return nil
 }
 
-// streamQuery executes one query over the NDJSON wire. A pre-stream refusal
-// (non-200 JSON error) and a mid-stream terminal {"error"} line both land in
-// Outcome.Err; a stream that ends without any terminal line is truncation —
-// a harness error, never a short success.
+// streamQuery executes one query over the NDJSON wire through the load
+// harness's reader, which enforces the stream contract. A pre-stream refusal
+// and a mid-stream terminal {"error"} line both land in Outcome.Err; a stream
+// that ends without any terminal line is truncation — a harness error, never
+// a short success.
 func streamQuery(ctx context.Context, client *http.Client, base string, q ScenarioQuery) (Outcome, error) {
-	v := url.Values{}
-	v.Set("q", q.Text)
-	v.Set("stream", "ndjson")
+	v := url.Values{"q": {q.Text}}
 	if q.Mode == "static" {
 		v.Set("mode", "static")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/query?"+v.Encode(), nil)
-	if err != nil {
+	res, err := loadgen.StreamQuery(ctx, client, base, v)
+	switch {
+	case err != nil:
 		return Outcome{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return Outcome{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var body struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
-			return Outcome{}, fmt.Errorf("status %d with undecodable error body", resp.StatusCode)
-		}
-		return Outcome{Err: body.Error}, nil
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	items := []string{}
-	terminal := ""
-	errMsg := ""
-	for sc.Scan() {
-		if terminal != "" {
-			return Outcome{}, fmt.Errorf("NDJSON line after terminal %q line: %q", terminal, sc.Text())
-		}
-		var line struct {
-			Item  *string         `json:"item"`
-			Stats json.RawMessage `json:"stats"`
-			Error *string         `json:"error"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return Outcome{}, fmt.Errorf("bad NDJSON line %q: %w", sc.Text(), err)
-		}
-		switch {
-		case line.Item != nil:
-			items = append(items, *line.Item)
-		case line.Error != nil:
-			terminal, errMsg = "error", *line.Error
-		case line.Stats != nil:
-			terminal = "stats"
-		default:
-			return Outcome{}, fmt.Errorf("NDJSON line with no item/stats/error: %q", sc.Text())
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Outcome{}, fmt.Errorf("read stream: %w", err)
-	}
-	switch terminal {
-	case "stats":
-		return Outcome{Items: items}, nil
-	case "error":
-		return Outcome{Err: errMsg}, nil
+	case res.Terminal == "stats":
+		return Outcome{Items: res.Items}, nil
+	case res.Terminal == "error":
+		return Outcome{Err: res.ErrMsg}, nil
 	default:
-		return Outcome{}, fmt.Errorf("stream truncated: %d items and no terminal stats/error line", len(items))
+		return Outcome{}, fmt.Errorf("stream truncated: %d items and no terminal stats/error line", len(res.Items))
 	}
 }
 

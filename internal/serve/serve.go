@@ -341,12 +341,7 @@ func serveQuery(pool *rox.Pool, maxBody int64, w http.ResponseWriter, r *http.Re
 		streamNDJSON(w, rows)
 		return
 	}
-	res, err := rows.Collect()
-	if err != nil {
-		writeError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{Items: res.Items, Stats: toQueryStats(res.Stats)})
+	writeBuffered(w, rows)
 }
 
 // serveCollectionLoad replaces (or appends) one shard of a collection, from
@@ -429,47 +424,10 @@ type QueryResponse struct {
 	Stats QueryStats `json:"stats"`
 }
 
-// QueryStats is the JSON stats object of a /query response (and of the
-// terminal {"stats": ...} line of an NDJSON stream).
-type QueryStats struct {
-	Rows                   int               `json:"rows"`
-	Scanned                int               `json:"scanned"`
-	Truncated              bool              `json:"truncated"`
-	ElapsedNS              int64             `json:"elapsed_ns"`
-	ExecTuples             int64             `json:"exec_tuples"`
-	SampleTuples           int64             `json:"sample_tuples"`
-	CumulativeIntermediate int64             `json:"cumulative_intermediate"`
-	Plan                   string            `json:"plan"`
-	CacheHit               bool              `json:"cache_hit"`
-	Reoptimized            bool              `json:"reoptimized"`
-	Shards                 []ShardQueryStats `json:"shards,omitempty"`
-}
-
-// ShardQueryStats is the per-shard breakdown of a scatter-gather evaluation.
-type ShardQueryStats struct {
-	Shard string     `json:"shard"`
-	Stats QueryStats `json:"stats"`
-}
-
-// toQueryStats converts engine stats (recursively over shard breakdowns).
-func toQueryStats(s rox.Stats) QueryStats {
-	out := QueryStats{
-		Rows:                   s.Rows,
-		Scanned:                s.Scanned,
-		Truncated:              s.Truncated,
-		ElapsedNS:              s.Elapsed.Nanoseconds(),
-		ExecTuples:             s.ExecTuples,
-		SampleTuples:           s.SampleTuples,
-		CumulativeIntermediate: s.CumulativeIntermediate,
-		Plan:                   s.Plan,
-		CacheHit:               s.CacheHit,
-		Reoptimized:            s.Reoptimized,
-	}
-	for _, sh := range s.Shards {
-		out.Shards = append(out.Shards, ShardQueryStats{Shard: sh.Shard, Stats: toQueryStats(sh.Stats)})
-	}
-	return out
-}
+// QueryStats is the JSON stats object of a /query response and of the
+// terminal {"stats": ...} line of an NDJSON stream: the one stats object
+// every wire carries, a shard server's done report included.
+type QueryStats = shardrpc.Stats
 
 // resolveCorpusPath confines a client-supplied ?file= path to the configured
 // corpus directory. Relative paths are taken relative to corpusDir; absolute
@@ -566,7 +524,34 @@ func streamNDJSON(w http.ResponseWriter, rows *rox.Rows) {
 		return
 	}
 	rows.Close()
-	_ = lw.Field("stats", toQueryStats(rows.Stats()))
+	_ = lw.Field("stats", rows.Stats().Wire())
+}
+
+// writeBuffered writes the cursor as one {"items":[…],"stats":…} body, byte
+// for byte what encoding/json writes for a QueryResponse, each item rendered
+// from the cursor's buffer by the encoder the stream uses. It buffers rather
+// than streams the array: the status goes out only after the cursor ended, so
+// a failure anywhere in the evaluation — a remote shard cut mid-stream (502),
+// a drain (503) — is answered with its own status and error envelope, where a
+// streamed array could only end a 200 early.
+func writeBuffered(w http.ResponseWriter, rows *rox.Rows) {
+	// A small result fits the first 4 KiB without regrowing the body.
+	body := append(make([]byte, 0, 4<<10), `{"items":[`...)
+	for n := 0; rows.Next(); n++ {
+		if n > 0 {
+			body = append(body, ',')
+		}
+		body = ndjson.AppendString(body, rows.ItemBytes(), true)
+	}
+	if err := rows.Err(); err != nil {
+		writeError(w, StatusFor(err), err)
+		return
+	}
+	stats, _ := json.Marshal(rows.Stats().Wire()) // numbers, strings, bools: cannot fail
+	body = append(append(append(body, `],"stats":`...), stats...), '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write leaves no one to report to: the client is gone
 }
 
 // StatusFor classifies an evaluation error: cancellation → 503 (client went

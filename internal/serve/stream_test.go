@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/shardrpc"
 	"repro/internal/testutil"
+	"repro/internal/xmltree"
 )
 
 // TestStreamLinesMatchEncodingJSON: an NDJSON response is, byte for byte, the
@@ -78,6 +80,105 @@ func TestStreamLinesMatchEncodingJSON(t *testing.T) {
 		if tail.Stats.Rows != len(buffered.Items) {
 			t.Errorf("%s: stats line reports %d rows, streamed %d", q, tail.Stats.Rows, len(buffered.Items))
 		}
+	}
+}
+
+// TestBufferedMatchesEncodingJSON: a buffered /v1/query body, written item by
+// item through the stream's encoder, is byte for byte what encoding/json
+// writes for the same QueryResponse — items that need escaping (<, >, &, a
+// quote, a tab, U+2028), an empty result, an empty aggregate item, a
+// constructor return, an ordered collection gather — and the status still
+// waits for the end of the evaluation: a remote shard that cuts its stream
+// after one item answers 502 with the error envelope, never a short 200.
+func TestBufferedMatchesEncodingJSON(t *testing.T) {
+	eng := rox.NewEngine(rox.WithSeed(1))
+	// Text and attribute values serialize a tab as a character reference; a
+	// comment keeps its tab.
+	esc, err := xmltree.Parse("esc.xml", strings.NewReader(
+		"<r><e id=\"e1\">a &lt; b &gt; c &amp; d<!--tab\there-->sep\u2028end</e><e id=\"e2\"><v>1</v></e></r>"),
+		xmltree.ParseOptions{KeepComments: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadSource(rox.FromDocument(esc)); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		if err := eng.LoadCollectionSource("ppl", rox.FromXML(fmt.Sprintf("ppl-%d.xml", s), peopleXML(s*100, 30, 0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(rox.NewPool(eng, 2), Config{}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		q     string
+		items int
+		chars string // what the first item must contain
+	}{
+		{`for $e in doc("esc.xml")//e return $e`, 2, "<>&\"\t\u2028"},
+		{`for $e in doc("esc.xml")//nothing return $e`, 0, ""},
+		{`for $e in doc("esc.xml")//e return avg($e/missing)`, 1, ""},
+		{`for $e in doc("esc.xml")//e return <r>{$e}</r>`, 2, "<>&\"\t\u2028"},
+		{`for $p in collection("ppl")//person order by $p/age descending return $p limit 40`, 40, "<>\""},
+	} {
+		resp, err := http.Get(queryURL(ts.URL, tc.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, content type %q, %v: %s", tc.q, resp.StatusCode, resp.Header.Get("Content-Type"), err, body)
+		}
+		var decoded QueryResponse
+		if err := json.Unmarshal(body, &decoded); err != nil || len(decoded.Items) != tc.items {
+			t.Fatalf("%s: %d items, want %d (%v): %s", tc.q, len(decoded.Items), tc.items, err, body)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(decoded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body differs from encoding/json's:\n got %s\nwant %s", tc.q, body, want.Bytes())
+		}
+		if tc.items == 0 && !bytes.HasPrefix(body, []byte(`{"items":[],`)) {
+			t.Errorf("%s: empty result renders as %s, want an empty array", tc.q, body)
+		}
+		for _, c := range tc.chars {
+			if !strings.ContainsRune(decoded.Items[0], c) {
+				t.Errorf("%s: item %q does not contain %q: its escape goes untested", tc.q, decoded.Items[0], c)
+			}
+		}
+		if tc.items == 1 && decoded.Items[0] != "" {
+			t.Errorf("%s: aggregate over nothing = %q, want the empty item", tc.q, decoded.Items[0])
+		}
+	}
+
+	shard := http.NewServeMux()
+	shard.HandleFunc("POST /v1/shards/{shard}/execute", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		json.NewEncoder(w).Encode(map[string]string{"item": "<x>first</x>"})
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // the connection drops before the done line
+	})
+	shardSrv := httptest.NewServer(shard)
+	defer shardSrv.Close()
+	coord := rox.NewEngine()
+	if err := coord.LoadCollectionRemote(context.Background(), "c",
+		[]rox.Endpoint{{URL: shardSrv.URL, Shards: []string{"c-0.xml"}}}); err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(New(rox.NewPool(coord, 2), Config{}))
+	defer cs.Close()
+	resp, err := http.Get(queryURL(cs.URL, `for $x in collection("c")//x return $x`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); resp.StatusCode != http.StatusBadGateway || err != nil || envelope["error"] == "" {
+		t.Errorf("remote stream cut after one item: status %d, body %v (%v), want 502 with an error envelope", resp.StatusCode, envelope, err)
 	}
 }
 
@@ -171,11 +272,12 @@ func newScanHandler(tb testing.TB) *Handler {
 	return New(rox.NewPool(eng, 2), Config{})
 }
 
-// streamScan runs the scan through the handler as an NDJSON stream of limit
-// items and returns the response size.
-func streamScan(tb testing.TB, h *Handler, limit string) int {
+// scan runs the scan through the handler, limit items as an NDJSON stream
+// (stream "ndjson") or a buffered body (stream ""), and returns the response
+// size.
+func scan(tb testing.TB, h *Handler, stream, limit string) int {
 	req := httptest.NewRequest(http.MethodGet,
-		queryURL("", `for $p in doc("xmark.xml")//person[.//province] return $p`, "stream", "ndjson", "limit", limit), nil)
+		queryURL("", `for $p in doc("xmark.xml")//person[.//province] return $p`, "stream", stream, "limit", limit), nil)
 	w := &discardResponse{h: http.Header{}}
 	h.ServeHTTP(w, req)
 	if w.bytes == 0 {
@@ -189,12 +291,12 @@ func streamScan(tb testing.TB, h *Handler, limit string) int {
 // the cursor's item buffer and the line writer.
 func BenchmarkStreamNDJSON(b *testing.B) {
 	h := newScanHandler(b)
-	streamScan(b, h, "200") // optimize once; every iteration replays
+	scan(b, h, "ndjson", "200") // optimize once; every iteration replays
 	b.ReportAllocs()
 	b.ResetTimer()
 	size := 0
 	for i := 0; i < b.N; i++ {
-		size = streamScan(b, h, "200")
+		size = scan(b, h, "ndjson", "200")
 	}
 	b.SetBytes(int64(size))
 	b.ReportMetric(200*float64(b.N)/b.Elapsed().Seconds(), "items/s")

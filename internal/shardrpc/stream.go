@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"sync"
 	"unicode"
@@ -84,15 +85,15 @@ func newStream(body io.ReadCloser, endpoint string) *Stream {
 // it until the following Next. The done line — the protocol's last — returns
 // false, and Done holds the report; the response is then read to its end,
 // so Close keeps the connection. A stream cut before its done line (server
-// died, connection dropped) or carrying a line of any other shape returns an
-// error.
+// died, connection dropped) or carrying a line of any other shape returns a
+// RemoteError with Status 200: a gateway fault, as a 5xx would be.
 func (s *Stream) Next() (bool, error) {
 	line, err := s.readLine()
 	switch {
 	case err == io.EOF:
-		return false, fmt.Errorf("shardrpc: %s: stream ended without done report", s.endpoint)
+		return false, &RemoteError{Status: http.StatusOK, Endpoint: s.endpoint, Msg: "stream ended without done report"}
 	case err != nil:
-		return false, fmt.Errorf("shardrpc: %s: reading stream: %w", s.endpoint, err)
+		return false, &RemoteError{Status: http.StatusOK, Endpoint: s.endpoint, Msg: "reading stream: " + err.Error()}
 	}
 	if rest, ok := bytes.CutPrefix(line, itemPrefix); ok && s.scanItem(rest) {
 		return true, nil
@@ -109,7 +110,7 @@ func (s *Stream) Next() (bool, error) {
 			return false, nil
 		}
 	}
-	return false, fmt.Errorf("shardrpc: %s: malformed stream line %.80q", s.endpoint, line)
+	return false, &RemoteError{Status: http.StatusOK, Endpoint: s.endpoint, Msg: fmt.Sprintf("malformed stream line %.80q", line)}
 }
 
 // Item returns the current item: a view of the stream's buffer, valid until

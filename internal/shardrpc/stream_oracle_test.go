@@ -144,6 +144,7 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 		{"surrogate \xed\xa0\x80", "repl \ufffd wide \U0001F600 \u00e9", "caf\u00e9 \U0001F600", math.MaxFloat64, keyedFlag | presentFlag | numFlag},
 		{strings.Repeat("<long line/>", 500), "short", strings.Repeat("s", 5000), math.SmallestNonzeroFloat64, keyedFlag | presentFlag | numFlag},
 		{"<a/>", "<b/>", "p<q", 3, keyedFlag | presentFlag | numFlag | legacyDoneFlag},
+		{"<a/>", "<b/>", "", 0, omittedZerosFlag},
 	} {
 		f.Add([]byte(seed.item1), []byte(seed.item2), seed.s, seed.num, seed.flags, uint16(7), uint16(3), byte('"'))
 	}
@@ -162,6 +163,9 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 			run.keys = []plan.Key{k, k2}
 		}
 		body := handlerStream(t, run, flags&htmlFlag != 0)
+		if flags&omittedZerosFlag != 0 {
+			body = omittedZeros(body)
+		}
 		if flags&legacyDoneFlag != 0 {
 			body = legacyDone(t, body)
 		}
@@ -209,15 +213,29 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 }
 
 // Fuzz flag bits: whether items carry keys, the key's two flags, whether
-// the stream is written in the HTML-escaped form of older servers, and
-// whether its done line carries the plan members older servers wrote.
+// the stream is written in the HTML-escaped form of older servers, whether
+// its done line carries the plan members older servers wrote, and whether it
+// omits the zero-valued stats members older servers left out.
 const (
 	keyedFlag uint8 = 1 << iota
 	presentFlag
 	numFlag
 	htmlFlag
 	legacyDoneFlag
+	omittedZerosFlag
 )
+
+// omittedZeros rewrites body's done line into the form servers wrote before
+// every stats member was always present: truncated, plan, cache_hit and
+// reoptimized left out when zero.
+func omittedZeros(body []byte) []byte {
+	i := bytes.LastIndex(body, []byte(`{"done":`))
+	done := body[i:]
+	for _, zero := range []string{`"truncated":false,`, `"plan":"",`, `,"cache_hit":false`, `,"reoptimized":false`} {
+		done = bytes.Replace(done, []byte(zero), nil, 1)
+	}
+	return append(bytes.Clone(body[:i]), done...)
+}
 
 // Servers that returned their plan wrote it in the done line, around the
 // members this side reads: the document's generation stamp first, the

@@ -126,19 +126,30 @@ func (a *Agg) State() *plan.AggState {
 	return plan.RestoreAggState(a.Count, a.Min, a.Max, a.Partials)
 }
 
-// Stats mirrors the scalar fields of rox.Stats for the wire (the coordinator
-// folds them into its ShardStats rollup).
+// Stats is the one JSON form of rox.Stats (rox.Stats.Wire converts): the
+// stats of a buffered /v1/query body, of an NDJSON stream's terminal stats
+// line, and of a shard server's done report, which the coordinator folds into
+// its ShardStats rollup. Every scalar member is always present; older shard
+// servers omitted the zero-valued ones, which decode to the same zeros.
 type Stats struct {
-	Rows                   int    `json:"rows"`
-	Scanned                int    `json:"scanned"`
-	Truncated              bool   `json:"truncated,omitempty"`
-	ElapsedNS              int64  `json:"elapsed_ns"`
-	ExecTuples             int64  `json:"exec_tuples"`
-	SampleTuples           int64  `json:"sample_tuples"`
-	CumulativeIntermediate int64  `json:"cumulative_intermediate"`
-	Plan                   string `json:"plan,omitempty"`
-	CacheHit               bool   `json:"cache_hit,omitempty"`
-	Reoptimized            bool   `json:"reoptimized,omitempty"`
+	Rows                   int          `json:"rows"`
+	Scanned                int          `json:"scanned"`
+	Truncated              bool         `json:"truncated"`
+	ElapsedNS              int64        `json:"elapsed_ns"`
+	ExecTuples             int64        `json:"exec_tuples"`
+	SampleTuples           int64        `json:"sample_tuples"`
+	CumulativeIntermediate int64        `json:"cumulative_intermediate"`
+	Plan                   string       `json:"plan"`
+	CacheHit               bool         `json:"cache_hit"`
+	Reoptimized            bool         `json:"reoptimized"`
+	Shards                 []ShardStats `json:"shards,omitempty"`
+}
+
+// ShardStats is one shard's entry in the per-shard breakdown of a
+// scatter-gather evaluation. A shard's own done report never carries one.
+type ShardStats struct {
+	Shard string `json:"shard"`
+	Stats Stats  `json:"stats"`
 }
 
 // Done is a shard execution's end-of-stream report: the last message of every
@@ -172,10 +183,12 @@ type errorEnvelope struct {
 	Error string `json:"error"`
 }
 
-// RemoteError is a shard-server request that failed with an HTTP error
-// status: the server rejected it (4xx — bad query, unknown shard) or failed
-// serving it (5xx). The coordinator surfaces it typed so API layers can map
-// client-side remote rejections back to client errors.
+// RemoteError is a shard-server request that failed: with an HTTP error
+// status — the server rejected it (4xx — bad query, unknown shard) or failed
+// serving it (5xx) — or, Status 200, with an execute stream that broke after
+// it (cut before its done line, or carrying a malformed line). The
+// coordinator surfaces it typed so API layers can map client-side remote
+// rejections back to client errors and the rest to gateway faults.
 type RemoteError struct {
 	Status   int
 	Endpoint string

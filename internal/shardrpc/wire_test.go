@@ -348,45 +348,59 @@ func TestMessageWireShape(t *testing.T) {
 		done:  Done{Stats: &Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}},
 	}
 	want := `{"item":"<a/>","key":{"p":true,"n":true,"f":1.5}}` + "\n" +
-		`{"done":{"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}` + "\n"
+		`{"done":{"stats":{"rows":1,"scanned":0,"truncated":false,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4,"plan":"","cache_hit":false,"reoptimized":false}}}` + "\n"
 	if got := string(handlerStream(t, run, false)); got != want {
 		t.Errorf("stream\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestStreamDecodesLegacyDone: a peer that still returns its plan in the
-// done line — the generation stamp, the plan's steps, their cardinalities —
-// streams to this client as any other: its items arrive and its done line
-// decodes, the members this side no longer reads ignored.
+// TestStreamDecodesLegacyDone: the done lines of older peers stream to this
+// client as any other — their items arrive and their done line decodes, the
+// members this side no longer reads ignored and the members it now always
+// writes, where an older peer omitted them, decoded to their zero values.
 func TestStreamDecodesLegacyDone(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/shards/{shard}/execute", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_, _ = io.WriteString(w, `{"item":"<a/>","key":{"p":true,"n":true,"f":1}}`+"\n"+
-			legacyDoneHead+`"stats":{"rows":1,"scanned":4,"elapsed_ns":5,"exec_tuples":6,"sample_tuples":7,"cumulative_intermediate":8,"plan":"p"}`+legacyDoneTail)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	stream, err := NewClient(ts.Client()).Execute(context.Background(), ts.URL, "s.xml",
-		&ExecRequest{Collection: "c", Query: "q"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	if ok, err := stream.Next(); err != nil || !ok || string(stream.Item()) != "<a/>" {
-		t.Fatalf("item: ok=%v item=%q err=%v", ok, stream.Item(), err)
-	}
-	if k, keyed := stream.Key(); !keyed || k.F != 1 {
-		t.Errorf("key = %+v (keyed %v), want 1", k, keyed)
-	}
-	ok, err := stream.Next()
-	if err != nil || ok {
-		t.Fatalf("done line: ok=%v err=%v", ok, err)
-	}
-	want := Stats{Rows: 1, Scanned: 4, ElapsedNS: 5, ExecTuples: 6, SampleTuples: 7, CumulativeIntermediate: 8, Plan: "p"}
-	if d := stream.Done(); d.Error != "" || d.Stats == nil || *d.Stats != want || d.Agg != nil {
-		t.Errorf("done = %+v, want stats %+v", d, want)
+	for _, tc := range []struct {
+		name, done string
+		want       Stats
+	}{{
+		// A peer that still returns its plan: the generation stamp, the
+		// plan's steps, their cardinalities.
+		name: "plan",
+		done: legacyDoneHead + `"stats":{"rows":1,"scanned":4,"elapsed_ns":5,"exec_tuples":6,"sample_tuples":7,"cumulative_intermediate":8,"plan":"p"}` + legacyDoneTail,
+		want: Stats{Rows: 1, Scanned: 4, ElapsedNS: 5, ExecTuples: 6, SampleTuples: 7, CumulativeIntermediate: 8, Plan: "p"},
+	}, {
+		// A peer that omitted truncated, plan, cache_hit and reoptimized
+		// when they were zero.
+		name: "omitted zeros",
+		done: `{"done":{"stats":{"rows":1,"scanned":0,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4}}}` + "\n",
+		want: Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, CumulativeIntermediate: 4},
+	}} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/shards/{shard}/execute", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_, _ = io.WriteString(w, `{"item":"<a/>","key":{"p":true,"n":true,"f":1}}`+"\n"+tc.done)
+		})
+		ts := httptest.NewServer(mux)
+		stream, err := NewClient(ts.Client()).Execute(context.Background(), ts.URL, "s.xml",
+			&ExecRequest{Collection: "c", Query: "q"})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ok, err := stream.Next(); err != nil || !ok || string(stream.Item()) != "<a/>" {
+			t.Fatalf("%s: item: ok=%v item=%q err=%v", tc.name, ok, stream.Item(), err)
+		}
+		if k, keyed := stream.Key(); !keyed || k.F != 1 {
+			t.Errorf("%s: key = %+v (keyed %v), want 1", tc.name, k, keyed)
+		}
+		ok, err := stream.Next()
+		if err != nil || ok {
+			t.Fatalf("%s: done line: ok=%v err=%v", tc.name, ok, err)
+		}
+		if d := stream.Done(); d.Error != "" || d.Stats == nil || !reflect.DeepEqual(*d.Stats, tc.want) || d.Agg != nil {
+			t.Errorf("%s: done = %+v, want stats %+v", tc.name, d, tc.want)
+		}
+		stream.Close()
+		ts.Close()
 	}
 }
 

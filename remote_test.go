@@ -892,7 +892,7 @@ func TestScatterKeepsShardConnections(t *testing.T) {
 		return res
 	}
 	opened := func() int64 { return conns[0].Load() + conns[1].Load() }
-	for _, req := range reqs { // warm-up: plan caches, hint store, idle pool
+	for _, req := range reqs { // warm-up: the shard servers' plan caches, the idle pool
 		run(remote, req)
 	}
 	before := opened()
