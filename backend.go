@@ -26,12 +26,8 @@ import (
 // shardExec is one shard's execution order: everything a source needs to run
 // the statement on one shard, for either transport.
 type shardExec struct {
-	coll  string // collection name in the compiled graph
-	shard string // shard document name
-	// gen is the generation stamp cached plans validate against: the shard's
-	// registration stamp locally, the document's own stamp on the shard
-	// server that serves it. A remote shard's plans never leave that server.
-	gen    uint64
+	coll   string        // collection name in the compiled graph
+	shard  string        // shard document name
 	remote *plan.Remote  // non-nil for http shards: where the data lives
 	cat    *plan.Catalog // catalog snapshot the query runs against (local)
 	// stmt is the statement the shard runs: a local shard runs its memoized
@@ -39,10 +35,9 @@ type shardExec struct {
 	// the server rebuilds the identical graph) instead of a serialized graph.
 	stmt *Prepared
 	// window is the shard's tail window, replacing the statement's own limit
-	// clause; shardLimit is its count for the wire (0 = none).
-	window     *plan.LimitSpec
-	shardLimit int
-	baseFP     string // base plan-cache key; "" = caching disabled
+	// clause (nil = none).
+	window *plan.LimitSpec
+	baseFP string // base plan-cache key; "" = caching disabled
 }
 
 // bound is the graph a shard cursor runs: the statement rebound to the shard
@@ -59,8 +54,8 @@ func (x *shardExec) bound() *xquery.Compiled {
 // shardCursor binds the execution cursor to one shard: the compiled graph
 // rebound to the shard document, a per-shard environment (own recorder and
 // seeded random stream) over the query's catalog snapshot, and the shard's
-// own cache key and generation stamp — so a reload of this shard invalidates
-// exactly this shard's cached plans and no others.
+// own cache key — so a reload of this shard invalidates exactly this shard's
+// cached plans, and a reload of a document the query joins every shard's.
 func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 	env := plan.NewQueryEnv(x.cat, metrics.NewRecorder(), e.seed)
 	env.Interrupt = ctx.Err
@@ -71,14 +66,10 @@ func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 		// shard of every query (Prepared computes baseFP once, ever).
 		fp = x.baseFP + "|shard:" + x.shard
 	}
-	c := e.newCursor(ctx, env, x.bound(), fp, x.gen)
+	c := e.newCursor(ctx, env, x.bound(), fp)
 	c.shard = true
 	return c
 }
-
-// item is the gather's view of a local shard's current item: the cursor's
-// own render buffer, uncopied.
-func (c *cursor) item() []byte { return c.buf }
 
 // done is a shard cursor's end-of-stream report.
 func (c *cursor) done() shardDone {
@@ -115,8 +106,10 @@ func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, er
 	req := &shardrpc.ExecRequest{
 		Collection:  x.coll,
 		Query:       x.stmt.text,
-		ShardLimit:  x.shardLimit,
 		Fingerprint: x.baseFP,
+	}
+	if x.window != nil {
+		req.ShardLimit = x.window.Count
 	}
 	if r.err = e.shardLim.Acquire(ctx); r.err == nil {
 		r.stream, r.err = e.shardClient.Execute(ctx, x.remote.Endpoint, x.remote.Doc, req)
@@ -164,7 +157,8 @@ func (r *remoteShard) finish(d *shardrpc.Done) {
 	}
 }
 
-func (r *remoteShard) item() []byte { return r.cur }
+// Item returns the current item, valid until the next Next.
+func (r *remoteShard) Item() []byte { return r.cur }
 
 // Key returns the current item's order-by merge key; ok is false when the
 // query does not sort.
@@ -384,7 +378,6 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 	if req.ShardLimit > 0 {
 		window = &plan.LimitSpec{Count: req.ShardLimit}
 	}
-	gen := cat.DocGeneration(shard)
 	fp := ""
 	if e.cache != nil {
 		if fp = req.Fingerprint; fp == "" {
@@ -399,7 +392,6 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 	return e.shardCursor(ctx, &shardExec{
 		coll:   req.Collection,
 		shard:  shard,
-		gen:    gen,
 		cat:    cat,
 		stmt:   stmt,
 		window: window,

@@ -128,7 +128,7 @@ type Optimizer struct {
 	samples  map[int]sampleEntry
 	concepts map[int]*table.Table // conceptual (index extent) tables
 
-	joinUF  *unionFind
+	joinUF  *joingraph.UnionFind
 	implied map[int]bool // join edges skipped as transitively implied
 
 	steps []plan.Step
@@ -166,7 +166,7 @@ func New(env *plan.Env, g *joingraph.Graph, opt Options) (*Optimizer, error) {
 		cards:    make(map[int]int),
 		samples:  make(map[int]sampleEntry),
 		concepts: make(map[int]*table.Table),
-		joinUF:   newUnionFind(len(g.Vertices)),
+		joinUF:   joingraph.NewUnionFind(len(g.Vertices)),
 		implied:  make(map[int]bool),
 		trace:    &Trace{},
 	}, nil
@@ -481,7 +481,7 @@ func (o *Optimizer) remainingEdges() []int {
 		if !o.pending(e.ID) {
 			continue
 		}
-		if e.Kind == joingraph.JoinEdge && o.joinUF.find(e.From) == o.joinUF.find(e.To) {
+		if e.Kind == joingraph.JoinEdge && o.joinUF.Find(e.From) == o.joinUF.Find(e.To) {
 			o.implied[e.ID] = true
 			o.trace.addImplied(e.ID)
 			continue
@@ -527,7 +527,7 @@ func (o *Optimizer) execEdge(id int) error {
 	if o.runner.Executed(id) || o.implied[id] {
 		return nil
 	}
-	if e.Kind == joingraph.JoinEdge && o.joinUF.find(e.From) == o.joinUF.find(e.To) {
+	if e.Kind == joingraph.JoinEdge && o.joinUF.Find(e.From) == o.joinUF.Find(e.To) {
 		o.implied[id] = true
 		o.trace.addImplied(id)
 		return nil
@@ -570,7 +570,7 @@ func (o *Optimizer) execEdge(id int) error {
 	o.steps = append(o.steps, plan.Step{EdgeID: id, Reverse: reverse, Alg: alg})
 	o.trace.addExec(id, reverse, alg, rows)
 	if e.Kind == joingraph.JoinEdge {
-		o.joinUF.union(e.From, e.To)
+		o.joinUF.Union(e.From, e.To)
 	}
 	delete(o.weights, id)
 
@@ -613,24 +613,3 @@ func (o *Optimizer) execEdge(id int) error {
 	}
 	return nil
 }
-
-// unionFind tracks the transitive closure of executed equi-joins.
-type unionFind struct{ parent []int }
-
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }

@@ -265,26 +265,13 @@ func (g *Graph) StepEdges() []*Edge {
 //
 // It returns the number of edges added.
 func (g *Graph) AddJoinEquivalences() int {
-	// Union-find over vertices connected by join edges.
-	parent := make([]int, len(g.Vertices))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
+	uf := NewUnionFind(len(g.Vertices))
 	existing := make(map[[2]int]bool)
 	for _, e := range g.Edges {
 		if e.Kind != JoinEdge {
 			continue
 		}
-		union(e.From, e.To)
+		uf.Union(e.From, e.To)
 		a, b := e.From, e.To
 		if a > b {
 			a, b = b, a
@@ -301,7 +288,7 @@ func (g *Graph) AddJoinEquivalences() int {
 		if !g.hasJoinEdge(v) {
 			continue
 		}
-		r := find(v)
+		r := uf.Find(v)
 		if len(classes[r]) == 0 {
 			roots = append(roots, r)
 		}
@@ -330,6 +317,31 @@ func (g *Graph) AddJoinEquivalences() int {
 	}
 	return added
 }
+
+// UnionFind is a disjoint-set forest over vertex indices: the transitive
+// closure of equi-joins, here and wherever executed joins imply others.
+type UnionFind struct{ parent []int }
+
+// NewUnionFind returns n singleton sets.
+func NewUnionFind(n int) *UnionFind {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return &UnionFind{parent: p}
+}
+
+// Find returns the root of x's set, halving the path on the way.
+func (u *UnionFind) Find(x int) int {
+	for u.parent[x] != x {
+		u.parent[x] = u.parent[u.parent[x]]
+		x = u.parent[x]
+	}
+	return x
+}
+
+// Union merges the sets of a and b under b's root.
+func (u *UnionFind) Union(a, b int) { u.parent[u.Find(a)] = u.Find(b) }
 
 func (g *Graph) hasJoinEdge(v int) bool {
 	for _, e := range g.Edges {
@@ -430,8 +442,10 @@ func (g *Graph) String() string {
 // names are part of the hash, so the same structural shape over different
 // documents keys separately.
 //
-// The fingerprint says nothing about document *contents* — pairing it with a
-// catalog generation (and drift detection on replay) is the caller's job.
+// The fingerprint says nothing about document *contents* — pairing it with
+// the registration stamps of the documents it reads
+// (plan.Catalog.GraphGeneration) and drift detection on replay is the
+// caller's job.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	// Free-form strings (document names, qualified names, predicate values)

@@ -4,12 +4,10 @@
 // chosen operators; every operator charges its tuple work to the current
 // phase of a Recorder.
 //
-// Two cost dimensions are tracked:
-//
-//   - Tuples: a deterministic work unit (one input or output tuple touched by
-//     an operator). This is platform independent and is what the paper's
-//     cost column in Table 1 describes.
-//   - Duration: wall-clock time, matching the paper's elapsed-time plots.
+// The cost unit is the tuple: a deterministic work unit (one input or output
+// tuple touched by an operator). It is platform independent and is what the
+// paper's cost column in Table 1 describes. Wall-clock time is measured where
+// it is reported, with a Stopwatch.
 package metrics
 
 import (
@@ -44,30 +42,27 @@ func (p Phase) String() string {
 
 // Cost is an accumulated amount of work.
 type Cost struct {
-	Tuples   int64         // deterministic work units (tuples touched)
-	Duration time.Duration // wall-clock time
-	Ops      int64         // number of operator invocations
+	Tuples int64 // deterministic work units (tuples touched)
+	Ops    int64 // number of operator invocations
 }
 
 // Add accumulates other into c.
 func (c *Cost) Add(other Cost) {
 	c.Tuples += other.Tuples
-	c.Duration += other.Duration
 	c.Ops += other.Ops
 }
 
 // Sub returns c minus other, component-wise.
 func (c Cost) Sub(other Cost) Cost {
 	return Cost{
-		Tuples:   c.Tuples - other.Tuples,
-		Duration: c.Duration - other.Duration,
-		Ops:      c.Ops - other.Ops,
+		Tuples: c.Tuples - other.Tuples,
+		Ops:    c.Ops - other.Ops,
 	}
 }
 
 // String renders the cost compactly.
 func (c Cost) String() string {
-	return fmt.Sprintf("{tuples=%d ops=%d dur=%s}", c.Tuples, c.Ops, c.Duration)
+	return fmt.Sprintf("{tuples=%d ops=%d}", c.Tuples, c.Ops)
 }
 
 // Recorder accumulates cost per phase. The zero value is ready to use and
@@ -105,15 +100,14 @@ func (r *Recorder) ChargeTuples(n int) {
 	r.costs[r.phase].Tuples += int64(n)
 }
 
-// ChargeOp records one operator invocation with n tuple work units and the
-// given duration against the active phase.
-func (r *Recorder) ChargeOp(n int, d time.Duration) {
+// ChargeOp records one operator invocation with n tuple work units against
+// the active phase.
+func (r *Recorder) ChargeOp(n int) {
 	if r == nil {
 		return
 	}
 	c := &r.costs[r.phase]
 	c.Tuples += int64(n)
-	c.Duration += d
 	c.Ops++
 }
 
@@ -298,11 +292,11 @@ func (s CacheSnapshot) HitRate() float64 {
 	return float64(served) / float64(total)
 }
 
-// Stopwatch measures one operator invocation. Use:
+// Stopwatch measures wall-clock time from Start:
 //
 //	sw := metrics.Start()
 //	... do work ...
-//	rec.ChargeOp(work, sw.Elapsed())
+//	elapsed := sw.Elapsed()
 type Stopwatch struct{ t0 time.Time }
 
 // Start begins timing.

@@ -275,7 +275,7 @@ func hashJoinOracle(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Nod
 			break
 		}
 	}
-	rec.ChargeOp(consumed+len(S)+out.Len(), 0)
+	rec.ChargeOp(consumed + len(S) + out.Len())
 	return out, consumed
 }
 

@@ -105,7 +105,6 @@ func StepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xml
 // allocates only when an edge outgrows every earlier one. The result
 // aliases those columns until the next call. It returns consumed.
 func StepPairsInto(out *Pairs, rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID, limit int) int {
-	sw := metrics.Start()
 	out.C, out.S = out.C[:0], out.S[:0]
 	st := stepper{d: d, axis: axis, S: S, out: out}
 	consumed := 0
@@ -116,7 +115,7 @@ func StepPairsInto(out *Pairs, rec *metrics.Recorder, d *xmltree.Document, axis 
 			break
 		}
 	}
-	rec.ChargeOp(consumed+out.Len(), sw.Elapsed())
+	rec.ChargeOp(consumed + out.Len())
 	return consumed
 }
 
@@ -312,7 +311,6 @@ func (st *stepper) step(c xmltree.NodeID) {
 // remaining axes reduce to pair generation plus sort-unique, whose output is
 // bounded by |C|·depth or sibling counts.
 func StaircaseSemi(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID) []xmltree.NodeID {
-	sw := metrics.Start()
 	var out []xmltree.NodeID
 	switch axis {
 	case AxisDesc, AxisDescSelf:
@@ -378,7 +376,7 @@ func StaircaseSemi(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S [
 		pairs, _ := StepPairs(nil, d, axis, C, S, 0)
 		out = xmltree.SortUnique(pairs.S, nil)
 	}
-	rec.ChargeOp(len(C)+len(out), sw.Elapsed())
+	rec.ChargeOp(len(C) + len(out))
 	return out
 }
 
@@ -388,7 +386,6 @@ func StaircaseSemi(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S [
 // property — so ROX never samples it; it exists as a correctness oracle and
 // a last-resort executor.
 func NestedLoopStepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID) Pairs {
-	sw := metrics.Start()
 	var out Pairs
 	for _, c := range C {
 		for _, s := range S {
@@ -397,7 +394,7 @@ func NestedLoopStepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, 
 			}
 		}
 	}
-	rec.ChargeOp(len(C)*len(S)+out.Len(), sw.Elapsed())
+	rec.ChargeOp(len(C)*len(S) + out.Len())
 	return out
 }
 

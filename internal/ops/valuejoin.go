@@ -68,7 +68,6 @@ func HashJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Node
 // value id when C shares S's document, through dS's dictionary otherwise —
 // which also sizes the output.
 func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, dS *xmltree.Document, S []xmltree.NodeID, limit int) int {
-	sw := metrics.Start()
 	out.C, out.S = out.C[:0], out.S[:0]
 	vals := dS.Values()
 	// A node without a value of its own (id -1) has the value "": key it as
@@ -147,7 +146,7 @@ func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, 
 			out.append(C[i], s)
 		}
 	}
-	rec.ChargeOp(consumed+len(S)+out.Len(), sw.Elapsed())
+	rec.ChargeOp(consumed + len(S) + out.Len())
 	return consumed
 }
 
@@ -165,9 +164,8 @@ func NLIndexJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.N
 // NLIndexJoinPairsInto is NLIndexJoinPairs writing into out, whose columns
 // are truncated and reused as in StepPairsInto. It returns consumed.
 func NLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, limit int) int {
-	sw := metrics.Start()
 	consumed := probeJoin(out, dC, C, probe, nil, false, limit)
-	rec.ChargeOp(consumed+out.Len(), sw.Elapsed())
+	rec.ChargeOp(consumed + out.Len())
 	return consumed
 }
 
@@ -178,9 +176,8 @@ func NLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Documen
 // per hit, so the join stays zero-investment. Charged like
 // NLIndexJoinPairs: consumed + |R|.
 func RestrictedNLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, S []xmltree.NodeID, limit int) int {
-	sw := metrics.Start()
 	consumed := probeJoin(out, dC, C, probe, S, true, limit)
-	rec.ChargeOp(consumed+out.Len(), sw.Elapsed())
+	rec.ChargeOp(consumed + out.Len())
 	return consumed
 }
 
@@ -192,9 +189,8 @@ func RestrictedNLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltr
 // (Table 1): the recorder models the algorithm the plan chose, not the build
 // this operator skips. It returns consumed.
 func IndexHashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, extent, limit int) int {
-	sw := metrics.Start()
 	consumed := probeJoin(out, dC, C, probe, nil, false, limit)
-	rec.ChargeOp(consumed+extent+out.Len(), sw.Elapsed())
+	rec.ChargeOp(consumed + extent + out.Len())
 	return consumed
 }
 
@@ -247,7 +243,6 @@ func AttrProbe(ix *index.Index, qattr string) func(string) []xmltree.NodeID {
 // value group, whose remaining outer tuples are then not joined; consumed
 // counts the outer tuples processed in value order.
 func MergeJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, dS *xmltree.Document, S []xmltree.NodeID, limit int) (Pairs, int) {
-	sw := metrics.Start()
 	cs := sortByValue(dC, C)
 	ss := sortByValue(dS, S)
 	var out Pairs
@@ -274,7 +269,7 @@ func MergeJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Nod
 				i++
 				consumed++
 				if limit > 0 && out.Len() >= limit {
-					rec.ChargeOp(len(C)+len(S)+out.Len(), sw.Elapsed())
+					rec.ChargeOp(len(C) + len(S) + out.Len())
 					return out, consumed
 				}
 			}
@@ -282,7 +277,7 @@ func MergeJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Nod
 		}
 	}
 	consumed = len(cs) // merge ran to completion: every outer tuple was seen
-	rec.ChargeOp(len(C)+len(S)+out.Len(), sw.Elapsed())
+	rec.ChargeOp(len(C) + len(S) + out.Len())
 	return out, consumed
 }
 
@@ -298,7 +293,6 @@ func sortByValue(d *xmltree.Document, nodes []xmltree.NodeID) []xmltree.NodeID {
 // it lacks the zero-investment property, so ROX never samples it; it exists
 // as a correctness oracle.
 func NestedLoopValuePairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, dS *xmltree.Document, S []xmltree.NodeID) Pairs {
-	sw := metrics.Start()
 	var out Pairs
 	for _, c := range C {
 		v := dC.Value(c)
@@ -308,7 +302,7 @@ func NestedLoopValuePairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltr
 			}
 		}
 	}
-	rec.ChargeOp(len(C)*len(S)+out.Len(), sw.Elapsed())
+	rec.ChargeOp(len(C)*len(S) + out.Len())
 	return out
 }
 
@@ -331,13 +325,12 @@ func ValueJoinPairs(rec *metrics.Recorder, alg JoinAlg, dC *xmltree.Document, C 
 // Select filters a node sequence with an arbitrary predicate, the scan σ of
 // Table 1 (cost |C|). Order is preserved.
 func Select(rec *metrics.Recorder, nodes []xmltree.NodeID, keep func(xmltree.NodeID) bool) []xmltree.NodeID {
-	sw := metrics.Start()
 	out := make([]xmltree.NodeID, 0, len(nodes))
 	for _, n := range nodes {
 		if keep(n) {
 			out = append(out, n)
 		}
 	}
-	rec.ChargeOp(len(nodes), sw.Elapsed())
+	rec.ChargeOp(len(nodes))
 	return out
 }

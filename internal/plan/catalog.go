@@ -2,14 +2,18 @@ package plan
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
+	"repro/internal/joingraph"
 	"repro/internal/xmltree"
 )
 
 // Catalog is the share-everything half of the former Env: the registered
-// documents and their indices. A Catalog is built once at load time and is
+// documents, one *Shard each (its index and its registration stamp), and the
+// collections listing them. A Catalog is built once at load time and is
 // immutable afterwards from the engine's point of view — all query-time
 // access is read-only, so one Catalog can back any number of concurrent
 // query evaluations (each with its own per-query Env).
@@ -19,31 +23,21 @@ import (
 // to load while queries are in flight should mutate a Clone and swap the
 // pointer (copy-on-write), which is what rox.Engine does.
 type Catalog struct {
-	// idxs registers the documents by name; every index holds its document,
-	// so this one map answers Doc, Index and Names.
-	idxs map[string]*index.Index
+	// docs registers the documents by name, one Shard each: the document's
+	// index (which holds the document) and its registration stamp. A local
+	// collection shard is the same *Shard value, so this one map answers Doc,
+	// Index, Names and DocGeneration.
+	docs map[string]*Shard
 
 	// colls registers logical collections: named, ordered lists of shards.
-	// Each shard is an independently indexed document carrying its own
-	// generation stamp, so a plan cache keyed per shard survives reloads of
-	// the other shards untouched.
 	colls map[string]*Collection
 
 	// gen counts registrations across this catalog's copy-on-write lineage —
 	// documents via AddDocument/AddIndexed and remote shards via
-	// AddCollectionShardRemote — so two catalog snapshots with the same
-	// generation hold the same corpus. Plan caches key on (query fingerprint,
-	// generation): a reload under the same name changes the generation and
-	// therefore invalidates exact cache hits even though the name set is
-	// unchanged.
+	// AddCollectionShardRemote — and stamps each registration with its new
+	// value. A cached plan is current while GraphGeneration of its graph is
+	// unchanged: the newest stamp among the documents the graph reads.
 	gen uint64
-
-	// docGens records, per document name, the generation at which that
-	// document was last (re)registered. This is what a shard server reports
-	// to coordinators: a remote shard's cached plans validate against the
-	// serving document's own stamp, so reloading one document on one server
-	// invalidates exactly that shard's plans cluster-wide and no others.
-	docGens map[string]uint64
 }
 
 // Remote locates a shard whose data lives in another process: the base URL
@@ -55,20 +49,19 @@ type Remote struct {
 	Doc      string
 }
 
-// Shard is one partition of a collection: a shredded document with its own
-// indices and a generation stamp — the catalog generation at which this shard
-// was (re)registered. Shards are immutable once registered; a reload swaps in
-// a new Shard value, so holding a *Shard from a catalog snapshot is always
+// Shard is one registered document — a plain document and a local
+// collection shard are the same value — or one remote shard of a
+// collection: an index and the catalog generation at which it was
+// (re)registered. Shards are immutable once registered; a reload swaps in a
+// new Shard value, so holding a *Shard from a catalog snapshot is always
 // safe.
 type Shard struct {
-	// Ix is the shard's local index; nil when Remote is set.
+	// Ix is the document's index; nil when Remote is set.
 	Ix *index.Index
-	// Gen is the catalog generation at this shard's registration. Per-shard
-	// plan-cache entries pair a fingerprint with this value: reloading one
-	// shard bumps only its own stamp, leaving the cached plans of sibling
-	// shards exactly valid. For a remote shard this stamps the registration,
-	// not the remote data — the serving document's own generation travels on
-	// the wire with every response instead.
+	// Gen is the catalog generation at this registration. Plan currency reads
+	// it through DocGeneration and GraphGeneration, never from a collection's
+	// shard list; for a remote shard it stamps the coordinator's registration
+	// only, and the serving process validates plans against its own stamps.
 	Gen uint64
 	// Remote, when non-nil, locates the shard: its data is served by another
 	// process and the engine executes it over HTTP.
@@ -104,9 +97,8 @@ func (c *Collection) ShardNames() []string {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		idxs:    make(map[string]*index.Index),
-		colls:   make(map[string]*Collection),
-		docGens: make(map[string]uint64),
+		docs:  make(map[string]*Shard),
+		colls: make(map[string]*Collection),
 	}
 }
 
@@ -117,26 +109,24 @@ func (c *Catalog) AddDocument(d *xmltree.Document) {
 }
 
 // AddIndexed registers a document with a pre-built index (lets callers share
-// one index build across many catalogs or query environments). If the name
-// is a shard of some collection, that shard is refreshed too: shards are
-// documents, so a reload through the document path must move the shard's
-// generation stamp or cached per-shard plans would keep replaying against
-// data that changed under them.
+// one index build across many catalogs or query environments) under a fresh
+// stamp. If the name is a shard of some collection, that shard is the same
+// registration: a reload through the document path moves it too.
 func (c *Catalog) AddIndexed(ix *index.Index) {
-	c.idxs[ix.Doc().Name()] = ix
 	c.gen++
-	c.docGens[ix.Doc().Name()] = c.gen
-	c.refreshShard(ix)
+	sh := &Shard{Ix: ix, Gen: c.gen}
+	c.docs[ix.Doc().Name()] = sh
+	c.refreshShard(sh)
 }
 
-// refreshShard swaps the registered Shard value of every collection shard
-// matching the index's document name (fresh index, current generation).
-func (c *Catalog) refreshShard(ix *index.Index) {
-	name := ix.Doc().Name()
+// refreshShard puts a document's new registration into every collection slot
+// holding its name.
+func (c *Catalog) refreshShard(sh *Shard) {
+	name := sh.Name()
 	for _, col := range c.colls {
-		for i, sh := range col.Shards {
-			if sh.Name() == name {
-				col.Shards[i] = &Shard{Ix: ix, Gen: c.gen}
+		for i, old := range col.Shards {
+			if old.Name() == name {
+				col.Shards[i] = sh
 			}
 		}
 	}
@@ -149,20 +139,18 @@ func (c *Catalog) refreshShard(ix *index.Index) {
 // concurrent engines mutate a Clone and swap (copy-on-write).
 func (c *Catalog) AddCollectionShard(coll string, ix *index.Index) {
 	// AddIndexed registers the document and — via refreshShard — already
-	// swaps a fresh Shard into every collection holding this name, so the
-	// reload case is done; only create/append remains.
+	// puts it into every collection holding this name, so the reload case is
+	// done; only create/append remains.
 	c.AddIndexed(ix)
+	sh := c.docs[ix.Doc().Name()]
 	col := c.colls[coll]
 	if col == nil {
-		c.colls[coll] = &Collection{Name: coll, Shards: []*Shard{{Ix: ix, Gen: c.gen}}}
+		c.colls[coll] = &Collection{Name: coll, Shards: []*Shard{sh}}
 		return
 	}
-	for _, sh := range col.Shards {
-		if sh.Name() == ix.Doc().Name() {
-			return // reload: refreshShard replaced it in place
-		}
+	if !slices.Contains(col.Shards, sh) {
+		col.Shards = append(col.Shards, sh)
 	}
-	col.Shards = append(col.Shards, &Shard{Ix: ix, Gen: c.gen})
 }
 
 // AddCollectionShardRemote registers (or replaces, matching on document name)
@@ -217,16 +205,9 @@ func (c *Catalog) Collections() []string {
 // shard replace in the clone never shows through to holders of the original.
 func (c *Catalog) Clone() *Catalog {
 	out := &Catalog{
-		idxs:    make(map[string]*index.Index, len(c.idxs)),
-		colls:   make(map[string]*Collection, len(c.colls)),
-		docGens: make(map[string]uint64, len(c.docGens)),
-		gen:     c.gen,
-	}
-	for name, ix := range c.idxs {
-		out.idxs[name] = ix
-	}
-	for name, g := range c.docGens {
-		out.docGens[name] = g
+		docs:  maps.Clone(c.docs),
+		colls: make(map[string]*Collection, len(c.colls)),
+		gen:   c.gen,
 	}
 	for name, col := range c.colls {
 		out.colls[name] = &Collection{
@@ -262,20 +243,20 @@ func (e *UnknownCollectionError) Error() string {
 
 // Doc returns the registered document with the given name.
 func (c *Catalog) Doc(name string) (*xmltree.Document, error) {
-	ix, ok := c.idxs[name]
-	if !ok {
-		return nil, &UnknownDocumentError{Name: name}
+	ix, err := c.Index(name)
+	if err != nil {
+		return nil, err
 	}
 	return ix.Doc(), nil
 }
 
 // Index returns the index of the named document.
 func (c *Catalog) Index(name string) (*index.Index, error) {
-	ix, ok := c.idxs[name]
+	sh, ok := c.docs[name]
 	if !ok {
 		return nil, &UnknownDocumentError{Name: name}
 	}
-	return ix, nil
+	return sh.Ix, nil
 }
 
 // indexOf returns the registered index of document d, or nil when d is not
@@ -284,16 +265,16 @@ func (c *Catalog) indexOf(d *xmltree.Document) *index.Index {
 	if c == nil {
 		return nil
 	}
-	if ix := c.idxs[d.Name()]; ix != nil && ix.Doc() == d {
-		return ix
+	if sh := c.docs[d.Name()]; sh != nil && sh.Ix.Doc() == d {
+		return sh.Ix
 	}
 	return nil
 }
 
 // Names returns the registered document names, sorted.
 func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.idxs))
-	for name := range c.idxs {
+	out := make([]string, 0, len(c.docs))
+	for name := range c.docs {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -301,17 +282,35 @@ func (c *Catalog) Names() []string {
 }
 
 // Len returns the number of registered documents.
-func (c *Catalog) Len() int { return len(c.idxs) }
+func (c *Catalog) Len() int { return len(c.docs) }
 
 // Generation returns the catalog's registration counter. It changes on every
-// document load (including reloads under an existing name) and is preserved
-// by Clone, so a (fingerprint, generation) pair identifies a query shape over
-// one specific corpus state.
+// registration (reloads under an existing name included) and is preserved by
+// Clone, so two snapshots of one lineage at the same generation hold the same
+// corpus. Plan currency does not read it: see GraphGeneration.
 func (c *Catalog) Generation() uint64 { return c.gen }
 
-// DocGeneration returns the generation at which the named document was last
-// (re)registered, or 0 for a name this catalog does not hold. A shard server
-// validates its cached plans for the document against it. Like Generation it
-// counts this catalog's loads only — a restarted process starts over — so a
-// stamp never leaves the process except as inventory.
-func (c *Catalog) DocGeneration(name string) uint64 { return c.docGens[name] }
+// DocGeneration returns the stamp of the named document's current
+// registration, or 0 for a name this catalog does not hold. Like Generation
+// it counts this catalog's loads only — a restarted process starts over — so
+// a stamp never leaves the process except as inventory.
+func (c *Catalog) DocGeneration(name string) uint64 {
+	if sh := c.docs[name]; sh != nil {
+		return sh.Gen
+	}
+	return 0
+}
+
+// GraphGeneration is the one rule for whether a cached plan is current: the
+// newest DocGeneration among the documents g reads, named by its root
+// vertices. A plan cached at this value stays exact until one of those
+// documents is reloaded; loads of any other document leave it alone.
+func (c *Catalog) GraphGeneration(g *joingraph.Graph) uint64 {
+	var gen uint64
+	for _, v := range g.Vertices {
+		if v.Kind == joingraph.VRoot {
+			gen = max(gen, c.DocGeneration(v.Doc))
+		}
+	}
+	return gen
+}

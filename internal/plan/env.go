@@ -146,11 +146,11 @@ func (env *Env) Index(name string) (*index.Index, error) {
 // the inner side of sampled operators; actual materialization goes through
 // VertexTable.
 func (env *Env) VertexNodes(v *joingraph.Vertex) ([]xmltree.NodeID, *xmltree.Document, error) {
-	d, err := env.Doc(v.Doc)
+	ix, err := env.Index(v.Doc)
 	if err != nil {
 		return nil, nil, err
 	}
-	ix := env.cat.idxs[v.Doc]
+	d := ix.Doc()
 	var nodes []xmltree.NodeID
 	switch v.Kind {
 	case joingraph.VRoot:

@@ -49,7 +49,7 @@ func (p *Plan) String() string {
 func (p *Plan) Covers(g *joingraph.Graph) error {
 	redundant := RedundantEdges(g)
 	seen := make([]bool, len(g.Edges))
-	uf := newUnionFind(len(g.Vertices))
+	uf := joingraph.NewUnionFind(len(g.Vertices))
 	for _, s := range p.Steps {
 		if s.EdgeID < 0 || s.EdgeID >= len(g.Edges) {
 			return fmt.Errorf("plan: step references unknown edge %d", s.EdgeID)
@@ -59,14 +59,14 @@ func (p *Plan) Covers(g *joingraph.Graph) error {
 		}
 		seen[s.EdgeID] = true
 		if e := g.Edges[s.EdgeID]; e.Kind == joingraph.JoinEdge {
-			uf.union(e.From, e.To)
+			uf.Union(e.From, e.To)
 		}
 	}
 	for _, e := range g.Edges {
 		if seen[e.ID] || redundant[e.ID] {
 			continue
 		}
-		if e.Kind == joingraph.JoinEdge && uf.find(e.From) == uf.find(e.To) {
+		if e.Kind == joingraph.JoinEdge && uf.Find(e.From) == uf.Find(e.To) {
 			continue // implied by transitivity of the executed joins
 		}
 		if e.Kind == joingraph.JoinEdge && e.Derived {
@@ -76,27 +76,6 @@ func (p *Plan) Covers(g *joingraph.Graph) error {
 	}
 	return nil
 }
-
-// unionFind is a minimal disjoint-set structure used for join transitivity.
-type unionFind struct{ parent []int }
-
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }
 
 // Tail restores the XQuery semantics on top of the fully joined relation
 // (Sec 2.1): project to the for-variable vertices, remove duplicate tuples,

@@ -3,15 +3,17 @@
 // loop entirely — run-time optimization applied *across* queries instead of
 // within one.
 //
-// Each entry remembers the catalog generation its plan was discovered under
-// and the per-edge cardinalities that discovery observed. A lookup against
-// the same (fingerprint, generation) is an exact hit: the data cannot have
-// changed, the plan replays as-is. A lookup that finds the fingerprint under
-// an *older* generation is a stale-generation hit: the corpus changed since
-// the plan was discovered (some document was loaded or reloaded), but that
-// does not necessarily concern the documents this query touches — the caller
-// replays the plan anyway (replay is always correct; edge order only affects
-// cost) while recording observed cardinalities, then reports them back:
+// Each entry remembers the generation its plan was discovered under — the
+// caller's stamp for the data the plan reads (plan.Catalog.GraphGeneration:
+// the newest registration among the documents the graph reads) — and the
+// per-edge cardinalities that discovery observed. A lookup against the same
+// (fingerprint, generation) is an exact hit: the data cannot have changed,
+// the plan replays as-is. A lookup that finds the fingerprint under an
+// *older* generation is a stale-generation hit: a document the plan reads was
+// reloaded since it was discovered, which need not have moved its
+// cardinalities — the caller replays the plan anyway (replay is always
+// correct; edge order only affects cost) while recording observed
+// cardinalities, then reports them back:
 //
 //   - within the drift ratio of the expectations → Revalidate promotes the
 //     entry to the current generation, and the sampling loop stays skipped;
@@ -42,8 +44,8 @@ import (
 type Entry struct {
 	// Fingerprint is the canonical Join Graph hash (joingraph.Fingerprint).
 	Fingerprint string
-	// Generation is the catalog generation the plan was last validated
-	// against (the discovering run's, or the latest Revalidate).
+	// Generation is the stamp the plan was last validated against (the
+	// discovering run's, or the latest Revalidate).
 	Generation uint64
 	// Plan is the edge order the discovering ROX run executed.
 	Plan plan.Plan
@@ -59,12 +61,11 @@ type Outcome int
 const (
 	// Miss: no entry for the fingerprint; run the optimizer.
 	Miss Outcome = iota
-	// Hit: entry found at the current catalog generation; replay without
-	// sampling, no verification needed (catalogs are immutable per
-	// generation).
+	// Hit: entry found at the current generation; replay without sampling,
+	// no verification needed (no document the plan reads was reloaded).
 	Hit
-	// StaleGeneration: entry found, but the catalog changed since it was
-	// validated; replay with drift verification.
+	// StaleGeneration: entry found, but a document the plan reads was
+	// reloaded since it was validated; replay with drift verification.
 	StaleGeneration
 )
 
@@ -106,8 +107,8 @@ func New(capacity int) *Cache {
 }
 
 // Lookup finds the entry for fingerprint fp, classifying it against the
-// caller's catalog generation, and counts the outcome. The returned entry is
-// shared — callers must treat it as read-only.
+// caller's current generation gen, and counts the outcome. The returned
+// entry is shared — callers must treat it as read-only.
 func (c *Cache) Lookup(fp string, gen uint64) (*Entry, Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,7 +129,7 @@ func (c *Cache) Lookup(fp string, gen uint64) (*Entry, Outcome) {
 
 // Install inserts (or replaces) the plan for e.Fingerprint, evicting the
 // least-recently-used entry beyond capacity. An existing entry from a newer
-// catalog generation is left alone: a query that ran over an older snapshot
+// generation is left alone: a query that ran over an older snapshot
 // must not overwrite what a query over fresher data just discovered.
 func (c *Cache) Install(e *Entry) {
 	c.mu.Lock()
@@ -177,7 +178,7 @@ func (c *Cache) Revalidate(fp string, gen uint64, observed map[int]int) {
 	el.Value = ne // entries are immutable: replace, never mutate in place
 }
 
-// MarkDrift records that a replay at catalog generation gen observed
+// MarkDrift records that a replay at generation gen observed
 // cardinality drift, and evicts the entry for fp unless it has meanwhile
 // been replaced or revalidated at gen or newer — a concurrent query that
 // already re-optimized (or a query holding an old catalog snapshot) must

@@ -133,9 +133,9 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestStaleGenerationRevalidates: loading an unrelated document bumps the
-// catalog generation; the next query replays the cached plan, observes no
-// drift, and revalidates the entry — still zero sampling work.
+// TestStaleGenerationRevalidates: reloading the queried document with
+// identical content moves its stamp; the next query replays the cached plan,
+// observes no drift, and revalidates the entry — still zero sampling work.
 func TestStaleGenerationRevalidates(t *testing.T) {
 	e := engine(t)
 	q := `for $p in doc("people.xml")//person return $p`
@@ -143,7 +143,7 @@ func TestStaleGenerationRevalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadSource(FromXML("unrelated.xml", "<r><x>1</x></r>")); err != nil {
+	if err := e.LoadSource(FromXML("people.xml", peopleXML)); err != nil {
 		t.Fatal(err)
 	}
 	second, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
@@ -167,6 +167,31 @@ func TestStaleGenerationRevalidates(t *testing.T) {
 	}
 	if cs := e.CacheStats(); cs.Counters.Hits < 1 {
 		t.Errorf("revalidated entry should serve exact hits: %+v", cs.Counters)
+	}
+}
+
+// TestUnrelatedLoadKeepsExactHit: a cached plan is current while no document
+// its graph reads is reloaded, so loading some other document leaves the
+// next replay an exact hit, not a stale one.
+func TestUnrelatedLoadKeepsExactHit(t *testing.T) {
+	e := engine(t)
+	q := `for $p in doc("people.xml")//person return $p`
+	if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadSource(FromXML("unrelated.xml", "<r><x>1</x></r>")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.CacheHit || res.Stats.SampleTuples != 0 {
+		t.Fatalf("replay after unrelated load: hit=%v sample=%d",
+			res.Stats.CacheHit, res.Stats.SampleTuples)
+	}
+	if cs := e.CacheStats(); cs.Counters.Hits != 1 || cs.Counters.StaleHits != 0 {
+		t.Fatalf("counters = %+v, want 1 exact hit, 0 stale hits", cs.Counters)
 	}
 }
 

@@ -349,6 +349,40 @@ func TestRemoteDriftReoptimization(t *testing.T) {
 	}
 }
 
+// TestRemoteShardPlansFollowJoinedDocument is TestShardPlansFollowJoinedDocument
+// across the shard wire: a shard server holding ppl-0.xml and cities.xml
+// validates its plan for the joined query against both documents, so a
+// reload of cities.xml alone makes its next replay stale, drift and
+// re-optimize once; the run after is an exact hit again.
+func TestRemoteShardPlansFollowJoinedDocument(t *testing.T) {
+	server := pricedServerEngine(t, []int{0}, [][2]int{{0, 30}})
+	if err := server.LoadSource(FromXML("cities.xml", citiesXML(50))); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newShardServer(t, server)
+	coord := NewEngine()
+	if err := coord.LoadCollectionRemote(context.Background(), "ppl",
+		[]Endpoint{{URL: ts.URL, Shards: []string{"ppl-0.xml"}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // discover, then confirm the exact hit
+		res, err := collectRows(coord.Execute(context.Background(), Request{Query: joinedCityQuery}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Rows != 30 || res.Stats.CacheHit != (i == 1) {
+			t.Fatalf("warm-up run %d: rows=%d CacheHit=%v", i, res.Stats.Rows, res.Stats.CacheHit)
+		}
+	}
+	if err := server.LoadSource(FromXML("cities.xml", citiesXML(2500))); err != nil {
+		t.Fatal(err)
+	}
+	checkShardLadder(t, coord, 1500)
+	if c := server.CacheStats().Counters; c.StaleHits != 1 || c.Drifts != 1 || c.Hits != 2 {
+		t.Errorf("server counters = %+v, want 1 stale hit, 1 drift and 2 exact hits", c)
+	}
+}
+
 // TestRemoteRestartReplaysOwnPlans: a shard server's plan cache is written
 // only by its own runs. A restarted server (fresh engine, empty plan cache,
 // generation stamps starting over below the old process's) pays one cold run

@@ -294,18 +294,18 @@ func (c *rowsCore) finish(err error) {
 }
 
 // cursor is the engine's one execution path: a pull cursor over one bound
-// Join Graph at one generation — which is all an executor needs to know,
-// whether the graph came from doc(), from one local shard of a collection(),
-// or off the shard wire. It owns, exactly once each, the plan choice (open),
-// the recorder-delta Stats of the join phase, the aggregate fold, the
-// per-row rendering with its order key (advance), and the end-of-stream
-// report (report, done). Three drivers pull it and add nothing of their own,
+// Join Graph on one catalog snapshot — which is all an executor needs to
+// know, whether the graph came from doc(), from one local shard of a
+// collection(), or off the shard wire. It owns, exactly once each, the plan
+// choice (open), the recorder-delta Stats of the join phase, the aggregate
+// fold, the per-row rendering with its order key (advance), and the
+// end-of-stream report (report, done). Three drivers pull it and add nothing of their own,
 // and none of them needs a goroutine or a channel to do it:
 //
 //   - a non-collection or static query opens it inside Execute and hands it
 //     to Rows as the row source (next, finalize);
 //   - the scatter-gather opens it as a local shard's source (openShard) and
-//     pulls it straight into the merge (Next, item, Key, done, Close);
+//     pulls it straight into the merge (Next, Item, Key, done, Close);
 //   - Engine.ExecuteShard returns it as the shardrpc.ShardRun the shard
 //     server's handler streams from (Next, Item, Key, Done, Close).
 //
@@ -319,10 +319,10 @@ type cursor struct {
 	env  *plan.Env
 	comp *xquery.Compiled
 	// fp keys the graph in the plan cache ("" = no cache for this execution:
-	// the engine runs without one, or the plan is static); gen is the
-	// generation entries validate against — the catalog generation for a
-	// non-collection graph, the shard's own stamp for a shard, which is what
-	// confines invalidation to the shard that actually changed.
+	// the engine runs without one, or the plan is static); gen is the stamp
+	// entries validate against, the catalog's GraphGeneration of the graph —
+	// so only a reload of a document the graph reads, the shard's own or a
+	// joined doc(), makes a cached plan stale.
 	fp     string
 	gen    uint64
 	static bool // plan with the classical compile-time baseline, not ROX
@@ -346,17 +346,22 @@ type cursor struct {
 
 // newCursor binds one execution; the stopwatch starts here so a shard's
 // Elapsed covers its wait for a fan-out slot.
-func (e *Engine) newCursor(ctx context.Context, env *plan.Env, comp *xquery.Compiled, fp string, gen uint64) *cursor {
-	return &cursor{e: e, ctx: ctx, env: env, comp: comp, fp: fp, gen: gen, sw: metrics.Start()}
+func (e *Engine) newCursor(ctx context.Context, env *plan.Env, comp *xquery.Compiled, fp string) *cursor {
+	c := &cursor{e: e, ctx: ctx, env: env, comp: comp, fp: fp, sw: metrics.Start()}
+	if fp != "" {
+		c.gen = env.Catalog().GraphGeneration(comp.Graph)
+	}
+	return c
 }
 
 // open runs the join: choose a plan, execute it, fold an aggregate tail.
 //
 //   - Static: the classical baseline's plan, straight through.
 //   - Cache hit at generation gen: replay the cached plan with zero sampling
-//     work. The catalog is immutable per generation, so the data cannot have
-//     drifted — serve without verifying.
-//   - Hit from an older generation (the data changed since discovery):
+//     work. No document the graph reads was reloaded since, so the data
+//     cannot have drifted — serve without verifying.
+//   - Hit from an older generation (a document the graph reads was reloaded
+//     since discovery):
 //     replay anyway — replay is correct regardless of data changes, only the
 //     cost can suffer — while comparing observed per-edge cardinalities
 //     against the discovering run's. Within the drift ratio the entry is

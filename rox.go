@@ -71,8 +71,9 @@ type Engine struct {
 	seed int64
 
 	// cache holds the plans previous ROX runs discovered, keyed by the
-	// canonical Join Graph fingerprint and validated against the catalog
-	// generation; nil when disabled (WithPlanCache(0)). See Execute for the
+	// canonical Join Graph fingerprint and validated against the newest
+	// stamp among the documents the graph reads (Catalog.GraphGeneration);
+	// nil when disabled (WithPlanCache(0)). See Execute for the
 	// compile → lookup → execute pipeline.
 	cache      *plancache.Cache
 	driftRatio float64
@@ -342,8 +343,8 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 		return nil, err
 	}
 	// Route: a collection query scatters over its shards; anything else opens
-	// the one execution cursor (rows.go) over the graph at the current
-	// catalog generation and hands it to Rows as its row source — inline, so
+	// the one execution cursor (rows.go) over the graph against the current
+	// catalog snapshot and hands it to Rows as its row source — inline, so
 	// the join has finished (and any evaluation error is returned) before
 	// Execute returns.
 	env := e.newQueryEnv()
@@ -360,7 +361,7 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 	if collection {
 		return e.executeCollection(ctx, env, stmt, comp, fp)
 	}
-	c := e.newCursor(ctx, env, comp, fp, env.Catalog().Generation())
+	c := e.newCursor(ctx, env, comp, fp)
 	c.static = req.Static
 	if err := c.open(); err != nil {
 		return nil, err
@@ -524,8 +525,8 @@ func (e *Engine) Prepare(q string) (*Prepared, error) {
 func (p *Prepared) Text() string { return p.text }
 
 // Fingerprint returns the statement's plan-cache key: the canonical Join
-// Graph fingerprint extended with the tail (paired with the catalog
-// generation at each execution).
+// Graph fingerprint extended with the tail (paired at each execution with
+// the newest registration stamp among the documents the graph reads).
 func (p *Prepared) Fingerprint() string { return p.fp }
 
 // Explain returns the compiled Join Graph rendering.

@@ -12,7 +12,12 @@
 # concat, ordered merge, algebraic aggregate, limit window — is run against
 # both through the streaming NDJSON surface, diffed on the item lines, and
 # through the buffered surface, diffed on the items array, before and after
-# the same fragments are ingested into both.
+# the same fragments are ingested into both. A join of the collection with a
+# plain document, bands.xml, which the shard servers and the reference hold,
+# is diffed too — and after a fragment is ingested into bands.xml alone,
+# each shard server must count stale plan-cache hits: a cached plan is
+# current only while every document its graph reads is unchanged, the joined
+# one included.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +47,12 @@ for s in 0 1 2 3; do
     printf '</people>\n'
   } > "$work/ppl-$s.xml"
 done
+# Age bands every fifth year, joined to the people by age.
+{
+  printf '<bands>'
+  for a in $(seq 20 5 69); do printf '<band id="b%d"><age>%d</age></band>' "$a" "$a"; done
+  printf '</bands>\n'
+} > "$work/bands.xml"
 
 # Ephemeral ports: every server binds 127.0.0.1:0 and publishes its bound
 # address through -portfile, so parallel runs on shared CI runners cannot
@@ -81,12 +92,27 @@ echo "booting coordinator and single-process reference..."
   -remote-collection "ppl=http://$shard_a,http://$shard_b" &
 pids+=($!)
 "$work/roxserve" -addr 127.0.0.1:0 -portfile "$work/single.port" -seed 1 \
-  -collection "ppl=$work/ppl-*.xml" &
+  -collection "ppl=$work/ppl-*.xml" -doc "$work/bands.xml" &
 pids+=($!)
 coord="$(read_addr "$work/coord.port")"
 single="$(read_addr "$work/single.port")"
 wait_healthy "$coord"
 wait_healthy "$single"
+
+ingest() { # addr target fragment [query]
+  code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    -H 'Content-Type: application/xml' --data-binary "$3" \
+    "http://$1/v1/collections/$2/ingest${4:-}")"
+  if [ "$code" != "200" ]; then
+    echo "FAIL: ingest into $2 on $1 answered $code, want 200" >&2
+    exit 1
+  fi
+}
+# The shard servers get bands.xml only now: at boot it would be in their
+# inventory, which the coordinator's discovery registers as shards of ppl.
+for addr in "$shard_a" "$shard_b"; do
+  ingest "$addr" bands.xml "$(cat "$work/bands.xml")" '?create=1'
+done
 
 # A shard server must not serve client queries.
 code="$(curl -s -o /dev/null -w '%{http_code}' "http://$shard_a/v1/query?q=1")"
@@ -100,6 +126,7 @@ queries=(
   'for $p in collection("ppl")//person order by $p/age descending return $p'
   'for $p in collection("ppl")//person return sum($p/salary)'
   'for $p in collection("ppl")//person order by $p/age return $p limit 10 offset 5'
+  'for $p in collection("ppl")//person, $b in doc("bands.xml")//band where $p/age = $b/age return $p'
 )
 
 fail=0
@@ -144,15 +171,30 @@ fragments=(
   '<person id="p0101"><name>n101</name><age>18</age><salary>1777</salary></person>'
 )
 for f in "${fragments[@]}"; do
-  for addr in "$coord" "$single"; do
-    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-      -H 'Content-Type: application/xml' --data-binary "$f" \
-      "http://$addr/v1/collections/ppl/ingest")"
-    if [ "$code" != "200" ]; then
-      echo "FAIL: ingest into ppl on $addr answered $code, want 200" >&2
-      exit 1
-    fi
-  done
+  for addr in "$coord" "$single"; do ingest "$addr" ppl "$f"; done
 done
 compare after-ingest
+
+# Ingest into the joined document only: no shard document changes, yet every
+# shard server's cached plans for the join read bands.xml, so their next
+# replays are stale hits that verify against the new data.
+stale_hits() { # addr
+  curl -s "http://$1/v1/cache" | sed -n 's/.*"stale_hits":\([0-9]*\).*/\1/p'
+}
+before_a="$(stale_hits "$shard_a")"
+before_b="$(stale_hits "$shard_b")"
+for addr in "$shard_a" "$shard_b" "$single"; do
+  ingest "$addr" bands.xml '<band id="b71"><age>71</age></band>'
+done
+compare after-joined-ingest
+for pair in "a $shard_a $before_a" "b $shard_b $before_b"; do
+  set -- $pair
+  after="$(stale_hits "$2")"
+  if [ -z "${3:-}" ] || [ -z "$after" ] || [ "$after" -le "$3" ]; then
+    echo "FAIL: shard server $1 stale_hits ${3:-?} -> ${after:-?} after bands.xml changed, want a rise" >&2
+    fail=1
+  else
+    echo "ok (shard server $1): stale_hits $3 -> $after after bands.xml changed"
+  fi
+done
 exit $fail

@@ -64,7 +64,7 @@ import (
 // remoteShard implement it; both are opened before the gather pulls them.
 type shardSource interface {
 	Next() bool
-	item() []byte
+	Item() []byte
 	Key() (plan.Key, bool)
 	// done is the end-of-stream report, final once Next returned false.
 	done() shardDone
@@ -145,13 +145,11 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Pre
 	// entirely (nothing bounds what one shard may contribute). Without a
 	// window the shards run the statement's own tail, which has none either.
 	var shardSpec *plan.LimitSpec
-	shardLimit := 0
 	if window := comp.Tail.Limit; window != nil {
 		s.lo = max(window.Offset, 0)
 		if window.Count > 0 {
 			s.hi = s.lo + window.Count
-			shardLimit = window.Offset + window.Count
-			shardSpec = &plan.LimitSpec{Count: shardLimit}
+			shardSpec = &plan.LimitSpec{Count: window.Offset + window.Count}
 		}
 	}
 
@@ -161,15 +159,13 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Pre
 	// cursor closes, or the gather's window fills.
 	for i, sh := range shards {
 		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &shardExec{
-			coll:       collName,
-			shard:      sh.Name(),
-			gen:        sh.Gen,
-			remote:     sh.Remote,
-			cat:        cat,
-			stmt:       stmt,
-			window:     shardSpec,
-			shardLimit: shardLimit,
-			baseFP:     baseFP,
+			coll:   collName,
+			shard:  sh.Name(),
+			remote: sh.Remote,
+			cat:    cat,
+			stmt:   stmt,
+			window: shardSpec,
+			baseFP: baseFP,
 		}}
 		go func(sh *scatterShard) {
 			defer close(sh.opened)
@@ -265,7 +261,7 @@ func (s *scatterRows) next() ([]byte, bool, error) {
 		if s.merged <= s.lo {
 			continue // inside the global offset: skip
 		}
-		return s.shards[s.cur].src.item(), true, nil
+		return s.shards[s.cur].src.Item(), true, nil
 	}
 }
 
@@ -404,7 +400,7 @@ const (
 // response closed before its end costs its TCP connection, and the next
 // request dials a new one. A stream qualifies only when its rest is small
 // and its reader is not awaited elsewhere: the window was pushed down (the
-// shard sends at most shardLimit items and its done line), its open
+// shard sends at most its window's count of items and its done line), its open
 // completed, it has not ended, the scatter ended without an error, and the
 // caller's context is live. Its bytes are discarded unparsed, so its report
 // stays that of a canceled shard. Everything else — and every stream that
@@ -422,7 +418,7 @@ func (s *scatterRows) readOut() {
 			continue // still opening: the cancel aborts it
 		}
 		r, ok := sh.src.(*remoteShard)
-		if !ok || sh.ended || sh.x.shardLimit == 0 || s.sctx.Err() != nil {
+		if !ok || sh.ended || sh.x.window == nil || s.sctx.Err() != nil {
 			continue
 		}
 		if stop == nil {

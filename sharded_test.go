@@ -423,6 +423,82 @@ func TestShardReloadInvalidatesOnlyThatShard(t *testing.T) {
 	}
 }
 
+// citiesXML builds a document of n cities whose ages cycle through
+// pricedShardXML's 20..69, so every person joins n/50 cities by age.
+func citiesXML(n int) string {
+	var sb strings.Builder
+	sb.WriteString("<cities>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<city id="c%d"><age>%d</age></city>`, i, 20+i%50)
+	}
+	sb.WriteString("</cities>")
+	return sb.String()
+}
+
+// joinedCityQuery joins collection("ppl") with doc("cities.xml").
+const joinedCityQuery = `for $p in collection("ppl")//person, $c in doc("cities.xml")//city
+	where $p/age = $c/age return $p`
+
+// checkShardLadder runs joinedCityQuery after cities.xml was reloaded with
+// far more cities: every shard must replay stale, see drift and re-optimize
+// once, and the run after must be exact hits with no sampling.
+func checkShardLadder(t *testing.T, eng *Engine, wantRows int) {
+	t.Helper()
+	res, err := collectRows(eng.Execute(context.Background(), Request{Query: joinedCityQuery}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range res.Stats.Shards {
+		if !sh.Stats.Reoptimized || sh.Stats.SampleTuples == 0 {
+			t.Errorf("shard %s after the joined document's reload: Reoptimized=%v SampleTuples=%d, want a re-optimization",
+				sh.Shard, sh.Stats.Reoptimized, sh.Stats.SampleTuples)
+		}
+	}
+	if res.Stats.Rows != wantRows {
+		t.Errorf("rows after reload = %d, want %d", res.Stats.Rows, wantRows)
+	}
+	settled, err := collectRows(eng.Execute(context.Background(), Request{Query: joinedCityQuery}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !settled.Stats.CacheHit || settled.Stats.SampleTuples != 0 {
+		t.Errorf("run after re-optimization: CacheHit=%v SampleTuples=%d, want exact hits",
+			settled.Stats.CacheHit, settled.Stats.SampleTuples)
+	}
+}
+
+// TestShardPlansFollowJoinedDocument: a shard's cached plan is current only
+// while every document its graph reads is unchanged — the joined
+// doc("cities.xml") as much as the shard itself. Reloading cities.xml with
+// 50× the cities must stale every shard's plan, not replay it blindly.
+func TestShardPlansFollowJoinedDocument(t *testing.T) {
+	eng := NewEngine()
+	for i, base := range []int{0, 100} {
+		if err := eng.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(base, 30))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.LoadSource(FromXML("cities.xml", citiesXML(50))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // discover, then confirm the exact hits
+		res, err := collectRows(eng.Execute(context.Background(), Request{Query: joinedCityQuery}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Rows != 60 || res.Stats.CacheHit != (i == 1) {
+			t.Fatalf("warm-up run %d: rows=%d CacheHit=%v", i, res.Stats.Rows, res.Stats.CacheHit)
+		}
+	}
+	if err := eng.LoadSource(FromXML("cities.xml", citiesXML(2500))); err != nil {
+		t.Fatal(err)
+	}
+	checkShardLadder(t, eng, 3000)
+	if c := eng.CacheStats().Counters; c.StaleHits != 2 || c.Drifts != 2 {
+		t.Errorf("counters = %+v, want one stale hit and one drift per shard", c)
+	}
+}
+
 // TestCollectionPrepared runs a collection query through Prepare: compile
 // once, scatter on every call, cache per shard.
 func TestCollectionPrepared(t *testing.T) {
