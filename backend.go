@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/plan"
@@ -171,7 +170,7 @@ func (r *remoteShard) done() shardDone {
 	d := shardDone{err: r.err}
 	if f := r.fin; f != nil {
 		if f.Stats != nil {
-			d.stats = statsFromWire(*f.Stats)
+			d.stats = *f.Stats
 		}
 		if f.Agg != nil {
 			d.agg = f.Agg.State()
@@ -179,7 +178,7 @@ func (r *remoteShard) done() shardDone {
 	} else if d.err == nil {
 		d.err = r.ctx.Err()
 	}
-	d.stats.Elapsed = r.sw.Elapsed()
+	d.stats.ElapsedNS = r.sw.Elapsed()
 	d.stats.Rows = r.rows
 	if d.agg != nil {
 		d.stats.Rows = 1
@@ -294,44 +293,6 @@ func WithShardHTTPClient(hc *http.Client) Option {
 	return func(e *Engine) { e.shardClient = shardrpc.NewClient(hc) }
 }
 
-// statsFromWire decodes a shard server's stats report.
-func statsFromWire(ws shardrpc.Stats) Stats {
-	return Stats{
-		Rows:                   ws.Rows,
-		Scanned:                ws.Scanned,
-		Truncated:              ws.Truncated,
-		Elapsed:                time.Duration(ws.ElapsedNS),
-		ExecTuples:             ws.ExecTuples,
-		SampleTuples:           ws.SampleTuples,
-		CumulativeIntermediate: ws.CumulativeIntermediate,
-		Plan:                   ws.Plan,
-		CacheHit:               ws.CacheHit,
-		Reoptimized:            ws.Reoptimized,
-	}
-}
-
-// Wire is the stats' one JSON form, recursively over the per-shard
-// breakdown: the stats of a buffered /v1/query body, of an NDJSON stream's
-// terminal line and of a shard server's done report.
-func (s Stats) Wire() shardrpc.Stats {
-	out := shardrpc.Stats{
-		Rows:                   s.Rows,
-		Scanned:                s.Scanned,
-		Truncated:              s.Truncated,
-		ElapsedNS:              int64(s.Elapsed),
-		ExecTuples:             s.ExecTuples,
-		SampleTuples:           s.SampleTuples,
-		CumulativeIntermediate: s.CumulativeIntermediate,
-		Plan:                   s.Plan,
-		CacheHit:               s.CacheHit,
-		Reoptimized:            s.Reoptimized,
-	}
-	for _, sh := range s.Shards {
-		out.Shards = append(out.Shards, shardrpc.ShardStats{Shard: sh.Shard, Stats: sh.Stats.Wire()})
-	}
-	return out
-}
-
 // ---- Server half: the engine as a shardrpc.Executor ----
 
 // ExecuteShard implements shardrpc.Executor: serve one shard execution
@@ -406,8 +367,8 @@ func (c *cursor) Done() shardrpc.Done {
 	if c.err != nil {
 		out.Error = c.err.Error()
 	}
-	ws := c.report().Wire()
-	out.Stats = &ws
+	st := c.report()
+	out.Stats = &st
 	if c.agg != nil {
 		out.Agg = shardrpc.AggFromState(c.agg)
 	}

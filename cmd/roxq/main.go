@@ -113,7 +113,7 @@ func run(out io.Writer, docs []string, query, file, xpathExpr string, classical,
 	}
 	if stats {
 		fmt.Fprintf(os.Stderr, "rows=%d elapsed=%s exec-tuples=%d sample-tuples=%d intermediates=%d\nplan: %s\n",
-			res.Stats.Rows, res.Stats.Elapsed, res.Stats.ExecTuples,
+			res.Stats.Rows, res.Stats.ElapsedNS, res.Stats.ExecTuples,
 			res.Stats.SampleTuples, res.Stats.CumulativeIntermediate, res.Stats.Plan)
 	}
 	return nil

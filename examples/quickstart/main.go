@@ -64,7 +64,7 @@ func main() {
 		fmt.Println(" ", item)
 	}
 	fmt.Printf("\nstats: %d rows in %s; execution work %d tuples, sampling work %d tuples\n",
-		res.Stats.Rows, res.Stats.Elapsed, res.Stats.ExecTuples, res.Stats.SampleTuples)
+		res.Stats.Rows, res.Stats.ElapsedNS, res.Stats.ExecTuples, res.Stats.SampleTuples)
 	fmt.Printf("executed plan: %s\n", res.Stats.Plan)
 
 	// The classical compile-time baseline computes the same answer.

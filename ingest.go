@@ -504,28 +504,32 @@ func (g *Ingester) compactLocked() error {
 }
 
 // IngestStats is a point-in-time view of the ingest path for monitoring:
-// WAL health, overlay sizes, and lifetime event counts.
+// WAL health, overlay sizes, and lifetime event counts; as JSON, the ingest
+// object of roxserve's /v1/stats and /v1/collections.
 type IngestStats struct {
 	// Durable reports whether a WAL directory is attached; WALPath, WALSize,
 	// WALAge and LastCommitSeq are zero without one.
-	Durable bool
-	WALPath string
-	WALSize int64
+	Durable bool   `json:"durable"`
+	WALPath string `json:"wal_path"`
+	WALSize int64  `json:"wal_bytes"`
 	// WALAge is the age of the current WAL epoch — how long ago the log was
-	// created or last truncated by a compaction.
-	WALAge time.Duration
+	// created or last truncated by a compaction; integer nanoseconds in JSON.
+	WALAge time.Duration `json:"wal_age_ns"`
 	// PendingDocs counts documents with appends not yet committed;
 	// DeltaDocs/DeltaNodes describe the published overlays (documents
 	// carrying a delta, total appended nodes) since the last compaction.
-	PendingDocs int
-	DeltaDocs   int
-	DeltaNodes  int
+	PendingDocs int `json:"pending_docs"`
+	DeltaDocs   int `json:"delta_docs"`
+	DeltaNodes  int `json:"delta_nodes"`
 	// LastCommitSeq is the WAL sequence of the last committed batch;
 	// LastCommitGen the catalog generation its publish reached.
-	LastCommitSeq uint64
-	LastCommitGen uint64
+	LastCommitSeq uint64 `json:"last_commit_seq"`
+	LastCommitGen uint64 `json:"last_commit_gen"`
 	// Lifetime event counts.
-	Appends, Commits, Compactions, ReplayedBatches int64
+	Appends         int64 `json:"appends"`
+	Commits         int64 `json:"commits"`
+	Compactions     int64 `json:"compactions"`
+	ReplayedBatches int64 `json:"replayed_batches"`
 }
 
 // Stats returns the ingester's current statistics. Safe to call concurrently

@@ -84,13 +84,11 @@ func DefaultOptions() Options {
 	return Options{Tau: 100, MaxRounds: 64, BeamWidth: 16}
 }
 
-// Result reports what a ROX run did.
+// Result reports what a ROX run did: the finished join's plan.RunStats (with
+// MaterializeLimit set, those of the final full re-execution), the plan, the
+// trace and the sampling/execution cost split.
 type Result struct {
-	// Rows is the tail output cardinality (after any limit window).
-	Rows int
-	// Scanned is the tail cardinality before the limit window — the distinct
-	// sorted join result the run produced; equal to Rows for unlimited tails.
-	Scanned int
+	plan.RunStats
 	// Plan is the executed edge order; re-running it through plan.Run gives
 	// the paper's "pure plan (excl. sampling)" measurement.
 	Plan plan.Plan
@@ -99,18 +97,6 @@ type Result struct {
 	// SampleCost and ExecCost split the run's work between optimizer
 	// sampling and query execution (the basis of Figs 6–8).
 	SampleCost, ExecCost metrics.Cost
-	// CumulativeIntermediate sums all intermediate relation cardinalities
-	// (the Fig 5 metric).
-	CumulativeIntermediate int64
-	// EdgeRows maps every executed edge ID to the cardinality its full
-	// execution produced — the expectations a plan cache stores alongside
-	// the plan and checks replays against. With MaterializeLimit set, the
-	// rows come from the final full re-execution, not the truncated search.
-	EdgeRows map[int]int
-	// Keys are the tail's order-by keys in result row order (nil without an
-	// order by), extracted once by the tail executor for the engine's
-	// scatter-gather merge.
-	Keys []plan.Key
 }
 
 // Optimizer carries the run-time state of Algorithm 1 for one Join Graph.
@@ -241,51 +227,28 @@ func (o *Optimizer) Execute(tail *plan.Tail) (*table.Relation, *Result, error) {
 		}
 	}
 
+	res := &Result{Plan: plan.Plan{Steps: o.steps}, Trace: o.trace}
 	var out *table.Relation
-	var keys []plan.Key
-	var scanned int
-	cumulative := o.runner.CumulativeIntermediate
-	edgeRows := make(map[int]int, len(o.steps))
+	var err error
 	if sampledSearch {
 		// The loop ran on truncated intermediates; execute the found plan
 		// once on the full data through the same replay path the plan cache
 		// uses, so the recorded EdgeRows expectations and later replay
 		// observations share one execution semantics.
 		rec.SetPhase(metrics.PhaseExecute)
-		p := plan.Plan{Steps: o.steps}
-		full, stats, err := plan.RunWithConfig(o.env, o.g, &p, tail,
-			plan.RunConfig{EagerProject: o.opt.EagerProject})
-		if err != nil {
-			return nil, nil, err
+		var full *plan.RunStats
+		if out, full, err = plan.RunWithConfig(o.env, o.g, &res.Plan, tail,
+			plan.RunConfig{EagerProject: o.opt.EagerProject}); err == nil {
+			res.RunStats = *full
 		}
-		out = full
-		cumulative = stats.CumulativeIntermediate
-		edgeRows = stats.EdgeRows
-		keys = stats.Keys
-		scanned = stats.Scanned
 	} else {
-		for _, ev := range o.trace.Events {
-			if ev.Kind == EventExec {
-				edgeRows[ev.EdgeID] = ev.Rows
-			}
-		}
-		rel, err := o.runner.FinalRelation(required)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, keys, scanned = tail.ExecuteIn(o.env.Catalog(), rel)
+		out, res.RunStats, err = o.runner.Finish(tail, required)
 	}
-	res := &Result{
-		Rows:                   out.NumRows(),
-		Scanned:                scanned,
-		Plan:                   plan.Plan{Steps: o.steps},
-		Trace:                  o.trace,
-		SampleCost:             rec.CostOf(metrics.PhaseSample).Sub(startSample),
-		ExecCost:               rec.CostOf(metrics.PhaseExecute).Sub(startExec),
-		CumulativeIntermediate: cumulative,
-		EdgeRows:               edgeRows,
-		Keys:                   keys,
+	if err != nil {
+		return nil, nil, err
 	}
+	res.SampleCost = rec.CostOf(metrics.PhaseSample).Sub(startSample)
+	res.ExecCost = rec.CostOf(metrics.PhaseExecute).Sub(startExec)
 	return out, res, nil
 }
 

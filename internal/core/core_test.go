@@ -114,8 +114,8 @@ func TestROXMatchesStaticPlan(t *testing.T) {
 			t.Fatalf("row %d: ROX %v, static %v", i, got.Row(i), want.Row(i))
 		}
 	}
-	if res.Rows != got.NumRows() {
-		t.Errorf("Result.Rows = %d, want %d", res.Rows, got.NumRows())
+	if res.ResultRows != got.NumRows() {
+		t.Errorf("Result.ResultRows = %d, want %d", res.ResultRows, got.NumRows())
 	}
 	// Only "ann" appears in all three docs → 1 author element of doc0.
 	if got.NumRows() != 1 {

@@ -173,8 +173,8 @@ func TestBeamWidthBoundsPaths(t *testing.T) {
 			}
 		}
 	}
-	if res.Rows != 1 {
-		t.Errorf("rows = %d, want 1", res.Rows)
+	if res.ResultRows != 1 {
+		t.Errorf("rows = %d, want 1", res.ResultRows)
 	}
 }
 
@@ -202,8 +202,8 @@ func TestSampledSearchCheaperOnLargeData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sampled.Rows != full.Rows {
-		t.Fatalf("result mismatch: %d vs %d", sampled.Rows, full.Rows)
+	if sampled.ResultRows != full.ResultRows {
+		t.Fatalf("result mismatch: %d vs %d", sampled.ResultRows, full.ResultRows)
 	}
 	// Both end up executing the final plan on full data; the sampled
 	// search must not be dramatically more expensive overall.

@@ -261,7 +261,9 @@ func (t *Tail) Required(g *joingraph.Graph) []int {
 	return out
 }
 
-// RunStats reports what a plan execution cost.
+// RunStats is the one record of a finished join: what Runner.Finish reports
+// for a replay (RunWithConfig) and for an optimizer run alike, and what
+// core.Result embeds.
 type RunStats struct {
 	// CumulativeIntermediate is the summed cardinality of all intermediate
 	// relations (the Fig 5 metric).
@@ -313,25 +315,15 @@ func RunWithConfig(env *Env, g *joingraph.Graph, p *Plan, tail *Tail, cfg RunCon
 	r.replay, r.hints = true, cfg.Expected
 	required := tail.Required(g)
 	r.SetTail(tail, required, cfg.EagerProject)
-	edgeRows := make(map[int]int, len(p.Steps))
 	for i, s := range p.Steps {
 		r.later = p.Steps[i+1:]
-		rows, err := r.ExecEdge(g.Edges[s.EdgeID], s.Reverse, s.Alg)
-		if err != nil {
+		if _, err := r.ExecEdge(g.Edges[s.EdgeID], s.Reverse, s.Alg); err != nil {
 			return nil, nil, fmt.Errorf("plan: step e%d: %w", s.EdgeID, err)
 		}
-		edgeRows[s.EdgeID] = rows
 	}
-	rel, err := r.FinalRelation(required)
+	out, stats, err := r.Finish(tail, required)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, keys, scanned := tail.ExecuteIn(env.cat, rel)
-	return out, &RunStats{
-		CumulativeIntermediate: r.CumulativeIntermediate,
-		ResultRows:             out.NumRows(),
-		Scanned:                scanned,
-		EdgeRows:               edgeRows,
-		Keys:                   keys,
-	}, nil
+	return out, &stats, nil
 }

@@ -56,6 +56,8 @@ type Runner struct {
 	later  []Step      // the plan steps after the one running
 	hints  map[int]int // edge id → rows the cached plan observed: pair capacity
 
+	edgeRows map[int]int // edge id → rows ExecEdge produced, for Finish
+
 	// CumulativeIntermediate accumulates the cardinality of every
 	// intermediate relation produced, the Fig 5 metric.
 	CumulativeIntermediate int64
@@ -286,6 +288,10 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 	}
 	r.executed[e.ID] = true
 	r.CumulativeIntermediate += int64(rows)
+	if r.edgeRows == nil {
+		r.edgeRows = make(map[int]int)
+	}
+	r.edgeRows[e.ID] = rows
 	return rows, nil
 }
 
@@ -435,6 +441,25 @@ func (r *Runner) FinalRelation(required []int) (*table.Relation, error) {
 		}
 	}
 	return c.rel, nil
+}
+
+// Finish ends a run once every plan edge executed: the final relation over
+// the required vertices (tail.Required, what SetTail was given) through the
+// tail, and the run's record. A replay and an optimizer run both end here,
+// so their RunStats mean the same thing.
+func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, error) {
+	rel, err := r.FinalRelation(required)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	out, keys, scanned := tail.ExecuteIn(r.Env.cat, rel)
+	return out, RunStats{
+		CumulativeIntermediate: r.CumulativeIntermediate,
+		ResultRows:             out.NumRows(),
+		Scanned:                scanned,
+		EdgeRows:               r.edgeRows,
+		Keys:                   keys,
+	}, nil
 }
 
 // RedundantEdges identifies the edges ROX may skip: descendant(-or-self)

@@ -61,26 +61,13 @@ func queryItems(t *testing.T, base, q string) []string {
 	return qr.Items
 }
 
-// ingestJSON is the ingest object of /v1/stats.
-type ingestJSON struct {
-	Appends         int64  `json:"appends"`
-	Commits         int64  `json:"commits"`
-	Compactions     int64  `json:"compactions"`
-	ReplayedBatches int64  `json:"replayed_batches"`
-	DeltaDocs       int    `json:"delta_docs"`
-	DeltaNodes      int    `json:"delta_nodes"`
-	PendingDocs     int    `json:"pending_docs"`
-	LastCommitGen   uint64 `json:"last_commit_gen"`
-	Durable         bool   `json:"durable"`
-}
-
 // getIngestStats fetches /v1/stats through h and returns its ingest object.
-func getIngestStats(t *testing.T, h http.Handler) ingestJSON {
+func getIngestStats(t *testing.T, h http.Handler) rox.IngestStats {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	var stats struct {
-		Ingest ingestJSON `json:"ingest"`
+		Ingest rox.IngestStats `json:"ingest"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("bad /v1/stats response %q: %v", rec.Body.Bytes(), err)

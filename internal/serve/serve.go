@@ -141,7 +141,7 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 			// is a leak, heap_bytes bounds the working set.
 			"goroutines": runtime.NumGoroutine(),
 			"heap_bytes": ms.HeapAlloc,
-			"ingest":     ingestStatsJSON(pool.Engine()),
+			"ingest":     pool.Engine().Ingest().Stats(),
 		})
 	})
 	h.mux.HandleFunc("/v1/cache", func(w http.ResponseWriter, r *http.Request) {
@@ -181,7 +181,7 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"collections": out,
-			"ingest":      ingestStatsJSON(eng),
+			"ingest":      eng.Ingest().Stats(),
 		})
 	})
 	h.mux.HandleFunc("/v1/collections/load", func(w http.ResponseWriter, r *http.Request) {
@@ -190,27 +190,6 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 	h.mux.HandleFunc("POST /v1/collections/{name}/ingest", func(w http.ResponseWriter, r *http.Request) {
 		serveIngest(pool, maxBody, corpusDir, w, r)
 	})
-}
-
-// ingestStatsJSON shapes the engine's ingest statistics for /stats and
-// /collections: WAL health, overlay sizes, and lifetime event counts.
-func ingestStatsJSON(eng *rox.Engine) map[string]any {
-	st := eng.Ingest().Stats()
-	return map[string]any{
-		"durable":          st.Durable,
-		"wal_path":         st.WALPath,
-		"wal_bytes":        st.WALSize,
-		"wal_age_ns":       st.WALAge.Nanoseconds(),
-		"pending_docs":     st.PendingDocs,
-		"delta_docs":       st.DeltaDocs,
-		"delta_nodes":      st.DeltaNodes,
-		"last_commit_seq":  st.LastCommitSeq,
-		"last_commit_gen":  st.LastCommitGen,
-		"appends":          st.Appends,
-		"commits":          st.Commits,
-		"compactions":      st.Compactions,
-		"replayed_batches": st.ReplayedBatches,
-	}
 }
 
 // serveIngest appends one batch of XML fragments to a collection or document
@@ -524,7 +503,7 @@ func streamNDJSON(w http.ResponseWriter, rows *rox.Rows) {
 		return
 	}
 	rows.Close()
-	_ = lw.Field("stats", rows.Stats().Wire())
+	_ = lw.Field("stats", rows.Stats())
 }
 
 // writeBuffered writes the cursor as one {"items":[…],"stats":…} body, byte
@@ -547,7 +526,7 @@ func writeBuffered(w http.ResponseWriter, rows *rox.Rows) {
 		writeError(w, StatusFor(err), err)
 		return
 	}
-	stats, _ := json.Marshal(rows.Stats().Wire()) // numbers, strings, bools: cannot fail
+	stats, _ := json.Marshal(rows.Stats()) // numbers, strings, bools: cannot fail
 	body = append(append(append(body, `],"stats":`...), stats...), '}', '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

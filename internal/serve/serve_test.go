@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -321,4 +323,88 @@ func TestDrainUnderConcurrentLoad(t *testing.T) {
 			t.Fatal("drained streams did not terminate")
 		}
 	}
+}
+
+// TestPartialShardErrorOnTheWire: a shard the ShardRetryThenPartial policy
+// gave up on carries its failure over HTTP, not just in the engine's Stats —
+// the NDJSON terminal line and the buffered body both name the error in that
+// shard's entry, and the live shard's entry carries none. Without it a
+// client sees "truncated" with no reason.
+func TestPartialShardErrorOnTheWire(t *testing.T) {
+	shardServer := func(doc string, base int) *httptest.Server {
+		eng := rox.NewEngine(rox.WithSeed(1))
+		if err := eng.LoadSource(rox.FromXML(doc, peopleXML(base, 10, 0))); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(rox.NewPool(eng, 2), Config{Role: "shard"}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	live, dead := shardServer("ppl-0.xml", 0), shardServer("ppl-1.xml", 100)
+	dead.Close()
+	coord := rox.NewEngine(rox.WithSeed(1), rox.WithShardRetry(rox.ShardRetryThenPartial))
+	if err := coord.LoadCollectionRemote(t.Context(), "ppl", []rox.Endpoint{
+		{URL: live.URL, Shards: []string{"ppl-0.xml"}},
+		{URL: dead.URL, Shards: []string{"ppl-1.xml"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(rox.NewPool(coord, 2), Config{}))
+	t.Cleanup(ts.Close)
+
+	// wireStats is the part of a stats object under test, read without the
+	// engine's types so the check sees exactly the bytes on the wire.
+	type wireStats struct {
+		Truncated bool `json:"truncated"`
+		Shards    []struct {
+			Shard string `json:"shard"`
+			Error string `json:"error"`
+		} `json:"shards"`
+	}
+	check := func(form string, st wireStats) {
+		t.Helper()
+		if !st.Truncated || len(st.Shards) != 2 {
+			t.Fatalf("%s: stats %+v, want truncated with 2 shards", form, st)
+		}
+		for _, sh := range st.Shards {
+			if dead := sh.Shard == "ppl-1.xml"; dead != (sh.Error != "") {
+				t.Errorf("%s: shard %s error %q", form, sh.Shard, sh.Error)
+			}
+		}
+	}
+	const q = `for $p in collection("ppl")//person return $p`
+	get := func(params ...string) []byte {
+		t.Helper()
+		resp, err := http.Get(queryURL(ts.URL, q, params...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, err %v: %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+
+	lines := bytes.Split(bytes.TrimSpace(get("stream", "ndjson")), []byte("\n"))
+	var terminal struct {
+		Stats *wireStats `json:"stats"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &terminal); err != nil || terminal.Stats == nil {
+		t.Fatalf("NDJSON terminal line %q: %v", lines[len(lines)-1], err)
+	}
+	check("ndjson", *terminal.Stats)
+
+	var buffered struct {
+		Items []string  `json:"items"`
+		Stats wireStats `json:"stats"`
+	}
+	if err := json.Unmarshal(get(), &buffered); err != nil {
+		t.Fatal(err)
+	}
+	if len(buffered.Items) != 10 {
+		t.Errorf("buffered body has %d items, want the live shard's 10", len(buffered.Items))
+	}
+	check("buffered", buffered.Stats)
 }

@@ -41,6 +41,7 @@ package shardrpc
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/ndjson"
 	"repro/internal/plan"
@@ -126,30 +127,70 @@ func (a *Agg) State() *plan.AggState {
 	return plan.RestoreAggState(a.Count, a.Min, a.Max, a.Partials)
 }
 
-// Stats is the one JSON form of rox.Stats (rox.Stats.Wire converts): the
-// stats of a buffered /v1/query body, of an NDJSON stream's terminal stats
-// line, and of a shard server's done report, which the coordinator folds into
+// Stats reports how a query evaluation spent its work — the engine's one
+// query record (rox.Stats is an alias) and its one JSON form: the stats of a
+// buffered /v1/query body, of an NDJSON stream's terminal stats line, and of
+// a shard server's done report, which the coordinator takes as it is into
 // its ShardStats rollup. Every scalar member is always present; older shard
 // servers omitted the zero-valued ones, which decode to the same zeros.
 type Stats struct {
-	Rows                   int          `json:"rows"`
-	Scanned                int          `json:"scanned"`
-	Truncated              bool         `json:"truncated"`
-	ElapsedNS              int64        `json:"elapsed_ns"`
-	ExecTuples             int64        `json:"exec_tuples"`
-	SampleTuples           int64        `json:"sample_tuples"`
-	CumulativeIntermediate int64        `json:"cumulative_intermediate"`
-	Plan                   string       `json:"plan"`
-	CacheHit               bool         `json:"cache_hit"`
-	Reoptimized            bool         `json:"reoptimized"`
-	Shards                 []ShardStats `json:"shards,omitempty"`
+	// Rows is the number of result items actually returned — for a collected
+	// Result it equals len(Result.Items); for a streaming cursor it is the
+	// number of items Next handed out. Aggregate queries (count, sum,
+	// avg, min, max) return 1, the single aggregate item; a limit/offset
+	// window counts post-truncation.
+	Rows int `json:"rows"`
+	// Scanned is the result cardinality before any limit/offset window: the
+	// distinct sorted join output the evaluation produced (for aggregates,
+	// the tuples the fold consumed). Scanned == Rows whenever no window,
+	// early Close or cancellation truncated the stream. For collection
+	// queries it sums over the shards that completed their join.
+	Scanned int `json:"scanned"`
+	// Truncated reports that not every scanned row was returned: a
+	// limit/offset window, an early-terminating scatter-gather merge, a
+	// mid-stream cancellation or an early cursor Close cut the stream short.
+	Truncated bool `json:"truncated"`
+	// ElapsedNS is the wall-clock evaluation time, sampling included; it
+	// travels as integer nanoseconds.
+	ElapsedNS time.Duration `json:"elapsed_ns"`
+	// ExecTuples and SampleTuples split the deterministic tuple work
+	// between query execution and optimizer sampling. A plan-cache hit
+	// replays with SampleTuples == 0.
+	ExecTuples   int64 `json:"exec_tuples"`
+	SampleTuples int64 `json:"sample_tuples"`
+	// CumulativeIntermediate sums all intermediate result cardinalities.
+	CumulativeIntermediate int64 `json:"cumulative_intermediate"`
+	// Plan renders the executed edge order.
+	Plan string `json:"plan"`
+	// CacheHit reports that this evaluation replayed a cached plan instead
+	// of running the sampling optimizer.
+	CacheHit bool `json:"cache_hit"`
+	// Reoptimized reports that a cached plan was replayed but its observed
+	// cardinalities drifted beyond the engine's drift ratio, so the query
+	// was re-optimized from scratch (the returned results come from that
+	// fresh ROX run). For collection queries it is set when any shard
+	// re-optimized.
+	Reoptimized bool `json:"reoptimized"`
+	// Shards breaks a collection query down per shard, in shard (result)
+	// order; nil for single-document queries and in a shard's own done
+	// report. The top-level tuple and intermediate counters are the sums
+	// over the shards; CacheHit is set only when every shard replayed a
+	// cached plan.
+	Shards []ShardStats `json:"shards,omitempty"`
 }
 
-// ShardStats is one shard's entry in the per-shard breakdown of a
-// scatter-gather evaluation. A shard's own done report never carries one.
+// ShardStats is one shard's share of a scatter-gather evaluation: which shard,
+// and the full per-shard Stats of the independent ROX run over it (each shard
+// discovers its own plan from its own samples, so Plan, CacheHit and
+// Reoptimized genuinely differ between shards).
 type ShardStats struct {
 	Shard string `json:"shard"`
 	Stats Stats  `json:"stats"`
+	// Err records a shard the ShardRetryThenPartial policy completed
+	// without: the failure that exhausted the shard's retry, rendered as a
+	// string. Empty on every other path — under the default fail-fast
+	// policy a shard failure fails the query instead.
+	Err string `json:"error,omitempty"`
 }
 
 // Done is a shard execution's end-of-stream report: the last message of every

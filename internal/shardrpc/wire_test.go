@@ -340,17 +340,38 @@ func TestClientShardNameEscaping(t *testing.T) {
 // TestMessageWireShape pins the NDJSON line shapes — the wire contract
 // documented in DESIGN.md ("Shard-server wire contract"): an item line with
 // its XML unescaped, as a json.Encoder writes the Message after
-// SetEscapeHTML(false), and the done line as encoding/json writes it.
+// SetEscapeHTML(false), and the done line as encoding/json writes it. The
+// stats object is the one every wire carries, so the rows also pin a
+// per-shard rollup: a shard given up under ShardRetryThenPartial adds its
+// "error" member after "stats", any other shard encodes without one.
 func TestMessageWireShape(t *testing.T) {
-	run := &fakeRun{
-		items: []string{"<a/>"},
-		keys:  []plan.Key{{Present: true, IsNum: true, Num: 1.5}},
-		done:  Done{Stats: &Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}},
+	const (
+		item  = `{"item":"<a/>","key":{"p":true,"n":true,"f":1.5}}` + "\n"
+		stats = `{"rows":1,"scanned":0,"truncated":false,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4,"plan":"","cache_hit":false,"reoptimized":false`
+	)
+	st := Stats{Rows: 1, ElapsedNS: 2, ExecTuples: 3, SampleTuples: 0, CumulativeIntermediate: 4}
+	rollup := func(err string) *Stats {
+		r := st
+		r.Shards = []ShardStats{{Shard: "s.xml", Stats: st, Err: err}}
+		return &r
 	}
-	want := `{"item":"<a/>","key":{"p":true,"n":true,"f":1.5}}` + "\n" +
-		`{"done":{"stats":{"rows":1,"scanned":0,"truncated":false,"elapsed_ns":2,"exec_tuples":3,"sample_tuples":0,"cumulative_intermediate":4,"plan":"","cache_hit":false,"reoptimized":false}}}` + "\n"
-	if got := string(handlerStream(t, run, false)); got != want {
-		t.Errorf("stream\n got %s\nwant %s", got, want)
+	for _, tc := range []struct {
+		name  string
+		stats *Stats
+		done  string
+	}{
+		{"done", &st, `{"done":{"stats":` + stats + `}}}`},
+		{"rollup", rollup(""), `{"done":{"stats":` + stats + `,"shards":[{"shard":"s.xml","stats":` + stats + `}}]}}}`},
+		{"partial rollup", rollup("down"), `{"done":{"stats":` + stats + `,"shards":[{"shard":"s.xml","stats":` + stats + `},"error":"down"}]}}}`},
+	} {
+		run := &fakeRun{
+			items: []string{"<a/>"},
+			keys:  []plan.Key{{Present: true, IsNum: true, Num: 1.5}},
+			done:  Done{Stats: tc.stats},
+		}
+		if got, want := string(handlerStream(t, run, false)), item+tc.done+"\n"; got != want {
+			t.Errorf("%s: stream\n got %s\nwant %s", tc.name, got, want)
+		}
 	}
 }
 

@@ -576,10 +576,10 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 	}
 	// withoutElapsed zeroes the one wall-clock field, per shard too.
 	withoutElapsed := func(s Stats) Stats {
-		s.Elapsed = 0
+		s.ElapsedNS = 0
 		s.Shards = slices.Clone(s.Shards)
 		for i := range s.Shards {
-			s.Shards[i].Stats.Elapsed = 0
+			s.Shards[i].Stats.ElapsedNS = 0
 		}
 		return s
 	}

@@ -128,7 +128,7 @@ type rowSource interface {
 	// finalize folds end-of-stream statistics into st and releases any
 	// resources (shard sources, context). Called exactly once, after the
 	// stream ended or the cursor was closed; st.Rows already holds the
-	// number of items handed out, and Scanned, Truncated and Elapsed are the
+	// number of items handed out, and Scanned, Truncated and ElapsedNS are the
 	// source's to stamp.
 	finalize(st *Stats)
 }
@@ -345,7 +345,7 @@ type cursor struct {
 }
 
 // newCursor binds one execution; the stopwatch starts here so a shard's
-// Elapsed covers its wait for a fan-out slot.
+// ElapsedNS covers its wait for a fan-out slot.
 func (e *Engine) newCursor(ctx context.Context, env *plan.Env, comp *xquery.Compiled, fp string) *cursor {
 	c := &cursor{e: e, ctx: ctx, env: env, comp: comp, fp: fp, sw: metrics.Start()}
 	if fp != "" {
@@ -446,13 +446,8 @@ func (c *cursor) open() error {
 					Expected:    res.EdgeRows,
 				})
 			}
-			ran = &res.Plan
-			run = &plan.RunStats{
-				CumulativeIntermediate: res.CumulativeIntermediate + abandoned,
-				Scanned:                res.Scanned,
-				EdgeRows:               res.EdgeRows,
-				Keys:                   res.Keys,
-			}
+			ran, run = &res.Plan, &res.RunStats
+			run.CumulativeIntermediate += abandoned
 		}
 	}
 	// Recorder deltas, not the run's own cost report: on the drift path the
@@ -528,7 +523,7 @@ func (c *cursor) report() Stats {
 	}
 	st.Rows, st.Scanned = delivered, c.scanned
 	st.Truncated = !c.opened || delivered < want
-	st.Elapsed = c.sw.Elapsed()
+	st.ElapsedNS = c.sw.Elapsed()
 	return st
 }
 

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/conc"
 	"repro/internal/core"
@@ -260,63 +259,12 @@ func (e *Engine) CollectionShards(coll string) ([]string, error) {
 	return col.ShardNames(), nil
 }
 
-// Stats reports how a query evaluation spent its work.
-type Stats struct {
-	// Rows is the number of result items actually returned — for a collected
-	// Result it equals len(Result.Items); for a streaming cursor it is the
-	// number of items Next handed out. Aggregate queries (count, sum,
-	// avg, min, max) return 1, the single aggregate item; a limit/offset
-	// window counts post-truncation.
-	Rows int
-	// Scanned is the result cardinality before any limit/offset window: the
-	// distinct sorted join output the evaluation produced (for aggregates,
-	// the tuples the fold consumed). Scanned == Rows whenever no window,
-	// early Close or cancellation truncated the stream. For collection
-	// queries it sums over the shards that completed their join.
-	Scanned int
-	// Truncated reports that not every scanned row was returned: a
-	// limit/offset window, an early-terminating scatter-gather merge, a
-	// mid-stream cancellation or an early cursor Close cut the stream short.
-	Truncated bool
-	// Elapsed is the wall-clock evaluation time, sampling included.
-	Elapsed time.Duration
-	// ExecTuples and SampleTuples split the deterministic tuple work
-	// between query execution and optimizer sampling. A plan-cache hit
-	// replays with SampleTuples == 0.
-	ExecTuples, SampleTuples int64
-	// CumulativeIntermediate sums all intermediate result cardinalities.
-	CumulativeIntermediate int64
-	// Plan renders the executed edge order.
-	Plan string
-	// CacheHit reports that this evaluation replayed a cached plan instead
-	// of running the sampling optimizer.
-	CacheHit bool
-	// Reoptimized reports that a cached plan was replayed but its observed
-	// cardinalities drifted beyond the engine's drift ratio, so the query
-	// was re-optimized from scratch (the returned results come from that
-	// fresh ROX run). For collection queries it is set when any shard
-	// re-optimized.
-	Reoptimized bool
-	// Shards breaks a collection query down per shard, in shard (result)
-	// order; nil for single-document queries. The top-level tuple and
-	// intermediate counters are the sums over the shards; CacheHit is set
-	// only when every shard replayed a cached plan.
-	Shards []ShardStats
-}
+// Stats reports how a query evaluation spent its work. It is also the stats
+// object every wire carries, so a new member is one field; see shardrpc.Stats.
+type Stats = shardrpc.Stats
 
-// ShardStats is one shard's share of a scatter-gather evaluation: which shard,
-// and the full per-shard Stats of the independent ROX run over it (each shard
-// discovers its own plan from its own samples, so Plan, CacheHit and
-// Reoptimized genuinely differ between shards).
-type ShardStats struct {
-	Shard string
-	Stats Stats
-	// Err records a shard the ShardRetryThenPartial policy completed
-	// without: the failure that exhausted the shard's retry, rendered as a
-	// string. Empty on every other path — under the default fail-fast
-	// policy a shard failure fails the query instead.
-	Err string
-}
+// ShardStats is one shard's share of a scatter-gather evaluation.
+type ShardStats = shardrpc.ShardStats
 
 // Result is a materialized query result: the serialized XML of every
 // returned item, in query order, plus evaluation statistics. Aggregate

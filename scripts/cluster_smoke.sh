@@ -12,7 +12,9 @@
 # concat, ordered merge, algebraic aggregate, limit window — is run against
 # both through the streaming NDJSON surface, diffed on the item lines, and
 # through the buffered surface, diffed on the items array, before and after
-# the same fragments are ingested into both. A join of the collection with a
+# the same fragments are ingested into both; after the replay round the
+# coordinator's terminal stats line must carry every shard server's own
+# cache-hit verdict, one entry per shard. A join of the collection with a
 # plain document, bands.xml, which the shard servers and the reference hold,
 # is diffed too — and after a fragment is ingested into bands.xml alone,
 # each shard server must count stale plan-cache hits: a cached plan is
@@ -161,6 +163,21 @@ compare() { # label
 
 compare warm-up
 compare replay # the second run replays each server's own cached plans
+
+# Per-shard stats across processes: the coordinator's terminal stats line
+# carries each shard server's own verdict, which arrives only in that shard's
+# done report. After the replay every one of the four shards hit its cache.
+terminal="$(curl -sG "http://$coord/v1/query" --data-urlencode "q=${queries[0]}" \
+  --data-urlencode "stream=ndjson" | tail -n 1)"
+shards="$(printf '%s' "$terminal" | grep -o '"shard":"[^"]*","stats":{[^}]*}' || true)"
+entries="$(printf '%s' "$shards" | grep -c '"shard":' || true)"
+hits="$(printf '%s' "$shards" | grep -c '"cache_hit":true' || true)"
+if [ "$entries" != 4 ] || [ "$hits" != 4 ]; then
+  echo "FAIL: coordinator terminal line has $entries shard entries, $hits with cache_hit, want 4 and 4: $terminal" >&2
+  fail=1
+else
+  echo "ok (per-shard stats): 4 shard entries, each a cache hit"
+fi
 
 # Remote ingest: the coordinator forwards each fragment to the shard server
 # holding its round-robin shard, through that server's public ingest

@@ -186,7 +186,7 @@ type scatterRows struct {
 	sctx    context.Context // the shards' ctx: parent's, canceled at finalize
 	cancel  context.CancelFunc
 	env     *plan.Env
-	sw      metrics.Stopwatch // the query's clock; finalize stamps Elapsed
+	sw      metrics.Stopwatch // the query's clock; finalize stamps ElapsedNS
 	shards  []scatterShard
 	mode    int
 	desc    bool
@@ -483,5 +483,5 @@ func (s *scatterRows) finalize(st *Stats) {
 	case st.Rows < st.Scanned:
 		st.Truncated = true
 	}
-	st.Elapsed = s.sw.Elapsed()
+	st.ElapsedNS = s.sw.Elapsed()
 }
