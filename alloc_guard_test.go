@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/datagen"
 	"repro/internal/xmltree"
 )
@@ -24,7 +23,9 @@ import (
 
 func allocsPerQuery(t *testing.T, query string) float64 {
 	t.Helper()
-	return testing.AllocsPerRun(20, replayer(t, query))
+	run := replayer(t, query)
+	runtime.GC() // see bytesPerRun
+	return testing.AllocsPerRun(20, run)
 }
 
 // replayer loads the default XMark document, runs query once to optimize it
@@ -48,9 +49,12 @@ func replayer(t *testing.T, query string) func() {
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the runtime.MemStats
 // TotalAlloc delta over runs calls of f, per call, on one P as AllocsPerRun
-// measures it.
+// measures it. A collection comes first, so that none is likely to fall
+// inside the measured runs: it would free the scratch one query hands the
+// next, and the run after it would allocate that scratch again.
 func bytesPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -68,15 +72,17 @@ const replayedJoin = `let $d := doc("xmark.xml")
 		where $o//bidder//personref/@person = $p/@id return $p limit 50`
 
 func TestAllocGuardReplayedJoin(t *testing.T) {
-	// Measured 237: each edge's pairs are reserved at the cardinality the
-	// cached plan observed, a first edge's pairs become its relation, pair
-	// groups are counted before they are filled, T(v) is refreshed only where
-	// a later step reads it, a merge copies no column of a vertex nothing
-	// reads again, and the Env's generator is never built (255 with the dead
+	// Measured 207: the merge scratch and the hash join's build come back
+	// from the previous query (236 without), each edge's pairs are reserved
+	// at the cardinality the cached plan observed, a first edge's pairs
+	// become its relation, pair groups are counted before they are filled,
+	// T(v) is refreshed only where a later step reads it, a merge copies no
+	// column of a vertex nothing reads again, and the Env's generator is
+	// never built (255 with the dead
 	// columns copied; 387 before the rest; 530 when vertex tables copied the
 	// index, a refreshed T(v) cloned its column and step pairs grew per edge;
 	// 5 851 with a hash map and a slice per context node in every merge).
-	const ceiling = 296
+	const ceiling = 259
 	if got := allocsPerQuery(t, replayedJoin); got > ceiling {
 		t.Errorf("replayed join: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
@@ -85,15 +91,17 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// The object count above cannot see a copy of a whole index extent or
 	// column, which is one allocation however large. Bytes can. Measured
-	// 130 272 (161 474 when every merge copies the columns of vertices no
-	// later step and no tail reads; 204 166 before the pair buffers were
-	// sized from the plan cache and owned by the relation; 382 107 with
-	// VertexTable copying each extent, DistinctNodes cloning each column and
-	// the step pairs growing per edge). The ceiling is ≈ 5 % above, not
-	// 25 %: copying the dead columns again, pair buffers growing from empty,
-	// the extent copy, the column clone or a string-keyed @person = @id hash
-	// join build each cost more; each must fail here.
-	const ceiling = 136_800
+	// 73 168 (109 497 when Runner.Finish does not hand the merge scratch
+	// back; 130 231 when neither it nor the hash join's build was recycled;
+	// 161 474 when every merge copies the columns of vertices no later step
+	// and no tail reads; 204 166 before the pair buffers were sized from the
+	// plan cache and owned by the relation; 382 107 with VertexTable copying
+	// each extent, DistinctNodes cloning each column and the step pairs
+	// growing per edge). The ceiling is ≈ 5 % above, not 25 %: scratch that
+	// is not handed back, copying the dead columns again, pair buffers
+	// growing from empty, the extent copy or the column clone each cost
+	// more; each must fail here.
+	const ceiling = 76_800
 	if got := bytesPerRun(20, replayer(t, replayedJoin)); got > ceiling {
 		t.Errorf("replayed join: %.0f bytes per query, ceiling %d", got, ceiling)
 	}
@@ -107,20 +115,7 @@ func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 func coldFourWay(t *testing.T) func() {
 	t.Helper()
 	e := NewEngine(WithSeed(1), WithPlanCache(0))
-	cfg := datagen.DefaultDBLPConfig()
-	cfg.TagDivisor = 10
-	var combo datagen.Combo
-	for i, name := range []string{"SIGMOD", "ICDE", "VLDB", "Bioinformatics"} {
-		v, ok := datagen.VenueByName(name)
-		if !ok {
-			t.Fatalf("no venue %q", name)
-		}
-		combo.Venues[i] = v
-		if err := e.LoadSource(FromDocument(datagen.GenerateVenue(cfg, v))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	query := bench.FourWayQuery(combo)
+	query := loadFourWay(t, e)
 	run := func() {
 		res, err := collectRows(e.Execute(context.Background(), Request{Query: query}))
 		if err != nil {
@@ -135,22 +130,25 @@ func coldFourWay(t *testing.T) func() {
 }
 
 func TestAllocGuardColdFourWay(t *testing.T) {
-	// Measured 886: sampled pairs live in one optimizer buffer, restricted
+	// Measured 863 (885 before merge scratch and hash join builds were
+	// recycled across queries): sampled pairs live in one optimizer buffer, restricted
 	// probes filter in place, the value index is the hash join's build side
 	// over an unreduced extent, and the optimizer looks edges up in lists
 	// built once and draws samples without a map (3 230 when each of those
 	// allocated; 1 839 with a slice per restricted probe alone).
-	const ceiling = 1140
+	const ceiling = 1080
 	if got := testing.AllocsPerRun(20, coldFourWay(t)); got > ceiling {
 		t.Errorf("cold four-way: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
 }
 
 func TestAllocGuardColdFourWayBytes(t *testing.T) {
-	// Measured 175 710 (523 379 before the change above). Building a hash
-	// table over the unreduced extent instead of probing the index costs
-	// 243 594 and must fail here.
-	const ceiling = 225_000
+	// Measured 164 217 (175 136 before merge scratch and hash join builds
+	// were recycled, 523 379 before the change above). A hash table built
+	// over the unreduced extent instead of probing the index is recycled
+	// too, so bytes no longer see it; TestExecEdgeHashOverExtentBuildsNothing
+	// (internal/plan) catches it with the free list emptied.
+	const ceiling = 205_000
 	if got := bytesPerRun(20, coldFourWay(t)); got > ceiling {
 		t.Errorf("cold four-way: %.0f bytes per query, ceiling %d", got, ceiling)
 	}

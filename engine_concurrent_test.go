@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/bench"
+	"repro/internal/datagen"
 )
 
 // concurrencyQueries mixes the query shapes the engine supports: step-only,
@@ -102,6 +105,80 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// loadFourWay loads four DBLP venues at a tenth of their tags into e and
+// returns roxmark's c31 query over them: a four-way join whose plan has a
+// hash join over an unreduced text extent.
+func loadFourWay(t *testing.T, e *Engine) string {
+	t.Helper()
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.TagDivisor = 10
+	var combo datagen.Combo
+	for i, name := range []string{"SIGMOD", "ICDE", "VLDB", "Bioinformatics"} {
+		v, ok := datagen.VenueByName(name)
+		if !ok {
+			t.Fatalf("no venue %q", name)
+		}
+		combo.Venues[i] = v
+		if err := e.LoadSource(FromDocument(datagen.GenerateVenue(cfg, v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bench.FourWayQuery(combo)
+}
+
+// TestConcurrentReplaysMatchSequential replays the XMark join, the DBLP
+// four-way and a top-k from several goroutines at once. Each replay takes
+// its merge scratch and hash-join builds from the ones earlier replays
+// handed back, possibly on another goroutine; the items must be exactly the
+// sequential run's.
+func TestConcurrentReplaysMatchSequential(t *testing.T) {
+	e := NewEngine(WithSeed(1))
+	if err := e.LoadSource(FromDocument(datagen.XMark(datagen.DefaultXMarkConfig()))); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`let $d := doc("xmark.xml")
+		for $o in $d//open_auction[.//current/text() < 145], $p in $d//person[.//province]
+		where $o//bidder//personref/@person = $p/@id return $p limit 50`,
+		loadFourWay(t, e),
+		`for $a in doc("xmark.xml")//open_auction[reserve] order by $a/current descending return $a limit 10`,
+	}
+	want := make([][]string, len(queries))
+	for i, q := range queries {
+		res, err := collectRows(e.Execute(context.Background(), Request{Query: q}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) == 0 {
+			t.Fatalf("%.40s…: no items", q)
+		}
+		want[i] = res.Items
+	}
+
+	const goroutines, rounds = 4, 6
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds * len(queries) {
+				qi := (g + i) % len(queries)
+				res, err := collectRows(e.Execute(context.Background(), Request{Query: queries[qi]}))
+				if err != nil {
+					t.Errorf("goroutine %d, query %d: %v", g, qi, err)
+					return
+				}
+				if !res.Stats.CacheHit || !reflect.DeepEqual(res.Items, want[qi]) {
+					t.Errorf("goroutine %d, query %d (cache hit %v): %d items differ from the sequential run's %d",
+						g, qi, res.Stats.CacheHit, len(res.Items), len(want[qi]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestConcurrentLoadAndQuery exercises the copy-on-write load path: loads of

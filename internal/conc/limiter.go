@@ -1,9 +1,15 @@
-// Package conc holds the one bounded-concurrency primitive the engine and its
-// front ends share. Both the query-admission pool (rox.Pool) and the
+// Package conc holds the concurrency primitives the engine shares between
+// executions.
+//
+// Limiter bounds concurrency. Both the query-admission pool (rox.Pool) and the
 // scatter-gather shard executor gate work through a Limiter; because the shard
 // executor's Limiter lives on the engine (not per query), a pooled query over
 // an N-shard collection can never fan out to workers × shards goroutines —
 // total in-flight shard evaluations stay bounded by one engine-wide cap.
+//
+// Recycler hands one execution's working memory to the next: the edge merges'
+// scratch (internal/plan) and the hash join's build arrays (internal/ops). It
+// holds what is handed back only weakly, so it never adds to the live heap.
 package conc
 
 import (

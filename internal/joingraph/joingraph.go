@@ -267,11 +267,13 @@ func (g *Graph) StepEdges() []*Edge {
 func (g *Graph) AddJoinEquivalences() int {
 	uf := NewUnionFind(len(g.Vertices))
 	existing := make(map[[2]int]bool)
+	joined := make([]bool, len(g.Vertices)) // by vertex: an endpoint of a join edge
 	for _, e := range g.Edges {
 		if e.Kind != JoinEdge {
 			continue
 		}
 		uf.Union(e.From, e.To)
+		joined[e.From], joined[e.To] = true, true
 		a, b := e.From, e.To
 		if a > b {
 			a, b = b, a
@@ -285,7 +287,7 @@ func (g *Graph) AddJoinEquivalences() int {
 	classes := make(map[int][]int)
 	var roots []int
 	for v := range g.Vertices {
-		if !g.hasJoinEdge(v) {
+		if !joined[v] {
 			continue
 		}
 		r := uf.Find(v)
@@ -342,15 +344,6 @@ func (u *UnionFind) Find(x int) int {
 
 // Union merges the sets of a and b under b's root.
 func (u *UnionFind) Union(a, b int) { u.parent[u.Find(a)] = u.Find(b) }
-
-func (g *Graph) hasJoinEdge(v int) bool {
-	for _, e := range g.Edges {
-		if e.Kind == JoinEdge && e.Touches(v) {
-			return true
-		}
-	}
-	return false
-}
 
 // Validate checks structural sanity: endpoints exist and differ, join edges
 // connect value-bearing vertices (text/attr), step edges do not start at a

@@ -201,7 +201,8 @@ func checkValueCase(data []byte, reused *Pairs) error {
 }
 
 // TestValueJoinMatchesNestedLoopRandomized runs generated cases through one
-// reused buffer, so nothing one join leaves in it can leak into the next.
+// reused output buffer, and the hash joins through scratch recycled from
+// join to join, so nothing one join leaves behind can leak into the next.
 func TestValueJoinMatchesNestedLoopRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var reused Pairs
@@ -214,12 +215,18 @@ func TestValueJoinMatchesNestedLoopRandomized(t *testing.T) {
 	}
 }
 
+// FuzzValueJoinMatchesNestedLoop runs each input twice, the second time
+// after a case of another size has dirtied the hash join's recycled scratch.
 func FuzzValueJoinMatchesNestedLoop(f *testing.F) {
 	f.Add([]byte{}) // the rest of the seed corpus is testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reused := Pairs{C: []xmltree.NodeID{7, 7, 7}, S: []xmltree.NodeID{9, 9, 9}}
-		if err := checkValueCase(data, &reused); err != nil {
-			t.Fatal(err)
+		dirty := make([]byte, 1+(len(data)+300)%900)
+		rand.New(rand.NewSource(int64(len(data)))).Read(dirty)
+		for _, d := range [][]byte{data, dirty, data} {
+			reused := Pairs{C: []xmltree.NodeID{7, 7, 7}, S: []xmltree.NodeID{9, 9, 9}}
+			if err := checkValueCase(d, &reused); err != nil {
+				t.Fatalf("%x: %v", d, err)
+			}
 		}
 	})
 }

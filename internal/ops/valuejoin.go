@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/conc"
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/xmltree"
@@ -58,15 +59,33 @@ func HashJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Node
 	return out, consumed
 }
 
+// hashScratch is HashJoinPairsInto's build side and probe groups: working
+// memory of one call, recycled across calls through hashPool.
+type hashScratch struct {
+	groupOf  map[int32]int32 // S's value id → group id; cleared before each build
+	sized    int             // the size hint groupOf was made with
+	sGroup   []int32         // per S node its group
+	off      []int32         // group g owns partners[off[g]:off[g+1]]
+	partners []xmltree.NodeID
+	cGroup   []int32 // per consumed C node its group, -1 = no partner
+}
+
+// hashPool holds the hash joins' scratch between calls, weakly: a join reuses
+// one an earlier join handed back if the collector has not freed it yet.
+var hashPool conc.Recycler[hashScratch]
+
 // HashJoinPairsInto is HashJoinPairs writing into out, whose columns are
 // truncated and reused as in StepPairsInto. It returns consumed.
 //
 // The table maps S's dictionary value id to a group id; the groups' members
 // sit in one partner array behind one offset array (S order within a group),
-// so the build allocates a handful of objects, not a string key or a slice
-// per distinct value. The probe looks every outer tuple up once — by its own
-// value id when C shares S's document, through dS's dictionary otherwise —
-// which also sizes the output.
+// so the build is a handful of arrays, not a string key or a slice per
+// distinct value. The map and the arrays are taken from hashPool at entry
+// and handed back at return: the map is cleared, and remade only for a
+// larger build than it was made for, and every array is resized in place,
+// so a join in steady state allocates only its output. The probe looks every outer tuple up once — by its own value id
+// when C shares S's document, through dS's dictionary otherwise — which also
+// sizes the output.
 func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, dS *xmltree.Document, S []xmltree.NodeID, limit int) int {
 	out.C, out.S = out.C[:0], out.S[:0]
 	vals := dS.Values()
@@ -82,9 +101,16 @@ func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, 
 		}
 		return empty
 	}
-	groupOf := make(map[int32]int32, len(S))
-	sGroup := make([]int32, len(S))
-	var off []int32 // group g owns partners[off[g]:off[g+1]]
+	hs := hashPool.Get()
+	defer hashPool.Put(hs)
+	if hs.groupOf == nil || hs.sized < len(S) {
+		hs.groupOf, hs.sized = make(map[int32]int32, len(S)), len(S)
+	} else {
+		clear(hs.groupOf)
+	}
+	groupOf := hs.groupOf
+	sGroup := slices.Grow(hs.sGroup[:0], len(S))[:len(S)]
+	off := hs.off[:0]
 	for i, s := range S {
 		v := keyS(s)
 		g, ok := groupOf[v]
@@ -104,14 +130,14 @@ func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, 
 	}
 	// off[g] is the end of group g; filling back to front turns it into the
 	// start and keeps S order within the group.
-	partners := make([]xmltree.NodeID, len(S))
+	partners := slices.Grow(hs.partners[:0], len(S))[:len(S)]
 	for i := len(S) - 1; i >= 0; i-- {
 		g := sGroup[i]
 		off[g]--
 		partners[off[g]] = S[i]
 	}
 
-	cGroup := make([]int32, 0, len(C))
+	cGroup := slices.Grow(hs.cGroup[:0], len(C))
 	total := 0
 	for _, c := range C {
 		var k int32
@@ -136,6 +162,7 @@ func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, 
 			break
 		}
 	}
+	hs.sGroup, hs.off, hs.partners, hs.cGroup = sGroup, off, partners, cGroup
 	consumed := len(cGroup)
 	out.C, out.S = slices.Grow(out.C, total), slices.Grow(out.S, total)
 	for i, g := range cGroup {

@@ -3,6 +3,7 @@ package plan
 import (
 	"slices"
 
+	"repro/internal/conc"
 	"repro/internal/ops"
 	"repro/internal/table"
 	"repro/internal/xmltree"
@@ -16,7 +17,8 @@ import (
 // output order is context-row-major, then pair order within one context node,
 // then — joining two relations — the second relation's row order; a merge
 // copies only the live columns (mergeScratch.live); and every index and
-// per-row work array is mergeScratch, owned by the Runner.
+// per-row work array is mergeScratch, which the Runner takes from
+// scratchPool and hands back when it finishes.
 
 // pairGroups is a CSR-style index over a pair list (key[i], val[i]): the
 // distinct keys in ascending order and, per key, the run of its values in
@@ -107,7 +109,12 @@ func (pg *pairGroups) size(g int) int32           { return pg.off[g+1] - pg.off[
 func (pg *pairGroups) run(g int) []xmltree.NodeID { return pg.vals[pg.off[g]:pg.off[g+1]] }
 
 // mergeScratch is a Runner's working memory for merges and table refreshes.
-// It is reused from edge to edge and dies with the Runner.
+// It is reused from edge to edge, and from query to query through
+// scratchPool: a Runner takes one on its first merge (Runner.ms) and hands
+// it back in Runner.Finish (recycle). Nothing a relation or a T(v)
+// holds is scratch, and recycle clears the fields that point elsewhere, so a
+// recycled scratch never aliases a relation. words is all zero between
+// calls, as xmltree.SortedSet leaves it.
 type mergeScratch struct {
 	byKey  pairGroups // the edge's pairs by context node
 	byNode pairGroups // joinOn: the second relation's rows by join node
@@ -116,7 +123,21 @@ type mergeScratch struct {
 	packed []uint64   // filter: the pairs as sorted integers
 	words  []uint64   // xmltree.SortedSet's bitmap
 	pairs  ops.Pairs  // the pairs of the edge being merged, unless it is a first edge
-	live   []bool     // by vertex id: the input columns a merge copies (Runner.markLive); nil copies all
+	live   []bool     // the Runner's live bits (Runner.markLive): the input columns a merge copies; nil copies all
+}
+
+// scratchPool holds the merge scratch of finished Runners, weakly: a query
+// reuses the one an earlier query handed back if the collector has not freed
+// it yet, so the scratch costs no allocation in steady state and no live
+// heap in between.
+var scratchPool conc.Recycler[mergeScratch]
+
+// recycle hands ms back to scratchPool. The pair index's values may alias an
+// edge's pairs and the live bits are a Runner's own, so both are cleared
+// first: the free list never points into data outside the scratch.
+func (ms *mergeScratch) recycle() {
+	ms.byKey.vals, ms.byNode.vals, ms.live = nil, nil, nil
+	scratchPool.Put(ms)
 }
 
 // keeps reports whether a merge copies the input column of vertex id; width

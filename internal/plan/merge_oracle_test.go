@@ -201,6 +201,7 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 		sort.Stable(pairsBy{pairs, pairs.S})
 	}
 	var got, want *table.Relation
+	inputs := []*table.Relation{ra} // the relations the merge takes rows of
 	ms.live = nil
 	switch kind {
 	case 0:
@@ -218,6 +219,7 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 		// A first edge: the relation is the pair list. Pairs in a buffer of
 		// their own become its columns; pairs in the scratch the next edge
 		// overwrites are copied out at their exact length.
+		inputs = nil
 		inScratch := s.next(2) == 1
 		if inScratch {
 			ms.pairs.C, ms.pairs.S = append(ms.pairs.C[:0], pairs.C...), append(ms.pairs.S[:0], pairs.S...)
@@ -239,6 +241,7 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 		}
 	default:
 		rb := relation(10)
+		inputs = append(inputs, rb)
 		b := 10 + s.next(rb.NumCols())
 		ms.live = liveMask(s, a, b)
 		got, want = ms.joinOn(ra, a, rb, b, pairs), oracleJoinOn(ra, a, rb, b, pairs)
@@ -256,7 +259,35 @@ func checkMergeCase(ms *mergeScratch, data []byte) error {
 	if err := sameRelation(got, want); err != nil {
 		return fmt.Errorf("merge kind %d over %s with pairs C=%v S=%v: %w", kind, ra, pairs.C, pairs.S, err)
 	}
+	// The T(v) refresh through the scratch's bitmap, with the input column's
+	// node set as v's previous table when there is one, as Runner.merge has it.
+	for _, id := range got.ColumnIDs() {
+		var prev *table.Table
+		for _, in := range inputs {
+			if in.HasColumn(id) {
+				prev = &table.Table{Doc: in.Doc(id), Nodes: distinctSorted(in.Column(id))}
+			}
+		}
+		wantNodes := distinctSorted(got.Column(id))
+		if tv := got.DistinctNodes(id, prev, &ms.words); !slices.Equal(tv.Nodes, wantNodes) {
+			return fmt.Errorf("merge kind %d: T(%d) = %v, want %v", kind, id, tv.Nodes, wantNodes)
+		}
+	}
 	return nil
+}
+
+func distinctSorted(col []xmltree.NodeID) []xmltree.NodeID {
+	nodes := slices.Clone(col)
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
+}
+
+// dirtyCase returns generated case bytes of another length than data's: run
+// between two runs of data, it leaves the recycled scratch dirty.
+func dirtyCase(data []byte) []byte {
+	d := make([]byte, 1+(len(data)+200)%600)
+	rand.New(rand.NewSource(int64(len(data)))).Read(d)
+	return d
 }
 
 // liveMask decodes which input columns a merge copies: nil (all of them) or
@@ -291,25 +322,33 @@ func (x pairsBy) Swap(i, j int) {
 	x.p.S[i], x.p.S[j] = x.p.S[j], x.p.S[i]
 }
 
-// TestMergeMatchesOracleRandomized runs generated cases through one shared
-// scratch, so state left behind by one merge cannot leak into the next.
+// TestMergeMatchesOracleRandomized runs generated cases through scratch
+// recycled from case to case, as Runners recycle it from query to query, so
+// state left behind by one merge cannot leak into the next.
 func TestMergeMatchesOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	ms := &mergeScratch{}
 	for i := 0; i < 20000; i++ {
 		data := make([]byte, rng.Intn(400))
 		rng.Read(data)
+		ms := scratchPool.Get()
 		if err := checkMergeCase(ms, data); err != nil {
 			t.Fatalf("case %d (%x): %v", i, data, err)
 		}
+		ms.recycle()
 	}
 }
 
+// FuzzMergeMatchesOracle runs each input twice through recycled scratch, the
+// second time after a case of another size has dirtied it.
 func FuzzMergeMatchesOracle(f *testing.F) {
 	f.Add([]byte{}) // the rest of the seed corpus is testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkMergeCase(&mergeScratch{}, data); err != nil {
-			t.Fatal(err)
+		for _, d := range [][]byte{data, dirtyCase(data), data} {
+			ms := scratchPool.Get()
+			if err := checkMergeCase(ms, d); err != nil {
+				t.Fatalf("%x: %v", d, err)
+			}
+			ms.recycle()
 		}
 	})
 }

@@ -41,7 +41,8 @@ type Runner struct {
 	executed []bool                          // by edge id
 	required []bool                          // by vertex id: the tail reads it (SetTail)
 	probes   []func(string) []xmltree.NodeID // value probe by vertex id, built on first use
-	scratch  mergeScratch
+	live     []bool                          // by vertex id: the input columns a merge copies (markLive)
+	scratch  *mergeScratch                   // nil until the first merge (ms); handed back by Finish
 
 	redundant []bool // cached RedundantEdges(G)
 
@@ -107,7 +108,7 @@ func NewRunner(env *Env, g *joingraph.Graph) *Runner {
 		comps:     make([]*component, nv),
 		executed:  bits[:ne:ne],
 		required:  bits[ne : ne+nv : ne+nv],
-		scratch:   mergeScratch{live: live},
+		live:      live,
 		redundant: RedundantEdges(g),
 	}
 }
@@ -310,7 +311,7 @@ func (r *Runner) pairBuffer(id, a, b, inputs int) *ops.Pairs {
 	}
 	n = max(n, 0)
 	if r.comps[a] != nil || r.comps[b] != nil {
-		p := &r.scratch.pairs
+		p := &r.ms().pairs
 		p.C, p.S = slices.Grow(p.C[:0], n), slices.Grow(p.S[:0], n)
 		return p
 	}
@@ -323,22 +324,23 @@ func (r *Runner) pairBuffer(id, a, b, inputs int) *ops.Pairs {
 func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	ca, cb := r.comps[a], r.comps[b]
 	dropped := r.markLive(a, b, ca, cb)
+	ms := r.ms()
 	var nc *component
 	switch {
 	case ca == nil && cb == nil:
-		rel := r.scratch.adopt(a, r.tables[a].Doc, b, r.tables[b].Doc, pairs)
+		rel := ms.adopt(a, r.tables[a].Doc, b, r.tables[b].Doc, pairs)
 		nc = &component{rel: rel, verts: []int{a, b}}
 	case ca != nil && cb == nil:
-		rel := r.scratch.extend(ca.rel, a, pairs, b, r.tables[b].Doc)
+		rel := ms.extend(ca.rel, a, pairs, b, r.tables[b].Doc)
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), b)}
 	case ca == nil && cb != nil:
-		rel := r.scratch.extend(cb.rel, b, pairs.Swapped(), a, r.tables[a].Doc)
+		rel := ms.extend(cb.rel, b, pairs.Swapped(), a, r.tables[a].Doc)
 		nc = &component{rel: rel, verts: append(append([]int(nil), cb.verts...), a)}
 	case ca == cb:
-		rel := r.scratch.filter(ca.rel, a, b, pairs)
+		rel := ms.filter(ca.rel, a, b, pairs)
 		nc = &component{rel: rel, verts: ca.verts}
 	default:
-		rel := r.scratch.joinOn(ca.rel, a, cb.rel, b, pairs)
+		rel := ms.joinOn(ca.rel, a, cb.rel, b, pairs)
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), cb.verts...)}
 	}
 	r.Env.Rec.ChargeTuples(nc.rel.NumRows())
@@ -348,10 +350,20 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	for _, v := range nc.verts {
 		r.comps[v] = nc
 		if nc.rel.HasColumn(v) && (!r.replay || r.readLater(v)) {
-			r.tables[v] = nc.rel.DistinctNodes(v, r.tables[v], &r.scratch.words)
+			r.tables[v] = nc.rel.DistinctNodes(v, r.tables[v], &ms.words)
 		}
 	}
 	return nc.rel.NumRows(), nil
+}
+
+// ms returns the Runner's merge scratch, taken from scratchPool on first use
+// and pointed at the Runner's live bits.
+func (r *Runner) ms() *mergeScratch {
+	if r.scratch == nil {
+		r.scratch = scratchPool.Get()
+		r.scratch.live = r.live
+	}
+	return r.scratch
 }
 
 // readLater reports whether a plan step after the running one touches vertex
@@ -367,8 +379,8 @@ func (r *Runner) readLater(v int) bool {
 }
 
 // markLive decides which input columns the merge of an edge between a and
-// b copies — it sets the scratch's live bits, which stay all set without
-// SetTail — and reports whether it leaves a column of ca or cb behind. A dead
+// b copies — it sets the live bits, which stay all set without SetTail —
+// and reports whether it leaves a column of ca or cb behind. A dead
 // vertex keeps its component membership (for connectivity) but loses its
 // column. Live are the tail's vertices, a and b themselves (the edge being
 // merged still counts as to run, so T(a) and T(b) are refreshed as ever),
@@ -381,7 +393,7 @@ func (r *Runner) markLive(a, b int, ca, cb *component) bool {
 	if !r.dropDead {
 		return false
 	}
-	live := r.scratch.live
+	live := r.live
 	copy(live, r.required)
 	live[a], live[b] = true, true
 	if r.replay && !r.projectReduce {
@@ -446,13 +458,19 @@ func (r *Runner) FinalRelation(required []int) (*table.Relation, error) {
 // Finish ends a run once every plan edge executed: the final relation over
 // the required vertices (tail.Required, what SetTail was given) through the
 // tail, and the run's record. A replay and an optimizer run both end here,
-// so their RunStats mean the same thing.
+// so their RunStats mean the same thing. Finish hands the merge scratch back
+// for the next Runner; one that never finishes (an error, a statistics or
+// sampled-search Runner) just drops it.
 func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, error) {
 	rel, err := r.FinalRelation(required)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
 	out, keys, scanned := tail.ExecuteIn(r.Env.cat, rel)
+	if r.scratch != nil { // no merge reads it again
+		r.scratch.recycle()
+		r.scratch = nil
+	}
 	return out, RunStats{
 		CumulativeIntermediate: r.CumulativeIntermediate,
 		ResultRows:             out.NumRows(),

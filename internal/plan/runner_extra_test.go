@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -163,6 +164,35 @@ func TestExecEdgeHashOverExtentMatchesHashJoin(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExecEdgeHashOverExtentBuildsNothing: a hash join whose inner still is
+// its index extent allocates no build. The build's map and arrays are
+// recycled across calls, so in steady state a build costs no allocation and
+// no allocation guard would see one; here a collection empties the free
+// list before each join, and the hash join must then allocate no more
+// objects than the nested-loop index join, which probes the same index.
+func TestExecEdgeHashOverExtentBuildsNothing(t *testing.T) {
+	f := newFixture(t)
+	e := f.g.Edges[f.eJoin]
+	mallocs := func(alg ops.JoinAlg) uint64 {
+		least := ^uint64(0)
+		for range 5 {
+			r := NewRunner(f.env, f.g)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := r.ExecEdge(e, false, alg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	if hash, nl := mallocs(ops.JoinHash), mallocs(ops.JoinNLIndex); hash > nl {
+		t.Errorf("the hash join over the extent allocated %d objects, the index join %d: it builds", hash, nl)
 	}
 }
 

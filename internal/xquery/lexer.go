@@ -238,15 +238,22 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{tokNumber, l.src[start:l.pos], start}, nil
 	case isNameStart(c):
-		return token{tokName, l.name(), start}, nil
+		name := l.name()
+		if strings.HasPrefix(l.src[l.pos:], "::") {
+			// An explicit axis: only the abbreviated steps (/, //, @,
+			// text()) are compiled, so it must not pass as an element name.
+			return token{}, fmt.Errorf("xquery: unsupported axis %q at %d", name+"::", start)
+		}
+		return token{tokName, name, start}, nil
 	default:
 		return token{}, fmt.Errorf("xquery: unexpected character %q at %d", c, start)
 	}
 }
 
+// name scans a name, which may hold a prefix colon but never "::".
 func (l *lexer) name() string {
 	start := l.pos
-	for l.pos < len(l.src) && isNamePart(l.src[l.pos]) {
+	for l.pos < len(l.src) && isNamePart(l.src[l.pos]) && !strings.HasPrefix(l.src[l.pos:], "::") {
 		l.pos++
 	}
 	return l.src[start:l.pos]
