@@ -24,7 +24,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/planenum"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 	"repro/internal/xquery"
 )
 
@@ -579,25 +578,22 @@ func BenchmarkPreparedQueryConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkXPathEval measures the staircase-based XPath evaluator on the
-// XMark document.
+// BenchmarkXPathEval measures Engine.XPath, a path executed as a FLWOR
+// query, on the XMark document.
 func BenchmarkXPathEval(b *testing.B) {
-	d := datagen.XMark(datagen.DefaultXMarkConfig())
-	ix := index.New(d)
+	e := NewEngine()
+	if err := e.LoadSource(FromDocument(datagen.XMark(datagen.DefaultXMarkConfig()))); err != nil {
+		b.Fatal(err)
+	}
 	exprs := []string{
 		"//open_auction/bidder/personref",
 		"//item[./quantity = 1]/name",
 		"//person[@id='person7']",
 	}
-	parsed := make([]*xpath.Expr, len(exprs))
-	for i, s := range exprs {
-		parsed[i] = xpath.MustParse(s)
-	}
-	root := []xmltree.NodeID{d.Root()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range parsed {
-			if _, err := xpath.EvalExpr(ix, e, root); err != nil {
+		for _, p := range exprs {
+			if _, err := e.XPath("xmark.xml", p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,7 +7,7 @@
 //	roxq -doc data.xml -file query.xq -stats
 //	roxq -doc data.xml -query '…' -classical       # static baseline
 //	roxq -doc data.xml -query '…' -explain         # print the Join Graph
-//	roxq -doc data.xml -xpath '//person[@id="p1"]' # direct XPath evaluation
+//	roxq -doc data.xml -xpath '//person[@id="p1"]' # for $n in doc(first -doc) PATH return $n
 //
 // Each -doc FILE is loaded under its base name, so doc("people.xml") refers
 // to -doc path/to/people.xml. Files ending in .roxd are packed containers

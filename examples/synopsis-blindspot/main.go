@@ -13,13 +13,13 @@ import (
 	"fmt"
 	"log"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/synopsis"
-	"repro/internal/xpath"
 	"repro/internal/xquery"
 )
 
@@ -29,6 +29,10 @@ func main() {
 	doc := datagen.XMark(datagen.DefaultXMarkConfig())
 	guide := synopsis.Build(doc)
 	ix := index.New(doc)
+	eng := rox.NewEngine()
+	if err := eng.LoadSource(rox.FromDocument(doc)); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("document: %d nodes, synopsis: %d distinct paths\n\n", doc.Len(), guide.Size())
 
@@ -38,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		actual, err := xpath.Count(ix, p)
+		actual, err := eng.XPathCount("xmark.xml", p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +57,7 @@ func main() {
 	bidders, _ := guide.EstimatePath("//open_auction/bidder")
 	synEst := float64(bidders) * fracCheapAuctions(guide)
 
-	cheapBidders, err := xpath.Count(ix, "//open_auction[./current/text() < 145]/bidder")
+	cheapBidders, err := eng.XPathCount("xmark.xml", "//open_auction[./current/text() < 145]/bidder")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/index"
@@ -59,7 +60,9 @@ func newDBLPFixture(t *testing.T, authorSets [][]string, closure bool) *dblpFixt
 		f.joins = append(f.joins, g.AddJoin(f.text[0], f.text[i]))
 	}
 	if closure {
-		g.AddJoinEquivalences()
+		if _, err := g.AddJoinEquivalences(math.MaxInt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("fixture: %v", err)

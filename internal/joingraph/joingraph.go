@@ -7,6 +7,7 @@
 package joingraph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -24,13 +25,17 @@ type VertexKind int
 const (
 	// VRoot is the root node of a named document (the doc() anchor).
 	VRoot VertexKind = iota
-	// VElem is the set of element nodes with a qualified name.
+	// VElem is the set of element nodes with a qualified name, or of every
+	// element for the * test (an empty name).
 	VElem
 	// VText is the set of text nodes, optionally value-restricted.
 	VText
-	// VAttr is the set of attribute nodes with a name, optionally
+	// VAttr is the set of attribute nodes with a name, or of every
+	// attribute for the @* test (an empty name), optionally
 	// value-restricted.
 	VAttr
+	// VNode is the node() test: every element and text node.
+	VNode
 )
 
 // String returns the kind name.
@@ -44,6 +49,8 @@ func (k VertexKind) String() string {
 		return "text"
 	case VAttr:
 		return "attr"
+	case VNode:
+		return "node"
 	default:
 		return fmt.Sprintf("VertexKind(%d)", int(k))
 	}
@@ -52,18 +59,20 @@ func (k VertexKind) String() string {
 // PredKind classifies vertex value predicates.
 type PredKind int
 
-// Predicate kinds: none, string equality (index-selectable, Sec 2.2), or a
-// numeric range comparison.
+// Predicate kinds: none, string equality (index-selectable, Sec 2.2), a
+// numeric range comparison, or string inequality (a filter, never an index
+// lookup).
 const (
 	PredNone PredKind = iota
 	PredEqString
 	PredRange
+	PredNeString
 )
 
 // Pred is a value predicate annotated on a text or attribute vertex.
 type Pred struct {
 	Kind PredKind
-	Str  string        // equality value for PredEqString
+	Str  string        // compared value for PredEqString and PredNeString
 	Op   index.RangeOp // comparison for PredRange
 	Num  float64       // bound for PredRange
 }
@@ -73,6 +82,9 @@ var NoPred = Pred{Kind: PredNone}
 
 // EqPred returns a string-equality predicate.
 func EqPred(v string) Pred { return Pred{Kind: PredEqString, Str: v} }
+
+// NePred returns a string-inequality predicate.
+func NePred(v string) Pred { return Pred{Kind: PredNeString, Str: v} }
 
 // RangePred returns a numeric comparison predicate.
 func RangePred(op index.RangeOp, bound float64) Pred {
@@ -86,6 +98,8 @@ func (p Pred) String() string {
 		return fmt.Sprintf("=%q", p.Str)
 	case PredRange:
 		return fmt.Sprintf("%s%g", p.Op, p.Num)
+	case PredNeString:
+		return fmt.Sprintf("!=%q", p.Str)
 	default:
 		return ""
 	}
@@ -97,7 +111,7 @@ type Vertex struct {
 	ID    int
 	Kind  VertexKind
 	Doc   string // document name, resolved by the execution environment
-	QName string // element or attribute name; "" for root/text vertices
+	QName string // element or attribute name; "" for root/text/node vertices and for * and @*
 	Pred  Pred   // value predicate for text/attr vertices
 }
 
@@ -107,11 +121,13 @@ func (v *Vertex) Label() string {
 	case VRoot:
 		return "root(" + v.Doc + ")"
 	case VElem:
-		return v.QName
+		return cmp.Or(v.QName, "*")
 	case VText:
 		return "text()" + v.Pred.String()
 	case VAttr:
-		return "@" + v.QName + v.Pred.String()
+		return "@" + cmp.Or(v.QName, "*") + v.Pred.String()
+	case VNode:
+		return "node()"
 	default:
 		return fmt.Sprintf("v%d", v.ID)
 	}
@@ -121,13 +137,17 @@ func (v *Vertex) Label() string {
 // vertex from an index: elements by name, text nodes with a string-equality
 // predicate, attribute nodes by name. (Range-predicate text vertices are
 // also selectable through the ordered value index; the paper restricts
-// Phase 1 to equality, which the optimizer preserves — see core.)
+// Phase 1 to equality, which the optimizer preserves — see core.) The *, @*
+// and node() tests and != are not: their extents span every name or every
+// value, so Phase 1 reaches them by a step, like a predicate-free text().
 func (v *Vertex) IndexSelectable() bool {
 	switch v.Kind {
-	case VElem, VAttr:
-		return true
+	case VElem:
+		return v.QName != ""
+	case VAttr:
+		return v.QName != "" && v.Pred.Kind != PredNeString
 	case VText:
-		return v.Pred.Kind != PredNone
+		return v.Pred.Kind == PredEqString || v.Pred.Kind == PredRange
 	default:
 		return false
 	}
@@ -263,15 +283,18 @@ func (g *Graph) StepEdges() []*Edge {
 // ROX the freedom to pick any join order within an equivalence class of
 // value-equal vertices.
 //
-// It returns the number of edges added.
-func (g *Graph) AddJoinEquivalences() int {
+// It returns the number of edges added. When the closed graph would hold
+// more than maxJoinEdges equi-join edges, it adds none and fails.
+func (g *Graph) AddJoinEquivalences(maxJoinEdges int) (int, error) {
 	uf := NewUnionFind(len(g.Vertices))
 	existing := make(map[[2]int]bool)
 	joined := make([]bool, len(g.Vertices)) // by vertex: an endpoint of a join edge
+	joins := 0
 	for _, e := range g.Edges {
 		if e.Kind != JoinEdge {
 			continue
 		}
+		joins++
 		uf.Union(e.From, e.To)
 		joined[e.From], joined[e.To] = true, true
 		a, b := e.From, e.To
@@ -297,6 +320,16 @@ func (g *Graph) AddJoinEquivalences() int {
 		classes[r] = append(classes[r], v)
 	}
 	sort.Ints(roots)
+	// A class of k vertices closes into k(k-1)/2 distinct pairs, some of
+	// which the query joined already.
+	closed := joins - len(existing)
+	for _, root := range roots {
+		k := len(classes[root])
+		closed += k * (k - 1) / 2
+	}
+	if closed > maxJoinEdges {
+		return 0, fmt.Errorf("joingraph: closing the join equivalences gives %d join edges, more than %d", closed, maxJoinEdges)
+	}
 	added := 0
 	for _, root := range roots {
 		members := classes[root]
@@ -317,7 +350,7 @@ func (g *Graph) AddJoinEquivalences() int {
 			}
 		}
 	}
-	return added
+	return added, nil
 }
 
 // UnionFind is a disjoint-set forest over vertex indices: the transitive
@@ -457,6 +490,10 @@ func (g *Graph) Fingerprint() string {
 			fmt.Fprint(h, ";")
 		case PredRange:
 			fmt.Fprintf(h, "rng:%d:%g;", int(v.Pred.Op), v.Pred.Num)
+		case PredNeString:
+			fmt.Fprint(h, "ne:")
+			str(v.Pred.Str)
+			fmt.Fprint(h, ";")
 		default:
 			fmt.Fprint(h, "none;")
 		}

@@ -1,6 +1,8 @@
 package joingraph
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -81,7 +83,7 @@ func TestJoinEquivalenceClosure(t *testing.T) {
 	g.AddJoin(ts[0], ts[1])
 	g.AddJoin(ts[0], ts[2])
 	g.AddJoin(ts[0], ts[3])
-	added := g.AddJoinEquivalences()
+	added := closeJoins(g)
 	if added != 3 {
 		t.Fatalf("closure added %d edges, want 3", added)
 	}
@@ -97,7 +99,7 @@ func TestJoinEquivalenceClosure(t *testing.T) {
 		}
 	}
 	// Closure is idempotent.
-	if again := g.AddJoinEquivalences(); again != 0 {
+	if again := closeJoins(g); again != 0 {
 		t.Errorf("second closure added %d edges, want 0", again)
 	}
 }
@@ -112,7 +114,7 @@ func TestClosureTwoSeparateClasses(t *testing.T) {
 	g.AddJoin(a1, a2)
 	g.AddJoin(a2, a3)
 	g.AddJoin(b1, b2)
-	added := g.AddJoinEquivalences()
+	added := closeJoins(g)
 	if added != 1 { // only a1=a3; the b class has just 2 members
 		t.Errorf("closure added %d, want 1", added)
 	}
@@ -283,7 +285,7 @@ func TestAddJoinEquivalencesDeterministic(t *testing.T) {
 		g.AddJoin(a[1], a[2])
 		g.AddJoin(b[0], b[1])
 		g.AddJoin(b[1], b[2])
-		g.AddJoinEquivalences()
+		closeJoins(g)
 		return g
 	}
 	want := build().Fingerprint()
@@ -352,3 +354,43 @@ func TestCloneRebindDoc(t *testing.T) {
 // other2 adds a second vertex on the non-collection document so the rebind
 // has something it must leave alone.
 func other2(g *Graph) int { return g.AddText("other.xml", NoPred) }
+
+// closeJoins closes g's join equivalences without a practical cap.
+func closeJoins(g *Graph) int {
+	added, err := g.AddJoinEquivalences(math.MaxInt)
+	if err != nil {
+		panic(err)
+	}
+	return added
+}
+
+// TestJoinEquivalencesCap: a class of k text vertices closes into k(k-1)/2
+// join edges. At the cap the closure runs; one below it, the graph is left
+// as it was and the error names both counts.
+func TestJoinEquivalencesCap(t *testing.T) {
+	build := func() *Graph {
+		g := New()
+		root := g.AddRoot("d.xml")
+		var ts []int
+		for i := 0; i < 5; i++ {
+			ts = append(ts, g.AddText("d.xml", NoPred))
+			g.AddStep(root, ts[i], ops.AxisDesc)
+		}
+		for i := 1; i < len(ts); i++ {
+			g.AddJoin(ts[i-1], ts[i])
+		}
+		g.AddJoin(ts[0], ts[1]) // a repeated join is an edge of its own
+		return g
+	}
+	const closed = 5*4/2 + 1
+	g := build()
+	if added, err := g.AddJoinEquivalences(closed); err != nil || added != closed-5 {
+		t.Fatalf("at the cap: added %d, %v; want %d, nil", added, err, closed-5)
+	}
+	g = build()
+	edges := len(g.Edges)
+	_, err := g.AddJoinEquivalences(closed - 1)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(closed)) || len(g.Edges) != edges {
+		t.Fatalf("over the cap: err = %v, %d edges (had %d)", err, len(g.Edges), edges)
+	}
+}

@@ -47,12 +47,12 @@ func TestClosureProperties(t *testing.T) {
 			t.Logf("seed %d: random graph invalid: %v", seed, err)
 			return false
 		}
-		g.AddJoinEquivalences()
+		closeJoins(g)
 		if err := g.Validate(); err != nil {
 			t.Logf("seed %d: closure broke validity: %v", seed, err)
 			return false
 		}
-		if again := g.AddJoinEquivalences(); again != 0 {
+		if again := closeJoins(g); again != 0 {
 			t.Logf("seed %d: closure not idempotent (%d new)", seed, again)
 			return false
 		}

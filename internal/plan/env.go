@@ -13,6 +13,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/joingraph"
@@ -141,7 +142,9 @@ func (env *Env) Index(name string) (*index.Index, error) {
 }
 
 // VertexNodes returns the conceptual node set of vertex v straight from the
-// indices, without copying and charging only the index-lookup cost. The
+// indices, without copying and charging only the index-lookup cost. Only a
+// node() vertex merges two extents (elements and texts) into a new slice,
+// and a != predicate or a value test on @* filters one. The
 // slice is read-only (owned by the index). The ROX optimizer uses this as
 // the inner side of sampled operators; actual materialization goes through
 // VertexTable.
@@ -156,7 +159,14 @@ func (env *Env) VertexNodes(v *joingraph.Vertex) ([]xmltree.NodeID, *xmltree.Doc
 	case joingraph.VRoot:
 		nodes = []xmltree.NodeID{d.Root()}
 	case joingraph.VElem:
-		nodes = ix.Elements(v.QName)
+		if v.QName == "" {
+			nodes = ix.AllElements()
+		} else {
+			nodes = ix.Elements(v.QName)
+		}
+	case joingraph.VNode:
+		nodes = slices.Concat(ix.AllElements(), ix.Texts())
+		slices.Sort(nodes)
 	case joingraph.VText:
 		switch v.Pred.Kind {
 		case joingraph.PredEqString:
@@ -164,26 +174,40 @@ func (env *Env) VertexNodes(v *joingraph.Vertex) ([]xmltree.NodeID, *xmltree.Doc
 		case joingraph.PredRange:
 			nodes = ix.TextRange(v.Pred.Op, v.Pred.Num)
 		default:
-			nodes = ix.Texts()
+			nodes = env.filterValue(d, ix.Texts(), v.Pred)
 		}
 	case joingraph.VAttr:
-		switch v.Pred.Kind {
-		case joingraph.PredEqString:
+		switch {
+		case v.QName == "":
+			nodes = env.filterValue(d, ix.AllAttributes(), v.Pred)
+		case v.Pred.Kind == joingraph.PredEqString:
 			nodes = ix.AttrEq(v.QName, v.Pred.Str)
-		case joingraph.PredRange:
-			all := ix.AttributesByName(v.QName)
-			nodes = ops.Select(env.Rec, all, func(n xmltree.NodeID) bool {
-				f, ok := d.NumberValue(n)
-				return ok && v.Pred.Op.Compare(f, v.Pred.Num)
-			})
 		default:
-			nodes = ix.AttributesByName(v.QName)
+			nodes = env.filterValue(d, ix.AttributesByName(v.QName), v.Pred)
 		}
 	default:
 		return nil, nil, fmt.Errorf("plan: vertex %s has unknown kind", v.Label())
 	}
 	env.Rec.ChargeTuples(1) // index lookup
 	return nodes, d, nil
+}
+
+// filterValue keeps the nodes whose own value satisfies p; without a
+// predicate it returns nodes itself.
+func (env *Env) filterValue(d *xmltree.Document, nodes []xmltree.NodeID, p joingraph.Pred) []xmltree.NodeID {
+	switch p.Kind {
+	case joingraph.PredEqString:
+		return ops.Select(env.Rec, nodes, func(n xmltree.NodeID) bool { return d.Value(n) == p.Str })
+	case joingraph.PredNeString:
+		return ops.Select(env.Rec, nodes, func(n xmltree.NodeID) bool { return d.Value(n) != p.Str })
+	case joingraph.PredRange:
+		return ops.Select(env.Rec, nodes, func(n xmltree.NodeID) bool {
+			f, ok := d.NumberValue(n)
+			return ok && p.Op.Compare(f, p.Num)
+		})
+	default:
+		return nodes
+	}
 }
 
 // VertexTable materializes T(v), the table of all nodes satisfying vertex v,

@@ -250,6 +250,27 @@ func TestInvalidRequestIsClientError(t *testing.T) {
 	}
 }
 
+// TestCompileBoundIsClientError: a query nested past the compiler's
+// predicate-depth cap, posted as a 300 KB body under the 1 MiB limit, is a
+// 400 naming the cap.
+func TestCompileBoundIsClientError(t *testing.T) {
+	_, ts := newPeopleServer(t, 0)
+	const levels = 100_000
+	q := `for $p in collection("ppl")//person` + strings.Repeat("[a", levels) + strings.Repeat("]", levels) + ` return $p`
+	resp, err := http.Post(ts.URL+"/v1/query", "text/plain", strings.NewReader(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "MaxPredicateDepth") {
+		t.Errorf("status %d, body %v; want 400 naming MaxPredicateDepth", resp.StatusCode, body)
+	}
+}
+
 // TestStatsHealthFields: /v1/stats exports the process-health samples the
 // load harness records (goroutine count, heap bytes).
 func TestStatsHealthFields(t *testing.T) {

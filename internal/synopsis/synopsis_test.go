@@ -5,11 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/datagen"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
-
-	"repro/internal/index"
 )
 
 const sample = `<site>
@@ -72,34 +68,6 @@ func TestGuideCountsAndSize(t *testing.T) {
 	}
 	if !strings.Contains(g.String(), "item ×2") {
 		t.Errorf("String() missing counts:\n%s", g.String())
-	}
-}
-
-// TestGuideMatchesXPathOnRandomDocs: DataGuide linear-path counts must be
-// exact — cross-check against the XPath evaluator on generated documents.
-func TestGuideMatchesXPathOnRandomDocs(t *testing.T) {
-	cfg := datagen.DefaultXMarkConfig()
-	cfg.Persons, cfg.Items, cfg.OpenAuctions = 120, 90, 70
-	d := datagen.XMark(cfg)
-	g := Build(d)
-	ix := index.New(d)
-	paths := []string{
-		"//person", "//open_auction", "//open_auction/bidder",
-		"//bidder/personref", "//item/quantity", "/site/people/person",
-		"//open_auction//personref", "/site//bidder", "//person/province",
-	}
-	for _, p := range paths {
-		want, err := xpath.Count(ix, p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		got, err := g.EstimatePath(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if got != want {
-			t.Errorf("%s: guide %d, xpath %d", p, got, want)
-		}
 	}
 }
 

@@ -1,6 +1,11 @@
 package xquery
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/ops"
+)
 
 // Query is the parsed FLWOR query.
 type Query struct {
@@ -120,18 +125,21 @@ type PathExpr struct {
 // StepKind classifies path steps.
 type StepKind int
 
-// Step kinds: element name test, attribute test, text() test.
+// Step kinds: element test (a name or *), attribute test (@name or @*),
+// text() and node().
 const (
 	StepElem StepKind = iota
 	StepAttr
 	StepText
+	StepNode
 )
 
-// Step is one XPath step with its predicates.
+// Step is one XPath step with its predicates. The abbreviations parse into
+// axes: / is child, // is descendant and @ is attribute.
 type Step struct {
-	Desc  bool // true: descendant (//); false: child (/)
+	Axis  ops.Axis
 	Kind  StepKind
-	Name  string // element/attribute name (empty for text())
+	Name  string // element/attribute name; empty for *, @*, text() and node()
 	Preds []Pred
 }
 
@@ -140,7 +148,7 @@ type Step struct {
 // [quantity = 1].
 type Pred struct {
 	Path []Step
-	Op   string // "", "=", "<", ">", "<=", ">="
+	Op   string // "", "=", "!=", "<", ">", "<=", ">="
 	Lit  string
 }
 
@@ -168,7 +176,7 @@ func (q *Query) String() string {
 		if l.Collection {
 			fn = "collection"
 		}
-		s += fmt.Sprintf("let $%s := %s(%q)\n", l.Var, fn, l.Doc)
+		s += fmt.Sprintf("let $%s := %s(%s)\n", l.Var, fn, quote(l.Doc))
 	}
 	for i, f := range q.Fors {
 		kw := "for"
@@ -203,9 +211,9 @@ func (p PathExpr) String() string {
 	s := ""
 	switch {
 	case p.Doc != "" && p.Collection:
-		s = fmt.Sprintf("collection(%q)", p.Doc)
+		s = "collection(" + quote(p.Doc) + ")"
 	case p.Doc != "":
-		s = fmt.Sprintf("doc(%q)", p.Doc)
+		s = "doc(" + quote(p.Doc) + ")"
 	default:
 		s = "$" + p.Var
 	}
@@ -215,24 +223,37 @@ func (p PathExpr) String() string {
 	return s
 }
 
-// String renders the step.
+// String renders the step. It is also the compiler's memo key for join
+// endpoints, so it renders everything that tells two steps apart.
 func (st Step) String() string {
-	sep := "/"
-	if st.Desc {
-		sep = "//"
+	var s string
+	switch st.Axis {
+	case ops.AxisChild:
+		s = "/" + st.test()
+	case ops.AxisDesc:
+		s = "//" + st.test()
+	case ops.AxisAttribute:
+		s = "/@" + st.test()
+	default:
+		s = "/" + st.Axis.String() + "::" + st.test()
 	}
-	name := st.Name
-	switch st.Kind {
-	case StepAttr:
-		name = "@" + name
-	case StepText:
-		name = "text()"
-	}
-	s := sep + name
 	for _, p := range st.Preds {
 		s += p.String()
 	}
 	return s
+}
+
+// test renders the node test.
+func (st Step) test() string {
+	switch {
+	case st.Kind == StepText:
+		return "text()"
+	case st.Kind == StepNode:
+		return "node()"
+	case st.Name == "":
+		return "*"
+	}
+	return st.Name
 }
 
 // String renders the predicate.
@@ -242,7 +263,7 @@ func (p Pred) String() string {
 		s += st.String()
 	}
 	if p.Op != "" {
-		s += fmt.Sprintf(" %s %s", p.Op, p.Lit)
+		s += " " + p.Op + " " + literal(p.Lit)
 	}
 	return s + "]"
 }
@@ -260,5 +281,23 @@ func (c Comparison) String() string {
 		}
 		return fmt.Sprintf("%s %s %s", lhs, c.Op, rhs)
 	}
-	return fmt.Sprintf("%s %s %s", lhs, c.Op, c.Lit)
+	return fmt.Sprintf("%s %s %s", lhs, c.Op, literal(c.Lit))
+}
+
+// literal renders a comparison literal: bare when it lexes as a number
+// again, quoted otherwise. Either form compiles to the same predicate.
+func literal(s string) string {
+	if s == "" || !isDigit(s[0]) || strings.Trim(s, "0123456789.") != "" {
+		return quote(s)
+	}
+	return s
+}
+
+// quote renders a string literal between delimiters it does not contain:
+// the lexer has no escapes, so that is the only form that parses back.
+func quote(s string) string {
+	if strings.Contains(s, `"`) {
+		return "'" + s + "'"
+	}
+	return `"` + s + `"`
 }

@@ -10,6 +10,24 @@ import (
 	"repro/internal/plan"
 )
 
+// Compile bounds. A query beyond one of them is rejected before anything
+// runs, so no query text builds a graph too large to optimize. Each sits at
+// more than ten times the largest that any test, example, scenario archive or
+// benchmark query reaches: predicates nested 2 deep, 19 vertices and 6 join
+// edges.
+const (
+	// MaxPredicateDepth caps how deeply predicates nest. The lexer counts
+	// it, so a deeper query fails before the parser recurses into it.
+	MaxPredicateDepth = 64
+	// MaxVertices caps the Join Graph's vertices.
+	MaxVertices = 1024
+	// MaxJoinEdges caps the Join Graph's equi-join edges once the join
+	// equivalences are closed: a join class of k vertices has k(k-1)/2.
+	MaxJoinEdges = 1024
+)
+
+var errTooManyVertices = fmt.Errorf("xquery: the query's Join Graph has more than MaxVertices (%d) vertices", MaxVertices)
+
 // CompileOptions tune Join Graph Isolation.
 type CompileOptions struct {
 	// NoJoinEquivalences skips adding the transitive equi-join edges
@@ -125,11 +143,16 @@ func Compile(q *Query, opts CompileOptions) (*Compiled, error) {
 		}
 		limit = &plan.LimitSpec{Count: q.Limit.Count, Offset: q.Limit.Offset}
 	}
+	if len(c.g.Vertices) > MaxVertices {
+		return nil, errTooManyVertices
+	}
 	if err := c.g.Validate(); err != nil {
 		return nil, fmt.Errorf("xquery: compiled graph invalid: %w", err)
 	}
 	if !opts.NoJoinEquivalences {
-		c.g.AddJoinEquivalences()
+		if _, err := c.g.AddJoinEquivalences(MaxJoinEdges); err != nil {
+			return nil, fmt.Errorf("xquery: the query exceeds MaxJoinEdges (%d): %w", MaxJoinEdges, err)
+		}
 	}
 	docs := make([]string, 0, len(c.docs))
 	for d := range c.docs {
@@ -227,19 +250,19 @@ var aggKinds = map[string]plan.AggKind{
 
 // keyPath translates parser steps into tail key steps. Key paths are
 // predicate-free by grammar; the check here keeps that invariant explicit.
+// The tail walks child, descendant and attribute steps to named nodes and
+// text(), so any other step is an error.
 func keyPath(steps []Step) ([]plan.KeyStep, error) {
 	out := make([]plan.KeyStep, 0, len(steps))
 	for _, st := range steps {
 		if len(st.Preds) > 0 {
 			return nil, fmt.Errorf("xquery: key path step %s must not carry predicates", st.String())
 		}
-		ks := plan.KeyStep{Desc: st.Desc, Name: st.Name}
-		switch st.Kind {
-		case StepAttr:
-			ks.Attr = true
-		case StepText:
-			ks.Text = true
+		keyAxis := st.Axis == ops.AxisChild || st.Axis == ops.AxisDesc || st.Axis == ops.AxisAttribute
+		if !keyAxis || st.Kind == StepNode || st.Kind != StepText && st.Name == "" {
+			return nil, fmt.Errorf("xquery: key path step %s: only child, descendant and attribute steps to a name or text() are supported", st.String())
 		}
+		ks := plan.KeyStep{Desc: st.Axis == ops.AxisDesc, Name: st.Name, Attr: st.Kind == StepAttr, Text: st.Kind == StepText}
 		out = append(out, ks)
 	}
 	return out, nil
@@ -299,29 +322,21 @@ func (c *compiler) compilePathExpr(p PathExpr) (int, error) {
 func (c *compiler) compileSteps(cur int, steps []Step) (int, error) {
 	doc := c.g.Vertices[cur].Doc
 	for _, st := range steps {
+		if len(c.g.Vertices) >= MaxVertices {
+			return 0, errTooManyVertices
+		}
 		var next int
-		var axis ops.Axis
 		switch st.Kind {
 		case StepElem:
 			next = c.g.AddElem(doc, st.Name)
-			axis = ops.AxisChild
-			if st.Desc {
-				axis = ops.AxisDesc
-			}
 		case StepText:
 			next = c.g.AddText(doc, joingraph.NoPred)
-			axis = ops.AxisChild
-			if st.Desc {
-				axis = ops.AxisDesc
-			}
 		case StepAttr:
-			if st.Desc {
-				return 0, fmt.Errorf("xquery: '//@%s' (descendant attribute step) is not supported; use an element step first", st.Name)
-			}
 			next = c.g.AddAttr(doc, st.Name, joingraph.NoPred)
-			axis = ops.AxisAttribute
+		case StepNode:
+			next = c.g.AddVertex(joingraph.VNode, doc, "", joingraph.NoPred)
 		}
-		c.g.AddStep(cur, next, axis)
+		c.g.AddStep(cur, next, st.Axis)
 		for _, pred := range st.Preds {
 			if err := c.compilePred(next, pred); err != nil {
 				return 0, err
@@ -372,9 +387,12 @@ func (c *compiler) applyValuePredicate(v int, op, lit string) error {
 }
 
 func makePred(op, lit string) (joingraph.Pred, error) {
-	if op == "=" {
+	switch op {
+	case "=":
 		// String equality: the hash-based value index lookup of Sec 2.2.
 		return joingraph.EqPred(lit), nil
+	case "!=":
+		return joingraph.NePred(lit), nil
 	}
 	if !isNumeric(lit) {
 		return joingraph.NoPred, fmt.Errorf("xquery: range comparison %q needs a numeric literal, got %q", op, lit)
@@ -457,13 +475,14 @@ func (c *compiler) compileJoinEndpoint(ref PathRef) (int, error) {
 
 // asValueVertex coerces a join endpoint to a value-bearing vertex: element
 // vertices are atomized through a text() child, matching XQuery's general
-// comparison on element content.
+// comparison on element content. A join probes the value index of one name,
+// so *, @* and node() cannot end a join path.
 func (c *compiler) asValueVertex(v int) (int, error) {
 	vert := c.g.Vertices[v]
-	switch vert.Kind {
-	case joingraph.VText, joingraph.VAttr:
+	switch {
+	case vert.Kind == joingraph.VText, vert.Kind == joingraph.VAttr && vert.QName != "":
 		return v, nil
-	case joingraph.VElem:
+	case vert.Kind == joingraph.VElem && vert.QName != "":
 		t := c.g.AddText(vert.Doc, joingraph.NoPred)
 		c.g.AddStep(v, t, ops.AxisChild)
 		return t, nil

@@ -18,17 +18,30 @@
 //	         | "<" NAME ">" ("{" $var "}")+ "</" NAME ">"
 //	agg     := "sum" | "avg" | "min" | "max"
 //	kpath   := (("/"|"//") kstep)+            (key paths carry no predicates)
-//	kstep   := NAME | "@" NAME | "text" "(" ")"
+//	kstep   := NAME | "@" NAME | "text" "(" ")"   (child, descendant, attribute)
 //	let     := "let" $var ":=" source
 //	for     := "for" $var "in" path ("," $var "in" path)*
 //	path    := (source | $var) (("/"|"//") step)+
 //	source  := ("doc" | "collection") "(" STRING ")"
-//	step    := (NAME | "@" NAME | "text" "(" ")") pred*
+//	step    := (axis "::")? test pred* | "@" (NAME | "*") pred*
+//	axis    := "child" | "descendant" | "descendant-or-self" | "parent"
+//	         | "ancestor" | "ancestor-or-self" | "following" | "preceding"
+//	         | "following-sibling" | "preceding-sibling" | "self" | "attribute"
+//	test    := NAME | "*" | "text" "(" ")" | "node" "(" ")"
 //	pred    := "[" rel (op literal)? "]"
 //	rel     := "."? (("/"|"//") step)+ | step (("/"|"//") step)*
-//	cmp     := ref op (ref | literal)
+//	cmp     := ref op (ref | literal)               (two paths compare by "=" only)
 //	ref     := $var (("/"|"//") step)*
-//	op      := "=" | "<" | ">" | "<=" | ">="
+//	op      := "=" | "!=" | "<" | ">" | "<=" | ">="
+//
+// The abbreviations are axes: "/" is child, "//" descendant and "@"
+// attribute. "//" takes neither an explicit axis nor "@". The attribute axis
+// takes a NAME or "*" (the "@*" test); every other axis takes any test but
+// "@". "*", "@*" and node() match every element, every attribute and every
+// element or text node; none of them may end a join path, and node() takes
+// no value comparison. "=" and "!=" compare strings, the range operators
+// compare numbers and need a numeric literal; an element is compared through
+// its text() children.
 package xquery
 
 import (
@@ -63,6 +76,9 @@ const (
 	tokGe     // >=
 	tokLBrace // {
 	tokRBrace // }
+	tokAxis   // name:: (text holds the axis name)
+	tokStar   // *
+	tokNe     // !=
 )
 
 func (k tokKind) String() string {
@@ -111,6 +127,12 @@ func (k tokKind) String() string {
 		return "'{'"
 	case tokRBrace:
 		return "'}'"
+	case tokAxis:
+		return "axis"
+	case tokStar:
+		return "'*'"
+	case tokNe:
+		return "'!='"
 	default:
 		return fmt.Sprintf("token(%d)", int(k))
 	}
@@ -123,12 +145,15 @@ type token struct {
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src   string
+	pos   int
+	toks  []token
+	depth int // open '[' brackets
 }
 
-// lex tokenizes the whole query up front (queries are tiny).
+// lex tokenizes the whole query up front (queries are tiny). It counts
+// predicate nesting as it goes, so a query nested beyond MaxPredicateDepth
+// fails before the parser recurses into it.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for {
@@ -161,10 +186,23 @@ func (l *lexer) next() (token, error) {
 		return token{tokRParen, ")", start}, nil
 	case c == '[':
 		l.pos++
+		if l.depth++; l.depth > MaxPredicateDepth {
+			return token{}, fmt.Errorf("xquery: predicates nest deeper than MaxPredicateDepth (%d) at %d", MaxPredicateDepth, start)
+		}
 		return token{tokLBracket, "[", start}, nil
 	case c == ']':
 		l.pos++
+		l.depth = max(l.depth-1, 0)
 		return token{tokRBracket, "]", start}, nil
+	case c == '*':
+		l.pos++
+		return token{tokStar, "*", start}, nil
+	case c == '!':
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
+			l.pos += 2
+			return token{tokNe, "!=", start}, nil
+		}
+		return token{}, fmt.Errorf("xquery: unexpected '!' at %d", start)
 	case c == ',':
 		l.pos++
 		return token{tokComma, ",", start}, nil
@@ -240,9 +278,9 @@ func (l *lexer) next() (token, error) {
 	case isNameStart(c):
 		name := l.name()
 		if strings.HasPrefix(l.src[l.pos:], "::") {
-			// An explicit axis: only the abbreviated steps (/, //, @,
-			// text()) are compiled, so it must not pass as an element name.
-			return token{}, fmt.Errorf("xquery: unsupported axis %q at %d", name+"::", start)
+			// An explicit axis; the parser checks its name.
+			l.pos += 2
+			return token{tokAxis, name, start}, nil
 		}
 		return token{tokName, name, start}, nil
 	default:

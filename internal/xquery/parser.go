@@ -3,6 +3,8 @@ package xquery
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/ops"
 )
 
 // Parse parses a query in the supported FLWOR+XPath subset.
@@ -370,22 +372,39 @@ func (p *parser) parsePath() (PathExpr, error) {
 	return pe, nil
 }
 
+// ParsePath parses a path of steps on its own, such as //a[b]/parent::c,
+// which must make up the whole input: the path a FLWOR query would bind,
+// without the query around it.
+func ParsePath(src string) ([]Step, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	steps, err := p.parseSteps(true)
+	if err != nil {
+		return nil, err
+	}
+	if len(steps) == 0 {
+		return nil, fmt.Errorf("xquery: a path starts with '/' or '//', found %q at %d", p.peek().text, p.peek().pos)
+	}
+	if _, err := p.expect(tokEOF); err != nil {
+		return nil, fmt.Errorf("xquery: trailing input after path: %w", err)
+	}
+	return steps, nil
+}
+
 // parseSteps parses (("/"|"//") step)*. withPreds controls predicate
-// parsing (predicates nest one level, as in the paper's queries).
+// parsing.
 func (p *parser) parseSteps(withPreds bool) ([]Step, error) {
 	var steps []Step
 	for {
-		var desc bool
-		switch p.peek().kind {
-		case tokSlash:
-			desc = false
-		case tokDSlash:
-			desc = true
-		default:
+		sep := p.peek()
+		if sep.kind != tokSlash && sep.kind != tokDSlash {
 			return steps, nil
 		}
 		p.advance()
-		st, err := p.parseStep(desc, withPreds)
+		st, err := p.parseStep(sep.kind == tokDSlash, withPreds)
 		if err != nil {
 			return nil, err
 		}
@@ -393,31 +412,43 @@ func (p *parser) parseSteps(withPreds bool) ([]Step, error) {
 	}
 }
 
+// axisByName returns the axis an explicit step names: any of ops.Axis but
+// the attribute axis's reverse, which has no XPath name.
+func axisByName(name string) (ops.Axis, bool) {
+	for a := ops.AxisChild; a <= ops.AxisAttribute; a++ {
+		if a.String() == name {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
+// parseStep parses one step after its separator: desc is true after '//'.
 func (p *parser) parseStep(desc, withPreds bool) (Step, error) {
-	st := Step{Desc: desc}
+	st := Step{Axis: ops.AxisChild}
+	if desc {
+		st.Axis = ops.AxisDesc
+	}
 	switch t := p.peek(); t.kind {
+	case tokAxis:
+		if desc {
+			return st, fmt.Errorf("xquery: '//' cannot precede the explicit axis %q at %d", t.text+"::", t.pos)
+		}
+		axis, ok := axisByName(t.text)
+		if !ok {
+			return st, fmt.Errorf("xquery: unsupported axis %q at %d", t.text+"::", t.pos)
+		}
+		p.advance()
+		st.Axis = axis
 	case tokAt:
 		p.advance()
-		name, err := p.expect(tokName)
-		if err != nil {
-			return st, err
+		if desc {
+			return st, fmt.Errorf("xquery: '//@%s' (descendant attribute step) is not supported at %d; use an element step first", p.peek().text, t.pos)
 		}
-		st.Kind = StepAttr
-		st.Name = name.text
-	case tokName:
-		p.advance()
-		if t.text == "text" && p.peek().kind == tokLParen {
-			p.advance()
-			if _, err := p.expect(tokRParen); err != nil {
-				return st, err
-			}
-			st.Kind = StepText
-		} else {
-			st.Kind = StepElem
-			st.Name = t.text
-		}
-	default:
-		return st, fmt.Errorf("xquery: expected step after '/', found %q at %d", t.text, t.pos)
+		st.Axis = ops.AxisAttribute
+	}
+	if err := p.parseTest(&st); err != nil {
+		return st, err
 	}
 	if withPreds {
 		for p.peek().kind == tokLBracket {
@@ -430,6 +461,36 @@ func (p *parser) parseStep(desc, withPreds bool) (Step, error) {
 		}
 	}
 	return st, nil
+}
+
+// parseTest parses st's node test. The attribute axis takes a name or '*';
+// every other axis takes a name, '*', text() or node().
+func (p *parser) parseTest(st *Step) error {
+	t := p.advance()
+	switch {
+	case t.kind == tokName && (t.text == "text" || t.text == "node") && p.peek().kind == tokLParen:
+		p.advance()
+		if _, err := p.expect(tokRParen); err != nil {
+			return err
+		}
+		st.Kind = StepText
+		if t.text == "node" {
+			st.Kind = StepNode
+		}
+	case t.kind == tokName:
+		st.Name = t.text
+	case t.kind == tokStar:
+	default:
+		return fmt.Errorf("xquery: expected a node test after %s, found %q at %d", st.Axis, t.text, t.pos)
+	}
+	if st.Axis != ops.AxisAttribute {
+		return nil
+	}
+	if st.Kind != StepElem {
+		return fmt.Errorf("xquery: the attribute axis takes a name or '*', found %s at %d", st.test(), t.pos)
+	}
+	st.Kind = StepAttr
+	return nil
 }
 
 func (p *parser) parsePred() (Pred, error) {
@@ -446,7 +507,7 @@ func (p *parser) parsePred() (Pred, error) {
 		if len(steps) == 0 {
 			return pred, fmt.Errorf("xquery: predicate '.' without steps at %d", p.peek().pos)
 		}
-	case tokName, tokAt:
+	case tokName, tokAt, tokStar, tokAxis:
 		// [reserve] is shorthand for [./reserve].
 		st, err := p.parseStep(false, true)
 		if err != nil {
@@ -462,8 +523,7 @@ func (p *parser) parsePred() (Pred, error) {
 		return pred, fmt.Errorf("xquery: unsupported predicate start %q at %d", p.peek().text, p.peek().pos)
 	}
 	pred.Path = steps
-	switch p.peek().kind {
-	case tokEq, tokLt, tokGt, tokLe, tokGe:
+	if isCompareOp(p.peek().kind) {
 		pred.Op = p.advance().text
 		lit, err := p.parseLiteral()
 		if err != nil {
@@ -475,6 +535,15 @@ func (p *parser) parsePred() (Pred, error) {
 		return pred, err
 	}
 	return pred, nil
+}
+
+// isCompareOp reports whether k is a comparison operator.
+func isCompareOp(k tokKind) bool {
+	switch k {
+	case tokEq, tokNe, tokLt, tokGt, tokLe, tokGe:
+		return true
+	}
+	return false
 }
 
 func (p *parser) parseLiteral() (string, error) {
@@ -494,12 +563,10 @@ func (p *parser) parseComparison() (Comparison, error) {
 		return c, err
 	}
 	c.LHS = lhs
-	switch t := p.peek(); t.kind {
-	case tokEq, tokLt, tokGt, tokLe, tokGe:
-		c.Op = p.advance().text
-	default:
+	if t := p.peek(); !isCompareOp(t.kind) {
 		return c, fmt.Errorf("xquery: expected comparison operator, found %q at %d", t.text, t.pos)
 	}
+	c.Op = p.advance().text
 	if p.peek().kind == tokVar {
 		rhs, err := p.parsePathRef()
 		if err != nil {

@@ -279,10 +279,12 @@ func TestEndToEndRangePredicate(t *testing.T) {
 }
 
 func TestLexerTokens(t *testing.T) {
-	toks, err := lex(`let $x := doc("a.xml")//b[c >= 1.5] != `)
-	if err == nil {
-		// "!=" is not supported: '!' should fail.
-		t.Skip("lexer accepted input; checking tokens instead")
+	toks, err := lex(`$x/parent::* != 'a'`)
+	if err != nil || len(toks) != 7 || toks[2].kind != tokAxis || toks[2].text != "parent" || toks[3].kind != tokStar || toks[4].kind != tokNe {
+		t.Fatalf("lex axis, '*' and '!=': %v, %v", toks, err)
+	}
+	if _, err := lex(`$x ! 'a'`); err == nil {
+		t.Errorf("a lone '!' lexed")
 	}
 	toks, err = lex(`let $x := doc("a.xml")//b[c >= 1.5]`)
 	if err != nil {

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/conc"
@@ -48,8 +49,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/shardrpc"
-	"repro/internal/xmltree"
-	"repro/internal/xpath"
 	"repro/internal/xquery"
 )
 
@@ -405,36 +404,61 @@ func (e *Engine) Explain(q string) (string, error) {
 	return comp.Graph.String(), nil
 }
 
-// XPath evaluates an absolute XPath expression over one loaded document
-// using the staircase-join evaluator, returning the serialized result nodes
-// in document order. This is the direct path-evaluation interface; full
-// FLWOR queries go through Execute.
+// XPath evaluates an absolute path, such as //person[@id='p2']/name, over
+// one loaded document and returns the serialized result nodes in document
+// order without duplicates. It executes the query
+// for $n in doc(docName)path return $n through the optimizer and the plan
+// cache like any other. The path is parsed on its own (xquery.ParsePath), so
+// it cannot carry a clause into the query; one that does not parse or
+// compile fails with ErrInvalidRequest.
+//
+// Value comparisons follow the compiler's rule (the "Join Graph" section of
+// DESIGN.md): = and != compare strings, the range operators compare
+// numbers and need a numeric literal, and an element compares through its
+// text() children. A separate path evaluator answered three classes of paths
+// differently before: //a[b = 1] compared numbers, so a b of "1.0" matched;
+// //a[b < 'c'] compared strings, where it is now an error; and //a[b = '1']
+// compared b's whole string value, so a b holding "1<c>2</c>" did not match.
 func (e *Engine) XPath(docName, path string) ([]string, error) {
-	ix, err := e.catalog().Index(docName)
-	if err != nil {
-		return nil, &NoSuchDocumentError{Name: docName}
-	}
-	nodes, err := xpath.Eval(ix, path)
+	res, err := e.xpath(docName, path, "")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(nodes))
-	var buf []byte
-	for i, n := range nodes {
-		buf = xmltree.AppendSerialize(buf[:0], ix.Doc(), n)
-		out[i] = string(buf)
-	}
-	return out, nil
+	return res.Items, nil
 }
 
-// XPathCount evaluates an XPath expression and returns only the result
-// cardinality (free with index-supported evaluation).
+// XPathCount returns the number of nodes XPath returns for the same path:
+// it executes count($n) over the same for clause.
 func (e *Engine) XPathCount(docName, path string) (int, error) {
-	ix, err := e.catalog().Index(docName)
+	res, err := e.xpath(docName, path, "count")
 	if err != nil {
-		return 0, &NoSuchDocumentError{Name: docName}
+		return 0, err
 	}
-	return xpath.Count(ix, path)
+	return strconv.Atoi(res.Items[0])
+}
+
+// xpath executes for $n in doc(docName)path return $n, or agg($n).
+//
+//roxvet:ctxroot XPath and XPathCount take no ctx; a path runs over one loaded document, with no shards to cancel.
+func (e *Engine) xpath(docName, path, agg string) (*Result, error) {
+	steps, err := xquery.ParsePath(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+	}
+	q := &xquery.Query{
+		Fors:   []xquery.ForClause{{Var: "n", Path: xquery.PathExpr{Doc: docName, Steps: steps}}},
+		Return: xquery.ReturnClause{Vars: []string{"n"}, Agg: agg},
+	}
+	comp, err := xquery.Compile(q, xquery.CompileOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+	}
+	stmt := &Prepared{eng: e, comp: comp, text: q.String(), fp: cacheKey(comp)}
+	rows, err := e.Execute(context.Background(), Request{Prepared: stmt})
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
 }
 
 // Prepared is a compiled query bound to an Engine: Prepare pays the lexing,
