@@ -65,19 +65,26 @@ func checkCounts(t *testing.T, e *Engine, doc string, want map[string]int) {
 
 func TestXPathBasicPaths(t *testing.T) {
 	checkCounts(t, pathEngine(t, "s.xml", pathSample), "s.xml", map[string]int{
-		"/site":                1,
-		"/site/regions/item":   3,
-		"//item":               3,
-		"//item/name":          3,
-		"//item/name/text()":   3,
-		"//person":             2,
-		"//*":                  17,
-		"//name":               5,
-		"/site//name":          5,
-		"//item/@id":           3,
-		"//nosuch":             0,
-		"//person/education":   1,
-		"//item/quantity":      3,
+		"/site":              1,
+		"/site/regions/item": 3,
+		"//item":             3,
+		"//item/name":        3,
+		"//item/name/text()": 3,
+		"//person":           2,
+		"//*":                17,
+		"//name":             5,
+		"/site//name":        5,
+		"//item/@id":         3,
+		"//nosuch":           0,
+		"//person/education": 1,
+		"//item/quantity":    3,
+	})
+}
+
+// TestXPathEmptyIntermediate: a step that matches nothing empties the rest
+// of the path.
+func TestXPathEmptyIntermediate(t *testing.T) {
+	checkCounts(t, pathEngine(t, "s.xml", pathSample), "s.xml", map[string]int{
 		"//nosuch/name/text()": 0,
 	})
 }
@@ -107,7 +114,6 @@ func TestXPathExplicitAxes(t *testing.T) {
 		"//name/parent::item":                3,
 		"//item/self::item":                  3,
 		"//education/preceding::item":        3,
-		"//item/@*":                          3,
 		"//item/attribute::id":               3,
 		"/child::site/descendant::person":    2,
 	})
@@ -121,6 +127,19 @@ func TestXPathExplicitAxes(t *testing.T) {
 	}
 	if want := []string{"site", "people", "person"}; !slices.Equal(tags, want) {
 		t.Errorf("ancestors of education = %v, want %v in document order", tags, want)
+	}
+}
+
+// TestXPathAnyAttr: @* matches the three @id attributes of the items.
+func TestXPathAnyAttr(t *testing.T) {
+	e := pathEngine(t, "s.xml", pathSample)
+	checkCounts(t, e, "s.xml", map[string]int{"//item/@*": 3})
+	items, err := e.XPath("s.xml", "//item/@*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{`id="i1"`, `id="i2"`, `id="i3"`}; !slices.Equal(items, want) {
+		t.Errorf("//item/@* = %q, want %q", items, want)
 	}
 }
 
