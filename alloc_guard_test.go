@@ -344,7 +344,11 @@ func TestAllocGuardRemoteWindowBytes(t *testing.T) {
 	// rest instead of aborting it, and both ends recycle their wire buffers,
 	// so a query dials no connection and allocates no 4 KiB stream reader or
 	// line buffer. Measured 86 700 bytes for the topk and 95 300 for the
-	// scan (176 600 and 129 900 while window-cut streams were aborted).
+	// scan (176 600 and 129 900 while window-cut streams were aborted). The
+	// deep page (offset 40 of 50 reserve auctions per shard) runs bounded by
+	// the start its first run remembered: measured 77 500 bytes, against
+	// 94 700 when every shard shipped offset+count items; the ceiling is the
+	// measurement plus 5 %.
 	shards := datagen.XMarkShards(datagen.DefaultXMarkConfig(), 4)
 	var endpoints []Endpoint
 	for _, half := range [][]*xmltree.Document{shards[:2], shards[2:]} {
@@ -368,13 +372,14 @@ func TestAllocGuardRemoteWindowBytes(t *testing.T) {
 	}{
 		{"topk", `for $a in collection("xmark")//open_auction[reserve] order by $a/current descending return $a limit 10`, 108_000},
 		{"scan", `for $p in collection("xmark")//person[.//province] return $p limit 200`, 119_000},
+		{"deep page", `for $a in collection("xmark")//open_auction[reserve] order by $a/initial return $a limit 10 offset 40`, 81_400},
 	} {
 		run := func() {
 			if _, err := collectRows(e.Execute(context.Background(), Request{Query: c.query})); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // optimize once on both ends; fill the idle pool
+		run() // optimize once on both ends; fill the idle pool; learn the deep page's start
 		if got := bytesPerRun(50, run); got > c.ceiling {
 			t.Errorf("remote %s: %.0f bytes per query, ceiling %.0f", c.name, got, c.ceiling)
 		}

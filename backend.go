@@ -36,6 +36,9 @@ type shardExec struct {
 	// window is the shard's tail window, replacing the statement's own limit
 	// clause (nil = none).
 	window *plan.LimitSpec
+	// start, for a remote shard only, is the remembered start of the
+	// gather's window, sent as the request's bound (nil = none).
+	start  *windowStart
 	baseFP string // base plan-cache key; "" = caching disabled
 }
 
@@ -88,6 +91,8 @@ type remoteShard struct {
 	cur    []byte
 	key    plan.Key
 	rows   int
+	before int  // the stream's leading count of rows before the bound
+	bound  bool // the stream led with that count
 	fin    *shardrpc.Done
 	err    error
 }
@@ -110,6 +115,10 @@ func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, er
 	if x.window != nil {
 		req.ShardLimit = x.window.Count
 	}
+	if st := x.start; st != nil {
+		k := shardrpc.KeyFromPlan(st.key)
+		req.Bound, req.BoundLimit = &k, plan.AddSat(st.skip, st.window.count)
+	}
 	if r.err = e.shardLim.Acquire(ctx); r.err == nil {
 		r.stream, r.err = e.shardClient.Execute(ctx, x.remote.Endpoint, x.remote.Doc, req)
 		e.shardLim.Release()
@@ -127,6 +136,7 @@ func (r *remoteShard) Next() bool {
 		return false
 	}
 	ok, err := r.stream.Next()
+	r.before, r.bound = r.stream.Before()
 	switch {
 	case err != nil:
 		// A canceled context surfaces as a transport read error; report the
@@ -162,6 +172,11 @@ func (r *remoteShard) Item() []byte { return r.cur }
 // Key returns the current item's order-by merge key; ok is false when the
 // query does not sort.
 func (r *remoteShard) Key() (plan.Key, bool) { return r.key, r.x.stmt.comp.Tail.Order != nil }
+
+// Before returns the count the stream led with: the shard's rows before the
+// request's bound. ok is false for an unbounded request, and for a server
+// that ignored the bound and streams from its first row.
+func (r *remoteShard) Before() (int, bool) { return r.before, r.bound }
 
 // done reports the done line's stats with the coordinator-observed elapsed
 // time — what this query actually spent on the shard, network included. A
@@ -328,6 +343,17 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest,
 			Err: errors.New("rox: shard limit cannot apply to an aggregate return")}
 	}
+	switch {
+	case req.Bound != nil && comp.Tail.Agg != nil:
+		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest,
+			Err: errors.New("rox: a bound cannot apply to an aggregate return")}
+	case req.Bound != nil && comp.Tail.Order == nil:
+		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest,
+			Err: errors.New("rox: a bound needs a query with order by")}
+	case req.BoundLimit < 0:
+		return nil, &shardrpc.StatusError{Status: http.StatusBadRequest,
+			Err: fmt.Errorf("rox: negative bound limit %d", req.BoundLimit)}
+	}
 	cat := e.catalog()
 	if _, err := cat.Index(shard); err != nil {
 		return nil, &shardrpc.StatusError{Status: http.StatusNotFound, Err: translateErr(err)}
@@ -346,6 +372,12 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 			// this server still replays across such requests.
 			fp = cacheKey(comp.WithTailLimit(window))
 		}
+	}
+	if req.Bound != nil {
+		// The bound replaces the window after the key is settled: bounded
+		// and unbounded requests replay the same cached plan.
+		from := req.Bound.ToPlan()
+		window = &plan.LimitSpec{Count: req.BoundLimit, From: &from}
 	}
 	// The run is the execution cursor itself, pulled by the handler's own
 	// goroutine. It opens on the first Next, so a failure past this point

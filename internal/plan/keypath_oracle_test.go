@@ -150,8 +150,8 @@ func checkKeyPathCase(data []byte) error {
 			gotSt.Max != wantSt.Max || gotSt.Sum() != wantSt.Sum()):
 			return fmt.Errorf("%s: FoldAgg state %+v sum %g, hopping %+v sum %g", where, gotSt, gotSt.Sum(), wantSt, wantSt.Sum())
 		}
-		wantRel, wantKeys := sortByKeys(nil, rel, order, kc.k)
-		gotRel, gotKeys := sortByKeys(cat, rel, order, kc.k)
+		wantRel, wantKeys, _ := sortByKeys(nil, rel, order, nil, kc.k)
+		gotRel, gotKeys, _ := sortByKeys(cat, rel, order, nil, kc.k)
 		if !slices.Equal(gotRel.Column(0), wantRel.Column(0)) || !slices.Equal(gotKeys, wantKeys) {
 			return fmt.Errorf("%s: sortByKeys rows %v keys %v, hopping %v keys %v",
 				where, gotRel.Column(0), gotKeys, wantRel.Column(0), wantKeys)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/table"
@@ -23,6 +24,7 @@ func TestLimitSpecWindow(t *testing.T) {
 		{"offset past end", &LimitSpec{Count: 5, Offset: 20}, 10, 10, 10},
 		{"empty relation", &LimitSpec{Count: 5, Offset: 2}, 0, 0, 0},
 		{"negative offset clamps", &LimitSpec{Count: 2, Offset: -3}, 10, 0, 2},
+		{"offset plus count overflows", &LimitSpec{Count: math.MaxInt, Offset: 1}, 10, 1, 10},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -31,6 +33,19 @@ func TestLimitSpecWindow(t *testing.T) {
 				t.Errorf("Window(%d) = [%d, %d), want [%d, %d)", c.n, lo, hi, c.lo, c.hi)
 			}
 		})
+	}
+	for _, c := range []struct {
+		spec *LimitSpec
+		end  int
+	}{
+		{&LimitSpec{Count: 3, Offset: 4}, 7},
+		{&LimitSpec{Offset: 4}, -1},
+		{&LimitSpec{Count: 2, Offset: -3}, 2},
+		{&LimitSpec{Count: math.MaxInt, Offset: 1}, math.MaxInt},
+	} {
+		if got := c.spec.End(); got != c.end {
+			t.Errorf("%+v End() = %d, want %d", *c.spec, got, c.end)
+		}
 	}
 	if got := (&LimitSpec{Count: 3, Offset: 4}).String(); got != "limit 3 offset 4" {
 		t.Errorf("String() = %q", got)

@@ -125,8 +125,17 @@ func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, sc
 // over the element postings of cat's index of the key vertex's document (nil
 // hops), with the same result.
 func (t *Tail) ExecuteIn(cat *Catalog, rel *table.Relation) (out *table.Relation, keys []Key, scanned int) {
+	out, keys, scanned, _ = t.run(cat, rel)
+	return out, keys, scanned
+}
+
+// run is ExecuteIn that also returns, for a window with a From bound, how
+// many rows sort before it (0 otherwise). Under a bound the window counts
+// from the first row that does not sort before From, so it is cut over the
+// rows the key sort kept.
+func (t *Tail) run(cat *Catalog, rel *table.Relation) (out *table.Relation, keys []Key, scanned, before int) {
 	if t == nil {
-		return rel, nil, rel.NumRows()
+		return rel, nil, rel.NumRows(), 0
 	}
 	out = rel
 	if len(t.Project) > 0 {
@@ -141,18 +150,25 @@ func (t *Tail) ExecuteIn(cat *Catalog, rel *table.Relation) (out *table.Relation
 		out.SortBy(sortCols)
 	}
 	scanned = out.NumRows()
-	lo, hi := t.Limit.Window(scanned)
 	if t.Order != nil {
-		out, keys = sortByKeys(cat, out, t.Order, hi)
-		keys = keys[lo:]
+		var from *Key
+		if t.Limit != nil {
+			from = t.Limit.From
+		}
+		_, hi := t.Limit.Window(scanned)
+		out, keys, before = sortByKeys(cat, out, t.Order, from, hi)
 	}
 	if t.Limit != nil {
+		lo, hi := t.Limit.Window(out.NumRows())
 		out = out.Slice(lo, hi)
+		if t.Order != nil {
+			keys = keys[lo:hi]
+		}
 	}
 	if len(t.Final) > 0 {
 		out = out.Project(t.Final)
 	}
-	return out, keys, scanned
+	return out, keys, scanned, before
 }
 
 // keyedRow is one row of the key sort: its order key and its position in the
@@ -182,7 +198,9 @@ func (o *OrderSpec) compare(a, b keyedRow) int {
 // their keys in that order. With k short of the relation it keeps the k best
 // rows seen so far in a max-heap — the worst of them on top, displaced by
 // any better row — so only k keys are held and k rows sorted and permuted.
-func sortByKeys(cat *Catalog, rel *table.Relation, spec *OrderSpec, k int) (*table.Relation, []Key) {
+// A non-nil from bounds the selection: the rows whose key sorts before it are
+// only counted, and before is their number.
+func sortByKeys(cat *Catalog, rel *table.Relation, spec *OrderSpec, from *Key, k int) (_ *table.Relation, _ []Key, before int) {
 	col := rel.Column(spec.Vertex)
 	k = max(0, min(k, len(col)))
 	doc := rel.Doc(spec.Vertex)
@@ -191,6 +209,8 @@ func sortByKeys(cat *Catalog, rel *table.Relation, spec *OrderSpec, k int) (*tab
 	for i, n := range col {
 		e := keyedRow{w.key(n), i}
 		switch {
+		case from != nil && spec.Before(e.key, *from):
+			before++
 		case len(sel) < k:
 			sel = append(sel, e)
 			if len(sel) == k && k < len(col) {
@@ -208,7 +228,17 @@ func sortByKeys(cat *Catalog, rel *table.Relation, spec *OrderSpec, k int) (*tab
 	for i, e := range sel {
 		idx[i], keys[i] = e.row, e.key
 	}
-	return rel.Permute(idx), keys
+	return rel.Permute(idx), keys, before
+}
+
+// Before reports whether key a sorts strictly before key b in the spec's
+// direction — by the keys alone, with no row tiebreak.
+func (o *OrderSpec) Before(a, b Key) bool {
+	c := a.Compare(b)
+	if o.Desc {
+		c = -c
+	}
+	return c < 0
 }
 
 // siftDown restores the max-heap property of h below position i.
@@ -284,6 +314,10 @@ type RunStats struct {
 	// tails without order by) — extracted once by the tail executor and
 	// consumed by the scatter-gather merge.
 	Keys []Key
+	// Before is the number of rows that sort before the tail window's From
+	// bound (0 without one): rows of the result that the window skipped
+	// without selecting them.
+	Before int
 }
 
 // RunConfig tunes a plan replay. The zero value reproduces the plain Run

@@ -466,7 +466,7 @@ func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, 
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	out, keys, scanned := tail.ExecuteIn(r.Env.cat, rel)
+	out, keys, scanned, before := tail.run(r.Env.cat, rel)
 	if r.scratch != nil { // no merge reads it again
 		r.scratch.recycle()
 		r.scratch = nil
@@ -477,6 +477,7 @@ func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, 
 		Scanned:                scanned,
 		EdgeRows:               r.edgeRows,
 		Keys:                   keys,
+		Before:                 before,
 	}, nil
 }
 

@@ -153,8 +153,9 @@ var sortCasePaths = [][]KeyStep{
 }
 
 // checkSortCase compares the tail against the oracle on one relation, path and
-// direction: the selection itself for every bound k in 0…n+1, and Execute for
-// every count, with an offset and without, and for offset-only windows.
+// direction: the selection itself for every bound k in 0…n+1, Execute for
+// every count, with an offset and without, and for offset-only windows, and
+// the selection bounded from a key.
 func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 	spec := &OrderSpec{Vertex: 0, Path: path, Desc: desc}
 	n := rel.NumRows()
@@ -170,7 +171,7 @@ func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 		return nil
 	}
 	for k := 0; k <= n+1; k++ {
-		got, keys := sortByKeys(nil, rel, spec, k)
+		got, keys, _ := sortByKeys(nil, rel, spec, nil, k)
 		if err := same(fmt.Sprintf("k=%d", k), got, keys, 0, k); err != nil {
 			return err
 		}
@@ -191,7 +192,41 @@ func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 		}
 	}
 	got, keys, _ := (&Tail{Project: []int{0}, Final: []int{0}, Order: spec}).Execute(rel)
-	return same("unwindowed", got, keys, 0, n)
+	if err := same("unwindowed", got, keys, 0, n); err != nil {
+		return err
+	}
+	// The bounded selection, from every key of the case and an absent one:
+	// the rows before the bound are the oracle's prefix of keys that sort
+	// strictly before it, and the rows selected the ones right after it, for
+	// skip 0…3 and a count of one.
+	for _, from := range append(slices.Clone(wantKeys), Key{}) {
+		want := 0
+		for ; want < n; want++ {
+			c := wantKeys[want].Compare(from)
+			if c == 0 || (c > 0) != desc {
+				break
+			}
+		}
+		for skip := 0; skip <= 3; skip++ {
+			k := skip + 1
+			got, keys, before := sortByKeys(nil, rel, spec, &from, k)
+			if before != want {
+				return fmt.Errorf("%s from %+v: %d rows before, oracle %d", spec, from, before, want)
+			}
+			if err := same(fmt.Sprintf("from %+v k=%d", from, k), got, keys, want, want+k); err != nil {
+				return err
+			}
+			tail := &Tail{Project: []int{0}, Final: []int{0}, Order: spec, Limit: &LimitSpec{Count: k, From: &from}}
+			got, keys, scanned, before := tail.run(nil, rel)
+			if before != want || scanned != n {
+				return fmt.Errorf("%s from %+v: tail counts %d rows before of %d, oracle %d of %d", spec, from, before, scanned, want, n)
+			}
+			if err := same(fmt.Sprintf("tail from %+v count %d", from, k), got, keys, want, want+k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func TestSortByKeysMatchesOracle(t *testing.T) {

@@ -89,6 +89,33 @@ type LimitSpec struct {
 	Count int
 	// Offset is the number of rows skipped before the first returned row.
 	Offset int
+	// From, set only under an order by, starts the rows the window counts
+	// at the first one whose key does not sort before From in the order's
+	// direction (keys alone, no row tiebreak): the rows before it are
+	// counted (RunStats.Before) but neither selected nor returned. A shard
+	// server sets it from a coordinator's remembered window start
+	// (shardrpc.ExecRequest.Bound). String leaves it out, so a bound keys
+	// no plan-cache entry of its own.
+	From *Key
+}
+
+// End returns where the window ends in an unbounded row sequence:
+// Offset + Count (a negative Offset counting as 0), saturated at
+// math.MaxInt, or -1 for an offset-only window.
+func (l *LimitSpec) End() int {
+	if l.Count <= 0 {
+		return -1
+	}
+	return AddSat(max(l.Offset, 0), l.Count)
+}
+
+// AddSat returns a + b for non-negative a and b, math.MaxInt where the sum
+// overflows.
+func AddSat(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // String renders the spec canonically for cache keys ("" for nil).
@@ -116,7 +143,7 @@ func (l *LimitSpec) Window(n int) (lo, hi int) {
 		lo = n
 	}
 	hi = n
-	if l.Count > 0 && lo+l.Count < n {
+	if l.Count > 0 && l.Count < n-lo {
 		hi = lo + l.Count
 	}
 	return lo, hi

@@ -429,3 +429,24 @@ func TestPartialShardErrorOnTheWire(t *testing.T) {
 	}
 	check("buffered", buffered.Stats)
 }
+
+// TestQueryHugeWindow: a limit whose sum with the offset overflows int is a
+// window to the end of the result, not a panic of the handler.
+func TestQueryHugeWindow(t *testing.T) {
+	_, ts := newPeopleServer(t, 0)
+	for _, q := range []string{
+		`for $p in collection("ppl")//person order by $p/age return $p`,
+		`for $p in collection("ppl")//person return $p`,
+	} {
+		resp, err := http.Get(queryURL(ts.URL, q, "limit", "9223372036854775807", "offset", "1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || len(qr.Items) != 399 {
+			t.Fatalf("%s: status %d, %d items (%v), want 200 and 399", q, resp.StatusCode, len(qr.Items), err)
+		}
+	}
+}

@@ -38,6 +38,10 @@ type ShardRun interface {
 	// Key returns the current item's order-by merge key; ok is false when
 	// the query does not sort (no keys travel).
 	Key() (plan.Key, bool)
+	// Before returns, for a run bounded by ExecRequest.Bound, how many of
+	// its rows sort before the bound; ok is false for an unbounded run.
+	// Valid once Next was called.
+	Before() (n int, ok bool)
 	// Done returns the end-of-stream report; valid after Next returned
 	// false. It blocks until the execution's own report is in.
 	Done() Done
@@ -101,12 +105,18 @@ func HandleExecute(exec Executor) http.HandlerFunc {
 	}
 }
 
-// writeRun streams a shard run's lines: one per item, written member by
-// member — the item, then its key when the query sorts — and the done report
-// last.
+// writeRun streams a shard run's lines: a bounded run's count of rows before
+// its bound first — the first Next ran the join, so the count is known, and
+// the coordinator's merge reads it with the shard's head — then one line per
+// item, written member by member — the item, then its key when the query
+// sorts — and the done report last.
 func writeRun(lw *ndjson.Writer, run ShardRun) {
+	more := run.Next()
+	if n, ok := run.Before(); ok && lw.Field("before", n) != nil {
+		return
+	}
 	var key []byte
-	for run.Next() {
+	for ; more; more = run.Next() {
 		var err error
 		if k, ok := run.Key(); ok {
 			key = KeyFromPlan(k).AppendJSON(key[:0])

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -46,13 +47,14 @@ func poolable(b []byte) []byte {
 	return b[:0]
 }
 
-// The two line shapes the execute handler writes (see HandleExecute), matched
-// by prefix: an item, with its key member when the query sorts, and the done
-// report.
+// The three line shapes the execute handler writes (see HandleExecute),
+// matched by prefix: a bounded run's leading count, an item, with its key
+// member when the query sorts, and the done report.
 var (
-	itemPrefix = []byte(`{"item":"`)
-	keyMember  = []byte(`,"key":{`)
-	donePrefix = []byte(`{"done":`)
+	beforePrefix = []byte(`{"before":`)
+	itemPrefix   = []byte(`{"item":"`)
+	keyMember    = []byte(`,"key":{`)
+	donePrefix   = []byte(`{"done":`)
 )
 
 // Stream is the NDJSON line sequence of one execute response. Next scans it
@@ -73,6 +75,10 @@ type Stream struct {
 	key   Key    // the current key; S aliases keyS
 	keyed bool
 	done  *Done
+
+	started bool // a line was scanned: a before line is only the first
+	before  int
+	bounded bool // the stream led with a before line
 }
 
 func newStream(body io.ReadCloser, endpoint string) *Stream {
@@ -87,6 +93,9 @@ func newStream(body io.ReadCloser, endpoint string) *Stream {
 // so Close keeps the connection. A stream cut before its done line (server
 // died, connection dropped) or carrying a line of any other shape returns a
 // RemoteError with Status 200: a gateway fault, as a 5xx would be.
+//
+// A bounded run's leading count line is taken on the way to the first item
+// or the done line; Before holds it from then on.
 func (s *Stream) Next() (bool, error) {
 	line, err := s.readLine()
 	switch {
@@ -94,6 +103,14 @@ func (s *Stream) Next() (bool, error) {
 		return false, &RemoteError{Status: http.StatusOK, Endpoint: s.endpoint, Msg: "stream ended without done report"}
 	case err != nil:
 		return false, &RemoteError{Status: http.StatusOK, Endpoint: s.endpoint, Msg: "reading stream: " + err.Error()}
+	}
+	if !s.started {
+		s.started = true
+		if rest, ok := bytes.CutPrefix(line, beforePrefix); ok {
+			if s.before, s.bounded = scanCount(rest); s.bounded {
+				return s.Next()
+			}
+		}
 	}
 	if rest, ok := bytes.CutPrefix(line, itemPrefix); ok && s.scanItem(rest) {
 		return true, nil
@@ -124,6 +141,12 @@ func (s *Stream) Key() (k Key, ok bool) { return s.key, s.keyed }
 
 // Done returns the done report once Next returned false without an error.
 func (s *Stream) Done() *Done { return s.done }
+
+// Before returns the count a bounded run's leading line reported: how many
+// of the shard's rows sort before the request's bound. ok is false for a
+// stream without that line — an unbounded request, or a server that ignored
+// the bound. Valid once Next returned.
+func (s *Stream) Before() (n int, ok bool) { return s.before, s.bounded }
 
 // Finish reads the rest of the response raw, without scanning it, and
 // reports whether the body ended within limit bytes. A body read to its end
@@ -218,6 +241,25 @@ func (s *Stream) scanKey(b []byte) ([]byte, bool) {
 	}
 	s.key = k
 	return b[1:], true
+}
+
+// scanCount parses the rest of a before line, a count and `}` and the
+// newline. It takes only what encoding/json decodes into a non-negative int:
+// digits, without a leading zero, in range.
+func scanCount(b []byte) (int, bool) {
+	n := digits(b, 0)
+	if n == 0 || (b[0] == '0' && n > 1) || string(b[n:]) != "}\n" {
+		return 0, false
+	}
+	v := 0
+	for _, c := range b[:n] {
+		d := int(c - '0')
+		if v > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }
 
 // numberLen returns the length of the JSON number at the start of b, 0 if

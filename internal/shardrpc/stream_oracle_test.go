@@ -17,21 +17,25 @@ import (
 )
 
 // Message is one NDJSON line of an execute response as encoding/json sees
-// it: an item (with its sort key when the query orders), or the done report.
-// The client decoded every line into one through a json.Decoder before Stream
-// scanned the lines itself; it stays as the scanner's oracle.
+// it: an item (with its sort key when the query orders), the done report, or
+// a bounded run's leading count. The client decoded every line into one
+// through a json.Decoder before Stream scanned the lines itself; it stays as
+// the scanner's oracle.
 type Message struct {
-	Item *string `json:"item,omitempty"`
-	Key  *Key    `json:"key,omitempty"`
-	Done *Done   `json:"done,omitempty"`
+	Item   *string `json:"item,omitempty"`
+	Key    *Key    `json:"key,omitempty"`
+	Done   *Done   `json:"done,omitempty"`
+	Before *int    `json:"before,omitempty"`
 }
 
 // line is one scanned stream line, kept past the scanner's next call.
 type line struct {
-	item  string
-	key   Key
-	keyed bool
-	done  *Done
+	item    string
+	key     Key
+	keyed   bool
+	done    *Done
+	before  int
+	bounded bool // a leading before line
 }
 
 // oracleLines decodes a stream the way the client did before the scanner:
@@ -47,6 +51,9 @@ func oracleLines(body []byte) ([]line, error) {
 		switch {
 		case m.Done != nil:
 			return append(out, line{done: m.Done}), nil
+		case m.Before != nil && m.Item == nil && len(out) == 0:
+			out = append(out, line{before: *m.Before, bounded: true})
+			continue
 		case m.Item == nil:
 			return out, errors.New("malformed stream message")
 		}
@@ -70,6 +77,9 @@ func scanLines(body []byte) ([]line, error) {
 		if err != nil {
 			return out, err
 		}
+		if n, bounded := s.Before(); bounded && len(out) == 0 {
+			out = append(out, line{before: n, bounded: true})
+		}
 		if !ok {
 			return append(out, line{done: s.Done()}), nil
 		}
@@ -88,7 +98,7 @@ func sameLines(a, b []line) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.item != y.item || x.keyed != y.keyed || x.key.Present != y.key.Present ||
+		if x.item != y.item || x.keyed != y.keyed || x.before != y.before || x.bounded != y.bounded || x.key.Present != y.key.Present ||
 			x.key.Num != y.key.Num || x.key.S != y.key.S ||
 			math.Float64bits(x.key.F) != math.Float64bits(y.key.F) || !reflect.DeepEqual(x.done, y.done) {
 			return false
@@ -120,8 +130,9 @@ func handlerStream(t testing.TB, run ShardRun, html bool) []byte {
 }
 
 // FuzzStreamScannerMatchesJSON: for any item bytes and keys the handler
-// writes — unescaped, as it does now, or HTML-escaped, as older servers did —
-// the scanner returns exactly the items, keys and done report that
+// writes — unescaped, as it does now, or HTML-escaped, as older servers did,
+// after a bounded run's leading count line or without one — the scanner
+// returns exactly the count, items, keys and done report that
 // encoding/json decodes from the same bytes — also when the stream scans
 // through buffers recycled from a stream of other sizes, so nothing a
 // previous stream left in them shows. Every truncation of the stream is an
@@ -145,6 +156,8 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 		{strings.Repeat("<long line/>", 500), "short", strings.Repeat("s", 5000), math.SmallestNonzeroFloat64, keyedFlag | presentFlag | numFlag},
 		{"<a/>", "<b/>", "p<q", 3, keyedFlag | presentFlag | numFlag | legacyDoneFlag},
 		{"<a/>", "<b/>", "", 0, omittedZerosFlag},
+		{"<k>7</k>", "<k>7</k>", "7", 7, keyedFlag | presentFlag | numFlag | boundedFlag},
+		{"", "<a/>", "", 0, boundedFlag | htmlFlag},
 	} {
 		f.Add([]byte(seed.item1), []byte(seed.item2), seed.s, seed.num, seed.flags, uint16(7), uint16(3), byte('"'))
 	}
@@ -161,6 +174,9 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 			k2 := k
 			k2.Str += "2" // a different string per line: the scanner reuses its buffer
 			run.keys = []plan.Key{k, k2}
+		}
+		if flags&boundedFlag != 0 {
+			run.before, run.bound = int(cut), true
 		}
 		body := handlerStream(t, run, flags&htmlFlag != 0)
 		if flags&omittedZerosFlag != 0 {
@@ -214,8 +230,9 @@ func FuzzStreamScannerMatchesJSON(f *testing.F) {
 
 // Fuzz flag bits: whether items carry keys, the key's two flags, whether
 // the stream is written in the HTML-escaped form of older servers, whether
-// its done line carries the plan members older servers wrote, and whether it
-// omits the zero-valued stats members older servers left out.
+// its done line carries the plan members older servers wrote, whether it
+// omits the zero-valued stats members older servers left out, and whether
+// the run is bounded, leading with its count of rows before the bound.
 const (
 	keyedFlag uint8 = 1 << iota
 	presentFlag
@@ -223,6 +240,7 @@ const (
 	htmlFlag
 	legacyDoneFlag
 	omittedZerosFlag
+	boundedFlag
 )
 
 // omittedZeros rewrites body's done line into the form servers wrote before

@@ -4,11 +4,11 @@
 // roxserve running in shard-server role.
 //
 // The protocol ships the query, not the data: a request carries the query
-// text, the shard's slice of the limit window and the coordinator's
-// plan-cache fingerprint; the response streams serialized result items (with
-// their order-by keys when the query sorts), or a single exact
-// partial-aggregate fold state, followed by one done report carrying
-// per-shard stats. Plans do not travel: the shard server discovers, caches
+// text, the shard's slice of the limit window (and, for a deep ordered page,
+// where the window starts), and the coordinator's plan-cache fingerprint;
+// the response streams serialized result items (with their order-by keys
+// when the query sorts), or a single exact partial-aggregate fold state,
+// followed by one done report carrying per-shard stats. Plans do not travel: the shard server discovers, caches
 // and replays them against its own data, as a standalone engine does — a
 // plan is valid for the data it was sampled on, and generation stamps are
 // counters of one process. Everything rides NDJSON over a single POST so the
@@ -20,8 +20,10 @@
 //	GET  /v1/shards                        → ShardList (inventory + generations)
 //	POST /v1/shards/{shard}/execute        → NDJSON stream: item lines, one done line
 //
-// A stream has two line shapes, {"item":"…"} (with a "key" member when the
-// query sorts) and {"done":{…}}. The handler writes them member by member,
+// A stream has three line shapes: {"item":"…"} (with a "key" member when the
+// query sorts), {"done":{…}}, and — first, only when the request carried a
+// bound (ExecRequest.Bound) — {"before":n}, the count of the shard's rows
+// that sort before the bound. The handler writes them member by member,
 // items without HTML escaping, so an XML item costs its own bytes plus its
 // quote and control escapes; the client's Stream scans them by hand, with
 // encoding/json only for the done report. Both forms of item line — escaped
@@ -60,6 +62,20 @@ type ExecRequest struct {
 	// limit clause of the query text — the coordinator may have overridden
 	// the text's window programmatically, so the text is not authoritative.
 	ShardLimit int `json:"shard_limit,omitempty"`
+	// Bound, when set, is a remembered window start: the order-by key of
+	// the first item the coordinator's window returned on an earlier run.
+	// The server then counts the rows that sort before it (keys alone, in
+	// the query's direction), reports that count on the stream's leading
+	// {"before":n} line, and ships only rows that do not sort before it —
+	// at most BoundLimit of them. The coordinator still sends ShardLimit,
+	// for a server that predates Bound: decoding drops the member, and that
+	// server streams its first ShardLimit rows, with no leading line. Only a
+	// query with order by and no aggregate takes a bound.
+	Bound *Key `json:"bound,omitempty"`
+	// BoundLimit caps the rows a bounded shard ships from the bound on: the
+	// window's count plus the items tied with the bound that fall before the
+	// window (0 = unlimited). Without Bound it is ignored.
+	BoundLimit int `json:"bound_limit,omitempty"`
 	// Fingerprint is the coordinator's base plan-cache key for this query
 	// shape; the server derives its per-shard key from it exactly like the
 	// in-process path, sparing itself a graph hash per request ("" lets the

@@ -149,6 +149,8 @@ type fakeRun struct {
 	items  []string
 	keys   []plan.Key
 	done   Done
+	before int
+	bound  bool // the run reports before, as a bounded run does
 	pos    int
 	closed bool
 }
@@ -167,8 +169,9 @@ func (r *fakeRun) Key() (plan.Key, bool) {
 	}
 	return r.keys[r.pos-1], true
 }
-func (r *fakeRun) Done() Done { return r.done }
-func (r *fakeRun) Close()     { r.closed = true }
+func (r *fakeRun) Before() (int, bool) { return r.before, r.bound }
+func (r *fakeRun) Done() Done          { return r.done }
+func (r *fakeRun) Close()              { r.closed = true }
 
 // fakeExec is a scripted Executor.
 type fakeExec struct {

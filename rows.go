@@ -298,16 +298,16 @@ func (c *rowsCore) finish(err error) {
 // know, whether the graph came from doc(), from one local shard of a
 // collection(), or off the shard wire. It owns, exactly once each, the plan
 // choice (open), the recorder-delta Stats of the join phase, the aggregate
-// fold, the per-row rendering with its order key (advance), and the
+// fold, the per-row rendering with its order key (advance, Item), and the
 // end-of-stream report (report, done). Three drivers pull it and add nothing of their own,
 // and none of them needs a goroutine or a channel to do it:
 //
 //   - a non-collection or static query opens it inside Execute and hands it
 //     to Rows as the row source (next, finalize);
 //   - the scatter-gather opens it as a local shard's source (openShard) and
-//     pulls it straight into the merge (Next, Item, Key, done, Close);
+//     pulls it straight into the merge (Next, Item, Key, Before, done, Close);
 //   - Engine.ExecuteShard returns it as the shardrpc.ShardRun the shard
-//     server's handler streams from (Next, Item, Key, Done, Close).
+//     server's handler streams from (Next, Item, Key, Before, Done, Close).
 //
 // The latter two are shard cursors: they open holding an engine-wide fan-out
 // slot for exactly the join — the gather ahead of its first pull, the
@@ -330,18 +330,20 @@ type cursor struct {
 	sw     metrics.Stopwatch
 
 	// The finished join, set by open: the windowed final relation, the
-	// order-by keys when the tail sorts, the pre-window cardinality and the
-	// aggregate fold.
+	// order-by keys when the tail sorts, the pre-window cardinality, the rows
+	// before a bounded window's start and the aggregate fold.
 	opened  bool
 	rel     *table.Relation
 	keys    []plan.Key
 	scanned int
+	before  int
 	agg     *plan.AggState
 	stats   Stats // join-phase statistics; report adds the stream's
 
-	row int    // rows handed out so far
-	buf []byte // the row advance rendered last; reused row to row, dropped at Close
-	err error  // what ended the cursor early: open's failure or ctx's error
+	row      int    // rows handed out so far
+	buf      []byte // the row Item rendered last; reused row to row, dropped at Close
+	rendered bool   // buf holds row row-1
+	err      error  // what ended the cursor early: open's failure or ctx's error
 }
 
 // newCursor binds one execution; the stopwatch starts here so a shard's
@@ -372,7 +374,7 @@ func (e *Engine) newCursor(ctx context.Context, env *plan.Env, comp *xquery.Comp
 //     (a fingerprint collision; the entry is invalidated): run ROX and
 //     install the discovered plan.
 //
-// Serialization stays with advance, so a replay that ends up drift-rejected
+// Serialization stays with Item, so a replay that ends up drift-rejected
 // never pays it.
 func (c *cursor) open() error {
 	e, env, comp := c.e, c.env, c.comp
@@ -469,7 +471,7 @@ func (c *cursor) open() error {
 		return c.err
 	}
 	c.opened = true
-	c.rel, c.keys, c.scanned = rel, run.Keys, run.Scanned
+	c.rel, c.keys, c.scanned, c.before = rel, run.Keys, run.Scanned, run.Before
 	c.stats.CumulativeIntermediate = run.CumulativeIntermediate
 	c.stats.Plan = ran.String()
 	c.stats.CacheHit = hit
@@ -477,13 +479,14 @@ func (c *cursor) open() error {
 	return nil
 }
 
-// advance renders the next row into buf, false once the rows are out or ctx
-// ended the stream (err). The join has fully materialized (that is ROX's
-// execution model), but each row's serialization waits for its advance, so a
-// window or an early Close never renders rows it does not return. An
-// aggregate's stream is its one rendered item — avg/min/max over an empty
-// sequence render XQuery's empty sequence as an empty item — and, for a
-// shard, nothing: the fold state travels in the done report.
+// advance moves to the next row, false once the rows are out or ctx ended
+// the stream (err). The join has fully materialized (that is ROX's execution
+// model), but a row is serialized only when Item asks for it, so a window,
+// an early Close or a gather skipping its global offset never renders rows
+// it does not return. An aggregate's stream is its one rendered item —
+// avg/min/max over an empty sequence render XQuery's empty sequence as an
+// empty item — and, for a shard, nothing: the fold state travels in the done
+// report.
 func (c *cursor) advance() bool {
 	n := c.rel.NumRows() // 0 before open and after Close
 	if c.agg != nil {
@@ -498,17 +501,11 @@ func (c *cursor) advance() bool {
 	if c.err = c.ctx.Err(); c.err != nil {
 		return false
 	}
-	if c.agg != nil {
-		item, _ := c.agg.Render(c.comp.Tail.Agg.Kind)
-		c.buf = append(c.buf[:0], item...)
-	} else {
-		c.buf = appendItem(c.buf[:0], c.comp, c.rel, c.row)
-	}
-	c.row++
+	c.row, c.rendered = c.row+1, false
 	return true
 }
 
-// report closes the books on the stream: every row advance rendered went out
+// report closes the books on the stream: every row advance moved to went out
 // to the driver. Scanned is the pre-window cardinality; the stream is
 // truncated when it never opened or when fewer items went out than it held —
 // the scanned rows, or an aggregate's one.
@@ -533,7 +530,7 @@ func (c *cursor) next() ([]byte, bool, error) {
 	if !c.advance() {
 		return nil, false, c.err
 	}
-	return c.buf, true, nil
+	return c.Item(), true, nil
 }
 
 func (c *cursor) finalize(st *Stats) {
@@ -555,7 +552,7 @@ func (c *cursor) openShard() error {
 	return c.open()
 }
 
-// Next, Item, Key and Close are the pull face of a shard cursor — the
+// Next, Item, Key, Before and Close are the pull face of a shard cursor — the
 // shardrpc.ShardRun a shard server streams from, and the local half of the
 // gather's shardSource. A cursor the gather did not open opens on its first
 // Next.
@@ -567,8 +564,24 @@ func (c *cursor) Next() bool {
 }
 
 // Item returns the serialized item Next advanced to, valid until the next
-// Next.
-func (c *cursor) Item() []byte { return c.buf }
+// Next: rendered on the first call for the row.
+func (c *cursor) Item() []byte {
+	if !c.rendered {
+		if c.agg != nil {
+			item, _ := c.agg.Render(c.comp.Tail.Agg.Kind)
+			c.buf = append(c.buf[:0], item...)
+		} else {
+			if c.buf == nil {
+				// One allocation where growing from empty would take five
+				// for an 80-byte item, eight for a kilobyte.
+				c.buf = make([]byte, 0, renderBufSize)
+			}
+			c.buf = appendItem(c.buf[:0], c.comp, c.rel, c.row-1)
+		}
+		c.rendered = true
+	}
+	return c.buf
+}
 
 // Key returns the current item's order-by merge key; ok is false when the
 // query does not sort.
@@ -579,8 +592,20 @@ func (c *cursor) Key() (plan.Key, bool) {
 	return c.keys[c.row-1], true
 }
 
+// Before returns how many of the shard's rows sort before its window's
+// bound; ok is false when the window has none. A gather bounds only remote
+// shards, so a local shard cursor reports (0, false): it streams from its
+// first row.
+func (c *cursor) Before() (int, bool) {
+	l := c.comp.Tail.Limit
+	return c.before, l != nil && l.From != nil
+}
+
 // Close releases the materialized join and the item buffer.
 func (c *cursor) Close() { c.rel, c.keys, c.buf = nil, nil, nil }
+
+// renderBufSize is the capacity a cursor's render buffer starts with.
+const renderBufSize = 512
 
 // appendItem serializes one result row onto dst: the return expression's
 // variables, optionally wrapped in the constructor element.

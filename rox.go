@@ -477,9 +477,12 @@ type Prepared struct {
 	fp   string
 
 	// shards memoizes comp rebound to each shard document the statement ran
-	// on, by shard name (forShard, statement.go).
+	// on, by shard name (forShard, statement.go); starts, the remembered
+	// starts of its ordered windows over remote shards, oldest first
+	// (windowStart, statement.go).
 	mu     sync.Mutex
 	shards map[string]*xquery.Compiled
+	starts []windowStart
 }
 
 // Prepare compiles an XQuery once for repeated execution on this engine. The

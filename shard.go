@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -54,7 +55,12 @@ import (
 // collection does ~10 merge steps instead of computing the full union. A
 // remote shard already streaming has at most offset+limit items left; its
 // rest is read out unparsed rather than aborted (readOut), so its keep-alive
-// connection survives for the next request.
+// connection survives for the next request. A deep ordered page over remote
+// shards ships less still once it ran: its statement remembers the key its
+// window started at, and later requests send that key to every remote shard,
+// which ships only the rows from it on and reports how many it passed over
+// (windowStart). The gather checks those counts before it emits anything and
+// scatters again unbounded when they no longer fit.
 
 // shardSource is one shard of a scatter as the gather pulls it: the face the
 // shard server's handler drives (shardrpc.ShardRun), with the current item as
@@ -66,6 +72,10 @@ type shardSource interface {
 	Next() bool
 	Item() []byte
 	Key() (plan.Key, bool)
+	// Before is the count a bounded remote shard reports of its rows before
+	// the window's start (see windowStart); ok is false for a source that
+	// streams from its first row.
+	Before() (n int, ok bool)
 	// done is the end-of-stream report, final once Next returned false.
 	done() shardDone
 	Close()
@@ -134,29 +144,28 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Pre
 	case comp.Tail.Agg != nil:
 		s.mode, s.aggKind = gatherAgg, comp.Tail.Agg.Kind
 	case comp.Tail.Order != nil:
-		s.mode, s.desc = gatherOrdered, comp.Tail.Order.Desc
+		s.mode, s.order = gatherOrdered, comp.Tail.Order
 	}
 
 	// Push the window down per shard: a shard can contribute at most
 	// offset+count items to the merged prefix, so its own tail needs no more
-	// than that. The offset itself must stay at the gather — the skipped
-	// items may come from any shard, so a shard-local skip would drop the
-	// wrong rows. An offset-only window therefore clears the shard tail
-	// entirely (nothing bounds what one shard may contribute). Without a
-	// window the shards run the statement's own tail, which has none either.
+	// than that. Which items the offset skips is the gather's to say — they
+	// may come from any shard, so a shard cannot skip its share on its own.
+	// What a shard can do is start where an earlier run of the window
+	// started (windowStart): a remote shard that is told the window's first
+	// key skips its rows before that key and reports how many it skipped.
+	// An offset-only window clears the shard tail entirely (nothing bounds
+	// what one shard may contribute). Without a window the shards run the
+	// statement's own tail, which has none either.
 	var shardSpec *plan.LimitSpec
 	if window := comp.Tail.Limit; window != nil {
 		s.lo = max(window.Offset, 0)
 		if window.Count > 0 {
-			s.hi = s.lo + window.Count
-			shardSpec = &plan.LimitSpec{Count: window.Offset + window.Count}
+			s.hi = window.End()
+			shardSpec = &plan.LimitSpec{Count: s.hi}
 		}
 	}
-
-	// Scatter: start every shard's open. Each shard gets its own env
-	// (recorder + seeded random stream) over the shared snapshot; sctx aborts
-	// the remaining shards as soon as one fails, the caller cancels, the
-	// cursor closes, or the gather's window fills.
+	remote := false
 	for i, sh := range shards {
 		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &shardExec{
 			coll:   collName,
@@ -167,13 +176,65 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Pre
 			window: shardSpec,
 			baseFP: baseFP,
 		}}
-		go func(sh *scatterShard) {
-			defer close(sh.opened)
-			s.open(sh)
-		}(&s.shards[i])
+		remote = remote || sh.Remote != nil
 	}
+	if s.mode == gatherOrdered && s.lo > 0 && s.hi >= 0 && remote {
+		s.stmt, s.window = stmt, pageWindow{offset: s.lo, count: comp.Tail.Limit.Count}
+		if ws, ok := stmt.windowStart(s.window); ok {
+			s.start = &ws
+			for i := range s.shards {
+				if x := s.shards[i].x; x.remote != nil {
+					x.start = s.start
+				}
+			}
+		} else {
+			s.learn = true
+		}
+	}
+	s.scatter()
 	stats := Stats{Plan: fmt.Sprintf("scatter(%s/%d)", collName, len(shards))}
 	return newRows(env, stats, s), nil
+}
+
+// pageWindow is an ordered window of a collection query: what a statement
+// remembers a start for.
+type pageWindow struct{ offset, count int }
+
+// windowStart is where an ordered window over remote shards started on an
+// earlier run of its statement: key, the order key of the first item the
+// window returned, and skip, how many of the items the offset passed over
+// tie with key — the offset less the B items that sort strictly before it.
+//
+// A later run of the window sends key to every remote shard as its bound.
+// The shard counts its rows before the bound and ships at most skip+count
+// rows from the bound on (shardrpc.ExecRequest.Bound), instead of its first
+// offset+count. Local shards, and servers that ignore the bound, stream from
+// their first row and count as reporting 0. Let B' be the reported counts
+// plus the merged items that sort before key: that is exactly how many
+// items precede key now, whatever changed since — a reload, an ingest, a
+// shard added. The window is exact if and only if offset−skip <= B' <=
+// offset: then the items it skips at or after key are offset−B' <= skip,
+// and a bounded shard shipped skip+count of those, enough for every one of
+// them and the count after. check decides before the first emission, and
+// fallback otherwise scatters again unbounded and learns the start anew.
+type windowStart struct {
+	window pageWindow
+	key    plan.Key
+	skip   int
+}
+
+// scatter starts every shard's open. Each shard gets its own env (recorder +
+// seeded random stream) over the shared snapshot; sctx aborts the remaining
+// shards as soon as one fails, the caller cancels, the cursor closes, or the
+// gather's window fills.
+func (s *scatterRows) scatter() {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		go func() {
+			defer close(sh.opened)
+			s.open(sh)
+		}()
+	}
 }
 
 // scatterRows is the gather side as a cursor row source: it pulls the merged
@@ -189,11 +250,25 @@ type scatterRows struct {
 	sw      metrics.Stopwatch // the query's clock; finalize stamps ElapsedNS
 	shards  []scatterShard
 	mode    int
-	desc    bool
+	order   *plan.OrderSpec // gatherOrdered: the merge's key order
 	aggKind plan.AggKind
 
 	lo, hi int // global window over merged items; hi < 0 = unbounded
 	merged int // merged items consumed, offset skips included
+
+	// A deep ordered page over remote shards (windowStart): the statement
+	// and window the start is remembered for; start, the one this run's
+	// remote shards were sent, until check decides; learn, set when this run
+	// records the start at its first emission instead.
+	stmt     *Prepared
+	window   pageWindow
+	start    *windowStart
+	learn    bool
+	reported int      // bounded run: the shards' counts of rows before start.key
+	beforeK  int      // bounded run: merged items skipped that sort before it
+	tieKey   plan.Key // learning: the last skipped item's key...
+	ties     int      // ...and how many skipped items in a row tie with it
+	spent    Stats    // a bounded run that fallback abandoned: its costs
 
 	// cur is the shard the current item came from; gatherPlain drains it
 	// until it ends. heads marks, for gatherOrdered, the shards whose current
@@ -254,15 +329,122 @@ func (s *scatterRows) next() ([]byte, bool, error) {
 			return nil, false, nil // window full: finalize cancels the rest
 		}
 		ok, err := s.nextMerged()
-		if err != nil || !ok {
+		if err != nil {
 			return nil, false, err
+		}
+		if s.start != nil && !s.check(ok) {
+			s.fallback()
+			continue
+		}
+		if !ok {
+			if s.learn { // the window is empty: it has no start to remember
+				s.stmt.forgetStart(s.window)
+			}
+			return nil, false, nil
 		}
 		s.merged++
 		if s.merged <= s.lo {
+			if s.learn {
+				s.noteSkipped()
+			}
 			continue // inside the global offset: skip
+		}
+		if s.learn {
+			s.remember()
 		}
 		return s.shards[s.cur].src.Item(), true, nil
 	}
+}
+
+// check verifies a bounded run (see windowStart) item by item until its first
+// emission; ok and the current item are what nextMerged just returned. The
+// first call comes after every shard's head, and so its count, is in: the
+// merge then skips offset minus the reported counts. check returns false as
+// soon as the run cannot be exact — more than offset items sort before the
+// start, or fewer than offset−skip — and clears start once it is decided.
+func (s *scatterRows) check(ok bool) bool {
+	st := s.start
+	if s.merged == 0 {
+		for i := range s.shards {
+			n, _ := s.shards[i].src.Before()
+			s.reported = plan.AddSat(s.reported, n)
+		}
+		s.lo = st.window.offset - s.reported
+		if s.lo < 0 {
+			return false
+		}
+		s.hi = plan.AddSat(s.lo, st.window.count)
+	}
+	var before bool
+	if ok {
+		k, _ := s.shards[s.cur].src.Key()
+		before = s.order.Before(k, st.key)
+	}
+	if ok && s.merged < s.lo {
+		if before {
+			s.beforeK++
+		}
+		return true
+	}
+	// The first emission, or the end of the stream: every item before the
+	// start came off the merge.
+	s.start = nil
+	return !before && s.reported+s.beforeK >= st.window.offset-st.skip
+}
+
+// fallback abandons a bounded run that check rejected, before anything of it
+// was emitted: it charges the run's costs to the query, as the drift path
+// charges its abandoned replay, closes its sources, and scatters again
+// unbounded, learning the window's start anew.
+func (s *scatterRows) fallback() {
+	s.readOut()
+	s.cancel()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		<-sh.opened
+		d := sh.rep
+		if !sh.ended {
+			d = sh.src.done()
+		}
+		sh.src.Close()
+		s.spent.ExecTuples += d.stats.ExecTuples
+		s.spent.SampleTuples += d.stats.SampleTuples
+		s.spent.CumulativeIntermediate += d.stats.CumulativeIntermediate
+		s.env.Rec.Merge(d.rec)
+		x := *sh.x
+		x.start = nil
+		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &x}
+	}
+	s.sctx, s.cancel = context.WithCancel(s.parent)
+	s.lo, s.hi = s.window.offset, plan.AddSat(s.window.offset, s.window.count)
+	s.merged, s.cur, s.heads = 0, 0, nil
+	s.start, s.reported, s.beforeK, s.learn = nil, 0, 0, true
+	s.scatter()
+}
+
+// noteSkipped follows, while the run learns its window's start, the run of
+// skipped items that tie with the last one: the items the offset passes
+// over are in order, so those tied with the window's first key end it.
+func (s *scatterRows) noteSkipped() {
+	k, _ := s.shards[s.cur].src.Key()
+	if s.ties > 0 && k.Compare(s.tieKey) == 0 {
+		s.ties++
+		return
+	}
+	s.tieKey, s.ties = k, 1
+	s.tieKey.Str = strings.Clone(k.Str) // a remote key's string is a view of its stream's buffer
+}
+
+// remember records the window's start at its first item.
+func (s *scatterRows) remember() {
+	s.learn = false
+	k, _ := s.shards[s.cur].src.Key()
+	ws := windowStart{window: s.window, key: k}
+	ws.key.Str = strings.Clone(k.Str)
+	if s.ties > 0 && k.Compare(s.tieKey) == 0 {
+		ws.skip = s.ties
+	}
+	s.stmt.rememberStart(ws)
 }
 
 // nextMerged advances the merged shard order by one item and points cur at
@@ -306,7 +488,7 @@ func (s *scatterRows) nextOrdered() (bool, error) {
 			continue
 		}
 		k, _ := s.shards[i].src.Key()
-		if c := k.Compare(bestKey); best == -1 || (s.desc && c > 0) || (!s.desc && c < 0) {
+		if best == -1 || s.order.Before(k, bestKey) {
 			best, bestKey = i, k
 		}
 	}
@@ -437,6 +619,9 @@ func (s *scatterRows) readOut() {
 func (s *scatterRows) finalize(st *Stats) {
 	s.readOut()
 	s.cancel()
+	st.ExecTuples += s.spent.ExecTuples
+	st.SampleTuples += s.spent.SampleTuples
+	st.CumulativeIntermediate += s.spent.CumulativeIntermediate
 	completed := 0
 	allHit := true
 	for i := range s.shards {

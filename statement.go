@@ -2,6 +2,7 @@ package rox
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/xquery"
@@ -115,4 +116,41 @@ func (p *Prepared) forShard(shard string) *xquery.Compiled {
 		p.shards[shard] = c
 	}
 	return c
+}
+
+// maxWindowStarts bounds the window starts one statement remembers (see
+// windowStart in shard.go); a new window past it replaces the oldest. A
+// forgotten window costs its next request one unbounded scatter.
+const maxWindowStarts = 32
+
+// windowStart returns the remembered start of the statement's ordered
+// window w, if there is one.
+func (p *Prepared) windowStart(w pageWindow) (windowStart, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, ws := range p.starts {
+		if ws.window == w {
+			return ws, true
+		}
+	}
+	return windowStart{}, false
+}
+
+// rememberStart records ws as its window's start, replacing what the window
+// had, and drops the oldest start beyond maxWindowStarts.
+func (p *Prepared) rememberStart(ws windowStart) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.starts = slices.DeleteFunc(p.starts, func(o windowStart) bool { return o.window == ws.window })
+	if len(p.starts) == maxWindowStarts {
+		p.starts = slices.Delete(p.starts, 0, 1)
+	}
+	p.starts = append(p.starts, ws)
+}
+
+// forgetStart drops window w's start, if the statement has one.
+func (p *Prepared) forgetStart(w pageWindow) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.starts = slices.DeleteFunc(p.starts, func(o windowStart) bool { return o.window == w })
 }
