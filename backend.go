@@ -75,7 +75,7 @@ func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 
 // done is a shard cursor's end-of-stream report.
 func (c *cursor) done() shardDone {
-	return shardDone{stats: c.report(), rec: c.env.Rec, agg: c.agg, err: c.err}
+	return shardDone{stats: c.report(), agg: c.agg, err: c.err}
 }
 
 // remoteShard is a remote shard as a pull source: a thin adapter over its
@@ -116,8 +116,7 @@ func (e *Engine) openRemote(ctx context.Context, x *shardExec) (*remoteShard, er
 		req.ShardLimit = x.window.Count
 	}
 	if st := x.start; st != nil {
-		k := shardrpc.KeyFromPlan(st.key)
-		req.Bound, req.BoundLimit = &k, plan.AddSat(st.skip, st.window.count)
+		req.Bound, req.BoundLimit = &st.key, plan.AddSat(st.skip, st.window.count)
 	}
 	if r.err = e.shardLim.Acquire(ctx); r.err == nil {
 		r.stream, r.err = e.shardClient.Execute(ctx, x.remote.Endpoint, x.remote.Doc, req)
@@ -148,8 +147,7 @@ func (r *remoteShard) Next() bool {
 		r.finish(r.stream.Done())
 	default:
 		r.cur = r.stream.Item()
-		k, _ := r.stream.Key()
-		r.key = k.ToPlan()
+		r.key, _ = r.stream.Key()
 		r.rows++
 		return true
 	}
@@ -376,8 +374,7 @@ func (e *Engine) ExecuteShard(ctx context.Context, shard string, req *shardrpc.E
 	if req.Bound != nil {
 		// The bound replaces the window after the key is settled: bounded
 		// and unbounded requests replay the same cached plan.
-		from := req.Bound.ToPlan()
-		window = &plan.LimitSpec{Count: req.BoundLimit, From: &from}
+		window = &plan.LimitSpec{Count: req.BoundLimit, From: req.Bound}
 	}
 	// The run is the execution cursor itself, pulled by the handler's own
 	// goroutine. It opens on the first Next, so a failure past this point

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/datagen"
+	"repro/internal/metrics"
 )
 
 // concurrencyQueries mixes the query shapes the engine supports: step-only,
@@ -282,7 +283,7 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	if got := p.Aggregator().Queries(); got != n {
 		t.Fatalf("aggregator queries = %d, want %d", got, n)
 	}
-	if p.Aggregator().Total().Tuples == 0 {
+	if p.Aggregator().CostOf(metrics.PhaseExecute).Tuples == 0 {
 		t.Fatal("aggregator recorded no work")
 	}
 }

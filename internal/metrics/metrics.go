@@ -43,33 +43,22 @@ func (p Phase) String() string {
 // Cost is an accumulated amount of work.
 type Cost struct {
 	Tuples int64 // deterministic work units (tuples touched)
-	Ops    int64 // number of operator invocations
 }
 
 // Add accumulates other into c.
-func (c *Cost) Add(other Cost) {
-	c.Tuples += other.Tuples
-	c.Ops += other.Ops
-}
+func (c *Cost) Add(other Cost) { c.Tuples += other.Tuples }
 
-// Sub returns c minus other, component-wise.
-func (c Cost) Sub(other Cost) Cost {
-	return Cost{
-		Tuples: c.Tuples - other.Tuples,
-		Ops:    c.Ops - other.Ops,
-	}
-}
+// Sub returns c minus other.
+func (c Cost) Sub(other Cost) Cost { return Cost{Tuples: c.Tuples - other.Tuples} }
 
 // String renders the cost compactly.
-func (c Cost) String() string {
-	return fmt.Sprintf("{tuples=%d ops=%d}", c.Tuples, c.Ops)
-}
+func (c Cost) String() string { return fmt.Sprintf("{tuples=%d}", c.Tuples) }
 
 // Recorder accumulates cost per phase. The zero value is ready to use and
 // charges to PhaseExecute. Recorder is deliberately lock-free and therefore
 // not safe for concurrent use: every query evaluation owns exactly one (the
-// per-query plan.Env carries it). Cross-query totals go through Aggregator,
-// which is safe to share.
+// per-query plan.Env carries it), and the query reports what it charged in
+// its Stats — the one figure an Aggregator adds up across queries.
 type Recorder struct {
 	phase Phase
 	costs [2]Cost
@@ -100,17 +89,6 @@ func (r *Recorder) ChargeTuples(n int) {
 	r.costs[r.phase].Tuples += int64(n)
 }
 
-// ChargeOp records one operator invocation with n tuple work units against
-// the active phase.
-func (r *Recorder) ChargeOp(n int) {
-	if r == nil {
-		return
-	}
-	c := &r.costs[r.phase]
-	c.Tuples += int64(n)
-	c.Ops++
-}
-
 // CostOf returns the accumulated cost of phase p.
 func (r *Recorder) CostOf(p Phase) Cost {
 	if r == nil {
@@ -129,39 +107,9 @@ func (r *Recorder) Total() Cost {
 	return t
 }
 
-// SamplingOverhead returns the sampling overhead relative to pure execution
-// work, in percent, using the deterministic tuple metric:
-// 100 * sample / execute. Returns 0 when no execution work was recorded.
-func (r *Recorder) SamplingOverhead() float64 {
-	ex := r.CostOf(PhaseExecute).Tuples
-	if ex == 0 {
-		return 0
-	}
-	return 100 * float64(r.CostOf(PhaseSample).Tuples) / float64(ex)
-}
-
-// Merge folds another recorder's per-phase costs into r. Both recorders must
-// be quiescent (no evaluation charging to them); scatter-gather executors use
-// this to roll per-shard recorders up into the query's recorder once each
-// shard finishes.
-func (r *Recorder) Merge(o *Recorder) {
-	if r == nil || o == nil {
-		return
-	}
-	r.costs[PhaseExecute].Add(o.costs[PhaseExecute])
-	r.costs[PhaseSample].Add(o.costs[PhaseSample])
-}
-
-// Reset clears all accumulated costs and returns to PhaseExecute.
-func (r *Recorder) Reset() {
-	r.phase = PhaseExecute
-	r.costs = [2]Cost{}
-}
-
-// Aggregator accumulates the totals of many per-query Recorders. Unlike
-// Recorder it is safe for concurrent use — concurrent query servers observe
-// each finished evaluation's recorder into one shared Aggregator and report
-// fleet-wide statistics from it.
+// Aggregator adds up the costs that finished queries report. Unlike
+// Recorder it is safe for concurrent use: a query server observes each
+// finished query into one shared Aggregator and reports fleet totals from it.
 type Aggregator struct {
 	mu      sync.Mutex
 	queries int64
@@ -169,35 +117,31 @@ type Aggregator struct {
 	costs   [2]Cost
 }
 
-// Observe folds one finished evaluation's recorder into the aggregate. The
-// recorder must be quiescent (its evaluation finished); a nil recorder counts
-// the query without cost.
-func (a *Aggregator) Observe(r *Recorder) {
+// Observe counts one finished query that reported exec execution and sample
+// sampling tuples.
+func (a *Aggregator) Observe(exec, sample int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.queries++
-	if r == nil {
-		return
-	}
-	a.costs[PhaseExecute].Add(r.CostOf(PhaseExecute))
-	a.costs[PhaseSample].Add(r.CostOf(PhaseSample))
+	a.costs[PhaseExecute].Tuples += exec
+	a.costs[PhaseSample].Tuples += sample
 }
 
-// ObserveError counts a failed evaluation.
+// ObserveError counts a failed query.
 func (a *Aggregator) ObserveError() {
 	a.mu.Lock()
 	a.errors++
 	a.mu.Unlock()
 }
 
-// Queries returns the number of observed evaluations (errors excluded).
+// Queries returns the number of observed queries (errors excluded).
 func (a *Aggregator) Queries() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.queries
 }
 
-// Errors returns the number of observed failed evaluations.
+// Errors returns the number of observed failed queries.
 func (a *Aggregator) Errors() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -209,15 +153,6 @@ func (a *Aggregator) CostOf(p Phase) Cost {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.costs[p]
-}
-
-// Total returns the combined aggregated cost of all phases.
-func (a *Aggregator) Total() Cost {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	t := a.costs[PhaseExecute]
-	t.Add(a.costs[PhaseSample])
-	return t
 }
 
 // CacheCounters is the concurrency-safe event accounting of a plan cache:

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -28,43 +29,9 @@ func TestPhaseSwitching(t *testing.T) {
 	}
 }
 
-func TestChargeOp(t *testing.T) {
-	r := NewRecorder()
-	r.ChargeOp(7)
-	r.ChargeOp(3)
-	c := r.CostOf(PhaseExecute)
-	if c.Tuples != 10 || c.Ops != 2 {
-		t.Errorf("cost = %v", c)
-	}
-}
-
-func TestSamplingOverhead(t *testing.T) {
-	r := NewRecorder()
-	if r.SamplingOverhead() != 0 {
-		t.Errorf("overhead with no work should be 0")
-	}
-	r.ChargeTuples(200)
-	r.SetPhase(PhaseSample)
-	r.ChargeTuples(50)
-	if got := r.SamplingOverhead(); got != 25 {
-		t.Errorf("overhead = %v, want 25", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRecorder()
-	r.SetPhase(PhaseSample)
-	r.ChargeTuples(9)
-	r.Reset()
-	if r.Phase() != PhaseExecute || r.Total().Tuples != 0 {
-		t.Errorf("Reset incomplete: phase=%v total=%v", r.Phase(), r.Total())
-	}
-}
-
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.ChargeTuples(5) // must not panic
-	r.ChargeOp(5)     // must not panic
 	if r.CostOf(PhaseExecute).Tuples != 0 {
 		t.Errorf("nil recorder returned non-zero cost")
 	}
@@ -74,14 +41,14 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestCostArithmetic(t *testing.T) {
-	a := Cost{Tuples: 10, Ops: 2}
-	b := Cost{Tuples: 4, Ops: 1}
+	a := Cost{Tuples: 10}
+	b := Cost{Tuples: 4}
 	a.Add(b)
-	if a.Tuples != 14 || a.Ops != 3 {
+	if a.Tuples != 14 {
 		t.Errorf("Add = %v", a)
 	}
 	d := a.Sub(b)
-	if d.Tuples != 10 || d.Ops != 2 {
+	if d.Tuples != 10 {
 		t.Errorf("Sub = %v", d)
 	}
 	if a.String() == "" || PhaseSample.String() != "sample" || PhaseExecute.String() != "execute" {
@@ -124,30 +91,26 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
-func TestRecorderMerge(t *testing.T) {
-	a := NewRecorder()
-	a.ChargeTuples(10)
-	a.SetPhase(PhaseSample)
-	a.ChargeOp(5)
-
-	b := NewRecorder()
-	b.ChargeTuples(7)
-	b.SetPhase(PhaseSample)
-	b.ChargeOp(3)
-
-	a.Merge(b)
-	if got := a.CostOf(PhaseExecute).Tuples; got != 17 {
-		t.Errorf("execute tuples = %d, want 17", got)
+func TestAggregator(t *testing.T) {
+	var a Aggregator
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.Observe(10, 5)
+			a.Observe(7, 3)
+			a.ObserveError()
+		}()
 	}
-	if got := a.CostOf(PhaseSample); got.Tuples != 8 || got.Ops != 2 {
-		t.Errorf("sample cost = %+v", got)
+	wg.Wait()
+	if a.Queries() != 8 || a.Errors() != 4 {
+		t.Errorf("queries = %d, errors = %d, want 8 and 4", a.Queries(), a.Errors())
 	}
-	// b is untouched.
-	if got := b.CostOf(PhaseSample).Tuples; got != 3 {
-		t.Errorf("merge mutated the source recorder: %d", got)
+	if got := a.CostOf(PhaseExecute).Tuples; got != 68 {
+		t.Errorf("execute tuples = %d, want 68", got)
 	}
-	// nil-safety both ways.
-	a.Merge(nil)
-	var nilRec *Recorder
-	nilRec.Merge(a)
+	if got := a.CostOf(PhaseSample).Tuples; got != 32 {
+		t.Errorf("sample tuples = %d, want 32", got)
+	}
 }

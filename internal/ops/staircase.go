@@ -115,7 +115,7 @@ func StepPairsInto(out *Pairs, rec *metrics.Recorder, d *xmltree.Document, axis 
 			break
 		}
 	}
-	rec.ChargeOp(consumed + out.Len())
+	rec.ChargeTuples(consumed + out.Len())
 	return consumed
 }
 
@@ -376,7 +376,7 @@ func StaircaseSemi(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S [
 		pairs, _ := StepPairs(nil, d, axis, C, S, 0)
 		out = xmltree.SortUnique(pairs.S, nil)
 	}
-	rec.ChargeOp(len(C) + len(out))
+	rec.ChargeTuples(len(C) + len(out))
 	return out
 }
 
@@ -394,7 +394,7 @@ func NestedLoopStepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, 
 			}
 		}
 	}
-	rec.ChargeOp(len(C)*len(S) + out.Len())
+	rec.ChargeTuples(len(C)*len(S) + out.Len())
 	return out
 }
 

@@ -173,7 +173,7 @@ func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, 
 			out.append(C[i], s)
 		}
 	}
-	rec.ChargeOp(consumed + len(S) + out.Len())
+	rec.ChargeTuples(consumed + len(S) + out.Len())
 	return consumed
 }
 
@@ -192,7 +192,7 @@ func NLIndexJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.N
 // are truncated and reused as in StepPairsInto. It returns consumed.
 func NLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, limit int) int {
 	consumed := probeJoin(out, dC, C, probe, nil, false, limit)
-	rec.ChargeOp(consumed + out.Len())
+	rec.ChargeTuples(consumed + out.Len())
 	return consumed
 }
 
@@ -204,7 +204,7 @@ func NLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Documen
 // NLIndexJoinPairs: consumed + |R|.
 func RestrictedNLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, S []xmltree.NodeID, limit int) int {
 	consumed := probeJoin(out, dC, C, probe, S, true, limit)
-	rec.ChargeOp(consumed + out.Len())
+	rec.ChargeTuples(consumed + out.Len())
 	return consumed
 }
 
@@ -217,7 +217,7 @@ func RestrictedNLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltr
 // this operator skips. It returns consumed.
 func IndexHashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, extent, limit int) int {
 	consumed := probeJoin(out, dC, C, probe, nil, false, limit)
-	rec.ChargeOp(consumed + extent + out.Len())
+	rec.ChargeTuples(consumed + extent + out.Len())
 	return consumed
 }
 
@@ -296,7 +296,7 @@ func MergeJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Nod
 				i++
 				consumed++
 				if limit > 0 && out.Len() >= limit {
-					rec.ChargeOp(len(C) + len(S) + out.Len())
+					rec.ChargeTuples(len(C) + len(S) + out.Len())
 					return out, consumed
 				}
 			}
@@ -304,7 +304,7 @@ func MergeJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.Nod
 		}
 	}
 	consumed = len(cs) // merge ran to completion: every outer tuple was seen
-	rec.ChargeOp(len(C) + len(S) + out.Len())
+	rec.ChargeTuples(len(C) + len(S) + out.Len())
 	return out, consumed
 }
 
@@ -329,7 +329,7 @@ func NestedLoopValuePairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltr
 			}
 		}
 	}
-	rec.ChargeOp(len(C)*len(S) + out.Len())
+	rec.ChargeTuples(len(C)*len(S) + out.Len())
 	return out
 }
 
@@ -358,6 +358,6 @@ func Select(rec *metrics.Recorder, nodes []xmltree.NodeID, keep func(xmltree.Nod
 			out = append(out, n)
 		}
 	}
-	rec.ChargeOp(len(nodes))
+	rec.ChargeTuples(len(nodes))
 	return out
 }

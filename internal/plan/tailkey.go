@@ -209,15 +209,20 @@ func (a *AggSpec) String() string {
 // first, then numeric values, then non-numeric strings byte-wise — must be
 // applied identically by every shard and by the gather-side merge; it is the
 // single source of truth for "ordered" in this engine.
+//
+// Key is also the shard wire's merge key, under the JSON tags below. Num is
+// finite by construction (xmltree.ParseNumber accepts nothing else), so the
+// float64 JSON round-trip is exact and a coordinator's merge compares
+// exactly the keys the shard sorted by.
 type Key struct {
 	// Present is false when the key path matched no node; absent keys sort
 	// before every present key.
-	Present bool
+	Present bool `json:"p,omitempty"`
 	// IsNum marks keys whose string value parses as a finite float64; they
 	// sort before non-numeric keys, by value.
-	IsNum bool
-	Num   float64
-	Str   string
+	IsNum bool    `json:"n,omitempty"`
+	Num   float64 `json:"f"`
+	Str   string  `json:"s,omitempty"`
 }
 
 // Compare returns -1, 0 or 1 ordering k before, equal to, or after o under

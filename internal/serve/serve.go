@@ -134,8 +134,8 @@ func (h *Handler) register(pool *rox.Pool, cfg Config) {
 			"queries": agg.Queries(),
 			"errors":  agg.Errors(),
 			"workers": pool.Workers(),
-			"execute": map[string]int64{"tuples": exec.Tuples, "ops": exec.Ops},
-			"sample":  map[string]int64{"tuples": sample.Tuples, "ops": sample.Ops},
+			"execute": map[string]int64{"tuples": exec.Tuples},
+			"sample":  map[string]int64{"tuples": sample.Tuples},
 			// Process health the load harness samples during a run: a
 			// goroutine count that grows monotonically under steady traffic
 			// is a leak, heap_bytes bounds the working set.

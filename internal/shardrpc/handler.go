@@ -119,7 +119,7 @@ func writeRun(lw *ndjson.Writer, run ShardRun) {
 	for ; more; more = run.Next() {
 		var err error
 		if k, ok := run.Key(); ok {
-			key = KeyFromPlan(k).AppendJSON(key[:0])
+			key = AppendKey(key[:0], k)
 			err = lw.ItemRaw(run.Item(), "key", key)
 		} else {
 			err = lw.Item(run.Item())

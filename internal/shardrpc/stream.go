@@ -14,6 +14,8 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
+
+	"repro/internal/plan"
 )
 
 // streamBufSize is the read buffer of one execute stream. Most item lines fit
@@ -69,10 +71,10 @@ type Stream struct {
 	br       *bufio.Reader
 	endpoint string
 
-	long  []byte // a line longer than br's buffer, reassembled
-	item  []byte // the current item, unescaped
-	keyS  []byte // the current key's string member, unescaped
-	key   Key    // the current key; S aliases keyS
+	long  []byte   // a line longer than br's buffer, reassembled
+	item  []byte   // the current item, unescaped
+	keyS  []byte   // the current key's string member, unescaped
+	key   plan.Key // the current key; Str aliases keyS
 	keyed bool
 	done  *Done
 
@@ -135,9 +137,9 @@ func (s *Stream) Next() (bool, error) {
 func (s *Stream) Item() []byte { return s.item }
 
 // Key returns the current item's order-by key; ok is false when the line
-// carried none. Like Item, the key's S aliases the stream's buffer: it is
+// carried none. Like Item, the key's Str aliases the stream's buffer: it is
 // valid until the next Next or Close and must be copied to be kept.
-func (s *Stream) Key() (k Key, ok bool) { return s.key, s.keyed }
+func (s *Stream) Key() (k plan.Key, ok bool) { return s.key, s.keyed }
 
 // Done returns the done report once Next returned false without an error.
 func (s *Stream) Done() *Done { return s.done }
@@ -203,7 +205,7 @@ func (s *Stream) scanItem(b []byte) bool {
 	if s.item, b, ok = unquote(s.item[:0], b); !ok {
 		return false
 	}
-	s.key, s.keyed = Key{}, false
+	s.key, s.keyed = plan.Key{}, false
 	if rest, found := bytes.CutPrefix(b, keyMember); found {
 		if b, ok = s.scanKey(rest); !ok {
 			return false
@@ -214,12 +216,12 @@ func (s *Stream) scanItem(b []byte) bool {
 }
 
 // scanKey parses a key object after its opening brace, in the member order
-// Key.AppendJSON (and encoding/json) write — "p" and "n" when true, "f"
-// always, "s" when non-empty — and returns the bytes after its closing brace.
+// AppendKey (and encoding/json) write — "p" and "n" when true, "f" always,
+// "s" when non-empty — and returns the bytes after its closing brace.
 func (s *Stream) scanKey(b []byte) ([]byte, bool) {
-	var k Key
+	var k plan.Key
 	b, k.Present = bytes.CutPrefix(b, []byte(`"p":true,`))
-	b, k.Num = bytes.CutPrefix(b, []byte(`"n":true,`))
+	b, k.IsNum = bytes.CutPrefix(b, []byte(`"n":true,`))
 	b, ok := bytes.CutPrefix(b, []byte(`"f":`))
 	n := numberLen(b)
 	if !ok || n == 0 {
@@ -229,12 +231,12 @@ func (s *Stream) scanKey(b []byte) ([]byte, bool) {
 	if err != nil {
 		return nil, false // out of float64 range, as encoding/json rejects it
 	}
-	k.F, b = f, b[n:]
+	k.Num, b = f, b[n:]
 	if rest, found := bytes.CutPrefix(b, []byte(`,"s":"`)); found {
 		if s.keyS, b, ok = unquote(s.keyS[:0], rest); !ok {
 			return nil, false
 		}
-		k.S = unsafe.String(unsafe.SliceData(s.keyS), len(s.keyS))
+		k.Str = unsafe.String(unsafe.SliceData(s.keyS), len(s.keyS))
 	}
 	if len(b) == 0 || b[0] != '}' {
 		return nil, false

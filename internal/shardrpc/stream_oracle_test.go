@@ -22,16 +22,16 @@ import (
 // through a json.Decoder before Stream scanned the lines itself; it stays as
 // the scanner's oracle.
 type Message struct {
-	Item   *string `json:"item,omitempty"`
-	Key    *Key    `json:"key,omitempty"`
-	Done   *Done   `json:"done,omitempty"`
-	Before *int    `json:"before,omitempty"`
+	Item   *string   `json:"item,omitempty"`
+	Key    *plan.Key `json:"key,omitempty"`
+	Done   *Done     `json:"done,omitempty"`
+	Before *int      `json:"before,omitempty"`
 }
 
 // line is one scanned stream line, kept past the scanner's next call.
 type line struct {
 	item    string
-	key     Key
+	key     plan.Key
 	keyed   bool
 	done    *Done
 	before  int
@@ -85,7 +85,7 @@ func scanLines(body []byte) ([]line, error) {
 		}
 		l := line{item: string(s.Item())}
 		l.key, l.keyed = s.Key()
-		l.key.S = strings.Clone(l.key.S)
+		l.key.Str = strings.Clone(l.key.Str)
 		out = append(out, l)
 	}
 }
@@ -99,8 +99,8 @@ func sameLines(a, b []line) bool {
 	for i := range a {
 		x, y := a[i], b[i]
 		if x.item != y.item || x.keyed != y.keyed || x.before != y.before || x.bounded != y.bounded || x.key.Present != y.key.Present ||
-			x.key.Num != y.key.Num || x.key.S != y.key.S ||
-			math.Float64bits(x.key.F) != math.Float64bits(y.key.F) || !reflect.DeepEqual(x.done, y.done) {
+			x.key.IsNum != y.key.IsNum || x.key.Str != y.key.Str ||
+			math.Float64bits(x.key.Num) != math.Float64bits(y.key.Num) || !reflect.DeepEqual(x.done, y.done) {
 			return false
 		}
 	}
@@ -298,7 +298,7 @@ func TestStreamScansBothItemForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameLines(a, b) || len(a) != 3 || a[0].item != run().items[0] || a[1].key.S != "<k>&" {
+	if !sameLines(a, b) || len(a) != 3 || a[0].item != run().items[0] || a[1].key.Str != "<k>&" {
 		t.Errorf("forms scan differently:\n unescaped %+v\n   escaped %+v", a, b)
 	}
 }

@@ -71,7 +71,7 @@ type ExecRequest struct {
 	// for a server that predates Bound: decoding drops the member, and that
 	// server streams its first ShardLimit rows, with no leading line. Only a
 	// query with order by and no aggregate takes a bound.
-	Bound *Key `json:"bound,omitempty"`
+	Bound *plan.Key `json:"bound,omitempty"`
 	// BoundLimit caps the rows a bounded shard ships from the bound on: the
 	// window's count plus the items tied with the bound that fall before the
 	// window (0 = unlimited). Without Bound it is ignored.
@@ -83,43 +83,22 @@ type ExecRequest struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// Key is a wire-encoded order-by merge key. All numeric keys are finite by
-// construction (xmltree.ParseNumber accepts nothing else), so the float64
-// JSON round-trip is exact and the coordinator's k-way merge compares exactly
-// the keys the shard sorted by.
-type Key struct {
-	Present bool    `json:"p,omitempty"`
-	Num     bool    `json:"n,omitempty"`
-	F       float64 `json:"f"`
-	S       string  `json:"s,omitempty"`
-}
-
-// KeyFromPlan encodes a merge key for the wire.
-func KeyFromPlan(k plan.Key) Key {
-	return Key{Present: k.Present, Num: k.IsNum, F: k.Num, S: k.Str}
-}
-
-// AppendJSON appends the key's JSON object member by member, byte for byte
-// what a json.Encoder with HTML escaping off writes for k — the form of every
-// member of an item line: the execute handler writes one per item.
-func (k Key) AppendJSON(dst []byte) []byte {
+// AppendKey appends a merge key's JSON object member by member, byte for
+// byte what a json.Encoder with HTML escaping off writes for k — the form of
+// every member of an item line: the execute handler writes one per item.
+func AppendKey(dst []byte, k plan.Key) []byte {
 	dst = append(dst, '{')
 	if k.Present {
 		dst = append(dst, `"p":true,`...)
 	}
-	if k.Num {
+	if k.IsNum {
 		dst = append(dst, `"n":true,`...)
 	}
-	dst = ndjson.AppendFloat(append(dst, `"f":`...), k.F)
-	if k.S != "" {
-		dst = ndjson.AppendString(append(dst, `,"s":`...), k.S, false)
+	dst = ndjson.AppendFloat(append(dst, `"f":`...), k.Num)
+	if k.Str != "" {
+		dst = ndjson.AppendString(append(dst, `,"s":`...), k.Str, false)
 	}
 	return append(dst, '}')
-}
-
-// ToPlan decodes the wire key.
-func (k Key) ToPlan() plan.Key {
-	return plan.Key{Present: k.Present, IsNum: k.Num, Num: k.F, Str: k.S}
 }
 
 // Agg is a wire-encoded partial-aggregate fold state. The partials slice is

@@ -33,15 +33,15 @@ func TestKeyRoundTrip(t *testing.T) {
 		{Present: true, Str: ""},
 	}
 	for i, k := range keys {
-		b, err := json.Marshal(KeyFromPlan(k))
+		b, err := json.Marshal(k)
 		if err != nil {
 			t.Fatalf("key %d: %v", i, err)
 		}
-		var w Key
-		if err := json.Unmarshal(b, &w); err != nil {
+		var got plan.Key
+		if err := json.Unmarshal(b, &got); err != nil {
 			t.Fatalf("key %d: %v", i, err)
 		}
-		if got := w.ToPlan(); got != k {
+		if got != k {
 			t.Errorf("key %d: round-trip %+v != %+v", i, got, k)
 		}
 	}
@@ -81,7 +81,7 @@ func FuzzKeyAppendJSON(f *testing.F) {
 		if math.IsNaN(num) || math.IsInf(num, 0) {
 			t.Skip("keys are finite by construction; encoding/json rejects the rest")
 		}
-		k := Key{Present: p, Num: n, F: num, S: s}
+		k := plan.Key{Present: p, IsNum: n, Num: num, Str: s}
 		item := "<a>" + s + "</a>"
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
@@ -93,7 +93,7 @@ func FuzzKeyAppendJSON(f *testing.F) {
 		lw := ndjson.NewWriter(rec)
 		defer lw.Close()
 		lw.SetEscapeHTML(false)
-		if err := lw.ItemRaw([]byte(item), "key", k.AppendJSON(nil)); err != nil {
+		if err := lw.ItemRaw([]byte(item), "key", AppendKey(nil, k)); err != nil {
 			t.Fatal(err)
 		}
 		if got := rec.Body.String(); got != want.String() {
@@ -413,7 +413,7 @@ func TestStreamDecodesLegacyDone(t *testing.T) {
 		if ok, err := stream.Next(); err != nil || !ok || string(stream.Item()) != "<a/>" {
 			t.Fatalf("%s: item: ok=%v item=%q err=%v", tc.name, ok, stream.Item(), err)
 		}
-		if k, keyed := stream.Key(); !keyed || k.F != 1 {
+		if k, keyed := stream.Key(); !keyed || k.Num != 1 {
 			t.Errorf("%s: key = %+v (keyed %v), want 1", tc.name, k, keyed)
 		}
 		ok, err := stream.Next()
@@ -442,8 +442,7 @@ func TestHandlerLinesAreEncodedMessages(t *testing.T) {
 		for i := range items {
 			m := Message{Item: &items[i]}
 			if keys != nil {
-				kw := KeyFromPlan(keys[i])
-				m.Key = &kw
+				m.Key = &keys[i]
 			}
 			if err := enc.Encode(&m); err != nil {
 				t.Fatal(err)

@@ -29,8 +29,10 @@ import (
 // slow or abandoned consumer cannot grow the pool past its bound, and a
 // leaked cursor cannot shrink it permanently.
 //
-// The pool also aggregates per-query cost into a shared metrics.Aggregator,
-// giving servers fleet-wide statistics for free.
+// The pool also adds each finished query's Stats into a shared
+// metrics.Aggregator, giving servers fleet-wide statistics for free. A
+// query's Stats count everything it paid for — local and remote shards, a
+// drifted replay, an abandoned bounded run — so the fleet totals do too.
 type Pool struct {
 	eng *Engine
 	lim *conc.Limiter
@@ -84,18 +86,18 @@ func (p *Pool) Execute(ctx context.Context, req Request) (*Rows, error) {
 
 // adopt ties an Execute outcome to the already-held admission slot: failures
 // release it immediately, cursors carry it until they finish, at which point
-// the query's cost folds into the pool aggregate.
+// the query's final Stats add to the pool aggregate.
 func (p *Pool) adopt(rows *Rows, err error) (*Rows, error) {
 	if err != nil {
 		p.agg.ObserveError()
 		p.release()
 		return nil, err
 	}
-	rows.c.onFinish(func(rec *metrics.Recorder, ferr error) {
+	rows.c.onFinish(func(st Stats, ferr error) {
 		if ferr != nil {
 			p.agg.ObserveError()
 		} else {
-			p.agg.Observe(rec)
+			p.agg.Observe(st.ExecTuples, st.SampleTuples)
 		}
 		p.release()
 	})

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/metrics"
 	"repro/internal/shardrpc"
 	"repro/internal/testutil"
 	"repro/internal/xmltree"
@@ -105,6 +106,75 @@ func pricedServerEngine(t *testing.T, idx []int, spans [][2]int) *Engine {
 	return eng
 }
 
+// pricedCollectionEngines registers three spans as the collection "ppl" of
+// three engines: all shards local ("local-sharded"), all remote ("remote":
+// shards 0,1 on one shard server, shard 2 on another) and mixed ("mixed":
+// shard 0 local, shards 1,2 on one shard server). Discovery orders a
+// server's inventory by name and endpoints keep argument order, so every
+// engine holds the shards in span order.
+func pricedCollectionEngines(t *testing.T, spans [][2]int) []struct {
+	name string
+	eng  *Engine
+} {
+	t.Helper()
+	local := NewEngine()
+	for i, sp := range spans {
+		if err := local.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, tsA := newShardServer(t, pricedServerEngine(t, []int{0, 1}, spans))
+	_, tsB := newShardServer(t, pricedServerEngine(t, []int{2}, spans))
+	remote := NewEngine()
+	if err := remote.LoadCollectionRemote(context.Background(), "ppl",
+		[]Endpoint{{URL: tsA.URL}, {URL: tsB.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	_, tsC := newShardServer(t, pricedServerEngine(t, []int{1, 2}, spans))
+	mixed := NewEngine()
+	if err := mixed.LoadCollectionSource("ppl", FromXML("ppl-0.xml", pricedShardXML(spans[0][0], spans[0][1]))); err != nil {
+		t.Fatal(err)
+	}
+	if err := mixed.LoadCollectionRemote(context.Background(), "ppl",
+		[]Endpoint{{URL: tsC.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		eng  *Engine
+	}{{"local-sharded", local}, {"remote", remote}, {"mixed", mixed}}
+}
+
+// TestPoolTotalsCountRemoteShards: a pool's fleet totals are the sums of its
+// queries' own Stats, whichever transport the shards use — a remote shard's
+// work counts, although only its done report crosses the wire.
+func TestPoolTotalsCountRemoteShards(t *testing.T) {
+	const q = `for $p in collection("ppl")//person order by $p/age descending return $p`
+	for _, cfg := range pricedCollectionEngines(t, [][2]int{{0, 30}, {100, 30}, {200, 30}}) {
+		t.Run(cfg.name, func(t *testing.T) {
+			p := NewPool(cfg.eng, 2)
+			var exec, sample int64
+			for range 3 {
+				res, err := collectRows(p.Execute(context.Background(), Request{Query: q}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec += res.Stats.ExecTuples
+				sample += res.Stats.SampleTuples
+			}
+			if exec == 0 || sample == 0 {
+				t.Fatalf("the queries' Stats report %d exec and %d sample tuples, want work in both", exec, sample)
+			}
+			agg := p.Aggregator()
+			gotExec, gotSample := agg.CostOf(metrics.PhaseExecute).Tuples, agg.CostOf(metrics.PhaseSample).Tuples
+			if agg.Queries() != 3 || gotExec != exec || gotSample != sample {
+				t.Errorf("pool totals: %d queries, %d exec / %d sample tuples; the queries' Stats sum to 3, %d / %d",
+					agg.Queries(), gotExec, gotSample, exec, sample)
+			}
+		})
+	}
+}
+
 // remoteEquivQueries is the tail-shape matrix of the remote equivalence
 // contract: plain, ordered (asc/desc, string keys), aggregate, and a
 // limit+offset window, each as a doc()/collection() pair.
@@ -134,39 +204,7 @@ var remoteEquivQueries = []struct {
 func TestRemoteCollectionEquivalence(t *testing.T) {
 	spans := [][2]int{{0, 30}, {100, 30}, {200, 30}}
 	single := pricedSingleEngine(t, spans)
-
-	local := NewEngine()
-	for i, sp := range spans {
-		if err := local.LoadCollectionSource("ppl", FromXML(fmt.Sprintf("ppl-%d.xml", i), pricedShardXML(sp[0], sp[1]))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Remote: shards 0,1 on server A, shard 2 on server B; discovery orders a
-	// server's inventory by name, endpoints keep argument order.
-	_, tsA := newShardServer(t, pricedServerEngine(t, []int{0, 1}, spans))
-	_, tsB := newShardServer(t, pricedServerEngine(t, []int{2}, spans))
-	remote := NewEngine()
-	if err := remote.LoadCollectionRemote(context.Background(), "ppl",
-		[]Endpoint{{URL: tsA.URL}, {URL: tsB.URL}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mixed: shard 0 local, shards 1,2 remote.
-	_, tsC := newShardServer(t, pricedServerEngine(t, []int{1, 2}, spans))
-	mixed := NewEngine()
-	if err := mixed.LoadCollectionSource("ppl", FromXML("ppl-0.xml", pricedShardXML(spans[0][0], spans[0][1]))); err != nil {
-		t.Fatal(err)
-	}
-	if err := mixed.LoadCollectionRemote(context.Background(), "ppl",
-		[]Endpoint{{URL: tsC.URL}}); err != nil {
-		t.Fatal(err)
-	}
-
-	configs := []struct {
-		name string
-		eng  *Engine
-	}{{"local-sharded", local}, {"remote", remote}, {"mixed", mixed}}
+	configs := pricedCollectionEngines(t, spans)
 	for _, q := range remoteEquivQueries {
 		want, err := collectRows(single.Execute(context.Background(), Request{Query: q.docQ}))
 		if err != nil {

@@ -101,7 +101,6 @@ type Rows struct {
 // forbids the cleanup argument to be the handle itself).
 type rowsCore struct {
 	src   rowSource
-	env   *plan.Env
 	err   error
 	stats Stats
 
@@ -114,7 +113,7 @@ type rowsCore struct {
 
 	mu     sync.Mutex
 	done   bool
-	hooks  []func(rec *metrics.Recorder, err error)
+	hooks  []func(st Stats, err error)
 	unhook func() // stops the leak cleanup once finished
 }
 
@@ -138,8 +137,8 @@ type rowSource interface {
 // counts Rows as the stream progresses and the source stamps the rest when it
 // ends. The returned cursor self-closes if it becomes unreachable without
 // Close, so an abandoned cursor cannot leak shard streams or pool slots.
-func newRows(env *plan.Env, stats Stats, src rowSource) *Rows {
-	c := &rowsCore{src: src, env: env, stats: stats}
+func newRows(stats Stats, src rowSource) *Rows {
+	c := &rowsCore{src: src, stats: stats}
 	r := &Rows{c: c}
 	cleanup := runtime.AddCleanup(r, func(c *rowsCore) { c.finish(nil) }, c)
 	c.unhook = func() { cleanup.Stop() }
@@ -250,9 +249,9 @@ func (r *Rows) Collect() (*Result, error) {
 
 // onFinish registers a hook run exactly once when the stream ends (normal
 // exhaustion, failure, Close, or the leak cleanup). Hooks receive the
-// query's recorder and the terminal error; Pool uses this to release its
-// admission slot and fold the cost into its aggregator.
-func (c *rowsCore) onFinish(h func(rec *metrics.Recorder, err error)) {
+// query's final Stats and the terminal error; Pool uses this to release its
+// admission slot and add the query's cost to its totals.
+func (c *rowsCore) onFinish(h func(st Stats, err error)) {
 	c.mu.Lock()
 	if !c.done {
 		c.hooks = append(c.hooks, h)
@@ -260,7 +259,7 @@ func (c *rowsCore) onFinish(h func(rec *metrics.Recorder, err error)) {
 		return
 	}
 	c.mu.Unlock()
-	h(c.env.Rec, c.err)
+	h(c.stats, c.err)
 }
 
 // finish ends the stream once: records the terminal error, finalizes the
@@ -289,7 +288,7 @@ func (c *rowsCore) finish(err error) {
 		unhook()
 	}
 	for _, h := range hooks {
-		h(c.env.Rec, c.err)
+		h(c.stats, c.err)
 	}
 }
 

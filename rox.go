@@ -294,8 +294,6 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 	// catalog snapshot and hands it to Rows as its row source — inline, so
 	// the join has finished (and any evaluation error is returned) before
 	// Execute returns.
-	env := e.newQueryEnv()
-	env.Interrupt = ctx.Err
 	collection := len(comp.Collections) > 0
 	switch {
 	case req.Static && collection:
@@ -306,14 +304,16 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 		fp = e.planKey(comp, fp)
 	}
 	if collection {
-		return e.executeCollection(ctx, env, stmt, comp, fp)
+		return e.executeCollection(ctx, e.catalog(), stmt, comp, fp)
 	}
+	env := e.newQueryEnv()
+	env.Interrupt = ctx.Err
 	c := e.newCursor(ctx, env, comp, fp)
 	c.static = req.Static
 	if err := c.open(); err != nil {
 		return nil, err
 	}
-	return newRows(env, c.stats, c), nil
+	return newRows(c.stats, c), nil
 }
 
 // compile settles what one Request runs: the statement — the Prepared one,

@@ -14,7 +14,8 @@
 # through the buffered surface, diffed on the items array, before and after
 # the same fragments are ingested into both; after the replay round the
 # coordinator's terminal stats line must carry every shard server's own
-# cache-hit verdict, one entry per shard. A join of the collection with a
+# cache-hit verdict, one entry per shard, and the coordinator's /v1/stats
+# must count its remote shards' execution tuples. A join of the collection with a
 # plain document, bands.xml, which the shard servers and the reference hold,
 # is diffed too — and after a fragment is ingested into bands.xml alone,
 # each shard server must count stale plan-cache hits: a cached plan is
@@ -177,6 +178,17 @@ if [ "$entries" != 4 ] || [ "$hits" != 4 ]; then
   fail=1
 else
   echo "ok (per-shard stats): 4 shard entries, each a cache hit"
+fi
+
+# Fleet totals across processes: the coordinator's /v1/stats adds up the
+# Stats of its queries, and every shard of its collection is remote, so its
+# execute tuples are the shard servers' work as their done reports told it.
+exec_tuples="$(curl -s "http://$coord/v1/stats" | sed -n 's/.*"execute":{[^}]*"tuples":\([0-9]*\).*/\1/p')"
+if [ -z "$exec_tuples" ] || [ "$exec_tuples" -le 0 ]; then
+  echo "FAIL: coordinator /v1/stats execute.tuples = ${exec_tuples:-?}, want a positive count of its remote shards' work" >&2
+  fail=1
+else
+  echo "ok (fleet totals): coordinator execute.tuples = $exec_tuples"
 fi
 
 # Remote ingest: the coordinator forwards each fragment to the shard server

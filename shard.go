@@ -81,14 +81,13 @@ type shardSource interface {
 	Close()
 }
 
-// shardDone is a shard's end-of-stream report: its per-shard Stats, the
-// recorder to fold into the query's rollup, the partial-aggregate state for
-// aggregate queries, and the error that ended the shard early — nil for
+// shardDone is a shard's end-of-stream report: its per-shard Stats, which
+// the query's rollup adds up, the partial-aggregate state for aggregate
+// queries, and the error that ended the shard early — nil for
 // normal completion and for a local cursor the gather merely stopped
 // pulling, the context error for a canceled one.
 type shardDone struct {
 	stats Stats
-	rec   *metrics.Recorder
 	agg   *plan.AggState
 	err   error
 	// partial marks a shard the ShardRetryThenPartial policy gave up on: err
@@ -115,30 +114,29 @@ const (
 )
 
 // executeCollection evaluates a compiled collection query scatter-gather and
-// returns its streaming cursor. The caller's env supplies the catalog
-// snapshot (all shards are read at the generation the query started at) and
-// receives the merged cost rollup when the cursor finishes. Each shard opens
+// returns its streaming cursor. cat is the catalog snapshot all shards are
+// read at, the generation the query started at; the shards' costs add up in
+// the cursor's Stats when it finishes. Each shard opens
 // on its registered transport — in-process for local shards, shardrpc HTTP
 // for remote ones — and the gather merges mixed local/remote collections
 // without knowing. stmt is the statement comp came from, comp carrying the
 // request's window (remote shards ship the statement's text, local ones run
 // its per-shard rebinds); baseFP is the precomputed cache key ("" when
 // caching is disabled); the compiler guarantees exactly one collection.
-func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Prepared, comp *xquery.Compiled, baseFP string) (*Rows, error) {
+func (e *Engine) executeCollection(ctx context.Context, cat *plan.Catalog, stmt *Prepared, comp *xquery.Compiled, baseFP string) (*Rows, error) {
 	if len(comp.Collections) != 1 {
 		// Unreachable: xquery.Compile rejects multi-collection queries.
 		return nil, fmt.Errorf("rox: a query may read at most one collection, got %d (%v)",
 			len(comp.Collections), comp.Collections)
 	}
 	collName := comp.Collections[0]
-	cat := env.Catalog()
 	col, err := cat.Collection(collName)
 	if err != nil {
 		return nil, translateErr(err)
 	}
 	shards := col.Shards
 	sctx, cancel := context.WithCancel(ctx)
-	s := &scatterRows{e: e, parent: ctx, sctx: sctx, cancel: cancel, env: env, sw: metrics.Start(),
+	s := &scatterRows{e: e, parent: ctx, sctx: sctx, cancel: cancel, sw: metrics.Start(),
 		shards: make([]scatterShard, len(shards)), mode: gatherPlain, hi: -1}
 	switch {
 	case comp.Tail.Agg != nil:
@@ -193,7 +191,7 @@ func (e *Engine) executeCollection(ctx context.Context, env *plan.Env, stmt *Pre
 	}
 	s.scatter()
 	stats := Stats{Plan: fmt.Sprintf("scatter(%s/%d)", collName, len(shards))}
-	return newRows(env, stats, s), nil
+	return newRows(stats, s), nil
 }
 
 // pageWindow is an ordered window of a collection query: what a statement
@@ -246,7 +244,6 @@ type scatterRows struct {
 	parent  context.Context // caller's ctx: its cancellation is a stream error
 	sctx    context.Context // the shards' ctx: parent's, canceled at finalize
 	cancel  context.CancelFunc
-	env     *plan.Env
 	sw      metrics.Stopwatch // the query's clock; finalize stamps ElapsedNS
 	shards  []scatterShard
 	mode    int
@@ -410,7 +407,6 @@ func (s *scatterRows) fallback() {
 		s.spent.ExecTuples += d.stats.ExecTuples
 		s.spent.SampleTuples += d.stats.SampleTuples
 		s.spent.CumulativeIntermediate += d.stats.CumulativeIntermediate
-		s.env.Rec.Merge(d.rec)
 		x := *sh.x
 		x.start = nil
 		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &x}
@@ -652,7 +648,6 @@ func (s *scatterRows) finalize(st *Stats) {
 			ss.Err = d.err.Error()
 		}
 		st.Shards = append(st.Shards, ss)
-		s.env.Rec.Merge(d.rec)
 	}
 	// CacheHit reports that every shard that completed replayed a cached
 	// plan; shards the window's early termination canceled don't count
