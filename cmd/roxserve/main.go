@@ -95,9 +95,11 @@
 // acknowledged, so on restart the server replays the WAL on top of the last
 // compacted snapshots and resumes exactly where it crashed (uncommitted or
 // torn tail records are discarded — they were never acknowledged).
-// -compact-after N flattens the in-memory overlays into fresh packed
-// snapshots and truncates the WAL once they hold N appended nodes. See the
-// "Live ingestion and the WAL" section of DESIGN.md.
+// -compact-after N flattens the documents holding ingest deltas into fresh
+// packed snapshots and truncates the WAL once the deltas hold N appended
+// nodes. A shard swapped through /collections/load replaces what was
+// committed to it; reloads are not logged. See the "Live ingestion and the
+// WAL" section of DESIGN.md.
 //
 // Lifecycle: -addr 127.0.0.1:0 binds an ephemeral port, and -portfile PATH
 // publishes the bound address (written atomically) so scripts can discover
@@ -152,7 +154,7 @@ func main() {
 	cacheSize := flag.Int("cache", rox.DefaultPlanCacheSize, "plan-cache capacity in entries (0 disables caching)")
 	drift := flag.Float64("drift", rox.DefaultDriftRatio, "cardinality drift ratio that re-optimizes a cached plan")
 	walDir := flag.String("waldir", "", "durable ingest directory: replay its WAL on boot (warm restart) and log subsequent ingest there")
-	compactAfter := flag.Int("compact-after", 0, "auto-compact the ingest overlays once they hold this many appended nodes (0 disables)")
+	compactAfter := flag.Int("compact-after", 0, "auto-compact the ingest deltas once they hold this many appended nodes (0 disables)")
 	drainGrace := flag.Duration("drain-grace", 2*time.Second, "how long in-flight requests may finish after a shutdown signal before they are canceled")
 	flag.Parse()
 	if *tau < 1 { // a usage error, not a server whose every cold query fails

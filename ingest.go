@@ -1,6 +1,7 @@
 package rox
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,22 +18,27 @@ import (
 
 // Ingester is the engine's live-ingest handle: append XML fragments to
 // loaded documents (or collection shards) without stopping readers, then
-// Commit to publish them all in one copy-on-write catalog swap. Appends
-// accumulate in an in-memory overlay — a segmented document plus a delta
-// index over the immutable base (possibly a memory-mapped packed container)
-// — so a commit costs O(batch), never O(document), and readers of earlier
-// snapshots keep their snapshot: a query in flight across a commit sees the
-// catalog as of its start, and the plan cache's stale-generation →
-// replay-and-verify → drift machinery absorbs the generation bump exactly
-// like a shard reload.
+// Commit to publish them all in one copy-on-write catalog swap. A commit
+// registers each changed document as a segmented document plus a delta
+// index over its immutable base (possibly a memory-mapped packed container),
+// so it costs O(batch), never O(document), and readers of earlier snapshots
+// keep their snapshot: a query in flight across a commit sees the catalog as
+// of its start, and the plan cache's stale-generation → replay-and-verify →
+// drift machinery absorbs the generation bump exactly like a shard reload.
+//
+// The catalog is the one record of committed appends: the Ingester holds
+// only what is not yet committed. A reload or shard swap therefore replaces
+// every committed append to that document, and appends still pending at the
+// reload go on top of the new document at the next Commit.
 //
 // With OpenDir attached, every append is logged to a write-ahead log and
 // Commit fsyncs a commit record before publishing, so a crashed process
 // restarts warm: OpenDir replays the committed batches on top of the last
 // compacted snapshots (torn or uncommitted log tails are discarded — they
-// were never acknowledged). Compact flattens the overlays into fresh packed
-// ROXD containers and truncates the WAL, with the directory's manifest
-// making the switch crash-atomic.
+// were never acknowledged). Compact flattens the catalog's delta documents
+// into fresh packed ROXD containers and truncates the WAL, with the
+// directory's manifest making the switch crash-atomic. Reloads are not
+// logged.
 //
 // The incremental path is exact, not approximate: appending fragments
 // f1..fk to a document shredded from text B yields the same node table, the
@@ -47,7 +53,7 @@ type Ingester struct {
 
 	mu   sync.Mutex
 	dir  *ingest.Dir           // durable state; nil for in-memory ingest
-	docs map[string]*ingestDoc // per-target overlay state
+	docs map[string]*ingestDoc // per-target appends since the last commit
 	// remotes buffers appends routed to remote collection shards until
 	// Commit forwards each batch to its shard server's ingest endpoint;
 	// keyed endpoint|doc.
@@ -56,8 +62,9 @@ type Ingester struct {
 	// collection rather than a specific shard.
 	rr map[string]int
 
-	// compactAfter triggers Compact from Commit once the published overlays
-	// hold at least this many appended nodes; 0 disables auto-compaction.
+	// compactAfter triggers Compact from Commit once the catalog's delta
+	// documents hold at least this many appended nodes; 0 disables
+	// auto-compaction.
 	compactAfter int
 
 	// Lifetime event counts, and the catalog generation the last commit (or
@@ -77,31 +84,51 @@ type Ingester struct {
 // not reach disk) has latched it: the server's fault, never the client's.
 var ErrIngestBroken = errors.New("rox: ingest durability failure")
 
-// ingestDoc is the per-document overlay state between compactions.
+// ingestDoc is one document's appends since the last commit: app extends
+// ix's document by the pending fragments. ix is the catalog index the
+// document had when app was built, or the index the last commit published
+// — for a document this ingester creates, an index over an empty root until
+// its first commit. Nothing committed lives here: the catalog holds it.
 type ingestDoc struct {
-	app *xmltree.Appender
-	// baseIx indexes the appender's base segment — the catalog index the
-	// overlay extends (nil until first needed for a fresh document).
-	baseIx *index.Index
-	// published is the index of the last committed publish (nil before the
-	// first commit); comparing it against the catalog detects external swaps.
-	published *index.Index
-	// frags replays this document's appends since its base was established
-	// (for rebasing onto an externally swapped document); committed marks how
-	// many of them have been committed.
-	frags     []ingest.Append
-	committed int
+	app     *xmltree.Appender
+	ix      *index.Index
+	pending []string
 }
 
-func (s *ingestDoc) dirty() int { return len(s.frags) - s.committed }
-
-// deltaNodes returns how many appended nodes the overlay currently holds
-// (committed and uncommitted).
-func (s *ingestDoc) deltaNodes() int {
-	if s.app == nil {
-		return 0
+// extend returns the state to append to name while the catalog registers
+// catIx under it (nil while the name is unknown): st itself if its Appender
+// still extends catIx, else a fresh Appender over catIx's document with st's
+// pending fragments re-applied, so a reload or shard swap replaces what was
+// committed and keeps what was not.
+func extend(name string, st *ingestDoc, catIx *index.Index) (*ingestDoc, error) {
+	// The catalog never drops a name, so an unknown one is still the
+	// document st creates.
+	if st != nil && (st.ix == catIx || catIx == nil) {
+		return st, nil
 	}
-	return s.app.Len() - s.app.BaseLen()
+	if catIx == nil {
+		// A new name grows from an empty root: loading f1+..+fk at once is
+		// the equivalence reference.
+		catIx = index.New(xmltree.NewBuilder(name).MustBuild())
+	}
+	fresh := &ingestDoc{app: xmltree.NewAppender(catIx.Doc()), ix: catIx}
+	if st != nil {
+		for _, xml := range st.pending {
+			if err := fresh.add(xml); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return fresh, nil
+}
+
+// add parses the fragment and appends it to the pending batch.
+func (st *ingestDoc) add(xml string) error {
+	if err := st.app.AppendXML("ingest", xml); err != nil {
+		return err
+	}
+	st.pending = append(st.pending, xml)
+	return nil
 }
 
 // remoteBatch buffers fragments bound for one remote shard until Commit, in
@@ -148,8 +175,8 @@ func (e *Engine) OpenIngestDir(path string) (int, error) {
 	return e.Ingest().OpenDir(path)
 }
 
-// SetCompactAfter makes Commit trigger a Compact once the published
-// overlays hold at least n appended nodes; n <= 0 disables auto-compaction
+// SetCompactAfter makes Commit trigger a Compact once the catalog's delta
+// documents hold at least n appended nodes; n <= 0 disables auto-compaction
 // (the default).
 func (g *Ingester) SetCompactAfter(n int) {
 	g.mu.Lock()
@@ -200,7 +227,12 @@ func (g *Ingester) OpenDir(path string) (int, error) {
 		}
 		// Record where replay got to without counting new commits — these
 		// batches were already counted in their first life.
-		g.lastGen = g.publishLocked()
+		gen, err := g.publishLocked()
+		if err != nil {
+			d.Close()
+			return 0, fmt.Errorf("rox: replaying wal batch %d: %w", b.Seq, err)
+		}
+		g.lastGen = gen
 	}
 	g.replayed += int64(len(batches))
 	g.dir = d
@@ -210,8 +242,8 @@ func (g *Ingester) OpenDir(path string) (int, error) {
 // Append appends an XML fragment to the named target: a loaded document, a
 // collection (the fragment routes round-robin across its shards), or a new
 // document name (the fragment becomes the document). The append is applied
-// to the in-memory overlay and logged to the WAL when one is attached, but
-// is not visible to queries — and not durable — until Commit.
+// to the target's pending batch and logged to the WAL when one is attached,
+// but is not visible to queries — and not durable — until Commit.
 func (g *Ingester) Append(target, xml string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -269,67 +301,18 @@ func (g *Ingester) bufferRemote(r *plan.Remote, xml string) error {
 	return nil
 }
 
-// applyLocked parses the fragment and applies it to the target's overlay,
-// establishing the overlay (or, for an unknown name, the document itself)
-// first if needed.
+// applyLocked parses the fragment and adds it to the target's pending
+// batch, over the document the catalog registers under the name now.
 func (g *Ingester) applyLocked(target, xml string) error {
-	st := g.docs[target]
-	if st == nil {
-		st = &ingestDoc{}
-		g.docs[target] = st
-	}
-	cat := g.e.catalog()
-	if catIx, err := cat.Index(target); err == nil {
-		// Rebase whenever someone else swapped the document under us — an
-		// external reload, or our own state not yet attached. The overlay's
-		// appends since its base was established are re-applied on top.
-		if st.app == nil || (catIx != st.published && catIx != st.baseIx) {
-			if err := st.rebase(catIx); err != nil {
-				return err
-			}
-		}
-	} else if st.app == nil {
-		// Unknown name: the first fragment becomes the document (loading
-		// B+f1+..+fk at once is the equivalence reference, with B empty).
-		base, perr := xmltree.ParseString(target, xml)
-		if perr != nil {
-			return perr
-		}
-		st.app = xmltree.NewAppender(base)
-		st.frags = append(st.frags, ingest.Append{Target: target, XML: xml})
-		return nil
-	}
-	frag, err := xmltree.ParseString("ingest", xml)
+	catIx, _ := g.e.catalog().Index(target)
+	st, err := extend(target, g.docs[target], catIx)
 	if err != nil {
 		return err
 	}
-	if err := st.app.Append(frag); err != nil {
+	if err := st.add(xml); err != nil {
 		return err
 	}
-	st.frags = append(st.frags, ingest.Append{Target: target, XML: xml})
-	return nil
-}
-
-// rebase re-establishes the overlay on top of the given catalog index,
-// re-applying every append this state has accumulated since its base.
-func (st *ingestDoc) rebase(catIx *index.Index) error {
-	baseIx := catIx
-	if b := catIx.Base(); b != nil {
-		baseIx = b
-	}
-	app := xmltree.NewAppender(catIx.Doc())
-	for _, ap := range st.frags {
-		frag, err := xmltree.ParseString("ingest", ap.XML)
-		if err != nil {
-			return err
-		}
-		if err := app.Append(frag); err != nil {
-			return err
-		}
-	}
-	st.app = app
-	st.baseIx = baseIx
-	st.published = catIx
+	g.docs[target] = st
 	return nil
 }
 
@@ -364,14 +347,7 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 		}
 		delete(g.remotes, key)
 	}
-	anyDirty := false
-	for _, st := range g.docs {
-		if st.dirty() > 0 {
-			anyDirty = true
-			break
-		}
-	}
-	if !anyDirty {
+	if g.pendingDocs() == 0 {
 		return g.lastSeq(), nil
 	}
 	var seq uint64
@@ -382,9 +358,16 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 			return 0, g.broken
 		}
 	}
-	g.lastGen = g.publishLocked()
+	gen, err := g.publishLocked()
+	g.lastGen = gen
 	g.commits++
-	if g.compactAfter > 0 && g.totalDeltaNodes() >= g.compactAfter {
+	if err != nil {
+		return seq, err
+	}
+	if g.compactAfter <= 0 {
+		return seq, nil
+	}
+	if _, nodes := catalogDeltas(g.e.catalog()); nodes >= g.compactAfter {
 		if err := g.compactLocked(); err != nil {
 			return seq, err
 		}
@@ -392,49 +375,50 @@ func (g *Ingester) commitLocked(ctx context.Context) (uint64, error) {
 	return seq, nil
 }
 
-// publishLocked publishes every dirty overlay in one copy-on-write catalog
-// swap, marks their appends committed, and returns the resulting catalog
-// generation.
-func (g *Ingester) publishLocked() uint64 {
-	return g.e.publish(func(cat *plan.Catalog) {
+// publishLocked publishes every pending batch in one copy-on-write catalog
+// swap and returns the resulting catalog generation. Each batch goes on top
+// of the document the swapped catalog holds, so a reload since the batch's
+// first append replaces the committed appends beneath it. A batch that no
+// longer fits its reloaded document (the 31-bit pre space) stays pending,
+// and its error is returned.
+func (g *Ingester) publishLocked() (uint64, error) {
+	var first error
+	gen := g.e.publish(func(cat *plan.Catalog) {
 		// Name order: AddIndexed stamps each document with a fresh
 		// generation, so the per-document stamps must be assigned in the same
 		// order on every run — a WAL replay reproduces the pre-crash stamps
 		// exactly.
 		for _, name := range sortedKeys(g.docs) {
-			st := g.docs[name]
-			if st.dirty() == 0 {
+			if len(g.docs[name].pending) == 0 {
 				continue
 			}
-			snap := st.app.Snapshot()
-			var ix *index.Index
-			if snap.Segmented() {
-				if st.baseIx == nil {
-					// Possible only for a document this ingester created
-					// whose base was never indexed — establish the base
-					// index once.
-					st.baseIx = index.New(snap.Flatten())
-					ix = st.baseIx
-				} else {
-					ix = index.NewDelta(st.baseIx, snap)
+			catIx, _ := cat.Index(name)
+			st, err := extend(name, g.docs[name], catIx)
+			if err != nil {
+				first = cmp.Or(first, err)
+				continue
+			}
+			ix := st.ix
+			if snap := st.app.Snapshot(); snap.Len() > ix.Doc().Len() {
+				// Deltas extend the original base, so lookup depth stays 2.
+				base := ix
+				if b := ix.Base(); b != nil {
+					base = b
 				}
-			} else if st.baseIx != nil && st.baseIx.Doc() == snap {
-				ix = st.baseIx
-			} else {
-				ix = index.New(snap)
-				st.baseIx = ix
+				ix = index.NewDelta(base, snap)
 			}
 			cat.AddIndexed(ix)
-			st.published = ix
-			st.committed = len(st.frags)
+			st.ix, st.pending = ix, nil
+			g.docs[name] = st
 		}
 	})
+	return gen, first
 }
 
-// Compact flattens every published overlay into a plain single-segment
-// document with a freshly built index — written as a packed ROXD v2
-// container when a durable directory is attached — publishes the compacted
-// form, and truncates the WAL (crash-atomically, via the directory
+// Compact flattens every document the catalog holds as a delta into a plain
+// single-segment document with a freshly built index — written as a packed
+// ROXD v2 container when a durable directory is attached — publishes the
+// compacted form, and truncates the WAL (crash-atomically, via the directory
 // manifest). Pending uncommitted appends are committed first. Queries in
 // flight keep their snapshot, exactly as across a Commit.
 func (g *Ingester) Compact(ctx context.Context) error {
@@ -446,21 +430,23 @@ func (g *Ingester) Compact(ctx context.Context) error {
 	return g.compactLocked()
 }
 
-// compactLocked rewrites and re-publishes every overlay-bearing document.
-// All pending appends must already be committed.
+// compactLocked rewrites and re-publishes every delta document of the
+// catalog and drops the Appenders that extended them. All pending appends
+// must already be committed.
 func (g *Ingester) compactLocked() error {
 	type rewrite struct {
-		name string
-		ix   *index.Index
+		name     string
+		from, ix *index.Index
 	}
 	var rewrites []rewrite
 	snaps := make(map[string]string)
-	for _, name := range sortedKeys(g.docs) {
-		st := g.docs[name]
-		if st.deltaNodes() == 0 {
+	cat := g.e.catalog()
+	for _, name := range cat.Names() {
+		from, _ := cat.Index(name)
+		if from.Base() == nil {
 			continue
 		}
-		flat := st.app.Snapshot().Flatten()
+		flat := from.Doc().Flatten()
 		var ix *index.Index
 		if g.dir != nil {
 			path := g.dir.SnapshotFile(name)
@@ -475,23 +461,24 @@ func (g *Ingester) compactLocked() error {
 		} else {
 			ix = index.New(flat)
 		}
-		rewrites = append(rewrites, rewrite{name: name, ix: ix})
+		rewrites = append(rewrites, rewrite{name: name, from: from, ix: ix})
 	}
 	if len(rewrites) == 0 {
 		return nil
 	}
 	g.e.publish(func(cat *plan.Catalog) {
 		for _, rw := range rewrites {
+			// A reload that raced the rewrite wins: its document is not the
+			// one flattened, and no snapshot may bring the old one back.
+			if cur, _ := cat.Index(rw.name); cur != rw.from {
+				delete(snaps, rw.name)
+				continue
+			}
 			cat.AddIndexed(rw.ix)
 		}
 	})
 	for _, rw := range rewrites {
-		st := g.docs[rw.name]
-		st.app = xmltree.NewAppender(rw.ix.Doc())
-		st.baseIx = rw.ix
-		st.published = rw.ix
-		st.frags = nil
-		st.committed = 0
+		delete(g.docs, rw.name)
 	}
 	if g.dir != nil {
 		if err := g.dir.CommitCompaction(snaps); err != nil {
@@ -504,8 +491,8 @@ func (g *Ingester) compactLocked() error {
 }
 
 // IngestStats is a point-in-time view of the ingest path for monitoring:
-// WAL health, overlay sizes, and lifetime event counts; as JSON, the ingest
-// object of roxserve's /v1/stats and /v1/collections.
+// WAL health, pending and delta sizes, and lifetime event counts; as JSON,
+// the ingest object of roxserve's /v1/stats and /v1/collections.
 type IngestStats struct {
 	// Durable reports whether a WAL directory is attached; WALPath, WALSize,
 	// WALAge and LastCommitSeq are zero without one.
@@ -515,9 +502,9 @@ type IngestStats struct {
 	// WALAge is the age of the current WAL epoch — how long ago the log was
 	// created or last truncated by a compaction; integer nanoseconds in JSON.
 	WALAge time.Duration `json:"wal_age_ns"`
-	// PendingDocs counts documents with appends not yet committed;
-	// DeltaDocs/DeltaNodes describe the published overlays (documents
-	// carrying a delta, total appended nodes) since the last compaction.
+	// PendingDocs counts documents and remote shards with appends not yet
+	// committed; DeltaDocs/DeltaNodes describe the catalog's delta documents
+	// (how many, total appended nodes) since the last compaction.
 	PendingDocs int `json:"pending_docs"`
 	DeltaDocs   int `json:"delta_docs"`
 	DeltaNodes  int `json:"delta_nodes"`
@@ -537,10 +524,11 @@ type IngestStats struct {
 func (g *Ingester) Stats() IngestStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	deltaDocs, deltaNodes := catalogDeltas(g.e.catalog())
 	st := IngestStats{
 		PendingDocs:     g.pendingDocs(),
-		DeltaDocs:       g.deltaDocCount(),
-		DeltaNodes:      g.totalDeltaNodes(),
+		DeltaDocs:       deltaDocs,
+		DeltaNodes:      deltaNodes,
 		LastCommitGen:   g.lastGen,
 		Appends:         g.appends,
 		Commits:         g.commits,
@@ -589,30 +577,27 @@ func (g *Ingester) lastSeq() uint64 {
 	return 0
 }
 
+// pendingDocs counts the local documents and remote shards holding appends
+// not yet committed.
 func (g *Ingester) pendingDocs() int {
-	n := 0
+	n := len(g.remotes)
 	for _, st := range g.docs {
-		if st.dirty() > 0 {
+		if len(st.pending) > 0 {
 			n++
 		}
 	}
 	return n
 }
 
-func (g *Ingester) deltaDocCount() int {
-	n := 0
-	for _, st := range g.docs {
-		if st.deltaNodes() > 0 {
-			n++
+// catalogDeltas counts the catalog's delta documents and the nodes their
+// deltas appended to their bases.
+func catalogDeltas(cat *plan.Catalog) (docs, nodes int) {
+	for _, name := range cat.Names() {
+		ix, _ := cat.Index(name)
+		if b := ix.Base(); b != nil {
+			docs++
+			nodes += ix.Doc().Len() - b.Doc().Len()
 		}
 	}
-	return n
-}
-
-func (g *Ingester) totalDeltaNodes() int {
-	n := 0
-	for _, st := range g.docs {
-		n += st.deltaNodes()
-	}
-	return n
+	return docs, nodes
 }

@@ -18,8 +18,8 @@ import "repro/internal/xmltree"
 // before the two are concatenated.
 //
 // Deltas are rebuilt from the original base on every commit rather than
-// chained: an Ingester always calls NewDelta(baseIx, snapshot), so lookup
-// depth stays 2 regardless of how many batches committed since the last
+// chained: an Ingester always calls NewDelta(published.Base(), snapshot), so
+// lookup depth stays 2 regardless of how many batches committed since the last
 // compaction. Compaction replaces the pair with a freshly built (or freshly
 // packed) single-level index.
 

@@ -54,7 +54,9 @@ type Append struct {
 	// Target is the catalog name of the document or collection the fragment
 	// is appended to.
 	Target string
-	// Frag labels the fragment (used in parse errors only).
+	// Frag is a label logged with the fragment ("ingest" from rox.Ingester).
+	// Nothing reads it back; it stays in the record so the log's bytes do
+	// not change.
 	Frag string
 	// XML is the fragment text: one or more top-level elements.
 	XML string

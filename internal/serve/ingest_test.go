@@ -371,6 +371,9 @@ func TestRemoteIngestFailureKeepsBuffers(t *testing.T) {
 			if !errors.As(err, &remote) || remote.Status != tc.status {
 				t.Fatalf("Commit = %v, want a *shardrpc.RemoteError with status %d", err, tc.status)
 			}
+			if st := coord.Ingest().Stats(); st.PendingDocs != 1 {
+				t.Fatalf("coordinator stats %+v after the failed Commit, want the remote shard's batch pending", st)
+			}
 
 			// Fixed: the document is back (a fresh load of it), or the bound
 			// admits the batch. The retry commits both fragments, once.
