@@ -347,8 +347,11 @@ func TestAllocGuardRemoteWindowBytes(t *testing.T) {
 	// scan (176 600 and 129 900 while window-cut streams were aborted). The
 	// deep page (offset 40 of 50 reserve auctions per shard) runs bounded by
 	// the start its first run remembered: measured 77 500 bytes, against
-	// 94 700 when every shard shipped offset+count items; the ceiling is the
-	// measurement plus 5 %.
+	// 94 700 when every shard shipped offset+count items. The plain window
+	// (limit 20, which shard 0 fills) opens shard 0 alone once its first run
+	// remembered that: measured 20 168 bytes, against 52 700 when all four
+	// shards ran and shipped 20 persons each. The ceilings are the
+	// measurements plus about 5 %.
 	shards := datagen.XMarkShards(datagen.DefaultXMarkConfig(), 4)
 	var endpoints []Endpoint
 	for _, half := range [][]*xmltree.Document{shards[:2], shards[2:]} {
@@ -372,6 +375,7 @@ func TestAllocGuardRemoteWindowBytes(t *testing.T) {
 	}{
 		{"topk", `for $a in collection("xmark")//open_auction[reserve] order by $a/current descending return $a limit 10`, 108_000},
 		{"scan", `for $p in collection("xmark")//person[.//province] return $p limit 200`, 119_000},
+		{"plain window", `for $p in collection("xmark")//person[.//province] return $p limit 20`, 21_500},
 		{"deep page", `for $a in collection("xmark")//open_auction[reserve] order by $a/initial return $a limit 10 offset 40`, 81_400},
 	} {
 		run := func() {

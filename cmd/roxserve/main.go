@@ -98,8 +98,9 @@
 // -compact-after N flattens the documents holding ingest deltas into fresh
 // packed snapshots and truncates the WAL once the deltas hold N appended
 // nodes. A shard swapped through /collections/load replaces what was
-// committed to it; reloads are not logged. See the "Live ingestion and the
-// WAL" section of DESIGN.md.
+// committed to it; reloads are not logged, so a swap of a shard with durable
+// state compacts at once and a restart answers what the live server did. See
+// the "Live ingestion and the WAL" section of DESIGN.md.
 //
 // Lifecycle: -addr 127.0.0.1:0 binds an ephemeral port, and -portfile PATH
 // publishes the bound address (written atomically) so scripts can discover

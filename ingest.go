@@ -38,7 +38,9 @@ import (
 // were never acknowledged). Compact flattens the catalog's delta documents
 // into fresh packed ROXD containers and truncates the WAL, with the
 // directory's manifest making the switch crash-atomic. Reloads are not
-// logged.
+// logged; a reload or shard swap of a document with durable state (a
+// snapshot, or batches in the WAL) compacts at once instead, so a restart
+// over the corpus as loaded answers what the live engine answered.
 //
 // The incremental path is exact, not approximate: appending fragments
 // f1..fk to a document shredded from text B yields the same node table, the
@@ -430,10 +432,43 @@ func (g *Ingester) Compact(ctx context.Context) error {
 	return g.compactLocked()
 }
 
+// reloaded runs after a reload or shard swap replaced the catalog indexes
+// olds. A replaced document with durable state — a snapshot in the
+// manifest, or committed appends in the WAL (its index was a delta) — would
+// come back at a restart: the snapshot supersedes the corpus load, and the
+// WAL replays its appends onto whatever the corpus now holds. So the reload
+// compacts at once: the new epoch drops the document's snapshot, and the
+// truncated WAL its batches. A restart then answers the corpus as loaded
+// plus what was committed after each document's last reload.
+func (g *Ingester) reloaded(olds []*index.Index) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.dir == nil {
+		return nil
+	}
+	if g.broken != nil {
+		return g.broken
+	}
+	snaps := g.dir.SnapshotPaths()
+	var drop []string
+	for _, old := range olds {
+		name := old.Doc().Name()
+		if _, ok := snaps[name]; ok || old.Base() != nil {
+			drop = append(drop, name)
+		}
+	}
+	if len(drop) == 0 {
+		return nil
+	}
+	return g.compactLocked(drop...)
+}
+
 // compactLocked rewrites and re-publishes every delta document of the
-// catalog and drops the Appenders that extended them. All pending appends
-// must already be committed.
-func (g *Ingester) compactLocked() error {
+// catalog and drops the Appenders that extended them; drop names documents
+// whose snapshots the new epoch no longer lists unless they are rewritten.
+// Appends still pending — only a reload compacts with some — keep their
+// Appenders and are logged again to the new WAL.
+func (g *Ingester) compactLocked(drop ...string) error {
 	type rewrite struct {
 		name     string
 		from, ix *index.Index
@@ -463,7 +498,12 @@ func (g *Ingester) compactLocked() error {
 		}
 		rewrites = append(rewrites, rewrite{name: name, from: from, ix: ix})
 	}
-	if len(rewrites) == 0 {
+	for _, name := range drop {
+		if _, ok := snaps[name]; !ok {
+			snaps[name] = ""
+		}
+	}
+	if len(rewrites) == 0 && len(snaps) == 0 {
 		return nil
 	}
 	g.e.publish(func(cat *plan.Catalog) {
@@ -478,12 +518,22 @@ func (g *Ingester) compactLocked() error {
 		}
 	})
 	for _, rw := range rewrites {
-		delete(g.docs, rw.name)
+		if st := g.docs[rw.name]; st != nil && len(st.pending) == 0 {
+			delete(g.docs, rw.name)
+		}
 	}
 	if g.dir != nil {
 		if err := g.dir.CommitCompaction(snaps); err != nil {
 			g.broken = fmt.Errorf("%w: compaction failed to commit: %w", ErrIngestBroken, err)
 			return g.broken
+		}
+		for _, name := range sortedKeys(g.docs) {
+			for _, xml := range g.docs[name].pending {
+				if err := g.dir.WAL().LogAppend(ingest.Append{Target: name, Frag: "ingest", XML: xml}); err != nil {
+					g.broken = fmt.Errorf("%w: wal append failed: %w", ErrIngestBroken, err)
+					return g.broken
+				}
+			}
 		}
 	}
 	g.compactions++

@@ -3,6 +3,8 @@ package rox
 import (
 	"context"
 	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -218,8 +220,10 @@ func TestIngestShardSwapSurvivesAutoCompaction(t *testing.T) {
 	if got := mustQuery(t, eng, q); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the auto-compaction: %v, want %v", got, want)
 	}
-	if st := eng.Ingest().Stats(); st.Compactions != 1 || st.DeltaDocs != 0 || st.WALSize != 0 {
-		t.Fatalf("stats %+v, want one compaction, no delta and an empty WAL", st)
+	// Two compactions: the swap's, since s1 had committed appends in the
+	// WAL, and the one a3's commit fired.
+	if st := eng.Ingest().Stats(); st.Compactions != 2 || st.DeltaDocs != 0 || st.WALSize != 0 {
+		t.Fatalf("stats %+v, want two compactions, no delta and an empty WAL", st)
 	}
 	for shard, n := range map[string]int{"s0": 1, "s1": 0} {
 		if snaps, err := filepath.Glob(filepath.Join(walDir, shard+".*.roxd")); err != nil || len(snaps) != n {
@@ -229,8 +233,8 @@ func TestIngestShardSwapSurvivesAutoCompaction(t *testing.T) {
 	if err := eng.Ingest().Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reloads are not logged: a restart over the swapped corpus answers the
-	// same, s0 from its snapshot.
+	// A restart over the swapped corpus answers the same, s0 from its
+	// snapshot.
 	restarted := load(swapped)
 	if _, err := restarted.OpenIngestDir(walDir); err != nil {
 		t.Fatal(err)
@@ -241,19 +245,127 @@ func TestIngestShardSwapSurvivesAutoCompaction(t *testing.T) {
 	}
 }
 
-// FuzzIngestOps drives one in-memory engine through fuzzer-chosen appends
-// (to d.xml, round-robin to collection c, or to one of its shards s0 and
-// s1), commits, compactions, reloads of d.xml, shard swaps and
-// compact-after settings, and after every commit, compaction, reload or swap
-// holds two queries' items to a fresh engine that bulk-loads the model's
-// texts. The model of a document is its last loaded text plus the fragments
-// committed since; fragments pending at a reload go on top at the next
-// commit. Each input byte is one op: the low 3 bits pick it, the rest are
-// its argument.
+// TestIngestRestartMatchesLiveAfterSwap pins restart ≡ live across a shard
+// swap: collection ppl holds s0 (a0) and s1 (b0), a1 and b1 are appended
+// round-robin and committed, and s1 is swapped for a shard holding NEW. A
+// restart over the swapped corpus must answer what the live engine answers.
+// Before a swap compacted, the WAL replayed b1 onto NEW ("wal"), and a
+// snapshot of the old s1 superseded NEW ("compacted").
+func TestIngestRestartMatchesLiveAfterSwap(t *testing.T) {
+	q := `for $n in collection("ppl")//person/name return $n`
+	want := []string{"<name>a0</name>", "<name>a1</name>", "<name>NEW</name>"}
+	for _, compactFirst := range []bool{false, true} {
+		name := map[bool]string{false: "wal", true: "compacted"}[compactFirst]
+		t.Run(name, func(t *testing.T) {
+			walDir := filepath.Join(t.TempDir(), "ingest")
+			ctx := context.Background()
+			load := func(s1 string) *Engine {
+				eng := NewEngine()
+				if err := eng.LoadCollectionSource("ppl", FromXML("s0", pplShard("a0")), FromXML("s1", s1)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.OpenIngestDir(walDir); err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			eng := load(pplShard("b0"))
+			for _, n := range []string{"a1", "b1"} {
+				if err := eng.Append("ppl", fmt.Sprintf("<person><name>%s</name></person>", n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := eng.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if compactFirst {
+				if err := eng.Ingest().Compact(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.LoadCollectionSource("ppl", FromXML("s1", pplShard("NEW"))); err != nil {
+				t.Fatal(err)
+			}
+			if got := mustQuery(t, eng, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("live: %v, want %v", got, want)
+			}
+			if err := eng.Ingest().Close(); err != nil {
+				t.Fatal(err)
+			}
+			restarted := load(pplShard("NEW"))
+			defer restarted.Ingest().Close()
+			if got := mustQuery(t, restarted, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after a restart: %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestIngestLoadWithoutDurableStateKeepsDir pins that only a reload of a
+// document with durable state compacts: loading a new document, or
+// reloading one that has neither a snapshot nor committed appends, leaves
+// every file of the ingest directory as it was.
+func TestIngestLoadWithoutDurableStateKeepsDir(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "ingest")
+	eng := NewEngine()
+	if err := eng.LoadSource(FromXML("site.xml", ingestBase)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.OpenIngestDir(walDir); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Ingest().Close()
+	if err := eng.Append("site.xml", ingestFrags[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		ents, err := os.ReadDir(walDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]string{}
+		for _, ent := range ents {
+			b, err := os.ReadFile(filepath.Join(walDir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[ent.Name()] = string(b)
+		}
+		return m
+	}
+	before := files()
+	if err := eng.LoadSource(FromXML("other.xml", "<o/>")); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadSource(FromXML("other.xml", "<o><p/></o>")); err != nil {
+		t.Fatal(err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Errorf("loads without durable state changed the directory: %v → %v", sortedKeys(before), sortedKeys(after))
+	}
+	if st := eng.Ingest().Stats(); st.Compactions != 0 || st.DeltaDocs != 1 {
+		t.Errorf("stats %+v, want no compaction and site.xml's delta", st)
+	}
+}
+
+// FuzzIngestOps drives one engine with an ingest directory through
+// fuzzer-chosen appends (to d.xml, round-robin to collection c, or to one of
+// its shards s0 and s1), commits, compactions, reloads of d.xml, shard swaps,
+// compact-after settings and restarts, and after every commit, compaction,
+// reload, swap or restart holds two queries' items to a fresh engine that
+// bulk-loads the model's texts. The model of a document is its last loaded
+// text plus the fragments committed since; fragments pending at a reload go
+// on top at the next commit, and a restart drops them. A restart closes the
+// ingester and opens the directory again from a fresh engine that loads the
+// corpus as last loaded. Each input byte is one op: the byte mod 9 picks it,
+// the quotient is its argument.
 func FuzzIngestOps(f *testing.F) {
-	op := func(kind, arg byte) byte { return arg<<3 | kind }
+	op := func(kind, arg byte) byte { return arg*9 + kind }
 	const (
-		appendDoc, appendColl, appendShard, commit, compact, reload, swap, compactAfter = 0, 1, 2, 3, 4, 5, 6, 7
+		appendDoc, appendColl, appendShard, commit, compact, reload, swap, compactAfter, restart = 0, 1, 2, 3, 4, 5, 6, 7, 8
 	)
 	// TestIngestReloadReplacesCommittedAppends' three cases.
 	reloaded := func(then ...byte) []byte {
@@ -268,6 +380,13 @@ func FuzzIngestOps(f *testing.F) {
 	// Fragments without elements, and appends pending across a reload.
 	f.Add([]byte{op(appendDoc, 6), op(appendColl, 7), op(commit, 0), op(appendDoc, 0),
 		op(reload, 0), op(appendShard, 1), op(swap, 1), op(commit, 0), op(compact, 0)})
+	// TestIngestRestartMatchesLiveAfterSwap's two shapes: a shard swapped
+	// over committed appends still in the WAL, and over a snapshot.
+	f.Add([]byte{op(appendColl, 0), op(appendColl, 0), op(commit, 0), op(swap, 1), op(restart, 0)})
+	f.Add([]byte{op(appendColl, 0), op(appendColl, 0), op(commit, 0), op(compact, 0), op(swap, 1), op(restart, 0)})
+	// Appends pending across a reload's compaction, committed, then a restart.
+	f.Add([]byte{op(appendDoc, 0), op(commit, 0), op(appendDoc, 1), op(appendShard, 0), op(reload, 0),
+		op(commit, 0), op(restart, 0)})
 
 	queries := []string{
 		`for $e in doc("d.xml")//e return $e`,
@@ -283,24 +402,28 @@ func FuzzIngestOps(f *testing.F) {
 			"s0":    `<s><e k="s0">base</e></s>`,
 			"s1":    `<s><e k="s1">base</e></s>`,
 		}
+		loaded := maps.Clone(text) // the corpus as last loaded
 		pending := map[string][]string{}
-		eng := NewEngine()
-		if err := eng.LoadSource(FromXML("d.xml", text["d.xml"])); err != nil {
+		corpus := func(text map[string]string) *Engine {
+			e := NewEngine()
+			if err := e.LoadSource(FromXML("d.xml", text["d.xml"])); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.LoadCollectionSource("c", FromXML("s0", text["s0"]), FromXML("s1", text["s1"])); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		walDir := filepath.Join(t.TempDir(), "ingest")
+		eng := corpus(loaded)
+		if _, err := eng.OpenIngestDir(walDir); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.LoadCollectionSource("c", FromXML("s0", text["s0"]), FromXML("s1", text["s1"])); err != nil {
-			t.Fatal(err)
-		}
+		defer func() { eng.Ingest().Close() }()
 		rr := 0
 		check := func(step int) {
 			t.Helper()
-			ref := NewEngine()
-			if err := ref.LoadSource(FromXML("d.xml", text["d.xml"])); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.LoadCollectionSource("c", FromXML("s0", text["s0"]), FromXML("s1", text["s1"])); err != nil {
-				t.Fatal(err)
-			}
+			ref := corpus(text)
 			for _, q := range queries {
 				if got, want := mustQuery(t, eng, q), mustQuery(t, ref, q); !reflect.DeepEqual(got, want) {
 					t.Fatalf("op %d (%v) %s:\n got %v\nwant %v", step, ops[:step+1], q, got, want)
@@ -314,7 +437,7 @@ func FuzzIngestOps(f *testing.F) {
 			clear(pending)
 		}
 		for i, b := range ops {
-			kind, arg := b&7, b>>3
+			kind, arg := b%9, b/9
 			// frag shapes follow the argument: mostly one element, sometimes
 			// two, a comment or whitespace.
 			frag := func(shape byte) string {
@@ -360,6 +483,7 @@ func FuzzIngestOps(f *testing.F) {
 				check(i)
 			case reload:
 				text["d.xml"] = fmt.Sprintf(`<d><e k="r%d">reload</e></d>`, i)
+				loaded["d.xml"] = text["d.xml"]
 				if err := eng.LoadSource(FromXML("d.xml", text["d.xml"])); err != nil {
 					t.Fatal(err)
 				}
@@ -367,12 +491,24 @@ func FuzzIngestOps(f *testing.F) {
 			case swap:
 				name := fmt.Sprintf("s%d", arg&1)
 				text[name] = fmt.Sprintf(`<s><e k="w%d">swap</e></s>`, i)
+				loaded[name] = text[name]
 				if err := eng.LoadCollectionSource("c", FromXML(name, text[name])); err != nil {
 					t.Fatal(err)
 				}
 				check(i)
 			case compactAfter:
 				eng.Ingest().SetCompactAfter(int(arg))
+			case restart:
+				if err := eng.Ingest().Close(); err != nil {
+					t.Fatal(err)
+				}
+				eng = corpus(loaded)
+				if _, err := eng.OpenIngestDir(walDir); err != nil {
+					t.Fatal(err)
+				}
+				clear(pending) // never committed: the restart drops them
+				rr = 0
+				check(i)
 			}
 		}
 	})

@@ -108,10 +108,12 @@ func (d *Dir) SnapshotFile(doc string) string {
 
 // CommitCompaction atomically advances the directory to the next epoch:
 // snaps maps document names to snapshot files the caller has already written
-// via SnapshotFile paths. A fresh empty WAL is created, the manifest is
-// swapped by rename, the old WAL handle is replaced, and superseded files
-// are deleted best-effort. On error before the manifest rename, the old
-// epoch (old WAL, old snapshots) remains fully in force.
+// via SnapshotFile paths, or to "" for a document whose snapshot the new
+// epoch drops (the corpus load provides it again). A fresh empty WAL is
+// created, the manifest is swapped by rename, the old WAL handle is
+// replaced, and superseded files are deleted best-effort. On error before the
+// manifest rename, the old epoch (old WAL, old snapshots) remains fully in
+// force.
 func (d *Dir) CommitCompaction(snaps map[string]string) error {
 	epoch := d.man.Epoch + 1
 	// A fresh, durable, empty WAL for the new epoch.
@@ -132,7 +134,11 @@ func (d *Dir) CommitCompaction(snaps map[string]string) error {
 	for doc, file := range d.man.Snapshots {
 		next.Snapshots[doc] = file
 	}
-	for doc := range snaps {
+	for doc, path := range snaps {
+		if path == "" {
+			delete(next.Snapshots, doc)
+			continue
+		}
 		file := snapFileName(doc, epoch)
 		if err := syncFile(filepath.Join(d.path, file)); err != nil {
 			newWAL.Close()

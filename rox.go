@@ -477,9 +477,10 @@ type Prepared struct {
 	fp   string
 
 	// shards memoizes comp rebound to each shard document the statement ran
-	// on, by shard name (forShard, statement.go); starts, the remembered
-	// starts of its ordered windows over remote shards, oldest first
-	// (windowStart, statement.go).
+	// on, by shard name (forShard, statement.go); starts, what its windows'
+	// last runs showed, oldest first: where an ordered window over remote
+	// shards started, how many shards a plain window reached (windowStart,
+	// shard.go).
 	mu     sync.Mutex
 	shards map[string]*xquery.Compiled
 	starts []windowStart

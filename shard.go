@@ -61,6 +61,15 @@ import (
 // which ships only the rows from it on and reports how many it passed over
 // (windowStart). The gather checks those counts before it emits anything and
 // scatters again unbounded when they no longer fit.
+//
+// A plain window opens only the shards it reaches. Its statement remembers
+// how many shards, in order, the last run needed before the window filled
+// (windowStart.reach); the scatter opens that many at once and the gather
+// opens each later shard itself when it gets to it, sending it what the
+// window still needs. Concatenation pulls a shard only after every earlier
+// one ended, so a lazy open is exact whatever the memory says: a stale one
+// costs a request some parallelism and is then corrected. A shard the gather
+// never reached does no work; its Stats say so, zero and Truncated.
 
 // shardSource is one shard of a scatter as the gather pulls it: the face the
 // shard server's handler drives (shardrpc.ShardRun), with the current item as
@@ -98,7 +107,7 @@ type shardDone struct {
 // scatterShard is the gather's state for one shard.
 type scatterShard struct {
 	x        *shardExec
-	opened   chan struct{} // closed once the open set src
+	opened   chan struct{} // closed once the open set src; nil until the open began
 	src      shardSource
 	attempts int  // opens so far; ShardRetryThenPartial allows two
 	pulled   int  // items pulled by the gather: what "entered the merge" means
@@ -165,7 +174,7 @@ func (e *Engine) executeCollection(ctx context.Context, cat *plan.Catalog, stmt 
 	}
 	remote := false
 	for i, sh := range shards {
-		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &shardExec{
+		s.shards[i] = scatterShard{x: &shardExec{
 			coll:   collName,
 			shard:  sh.Name(),
 			remote: sh.Remote,
@@ -175,6 +184,14 @@ func (e *Engine) executeCollection(ctx context.Context, cat *plan.Catalog, stmt 
 			baseFP: baseFP,
 		}}
 		remote = remote || sh.Remote != nil
+	}
+	eager := len(shards)
+	if s.mode == gatherPlain && s.hi >= 0 {
+		s.stmt, s.window = stmt, pageWindow{offset: s.lo, count: comp.Tail.Limit.Count}
+		if ws, ok := stmt.windowStart(s.window); ok {
+			s.reach = ws.reach
+			eager = min(ws.reach, eager)
+		}
 	}
 	if s.mode == gatherOrdered && s.lo > 0 && s.hi >= 0 && remote {
 		s.stmt, s.window = stmt, pageWindow{offset: s.lo, count: comp.Tail.Limit.Count}
@@ -189,7 +206,7 @@ func (e *Engine) executeCollection(ctx context.Context, cat *plan.Catalog, stmt 
 			s.learn = true
 		}
 	}
-	s.scatter()
+	s.scatter(eager)
 	stats := Stats{Plan: fmt.Sprintf("scatter(%s/%d)", collName, len(shards))}
 	return newRows(stats, s), nil
 }
@@ -198,10 +215,14 @@ func (e *Engine) executeCollection(ctx context.Context, cat *plan.Catalog, stmt 
 // remembers a start for.
 type pageWindow struct{ offset, count int }
 
-// windowStart is where an ordered window over remote shards started on an
-// earlier run of its statement: key, the order key of the first item the
-// window returned, and skip, how many of the items the offset passed over
-// tie with key — the offset less the B items that sort strictly before it.
+// windowStart is what an earlier run of a statement's window left for the
+// next run. For a plain window it is reach, how many shards, in order, the
+// run needed: the one that filled the window and every shard before it, or
+// all of them when the stream ended first. For an ordered window over remote
+// shards it is where the window started: key, the order key of the first
+// item the window returned, and skip, how many of the items the offset
+// passed over tie with key — the offset less the B items that sort strictly
+// before it.
 //
 // A later run of the window sends key to every remote shard as its bound.
 // The shard counts its rows before the bound and ships at most skip+count
@@ -219,15 +240,18 @@ type windowStart struct {
 	window pageWindow
 	key    plan.Key
 	skip   int
+	reach  int
 }
 
-// scatter starts every shard's open. Each shard gets its own env (recorder +
-// seeded random stream) over the shared snapshot; sctx aborts the remaining
-// shards as soon as one fails, the caller cancels, the cursor closes, or the
-// gather's window fills.
-func (s *scatterRows) scatter() {
-	for i := range s.shards {
+// scatter starts the opens of the first n shards, concurrently; pull opens
+// the others when the gather reaches them. Each shard gets its own env
+// (recorder + seeded random stream) over the shared snapshot; sctx aborts
+// the remaining shards as soon as one fails, the caller cancels, the cursor
+// closes, or the gather's window fills.
+func (s *scatterRows) scatter(n int) {
+	for i := range s.shards[:n] {
 		sh := &s.shards[i]
+		sh.opened = make(chan struct{})
 		go func() {
 			defer close(sh.opened)
 			s.open(sh)
@@ -253,12 +277,16 @@ type scatterRows struct {
 	lo, hi int // global window over merged items; hi < 0 = unbounded
 	merged int // merged items consumed, offset skips included
 
-	// A deep ordered page over remote shards (windowStart): the statement
-	// and window the start is remembered for; start, the one this run's
-	// remote shards were sent, until check decides; learn, set when this run
-	// records the start at its first emission instead.
+	// A plain count window or a deep ordered page over remote shards
+	// (windowStart): the statement and window it is remembered for. For the
+	// plain window, reach is how many shards its memory says it needs, the
+	// shards scatter opened (0 = none remembered). For the ordered page,
+	// start is the one this run's remote shards were sent, until check
+	// decides; learn is set when this run records the start at its first
+	// emission instead.
 	stmt     *Prepared
 	window   pageWindow
+	reach    int
 	start    *windowStart
 	learn    bool
 	reported int      // bounded run: the shards' counts of rows before start.key
@@ -337,9 +365,13 @@ func (s *scatterRows) next() ([]byte, bool, error) {
 			if s.learn { // the window is empty: it has no start to remember
 				s.stmt.forgetStart(s.window)
 			}
+			s.noteReach(len(s.shards))
 			return nil, false, nil
 		}
 		s.merged++
+		if s.merged == s.hi {
+			s.noteReach(s.cur + 1)
+		}
 		if s.merged <= s.lo {
 			if s.learn {
 				s.noteSkipped()
@@ -351,6 +383,17 @@ func (s *scatterRows) next() ([]byte, bool, error) {
 		}
 		return s.shards[s.cur].src.Item(), true, nil
 	}
+}
+
+// noteReach remembers, for a plain window, that this run needed the first n
+// shards: the next run of its statement opens them at once, the others when
+// its gather gets to them.
+func (s *scatterRows) noteReach(n int) {
+	if s.mode != gatherPlain || s.stmt == nil || n == s.reach {
+		return
+	}
+	s.reach = n
+	s.stmt.rememberStart(windowStart{window: s.window, reach: n})
 }
 
 // check verifies a bounded run (see windowStart) item by item until its first
@@ -409,13 +452,13 @@ func (s *scatterRows) fallback() {
 		s.spent.CumulativeIntermediate += d.stats.CumulativeIntermediate
 		x := *sh.x
 		x.start = nil
-		s.shards[i] = scatterShard{opened: make(chan struct{}), x: &x}
+		s.shards[i] = scatterShard{x: &x}
 	}
 	s.sctx, s.cancel = context.WithCancel(s.parent)
 	s.lo, s.hi = s.window.offset, plan.AddSat(s.window.offset, s.window.count)
 	s.merged, s.cur, s.heads = 0, 0, nil
 	s.start, s.reported, s.beforeK, s.learn = nil, 0, 0, true
-	s.scatter()
+	s.scatter(len(s.shards))
 }
 
 // noteSkipped follows, while the run learns its window's start, the run of
@@ -502,13 +545,24 @@ func (s *scatterRows) fill(i int) error {
 	return err
 }
 
-// pull advances shard i by one item, first waiting for its open. ok = false
-// means the stream ended: a shard that failed surfaces its error as the
-// stream error — unless ShardRetryThenPartial restarts it (inline, nothing of
-// it merged yet) or gives it up as a partial completion, which ends it
-// cleanly (finalize records the error in the shard's stats).
+// pull advances shard i by one item, first waiting for its open — or, for a
+// shard scatter did not start, opening it inline with what the window still
+// needs as its window. ok = false means the stream ended: a shard that failed
+// surfaces its error as the stream error — unless ShardRetryThenPartial
+// restarts it (inline, nothing of it merged yet) or gives it up as a partial
+// completion, which ends it cleanly (finalize records the error in the
+// shard's stats).
 func (s *scatterRows) pull(i int) (bool, error) {
 	sh := &s.shards[i]
+	if sh.opened == nil {
+		if err := s.parent.Err(); err != nil {
+			return false, err
+		}
+		sh.opened = make(chan struct{})
+		sh.x.window = &plan.LimitSpec{Count: s.hi - s.merged}
+		s.open(sh)
+		close(sh.opened)
+	}
 	select {
 	case <-sh.opened:
 	case <-s.parent.Done():
@@ -582,7 +636,9 @@ const (
 // completed, it has not ended, the scatter ended without an error, and the
 // caller's context is live. Its bytes are discarded unparsed, so its report
 // stays that of a canceled shard. Everything else — and every stream that
-// hits a cap — is aborted by finalize's cancel, as before.
+// hits a cap — is aborted by finalize's cancel, as before. Once a plain
+// window remembers its reach, the shards past the one that fills it are never
+// opened, so this matters for ordered windows and for cold plain windows.
 func (s *scatterRows) readOut() {
 	if s.failed || s.parent.Err() != nil {
 		return
@@ -593,7 +649,7 @@ func (s *scatterRows) readOut() {
 		select {
 		case <-sh.opened:
 		default:
-			continue // still opening: the cancel aborts it
+			continue // still opening (the cancel aborts it), or never opened
 		}
 		r, ok := sh.src.(*remoteShard)
 		if !ok || sh.ended || sh.x.window == nil || s.sctx.Err() != nil {
@@ -622,6 +678,11 @@ func (s *scatterRows) finalize(st *Stats) {
 	allHit := true
 	for i := range s.shards {
 		sh := &s.shards[i]
+		if sh.opened == nil { // never reached: no work, and the union is not covered
+			st.Truncated = true
+			st.Shards = append(st.Shards, ShardStats{Shard: sh.x.shard, Stats: Stats{Truncated: true}})
+			continue
+		}
 		<-sh.opened // an open in flight aborts at its next interrupt poll
 		d := sh.rep
 		if !sh.ended {

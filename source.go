@@ -106,14 +106,20 @@ func FromPath(xmlName, path string) Source {
 // LoadSource loads one document from any Source. The expensive work (parsing,
 // shredding, index building, mapping) happens outside the engine lock and
 // the registration is one copy-on-write catalog swap, safe while queries are
-// in flight.
+// in flight. Replacing a document with durable ingest state compacts the
+// ingest directory (see Ingester); its error is returned after the load
+// published.
 func (e *Engine) LoadSource(src Source) error {
 	ix, err := src.open()
 	if err != nil {
 		return err
 	}
-	e.publish(func(cat *plan.Catalog) { cat.AddIndexed(ix) })
-	return nil
+	var olds []*index.Index
+	e.publish(func(cat *plan.Catalog) {
+		olds = replaced(cat, olds, ix)
+		cat.AddIndexed(ix)
+	})
+	return e.reloaded(olds)
 }
 
 // LoadCollectionSource loads every Source as a shard of the named collection
@@ -126,7 +132,8 @@ func (e *Engine) LoadSource(src Source) error {
 // never a prefix — and a source error loads nothing at all. A replaced shard
 // bumps only its own generation stamp, so cached plans of the sibling shards
 // stay exactly valid while the plan cache's stale-generation machinery
-// absorbs the change for the swapped one.
+// absorbs the change for the swapped one. A swap, like a reload, compacts
+// the ingest directory when the replaced shard has durable state.
 func (e *Engine) LoadCollectionSource(coll string, srcs ...Source) error {
 	ixs := make([]*index.Index, len(srcs)) // the expensive part, outside the lock
 	for i, src := range srcs {
@@ -136,10 +143,30 @@ func (e *Engine) LoadCollectionSource(coll string, srcs ...Source) error {
 		}
 		ixs[i] = ix
 	}
+	var olds []*index.Index
 	e.publish(func(cat *plan.Catalog) {
 		for _, ix := range ixs {
+			olds = replaced(cat, olds, ix)
 			cat.AddCollectionShard(coll, ix)
 		}
 	})
-	return nil
+	return e.reloaded(olds)
+}
+
+// replaced appends to olds the index cat registers under ix's document name,
+// if any: the one registering ix replaces.
+func replaced(cat *plan.Catalog, olds []*index.Index, ix *index.Index) []*index.Index {
+	if old, err := cat.Index(ix.Doc().Name()); err == nil {
+		olds = append(olds, old)
+	}
+	return olds
+}
+
+// reloaded hands the indexes a load replaced to the ingester, whose durable
+// directory must forget them (Ingester.reloaded).
+func (e *Engine) reloaded(olds []*index.Index) error {
+	if len(olds) == 0 {
+		return nil
+	}
+	return e.Ingest().reloaded(olds)
 }

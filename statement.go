@@ -118,13 +118,15 @@ func (p *Prepared) forShard(shard string) *xquery.Compiled {
 	return c
 }
 
-// maxWindowStarts bounds the window starts one statement remembers (see
-// windowStart in shard.go); a new window past it replaces the oldest. A
-// forgotten window costs its next request one unbounded scatter.
+// maxWindowStarts bounds the windows one statement remembers (see
+// windowStart in shard.go): the starts of its ordered windows, or the shards
+// its plain windows reach. A new window past it replaces the oldest. A
+// forgotten window costs its next request one unbounded scatter, or one that
+// opens every shard at once.
 const maxWindowStarts = 32
 
-// windowStart returns the remembered start of the statement's ordered
-// window w, if there is one.
+// windowStart returns what the statement remembers of its window w, if
+// anything.
 func (p *Prepared) windowStart(w pageWindow) (windowStart, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -136,8 +138,8 @@ func (p *Prepared) windowStart(w pageWindow) (windowStart, bool) {
 	return windowStart{}, false
 }
 
-// rememberStart records ws as its window's start, replacing what the window
-// had, and drops the oldest start beyond maxWindowStarts.
+// rememberStart records ws for its window, replacing what the window had,
+// and drops the oldest window beyond maxWindowStarts.
 func (p *Prepared) rememberStart(ws windowStart) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -148,7 +150,7 @@ func (p *Prepared) rememberStart(ws windowStart) {
 	p.starts = append(p.starts, ws)
 }
 
-// forgetStart drops window w's start, if the statement has one.
+// forgetStart drops what the statement remembers of window w.
 func (p *Prepared) forgetStart(w pageWindow) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
