@@ -64,7 +64,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ROX picks:                              %s\n", bench.ROXJoinOrderLabel(comp, fw, res))
+	rox, ok := fw.DecodeOrder(comp.Graph, &res.Plan)
+	if !ok {
+		log.Fatal("ROX's plan is none of the 18 join orders")
+	}
+	fmt.Printf("ROX picks:                              %s\n", rox.Label())
 	fmt.Printf("ROX result: %d authors; cumulative intermediates %d; sampling %d / execution %d tuples\n",
 		rel.NumRows(), res.CumulativeIntermediate, res.SampleCost.Tuples, res.ExecCost.Tuples)
 

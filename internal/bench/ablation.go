@@ -26,8 +26,7 @@ func ablationVariants(tau int) []struct {
 	opts core.Options
 } {
 	mk := func(mod func(*core.Options)) core.Options {
-		o := core.DefaultOptions()
-		o.Tau = tau
+		o := roxOptions(tau)
 		mod(&o)
 		return o
 	}
@@ -61,13 +60,12 @@ func ComputeAblations(cfg Config) ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			env := corpus.EnvFor(info.Combo)
-			_, res, err := core.Run(env, comp.Graph, comp.Tail, v.opts)
+			res, rec, err := corpus.runROX(info.Combo, comp, v.opts)
 			if err != nil {
 				return nil, err
 			}
 			row.AvgCumulative += float64(res.CumulativeIntermediate)
-			row.AvgTotalTuples += float64(env.Rec.Total().Tuples)
+			row.AvgTotalTuples += float64(rec.Total().Tuples)
 			if res.ExecCost.Tuples > 0 {
 				row.AvgOverheadPct += 100 * float64(res.SampleCost.Tuples) / float64(res.ExecCost.Tuples)
 			}

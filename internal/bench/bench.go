@@ -13,7 +13,8 @@
 //
 // Absolute numbers differ from the paper (different machine, synthetic
 // data); the drivers reproduce the *shape*: who wins, by what factor, where
-// the crossovers are. EXPERIMENTS.md records paper-vs-measured.
+// the crossovers are. The "Experiments" section of DESIGN.md records
+// paper-vs-measured.
 package bench
 
 import (
@@ -97,12 +98,6 @@ func NewCorpus(cfg Config) *Corpus {
 	}
 	return &Corpus{cfg: cfg, docs: docs, cat: cat}
 }
-
-// Doc returns a generated document.
-func (c *Corpus) Doc(name string) *xmltree.Document { return c.docs[name] }
-
-// Catalog returns the shared document/index catalog of the corpus.
-func (c *Corpus) Catalog() *plan.Catalog { return c.cat }
 
 // EnvFor builds a fresh per-query Env (own recorder and random stream) over
 // the shared corpus catalog. The combination's documents are all registered
@@ -270,27 +265,28 @@ func newTabWriter(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// runROX evaluates the combination's query with ROX, returning the result
-// of the run and the environment's recorder for cost inspection.
-func (c *Corpus) runROX(info ComboInfo, tau int) (*core.Result, *metrics.Recorder, *xquery.Compiled, error) {
-	comp, _, err := CompileCombo(info.Combo)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	env := c.EnvFor(info.Combo)
+// roxOptions returns ROX's default options with sample size tau.
+func roxOptions(tau int) core.Options {
 	opts := core.DefaultOptions()
 	opts.Tau = tau
+	return opts
+}
+
+// runROX evaluates the combination's compiled query with ROX under opts,
+// returning the run and the environment's recorder for cost inspection.
+func (c *Corpus) runROX(combo datagen.Combo, comp *xquery.Compiled, opts core.Options) (*core.Result, *metrics.Recorder, error) {
+	env := c.EnvFor(combo)
 	_, res, err := core.Run(env, comp.Graph, comp.Tail, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return res, env.Rec, comp, nil
+	return res, env.Rec, nil
 }
 
 // runPlan executes a static plan for the combination and returns the exec
 // tuple work and stats.
-func (c *Corpus) runPlan(info ComboInfo, comp *xquery.Compiled, p *plan.Plan) (int64, *plan.RunStats, error) {
-	env := c.EnvFor(info.Combo)
+func (c *Corpus) runPlan(combo datagen.Combo, comp *xquery.Compiled, p *plan.Plan) (int64, *plan.RunStats, error) {
+	env := c.EnvFor(combo)
 	_, stats, err := plan.Run(env, comp.Graph, p, comp.Tail)
 	if err != nil {
 		return 0, nil, err

@@ -55,7 +55,7 @@ func TestJoinSizesMatchExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := corpus.runPlan(ComboInfo{Combo: combo}, comp, pl)
+	_, stats, err := corpus.runPlan(combo, comp, pl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,8 @@ import (
 	"sort"
 
 	"repro/internal/classical"
-	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/joingraph"
 	"repro/internal/planenum"
-	"repro/internal/xquery"
 )
 
 // Fig5Row is one bar of Fig 5: a join order and its cumulative intermediate
@@ -55,105 +52,31 @@ func ComputeFig5(corpus *Corpus) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := corpus.EnvFor(combo)
-	classicalOrder, err := classical.SmallestInputOrder(env, comp.Graph, fw)
+	classicalOrder, err := classical.SmallestInputOrder(corpus.EnvFor(combo), comp.Graph, fw)
 	if err != nil {
 		return nil, err
 	}
 
-	// ROX's join order, recovered from the executed join edges.
-	env2 := corpus.EnvFor(combo)
-	opts := core.DefaultOptions()
-	opts.Tau = corpus.cfg.Tau
-	_, res, err := core.Run(env2, comp.Graph, comp.Tail, opts)
+	// ROX's join order, decoded from the plan it executed.
+	res, _, err := corpus.runROX(combo, comp, roxOptions(corpus.cfg.Tau))
 	if err != nil {
 		return nil, err
 	}
-	roxLabel := ROXJoinOrderLabel(comp, fw, res)
+	roxOrder, roxOK := fw.DecodeOrder(comp.Graph, &res.Plan)
 
 	out := &Fig5Result{Combo: combo}
 	for _, o := range planenum.EnumerateJoinOrders4() {
 		out.Rows = append(out.Rows, Fig5Row{
 			Order:      o,
 			Cumulative: CumulativeJoinSize(counts, o),
-			Classical:  o.Canonical().Label() == classicalOrder.Canonical().Label(),
-			ROX:        o.Canonical().Label() == roxLabel,
+			Classical:  o.Canonical() == classicalOrder.Canonical(),
+			ROX:        roxOK && o.Canonical() == roxOrder,
 		})
 	}
 	sort.Slice(out.Rows, func(i, j int) bool {
 		return out.Rows[i].Order.Label() < out.Rows[j].Order.Label()
 	})
 	return out, nil
-}
-
-// ROXJoinOrderLabel reconstructs the paper-style join order label from the
-// executed cross-document join edges of a ROX run.
-func ROXJoinOrderLabel(comp *xquery.Compiled, fw *planenum.FourWay, res *core.Result) string {
-	docIdx := map[string]int{}
-	for i, d := range fw.Docs {
-		docIdx[d] = i
-	}
-	g := comp.Graph
-	type comps struct {
-		label string
-		docs  map[int]bool
-	}
-	var groups []*comps
-	find := func(d int) *comps {
-		for _, c := range groups {
-			if c.docs[d] {
-				return c
-			}
-		}
-		return nil
-	}
-	label := ""
-	for _, id := range res.Trace.ExecutionOrder() {
-		e := g.Edges[id]
-		if e.Kind != joingraph.JoinEdge {
-			continue
-		}
-		a := docIdx[g.Vertices[e.From].Doc]
-		b := docIdx[g.Vertices[e.To].Doc]
-		if a == b {
-			continue
-		}
-		ca, cb := find(a), find(b)
-		switch {
-		case ca == nil && cb == nil:
-			if a > b {
-				a, b = b, a // normalize to the legend's (small-large) form
-			}
-			c := &comps{label: fmt.Sprintf("(%d-%d)", a+1, b+1), docs: map[int]bool{a: true, b: true}}
-			groups = append(groups, c)
-		case ca != nil && cb == nil:
-			ca.label += fmt.Sprintf("-%d", b+1)
-			ca.docs[b] = true
-		case ca == nil && cb != nil:
-			cb.label += fmt.Sprintf("-%d", a+1)
-			cb.docs[a] = true
-		case ca != cb:
-			ca.label = ca.label + "-" + cb.label
-			for d := range cb.docs {
-				ca.docs[d] = true
-			}
-			groups = removeComp(groups, cb)
-		}
-	}
-	if len(groups) > 0 {
-		label = groups[0].label
-	}
-	return label
-}
-
-func removeComp[T comparable](s []T, x T) []T {
-	out := s[:0]
-	for _, v := range s {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // RunFig5 prints the figure.

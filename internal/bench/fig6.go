@@ -5,15 +5,12 @@ import (
 	"io"
 
 	"repro/internal/classical"
-	"repro/internal/core"
-	"repro/internal/joingraph"
 	"repro/internal/planenum"
-	"repro/internal/xquery"
 )
 
 // Fig6Row is one document combination of Fig 6: the cost of each plan class
 // normalized to the fastest plan. Costs use the deterministic tuple-work
-// metric (wall time tracks it; see EXPERIMENTS.md).
+// metric (see the "Experiments" section of DESIGN.md).
 type Fig6Row struct {
 	Info ComboInfo
 	// Normalized costs (1.0 = fastest plan observed for this combination).
@@ -55,14 +52,14 @@ func (c *Corpus) fig6Row(info ComboInfo) (Fig6Row, error) {
 	}
 
 	// The ROX run itself (sampling included).
-	res, rec, _, err := c.runROX(info, c.cfg.Tau)
+	res, rec, err := c.runROX(info.Combo, comp, roxOptions(c.cfg.Tau))
 	if err != nil {
 		return Fig6Row{}, err
 	}
 	roxFull := rec.Total().Tuples
 
 	// ROX's pure plan re-executed without sampling.
-	roxPure, _, err := c.runPlan(info, comp, &res.Plan)
+	roxPure, _, err := c.runPlan(info.Combo, comp, &res.Plan)
 	if err != nil {
 		return Fig6Row{}, err
 	}
@@ -75,7 +72,7 @@ func (c *Corpus) fig6Row(info ComboInfo) (Fig6Row, error) {
 			if err != nil {
 				return 0, err
 			}
-			cost, _, err := c.runPlan(info, comp, pl)
+			cost, _, err := c.runPlan(info.Combo, comp, pl)
 			if err != nil {
 				return 0, err
 			}
@@ -98,7 +95,7 @@ func (c *Corpus) fig6Row(info ComboInfo) (Fig6Row, error) {
 		return Fig6Row{}, err
 	}
 	roxOrderCost := roxPure
-	if o, ok := ROXJoinOrder4(comp, fw, res); ok {
+	if o, ok := fw.DecodeOrder(comp.Graph, &res.Plan); ok {
 		if v, err := classCost(o, false); err == nil {
 			roxOrderCost = v
 		}
@@ -119,60 +116,6 @@ func (c *Corpus) fig6Row(info ComboInfo) (Fig6Row, error) {
 		ROXPure:    norm(roxPure),
 		RawFastest: fastest,
 	}, nil
-}
-
-// ROXJoinOrder4 reconstructs a JoinOrder4 from ROX's executed join edges
-// when the pattern is one of the 18 legend shapes; ok is false otherwise.
-func ROXJoinOrder4(comp *xquery.Compiled, fw *planenum.FourWay, res *core.Result) (planenum.JoinOrder4, bool) {
-	docIdx := map[string]int{}
-	for i, d := range fw.Docs {
-		docIdx[d] = i
-	}
-	g := comp.Graph
-	var joins [][2]int
-	for _, id := range res.Trace.ExecutionOrder() {
-		e := g.Edges[id]
-		if e.Kind != joingraph.JoinEdge {
-			continue
-		}
-		a, b := docIdx[g.Vertices[e.From].Doc], docIdx[g.Vertices[e.To].Doc]
-		if a != b {
-			joins = append(joins, [2]int{a, b})
-		}
-	}
-	if len(joins) != 3 {
-		return planenum.JoinOrder4{}, false
-	}
-	first := norm2(joins[0])
-	in := map[int]bool{first[0]: true, first[1]: true}
-	j2 := joins[1]
-	switch {
-	case !in[j2[0]] && !in[j2[1]]:
-		// Bushy: the second join pairs the two remaining documents.
-		rest := norm2(j2)
-		return planenum.JoinOrder4{First: first, Rest: rest, Bushy: true}, true
-	case in[j2[0]] != in[j2[1]]:
-		third := j2[0]
-		if in[third] {
-			third = j2[1]
-		}
-		var last int
-		for d := 0; d < 4; d++ {
-			if !in[d] && d != third {
-				last = d
-			}
-		}
-		return planenum.JoinOrder4{First: first, Rest: [2]int{third, last}}, true
-	default:
-		return planenum.JoinOrder4{}, false
-	}
-}
-
-func norm2(p [2]int) [2]int {
-	if p[0] > p[1] {
-		return [2]int{p[1], p[0]}
-	}
-	return p
 }
 
 func minInt64(vs ...int64) int64 {

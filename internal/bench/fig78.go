@@ -121,7 +121,11 @@ func ComputeFig8(cfg Config, taus []int) ([]Fig8Cell, error) {
 		}
 		groups := map[string]*acc{}
 		for _, info := range combos {
-			res, _, _, err := corpus.runROX(info, tau)
+			comp, _, err := CompileCombo(info.Combo)
+			if err != nil {
+				return nil, err
+			}
+			res, _, err := corpus.runROX(info.Combo, comp, roxOptions(tau))
 			if err != nil {
 				return nil, err
 			}

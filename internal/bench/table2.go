@@ -29,35 +29,54 @@ const (
 	return $o`
 )
 
-// RunTable2 regenerates Table 2 (and the Fig 3.3/3.4 execution orders): it
-// runs ROX on the XMark query Q1 and its mirrored variant Qm1 over the
-// price-correlated auction document and prints, for each, the
-// chain-sampling (cost, sf) rounds of the exploration with the longest
-// look-ahead plus the executed edge order. The headline effect to observe:
-// the execution order flips between Q1 (< 145 → few bidders, bidder path
-// first) and Qm1 (> 145 → many bidders, itemref path first).
-func RunTable2(w io.Writer, cfg Config) error {
+// table2Run is one query's ROX run of Table 2.
+type table2Run struct {
+	name string
+	rows int
+	res  *core.Result
+}
+
+// runTable2 runs ROX on the XMark query Q1 and its mirrored variant Qm1
+// over the seed's price-correlated auction document.
+func runTable2(cfg Config) ([]table2Run, error) {
 	xcfg := datagen.DefaultXMarkConfig()
 	xcfg.Seed = cfg.Seed
 	doc := datagen.XMark(xcfg)
 
+	var runs []table2Run
 	for _, q := range []struct{ name, src string }{
 		{"Q1 (current < 145)", xmarkQ1},
 		{"Qm1 (current > 145)", xmarkQm1},
 	} {
 		comp, err := xquery.CompileString(q.src, xquery.CompileOptions{})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		env := plan.NewEnv(metrics.NewRecorder(), cfg.Seed)
 		env.AddDocument(doc)
-		opts := core.DefaultOptions()
-		opts.Tau = cfg.Tau
-		rel, res, err := core.Run(env, comp.Graph, comp.Tail, opts)
+		rel, res, err := core.Run(env, comp.Graph, comp.Tail, roxOptions(cfg.Tau))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprintf(w, "=== %s — %d result rows ===\n", q.name, rel.NumRows())
+		runs = append(runs, table2Run{q.name, rel.NumRows(), res})
+	}
+	return runs, nil
+}
+
+// RunTable2 regenerates Table 2 (and the Fig 3.3/3.4 execution orders):
+// for Q1 and Qm1 it prints the chain-sampling (cost, sf) rounds of the
+// exploration with the longest look-ahead plus the executed edge order.
+// The headline effect to observe: the execution order flips between Q1
+// (< 145 → few bidders, bidder path first) and Qm1 (> 145 → many bidders,
+// itemref path first).
+func RunTable2(w io.Writer, cfg Config) error {
+	runs, err := runTable2(cfg)
+	if err != nil {
+		return err
+	}
+	for _, r := range runs {
+		res := r.res
+		fmt.Fprintf(w, "=== %s — %d result rows ===\n", r.name, r.rows)
 		// The exploration with the most rounds corresponds to the paper's
 		// Table 2 (the third exploration step of Q1).
 		var deepest *core.Exploration
@@ -81,29 +100,9 @@ func RunTable2(w io.Writer, cfg Config) error {
 // Table2Orders runs Q1 and Qm1 and returns their executed edge orders —
 // used by tests to assert the order flip without parsing text output.
 func Table2Orders(cfg Config) (q1, qm1 []int, err error) {
-	xcfg := datagen.DefaultXMarkConfig()
-	xcfg.Seed = cfg.Seed
-	doc := datagen.XMark(xcfg)
-	run := func(src string) ([]int, error) {
-		comp, err := xquery.CompileString(src, xquery.CompileOptions{})
-		if err != nil {
-			return nil, err
-		}
-		env := plan.NewEnv(metrics.NewRecorder(), cfg.Seed)
-		env.AddDocument(doc)
-		opts := core.DefaultOptions()
-		opts.Tau = cfg.Tau
-		_, res, err := core.Run(env, comp.Graph, comp.Tail, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Trace.ExecutionOrder(), nil
-	}
-	if q1, err = run(xmarkQ1); err != nil {
+	runs, err := runTable2(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	if qm1, err = run(xmarkQm1); err != nil {
-		return nil, nil, err
-	}
-	return q1, qm1, nil
+	return runs[0].res.Trace.ExecutionOrder(), runs[1].res.Trace.ExecutionOrder(), nil
 }

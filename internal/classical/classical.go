@@ -14,7 +14,6 @@
 package classical
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -149,21 +148,4 @@ func staticEstimate(env *plan.Env, g *joingraph.Graph, e *joingraph.Edge) (float
 		return 0, err
 	}
 	return math.Max(float64(len(nodesF)), float64(len(nodesT))), nil
-}
-
-// Describe renders the chosen order for logs.
-func Describe(g *joingraph.Graph, p *plan.Plan) string {
-	s := ""
-	for i, st := range p.Steps {
-		if i > 0 {
-			s += " → "
-		}
-		e := g.Edges[st.EdgeID]
-		if e.Kind == joingraph.JoinEdge {
-			s += fmt.Sprintf("⋈(v%d,v%d)", e.From, e.To)
-		} else {
-			s += fmt.Sprintf("step(v%d%sv%d)", e.From, e.Axis.Short(), e.To)
-		}
-	}
-	return s
 }

@@ -232,14 +232,3 @@ func TestClassicalBlindToCorrelation(t *testing.T) {
 			roxRes.CumulativeIntermediate, classicalStats.CumulativeIntermediate)
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	env, comp := fourDocs(t, []int{3, 3, 3, 3}, "ann")
-	pl, err := StaticPlan(env, comp.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Describe(comp.Graph, pl); s == "" {
-		t.Errorf("empty description")
-	}
-}

@@ -85,9 +85,6 @@ func (d *Dir) WAL() *WAL { return d.wal }
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
 
-// Epoch returns the current compaction epoch.
-func (d *Dir) Epoch() uint64 { return d.man.Epoch }
-
 // SnapshotPaths returns document name → absolute snapshot path for every
 // compacted snapshot the manifest lists, for the caller to register before
 // applying the replayed batches.

@@ -80,10 +80,8 @@ type WAL struct {
 	off int64
 	// seq is the last committed batch sequence number.
 	seq uint64
-	// pending counts appends logged since the last commit.
-	pending int
-	// created is when this WAL generation started (opened empty or Reset),
-	// reported by Age for observability.
+	// created is when this WAL was opened, reported by Age for
+	// observability.
 	created time.Time
 }
 
@@ -179,7 +177,6 @@ func (w *WAL) LogAppend(ap Append) error {
 	if err := w.writeRecord(payload); err != nil {
 		return err
 	}
-	w.pending++
 	return nil
 }
 
@@ -198,27 +195,7 @@ func (w *WAL) LogCommit() (uint64, error) {
 		return 0, err
 	}
 	w.seq = seq
-	w.pending = 0
 	return seq, nil
-}
-
-// Reset truncates the log to empty after a compaction has durably persisted
-// everything the log covered. The commit sequence keeps counting from where
-// it was, so generations observed by readers never move backwards.
-func (w *WAL) Reset() error {
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.off = 0
-	w.pending = 0
-	w.created = time.Now()
-	return nil
 }
 
 // Close closes the underlying file. Uncommitted appends are discarded by the
@@ -232,16 +209,13 @@ func (w *WAL) Path() string { return w.path }
 // not-yet-committed appends).
 func (w *WAL) Size() int64 { return w.off }
 
-// Age returns how long this WAL generation has existed (since the file was
-// opened empty or last Reset) — the staleness bound of the packed snapshot
+// Age returns how long this WAL has been open. Each compaction epoch opens
+// a fresh WAL, so Age bounds the staleness of the packed snapshots
 // underneath it.
 func (w *WAL) Age() time.Duration { return time.Since(w.created) }
 
 // Seq returns the last committed batch sequence number.
 func (w *WAL) Seq() uint64 { return w.seq }
-
-// Pending returns the number of appends logged since the last commit.
-func (w *WAL) Pending() int { return w.pending }
 
 // writeRecord frames payload and appends it to the file. This is the single
 // place raw bytes reach the log file; the waldurable analyzer enforces that

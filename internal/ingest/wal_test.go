@@ -50,9 +50,6 @@ func TestWALRoundtrip(t *testing.T) {
 	if s2 <= s1 {
 		t.Fatalf("sequence not increasing: %d then %d", s1, s2)
 	}
-	if w.Pending() != 0 {
-		t.Fatalf("pending after commit: %d", w.Pending())
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,27 +167,35 @@ func TestWALChecksumCorruption(t *testing.T) {
 	}
 }
 
-func TestWALReset(t *testing.T) {
-	path := walPath(t)
-	w, _ := mustOpen(t, path)
-	s1 := logBatch(t, w, Append{Target: "d", Frag: "f", XML: "<a/>"})
-	if err := w.Reset(); err != nil {
+// TestCommitCompactionKeepsSeq: a compaction's new epoch starts an empty
+// WAL, batch numbering continues from the old one, and a reopen replays
+// only what was committed after the compaction.
+func TestCommitCompactionKeepsSeq(t *testing.T) {
+	path := t.TempDir()
+	d, _, err := OpenDir(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 0 {
-		t.Fatalf("size after reset: %d", w.Size())
+	s1 := logBatch(t, d.WAL(), Append{Target: "d", Frag: "f", XML: "<a/>"})
+	if err := d.CommitCompaction(nil); err != nil {
+		t.Fatal(err)
 	}
-	// Sequence numbers survive the reset so generations stay monotonic.
-	s2 := logBatch(t, w, Append{Target: "d", Frag: "g", XML: "<b/>"})
+	if d.WAL().Size() != 0 {
+		t.Fatalf("size after compaction: %d", d.WAL().Size())
+	}
+	s2 := logBatch(t, d.WAL(), Append{Target: "d", Frag: "g", XML: "<b/>"})
 	if s2 != s1+1 {
-		t.Fatalf("seq after reset: %d, want %d", s2, s1+1)
+		t.Fatalf("seq after compaction: %d, want %d", s2, s1+1)
 	}
-	w.Close()
+	d.Close()
 
-	w2, replayed := mustOpen(t, path)
-	defer w2.Close()
+	d2, replayed, err := OpenDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
 	if len(replayed) != 1 || replayed[0].Seq != s2 {
-		t.Fatalf("replay after reset: %+v", replayed)
+		t.Fatalf("replay after compaction: %+v", replayed)
 	}
 }
 

@@ -270,6 +270,54 @@ func (fw *FourWay) BuildPlan(o JoinOrder4, p Placement) (*plan.Plan, error) {
 	return &plan.Plan{Steps: ps}, nil
 }
 
+// DecodeOrder is BuildPlan's inverse: it recovers the legend entry of a
+// plan from its cross-document join steps, in canonical form. g is the
+// graph fw was analyzed from; it maps each join edge, derived ones
+// included, to its two documents. ok is false unless the plan joins
+// exactly three times across documents in one of the 18 legend shapes.
+func (fw *FourWay) DecodeOrder(g *joingraph.Graph, p *plan.Plan) (JoinOrder4, bool) {
+	docIdx := map[string]int{}
+	for i, d := range fw.Docs {
+		docIdx[d] = i
+	}
+	var joins [][2]int
+	for _, st := range p.Steps {
+		e := g.Edges[st.EdgeID]
+		if e.Kind != joingraph.JoinEdge {
+			continue
+		}
+		a, b := docIdx[g.Vertices[e.From].Doc], docIdx[g.Vertices[e.To].Doc]
+		if a != b {
+			joins = append(joins, [2]int{a, b})
+		}
+	}
+	if len(joins) != 3 {
+		return JoinOrder4{}, false
+	}
+	first := JoinOrder4{First: joins[0]}.Canonical().First
+	in := map[int]bool{first[0]: true, first[1]: true}
+	j2 := joins[1]
+	switch {
+	case !in[j2[0]] && !in[j2[1]]:
+		// Bushy: the second join pairs the two remaining documents.
+		return JoinOrder4{First: first, Rest: j2, Bushy: true}.Canonical(), true
+	case in[j2[0]] != in[j2[1]]:
+		third := j2[0]
+		if in[third] {
+			third = j2[1]
+		}
+		var last int
+		for d := 0; d < 4; d++ {
+			if !in[d] && d != third {
+				last = d
+			}
+		}
+		return JoinOrder4{First: first, Rest: [2]int{third, last}}, true
+	default:
+		return JoinOrder4{}, false
+	}
+}
+
 // SearchSpace reports the size of the physical plan space the enumerator
 // covers for a four-way query: join orders × step interleavings × step
 // directions × join algorithms. The paper's tool reports 88880 plans for

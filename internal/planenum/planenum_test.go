@@ -142,6 +142,40 @@ func TestAllOrdersAllPlacementsAgree(t *testing.T) {
 	}
 }
 
+// TestDecodeOrderRoundTrip: DecodeOrder inverts BuildPlan for every legend
+// order and placement, and refuses a plan with fewer than three
+// cross-document joins.
+func TestDecodeOrderRoundTrip(t *testing.T) {
+	_, comp := fourDocQuery(t, testSets)
+	fw, err := AnalyzeFourWay(comp.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range EnumerateJoinOrders4() {
+		for _, p := range Placements() {
+			pl, err := fw.BuildPlan(o, p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", o.Label(), p, err)
+			}
+			got, ok := fw.DecodeOrder(comp.Graph, pl)
+			if !ok || got != o.Canonical() {
+				t.Errorf("%s/%s: decoded %s (ok=%v), want %s", o.Label(), p, got.Label(), ok, o.Canonical().Label())
+			}
+		}
+	}
+	pl, err := fw.BuildPlan(EnumerateJoinOrders4()[0], SJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &plan.Plan{Steps: pl.Steps[:len(pl.Steps)-1]} // SJ ends with the last join
+	if got, ok := fw.DecodeOrder(comp.Graph, short); ok {
+		t.Errorf("two cross-document joins decoded to %s, want !ok", got.Label())
+	}
+	if got, ok := fw.DecodeOrder(comp.Graph, &plan.Plan{}); ok {
+		t.Errorf("empty plan decoded to %s, want !ok", got.Label())
+	}
+}
+
 // TestOrdersMatchROX checks ROX agrees with the enumerated plans.
 func TestOrdersMatchROX(t *testing.T) {
 	env, comp := fourDocQuery(t, testSets)

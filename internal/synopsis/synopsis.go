@@ -26,16 +26,8 @@ import (
 type Guide struct {
 	doc  string
 	root *GNode
-	// total element count, for //-step fan-out estimates.
+	// totalElems is the document's element count.
 	totalElems int
-	// byName aggregates counts per element name across all paths.
-	byName map[string]int
-	// byAttr aggregates attribute counts per attribute name.
-	byAttr map[string]int
-	// textTotal counts all text nodes; globalValues summarizes all text
-	// values (for predicate selectivities without path context).
-	textTotal    int
-	globalValues *ValueSummary
 }
 
 // GNode is one distinct label path.
@@ -50,13 +42,7 @@ type GNode struct {
 
 // Build constructs the synopsis with a single scan over the node table.
 func Build(d *xmltree.Document) *Guide {
-	g := &Guide{
-		doc:          d.Name(),
-		root:         newGNode(""),
-		byName:       map[string]int{},
-		byAttr:       map[string]int{},
-		globalValues: NewValueSummary(32, 16),
-	}
+	g := &Guide{doc: d.Name(), root: newGNode("")}
 	// stack[i] is the guide node of the open element at depth i.
 	stack := []*GNode{g.root}
 	for i := 0; i < d.Len(); i++ {
@@ -79,19 +65,15 @@ func Build(d *xmltree.Document) *Guide {
 			}
 			child.Count++
 			g.totalElems++
-			g.byName[name]++
 			stack = append(stack, child)
 		case xmltree.KindAttr:
 			parent.Attrs[d.NodeName(n)]++
-			g.byAttr[d.NodeName(n)]++
 		case xmltree.KindText:
 			parent.Texts++
-			g.textTotal++
 			parent.Values.Add(d.Value(n))
-			g.globalValues.Add(d.Value(n))
 		}
 	}
-	g.finish(g.root)
+	seal(g.root)
 	return g
 }
 
@@ -104,16 +86,13 @@ func newGNode(name string) *GNode {
 	}
 }
 
-func (g *Guide) finish(n *GNode) {
+// seal freezes the value summaries of n's subtree.
+func seal(n *GNode) {
 	n.Values.Seal()
 	for _, c := range n.Children {
-		g.finish(c)
+		seal(c)
 	}
-	g.globalValues.Seal()
 }
-
-// Doc returns the summarized document's name.
-func (g *Guide) Doc() string { return g.doc }
 
 // Size returns the number of guide nodes (distinct label paths) — the
 // synopsis footprint.
@@ -127,21 +106,6 @@ func (g *Guide) Size() int {
 		return total
 	}
 	return count(g.root) - 1 // exclude the synthetic root
-}
-
-// CountName returns the exact number of elements with the given name.
-func (g *Guide) CountName(name string) int { return g.byName[name] }
-
-// CountAttr returns the exact number of attributes with the given name.
-func (g *Guide) CountAttr(name string) int { return g.byAttr[name] }
-
-// TextCount returns the total number of text nodes.
-func (g *Guide) TextCount() int { return g.textTotal }
-
-// GlobalValueSelectivity estimates the fraction of all text values
-// satisfying "op lit" from the document-wide value summary.
-func (g *Guide) GlobalValueSelectivity(op, lit string) float64 {
-	return g.globalValues.EstimateMatch(op, lit)
 }
 
 // PathStep is one step of a linear path pattern.

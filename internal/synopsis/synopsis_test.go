@@ -58,8 +58,8 @@ func TestGuideExactLinearPaths(t *testing.T) {
 
 func TestGuideCountsAndSize(t *testing.T) {
 	g, d := guideOf(t, sample)
-	if g.CountName("item") != d.CountName("item") {
-		t.Errorf("CountName(item) = %d, want %d", g.CountName("item"), d.CountName("item"))
+	if n, err := g.EstimatePath("//item"); err != nil || n != d.CountName("item") {
+		t.Errorf("EstimatePath(//item) = %d, %v; want %d", n, err, d.CountName("item"))
 	}
 	// Distinct label paths: site, regions, regions/item, regions/item/quantity,
 	// people, person, person/name, person/item, person/item/quantity = 9.

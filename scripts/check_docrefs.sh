@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check_docrefs.sh — doc-rot guard: every DESIGN.md section referenced from a
-# Go comment or from README.md must exist as a `## <Section>` heading, so
-# pointers into the design doc cannot rot silently when sections are renamed.
+# Go comment or from README.md must exist as a `## <Section>` heading, and
+# every `*.md` file they name must exist in the repository, so pointers into
+# the docs cannot rot silently when sections or files are renamed.
 #
 # The canonical reference phrasing this enforces is:
 #
@@ -32,7 +33,25 @@ while IFS= read -r sec; do
     fail=1
   fi
 done <<< "$refs"
+
+# Markdown files named in Go comments (text after a `//` that no quote or
+# backtick precedes) or in README.md, e.g. DESIGN.md or benchmark/README.md.
+# A name resolves from the repository root or as the tail of a path in it.
+files="$( { find . -name '*.go' -not -path './.git/*' -print0 \
+              | xargs -0 sed -n 's@^[^"`]*//@@p'; cat README.md; } \
+  | { grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' || true; } \
+  | sort -u )"
+nfiles=0
+while IFS= read -r f; do
+  [ -z "$f" ] && continue
+  nfiles=$((nfiles + 1))
+  if [ ! -e "$f" ] && [ -z "$(find . -path "*/$f" -not -path './.git/*' -print -quit)" ]; then
+    echo "stale doc reference: no file $f in the repository"
+    fail=1
+  fi
+done <<< "$files"
+
 if [ "$fail" = 0 ]; then
-  echo "ok: all $count referenced DESIGN.md sections exist"
+  echo "ok: all $count referenced DESIGN.md sections and $nfiles named *.md files exist"
 fi
 exit $fail
