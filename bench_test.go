@@ -1,16 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Sec 4). Each BenchmarkTableN / BenchmarkFigN drives the corresponding
-// experiment in internal/bench on a miniature corpus (the shapes, not the
-// absolute numbers, reproduce the paper; run cmd/roxbench for full sweeps
-// and printed rows). Custom metrics surface the quantity the paper plots:
+// Benchmarks of the physical operators, the ROX and classical end-to-end
+// pipelines and the engine's serving paths (prepared, concurrent, scattered,
+// streaming). The paper's tables and figures are printed by cmd/roxbench,
+// not re-run here:
 //
-//	go test -bench=. -benchmem
-//	go test -bench BenchmarkFig6 -benchtime 3x
+//	go test -run '^$' -bench . -benchmem
+//	go run ./cmd/roxbench -exp all
 package rox
 
 import (
 	"context"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -26,200 +24,6 @@ import (
 	"repro/internal/xmltree"
 	"repro/internal/xquery"
 )
-
-func benchConfig() bench.Config {
-	cfg := bench.DefaultConfig()
-	cfg.TagDivisor = 60
-	cfg.MaxCombosPerGroup = 2
-	return cfg
-}
-
-// BenchmarkTable1 exercises the operator cost table: every staircase axis,
-// the three value joins and the scan over a fixed micro document.
-func BenchmarkTable1(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if err := bench.RunTable1(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2 runs the XMark chain-sampling experiment (Q1 and Qm1 over
-// the price↔bidder-correlated auction document).
-func BenchmarkTable2(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Table2Orders(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3 generates the 23-venue catalog.
-func BenchmarkTable3(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if err := bench.RunTable3(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5 evaluates all 18 join orders of the VLDB/ICDE/ICIP/ADBIS
-// combination and reports the spread between the best and worst order.
-func BenchmarkFig5(b *testing.B) {
-	cfg := benchConfig()
-	corpus := bench.NewCorpus(cfg)
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.ComputeFig5(corpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		minC, maxC := res.Rows[0].Cumulative, res.Rows[0].Cumulative
-		for _, r := range res.Rows {
-			if r.Cumulative < minC {
-				minC = r.Cumulative
-			}
-			if r.Cumulative > maxC {
-				maxC = r.Cumulative
-			}
-		}
-		if minC == 0 {
-			minC = 1
-		}
-		spread = float64(maxC) / float64(minC)
-	}
-	b.ReportMetric(spread, "worst/best-order")
-}
-
-// BenchmarkFig6 runs the plan-class comparison and reports the average
-// classical-vs-ROX slowdown (the paper: 3.4×–7.9× depending on group).
-func BenchmarkFig6(b *testing.B) {
-	cfg := benchConfig()
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		corpus := bench.NewCorpus(cfg)
-		rows, err := bench.ComputeFig6(corpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for _, r := range rows {
-			sum += r.Classical / r.ROXPure
-		}
-		slowdown = sum / float64(len(rows))
-	}
-	b.ReportMetric(slowdown, "classical/ROXpure")
-}
-
-// BenchmarkFig7 measures the scaling experiment at ×1 and ×4.
-func BenchmarkFig7(b *testing.B) {
-	cfg := benchConfig()
-	cfg.MaxCombosPerGroup = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.ComputeFig7(cfg, []int{1, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8 measures the sampling overhead at τ ∈ {25, 100, 400} and
-// reports the τ=100 overhead percentage.
-func BenchmarkFig8(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Scale = 8
-	cfg.MaxCombosPerGroup = 1
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.ComputeFig8(cfg, []int{25, 100, 400})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
-			if c.Tau == 100 {
-				overhead = c.AvgPct
-			}
-		}
-	}
-	b.ReportMetric(overhead, "overhead-%@τ100")
-}
-
-// --- Ablation benches: the design choices DESIGN.md calls out. ---
-
-func ablationCorpus(b *testing.B) (*bench.Corpus, bench.ComboInfo) {
-	cfg := benchConfig()
-	cfg.TagDivisor = 40
-	corpus := bench.NewCorpus(cfg)
-	combos := corpus.SelectCombos()
-	if len(combos) == 0 {
-		b.Fatal("no combos")
-	}
-	// Use the most correlated combination — where the ablations matter.
-	best := combos[0]
-	for _, c := range combos {
-		if c.Correlation > best.Correlation {
-			best = c
-		}
-	}
-	return corpus, best
-}
-
-func runVariant(b *testing.B, opts core.Options) (cumulative int64) {
-	corpus, info := ablationCorpus(b)
-	comp, _, err := bench.CompileCombo(info.Combo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env := corpus.EnvFor(info.Combo)
-		_, res, err := core.Run(env, comp.Graph, comp.Tail, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cumulative = res.CumulativeIntermediate
-	}
-	b.ReportMetric(float64(cumulative), "cumulative-intermediates")
-	return cumulative
-}
-
-// BenchmarkAblationDefault is full ROX (chain sampling + re-sampling).
-func BenchmarkAblationDefault(b *testing.B) { runVariant(b, core.DefaultOptions()) }
-
-// BenchmarkAblationGreedy removes chain sampling: always execute the
-// min-weight edge without look-ahead.
-func BenchmarkAblationGreedy(b *testing.B) {
-	o := core.DefaultOptions()
-	o.Greedy = true
-	runVariant(b, o)
-}
-
-// BenchmarkAblationNoResample scales old weights by cardinality ratios
-// instead of re-sampling — the independence assumption the paper rejects.
-func BenchmarkAblationNoResample(b *testing.B) {
-	o := core.DefaultOptions()
-	o.NoResample = true
-	runVariant(b, o)
-}
-
-// BenchmarkAblationFixedCutoff keeps the chain-sampling cut-off at τ instead
-// of growing it per round.
-func BenchmarkAblationFixedCutoff(b *testing.B) {
-	o := core.DefaultOptions()
-	o.FixedCutoff = true
-	runVariant(b, o)
-}
-
-// BenchmarkAblationSampleSide compares the smaller-side sampling choice by
-// running with reversed direction preference disabled (path reordering off,
-// exposing the raw sampled orientation).
-func BenchmarkAblationSampleSide(b *testing.B) {
-	o := core.DefaultOptions()
-	o.NoPathReorder = true
-	runVariant(b, o)
-}
 
 // --- Micro benchmarks of the physical operators. ---
 
@@ -382,33 +186,6 @@ func BenchmarkPlanEnumeration(b *testing.B) {
 			}
 		}
 	}
-}
-
-// --- Sec 6 future-work extension benches. ---
-
-// BenchmarkExtensionSampledSearch runs the optimizer on truncated
-// intermediates (MaterializeLimit) and re-executes the found plan once —
-// the paper's "run ROX with samples instead of the complete data".
-func BenchmarkExtensionSampledSearch(b *testing.B) {
-	o := core.DefaultOptions()
-	o.MaterializeLimit = 8 * o.Tau
-	runVariant(b, o)
-}
-
-// BenchmarkExtensionEagerProject pushes projection+Distinct between the
-// joins (the Sec 6 Sorting/Distinct/Grouping integration).
-func BenchmarkExtensionEagerProject(b *testing.B) {
-	o := core.DefaultOptions()
-	o.EagerProject = true
-	runVariant(b, o)
-}
-
-// BenchmarkExtensionTimeWeights folds measured operator time into edge
-// weights.
-func BenchmarkExtensionTimeWeights(b *testing.B) {
-	o := core.DefaultOptions()
-	o.TimeWeights = true
-	runVariant(b, o)
 }
 
 // --- Concurrent serving benches: one shared catalog, many queries. ---

@@ -51,16 +51,15 @@ func ablationVariants(tau int) []struct {
 // ComputeAblations runs every ROX variant over the selected combinations.
 func ComputeAblations(cfg Config) ([]AblationRow, error) {
 	corpus := NewCorpus(cfg)
-	combos := corpus.SelectCombos()
+	combos, err := corpus.SelectCombos()
+	if err != nil {
+		return nil, err
+	}
 	var out []AblationRow
 	for _, v := range ablationVariants(cfg.Tau) {
 		row := AblationRow{Name: v.name}
 		for _, info := range combos {
-			comp, _, err := CompileCombo(info.Combo)
-			if err != nil {
-				return nil, err
-			}
-			res, rec, err := corpus.runROX(info.Combo, comp, v.opts)
+			res, rec, err := corpus.runROX(info.Comp, v.opts)
 			if err != nil {
 				return nil, err
 			}

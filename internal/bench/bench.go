@@ -1,6 +1,5 @@
 // Package bench contains the drivers that regenerate every table and figure
-// of the paper's evaluation section (Sec 4), shared by cmd/roxbench and the
-// root-level testing.B benchmarks:
+// of the paper's evaluation section (Sec 4); cmd/roxbench prints them:
 //
 //	Table 1  operator cost properties           (RunTable1)
 //	Table 2  chain-sampling rounds on Q1/Qm1    (RunTable2)
@@ -53,8 +52,8 @@ type Config struct {
 	Venues []datagen.Venue
 }
 
-// DefaultConfig returns the miniature configuration used by `go test
-// -bench`.
+// DefaultConfig returns the miniature configuration cmd/roxbench runs by
+// default.
 func DefaultConfig() Config {
 	return Config{
 		Seed:              2009,
@@ -99,10 +98,10 @@ func NewCorpus(cfg Config) *Corpus {
 	return &Corpus{cfg: cfg, docs: docs, cat: cat}
 }
 
-// EnvFor builds a fresh per-query Env (own recorder and random stream) over
-// the shared corpus catalog. The combination's documents are all registered
-// there; queries only touch the documents they name.
-func (c *Corpus) EnvFor(combo datagen.Combo) *plan.Env {
+// Env builds a fresh per-query Env (own recorder and random stream) over
+// the shared corpus catalog. Every venue document is registered there;
+// queries only touch the documents they name.
+func (c *Corpus) Env() *plan.Env {
 	return plan.NewQueryEnv(c.cat, metrics.NewRecorder(), c.cfg.Seed)
 }
 
@@ -199,8 +198,10 @@ func SmallestLargestOrders(counts [4]map[string]int) (smallest, largest planenum
 
 // SelectCombos returns the evaluated combinations: every classified
 // 4-subset of the venues, with non-empty four-way results, capped per group,
-// sorted by group then ascending correlation C (the Fig 6 x-axis).
-func (c *Corpus) SelectCombos() []ComboInfo {
+// sorted by group then ascending correlation C (the Fig 6 x-axis). Each
+// selected combination's four-way query is compiled once here; the drivers
+// share the compiled graph, which no run writes.
+func (c *Corpus) SelectCombos() ([]ComboInfo, error) {
 	var out []ComboInfo
 	perGroup := map[string]int{}
 	all := datagen.Combos(c.cfg.venues())
@@ -233,16 +234,24 @@ func (c *Corpus) SelectCombos() []ComboInfo {
 			continue
 		}
 		perGroup[info.Combo.Group]++
+		comp, fw, err := CompileCombo(info.Combo)
+		if err != nil {
+			return nil, err
+		}
+		info.Comp, info.FourWay = comp, fw
 		out = append(out, info)
 	}
-	return out
+	return out, nil
 }
 
-// ComboInfo is a combination with its correlation measure.
+// ComboInfo is a combination with its correlation measure and its compiled
+// four-way query.
 type ComboInfo struct {
 	Combo       datagen.Combo
 	Correlation float64
 	Counts      [4]map[string]int
+	Comp        *xquery.Compiled
+	FourWay     *planenum.FourWay
 }
 
 // Label renders the combination compactly.
@@ -272,10 +281,10 @@ func roxOptions(tau int) core.Options {
 	return opts
 }
 
-// runROX evaluates the combination's compiled query with ROX under opts,
-// returning the run and the environment's recorder for cost inspection.
-func (c *Corpus) runROX(combo datagen.Combo, comp *xquery.Compiled, opts core.Options) (*core.Result, *metrics.Recorder, error) {
-	env := c.EnvFor(combo)
+// runROX evaluates a compiled query with ROX under opts, returning the run
+// and the environment's recorder for cost inspection.
+func (c *Corpus) runROX(comp *xquery.Compiled, opts core.Options) (*core.Result, *metrics.Recorder, error) {
+	env := c.Env()
 	_, res, err := core.Run(env, comp.Graph, comp.Tail, opts)
 	if err != nil {
 		return nil, nil, err
@@ -283,10 +292,10 @@ func (c *Corpus) runROX(combo datagen.Combo, comp *xquery.Compiled, opts core.Op
 	return res, env.Rec, nil
 }
 
-// runPlan executes a static plan for the combination and returns the exec
+// runPlan executes a static plan of a compiled query and returns the exec
 // tuple work and stats.
-func (c *Corpus) runPlan(combo datagen.Combo, comp *xquery.Compiled, p *plan.Plan) (int64, *plan.RunStats, error) {
-	env := c.EnvFor(combo)
+func (c *Corpus) runPlan(comp *xquery.Compiled, p *plan.Plan) (int64, *plan.RunStats, error) {
+	env := c.Env()
 	_, stats, err := plan.Run(env, comp.Graph, p, comp.Tail)
 	if err != nil {
 		return 0, nil, err

@@ -55,7 +55,7 @@ func TestJoinSizesMatchExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := corpus.runPlan(combo, comp, pl)
+	_, stats, err := corpus.runPlan(comp, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,10 @@ func TestFourWayQueryCompiles(t *testing.T) {
 func TestSelectCombosRespectsCapsAndOrder(t *testing.T) {
 	cfg := testConfig()
 	corpus := NewCorpus(cfg)
-	combos := corpus.SelectCombos()
+	combos, err := corpus.SelectCombos()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(combos) == 0 {
 		t.Fatal("no combos selected")
 	}

@@ -52,13 +52,13 @@ func ComputeFig5(corpus *Corpus) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	classicalOrder, err := classical.SmallestInputOrder(corpus.EnvFor(combo), comp.Graph, fw)
+	classicalOrder, err := classical.SmallestInputOrder(corpus.Env(), comp.Graph, fw)
 	if err != nil {
 		return nil, err
 	}
 
 	// ROX's join order, decoded from the plan it executed.
-	res, _, err := corpus.runROX(combo, comp, roxOptions(corpus.cfg.Tau))
+	res, _, err := corpus.runROX(comp, roxOptions(corpus.cfg.Tau))
 	if err != nil {
 		return nil, err
 	}

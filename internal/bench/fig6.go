@@ -26,8 +26,12 @@ type Fig6Row struct {
 
 // ComputeFig6 evaluates the plan classes over the selected combinations.
 func ComputeFig6(corpus *Corpus) ([]Fig6Row, error) {
+	combos, err := corpus.SelectCombos()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig6Row
-	for _, info := range corpus.SelectCombos() {
+	for _, info := range combos {
 		row, err := corpus.fig6Row(info)
 		if err != nil {
 			return nil, err
@@ -38,28 +42,24 @@ func ComputeFig6(corpus *Corpus) ([]Fig6Row, error) {
 }
 
 func (c *Corpus) fig6Row(info ComboInfo) (Fig6Row, error) {
-	comp, fw, err := CompileCombo(info.Combo)
-	if err != nil {
-		return Fig6Row{}, err
-	}
+	comp, fw := info.Comp, info.FourWay
 
 	// Analytic smallest/largest orders, classical order.
 	smallOrder, largeOrder := SmallestLargestOrders(info.Counts)
-	env := c.EnvFor(info.Combo)
-	classicalOrder, err := classical.SmallestInputOrder(env, comp.Graph, fw)
+	classicalOrder, err := classical.SmallestInputOrder(c.Env(), comp.Graph, fw)
 	if err != nil {
 		return Fig6Row{}, err
 	}
 
 	// The ROX run itself (sampling included).
-	res, rec, err := c.runROX(info.Combo, comp, roxOptions(c.cfg.Tau))
+	res, rec, err := c.runROX(comp, roxOptions(c.cfg.Tau))
 	if err != nil {
 		return Fig6Row{}, err
 	}
 	roxFull := rec.Total().Tuples
 
 	// ROX's pure plan re-executed without sampling.
-	roxPure, _, err := c.runPlan(info.Combo, comp, &res.Plan)
+	roxPure, _, err := c.runPlan(comp, &res.Plan)
 	if err != nil {
 		return Fig6Row{}, err
 	}
@@ -72,7 +72,7 @@ func (c *Corpus) fig6Row(info ComboInfo) (Fig6Row, error) {
 			if err != nil {
 				return 0, err
 			}
-			cost, _, err := c.runPlan(info.Combo, comp, pl)
+			cost, _, err := c.runPlan(comp, pl)
 			if err != nil {
 				return 0, err
 			}

@@ -112,7 +112,10 @@ type Fig8Cell struct {
 // group for each sample size (Fig 8: τ ∈ {25, 100, 400}).
 func ComputeFig8(cfg Config, taus []int) ([]Fig8Cell, error) {
 	corpus := NewCorpus(cfg)
-	combos := corpus.SelectCombos()
+	combos, err := corpus.SelectCombos()
+	if err != nil {
+		return nil, err
+	}
 	var out []Fig8Cell
 	for _, tau := range taus {
 		type acc struct {
@@ -121,11 +124,7 @@ func ComputeFig8(cfg Config, taus []int) ([]Fig8Cell, error) {
 		}
 		groups := map[string]*acc{}
 		for _, info := range combos {
-			comp, _, err := CompileCombo(info.Combo)
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := corpus.runROX(info.Combo, comp, roxOptions(tau))
+			res, _, err := corpus.runROX(info.Comp, roxOptions(tau))
 			if err != nil {
 				return nil, err
 			}

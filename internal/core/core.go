@@ -52,11 +52,6 @@ type Options struct {
 	// of re-optimizing the segment order by current weights (Sec 3.2 treats
 	// the path "as a separate Join Graph" and re-optimizes it).
 	NoPathReorder bool
-	// NoAlgChoice always uses hash joins for equi-join execution instead of
-	// picking nested-loop index lookup for small outer sides (the paper's
-	// prototype "tries all applicable physical operators on a sample";
-	// we use the observed table sizes).
-	NoAlgChoice bool
 
 	// The remaining options implement the paper's Sec 6 future-work
 	// extensions.
@@ -508,8 +503,11 @@ func (o *Optimizer) execEdge(id int) error {
 	}
 	fromSize, toSize := sizeOf(e.From), sizeOf(e.To)
 	reverse := toSize < fromSize
+	// The paper's prototype tries every applicable join operator on a
+	// sample; this picks by the observed sizes: nested-loop index lookup for
+	// a small context side, a hash join otherwise.
 	alg := ops.JoinHash
-	if !o.opt.NoAlgChoice && e.Kind == joingraph.JoinEdge {
+	if e.Kind == joingraph.JoinEdge {
 		ctx, inner := fromSize, toSize
 		if reverse {
 			ctx, inner = toSize, fromSize

@@ -267,7 +267,6 @@ func TestROXAblations(t *testing.T) {
 		"noresample":  {Tau: 100, NoResample: true},
 		"fixedcutoff": {Tau: 100, FixedCutoff: true},
 		"noreorder":   {Tau: 100, NoPathReorder: true},
-		"noalgchoice": {Tau: 100, NoAlgChoice: true},
 		"smalltau":    {Tau: 5},
 	}
 	for name, opt := range cases {

@@ -20,7 +20,8 @@ import (
 // that dropped a column, so which columns a merge drops is visible in the
 // per-edge rows and the cumulative intermediates. These pins record both, and
 // the result items, for the optimizer run and for its replay, with and
-// without the push-down, over the dblp-fourway and xmark-correlation graphs.
+// without the push-down, over the Fig 5 DBLP four-way graph and Table 2's
+// XMark Q1 and Qm1.
 
 // eagerPin is what one run reports: per-edge rows in plan order, the Fig 5
 // metric and a hash of the result items.
@@ -80,7 +81,7 @@ func TestEagerProjectPinned(t *testing.T) {
 	}
 	var graphs []graph
 
-	// dblp-fourway: the example's combination on a four-venue corpus.
+	// dblp-fourway: the Fig 5 combination on a four-venue corpus (tags ÷20).
 	var combo datagen.Combo
 	var venues []datagen.Venue
 	for i, name := range []string{"VLDB", "ICDE", "ICIP", "ADBIS"} {
@@ -93,9 +94,9 @@ func TestEagerProjectPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs = append(graphs, graph{"dblp-fourway", func() *plan.Env { return corpus.EnvFor(combo) }, comp})
+	graphs = append(graphs, graph{"dblp-fourway", corpus.Env, comp})
 
-	// xmark-correlation: Q1 and Qm1 of the example.
+	// Table 2's XMark Q1 and Qm1.
 	doc := datagen.XMark(datagen.DefaultXMarkConfig())
 	cat := plan.NewCatalog()
 	cat.AddDocument(doc)

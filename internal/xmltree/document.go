@@ -229,9 +229,9 @@ func (d *Document) nextText(i, end NodeID) NodeID {
 
 // ParseNumber is the engine's one rule for reading a value as a number: s
 // with surrounding white space removed must parse as a finite float64. The
-// value indices, the synopsis and the plan tail all classify through it, so a
-// text node is numeric to a range predicate exactly when it is numeric to an
-// order key or an aggregate. NaN and the infinities are strings: admitting
+// value indices and the plan tail both classify through it, so a text node
+// is numeric to a range predicate exactly when it is numeric to an order key
+// or an aggregate. NaN and the infinities are strings: admitting
 // them would break the value order the numeric index is binary-searched by.
 func ParseNumber(s string) (float64, bool) {
 	return parseTrimmed(strings.TrimSpace(s))
@@ -420,8 +420,8 @@ func (d *Document) Validate() error {
 	return nil
 }
 
-// Stats summarizes a document for catalogs (Table 3) and the classical
-// optimizer's per-document statistics.
+// Stats counts a document's nodes by kind and element name. No planner reads
+// it: the tree and generator tests check document shapes through it.
 type Stats struct {
 	Nodes    int            // total node count
 	Elements int            // element nodes

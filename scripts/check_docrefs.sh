@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # check_docrefs.sh — doc-rot guard: every DESIGN.md section referenced from a
-# Go comment or from README.md must exist as a `## <Section>` heading, and
-# every `*.md` file they name must exist in the repository, so pointers into
-# the docs cannot rot silently when sections or files are renamed.
+# Go comment or from README.md must exist as a `## <Section>` heading, every
+# `*.md` file they name must exist in the repository, and every
+# `examples/<dir>`, `internal/<pkg>` and `cmd/<name>` path that README.md,
+# DESIGN.md or .claude/skills/verify/SKILL.md name must exist, so pointers
+# into the docs and from them cannot rot silently when sections, files or
+# packages are renamed or deleted.
 #
 # The canonical reference phrasing this enforces is:
 #
@@ -51,7 +54,24 @@ while IFS= read -r f; do
   fi
 done <<< "$files"
 
+# Package and program directories named in the docs, e.g. `./cmd/roxbench`
+# or `internal/plan`; a path inside another tree (`benchmark/internal/x`) is
+# not one of them.
+dirs="$(cat README.md DESIGN.md .claude/skills/verify/SKILL.md \
+  | { grep -oE '(^|[^A-Za-z0-9_./-])(\./)?(examples|internal|cmd)/[A-Za-z0-9_-]+' || true; } \
+  | sed -E 's@^[^a-z.]?(\./)?@@' \
+  | sort -u )"
+ndirs=0
+while IFS= read -r d; do
+  [ -z "$d" ] && continue
+  ndirs=$((ndirs + 1))
+  if [ ! -d "$d" ]; then
+    echo "stale doc reference: no directory $d in the repository"
+    fail=1
+  fi
+done <<< "$dirs"
+
 if [ "$fail" = 0 ]; then
-  echo "ok: all $count referenced DESIGN.md sections and $nfiles named *.md files exist"
+  echo "ok: all $count referenced DESIGN.md sections, $nfiles named *.md files and $ndirs named directories exist"
 fi
 exit $fail
