@@ -72,8 +72,10 @@ const replayedJoin = `let $d := doc("xmark.xml")
 		where $o//bidder//personref/@person = $p/@id return $p limit 50`
 
 func TestAllocGuardReplayedJoin(t *testing.T) {
-	// Measured 207: the merge scratch and the hash join's build come back
-	// from the previous query (236 without), each edge's pairs are reserved
+	// Measured 191: the relations a finished query's merges superseded are
+	// the next query's merge output columns (207 without), the merge
+	// scratch and the hash join's build come back from the previous query
+	// (236 without), each edge's pairs are reserved
 	// at the cardinality the cached plan observed, a first edge's pairs
 	// become its relation, pair groups are counted before they are filled,
 	// T(v) is refreshed only where a later step reads it, a merge copies no
@@ -82,7 +84,7 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 	// columns copied; 387 before the rest; 530 when vertex tables copied the
 	// index, a refreshed T(v) cloned its column and step pairs grew per edge;
 	// 5 851 with a hash map and a slice per context node in every merge).
-	const ceiling = 259
+	const ceiling = 239
 	if got := allocsPerQuery(t, replayedJoin); got > ceiling {
 		t.Errorf("replayed join: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
@@ -91,17 +93,19 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// The object count above cannot see a copy of a whole index extent or
 	// column, which is one allocation however large. Bytes can. Measured
-	// 73 168 (109 497 when Runner.Finish does not hand the merge scratch
+	// 44 765 (73 392 when every merge output column is allocated fresh
+	// instead of reusing the relations the previous query superseded;
+	// 109 497 when Runner.Finish does not hand the merge scratch
 	// back; 130 231 when neither it nor the hash join's build was recycled;
 	// 161 474 when every merge copies the columns of vertices no later step
 	// and no tail reads; 204 166 before the pair buffers were sized from the
 	// plan cache and owned by the relation; 382 107 with VertexTable copying
 	// each extent, DistinctNodes cloning each column and the step pairs
-	// growing per edge). The ceiling is ≈ 5 % above, not 25 %: scratch that
-	// is not handed back, copying the dead columns again, pair buffers
-	// growing from empty, the extent copy or the column clone each cost
-	// more; each must fail here.
-	const ceiling = 76_800
+	// growing per edge). The ceiling is ≈ 5 % above, not 25 %: merges that
+	// stop drawing on the spares, scratch that is not handed back, copying
+	// the dead columns again, pair buffers growing from empty, the extent
+	// copy or the column clone each cost more; each must fail here.
+	const ceiling = 47_000
 	if got := bytesPerRun(20, replayer(t, replayedJoin)); got > ceiling {
 		t.Errorf("replayed join: %.0f bytes per query, ceiling %d", got, ceiling)
 	}
@@ -130,25 +134,34 @@ func coldFourWay(t *testing.T) func() {
 }
 
 func TestAllocGuardColdFourWay(t *testing.T) {
-	// Measured 863 (885 before merge scratch and hash join builds were
-	// recycled across queries): sampled pairs live in one optimizer buffer, restricted
-	// probes filter in place, the value index is the hash join's build side
-	// over an unreduced extent, and the optimizer looks edges up in lists
-	// built once and draws samples without a map (3 230 when each of those
-	// allocated; 1 839 with a slice per restricted probe alone).
-	const ceiling = 1080
+	// Measured 818 (835 when first-edge pairs grow from empty instead of
+	// reserving the optimizer's estimate; 862 when in addition every merge
+	// output column is allocated fresh instead of reusing the relations the
+	// previous query superseded; 885 before merge scratch and hash join
+	// builds were recycled across queries): sampled pairs live in one
+	// optimizer buffer, restricted probes filter in place, the value index
+	// is the hash join's build side over an unreduced extent, and the
+	// optimizer looks edges up in lists built once and draws samples
+	// without a map (3 230 when each of those allocated; 1 839 with a slice
+	// per restricted probe alone).
+	const ceiling = 1020
 	if got := testing.AllocsPerRun(20, coldFourWay(t)); got > ceiling {
 		t.Errorf("cold four-way: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
 }
 
 func TestAllocGuardColdFourWayBytes(t *testing.T) {
-	// Measured 164 217 (175 136 before merge scratch and hash join builds
-	// were recycled, 523 379 before the change above). A hash table built
-	// over the unreduced extent instead of probing the index is recycled
-	// too, so bytes no longer see it; TestExecEdgeHashOverExtentBuildsNothing
-	// (internal/plan) catches it with the free list emptied.
-	const ceiling = 205_000
+	// Measured 128 488 (138 523 when first-edge pairs grow from empty
+	// instead of reserving the optimizer's estimate; 164 634 when in
+	// addition every merge output column is allocated fresh; 175 136
+	// before merge scratch and hash join builds were recycled, 523 379
+	// before the change above). The ceiling is ≈ 5 % above: a cold run
+	// that stops reserving, or merges that stop drawing on the spares,
+	// fail here. A hash table built over the unreduced extent instead of
+	// probing the index is recycled too, so bytes no longer see it;
+	// TestExecEdgeHashOverExtentBuildsNothing (internal/plan) catches it
+	// with the free list emptied.
+	const ceiling = 135_000
 	if got := bytesPerRun(20, coldFourWay(t)); got > ceiling {
 		t.Errorf("cold four-way: %.0f bytes per query, ceiling %d", got, ceiling)
 	}

@@ -182,6 +182,99 @@ func TestConcurrentReplaysMatchSequential(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentReplaysKeepFinishedResults opens cursors on a replayed
+// XMark join and on a replayed path query, whose rows view its final
+// relation itself, and leaves them undrained: their runs have finished and
+// handed their merge scratch back, superseded relations included. Replays
+// of the join and of its count, and cold four-way runs, then take that
+// scratch over and over from several goroutines and fill their merge
+// output with its spares. The cursors' items must still be exactly an
+// uncached engine's.
+func TestConcurrentReplaysKeepFinishedResults(t *testing.T) {
+	const join = `let $d := doc("xmark.xml")
+		for $o in $d//open_auction[.//current/text() < 145], $p in $d//person[.//province]
+		where $o//bidder//personref/@person = $p/@id return $p limit 50`
+	const count = `let $d := doc("xmark.xml")
+		for $o in $d//open_auction[.//current/text() < 145], $p in $d//person[.//province]
+		where $o//bidder//personref/@person = $p/@id return count($p)`
+	const path = `for $p in doc("xmark.xml")//person[.//province] return $p`
+	uncached := NewEngine(WithSeed(1), WithPlanCache(0))
+	e := NewEngine(WithSeed(1))
+	for _, eng := range []*Engine{uncached, e} {
+		if err := eng.LoadSource(FromDocument(datagen.XMark(datagen.DefaultXMarkConfig()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := NewEngine(WithSeed(1), WithPlanCache(0))
+	runs := []struct {
+		e     *Engine
+		query string
+	}{{e, join}, {e, count}, {cold, loadFourWay(t, cold)}, {e, path}}
+	want := make([][]string, len(runs))
+	for i, r := range runs {
+		res, err := collectRows(r.e.Execute(context.Background(), Request{Query: r.query}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) == 0 {
+			t.Fatalf("%.40s…: no items", r.query)
+		}
+		want[i] = res.Items
+	}
+
+	cursors := map[string]*Rows{}
+	for _, q := range []string{join, path} {
+		rows, err := e.Execute(context.Background(), Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		if !rows.Stats().CacheHit {
+			t.Fatalf("%.40s…: the cursor did not replay its cached plan", q)
+		}
+		cursors[q] = rows
+	}
+
+	const goroutines, rounds = 4, 4
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds * len(runs) {
+				ri := (g + i) % len(runs)
+				res, err := collectRows(runs[ri].e.Execute(context.Background(), Request{Query: runs[ri].query}))
+				if err != nil {
+					t.Errorf("goroutine %d, query %d: %v", g, ri, err)
+					return
+				}
+				if !reflect.DeepEqual(res.Items, want[ri]) {
+					t.Errorf("goroutine %d, query %d: %d items differ from the sequential run's %d", g, ri, len(res.Items), len(want[ri]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for q, rows := range cursors {
+		wantRes, err := collectRows(uncached.Execute(context.Background(), Request{Query: q}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for rows.Next() {
+			got = append(got, rows.Item())
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantRes.Items) {
+			t.Errorf("%.40s…: the undrained cursor's %d items differ from an uncached engine's %d", q, len(got), len(wantRes.Items))
+		}
+	}
+}
+
 // TestConcurrentLoadAndQuery exercises the copy-on-write load path: loads of
 // new documents race with queries over the already-loaded corpus. Queries
 // must keep seeing a consistent catalog snapshot throughout.

@@ -524,6 +524,12 @@ func (o *Optimizer) execEdge(id int) error {
 		}
 	}
 
+	// The edge's weight is the optimizer's estimate of its result size: its
+	// pair buffer reserves that much instead of growing from empty. Time
+	// weights are not cardinalities.
+	if w, ok := o.weights[id]; ok && w >= 1 && !o.opt.TimeWeights {
+		o.runner.Reserve(id, int(min(w, math.MaxInt32)))
+	}
 	rows, err := o.runner.ExecEdge(e, reverse, alg)
 	if err != nil {
 		return err

@@ -12,13 +12,15 @@ import (
 // The merges fold an edge's result pairs into a component relation; the
 // "Execution: Catalog, Env, Runner" section of DESIGN.md states their
 // contract. In short: the pair list is read through a pair-group index, never
-// a hash map; a merge runs count-then-fill, so each output column is
-// allocated once at the exact output cardinality and filled column by column;
+// a hash map; a merge runs count-then-fill, so each output column is taken
+// once at the exact output cardinality and filled column by column;
 // output order is context-row-major, then pair order within one context node,
 // then — joining two relations — the second relation's row order; a merge
-// copies only the live columns (mergeScratch.live); and every index and
-// per-row work array is mergeScratch, which the Runner takes from
-// scratchPool and hands back when it finishes.
+// copies only the live columns (mergeScratch.live); every index and per-row
+// work array is mergeScratch, which the Runner takes from scratchPool and
+// hands back when it finishes; and the relations a merge supersedes are
+// retired into that scratch, whose next Runner fills its output columns with
+// them (mergeScratch.retire, mergeScratch.column).
 
 // pairGroups is a CSR-style index over a pair list (key[i], val[i]): the
 // distinct keys in ascending order and, per key, the run of its values in
@@ -111,20 +113,28 @@ func (pg *pairGroups) run(g int) []xmltree.NodeID { return pg.vals[pg.off[g]:pg.
 // mergeScratch is a Runner's working memory for merges and table refreshes.
 // It is reused from edge to edge, and from query to query through
 // scratchPool: a Runner takes one on its first merge (Runner.ms) and hands
-// it back in Runner.Finish (recycle). Nothing a relation or a T(v)
+// it back in Runner.Finish (recycle). Nothing a live relation or a T(v)
 // holds is scratch, and recycle clears the fields that point elsewhere, so a
-// recycled scratch never aliases a relation. words is all zero between
+// recycled scratch never aliases a live relation: its spares are columns of
+// relations a finished run superseded (retire). words is all zero between
 // calls, as xmltree.SortedSet leaves it.
 type mergeScratch struct {
-	byKey  pairGroups // the edge's pairs by context node
-	byNode pairGroups // joinOn: the second relation's rows by join node
-	rows   []int32    // per context row: output rows, then byKey group (-1 = no partner)
-	grps   []int32    // joinOn: byNode group per pair value (-1 = no row), then output rows per byKey group
-	packed []uint64   // filter: the pairs as sorted integers
-	words  []uint64   // xmltree.SortedSet's bitmap
-	pairs  ops.Pairs  // the pairs of the edge being merged, unless it is a first edge
-	live   []bool     // the Runner's live bits (Runner.markLive): the input columns a merge copies; nil copies all
+	byKey   pairGroups         // the edge's pairs by context node
+	byNode  pairGroups         // joinOn: the second relation's rows by join node
+	rows    []int32            // per context row: output rows, then byKey group (-1 = no partner)
+	grps    []int32            // joinOn: byNode group per pair value (-1 = no row), then output rows per byKey group
+	packed  []uint64           // filter: the pairs as sorted integers
+	words   []uint64           // xmltree.SortedSet's bitmap
+	pairs   ops.Pairs          // the pairs of the edge being merged, unless it is a first edge
+	live    []bool             // the Runner's live bits (Runner.markLive): the input columns a merge copies; nil copies all
+	retired [][]xmltree.NodeID // the columns of the relations this run superseded (retire)
+	spares  [][]xmltree.NodeID // earlier runs' retired columns, oldest first: the output columns of merges (column)
 }
+
+// maxSpares is how many retired columns a scratch keeps between runs, the
+// most recent ones: enough for every relation a many-way join supersedes,
+// few enough that column's scan for the best fit stays short.
+const maxSpares = 32
 
 // scratchPool holds the merge scratch of finished Runners, weakly: a query
 // reuses the one an earlier query handed back if the collector has not freed
@@ -134,10 +144,52 @@ var scratchPool conc.Recycler[mergeScratch]
 
 // recycle hands ms back to scratchPool. The pair index's values may alias an
 // edge's pairs and the live bits are a Runner's own, so both are cleared
-// first: the free list never points into data outside the scratch.
+// first: the free list never points into data outside the scratch. The
+// run's retired columns become spares, and only the maxSpares most recent
+// spares stay.
 func (ms *mergeScratch) recycle() {
 	ms.byKey.vals, ms.byNode.vals, ms.live = nil, nil, nil
+	ms.spares = append(ms.spares, ms.retired...)
+	clear(ms.retired)
+	ms.retired = ms.retired[:0]
+	if n := len(ms.spares) - maxSpares; n > 0 {
+		ms.spares = slices.Delete(ms.spares, 0, n)
+	}
 	scratchPool.Put(ms)
+}
+
+// retire records the columns of rel, a component relation a merge has just
+// superseded, as spares for the Runners after this one. The lifetime rule:
+//   - A column is reused only after Runner.Finish hands the scratch back
+//     (recycle), never within its own run: until the run ends, T(v) tables,
+//     the optimizer's samples and the relations a caller kept may view it.
+//   - Only superseded relations are retired, never the final relation nor
+//     what the tail's output (Project, Slice, Distinct) views: that outlives
+//     Finish.
+//   - Every column retired is memory the run allocated: a merge's output
+//     column, or a first edge's pair buffer (adopt copies pairs that alias
+//     the scratch). No index extent, T(v) or caller's data is ever retired.
+func (ms *mergeScratch) retire(rel *table.Relation) {
+	for _, id := range rel.ColumnIDs() {
+		ms.retired = append(ms.retired, rel.Column(id))
+	}
+}
+
+// column returns an output column of n rows and unspecified content: the
+// smallest spare that holds n rows, taken out of the spares, else a new one.
+func (ms *mergeScratch) column(n int) []xmltree.NodeID {
+	best := -1
+	for i, s := range ms.spares {
+		if c := cap(s); c >= n && (best < 0 || c < cap(ms.spares[best])) {
+			best = i
+		}
+	}
+	if best < 0 || n == 0 { // an empty column needs no backing array
+		return make([]xmltree.NodeID, n)
+	}
+	col := ms.spares[best][:n]
+	ms.spares = slices.Delete(ms.spares, best, best+1)
+	return col
 }
 
 // keeps reports whether a merge copies the input column of vertex id; width
@@ -165,10 +217,9 @@ func split(buf *[]int32, n, m int) ([]int32, []int32) {
 	return (*buf)[:n:n], (*buf)[n:]
 }
 
-// repeatRows returns src with row i repeated cnt[i] times (0 drops it);
-// total is the sum of cnt.
-func repeatRows(src []xmltree.NodeID, cnt []int32, total int) []xmltree.NodeID {
-	dst := make([]xmltree.NodeID, total)
+// repeatRows fills dst with src's row i repeated cnt[i] times (0 drops it)
+// and returns it; len(dst) is the sum of cnt.
+func repeatRows(dst, src []xmltree.NodeID, cnt []int32) []xmltree.NodeID {
 	n := 0
 	for i, c := range cnt {
 		for v := src[i]; c > 0; c-- {
@@ -190,7 +241,7 @@ func (ms *mergeScratch) expanded(rel *table.Relation, cnt []int32, total, extra 
 		if ms.keeps(id) {
 			ids = append(ids, id)
 			docs = append(docs, rel.Doc(id))
-			cols = append(cols, repeatRows(rel.Column(id), cnt, total))
+			cols = append(cols, repeatRows(ms.column(total), rel.Column(id), cnt))
 		}
 	}
 	return ids, docs, cols
@@ -229,7 +280,7 @@ func (ms *mergeScratch) extend(rel *table.Relation, a int, pairs ops.Pairs, b in
 		}
 	}
 	ids, docs, cols := ms.expanded(rel, rowCnt, total, 1)
-	colB := make([]xmltree.NodeID, 0, total)
+	colB := ms.column(total)[:0]
 	for _, g := range rowGrp {
 		if g >= 0 {
 			colB = append(colB, pg.run(int(g))...)
@@ -295,7 +346,7 @@ func (ms *mergeScratch) joinOn(ra *table.Relation, a int, rb *table.Relation, b 
 			continue
 		}
 		src := rb.Column(id)
-		dst := make([]xmltree.NodeID, 0, total)
+		dst := ms.column(total)[:0]
 		for _, g := range rowGrp {
 			if g < 0 {
 				continue

@@ -3,9 +3,11 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/joingraph"
 	"repro/internal/metrics"
@@ -290,6 +292,21 @@ func dirtyCase(data []byte) []byte {
 	return d
 }
 
+// dirtySpares gives ms the spares a finished run could leave behind: up to
+// maxSpares columns of assorted capacities — empty ones, ones shorter than a
+// case's output and ones far longer — holding a node id no case uses, so a
+// merge that leaves any of a spare's old content in its output fails.
+func dirtySpares(ms *mergeScratch, data []byte) {
+	ms.spares = ms.spares[:0]
+	for i := range 1 + len(data)%maxSpares {
+		col := make([]xmltree.NodeID, (i*37+len(data))%300)
+		for j := range col {
+			col[j] = 1 << 30
+		}
+		ms.spares = append(ms.spares, col[:len(col)%7])
+	}
+}
+
 // liveMask decodes which input columns a merge copies: nil (all of them) or
 // live bits by vertex id with the columns of one byte's set bits dead —
 // relation ids 0-2 and 10-12 — but the edge's endpoints and the new column
@@ -331,6 +348,7 @@ func TestMergeMatchesOracleRandomized(t *testing.T) {
 		data := make([]byte, rng.Intn(400))
 		rng.Read(data)
 		ms := scratchPool.Get()
+		dirtySpares(ms, data)
 		if err := checkMergeCase(ms, data); err != nil {
 			t.Fatalf("case %d (%x): %v", i, data, err)
 		}
@@ -339,12 +357,14 @@ func TestMergeMatchesOracleRandomized(t *testing.T) {
 }
 
 // FuzzMergeMatchesOracle runs each input twice through recycled scratch, the
-// second time after a case of another size has dirtied it.
+// second time after a case of another size has dirtied it, and each time
+// with dirty spares for the merges to fill their output columns from.
 func FuzzMergeMatchesOracle(f *testing.F) {
 	f.Add([]byte{}) // the rest of the seed corpus is testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range [][]byte{data, dirtyCase(data), data} {
 			ms := scratchPool.Get()
+			dirtySpares(ms, d)
 			if err := checkMergeCase(ms, d); err != nil {
 				t.Fatalf("%x: %v", d, err)
 			}
@@ -439,5 +459,124 @@ func TestRunnerMergeMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRetiredColumnsFeedTheNextRun: a finished run's superseded relations
+// become the next run's merge output — the next Runner's relations share
+// backing arrays with them — while the finished run's final relation and
+// its tail output stay as they were, though the next run, in another edge
+// order, fills its columns with other rows. The test holds the scratch, so
+// the collector cannot free it between the runs and the pool hands it back.
+func TestRetiredColumnsFeedTheNextRun(t *testing.T) {
+	f := newFixture(t)
+	order := []int{f.eRootPerson, f.ePersonName, f.eNameText, f.eRootArticle, f.eArticleAuthor, f.eAuthorText, f.eJoin}
+	order2 := []int{f.eJoin, f.eNameText, f.ePersonName, f.eAuthorText, f.eArticleAuthor}
+	required := f.tail.Required(f.g)
+	rows := func(rel *table.Relation) [][]xmltree.NodeID {
+		var out [][]xmltree.NodeID
+		for i := range rel.NumRows() {
+			out = append(out, rel.Row(i))
+		}
+		return out
+	}
+
+	r1 := NewRunner(f.env, f.g)
+	r1.SetTail(f.tail, required, false)
+	superseded := map[*xmltree.NodeID]bool{}
+	for _, id := range order {
+		e := f.g.Edges[id]
+		for _, v := range []int{e.From, e.To} {
+			if rel := r1.Relation(v); rel != nil {
+				for _, c := range rel.ColumnIDs() {
+					if col := rel.Column(c); cap(col) > 0 {
+						superseded[unsafe.SliceData(col)] = true
+					}
+				}
+			}
+		}
+		if _, err := r1.ExecEdge(e, false, ops.JoinHash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := r1.scratch
+	final1 := r1.Relation(required[0])
+	out1, _, err := r1.Finish(f.tail, required)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFinal, wantOut := rows(final1), rows(out1)
+	if len(held.spares) == 0 {
+		t.Fatal("Finish left no spares")
+	}
+	for _, spare := range held.spares {
+		for _, rel := range []*table.Relation{final1, out1} {
+			for _, c := range rel.ColumnIDs() {
+				if overlaps(spare, rel.Column(c)) {
+					t.Fatalf("a spare overlaps column %d of the final relation or the tail output", c)
+				}
+			}
+		}
+	}
+
+	r2 := NewRunner(f.env, f.g)
+	r2.SetTail(f.tail, required, false)
+	reused := 0
+	for _, id := range order2 {
+		e := f.g.Edges[id]
+		if _, err := r2.ExecEdge(e, false, ops.JoinHash); err != nil {
+			t.Fatal(err)
+		}
+		if r2.scratch != held {
+			t.Fatal("the next Runner did not get the finished run's scratch")
+		}
+		rel := r2.Relation(e.From)
+		for _, c := range rel.ColumnIDs() {
+			if col := rel.Column(c); cap(col) > 0 && superseded[unsafe.SliceData(col)] {
+				reused++
+			}
+		}
+	}
+	if reused == 0 {
+		t.Error("no merge output of the next run reused a column the finished run superseded")
+	}
+	if _, _, err := r2.Finish(f.tail, required); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(final1); !reflect.DeepEqual(got, wantFinal) {
+		t.Errorf("the finished run's final relation changed: %v, want %v", got, wantFinal)
+	}
+	if got := rows(out1); !reflect.DeepEqual(got, wantOut) {
+		t.Errorf("the finished run's tail output changed: %v, want %v", got, wantOut)
+	}
+}
+
+// overlaps reports whether the backing arrays of a and b, up to their
+// capacities, share an element.
+func overlaps(a, b []xmltree.NodeID) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(a[:1][0])
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b))*size && pb < pa+uintptr(cap(a))*size
+}
+
+// TestRecycleKeepsTheMostRecentSpares: a run's retired columns join the
+// spares at recycle, and only the maxSpares most recent stay.
+func TestRecycleKeepsTheMostRecentSpares(t *testing.T) {
+	ms := &mergeScratch{}
+	for i := range maxSpares + 5 {
+		ms.retired = append(ms.retired, make([]xmltree.NodeID, i+1))
+	}
+	ms.recycle()
+	if len(ms.retired) != 0 || len(ms.spares) != maxSpares {
+		t.Fatalf("after recycle: %d retired, %d spares, want 0 and %d", len(ms.retired), len(ms.spares), maxSpares)
+	}
+	if first, last := cap(ms.spares[0]), cap(ms.spares[maxSpares-1]); first != 6 || last != maxSpares+5 {
+		t.Errorf("spares hold capacities %d..%d, want the most recent, 6..%d", first, last, maxSpares+5)
+	}
+	if col := ms.column(10); cap(col) != 10 || len(ms.spares) != maxSpares-1 {
+		t.Errorf("column(10) took capacity %d and left %d spares, want the best fit 10 and %d", cap(col), len(ms.spares), maxSpares-1)
 	}
 }

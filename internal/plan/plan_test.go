@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -499,6 +500,75 @@ func TestReplayHintsSetCapacityOnly(t *testing.T) {
 	r.hints = map[int]int{probe.eJoin: 1 << 40}
 	if buf := r.pairBuffer(probe.eJoin, probe.ptext, probe.atext, 7); cap(buf.C) != 7 || cap(buf.S) != 7 {
 		t.Errorf("a hint of 1<<40 over 7 input nodes reserved %d and %d pairs", cap(buf.C), cap(buf.S))
+	}
+}
+
+// TestReserveSetsCapacityOnly is TestReplayHintsSetCapacityOnly for the
+// optimizer's reserve: driven edge by edge as core drives a Runner — no
+// replay, so every T(v) is refreshed — with Runner.Reserve before each edge,
+// no reserve, a short one, the exact one and a huge one give identical
+// relations, RunStats and charges, and the same trace: every edge's rows
+// and every table after it, which the optimizer records and samples from.
+// Sampled search (an ExecLimit) included.
+func TestReserveSetsCapacityOnly(t *testing.T) {
+	probe := newFixture(t)
+	orders := [][]int{
+		{probe.eRootPerson, probe.ePersonName, probe.eNameText, probe.eRootArticle, probe.eArticleAuthor, probe.eAuthorText, probe.eJoin},
+		{probe.eJoin, probe.eNameText, probe.ePersonName, probe.eAuthorText, probe.eArticleAuthor},
+		{probe.eArticleAuthor, probe.eAuthorText, probe.eJoin, probe.eNameText, probe.ePersonName},
+	}
+	required := probe.tail.Required(probe.g)
+	for oi, order := range orders {
+		for _, eager := range []bool{false, true} {
+			for _, limit := range []int{0, 2} {
+				run := func(reserve func(id int) int) (*table.Relation, RunStats, int64, []string) {
+					env := NewQueryEnv(probe.env.Catalog(), metrics.NewRecorder(), 1)
+					r := NewRunner(env, probe.g)
+					r.ExecLimit = limit
+					r.SetTail(probe.tail, required, eager)
+					var trace []string
+					for _, id := range order {
+						if reserve != nil {
+							r.Reserve(id, reserve(id))
+						}
+						rows, err := r.ExecEdge(probe.g.Edges[id], false, ops.JoinHash)
+						if err != nil {
+							t.Fatal(err)
+						}
+						trace = append(trace, fmt.Sprintf("e%d: %d rows", id, rows))
+						for v := range probe.g.Vertices {
+							if tv := r.Table(v); tv != nil {
+								trace = append(trace, fmt.Sprintf("T(%d) = %v", v, tv.Nodes))
+							}
+						}
+					}
+					rel, stats, err := r.Finish(probe.tail, required)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rel, stats, env.Rec.Total().Tuples, trace
+				}
+				want, wantStats, wantTuples, wantTrace := run(nil)
+				for name, reserve := range map[string]func(int) int{
+					"short": func(id int) int { return wantStats.EdgeRows[id] / 2 },
+					"exact": func(id int) int { return wantStats.EdgeRows[id] },
+					"huge":  func(int) int { return 1 << 40 },
+				} {
+					got, stats, tuples, trace := run(reserve)
+					where := fmt.Sprintf("order %d eager %v limit %d, %s reserve", oi, eager, limit, name)
+					if err := sameRelation(got, want); err != nil {
+						t.Errorf("%s: %v", where, err)
+					}
+					if stats.CumulativeIntermediate != wantStats.CumulativeIntermediate || stats.ResultRows != wantStats.ResultRows ||
+						stats.Scanned != wantStats.Scanned || !maps.Equal(stats.EdgeRows, wantStats.EdgeRows) || tuples != wantTuples {
+						t.Errorf("%s: stats %+v charged %d, want %+v charged %d", where, stats, tuples, wantStats, wantTuples)
+					}
+					if !slices.Equal(trace, wantTrace) {
+						t.Errorf("%s: trace %v, want %v", where, trace, wantTrace)
+					}
+				}
+			}
+		}
 	}
 }
 

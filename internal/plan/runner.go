@@ -52,10 +52,11 @@ type Runner struct {
 	// deduplicates its rows, shrinking intermediates.
 	dropDead, projectReduce bool
 
-	// A replay (RunWithConfig) sets these; the optimizer leaves them zero.
+	// A replay (RunWithConfig) sets these; the optimizer leaves the first
+	// two zero and fills hints through Reserve.
 	replay bool        // refresh T(v) only for vertices a step in later touches
 	later  []Step      // the plan steps after the one running
-	hints  map[int]int // edge id → rows the cached plan observed: pair capacity
+	hints  map[int]int // edge id → rows the cached plan observed, or the optimizer's estimate: pair capacity
 
 	edgeRows map[int]int // edge id → rows ExecEdge produced, for Finish
 
@@ -296,14 +297,28 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 	return rows, nil
 }
 
+// Reserve sets the pair reserve of edge id, which has not run yet, to rows:
+// the optimizer passes its estimate of the edge's result size before it
+// executes the edge, as a replay passes the cached plan's observations
+// (RunConfig.Expected). It is capacity only, capped as pairBuffer caps a
+// replay's hint. A replay's hints are the plan cache's map, which a Runner
+// never writes, so Reserve is for a Runner RunWithConfig did not start.
+func (r *Runner) Reserve(id, rows int) {
+	if r.hints == nil {
+		r.hints = make(map[int]int)
+	}
+	r.hints[id] = rows
+}
+
 // pairBuffer returns the Pairs an edge between vertices a and b writes into.
 // A component's first edge gets a fresh buffer, which its relation adopts as
 // its two columns; every other edge writes into the Runner's scratch, which
 // the merge only reads. A replay reserves the rows the cached plan observed
-// for the edge — capacity only: a short hint grows by appending, so a hint
-// never changes the pairs. The reserve is capped by inputs, the two tables'
-// total size (so a stale entry cannot allocate beyond the data),
-// and by ExecLimit when one is set.
+// for the edge, an optimizer run its estimate (Reserve) — capacity only: a
+// short hint grows by appending, so a hint never changes the pairs. The
+// reserve is capped by inputs, the two tables' total size (so a stale entry
+// or a wild estimate cannot allocate beyond the data), and by ExecLimit when
+// one is set.
 func (r *Runner) pairBuffer(id, a, b, inputs int) *ops.Pairs {
 	n := min(r.hints[id], inputs)
 	if r.ExecLimit > 0 {
@@ -333,15 +348,20 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 	case ca != nil && cb == nil:
 		rel := ms.extend(ca.rel, a, pairs, b, r.tables[b].Doc)
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), b)}
+		ms.retire(ca.rel)
 	case ca == nil && cb != nil:
 		rel := ms.extend(cb.rel, b, pairs.Swapped(), a, r.tables[a].Doc)
 		nc = &component{rel: rel, verts: append(append([]int(nil), cb.verts...), a)}
+		ms.retire(cb.rel)
 	case ca == cb:
 		rel := ms.filter(ca.rel, a, b, pairs)
 		nc = &component{rel: rel, verts: ca.verts}
+		ms.retire(ca.rel)
 	default:
 		rel := ms.joinOn(ca.rel, a, cb.rel, b, pairs)
 		nc = &component{rel: rel, verts: append(append([]int(nil), ca.verts...), cb.verts...)}
+		ms.retire(ca.rel)
+		ms.retire(cb.rel)
 	}
 	r.Env.Rec.ChargeTuples(nc.rel.NumRows())
 	if r.projectReduce && dropped {
@@ -459,8 +479,9 @@ func (r *Runner) FinalRelation(required []int) (*table.Relation, error) {
 // the required vertices (tail.Required, what SetTail was given) through the
 // tail, and the run's record. A replay and an optimizer run both end here,
 // so their RunStats mean the same thing. Finish hands the merge scratch back
-// for the next Runner; one that never finishes (an error, a statistics or
-// sampled-search Runner) just drops it.
+// for the next Runner, with the columns of the relations this run's merges
+// superseded as its spares (mergeScratch.retire); one that never finishes
+// (an error, a statistics or sampled-search Runner) just drops it.
 func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, error) {
 	rel, err := r.FinalRelation(required)
 	if err != nil {

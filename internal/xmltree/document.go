@@ -419,36 +419,3 @@ func (d *Document) Validate() error {
 	}
 	return nil
 }
-
-// Stats counts a document's nodes by kind and element name. No planner reads
-// it: the tree and generator tests check document shapes through it.
-type Stats struct {
-	Nodes    int            // total node count
-	Elements int            // element nodes
-	Texts    int            // text nodes
-	Attrs    int            // attribute nodes
-	MaxDepth int32          // deepest level
-	ByName   map[string]int // element count per qualified name
-}
-
-// ComputeStats scans the document once and returns its statistics.
-func (d *Document) ComputeStats() Stats {
-	st := Stats{ByName: make(map[string]int)}
-	st.Nodes = d.Len()
-	for i := 0; i < d.Len(); i++ {
-		n := NodeID(i)
-		switch d.Kind(n) {
-		case KindElem:
-			st.Elements++
-			st.ByName[d.NodeName(n)]++
-		case KindText:
-			st.Texts++
-		case KindAttr:
-			st.Attrs++
-		}
-		if d.Level(n) > st.MaxDepth {
-			st.MaxDepth = d.Level(n)
-		}
-	}
-	return st
-}

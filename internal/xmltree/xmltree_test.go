@@ -380,26 +380,6 @@ func TestRandomDocSerializeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	d := mustParse(t, sampleXML)
-	st := d.ComputeStats()
-	if st.Elements != 7 { // site, 2 person, 2 name, age, closed
-		t.Errorf("Elements = %d, want 7", st.Elements)
-	}
-	if st.Attrs != 2 {
-		t.Errorf("Attrs = %d, want 2", st.Attrs)
-	}
-	if st.Texts != 3 {
-		t.Errorf("Texts = %d, want 3", st.Texts)
-	}
-	if st.ByName["person"] != 2 {
-		t.Errorf("ByName[person] = %d, want 2", st.ByName["person"])
-	}
-	if st.MaxDepth != 4 { // doc=0, site=1, person=2, name=3, text=4
-		t.Errorf("MaxDepth = %d, want 4", st.MaxDepth)
-	}
-}
-
 func TestCommentsAndPIs(t *testing.T) {
 	src := `<a><!-- hi --><?target data?><b/></a>`
 	d, err := Parse("c.xml", strings.NewReader(src), ParseOptions{KeepComments: true, KeepPIs: true})
