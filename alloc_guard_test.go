@@ -72,8 +72,10 @@ const replayedJoin = `let $d := doc("xmark.xml")
 		where $o//bidder//personref/@person = $p/@id return $p limit 50`
 
 func TestAllocGuardReplayedJoin(t *testing.T) {
-	// Measured 191: the relations a finished query's merges superseded are
-	// the next query's merge output columns (207 without), the merge
+	// Measured 189: the index remembers the price predicate's answer (191
+	// when it is rebuilt per query), the relations a finished query's
+	// merges superseded are the next query's merge output columns (207
+	// without), the merge
 	// scratch and the hash join's build come back from the previous query
 	// (236 without), each edge's pairs are reserved
 	// at the cardinality the cached plan observed, a first edge's pairs
@@ -93,7 +95,9 @@ func TestAllocGuardReplayedJoin(t *testing.T) {
 func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// The object count above cannot see a copy of a whole index extent or
 	// column, which is one allocation however large. Bytes can. Measured
-	// 44 765 (73 392 when every merge output column is allocated fresh
+	// 28 509 (44 765 when the index rebuilds the answer of the price
+	// predicate on every query instead of remembering it; 73 392 when
+	// every merge output column is allocated fresh
 	// instead of reusing the relations the previous query superseded;
 	// 109 497 when Runner.Finish does not hand the merge scratch
 	// back; 130 231 when neither it nor the hash join's build was recycled;
@@ -104,8 +108,9 @@ func TestAllocGuardReplayedJoinBytes(t *testing.T) {
 	// growing per edge). The ceiling is ≈ 5 % above, not 25 %: merges that
 	// stop drawing on the spares, scratch that is not handed back, copying
 	// the dead columns again, pair buffers growing from empty, the extent
-	// copy or the column clone each cost more; each must fail here.
-	const ceiling = 47_000
+	// copy, the column clone or a range answer built again each cost more;
+	// each must fail here.
+	const ceiling = 30_000
 	if got := bytesPerRun(20, replayer(t, replayedJoin)); got > ceiling {
 		t.Errorf("replayed join: %.0f bytes per query, ceiling %d", got, ceiling)
 	}

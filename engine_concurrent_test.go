@@ -9,13 +9,17 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/datagen"
+	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/plan"
+	"repro/internal/xmltree"
 )
 
 // concurrencyQueries mixes the query shapes the engine supports: step-only,
@@ -271,6 +275,117 @@ func TestConcurrentReplaysKeepFinishedResults(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, wantRes.Items) {
 			t.Errorf("%.40s…: the undrained cursor's %d items differ from an uncached engine's %d", q, len(got), len(wantRes.Items))
+		}
+	}
+}
+
+// TestConcurrentReplaysShareRangeAnswers replays the XMark join with six
+// price constants, more than an index remembers range answers for, from
+// several goroutines, interleaved with cold runs: the same texts on an
+// engine without a plan cache, and the cold DBLP four-way, whose merges fill
+// their output columns with the relations earlier runs superseded. The runs
+// of one constant share its remembered answer while it lasts. Each run must
+// return the items of an engine that built every answer once, and
+// afterwards every answer — those taken before the runs and those the
+// indices return now — must still equal a scan of the text nodes: nothing
+// writes into a shared answer.
+func TestConcurrentReplaysShareRangeAnswers(t *testing.T) {
+	prices := []int{40, 80, 120, 145, 200, 260}
+	joins := make([]string, len(prices))
+	for i, price := range prices {
+		joins[i] = fmt.Sprintf(`let $d := doc("xmark.xml")
+		for $o in $d//open_auction[.//current/text() < %d], $p in $d//person[.//province]
+		where $o//bidder//personref/@person = $p/@id return $p limit 50`, price)
+	}
+	doc := datagen.XMark(datagen.DefaultXMarkConfig())
+	fresh := NewEngine(WithSeed(1), WithPlanCache(0))
+	e := NewEngine(WithSeed(1))
+	cold := NewEngine(WithSeed(1), WithPlanCache(0))
+	for _, eng := range []*Engine{fresh, e, cold} {
+		if err := eng.LoadSource(FromDocument(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dblp := NewEngine(WithSeed(1), WithPlanCache(0))
+	fourWay := loadFourWay(t, dblp)
+	type run struct {
+		e      *Engine
+		query  string
+		replay bool
+		want   []string
+	}
+	var runs []run
+	for _, q := range joins {
+		res, err := collectRows(fresh.Execute(context.Background(), Request{Query: q}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) == 0 {
+			t.Fatalf("%.90s…: no items", q)
+		}
+		if _, err := collectRows(e.Execute(context.Background(), Request{Query: q})); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{e, q, true, res.Items}, run{cold, q, false, res.Items})
+	}
+	res, err := collectRows(dblp.Execute(context.Background(), Request{Query: fourWay}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{dblp, fourWay, false, res.Items})
+
+	// The answers taken here stay held, so each is shared with the runs
+	// for as long as it keeps its slot.
+	indices := make([]*index.Index, 0, 2)
+	var kept [][]xmltree.NodeID
+	for _, eng := range []*Engine{e, cold} {
+		ix, err := plan.NewQueryEnv(eng.catalog(), nil, 0).Index("xmark.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		indices = append(indices, ix)
+		for _, price := range prices {
+			kept = append(kept, ix.TextRange(index.Lt, float64(price)))
+		}
+	}
+
+	const goroutines, rounds = 4, 4
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds * len(runs) {
+				r := runs[(g*5+i)%len(runs)]
+				res, err := collectRows(r.e.Execute(context.Background(), Request{Query: r.query}))
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if res.Stats.CacheHit != r.replay || !reflect.DeepEqual(res.Items, r.want) {
+					t.Errorf("goroutine %d, %.90s… (cache hit %v): %d items differ from a fresh engine's %d",
+						g, r.query, res.Stats.CacheHit, len(res.Items), len(r.want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, ix := range indices {
+		for j, price := range prices {
+			var want []xmltree.NodeID
+			for _, n := range ix.Texts() {
+				if v, ok := xmltree.ParseNumber(ix.Doc().Value(n)); ok && v < float64(price) {
+					want = append(want, n)
+				}
+			}
+			if got := ix.TextRange(index.Lt, float64(price)); !slices.Equal(got, want) {
+				t.Errorf("index %d, < %d: TextRange answers %d nodes, a scan %d", i, price, len(got), len(want))
+			}
+			if got := kept[i*len(prices)+j]; !slices.Equal(got, want) {
+				t.Errorf("index %d, < %d: the answer taken before the runs changed (%d nodes, a scan %d)", i, price, len(got), len(want))
+			}
 		}
 	}
 }

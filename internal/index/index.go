@@ -16,16 +16,24 @@
 // offset reads and a slice; an (attribute, value) probe binary-searches a
 // sorted key array; and the numeric range lookup is O(log n + |R|) over a
 // value-sorted auxiliary, the "ordered store" flavour of the paper's value
-// index.
+// index. A range answer is the one lookup that is built rather than sliced,
+// so the index remembers its recent ones (TextRange): a repeated (op,
+// bound) costs a look at a few slots and no allocation for as long as some
+// query still holds its answer, and a NaN bound answers nil.
 //
-// Returned slices are owned by the index: callers must copy before mutating
-// (Table construction in the runtime always copies).
+// Returned slices are owned by the index and shared by every caller:
+// nothing may write through them (the runtime's vertex tables are views of
+// them; callers that must change a node set copy it first).
 package index
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
+	"sync"
+	"unsafe"
+	"weak"
 
 	"repro/internal/xmltree"
 )
@@ -33,7 +41,8 @@ import (
 // Index holds all per-document indices. Build one with New (an O(n) scan)
 // or attach one to the persistent sections of a packed container with
 // FromPacked / OpenPackedFile (no scan — the mapped sections are the index);
-// afterwards it is immutable and safe for concurrent readers.
+// afterwards its node sets are immutable and it is safe for concurrent
+// readers (only its memo of range answers changes, under its own lock).
 type Index struct {
 	doc *xmltree.Document
 
@@ -57,6 +66,9 @@ type Index struct {
 	// D_attr and D_text in document order: the staircase join's S for "*",
 	// "@*" and predicate-free text() vertices.
 	allElems, allAttrs, allTexts []xmltree.NodeID
+
+	// ranges remembers recent TextRange answers, weakly.
+	ranges rangeMemo
 }
 
 // postings groups nodes into document-ordered runs, run i being
@@ -341,10 +353,20 @@ func (op RangeOp) Compare(v, bound float64) bool {
 }
 
 // TextRange returns all text nodes with a numeric value v satisfying
-// "v op bound", in document order. Cost O(log n + |R|) while the matches are
-// dense in their id span (xmltree.SortedSet's bitmap sweep), else
-// O(log n + |R| log |R|).
+// "v op bound", in document order. A NaN bound answers nil, as every
+// comparison with NaN is false. The first call for an (op, bound) builds
+// the answer in O(log n + |R|) while the matches are dense in their id span
+// (xmltree.SortedSet's bitmap sweep), else O(log n + |R| log |R|). Later
+// calls return the same slice for the cost of a lock and a look at
+// rangeSlots slots, no allocation, until the garbage collector frees it
+// (rangeMemo).
 func (ix *Index) TextRange(op RangeOp, bound float64) []xmltree.NodeID {
+	if math.IsNaN(bound) {
+		return nil
+	}
+	if nodes := ix.ranges.get(op, bound); nodes != nil {
+		return nodes
+	}
 	n := len(ix.numVal)
 	ge := sort.SearchFloat64s(ix.numVal, bound)                            // first value >= bound
 	gt := sort.Search(n, func(i int) bool { return ix.numVal[i] > bound }) // first value > bound
@@ -362,12 +384,91 @@ func (ix *Index) TextRange(op RangeOp, bound float64) []xmltree.NodeID {
 	case EqNum:
 		lo, hi = ge, gt
 	}
-	var own []xmltree.NodeID
+	// built says whether nodes is memory this call allocated, the only
+	// answer worth remembering: matches that already ascend are a view of
+	// the auxiliary, and an overlay without own matches answers its base's
+	// slice, which the base remembers.
+	var nodes []xmltree.NodeID
+	built := false
 	if lo < hi {
 		// Value order back into document order.
-		own = xmltree.SortedSet(ix.numPre[lo:hi], nil, nil)
+		nodes = xmltree.SortedSet(ix.numPre[lo:hi], nil, nil)
+		built = &nodes[0] != &ix.numPre[lo]
 	}
-	return ix.overBase(own, func(b *Index) []xmltree.NodeID { return b.TextRange(op, bound) })
+	if ix.base != nil {
+		base := ix.base.TextRange(op, bound)
+		built = len(nodes) > 0 && (built || len(base) > 0)
+		nodes = concatNodes(base, nodes)
+	}
+	if built {
+		ix.ranges.put(op, bound, nodes)
+	}
+	return nodes
+}
+
+// rangeSlots is how many TextRange answers an index remembers: a
+// workload's cached plans repeat few range predicates, and a miss costs
+// only the build that every lookup would pay without the memo.
+const rangeSlots = 4
+
+// rangeMemo remembers an Index's recent TextRange answers, keyed by (op,
+// bound). The Index is immutable, so an answer never goes stale; a reload
+// or a commit builds a new Index with an empty memo. Every caller of a
+// remembered (op, bound) shares one read-only slice, as they share the
+// postings of Elements and TextEq. The slots hold their answers only
+// weakly, like conc.Recycler: the memo adds nothing to the live heap, and
+// an answer lasts until the first collection that finds no query holding
+// it. The zero value is an empty memo, safe for concurrent use.
+type rangeMemo struct {
+	mu    sync.Mutex
+	next  int // the slot a miss overwrites when none is free
+	slots [rangeSlots]rangeSlot
+}
+
+// rangeSlot is one remembered answer: n nodes starting at first, which
+// points at element 0 of the answer's backing array (a weak pointer may
+// point into an object, and does not keep it alive). n == 0 marks a free
+// slot.
+type rangeSlot struct {
+	op    RangeOp
+	bound float64
+	n     int
+	first weak.Pointer[xmltree.NodeID]
+}
+
+// get returns the remembered answer for (op, bound), nil when there is none
+// or the collector has freed it.
+func (m *rangeMemo) get(op RangeOp, bound float64) []xmltree.NodeID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.n > 0 && s.op == op && s.bound == bound {
+			if p := s.first.Value(); p != nil {
+				return unsafe.Slice(p, s.n)
+			}
+			*s = rangeSlot{}
+			return nil
+		}
+	}
+	return nil
+}
+
+// put remembers nodes, a non-empty answer the caller allocated, as the
+// answer for (op, bound). It takes the slot of the same key if a concurrent
+// miss filled one, else a free or freed slot, else the slots in turn.
+func (m *rangeMemo) put(op RangeOp, bound float64, nodes []xmltree.NodeID) {
+	s := rangeSlot{op: op, bound: bound, n: len(nodes), first: weak.Make(&nodes[0])}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.slots[:], func(t rangeSlot) bool { return t.n > 0 && t.op == op && t.bound == bound })
+	if i < 0 {
+		i = slices.IndexFunc(m.slots[:], func(t rangeSlot) bool { return t.n == 0 || t.first.Value() == nil })
+	}
+	if i < 0 {
+		i, m.next = m.next, (m.next+1)%rangeSlots
+	}
+	m.slots[i] = s
 }
 
 // Texts returns every text node of the document in document order (the kind

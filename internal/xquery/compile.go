@@ -3,6 +3,7 @@ package xquery
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/index"
 	"repro/internal/joingraph"
@@ -394,7 +395,8 @@ func makePred(op, lit string) (joingraph.Pred, error) {
 	case "!=":
 		return joingraph.NePred(lit), nil
 	}
-	if !isNumeric(lit) {
+	num, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
 		return joingraph.NoPred, fmt.Errorf("xquery: range comparison %q needs a numeric literal, got %q", op, lit)
 	}
 	var rop index.RangeOp
@@ -410,8 +412,6 @@ func makePred(op, lit string) (joingraph.Pred, error) {
 	default:
 		return joingraph.NoPred, fmt.Errorf("xquery: unsupported operator %q", op)
 	}
-	var num float64
-	fmt.Sscanf(lit, "%g", &num)
 	return joingraph.RangePred(rop, num), nil
 }
 

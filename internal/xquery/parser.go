@@ -594,9 +594,3 @@ func (p *parser) parsePathRef() (PathRef, error) {
 	}
 	return PathRef{Var: v.text, Steps: steps}, nil
 }
-
-// isNumeric reports whether a literal parses as a number.
-func isNumeric(lit string) bool {
-	_, err := strconv.ParseFloat(lit, 64)
-	return err == nil
-}

@@ -500,11 +500,13 @@ func (g pathGen) pred(depth int) (xquery.Pred, string) {
 		if p.Op == "=" || p.Op == "!=" {
 			p.Lit = []string{"1", "2", "x"}[g.rng.Intn(3)]
 		} else {
-			p.Lit = []string{"1", "2", "1.5"}[g.rng.Intn(3)]
+			// NaN compares false with every number: a range answer that
+			// took it for a bound past the last value once matched them all.
+			p.Lit = []string{"1", "2", "1.5", "NaN"}[g.rng.Intn(4)]
 		}
 		lit := []string{"'" + p.Lit + "'", `"` + p.Lit + `"`, p.Lit}[g.rng.Intn(3)]
-		if p.Lit == "x" && lit == p.Lit {
-			lit = "'x'"
+		if (p.Lit == "x" || p.Lit == "NaN") && lit == p.Lit {
+			lit = "'" + p.Lit + "'" // a bare x or NaN is a name test
 		}
 		s += " " + p.Op + " " + lit
 	}
