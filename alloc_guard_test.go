@@ -139,34 +139,48 @@ func coldFourWay(t *testing.T) func() {
 }
 
 func TestAllocGuardColdFourWay(t *testing.T) {
-	// Measured 818 (835 when first-edge pairs grow from empty instead of
-	// reserving the optimizer's estimate; 862 when in addition every merge
-	// output column is allocated fresh instead of reusing the relations the
-	// previous query superseded; 885 before merge scratch and hash join
-	// builds were recycled across queries): sampled pairs live in one
-	// optimizer buffer, restricted probes filter in place, the value index
-	// is the hash join's build side over an unreduced extent, and the
-	// optimizer looks edges up in lists built once and draws samples
-	// without a map (3 230 when each of those allocated; 1 839 with a slice
-	// per restricted probe alone).
-	const ceiling = 1020
+	// Measured 618: the optimizer samples into, and chain sampling builds
+	// its candidates in, a recycled scratch (core.chainScratch), the
+	// optimizer's loop reuses its edge lists, and the run records no trace
+	// (636 with the sampling's pair buffer growing from empty in every run;
+	// 642 with the loop's lists allocated per iteration too; 785 with only
+	// the trace on request, each candidate a fresh pathState, edge list and
+	// copy of its sampled pairs; 818 with a trace on every run; 835 when
+	// first-edge pairs grow from empty instead of reserving the optimizer's
+	// estimate; 862 when in addition every merge output column is allocated
+	// fresh instead of reusing the relations the previous query superseded;
+	// 885 before merge scratch and hash join builds were recycled across
+	// queries): sampled pairs live in one buffer, restricted probes filter
+	// in place, the value index is the hash join's build side over an
+	// unreduced extent, and the optimizer looks edges up in lists built
+	// once and draws samples without a map (3 230 when each of those
+	// allocated; 1 839 with a slice per restricted probe alone). The
+	// ceiling is ≈ 5 % above: a trace on every run, or a chain scratch
+	// that is not handed back, fails here.
+	const ceiling = 649
 	if got := testing.AllocsPerRun(20, coldFourWay(t)); got > ceiling {
 		t.Errorf("cold four-way: %.0f allocations per query, ceiling %d", got, ceiling)
 	}
 }
 
 func TestAllocGuardColdFourWayBytes(t *testing.T) {
-	// Measured 128 488 (138 523 when first-edge pairs grow from empty
-	// instead of reserving the optimizer's estimate; 164 634 when in
-	// addition every merge output column is allocated fresh; 175 136
-	// before merge scratch and hash join builds were recycled, 523 379
-	// before the change above). The ceiling is ≈ 5 % above: a cold run
-	// that stops reserving, or merges that stop drawing on the spares,
-	// fail here. A hash table built over the unreduced extent instead of
-	// probing the index is recycled too, so bytes no longer see it;
-	// TestExecEdgeHashOverExtentBuildsNothing (internal/plan) catches it
-	// with the free list emptied.
-	const ceiling = 135_000
+	// Measured 74 213 with the sampling in a recycled scratch and no trace
+	// (82 438 with the sampling's pair buffer growing from empty in every
+	// run; 82 951 with the optimizer's loop allocating its edge lists per
+	// iteration too; 122 193 with only the trace on request, a quarter of
+	// it the copies of each candidate's sampled pairs; 128 488 with a trace
+	// on every run; 138 523 when first-edge pairs grow from empty instead
+	// of reserving the optimizer's estimate; 164 634 when in addition every
+	// merge output column is allocated fresh; 175 136 before merge scratch
+	// and hash join builds were recycled, 523 379 before the change above).
+	// The ceiling is ≈ 5 % above: a cold run that stops reserving, merges
+	// that stop drawing on the spares, a sampling pair buffer that grows
+	// from empty, or chain sampling that copies its candidates' inputs into
+	// fresh arrays again, fail here. A hash table built over the unreduced
+	// extent instead of probing the index is recycled too, so bytes no
+	// longer see it; TestExecEdgeHashOverExtentBuildsNothing
+	// (internal/plan) catches it with the free list emptied.
+	const ceiling = 78_000
 	if got := bytesPerRun(20, coldFourWay(t)); got > ceiling {
 		t.Errorf("cold four-way: %.0f bytes per query, ceiling %d", got, ceiling)
 	}

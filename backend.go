@@ -60,7 +60,7 @@ func (x *shardExec) bound() *xquery.Compiled {
 // cached plans, and a reload of a document the query joins every shard's.
 func (e *Engine) shardCursor(ctx context.Context, x *shardExec) *cursor {
 	env := plan.NewQueryEnv(x.cat, metrics.NewRecorder(), e.seed)
-	env.Interrupt = ctx.Err
+	env.Rec.Interrupt = ctx.Err
 	fp := ""
 	if x.baseFP != "" {
 		// The rebound graph's own fingerprint would differ per shard too, but

@@ -453,7 +453,7 @@ func TestQueryCanceledContext(t *testing.T) {
 	// A request whose context dies mid-query: the handler must map the
 	// cancellation to 503, not 500. The pre-canceled context is rejected
 	// deterministically at pool admission, which is the same error path a
-	// mid-evaluation abort takes through env.Interrupt.
+	// mid-evaluation abort takes through env.Rec.Interrupt.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,

@@ -274,10 +274,12 @@ func newTabWriter(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// roxOptions returns ROX's default options with sample size tau.
+// roxOptions returns ROX's default options with sample size tau, traced:
+// the experiments print what the optimizer decided.
 func roxOptions(tau int) core.Options {
 	opts := core.DefaultOptions()
 	opts.Tau = tau
+	opts.Trace = true
 	return opts
 }
 

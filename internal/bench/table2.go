@@ -90,7 +90,7 @@ func RunTable2(w io.Writer, cfg Config) error {
 				deepest.Source, deepest.MinEdge, len(deepest.Rounds), deepest.Chosen, deepest.Reason)
 			fmt.Fprint(w, deepest.FormatTable2())
 		}
-		fmt.Fprintf(w, "executed edge order: %v\n", res.Trace.ExecutionOrder())
+		fmt.Fprintf(w, "executed edge order: %v\n", res.Plan.EdgeIDs())
 		fmt.Fprintf(w, "cumulative intermediates: %d, sampling/exec tuples: %d/%d\n\n",
 			res.CumulativeIntermediate, res.SampleCost.Tuples, res.ExecCost.Tuples)
 	}
@@ -104,5 +104,5 @@ func Table2Orders(cfg Config) (q1, qm1 []int, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return runs[0].res.Trace.ExecutionOrder(), runs[1].res.Trace.ExecutionOrder(), nil
+	return runs[0].res.Plan.EdgeIDs(), runs[1].res.Plan.EdgeIDs(), nil
 }

@@ -72,6 +72,11 @@ type Options struct {
 	// (Sec 6): after every execution, columns of vertices with no
 	// remaining edges are dropped and the intermediate deduplicated.
 	EagerProject bool
+
+	// Trace records the run's decisions in Result.Trace (Table 2 data).
+	// Without it the trace stays empty and the run allocates none of it;
+	// the decisions are the same either way.
+	Trace bool
 }
 
 // DefaultOptions returns the paper's configuration (τ = 100).
@@ -87,8 +92,9 @@ type Result struct {
 	// Plan is the executed edge order; re-running it through plan.Run gives
 	// the paper's "pure plan (excl. sampling)" measurement.
 	Plan plan.Plan
-	// Trace records every exploration and execution step (Table 2 data).
-	Trace *Trace
+	// Trace records every exploration and execution step (Table 2 data)
+	// when Options.Trace is set; otherwise it is empty.
+	Trace Trace
 	// SampleCost and ExecCost split the run's work between optimizer
 	// sampling and query execution (the basis of Figs 6–8).
 	SampleCost, ExecCost metrics.Cost
@@ -102,7 +108,6 @@ type Optimizer struct {
 
 	runner   *plan.Runner
 	incident [][]*joingraph.Edge // per vertex, g.EdgesOf(v) computed once
-	pairs    ops.Pairs           // sampled pairs, read before the next sample
 
 	weights  map[int]float64 // edge id → w(e); absent = unweighted
 	cards    map[int]int     // vertex id → card(v)
@@ -113,7 +118,13 @@ type Optimizer struct {
 	implied map[int]bool // join edges skipped as transitively implied
 
 	steps []plan.Step
-	trace *Trace
+	chain *chainScratch // the sampling's working memory, nil until the first sample
+	trace *Trace        // nil unless Options.Trace
+
+	// The loop's edge lists, reused from iteration to iteration: the
+	// pending edges (remainingEdges) and the segment executing
+	// (executePath).
+	remaining, segment []int
 }
 
 type sampleEntry struct {
@@ -137,7 +148,7 @@ func New(env *plan.Env, g *joingraph.Graph, opt Options) (*Optimizer, error) {
 	if opt.BeamWidth <= 0 {
 		opt.BeamWidth = 16
 	}
-	return &Optimizer{
+	o := &Optimizer{
 		env:      env,
 		g:        g,
 		opt:      opt,
@@ -149,8 +160,11 @@ func New(env *plan.Env, g *joingraph.Graph, opt Options) (*Optimizer, error) {
 		concepts: make(map[int]*table.Table),
 		joinUF:   joingraph.NewUnionFind(len(g.Vertices)),
 		implied:  make(map[int]bool),
-		trace:    &Trace{},
-	}, nil
+	}
+	if opt.Trace {
+		o.trace = &Trace{}
+	}
+	return o, nil
 }
 
 // incidence returns every vertex's incident edges in edge-id order — what
@@ -189,6 +203,7 @@ func Run(env *plan.Env, g *joingraph.Graph, tail *plan.Tail, opt Options) (*tabl
 // intermediates (charged entirely as sampling work) and the discovered plan
 // is re-executed once on the full data.
 func (o *Optimizer) Execute(tail *plan.Tail) (*table.Relation, *Result, error) {
+	defer o.recycleChain()
 	rec := o.env.Rec
 	startSample := rec.CostOf(metrics.PhaseSample)
 	startExec := rec.CostOf(metrics.PhaseExecute)
@@ -222,7 +237,10 @@ func (o *Optimizer) Execute(tail *plan.Tail) (*table.Relation, *Result, error) {
 		}
 	}
 
-	res := &Result{Plan: plan.Plan{Steps: o.steps}, Trace: o.trace}
+	res := &Result{Plan: plan.Plan{Steps: o.steps}}
+	if o.trace != nil {
+		res.Trace = *o.trace
+	}
 	var out *table.Relation
 	var err error
 	if sampledSearch {
@@ -387,11 +405,12 @@ func (o *Optimizer) estimateCard(e *joingraph.Edge) (float64, bool, error) {
 		return 0, false, err
 	}
 	sw := metrics.Start()
-	consumed, err := o.runner.PairsInto(&o.pairs, e, v, C, inner, o.opt.Tau)
+	pairs := &o.chainScratch().pairs
+	consumed, err := o.runner.PairsInto(pairs, e, v, C, inner, o.opt.Tau)
 	if err != nil {
 		return 0, false, err
 	}
-	est := ops.EstimateFull(o.pairs.Len(), consumed, C.Len())
+	est := ops.EstimateFull(pairs.Len(), consumed, C.Len())
 	w := float64(vCard) / float64(C.Len()) * est
 	if o.opt.TimeWeights {
 		// Sec 6: fold the observed per-tuple execution time of the sampled
@@ -399,7 +418,7 @@ func (o *Optimizer) estimateCard(e *joingraph.Edge) (float64, bool, error) {
 		// following step) rank below equally-sized expensive ones. The
 		// factor is measured nanoseconds per processed tuple; all edges
 		// are scaled the same way, keeping weights comparable.
-		work := consumed + o.pairs.Len()
+		work := consumed + pairs.Len()
 		if work > 0 {
 			perTuple := float64(sw.Elapsed().Nanoseconds()) / float64(work)
 			if perTuple < 1 {
@@ -430,11 +449,11 @@ func (o *Optimizer) pending(id int) bool {
 	return !o.runner.Executed(id) && !o.runner.Redundant(id) && !o.implied[id]
 }
 
-// remainingEdges lists the pending edges. Join edges whose endpoints are
-// already connected through executed joins are first marked implied (value
-// equality is transitive) and dropped.
+// remainingEdges lists the pending edges, valid until the next call. Join
+// edges whose endpoints are already connected through executed joins are
+// first marked implied (value equality is transitive) and dropped.
 func (o *Optimizer) remainingEdges() []int {
-	out := make([]int, 0, len(o.g.Edges))
+	out := o.remaining[:0]
 	for _, e := range o.g.Edges {
 		if !o.pending(e.ID) {
 			continue
@@ -446,15 +465,19 @@ func (o *Optimizer) remainingEdges() []int {
 		}
 		out = append(out, e.ID)
 	}
+	o.remaining = out
 	return out
 }
 
 // executePath executes the edges of the chosen path segment (Algorithm 1
 // lines 7–19). Unless NoPathReorder is set, the segment is treated as a
 // small Join Graph of its own: the cheapest remaining segment edge (by
-// current weight) runs first, and weights refresh in between.
+// current weight) runs first, and weights refresh in between. It copies
+// path first: the chain scratch holds it, and the segment shrinks as it
+// runs.
 func (o *Optimizer) executePath(path []int) error {
-	remaining := append([]int(nil), path...)
+	o.segment = append(o.segment[:0], path...)
+	remaining := o.segment
 	for len(remaining) > 0 {
 		pick := 0
 		if !o.opt.NoPathReorder {

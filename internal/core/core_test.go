@@ -164,12 +164,14 @@ func TestROXSkipsImpliedJoins(t *testing.T) {
 	if got := len(f.g.JoinEdges(true)); got != 6 {
 		t.Fatalf("fixture has %d join edges, want 6", got)
 	}
-	_, res, err := Run(f.env, f.g, f.tail, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Trace = true // the implied edges are in the trace only
+	_, res, err := Run(f.env, f.g, f.tail, opts)
 	if err != nil {
 		t.Fatalf("ROX: %v", err)
 	}
 	execJoins := 0
-	for _, id := range res.Trace.ExecutionOrder() {
+	for _, id := range res.Plan.EdgeIDs() {
 		if f.g.Edges[id].Kind == joingraph.JoinEdge {
 			execJoins++
 		}
@@ -199,13 +201,17 @@ func TestROXAvoidsExpensiveJoinOrder(t *testing.T) {
 	}
 	// Identify the expensive join (text0 = text1, the first join edge).
 	expensive := f.joins[0]
-	for _, id := range res.Trace.ExecutionOrder() {
+	order := res.Plan.EdgeIDs()
+	if len(order) == 0 {
+		t.Fatal("ROX executed no edge")
+	}
+	for _, id := range order {
 		e := f.g.Edges[id]
 		if e.Kind != joingraph.JoinEdge {
 			continue
 		}
 		if id == expensive {
-			t.Errorf("ROX executed the high-correlation join text0=text1 before any doc2 join\norder: %v", res.Trace.ExecutionOrder())
+			t.Errorf("ROX executed the high-correlation join text0=text1 before any doc2 join\norder: %v", order)
 		}
 		break // first join executed decides
 	}
@@ -233,7 +239,10 @@ func TestROXDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o1, o2 := r1.Trace.ExecutionOrder(), r2.Trace.ExecutionOrder()
+	o1, o2 := r1.Plan.EdgeIDs(), r2.Plan.EdgeIDs()
+	if len(o1) == 0 {
+		t.Fatal("ROX executed no edge")
+	}
 	if len(o1) != len(o2) {
 		t.Fatalf("orders differ in length: %v vs %v", o1, o2)
 	}
@@ -293,7 +302,9 @@ func TestROXTraceExplorations(t *testing.T) {
 		append(seq("y", 30), "ann", "bob"),
 		append(seq("z", 12), "ann", "bob"),
 	}, true)
-	_, res, err := Run(f.env, f.g, f.tail, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Trace = true
+	_, res, err := Run(f.env, f.g, f.tail, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,17 +419,17 @@ func TestRunInvalidGraph(t *testing.T) {
 }
 
 func TestSuperiorConditions(t *testing.T) {
-	mk := func(cost, sf float64, edge int) *pathState {
-		return &pathState{edges: []int{edge}, cost: cost, sf: sf}
+	mk := func(cost, sf float64, edge int) pathState {
+		return pathState{edges: []int{edge}, cost: cost, sf: sf}
 	}
 	// The paper's example: executing pi halves pj (sf=0.5), pi costs 400,
 	// pj costs 1000: 400 + 0.5*1000 = 900 ≤ 1000 → pi superior.
-	paths := []*pathState{mk(400, 0.5, 1), mk(1000, 1.0, 2)}
+	paths := []pathState{mk(400, 0.5, 1), mk(1000, 1.0, 2)}
 	if got := superiorStrict(paths); got == nil || got.edges[0] != 1 {
 		t.Errorf("superiorStrict should pick the reducing path")
 	}
 	// No strict winner when both are neutral and similar.
-	paths = []*pathState{mk(900, 1.0, 1), mk(1000, 1.0, 2)}
+	paths = []pathState{mk(900, 1.0, 1), mk(1000, 1.0, 2)}
 	if got := superiorStrict(paths); got != nil {
 		t.Errorf("superiorStrict should find no winner, got %v", got.edges)
 	}
@@ -438,9 +449,14 @@ func TestTable2Shape(t *testing.T) {
 		append(seq("z", 100), "ann", "cid"),
 		append(seq("w", 50), "ann"),
 	}, true)
-	_, res, err := Run(f.env, f.g, f.tail, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Trace = true
+	_, res, err := Run(f.env, f.g, f.tail, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Trace.Explorations) == 0 {
+		t.Fatal("no chain-sampling explorations recorded")
 	}
 	for _, ex := range res.Trace.Explorations {
 		// Costs of a surviving path never shrink between rounds.

@@ -162,9 +162,13 @@ func TestBeamWidthBoundsPaths(t *testing.T) {
 	f := extensionFixture(t)
 	opts := DefaultOptions()
 	opts.BeamWidth = 2
+	opts.Trace = true
 	_, res, err := Run(f.env, f.g, f.tail, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Trace.Explorations) == 0 {
+		t.Fatal("no chain-sampling explorations recorded")
 	}
 	for _, ex := range res.Trace.Explorations {
 		for ri, r := range ex.Rounds {
@@ -240,7 +244,9 @@ func TestRecorderPhaseRestoredAfterSampledSearch(t *testing.T) {
 
 func TestTraceWriteJSON(t *testing.T) {
 	f := extensionFixture(t)
-	_, res, err := Run(f.env, f.g, f.tail, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Trace = true
+	_, res, err := Run(f.env, f.g, f.tail, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,10 @@ import (
 // Trace records everything the optimizer decided, in order: edge weights as
 // they were (re)computed, chain-sampling explorations with the (cost, sf)
 // evolution of every candidate path per round (the data behind Table 2 of
-// the paper), edges skipped as implied, and the execution order with result
-// cardinalities (the circled numbers of Figs 3.3/3.4).
+// the paper), edges skipped as implied, and the executed edges with result
+// cardinalities (the circled numbers of Figs 3.3/3.4). The optimizer records
+// one only under Options.Trace; the recording methods do nothing on a nil
+// *Trace, so an untraced run allocates none of it.
 type Trace struct {
 	Events       []Event
 	Explorations []*Exploration
@@ -60,47 +62,65 @@ type PathSnapshot struct {
 }
 
 func (t *Trace) addWeight(edge int, w float64) {
-	t.Events = append(t.Events, Event{Kind: EventWeight, EdgeID: edge, Weight: w})
+	if t != nil {
+		t.Events = append(t.Events, Event{Kind: EventWeight, EdgeID: edge, Weight: w})
+	}
 }
 
 func (t *Trace) addExec(edge int, reverse bool, alg ops.JoinAlg, rows int) {
-	t.Events = append(t.Events, Event{Kind: EventExec, EdgeID: edge, Reverse: reverse, Alg: alg, Rows: rows})
+	if t != nil {
+		t.Events = append(t.Events, Event{Kind: EventExec, EdgeID: edge, Reverse: reverse, Alg: alg, Rows: rows})
+	}
 }
 
 func (t *Trace) addImplied(edge int) {
-	t.Events = append(t.Events, Event{Kind: EventImplied, EdgeID: edge})
+	if t != nil {
+		t.Events = append(t.Events, Event{Kind: EventImplied, EdgeID: edge})
+	}
 }
 
+// newExploration starts recording a chain-sampling invocation; on a nil
+// trace it returns nil, which records nothing either.
 func (t *Trace) newExploration(minEdge, source int) *Exploration {
+	if t == nil {
+		return nil
+	}
 	e := &Exploration{MinEdge: minEdge, Source: source}
 	t.Explorations = append(t.Explorations, e)
 	return e
 }
 
-// addRound snapshots the candidate paths. A snapshot shares its path's edge
-// list, which is never written once the path is built.
-func (e *Exploration) addRound(paths []*pathState) {
+// addRound snapshots the candidate paths. The paths' edge lists live in the
+// chain scratch, which the next exploration overwrites, so the snapshot
+// copies them, all of a round's into one array.
+func (e *Exploration) addRound(paths []pathState) {
+	if e == nil {
+		return
+	}
+	n := 0
+	for i := range paths {
+		n += len(paths[i].edges)
+	}
+	edges := make([]int, 0, n)
 	r := Round{Paths: make([]PathSnapshot, len(paths))}
-	for i, p := range paths {
-		r.Paths[i] = PathSnapshot{Edges: p.edges, Cost: p.cost, SF: p.sf}
+	for i := range paths {
+		p := &paths[i]
+		r.Paths[i] = PathSnapshot{Cost: p.cost, SF: p.sf}
+		if len(p.edges) > 0 {
+			start := len(edges)
+			edges = append(edges, p.edges...)
+			r.Paths[i].Edges = edges[start:len(edges):len(edges)]
+		}
 	}
 	e.Rounds = append(e.Rounds, r)
 }
 
 func (e *Exploration) setChoice(edges []int, reason string) {
+	if e == nil {
+		return
+	}
 	e.Chosen = append([]int(nil), edges...)
 	e.Reason = reason
-}
-
-// ExecutionOrder returns the executed edge ids in order.
-func (t *Trace) ExecutionOrder() []int {
-	var out []int
-	for _, ev := range t.Events {
-		if ev.Kind == EventExec {
-			out = append(out, ev.EdgeID)
-		}
-	}
-	return out
 }
 
 // ImpliedEdges returns the join edges skipped as transitively implied.

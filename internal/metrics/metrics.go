@@ -59,10 +59,26 @@ func (c Cost) String() string { return fmt.Sprintf("{tuples=%d}", c.Tuples) }
 // not safe for concurrent use: every query evaluation owns exactly one (the
 // per-query plan.Env carries it), and the query reports what it charged in
 // its Stats — the one figure an Aggregator adds up across queries.
+//
+// Every operator is handed its evaluation's Recorder, so the Recorder also
+// carries the evaluation's cancellation hook: an operator loop that produces
+// many tuples polls it once per PollEvery of them (Poll) and stops early when
+// it fails, leaving its caller to return the error (Stopped).
 type Recorder struct {
 	phase Phase
 	costs [2]Cost
+
+	// Interrupt, when non-nil, is the evaluation's cancellation hook; a
+	// non-nil return aborts the evaluation with that error. Context-based
+	// cancellation plugs in here (ctx.Err).
+	Interrupt func() error
+	stopped   error // the first error Interrupt returned
 }
+
+// PollEvery is how many tuples an operator loop produces between two polls
+// of its Recorder's Interrupt: often enough that a deadline stops a large
+// join within milliseconds, rarely enough that the polls do not show.
+const PollEvery = 4096
 
 // NewRecorder returns a Recorder charging to PhaseExecute.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -87,6 +103,41 @@ func (r *Recorder) ChargeTuples(n int) {
 		return
 	}
 	r.costs[r.phase].Tuples += int64(n)
+}
+
+// CheckInterrupt polls Interrupt and returns its error, or nil when no hook
+// is installed. The first error is latched: later calls, and Stopped, return
+// it without polling again.
+func (r *Recorder) CheckInterrupt() error {
+	if r == nil {
+		return nil
+	}
+	if r.stopped == nil && r.Interrupt != nil {
+		r.stopped = r.Interrupt()
+	}
+	return r.stopped
+}
+
+// Poll is the long loops' interrupt check: once a loop's count of tuples n
+// has reached *next it polls (CheckInterrupt) and moves *next on by
+// PollEvery. It reports whether the loop must stop. A loop starts with
+// *next = PollEvery, so a short one never polls.
+func (r *Recorder) Poll(n int, next *int) bool {
+	if n < *next {
+		return false
+	}
+	*next = n + PollEvery
+	return r.CheckInterrupt() != nil
+}
+
+// Stopped returns the error a CheckInterrupt poll latched, or nil, without
+// polling. An operator a poll stopped early returns partial output; its
+// caller checks Stopped and returns the error instead of using it.
+func (r *Recorder) Stopped() error {
+	if r == nil {
+		return nil
+	}
+	return r.stopped
 }
 
 // CostOf returns the accumulated cost of phase p.

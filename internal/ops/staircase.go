@@ -104,14 +104,21 @@ func StepPairs(rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xml
 // and reused: a caller stepping edge after edge keeps one Pairs and
 // allocates only when an edge outgrows every earlier one. The result
 // aliases those columns until the next call. It returns consumed.
+//
+// Like every operator that runs under a Runner, it polls rec's interrupt
+// once per metrics.PollEvery tuples (context plus output) and stops early
+// when the poll fails; the pairs are then partial and rec.Stopped() is set.
 func StepPairsInto(out *Pairs, rec *metrics.Recorder, d *xmltree.Document, axis Axis, C, S []xmltree.NodeID, limit int) int {
 	out.C, out.S = out.C[:0], out.S[:0]
 	st := stepper{d: d, axis: axis, S: S, out: out}
-	consumed := 0
+	consumed, poll := 0, metrics.PollEvery
 	for _, c := range C {
 		st.step(c)
 		consumed++
 		if limit > 0 && out.Len() >= limit {
+			break
+		}
+		if rec.Poll(consumed+out.Len(), &poll) {
 			break
 		}
 	}

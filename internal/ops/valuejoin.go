@@ -165,12 +165,16 @@ func HashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, 
 	hs.sGroup, hs.off, hs.partners, hs.cGroup = sGroup, off, partners, cGroup
 	consumed := len(cGroup)
 	out.C, out.S = slices.Grow(out.C, total), slices.Grow(out.S, total)
+	poll := metrics.PollEvery
 	for i, g := range cGroup {
 		if g < 0 {
 			continue
 		}
 		for _, s := range partners[off[g]:off[g+1]] {
 			out.append(C[i], s)
+		}
+		if rec.Poll(out.Len(), &poll) { // StepPairsInto's interrupt rule
+			break
 		}
 	}
 	rec.ChargeTuples(consumed + len(S) + out.Len())
@@ -191,7 +195,7 @@ func NLIndexJoinPairs(rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.N
 // NLIndexJoinPairsInto is NLIndexJoinPairs writing into out, whose columns
 // are truncated and reused as in StepPairsInto. It returns consumed.
 func NLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, limit int) int {
-	consumed := probeJoin(out, dC, C, probe, nil, false, limit)
+	consumed := probeJoin(out, rec, dC, C, probe, nil, false, limit)
 	rec.ChargeTuples(consumed + out.Len())
 	return consumed
 }
@@ -203,7 +207,7 @@ func NLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Documen
 // per hit, so the join stays zero-investment. Charged like
 // NLIndexJoinPairs: consumed + |R|.
 func RestrictedNLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, S []xmltree.NodeID, limit int) int {
-	consumed := probeJoin(out, dC, C, probe, S, true, limit)
+	consumed := probeJoin(out, rec, dC, C, probe, S, true, limit)
 	rec.ChargeTuples(consumed + out.Len())
 	return consumed
 }
@@ -216,17 +220,18 @@ func RestrictedNLIndexJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltr
 // (Table 1): the recorder models the algorithm the plan chose, not the build
 // this operator skips. It returns consumed.
 func IndexHashJoinPairsInto(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(value string) []xmltree.NodeID, extent, limit int) int {
-	consumed := probeJoin(out, dC, C, probe, nil, false, limit)
+	consumed := probeJoin(out, rec, dC, C, probe, nil, false, limit)
 	rec.ChargeTuples(consumed + extent + out.Len())
 	return consumed
 }
 
 // probeJoin is the probe loop of the index joins: it truncates out, appends
 // every (c, hit) — only the hits in S when restricted — and returns the
-// outer tuples consumed under the StepPairs cut-off.
-func probeJoin(out *Pairs, dC *xmltree.Document, C []xmltree.NodeID, probe func(string) []xmltree.NodeID, S []xmltree.NodeID, restricted bool, limit int) int {
+// outer tuples consumed under the StepPairs cut-off. It polls rec's
+// interrupt as StepPairsInto does.
+func probeJoin(out *Pairs, rec *metrics.Recorder, dC *xmltree.Document, C []xmltree.NodeID, probe func(string) []xmltree.NodeID, S []xmltree.NodeID, restricted bool, limit int) int {
 	out.C, out.S = out.C[:0], out.S[:0]
-	consumed := 0
+	consumed, poll := 0, metrics.PollEvery
 	for _, c := range C {
 		hits := probe(dC.Value(c))
 		if !restricted {
@@ -246,6 +251,9 @@ func probeJoin(out *Pairs, dC *xmltree.Document, C []xmltree.NodeID, probe func(
 		}
 		consumed++
 		if limit > 0 && out.Len() >= limit {
+			break
+		}
+		if rec.Poll(consumed+out.Len(), &poll) {
 			break
 		}
 	}

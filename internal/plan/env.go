@@ -25,8 +25,9 @@ import (
 
 // Env is the per-query run-time environment: a view of an immutable shared
 // Catalog (documents + indices) plus the mutable per-evaluation state — the
-// cost recorder, the random source driving the sampling optimizer, and an
-// optional cancellation hook.
+// cost recorder, which also carries the optional cancellation hook
+// (metrics.Recorder.Interrupt), and the random source driving the sampling
+// optimizer.
 //
 // The split makes the concurrency contract explicit: the Catalog half is
 // read-only at query time and may back any number of simultaneous
@@ -38,14 +39,13 @@ import (
 type Env struct {
 	cat *Catalog
 
-	// Rec receives the cost of every operator invocation.
+	// Rec receives the cost of every operator invocation. Its Interrupt,
+	// when set, is polled between operator executions and optimizer rounds
+	// and inside the long loops of the operators and merges; a non-nil
+	// return aborts the evaluation with that error (see rox.Execute).
 	Rec *metrics.Recorder
 	// Rand drives all sampling; seed it for reproducible runs.
 	Rand *rand.Rand
-	// Interrupt, when non-nil, is polled between operator executions and
-	// optimizer rounds; a non-nil return aborts the evaluation with that
-	// error. Context-based cancellation plugs in here (see rox.Execute).
-	Interrupt func() error
 }
 
 // NewQueryEnv returns a per-query Env over a shared catalog with the given
@@ -98,14 +98,10 @@ func NewEnv(rec *metrics.Recorder, seed int64) *Env {
 // Catalog returns the shared catalog backing this environment.
 func (env *Env) Catalog() *Catalog { return env.cat }
 
-// CheckInterrupt polls the cancellation hook; it returns nil when no hook is
-// installed. Operators and optimizer loops call it between units of work.
-func (env *Env) CheckInterrupt() error {
-	if env.Interrupt != nil {
-		return env.Interrupt()
-	}
-	return nil
-}
+// CheckInterrupt polls the cancellation hook (Rec.CheckInterrupt); it
+// returns nil when no hook is installed. Optimizer loops and the Runner call
+// it between units of work.
+func (env *Env) CheckInterrupt() error { return env.Rec.CheckInterrupt() }
 
 // WithScratchRecorder returns a copy of env charging to a fresh recorder,
 // sharing the catalog, random stream and cancellation hook. Optimizer
@@ -113,7 +109,7 @@ func (env *Env) CheckInterrupt() error {
 // query's cost accounting.
 func (env *Env) WithScratchRecorder() *Env {
 	out := *env
-	out.Rec = metrics.NewRecorder()
+	out.Rec = &metrics.Recorder{Interrupt: env.Rec.Interrupt}
 	return &out
 }
 

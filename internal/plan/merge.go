@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/conc"
+	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/table"
 	"repro/internal/xmltree"
@@ -20,7 +21,10 @@ import (
 // work array is mergeScratch, which the Runner takes from scratchPool and
 // hands back when it finishes; and the relations a merge supersedes are
 // retired into that scratch, whose next Runner fills its output columns with
-// them (mergeScratch.retire, mergeScratch.column).
+// them (mergeScratch.retire, mergeScratch.column). The count and fill loops
+// poll the Runner's interrupt once per metrics.PollEvery rows; an interrupted
+// merge takes no further output column and returns nil, and the Runner
+// returns the interrupt's error.
 
 // pairGroups is a CSR-style index over a pair list (key[i], val[i]): the
 // distinct keys in ascending order and, per key, the run of its values in
@@ -127,6 +131,7 @@ type mergeScratch struct {
 	words   []uint64           // xmltree.SortedSet's bitmap
 	pairs   ops.Pairs          // the pairs of the edge being merged, unless it is a first edge
 	live    []bool             // the Runner's live bits (Runner.markLive): the input columns a merge copies; nil copies all
+	rec     *metrics.Recorder  // the Runner's recorder, whose interrupt the fills poll; nil polls nothing
 	retired [][]xmltree.NodeID // the columns of the relations this run superseded (retire)
 	spares  [][]xmltree.NodeID // earlier runs' retired columns, oldest first: the output columns of merges (column)
 }
@@ -148,7 +153,7 @@ var scratchPool conc.Recycler[mergeScratch]
 // run's retired columns become spares, and only the maxSpares most recent
 // spares stay.
 func (ms *mergeScratch) recycle() {
-	ms.byKey.vals, ms.byNode.vals, ms.live = nil, nil, nil
+	ms.byKey.vals, ms.byNode.vals, ms.live, ms.rec = nil, nil, nil, nil
 	ms.spares = append(ms.spares, ms.retired...)
 	clear(ms.retired)
 	ms.retired = ms.retired[:0]
@@ -218,30 +223,46 @@ func split(buf *[]int32, n, m int) ([]int32, []int32) {
 }
 
 // repeatRows fills dst with src's row i repeated cnt[i] times (0 drops it)
-// and returns it; len(dst) is the sum of cnt.
-func repeatRows(dst, src []xmltree.NodeID, cnt []int32) []xmltree.NodeID {
-	n := 0
+// and returns it; len(dst) is the sum of cnt. An interrupt leaves the rest
+// of dst unfilled.
+func (ms *mergeScratch) repeatRows(dst, src []xmltree.NodeID, cnt []int32) []xmltree.NodeID {
+	n, poll := 0, metrics.PollEvery
 	for i, c := range cnt {
 		for v := src[i]; c > 0; c-- {
 			dst[n] = v
 			n++
 		}
+		if ms.rec.Poll(n, &poll) {
+			break
+		}
 	}
 	return dst
 }
 
+// relation is a merge's result over its output columns, or nil when an
+// interrupt stopped the merge.
+func (ms *mergeScratch) relation(ids []int, docs []*xmltree.Document, cols [][]xmltree.NodeID) *table.Relation {
+	if ms.rec.Stopped() != nil {
+		return nil
+	}
+	return table.FromColumns(ids, docs, cols)
+}
+
 // expanded starts a merge's output: rel's live columns, filled by repeatRows,
-// with room for extra more.
+// with room for extra more. An interrupt ends it early.
 func (ms *mergeScratch) expanded(rel *table.Relation, cnt []int32, total, extra int) ([]int, []*xmltree.Document, [][]xmltree.NodeID) {
 	w := ms.width(rel) + extra
 	ids := make([]int, 0, w)
 	docs := make([]*xmltree.Document, 0, w)
 	cols := make([][]xmltree.NodeID, 0, w)
 	for _, id := range rel.ColumnIDs() {
+		if ms.rec.Stopped() != nil {
+			break
+		}
 		if ms.keeps(id) {
 			ids = append(ids, id)
 			docs = append(docs, rel.Doc(id))
-			cols = append(cols, repeatRows(ms.column(total), rel.Column(id), cnt))
+			cols = append(cols, ms.repeatRows(ms.column(total), rel.Column(id), cnt))
 		}
 	}
 	return ids, docs, cols
@@ -270,8 +291,11 @@ func (ms *mergeScratch) extend(rel *table.Relation, a int, pairs ops.Pairs, b in
 	pg.build(pairs.C, pairs.S)
 	colA := rel.Column(a)
 	rowCnt, rowGrp := split(&ms.rows, len(colA), len(colA))
-	total := 0
+	total, poll := 0, metrics.PollEvery
 	for i, k := range colA {
+		if ms.rec.Poll(i, &poll) {
+			return nil
+		}
 		g := pg.find(k)
 		rowGrp[i], rowCnt[i] = int32(g), 0
 		if g >= 0 {
@@ -280,13 +304,20 @@ func (ms *mergeScratch) extend(rel *table.Relation, a int, pairs ops.Pairs, b in
 		}
 	}
 	ids, docs, cols := ms.expanded(rel, rowCnt, total, 1)
+	if ms.rec.Stopped() != nil {
+		return nil
+	}
 	colB := ms.column(total)[:0]
+	poll = metrics.PollEvery
 	for _, g := range rowGrp {
 		if g >= 0 {
 			colB = append(colB, pg.run(int(g))...)
+			if ms.rec.Poll(len(colB), &poll) {
+				break
+			}
 		}
 	}
-	return table.FromColumns(append(ids, b), append(docs, docB), append(cols, colB))
+	return ms.relation(append(ids, b), append(docs, docB), append(cols, colB))
 }
 
 // filter keeps the rows of rel whose (a, b) columns form a pair.
@@ -300,15 +331,18 @@ func (ms *mergeScratch) filter(rel *table.Relation, a, b int, pairs ops.Pairs) *
 	ms.packed = p
 	colA, colB := rel.Column(a), rel.Column(b)
 	rowCnt, _ := split(&ms.rows, len(colA), 0)
-	total := 0
+	total, poll := 0, metrics.PollEvery
 	for i := range colA {
+		if ms.rec.Poll(i, &poll) {
+			return nil
+		}
 		rowCnt[i] = 0
 		if _, ok := slices.BinarySearch(p, pack(colA[i], colB[i])); ok {
 			rowCnt[i] = 1
 			total++
 		}
 	}
-	return table.FromColumns(ms.expanded(rel, rowCnt, total, 0))
+	return ms.relation(ms.expanded(rel, rowCnt, total, 0))
 }
 
 // joinOn joins two component relations through the pair list (C bound to
@@ -331,8 +365,11 @@ func (ms *mergeScratch) joinOn(ra *table.Relation, a int, rb *table.Relation, b 
 	}
 	colA := ra.Column(a)
 	rowCnt, rowGrp := split(&ms.rows, len(colA), len(colA))
-	total := 0
+	total, poll := 0, metrics.PollEvery
 	for i, k := range colA {
+		if ms.rec.Poll(i, &poll) {
+			return nil
+		}
 		g := pg.find(k)
 		rowGrp[i], rowCnt[i] = int32(g), 0
 		if g >= 0 {
@@ -342,11 +379,15 @@ func (ms *mergeScratch) joinOn(ra *table.Relation, a int, rb *table.Relation, b 
 	}
 	ids, docs, cols := ms.expanded(ra, rowCnt, total, ms.width(rb))
 	for _, id := range rb.ColumnIDs() {
+		if ms.rec.Stopped() != nil {
+			break
+		}
 		if !ms.keeps(id) {
 			continue
 		}
 		src := rb.Column(id)
 		dst := ms.column(total)[:0]
+		poll = metrics.PollEvery
 		for _, g := range rowGrp {
 			if g < 0 {
 				continue
@@ -359,8 +400,11 @@ func (ms *mergeScratch) joinOn(ra *table.Relation, a int, rb *table.Relation, b 
 					dst = append(dst, src[j])
 				}
 			}
+			if ms.rec.Poll(len(dst), &poll) {
+				break
+			}
 		}
 		ids, docs, cols = append(ids, id), append(docs, rb.Doc(id)), append(cols, dst)
 	}
-	return table.FromColumns(ids, docs, cols)
+	return ms.relation(ids, docs, cols)
 }

@@ -41,6 +41,15 @@ func (p *Plan) String() string {
 	return strings.Join(parts, " ")
 }
 
+// EdgeIDs returns the plan's edge ids in step order.
+func (p *Plan) EdgeIDs() []int {
+	ids := make([]int, len(p.Steps))
+	for i, s := range p.Steps {
+		ids[i] = s.EdgeID
+	}
+	return ids
+}
+
 // Covers reports whether the plan executes every non-redundant edge of g
 // exactly once. An equi-join edge may be omitted when its endpoints are
 // connected through other executed equi-join edges: value equality is

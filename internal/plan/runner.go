@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/joingraph"
+	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/table"
 	"repro/internal/xmltree"
@@ -178,8 +179,17 @@ func (r *Runner) PairsFor(e *joingraph.Edge, ctxVertex int, ctx, inner *table.Ta
 // PairsInto is PairsFor writing into out, whose columns are truncated and
 // reused (ops.StepPairsInto): a caller that only reads the pairs before the
 // next call — the optimizer's sampling — keeps one buffer for all of them.
-// The result aliases out's columns until the next call. It returns consumed.
+// The result aliases out's columns until the next call. It returns consumed,
+// or the interrupt's error when a poll inside the operator stopped it.
 func (r *Runner) PairsInto(out *ops.Pairs, e *joingraph.Edge, ctxVertex int, ctx, inner *table.Table, limit int) (int, error) {
+	consumed, err := r.pairsInto(out, e, ctxVertex, ctx, inner, limit)
+	if err == nil {
+		err = r.Env.Rec.Stopped()
+	}
+	return consumed, err
+}
+
+func (r *Runner) pairsInto(out *ops.Pairs, e *joingraph.Edge, ctxVertex int, ctx, inner *table.Table, limit int) (int, error) {
 	if !e.Touches(ctxVertex) {
 		return 0, fmt.Errorf("plan: vertex %d not on edge %d", ctxVertex, e.ID)
 	}
@@ -283,6 +293,9 @@ func (r *Runner) ExecEdge(e *joingraph.Edge, reverse bool, alg ops.JoinAlg) (int
 	default:
 		*out, _ = ops.ValueJoinPairs(rec, alg, ctxT.Doc, ctxT.Nodes, innerT.Doc, innerT.Nodes, nil, r.ExecLimit)
 	}
+	if err := rec.Stopped(); err != nil {
+		return 0, err
+	}
 
 	rows, err := r.merge(ctxV, innerV, *out)
 	if err != nil {
@@ -363,13 +376,26 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 		ms.retire(ca.rel)
 		ms.retire(cb.rel)
 	}
+	// An interrupted merge returned no relation: the run ends here, and its
+	// scratch, retired columns included, is never handed back.
+	if err := r.Env.Rec.Stopped(); err != nil {
+		return 0, err
+	}
 	r.Env.Rec.ChargeTuples(nc.rel.NumRows())
 	if r.projectReduce && dropped {
 		nc.rel = nc.rel.Distinct()
 	}
+	// Refreshing T(v) scans the relation once per vertex: a large one
+	// polls the interrupt in between.
+	large := nc.rel.NumRows() >= metrics.PollEvery
 	for _, v := range nc.verts {
 		r.comps[v] = nc
 		if nc.rel.HasColumn(v) && (!r.replay || r.readLater(v)) {
+			if large {
+				if err := r.Env.CheckInterrupt(); err != nil {
+					return 0, err
+				}
+			}
 			r.tables[v] = nc.rel.DistinctNodes(v, r.tables[v], &ms.words)
 		}
 	}
@@ -381,7 +407,7 @@ func (r *Runner) merge(a, b int, pairs ops.Pairs) (int, error) {
 func (r *Runner) ms() *mergeScratch {
 	if r.scratch == nil {
 		r.scratch = scratchPool.Get()
-		r.scratch.live = r.live
+		r.scratch.live, r.scratch.rec = r.live, r.Env.Rec
 	}
 	return r.scratch
 }
@@ -484,6 +510,9 @@ func (r *Runner) FinalRelation(required []int) (*table.Relation, error) {
 // (an error, a statistics or sampled-search Runner) just drops it.
 func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, error) {
 	rel, err := r.FinalRelation(required)
+	if err == nil {
+		err = r.Env.CheckInterrupt()
+	}
 	if err != nil {
 		return nil, RunStats{}, err
 	}

@@ -307,7 +307,7 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Rows, error) {
 		return e.executeCollection(ctx, e.catalog(), stmt, comp, fp)
 	}
 	env := e.newQueryEnv()
-	env.Interrupt = ctx.Err
+	env.Rec.Interrupt = ctx.Err
 	c := e.newCursor(ctx, env, comp, fp)
 	c.static = req.Static
 	if err := c.open(); err != nil {
