@@ -1,5 +1,5 @@
-// client.go is the NDJSON wire client the generator, the soak harness and
-// the scenario runner share. It enforces the stream-termination contract
+// client.go is the NDJSON wire client the soak harness and the scenario
+// runner share. It enforces the stream-termination contract
 // everywhere: a response body that ends without a terminal {"stats"} or
 // {"error"} line is reported as truncation, never as a short success.
 package loadgen
@@ -34,9 +34,10 @@ func (r StreamResult) OK() bool { return r.Status == http.StatusOK && r.Terminal
 // Truncated reports a stream that ended without any terminal line.
 func (r StreamResult) Truncated() bool { return r.Status == http.StatusOK && r.Terminal == "" }
 
-// maxSmallBody bounds a refusal's error envelope and a /v1/stats body. Both
-// are read to their end, so that closing them keeps the connection for the
-// next request: net/http drops a connection whose body is closed unread.
+// maxSmallBody bounds a refusal's error envelope and the answer to a soak's
+// reload or ingest. Both are read to their end, so that closing them keeps
+// the connection for the next request: net/http drops a connection whose
+// body is closed unread.
 const maxSmallBody = 1 << 20
 
 // readSmall reads a small JSON response body to its end, at most
@@ -107,32 +108,4 @@ func StreamQuery(ctx context.Context, client *http.Client, base string, params u
 		}
 	}
 	return res, sc.Err()
-}
-
-// Health is the process-health sample /v1/stats exposes for the harness.
-type Health struct {
-	Goroutines int    `json:"goroutines"`
-	HeapBytes  uint64 `json:"heap_bytes"`
-}
-
-// FetchHealth samples the server's goroutine count and heap size.
-func FetchHealth(ctx context.Context, client *http.Client, base string) (Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/stats", nil)
-	if err != nil {
-		return Health{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return Health{}, err
-	}
-	defer resp.Body.Close()
-	var h Health
-	err = readSmall(resp.Body, &h) // on every status: the connection survives
-	if resp.StatusCode != http.StatusOK {
-		return Health{}, fmt.Errorf("stats status %d", resp.StatusCode)
-	}
-	if err != nil {
-		return Health{}, err
-	}
-	return h, nil
 }

@@ -21,19 +21,21 @@ func chunked(w http.ResponseWriter, v string) {
 	_, _ = w.Write([]byte("\n"))
 }
 
-// TestClientKeepsConnection: a refused query and a /v1/stats sample are read
-// to their end before their bodies close, so sequential calls share one
-// keep-alive connection instead of dialing one each.
+// TestClientKeepsConnection: a refused query is read to its end before its
+// body closes, and so is a successful stream, so sequential calls of either
+// kind share one keep-alive connection instead of dialing one each.
 func TestClientKeepsConnection(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		chunked(w, `{"error":"parse error"}`)
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		chunked(w, `{"goroutines":7,"heap_bytes":1024}`)
+		if r.URL.Query().Get("q") != "ok" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			chunked(w, `{"error":"parse error"}`)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = w.Write([]byte(`{"item":"<a/>"}` + "\n"))
+		chunked(w, `{"stats":{"rows":1}}`)
 	})
 	ts := httptest.NewUnstartedServer(mux)
 	conns := testutil.CountConns(ts)
@@ -48,15 +50,15 @@ func TestClientKeepsConnection(t *testing.T) {
 	for i := range n {
 		res, err := StreamQuery(ctx, client, ts.URL, url.Values{"q": {"for"}})
 		if err != nil || res.Status != http.StatusBadRequest || res.ErrMsg != "parse error" {
-			t.Fatalf("query %d: %+v, %v", i, res, err)
+			t.Fatalf("refused query %d: %+v, %v", i, res, err)
 		}
-		h, err := FetchHealth(ctx, client, ts.URL)
-		if err != nil || h.Goroutines != 7 {
-			t.Fatalf("health %d: %+v, %v", i, h, err)
+		res, err = StreamQuery(ctx, client, ts.URL, url.Values{"q": {"ok"}})
+		if err != nil || !res.OK() || len(res.Items) != 1 {
+			t.Fatalf("query %d: %+v, %v", i, res, err)
 		}
 	}
 	if got := conns.Load(); got != 1 {
-		t.Errorf("%d sequential refusals and health samples opened %d connections, want 1", 2*n, got)
+		t.Errorf("%d sequential refusals and streams opened %d connections, want 1", 2*n, got)
 	}
 }
 

@@ -1,10 +1,16 @@
-// soak.go is the chaos half of the harness: sustained queries racing shard
-// reloads, live ingest commits, mid-stream client cancellations, and (via a
-// caller-supplied hook) remote-endpoint kills and restarts. The soak does
-// not check query results
-// — corpus mutation makes them moving targets — it checks the protocol
-// invariant that every stream ends in a terminal line and the server never
-// wedges: a truncated stream or a stalled hook is a hard failure.
+// Package loadgen is the chaos soak behind cmd/roxload and TestSoakChaos:
+// sustained queries racing shard reloads, live ingest commits, mid-stream
+// client cancellations and (through a caller-supplied hook) remote-endpoint
+// kills and restarts. It also holds the one strict NDJSON reader,
+// StreamQuery, which the soak and internal/scenario's runner share. See the
+// "Load harness and the perf gate" section of DESIGN.md.
+//
+// The soak does not check query results — corpus mutation makes them moving
+// targets — it checks the protocol invariant that every stream ends in a
+// terminal line and the server never wedges: a truncated stream or a failed
+// reload or ingest is a hard failure. A soak in which no stream succeeded, or
+// no reload, ingest, cancellation or chaos round landed, fails too: it
+// exercised nothing.
 package loadgen
 
 import (
@@ -12,44 +18,44 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+// IngestDoc is the document the soak appends its <entry n="…"/> batches to
+// through the ingest endpoint. It survives a restart of a server with a
+// durable ingest directory, so a kill-and-recover check counts its entries
+// (TestSoakChaos, scripts/soak_smoke.sh).
+const IngestDoc = "soak-log.xml"
+
+// The soak's fixed shape: query loops, how often a query is canceled
+// mid-stream and how long it runs first, and the periods of the reload,
+// ingest and chaos loops.
+const (
+	soakWorkers = 4
+	cancelEvery = 7
+	cancelAfter = 2 * time.Millisecond
+	reloadEvery = 50 * time.Millisecond
+	ingestEvery = 30 * time.Millisecond
+	chaosEvery  = 300 * time.Millisecond
+	maxFailures = 10
 )
 
 // SoakConfig drives one soak run.
 type SoakConfig struct {
 	// BaseURL is the server under soak.
 	BaseURL string
-	// Client is the HTTP client (default: fresh client, no timeout).
-	Client *http.Client
+	// Collection is the sharded people collection the queries read and the
+	// reloads swap a soak.xml shard of.
+	Collection string
 	// Duration bounds the run.
 	Duration time.Duration
-	// Workers is the number of concurrent query loops (default 4).
-	Workers int
-	// Params builds the i-th query's parameters (i is a global counter).
-	Params func(i int64) url.Values
-	// CancelEvery cancels every n-th query's context shortly after dispatch,
-	// aborting its stream mid-read (0 disables).
-	CancelEvery int64
-	// CancelAfter is how long a to-be-canceled query runs first (default
-	// 2ms).
-	CancelAfter time.Duration
-	// Reload, when set, is called in its own loop every ReloadEvery
-	// (default 50ms) — typically a POST to /collections/load swapping a
-	// shard under the running queries.
-	Reload      func(ctx context.Context, i int64) error
-	ReloadEvery time.Duration
-	// Chaos, when set, is called in its own loop every ChaosEvery (default
-	// 300ms) — typically killing and restarting a remote shard endpoint.
-	Chaos      func(ctx context.Context, i int64) error
-	ChaosEvery time.Duration
-	// Ingest, when set, is called in its own loop every IngestEvery (default
-	// 30ms) — typically an append+commit batch through
-	// /collections/{name}/ingest, racing the readers with live catalog
-	// publishes (and WAL fsyncs when the server has a durable ingest dir).
-	Ingest      func(ctx context.Context, i int64) error
-	IngestEvery time.Duration
+	// Chaos, when set, is called in its own loop — typically killing and
+	// restarting a remote shard endpoint behind BaseURL.
+	Chaos func(ctx context.Context, i int64) error
 }
 
 // SoakStats is a soak run's outcome.
@@ -63,45 +69,35 @@ type SoakStats struct {
 	ChaosRounds int64
 	Ingests     int64
 	// Failures holds the first few hard failures (truncations, hook
-	// errors); empty means the soak passed.
+	// errors) and the soak's vacuity verdicts; empty means the soak passed.
 	Failures []string
+}
+
+// String is the counters on one line.
+func (s *SoakStats) String() string {
+	return fmt.Sprintf("%d queries (%d ok, %d clean errors, %d canceled, %d truncated), %d reloads, %d ingests, %d chaos rounds",
+		s.Queries, s.OK, s.CleanErrors, s.Canceled, s.Truncated, s.Reloads, s.Ingests, s.ChaosRounds)
 }
 
 // addFailure records a bounded number of hard failures.
 func (s *SoakStats) addFailure(mu *sync.Mutex, msg string) {
 	mu.Lock()
 	defer mu.Unlock()
-	const maxFailures = 10
 	if len(s.Failures) < maxFailures {
 		s.Failures = append(s.Failures, msg)
 	}
 }
 
-// Soak runs queries, reloads and chaos concurrently until Duration elapses
-// (or ctx is canceled), then drains. The returned stats carry the verdict;
-// the error is only for harness-level misuse.
+// Soak runs queries, reloads, ingests and chaos concurrently until Duration
+// elapses (or ctx is canceled), then drains. The returned stats carry the
+// verdict; the error is only for harness-level misuse.
 func Soak(ctx context.Context, cfg SoakConfig) (*SoakStats, error) {
-	if cfg.Params == nil {
-		return nil, fmt.Errorf("loadgen: SoakConfig.Params is required")
+	if cfg.Collection == "" {
+		return nil, fmt.Errorf("loadgen: SoakConfig.Collection is required")
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.CancelAfter <= 0 {
-		cfg.CancelAfter = 2 * time.Millisecond
-	}
-	if cfg.ReloadEvery <= 0 {
-		cfg.ReloadEvery = 50 * time.Millisecond
-	}
-	if cfg.ChaosEvery <= 0 {
-		cfg.ChaosEvery = 300 * time.Millisecond
-	}
-	if cfg.IngestEvery <= 0 {
-		cfg.IngestEvery = 30 * time.Millisecond
-	}
+	// A transport of its own, so the soak leaves no idle connection behind.
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
 
 	stats := &SoakStats{}
 	var mu sync.Mutex
@@ -112,7 +108,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakStats, error) {
 
 	var wg sync.WaitGroup
 	var seq atomic.Int64
-	for w := 0; w < cfg.Workers; w++ {
+	for range soakWorkers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -120,12 +116,11 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakStats, error) {
 				i := seq.Add(1) - 1
 				atomic.AddInt64(&stats.Queries, 1)
 				qctx, qcancel := context.WithCancel(runCtx)
-				wantCancel := cfg.CancelEvery > 0 && i%cfg.CancelEvery == cfg.CancelEvery-1
 				var abort *time.Timer
-				if wantCancel {
-					abort = time.AfterFunc(cfg.CancelAfter, qcancel)
+				if i%cancelEvery == cancelEvery-1 {
+					abort = time.AfterFunc(cancelAfter, qcancel)
 				}
-				res, err := StreamQuery(qctx, cfg.Client, cfg.BaseURL, cfg.Params(i))
+				res, err := StreamQuery(qctx, client, cfg.BaseURL, queryParams(cfg.Collection, i))
 				if abort != nil {
 					abort.Stop()
 				}
@@ -172,18 +167,87 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakStats, error) {
 			atomic.AddInt64(counter, 1)
 		}
 	}
-	if cfg.Reload != nil {
-		wg.Add(1)
-		go runLoop(cfg.ReloadEvery, &stats.Reloads, "reload", cfg.Reload)
-	}
+	wg.Add(2)
+	go runLoop(reloadEvery, &stats.Reloads, "reload", func(ctx context.Context, i int64) error {
+		return post(ctx, client, cfg.BaseURL+"/v1/collections/load?"+url.Values{
+			"name":   {cfg.Collection},
+			"shard":  {"soak.xml"},
+			"create": {"1"},
+		}.Encode(), reloadXML(i))
+	})
+	go runLoop(ingestEvery, &stats.Ingests, "ingest", func(ctx context.Context, i int64) error {
+		return post(ctx, client, cfg.BaseURL+"/v1/collections/"+IngestDoc+"/ingest?create=1", ingestXML(i))
+	})
 	if cfg.Chaos != nil {
 		wg.Add(1)
-		go runLoop(cfg.ChaosEvery, &stats.ChaosRounds, "chaos", cfg.Chaos)
-	}
-	if cfg.Ingest != nil {
-		wg.Add(1)
-		go runLoop(cfg.IngestEvery, &stats.Ingests, "ingest", cfg.Ingest)
+		go runLoop(chaosEvery, &stats.ChaosRounds, "chaos", cfg.Chaos)
 	}
 	wg.Wait()
+
+	// The vacuity verdict: a soak that never completed a stream, or in
+	// which a loop never landed, proved nothing about the server.
+	for _, c := range []struct {
+		n    int64
+		what string
+	}{
+		{stats.OK, "fully successful streams"},
+		{stats.Reloads, "shard reloads"},
+		{stats.Ingests, "ingest commits"},
+		{stats.Canceled, "mid-stream cancellations"},
+	} {
+		if c.n == 0 {
+			stats.Failures = append(stats.Failures, "no "+c.what+" during the soak")
+		}
+	}
+	if cfg.Chaos != nil && stats.ChaosRounds == 0 {
+		stats.Failures = append(stats.Failures, "no chaos rounds completed during the soak")
+	}
 	return stats, nil
+}
+
+// queryParams is the i-th query: an ordered window over the collection whose
+// offset walks the result, so the workers read different pages.
+func queryParams(coll string, i int64) url.Values {
+	return url.Values{
+		"q":      {`for $p in collection("` + coll + `")//person order by $p/age return $p limit 20`},
+		"offset": {strconv.FormatInt(5*(i%13), 10)},
+	}
+}
+
+// reloadXML is the i-th soak.xml shard. Its content varies with i, so every
+// reload is a real replacement that queries race, not a no-op.
+func reloadXML(i int64) string {
+	return fmt.Sprintf(`<people><person id="soak%d"><name>soak</name><age>%d</age><salary>%d</salary></person></people>`,
+		i, 20+i%60, 1000+i%500)
+}
+
+// ingestXML is the i-th batch appended to IngestDoc: the first creates it.
+func ingestXML(i int64) string {
+	if i == 0 {
+		return `<soaklog><entry n="0"/></soaklog>`
+	}
+	return fmt.Sprintf(`<entry n="%d"/>`, i)
+}
+
+// post sends one XML body and reads the answer to its end, so the connection
+// is kept; anything but 200 is an error carrying the server's message.
+func post(ctx context.Context, client *http.Client, u, xml string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(xml))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/xml")
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	_ = readSmall(resp.Body, &body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, body.Error)
+	}
+	return nil
 }

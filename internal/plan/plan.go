@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/joingraph"
+	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/table"
 )
@@ -134,15 +135,17 @@ func (t *Tail) Execute(rel *table.Relation) (out *table.Relation, keys []Key, sc
 // over the element postings of cat's index of the key vertex's document (nil
 // hops), with the same result.
 func (t *Tail) ExecuteIn(cat *Catalog, rel *table.Relation) (out *table.Relation, keys []Key, scanned int) {
-	out, keys, scanned, _ = t.run(cat, rel)
+	out, keys, scanned, _ = t.run(cat, nil, rel)
 	return out, keys, scanned
 }
 
 // run is ExecuteIn that also returns, for a window with a From bound, how
 // many rows sort before it (0 otherwise). Under a bound the window counts
 // from the first row that does not sort before From, so it is cut over the
-// rows the key sort kept.
-func (t *Tail) run(cat *Catalog, rel *table.Relation) (out *table.Relation, keys []Key, scanned, before int) {
+// rows the key sort kept. It checks rec's interrupt after the distinct and
+// the τ sort and polls it in the key sort; a stopped tail returns no rows,
+// and its caller reads the error from rec.Stopped. A nil rec never stops.
+func (t *Tail) run(cat *Catalog, rec *metrics.Recorder, rel *table.Relation) (out *table.Relation, keys []Key, scanned, before int) {
 	if t == nil {
 		return rel, nil, rel.NumRows(), 0
 	}
@@ -151,12 +154,18 @@ func (t *Tail) run(cat *Catalog, rel *table.Relation) (out *table.Relation, keys
 		out = out.Project(t.Project)
 	}
 	out = out.Distinct()
+	if rec.CheckInterrupt() != nil {
+		return nil, nil, 0, 0
+	}
 	sortCols := t.Sort
 	if sortCols == nil {
 		sortCols = t.Project
 	}
 	if len(sortCols) > 0 {
 		out.SortBy(sortCols)
+		if rec.CheckInterrupt() != nil {
+			return nil, nil, 0, 0
+		}
 	}
 	scanned = out.NumRows()
 	if t.Order != nil {
@@ -165,7 +174,10 @@ func (t *Tail) run(cat *Catalog, rel *table.Relation) (out *table.Relation, keys
 			from = t.Limit.From
 		}
 		_, hi := t.Limit.Window(scanned)
-		out, keys, before = sortByKeys(cat, out, t.Order, from, hi)
+		out, keys, before = sortByKeys(cat, rec, out, t.Order, from, hi)
+		if out == nil {
+			return nil, nil, 0, 0
+		}
 	}
 	if t.Limit != nil {
 		lo, hi := t.Limit.Window(out.NumRows())
@@ -208,14 +220,20 @@ func (o *OrderSpec) compare(a, b keyedRow) int {
 // rows seen so far in a max-heap — the worst of them on top, displaced by
 // any better row — so only k keys are held and k rows sorted and permuted.
 // A non-nil from bounds the selection: the rows whose key sorts before it are
-// only counted, and before is their number.
-func sortByKeys(cat *Catalog, rel *table.Relation, spec *OrderSpec, from *Key, k int) (_ *table.Relation, _ []Key, before int) {
+// only counted, and before is their number. The key walk polls rec's
+// interrupt (Recorder.Poll); a stopped sort returns nothing, and its caller
+// reads the error from rec.Stopped.
+func sortByKeys(cat *Catalog, rec *metrics.Recorder, rel *table.Relation, spec *OrderSpec, from *Key, k int) (_ *table.Relation, _ []Key, before int) {
 	col := rel.Column(spec.Vertex)
 	k = max(0, min(k, len(col)))
 	doc := rel.Doc(spec.Vertex)
 	w := newPathWalker(doc, cat.indexOf(doc), spec.Path)
 	sel := make([]keyedRow, 0, k)
+	next := metrics.PollEvery
 	for i, n := range col {
+		if rec.Poll(i, &next) {
+			return nil, nil, 0
+		}
 		e := keyedRow{w.key(n), i}
 		switch {
 		case from != nil && spec.Before(e.key, *from):

@@ -516,7 +516,10 @@ func (r *Runner) Finish(tail *Tail, required []int) (*table.Relation, RunStats, 
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	out, keys, scanned, before := tail.run(r.Env.cat, rel)
+	out, keys, scanned, before := tail.run(r.Env.cat, r.Env.Rec, rel)
+	if err := r.Env.Rec.Stopped(); err != nil {
+		return nil, RunStats{}, err
+	}
 	if r.scratch != nil { // no merge reads it again
 		r.scratch.recycle()
 		r.scratch = nil

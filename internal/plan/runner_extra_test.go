@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/joingraph"
 	"repro/internal/metrics"
 	"repro/internal/ops"
+	"repro/internal/table"
 	"repro/internal/xmltree"
 )
 
@@ -238,5 +242,69 @@ func TestRunnerRemainingEdges(t *testing.T) {
 	}
 	if !r.Executed(f.eJoin) {
 		t.Errorf("Executed not tracking")
+	}
+}
+
+// TestFinishStopsInTheTail: a deadline that fires after the last edge stops
+// the tail — after its distinct, after its τ sort, or inside the order-by key
+// sort — instead of running it to the end. The interrupt answers nil to its
+// first n calls (the first one is Finish's own check before the tail) and
+// context.DeadlineExceeded after; Finish must return that error and no rows.
+func TestFinishStopsInTheTail(t *testing.T) {
+	const persons = 2*metrics.PollEvery + 100
+	var sb strings.Builder
+	sb.WriteString("<people>")
+	for i := range persons {
+		fmt.Fprintf(&sb, "<person><age>%d</age></person>", (i*7919)%97)
+	}
+	sb.WriteString("</people>")
+	d, err := xmltree.ParseString("d", sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := joingraph.New()
+	root, person := g.AddRoot("d"), g.AddElem("d", "person")
+	step := g.AddStep(root, person, ops.AxisDesc)
+	tail := &Tail{
+		Project: []int{person},
+		Final:   []int{person},
+		Order:   &OrderSpec{Vertex: person, Path: []KeyStep{{Name: "age"}}},
+	}
+	finish := func(interrupt func() error) (*table.Relation, error) {
+		env := NewEnv(metrics.NewRecorder(), 1)
+		env.AddDocument(d)
+		r := NewRunner(env, g)
+		if _, err := r.ExecEdge(g.Edges[step], false, ops.JoinHash); err != nil {
+			t.Fatal(err)
+		}
+		env.Rec.Interrupt = interrupt
+		rel, _, err := r.Finish(tail, tail.Required(g))
+		return rel, err
+	}
+
+	polls := 0
+	rel, err := finish(func() error { polls++; return nil })
+	if err != nil || rel.NumRows() != persons {
+		t.Fatalf("uninterrupted Finish: %v, %v", rel, err)
+	}
+	// Finish's check, one after the distinct, one after the τ sort and one
+	// per PollEvery keys.
+	if want := 3 + persons/metrics.PollEvery; polls != want {
+		t.Errorf("uninterrupted Finish polled %d times, want %d", polls, want)
+	}
+	for n := 1; n < polls; n++ {
+		calls := 0
+		rel, err := finish(func() error {
+			if calls++; calls > n {
+				return context.DeadlineExceeded
+			}
+			return nil
+		})
+		if !errors.Is(err, context.DeadlineExceeded) || rel != nil {
+			t.Errorf("deadline at poll %d of %d: Finish returned %v, %v; want no rows and the deadline", n+1, polls, rel, err)
+		}
+		if calls != n+1 {
+			t.Errorf("deadline at poll %d of %d: polled %d times", n+1, polls, calls)
+		}
 	}
 }

@@ -171,7 +171,7 @@ func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 		return nil
 	}
 	for k := 0; k <= n+1; k++ {
-		got, keys, _ := sortByKeys(nil, rel, spec, nil, k)
+		got, keys, _ := sortByKeys(nil, nil, rel, spec, nil, k)
 		if err := same(fmt.Sprintf("k=%d", k), got, keys, 0, k); err != nil {
 			return err
 		}
@@ -209,7 +209,7 @@ func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 		}
 		for skip := 0; skip <= 3; skip++ {
 			k := skip + 1
-			got, keys, before := sortByKeys(nil, rel, spec, &from, k)
+			got, keys, before := sortByKeys(nil, nil, rel, spec, &from, k)
 			if before != want {
 				return fmt.Errorf("%s from %+v: %d rows before, oracle %d", spec, from, before, want)
 			}
@@ -217,7 +217,7 @@ func checkSortCase(rel *table.Relation, path []KeyStep, desc bool) error {
 				return err
 			}
 			tail := &Tail{Project: []int{0}, Final: []int{0}, Order: spec, Limit: &LimitSpec{Count: k, From: &from}}
-			got, keys, scanned, before := tail.run(nil, rel)
+			got, keys, scanned, before := tail.run(nil, nil, rel)
 			if before != want || scanned != n {
 				return fmt.Errorf("%s from %+v: tail counts %d rows before of %d, oracle %d of %d", spec, from, before, scanned, want, n)
 			}
